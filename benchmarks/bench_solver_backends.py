@@ -54,6 +54,7 @@ import numpy as np
 from benchmarks.common import (
     bench_print,
     large_mode,
+    merge_perf_record,
     pick,
     print_dict_rows,
     run_once,
@@ -485,18 +486,7 @@ def _timed_cache_spectrum(cache, graph, options):
 
 
 def _merge_perf_record(update: dict) -> None:
-    """Merge this test's numbers into ``BENCH_solvers.json``.
-
-    The two tests of this file contribute to one perf record; merging keeps
-    whichever half ran (``-k`` selections) without clobbering the other.
-    """
-    path = Path(__file__).resolve().parent.parent / "BENCH_solvers.json"
-    payload = {}
-    if path.exists():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(update)
-    write_perf_record("BENCH_solvers.json", payload)
+    """Merge this test's numbers into ``BENCH_solvers.json`` (two tests
+    of this file contribute to it)."""
+    path = merge_perf_record("BENCH_solvers.json", update)
     bench_print(f"[perf record updated: {path}]")

@@ -38,6 +38,7 @@ __all__ = [
     "engine_for",
     "orchestrated_sweep",
     "write_perf_record",
+    "merge_perf_record",
 ]
 
 
@@ -149,6 +150,23 @@ def write_perf_record(name: str, payload: Mapping[str, object]) -> Path:
         root / HISTORY_FILENAME,
     )
     return path
+
+
+def merge_perf_record(name: str, update: Mapping[str, object]) -> Path:
+    """Merge ``update`` into the perf record ``name`` and write it.
+
+    For records that several tests contribute to: merging keeps whichever
+    part ran (``-k`` selections) without clobbering the others.
+    """
+    path = Path(__file__).resolve().parent.parent / name
+    payload = {}
+    if path.exists():
+        try:
+            payload = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            payload = {}
+    payload.update(update)
+    return write_perf_record(name, payload)
 
 
 def pick(default, large):

@@ -4,7 +4,8 @@ The modules here make every eigensolve happen at most once *ever*:
 
 * :mod:`repro.runtime.store` — :class:`SpectrumStore`, the on-disk,
   fingerprint-keyed spectrum archive that plugs under
-  :class:`~repro.solvers.spectrum_cache.SpectrumCache` as a second tier;
+  :class:`~repro.solvers.spectrum_cache.SpectrumCache` as a second tier,
+  over the sqlite3 catalog of :mod:`repro.runtime.catalog`;
 * :mod:`repro.runtime.families` — :class:`GraphSpec` and the named-generator
   registry that lets workers and CLI invocations rehydrate graphs;
 * :mod:`repro.runtime.orchestrator` — :class:`SweepOrchestrator`, the

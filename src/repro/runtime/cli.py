@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--fix",
         action="store_true",
-        help="verify: drop corrupt/missing index entries and delete orphaned blobs",
+        help="verify: drop corrupt/missing catalog entries and delete orphaned blobs",
     )
     _add_store_arguments(cache)
 

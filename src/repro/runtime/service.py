@@ -175,7 +175,7 @@ class BoundService:
 
     def counters(self) -> Dict[str, int]:
         """The in-memory counters alone — cheap enough for every ``/metrics``
-        scrape (:meth:`stats` additionally reads the on-disk store indexes).
+        scrape (:meth:`stats` additionally reads the on-disk store catalog).
         """
         return {
             "queries_served": self._queries_served,

@@ -1,41 +1,31 @@
-"""Persistent on-disk archive of Laplacian spectra.
+"""Persistent on-disk archive of Laplacian spectra and convex min-cut tables.
 
 The in-memory :class:`~repro.solvers.spectrum_cache.SpectrumCache` makes an
 eigensolve happen at most once *per process*; :class:`SpectrumStore` extends
-that guarantee across processes and runs.  Every entry is one ``.npz`` blob
-(the eigenvalue vector plus the solve cost) under ``<root>/blobs/``, named by
-a content key derived from the same quantities the in-memory cache keys on:
-the graph's structural fingerprint, the normalisation, the resolved
-sparse/dense assembly choice, the solver options, and the truncation ``h``.
-A single ``index.json`` maps entry ids to their metadata so lookups never
-scan the blob directory.
+that guarantee across processes and runs, and :class:`CutStore` does the
+same for the convex min-cut baseline's cut values.  Both are views of one
+store directory: ``blobs/<entry id>.npz`` holds one spectrum (eigenvalues
+plus solve cost), named by a content key derived from what the in-memory
+cache keys on — the graph's structural fingerprint, the normalisation, the
+resolved sparse/dense assembly, the solver options, the variant and the
+truncation ``h`` — ``cuts/<fingerprint>.npz`` holds one graph's cut table,
+and ``catalog.sqlite`` (:mod:`repro.runtime.catalog`) holds one row per
+blob, the solve leases and the ``solves_recorded`` / ``flows_recorded``
+counters that ``python -m repro cache stats`` reports.
 
-Concurrency model
------------------
-Multiple processes (the sweep orchestrator's pool workers, parallel CI jobs,
-a long-running :class:`~repro.runtime.service.BoundService`) share one store
-directory:
-
-* blobs and the index are written to a temporary file and atomically
-  ``os.replace``d into place, so readers never observe partial files;
-* index read-modify-writes hold an ``fcntl`` file lock on ``<root>/.lock``
-  (shared for reads, exclusive for writes), so concurrent writers cannot lose
-  each other's entries;
-* a racing duplicate solve simply overwrites the blob with identical content
-  and leaves the existing index entry in place — wasteful, never wrong;
-* cold solves can additionally be *coalesced* across processes with a
-  *solve lease* (:meth:`SpectrumStore.acquire_lease`): one JSON file per
-  spectrum base id under ``<root>/leases/``, guarded by ``.leases.lock``,
-  carrying the leader's pid/host/heartbeat/ttl.  Followers poll
-  :meth:`wait_for_lease` and then re-read the published spectrum, so N
-  workers needing one cold spectrum pay exactly one eigensolve.  A lease
-  is only ever advisory — a follower whose wait times out solves anyway
-  (wasteful, never wrong), and a leader killed mid-solve hands over via
-  ttl expiry or same-host dead-pid detection.
-
-The store keeps cumulative ``solves_recorded`` in the index: every
-:meth:`put` is one eigensolve *somebody* paid for, which is what
-``python -m repro cache stats`` reports and the CI warm-run smoke asserts on.
+Many processes (pool workers, fleet workers, CI jobs) share one directory.
+A blob is written to a temporary file and moved into place with
+``os.replace`` *before* its row is inserted, so a row never points at a
+partial blob; a crash in between leaves an orphan blob for ``verify``.  A racing
+duplicate solve rewrites identical bytes and keeps the existing row —
+wasteful, never wrong.  Cold solves are coalesced across processes by
+*solve leases* (:meth:`SpectrumStore.acquire_lease`): a compare-and-set on a
+``leases`` row carrying the leader's pid/host/heartbeat/ttl, so N workers
+needing one cold spectrum pay one eigensolve, and a leader killed mid-solve
+hands over by ttl expiry or same-host dead-pid detection.  SQLite's locks,
+like the ``flock`` they replaced, are unreliable on network filesystems:
+keep a shared store on a local disk, and copy one only while nothing writes
+to it, together with its ``catalog.sqlite-wal`` file.
 """
 
 from __future__ import annotations
@@ -47,17 +37,19 @@ import hashlib
 import json
 import os
 import socket
+import sqlite3
 import tempfile
 import threading
 import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.obs.metrics import global_registry
+from repro.runtime.catalog import Catalog, Table, bump
 from repro.solvers.backend import EigenSolverOptions
 
 _STORE_IO_SECONDS = global_registry().histogram(
@@ -86,16 +78,9 @@ def _timed_io(store: str, op: str):
     return wrap
 
 __all__ = [
-    "StoredSpectrum",
-    "SpectrumStore",
-    "SolveLease",
-    "CutStore",
-    "STORE_ENV_VAR",
-    "STORE_MAX_BYTES_ENV_VAR",
-    "LEASE_TTL_ENV_VAR",
-    "default_store_root",
-    "default_store_max_bytes",
-    "default_lease_ttl",
+    "StoredSpectrum", "SpectrumStore", "SolveLease", "CutStore",
+    "STORE_ENV_VAR", "STORE_MAX_BYTES_ENV_VAR", "LEASE_TTL_ENV_VAR",
+    "default_store_root", "default_store_max_bytes", "default_lease_ttl",
 ]
 
 #: Environment variable overriding the default store location.
@@ -114,14 +99,12 @@ LEASE_TTL_ENV_VAR = "REPRO_LEASE_TTL_SECONDS"
 #: power hands over within half a minute.
 DEFAULT_LEASE_TTL_SECONDS = 30.0
 
-_FORMAT_VERSION = 1
-_INDEX_NAME = "index.json"
-_LOCK_NAME = ".lock"
-_BLOB_DIR = "blobs"
-_LEASE_DIR = "leases"
-_LEASE_LOCK_NAME = ".leases.lock"
+#: What loading a blob raises when the blob itself is bad (not the disk).
+_BAD_BLOB = (EOFError, KeyError, ValueError, zipfile.BadZipFile)
 
 _HOSTNAME = socket.gethostname()
+
+_LEASE_ROW = "SELECT * FROM leases WHERE base = ?"
 
 
 def default_store_root() -> Path:
@@ -208,95 +191,41 @@ def _entry_id(base_id: str, num_eigenvalues: int) -> str:
     return f"{base_id}-h{int(num_eigenvalues):06d}"
 
 
-# ----------------------------------------------------------------------
-# shared on-disk primitives (used by SpectrumStore and CutStore)
-# ----------------------------------------------------------------------
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_npz(path: Path, **arrays: np.ndarray) -> None:
+def _atomic_write_npz(path: Path, **arrays: np.ndarray) -> int:
+    """Write ``arrays`` to ``path`` through a temporary file; returns its size."""
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent), prefix=path.name + ".", suffix=".npz"
     )
     try:
         with os.fdopen(fd, "wb") as handle:
             np.savez_compressed(handle, **arrays)
+            size = handle.tell()
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    return size
 
 
-@contextlib.contextmanager
-def _flocked(root: Path, lock_name: str, exclusive: bool):
-    """Hold an advisory file lock under ``root`` (no-op where unsupported).
-
-    A store directory that does not exist yet has nothing to lock (and no
-    index to protect); readers simply see the empty state.
-    """
-    if not root.exists():
-        yield
-        return
-    fd = os.open(root / lock_name, os.O_RDWR | os.O_CREAT, 0o644)
-    try:
-        try:
-            import fcntl
-
-            fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        except ImportError:  # pragma: no cover - non-POSIX fallback
-            pass
-        yield
-    finally:
-        os.close(fd)  # closing the descriptor releases the flock
-
-
-def _read_lease_file(path: Path) -> Optional[Dict[str, object]]:
-    """Parse one lease file; ``None`` if absent, a corrupt marker if broken.
-
-    A lease that fails to parse is indistinguishable from a crashed writer,
-    so it reads as a dict that :func:`_lease_is_stale` always rejects —
-    the next acquirer simply takes over.
-    """
-    try:
-        data = json.loads(path.read_text())
-    except OSError:
-        return None
-    except json.JSONDecodeError:
-        return {"corrupt": True}
-    if not isinstance(data, dict):
-        return {"corrupt": True}
-    return data
-
-
-def _lease_is_stale(meta: Dict[str, object], now: float) -> bool:
+def _lease_is_stale(lease: sqlite3.Row, now: float) -> bool:
     """Whether a lease's holder should be presumed dead.
 
-    Stale iff the heartbeat is older than the ttl, or the holder lives on
+    Stale iff the row is unreadable (a heartbeat or ttl that is not a
+    number), the heartbeat is older than the ttl, or the holder lives on
     *this* host and its pid no longer exists (``os.kill(pid, 0)``) — the
     fast path that hands over a SIGKILLed leader's lease without waiting
     out the ttl.  A live pid (or one we may not signal) defers to the ttl.
     """
-    if meta.get("corrupt"):
-        return True
     try:
-        heartbeat = float(meta.get("heartbeat_at", 0.0))
-        ttl = float(meta.get("ttl", 0.0))
+        heartbeat = float(lease["heartbeat_at"])
+        ttl = float(lease["ttl"])
     except (TypeError, ValueError):
         return True
     if ttl <= 0 or now - heartbeat > ttl:
         return True
-    pid = meta.get("pid")
-    if meta.get("host") == _HOSTNAME and isinstance(pid, int) and pid > 0:
+    pid = lease["pid"]
+    if lease["host"] == _HOSTNAME and isinstance(pid, int) and pid > 0:
         try:
             os.kill(pid, 0)
         except ProcessLookupError:
@@ -309,32 +238,33 @@ def _lease_is_stale(meta: Dict[str, object], now: float) -> bool:
 class SolveLease:
     """A held cross-process solve lease (returned by ``acquire_lease``).
 
-    A daemon thread refreshes the on-disk heartbeat every ``ttl / 4``
-    seconds, so a live leader keeps the lease through an arbitrarily long
-    eigensolve while a dead one expires within one ttl.  :meth:`release`
-    (idempotent; also the context-manager exit) stops the heartbeat and
-    deletes the lease file — but only while it still carries this lease's
-    token, so a takeover after a stale verdict is never clobbered.
+    A daemon thread refreshes the heartbeat every ``ttl / 4`` seconds, so a
+    live leader keeps the lease through an arbitrarily long eigensolve
+    while a dead one expires within one ttl.  :meth:`release` (idempotent;
+    also the context-manager exit) stops the heartbeat and deletes the
+    lease row — but only while it still carries this lease's token, so a
+    takeover after a stale verdict is never clobbered.
     """
 
-    def __init__(self, store: "SpectrumStore", path: Path, token: str, ttl: float) -> None:
+    def __init__(self, store: "SpectrumStore", key: str, token: str, ttl: float) -> None:
         self._store = store
-        self.path = path
+        self.key = key
         self.token = token
         self.ttl = float(ttl)
         self._stop = threading.Event()
         self._released = False
         self._heartbeat = threading.Thread(
-            target=self._heartbeat_loop,
-            name=f"repro-lease-{path.stem[:12]}",
-            daemon=True,
+            target=self._heartbeat_loop, name=f"repro-lease-{key[:12]}", daemon=True
         )
         self._heartbeat.start()
 
     def _heartbeat_loop(self) -> None:
         interval = max(self.ttl / 4.0, 0.02)
         while not self._stop.wait(interval):
-            self._store._refresh_lease(self.path, self.token)
+            self._store._update_lease(
+                "UPDATE leases SET heartbeat_at = ? WHERE base = ? AND token = ?",
+                (time.time(), self.key, self.token),
+            )
 
     def release(self) -> None:
         """Drop the lease (idempotent)."""
@@ -343,7 +273,9 @@ class SolveLease:
         self._released = True
         self._stop.set()
         self._heartbeat.join(timeout=2.0)
-        self._store._drop_lease(self.path, self.token)
+        self._store._update_lease(
+            "DELETE FROM leases WHERE base = ? AND token = ?", (self.key, self.token)
+        )
 
     def __enter__(self) -> "SolveLease":
         return self
@@ -351,71 +283,33 @@ class SolveLease:
     def __exit__(self, *exc_info) -> None:
         self.release()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SolveLease(path={str(self.path)!r}, released={self._released})"
 
+class _StoreView:
+    """A handle on one table of a store's :class:`Catalog`: the traffic
+    counters and management surface :class:`SpectrumStore` and
+    :class:`CutStore` share.  Subclasses describe their rows (``_SUMMARY``,
+    ``_describe``) and validate their blobs (``_blob_ok``)."""
 
-class SpectrumStore:
-    """File-system backed, fingerprint-keyed spectrum archive.
+    _TABLE = ""
+    _BLOB_DIR = ""
+    _COUNTER = ""
+    #: ``stats()`` keys summarising the table, and the SQL aggregate of each.
+    _SUMMARY: Dict[str, str] = {}
 
-    Parameters
-    ----------
-    root:
-        Store directory (created if missing).  ``None`` uses
-        :func:`default_store_root`.
-    max_bytes:
-        Size budget for the blob directory.  When the total blob size
-        exceeds it after a :meth:`put`, least-recently-used entries are
-        evicted until the store fits.  ``None`` (default) reads
-        ``$REPRO_SPECTRUM_STORE_MAX_BYTES``; unset means unbounded.
-    lease_ttl:
-        Heartbeat ttl (seconds) of cross-process solve leases.  ``None``
-        (default) reads ``$REPRO_LEASE_TTL_SECONDS`` (default 30);
-        ``<= 0`` disables leasing (``acquire_lease`` then raises).
-    """
-
-    def __init__(
-        self,
-        root: Union[str, Path, None] = None,
-        max_bytes: Optional[int] = None,
-        lease_ttl: Optional[float] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
         self._root = Path(root) if root is not None else default_store_root()
-        self._blob_dir = self._root / _BLOB_DIR
-        self._lease_dir = self._root / _LEASE_DIR
-        self._max_bytes = max_bytes if max_bytes is not None else default_store_max_bytes()
-        if self._max_bytes is not None and self._max_bytes < 1:
-            raise ValueError(f"max_bytes must be positive, got {self._max_bytes}")
-        self._lease_ttl = max(0.0, float(lease_ttl)) if lease_ttl is not None else default_lease_ttl()
-        # Per-handle traffic counters (the persistent counters live in the
-        # index; these describe what *this* handle served).  One handle may
-        # be shared by many engine threads — SpectrumCache calls get/put
-        # outside its own lock — so counter updates take this lock.
+        self._table = Table(self._TABLE, self._root / self._BLOB_DIR, self._COUNTER)
+        self._catalog = Catalog(self._root)
+        # Per-handle traffic counters (the persistent ones live in the
+        # catalog); one handle may serve many engine threads.
         self._counter_lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._puts = 0
-        # Read-path cache of the parsed index, keyed by the index file's
-        # (mtime_ns, size, inode): lookups against a large warm store skip
-        # re-parsing JSON unless some process actually wrote the index.
-        self._index_cache: Optional[tuple] = None
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     @property
     def root(self) -> Path:
         return self._root
-
-    @property
-    def max_bytes(self) -> Optional[int]:
-        """Size cap of the blob directory (None = unbounded)."""
-        return self._max_bytes
-
-    @property
-    def lease_ttl(self) -> float:
-        """Solve-lease heartbeat ttl in seconds (0 = leasing disabled)."""
-        return self._lease_ttl
 
     @property
     def hits(self) -> int:
@@ -429,26 +323,114 @@ class SpectrumStore:
 
     @property
     def puts(self) -> int:
-        """Spectra this handle wrote."""
+        """Writes this handle made."""
         return self._puts
 
     def __len__(self) -> int:
-        return len(self._read_index(allow_cached=True)["entries"])
+        return self._catalog.scalar(f"SELECT COUNT(*) FROM {self._TABLE}")
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SpectrumStore(root={str(self._root)!r}, entries={len(self)})"
+    def entries(self) -> List[Dict[str, object]]:
+        """Metadata of every stored entry."""
+        rows = self._catalog.read(f"SELECT * FROM {self._TABLE} ORDER BY id")
+        return [self._describe(row) for row in rows]
 
-    # ------------------------------------------------------------------
-    # lookup / publish
-    # ------------------------------------------------------------------
+    def stats(self) -> Dict[str, object]:
+        """Aggregate store statistics (persisted + this handle's traffic)."""
+        summary = {**self._SUMMARY, "total_bytes": "SUM(bytes)"}
+        rows = self._catalog.read(
+            f"SELECT {', '.join(summary.values())} FROM {self._TABLE}"
+        )
+        values = [value or 0 for value in rows[0]] if rows else [0] * len(summary)
+        return {
+            "root": str(self._root),
+            **dict(zip(summary, values)),
+            self._COUNTER: self._catalog.scalar(
+                "SELECT value FROM counters WHERE name = ?", (self._COUNTER,)
+            ),
+            "handle_hits": self._hits,
+            "handle_misses": self._misses,
+            "handle_puts": self._puts,
+        }
+
+    def clear(
+        self, lineage: Optional[str] = None, fingerprint_prefix: Optional[str] = None
+    ) -> int:
+        """Delete entries; returns the count removed.
+
+        Without filters everything goes (the work counter included).  With
+        ``lineage`` only entries recorded under that family name are
+        removed; with ``fingerprint_prefix`` only entries whose graph
+        fingerprint starts with the prefix.  Filters compose (AND); a
+        filtered clear keeps the work counter (the work was still done).
+        """
+        return self._catalog.clear(self._table, lineage, fingerprint_prefix)
+
+    def verify(self, fix: bool = False) -> Dict[str, object]:
+        """Integrity-check the store; optionally repair it.
+
+        Reports **missing** (rows whose blob is gone), **corrupt** (blobs
+        that fail to load or are malformed) and **orphaned** blobs (no row
+        references them, e.g. after a crash between blob write and insert).
+        ``fix=True`` drops missing/corrupt rows with their blobs, and deletes
+        orphans a minute old (a younger one may be a put in flight).
+        """
+        return self._catalog.verify(self._table, self._blob_ok, fix)
+
+    def _record(self, hits: int = 0, misses: int = 0, puts: int = 0) -> None:
+        with self._counter_lock:
+            self._hits += hits
+            self._misses += misses
+            self._puts += puts
+
+
+class SpectrumStore(_StoreView):
+    """File-system backed, fingerprint-keyed spectrum archive.
+
+    Parameters
+    ----------
+    root:
+        Store directory (created on first write).  ``None`` uses
+        :func:`default_store_root`.
+    max_bytes:
+        Size budget for the blob directory.  When the total blob size
+        exceeds it after a :meth:`put`, least-recently-used entries are
+        evicted until the store fits.  ``None`` (default) reads
+        ``$REPRO_SPECTRUM_STORE_MAX_BYTES``; unset means unbounded.
+    lease_ttl:
+        Heartbeat ttl (seconds) of cross-process solve leases.  ``None``
+        (default) reads ``$REPRO_LEASE_TTL_SECONDS`` (default 30);
+        ``<= 0`` disables leasing (``acquire_lease`` then raises).
+    """
+
+    _TABLE = "spectra"
+    _BLOB_DIR = "blobs"
+    _COUNTER = "solves_recorded"
+    _SUMMARY = {"num_entries": "COUNT(*)", "num_graphs": "COUNT(DISTINCT fingerprint)"}
+
+    def __init__(
+        self, root: Union[str, Path, None] = None, max_bytes: Optional[int] = None,
+        lease_ttl: Optional[float] = None,
+    ) -> None:
+        super().__init__(root)
+        self._max_bytes = max_bytes if max_bytes is not None else default_store_max_bytes()
+        if self._max_bytes is not None and self._max_bytes < 1:
+            raise ValueError(f"max_bytes must be positive, got {self._max_bytes}")
+        self._lease_ttl = max(0.0, float(lease_ttl)) if lease_ttl is not None else default_lease_ttl()
+
+    @property
+    def max_bytes(self) -> Optional[int]:
+        """Size cap of the blob directory (None = unbounded)."""
+        return self._max_bytes
+
+    @property
+    def lease_ttl(self) -> float:
+        """Solve-lease heartbeat ttl in seconds (0 = leasing disabled)."""
+        return self._lease_ttl
+
     @_timed_io("spectrum", "get")
     def get(
-        self,
-        fingerprint: str,
-        num_eigenvalues: int,
-        normalized: bool = True,
-        sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None,
+        self, fingerprint: str, num_eigenvalues: int, normalized: bool = True,
+        sparse: bool = False, eig_options: Optional[EigenSolverOptions] = None,
         variant: str = "exact",
     ) -> Optional[StoredSpectrum]:
         """Load a stored spectrum covering ``num_eigenvalues``, or ``None``.
@@ -460,76 +442,47 @@ class SpectrumStore:
         can cache the most reusable vector.  Non-exact variants (e.g.
         ``"coarse-r50-s0"`` interval spectra) live under distinct ids, so an
         exact refresh of the same graph lands next to — never on top of —
-        the certified entry.
+        the certified entry.  A blob that is gone or malformed is dropped;
+        one the disk cannot read right now (``EMFILE``, ``EIO``) is a miss.
         """
         h = int(num_eigenvalues)
         if h <= 0:
             return None
-        base = _base_id(fingerprint, normalized, sparse, eig_options, variant)
-        with self._locked(exclusive=False):
-            index = self._read_index(allow_cached=True)
-        # All qualifying entries, longest first (a longer vector serves more
-        # future requests); later candidates are fallbacks for corrupt blobs.
-        candidates = sorted(
-            (
-                (int(meta["h"]), entry_id)
-                for entry_id, meta in index["entries"].items()
-                if meta["base"] == base and int(meta["h"]) >= h
-            ),
-            reverse=True,
+        rows = self._catalog.read(
+            "SELECT id, h, backend, dtype, variant FROM spectra "
+            "WHERE base = ? AND h >= ? ORDER BY h DESC",
+            (_base_id(fingerprint, normalized, sparse, eig_options, variant), h),
         )
-        for entry_h, entry_id in candidates:
-            blob = self._blob_dir / f"{entry_id}.npz"
+        for row in rows:  # longest first; the rest are fallbacks for bad blobs
             try:
-                with np.load(blob) as data:
-                    values = np.ascontiguousarray(data["eigenvalues"], dtype=np.float64)
-                    solve_seconds = float(data["solve_seconds"])
-                    values_lo = None
-                    if "eigenvalues_lo" in data.files:
-                        values_lo = np.ascontiguousarray(
-                            data["eigenvalues_lo"], dtype=np.float64
-                        )
-            except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-                # A blob lost to a partial copy / manual deletion: drop the
-                # stale entry (index and file) and try the next candidate.
-                self._drop_entry(entry_id)
+                values, solve_seconds, values_lo = self._load(row["id"])
+            except (FileNotFoundError,) + _BAD_BLOB:
+                with contextlib.suppress(OSError), self._catalog.write() as conn:
+                    conn.execute("DELETE FROM spectra WHERE id = ?", (row["id"],))
+                self._table.unlink([row["id"]])
                 continue
-            values.flags.writeable = False
-            if values_lo is not None:
-                values_lo.flags.writeable = False
-            meta = index["entries"][entry_id]
-            options_meta = meta.get("options") or {}
-            with self._counter_lock:
-                self._hits += 1
-            if self._max_bytes is not None:
-                # LRU bookkeeping only matters under a size cap; unbounded
-                # stores skip the index rewrite per hit.
-                self._touch(entry_id)
+            except OSError:
+                break
+            self._record(hits=1)
+            if self._max_bytes is not None:  # LRU order matters only under a cap
+                with contextlib.suppress(OSError), self._catalog.write() as conn:
+                    conn.execute(
+                        "UPDATE spectra SET last_used = ? WHERE id = ?",
+                        (time.time(), row["id"]),
+                    )
             return StoredSpectrum(
-                values,
-                solve_seconds,
-                entry_h,
-                backend=str(meta.get("backend", "unknown")),
-                dtype=str(options_meta.get("dtype", "float64")),
-                eigenvalues_lo=values_lo,
-                variant=str(meta.get("variant", "exact")),
+                values, solve_seconds, row["h"], backend=row["backend"],
+                dtype=row["dtype"], eigenvalues_lo=values_lo, variant=row["variant"],
             )
-        with self._counter_lock:
-            self._misses += 1
+        self._record(misses=1)
         return None
 
     @_timed_io("spectrum", "put")
     def put(
-        self,
-        fingerprint: str,
-        eigenvalues: np.ndarray,
-        solve_seconds: float,
-        normalized: bool = True,
-        sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None,
-        backend: Optional[str] = None,
-        lineage: Optional[str] = None,
-        variant: str = "exact",
+        self, fingerprint: str, eigenvalues: np.ndarray, solve_seconds: float,
+        normalized: bool = True, sparse: bool = False,
+        eig_options: Optional[EigenSolverOptions] = None, backend: Optional[str] = None,
+        lineage: Optional[str] = None, variant: str = "exact",
         eigenvalues_lo: Optional[np.ndarray] = None,
     ) -> str:
         """Publish one solved spectrum; returns the entry id.
@@ -548,12 +501,7 @@ class SpectrumStore:
         h = int(values.shape[0])
         base = _base_id(fingerprint, normalized, sparse, eig_options, variant)
         entry_id = _entry_id(base, h)
-        self._ensure_dirs()
-        blob = self._blob_dir / f"{entry_id}.npz"
-        arrays = {
-            "eigenvalues": values,
-            "solve_seconds": np.float64(solve_seconds),
-        }
+        arrays = {"eigenvalues": values, "solve_seconds": np.float64(solve_seconds)}
         if eigenvalues_lo is not None:
             lo = np.ascontiguousarray(eigenvalues_lo, dtype=np.float64)
             if lo.shape != values.shape:
@@ -561,45 +509,60 @@ class SpectrumStore:
                     f"eigenvalues_lo shape {lo.shape} != eigenvalues {values.shape}"
                 )
             arrays["eigenvalues_lo"] = lo
-        self._atomic_write_npz(blob, **arrays)
+        self._table.blob_dir.mkdir(parents=True, exist_ok=True)
+        size = _atomic_write_npz(self._table.blob(entry_id), **arrays)
         now = time.time()
-        with self._locked(exclusive=True):
-            index = self._read_index()
-            index["solves_recorded"] = int(index.get("solves_recorded", 0)) + 1
-            if entry_id not in index["entries"]:
-                index["entries"][entry_id] = {
-                    "base": base,
-                    "h": h,
-                    "fingerprint": fingerprint,
-                    "normalized": bool(normalized),
-                    "sparse": bool(sparse),
-                    "options": _canonical_options(eig_options),
-                    "variant": str(variant),
-                    "backend": backend or "unknown",
-                    "lineage": lineage,
-                    "solve_seconds": float(solve_seconds),
-                    "created_at": now,
-                    "last_used": now,
-                }
-            else:
-                index["entries"][entry_id]["last_used"] = now
-            if self._max_bytes is not None:
-                self._evict_over_budget(index)
-            self._write_index(index)
-        with self._counter_lock:
-            self._puts += 1
+        with self._catalog.write() as conn:
+            conn.execute(
+                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT(id) DO UPDATE SET last_used = excluded.last_used",
+                (entry_id, base, h, fingerprint, int(bool(normalized)),
+                 int(bool(sparse)), _canonical_options(eig_options)["dtype"],
+                 str(variant), backend or "unknown", lineage, float(solve_seconds),
+                 size, now, now),
+            )
+            bump(conn, self._COUNTER, 1)
+            evicted = self._evict_over_budget(conn, entry_id)
+        self._table.unlink(evicted)
+        self._record(puts=1)
         return entry_id
 
-    # ------------------------------------------------------------------
-    # cross-process solve leases
-    # ------------------------------------------------------------------
+    def _evict_over_budget(self, conn: sqlite3.Connection, newest: str) -> List[str]:
+        """Delete least-recently-used rows until the blobs fit ``max_bytes``.
+
+        Returns the evicted ids; the caller deletes their blobs after the
+        commit.  ``newest`` is never evicted — a single over-budget spectrum
+        is better than an empty store that re-solves forever.
+        """
+        if self._max_bytes is None:
+            return []
+        total = conn.execute("SELECT SUM(bytes) FROM spectra").fetchone()[0] or 0
+        doomed: List[str] = []
+        for entry_id, size in conn.execute(
+            "SELECT id, bytes FROM spectra WHERE id != ? ORDER BY last_used", (newest,)
+        ):
+            if total <= self._max_bytes:
+                break
+            doomed.append(entry_id)
+            total -= size
+        conn.executemany("DELETE FROM spectra WHERE id = ?", [(d,) for d in doomed])
+        return doomed
+
+    def _load(self, entry_id: str) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
+        """Read-only (eigenvalues, solve seconds, lower ends or None) of a blob."""
+        with np.load(self._table.blob(entry_id)) as data:
+            values = np.ascontiguousarray(data["eigenvalues"], dtype=np.float64)
+            solve_seconds = float(data["solve_seconds"])
+            lo = None
+            if "eigenvalues_lo" in data.files:
+                lo = np.ascontiguousarray(data["eigenvalues_lo"], dtype=np.float64)
+                lo.flags.writeable = False
+        values.flags.writeable = False
+        return values, solve_seconds, lo
+
     def acquire_lease(
-        self,
-        fingerprint: str,
-        normalized: bool = True,
-        sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None,
-        variant: str = "exact",
+        self, fingerprint: str, normalized: bool = True, sparse: bool = False,
+        eig_options: Optional[EigenSolverOptions] = None, variant: str = "exact",
         ttl: Optional[float] = None,
     ) -> Optional[SolveLease]:
         """Try to become the solve leader for one spectrum; ``None`` if held.
@@ -608,449 +571,141 @@ class SpectrumStore:
         fingerprint, normalisation, assembly, solver options, variant, but
         *not* the truncation ``h`` — so every query shape needing one cold
         spectrum contends for a single lease.  A held-but-stale lease
-        (expired heartbeat, or a dead pid on this host) is taken over in
-        place.  The winner gets a heartbeating :class:`SolveLease` it must
-        :meth:`~SolveLease.release` after publishing via :meth:`put`.
+        (expired heartbeat, a dead pid on this host, or an unreadable row)
+        is taken over in place.  The winner gets a heartbeating
+        :class:`SolveLease` it must :meth:`~SolveLease.release` after
+        publishing via :meth:`put`.
         """
         effective_ttl = max(0.0, float(ttl)) if ttl is not None else self._lease_ttl
         if effective_ttl <= 0:
             raise ValueError("solve leasing is disabled (lease_ttl <= 0)")
-        path = self._lease_path(fingerprint, normalized, sparse, eig_options, variant)
-        self._lease_dir.mkdir(parents=True, exist_ok=True)
+        key = _base_id(fingerprint, normalized, sparse, eig_options, variant)
         now = time.time()
         token = f"{_HOSTNAME}:{os.getpid()}:{time.monotonic_ns():x}"
-        with self._lease_locked():
-            current = _read_lease_file(path)
-            if current is not None and not _lease_is_stale(current, now):
+        with self._catalog.write() as conn:
+            held = conn.execute(_LEASE_ROW, (key,)).fetchone()
+            if held is not None and not _lease_is_stale(held, now):
                 return None
-            _atomic_write_text(
-                path,
-                json.dumps(
-                    {
-                        "pid": os.getpid(),
-                        "host": _HOSTNAME,
-                        "token": token,
-                        "fingerprint": fingerprint,
-                        "variant": str(variant),
-                        "created_at": now,
-                        "heartbeat_at": now,
-                        "ttl": effective_ttl,
-                    }
-                ),
+            conn.execute(
+                "INSERT OR REPLACE INTO leases VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (key, token, os.getpid(), _HOSTNAME, fingerprint, str(variant),
+                 now, now, effective_ttl),
             )
-        return SolveLease(self, path, token, effective_ttl)
+        return SolveLease(self, key, token, effective_ttl)
 
     def wait_for_lease(
-        self,
-        fingerprint: str,
-        normalized: bool = True,
-        sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None,
-        variant: str = "exact",
-        timeout: Optional[float] = None,
-        poll_interval: float = 0.05,
+        self, fingerprint: str, normalized: bool = True, sparse: bool = False,
+        eig_options: Optional[EigenSolverOptions] = None, variant: str = "exact",
+        timeout: Optional[float] = None, poll_interval: float = 0.05,
     ) -> str:
         """Block while another process holds the solve lease.
 
-        Returns ``"released"`` once the lease file is gone (the leader
+        Returns ``"released"`` once the lease row is gone (the leader
         published and released — re-read the store), ``"stale"`` if the
         leader died (try :meth:`acquire_lease` again), or ``"timeout"``
         after ``timeout`` seconds (default: twice the ttl, at least 10 s)
         — at which point the caller should just solve; wasteful, never
         wrong.
         """
-        path = self._lease_path(fingerprint, normalized, sparse, eig_options, variant)
+        key = _base_id(fingerprint, normalized, sparse, eig_options, variant)
         if timeout is None:
             timeout = max(10.0, 2.0 * max(self._lease_ttl, 1.0))
         deadline = time.monotonic() + timeout
         while True:
-            meta = _read_lease_file(path)
-            if meta is None:
+            held = self._catalog.read(_LEASE_ROW, (key,))
+            if not held:
                 return "released"
-            if _lease_is_stale(meta, time.time()):
+            if _lease_is_stale(held[0], time.time()):
                 return "stale"
             if time.monotonic() >= deadline:
                 return "timeout"
             time.sleep(poll_interval)
 
     def leases(self) -> List[Dict[str, object]]:
-        """Metadata of every lease file (holder, age, staleness)."""
-        if not self._lease_dir.exists():
-            return []
+        """Metadata of every lease (holder, age, staleness)."""
         now = time.time()
-        rows: List[Dict[str, object]] = []
-        for path in sorted(self._lease_dir.glob("*.json")):
-            meta = _read_lease_file(path)
-            if meta is None:  # deleted between glob and read
-                continue
-            rows.append(
-                {
-                    "lease": path.stem,
-                    "fingerprint": str(meta.get("fingerprint", "?"))[:12],
-                    "variant": str(meta.get("variant", "?")),
-                    "pid": meta.get("pid"),
-                    "host": meta.get("host"),
-                    "age_seconds": now - float(meta.get("created_at", now) or now),
-                    "ttl": meta.get("ttl"),
-                    "stale": _lease_is_stale(meta, now),
-                }
-            )
-        return rows
+        rows = self._catalog.read(
+            "SELECT *, ? - COALESCE(created_at, ?) AS age FROM leases ORDER BY base",
+            (now, now),
+        )
+        return [
+            {"lease": row["base"], "fingerprint": str(row["fingerprint"])[:12],
+             "variant": str(row["variant"]), "pid": row["pid"], "host": row["host"],
+             "age_seconds": row["age"], "ttl": row["ttl"],
+             "stale": _lease_is_stale(row, now)}
+            for row in rows
+        ]
 
-    def _lease_path(
-        self,
-        fingerprint: str,
-        normalized: bool,
-        sparse: bool,
-        eig_options: Optional[EigenSolverOptions],
-        variant: str,
-    ) -> Path:
-        base = _base_id(fingerprint, normalized, sparse, eig_options, variant)
-        return self._lease_dir / f"{base}.json"
-
-    def _refresh_lease(self, path: Path, token: str) -> None:
-        """Rewrite a held lease's heartbeat (heartbeat-thread callback)."""
-        with self._lease_locked():
-            meta = _read_lease_file(path)
-            if meta is not None and meta.get("token") == token:
-                meta["heartbeat_at"] = time.time()
-                with contextlib.suppress(OSError):
-                    _atomic_write_text(path, json.dumps(meta))
-
-    def _drop_lease(self, path: Path, token: str) -> None:
-        with self._lease_locked():
-            meta = _read_lease_file(path)
-            if meta is not None and meta.get("token") == token:
-                with contextlib.suppress(OSError):
-                    path.unlink()
-
-    def _lease_locked(self):
-        return _flocked(self._root, _LEASE_LOCK_NAME, exclusive=True)
-
-    # ------------------------------------------------------------------
-    # management
-    # ------------------------------------------------------------------
-    def entries(self) -> List[Dict[str, object]]:
-        """Metadata of every stored spectrum (id, graph, h, cost, size)."""
-        with self._locked(exclusive=False):
-            index = self._read_index(allow_cached=True)
-        rows: List[Dict[str, object]] = []
-        for entry_id, meta in sorted(index["entries"].items()):
-            blob = self._blob_dir / f"{entry_id}.npz"
-            options_meta = meta.get("options") or {}
-            rows.append(
-                {
-                    "entry": entry_id,
-                    "fingerprint": str(meta["fingerprint"])[:12],
-                    "lineage": meta.get("lineage") or "-",
-                    "variant": str(meta.get("variant", "exact")),
-                    "normalized": meta["normalized"],
-                    "sparse": meta["sparse"],
-                    "backend": str(meta.get("backend", "unknown")),
-                    "dtype": str(options_meta.get("dtype", "float64")),
-                    "num_eigenvalues": int(meta["h"]),
-                    "solve_seconds": float(meta["solve_seconds"]),
-                    "bytes": blob.stat().st_size if blob.exists() else 0,
-                }
-            )
-        return rows
+    def _update_lease(self, sql: str, params: Sequence) -> None:
+        """A token-checked heartbeat or release.  A failure is harmless: the
+        lease then expires by ttl or dead pid."""
+        with contextlib.suppress(OSError), self._catalog.write() as conn:
+            conn.execute(sql, params)
 
     def stats(self) -> Dict[str, object]:
         """Aggregate store statistics (persisted + this handle's traffic)."""
-        with self._locked(exclusive=False):
-            index = self._read_index(allow_cached=True)
-        entries = index["entries"]
-        total_bytes = 0
-        graphs = set()
-        for entry_id, meta in entries.items():
-            graphs.add(meta["fingerprint"])
-            blob = self._blob_dir / f"{entry_id}.npz"
-            if blob.exists():
-                total_bytes += blob.stat().st_size
-        leases = self.leases()
+        stale = [lease["stale"] for lease in self.leases()]
         return {
-            "root": str(self._root),
-            "num_entries": len(entries),
-            "num_graphs": len(graphs),
-            "total_bytes": total_bytes,
+            **super().stats(),
             "max_bytes": self._max_bytes,
-            "solves_recorded": int(index.get("solves_recorded", 0)),
-            "handle_hits": self._hits,
-            "handle_misses": self._misses,
-            "handle_puts": self._puts,
             "lease_ttl": self._lease_ttl,
-            "active_leases": sum(1 for lease in leases if not lease["stale"]),
-            "stale_leases": sum(1 for lease in leases if lease["stale"]),
+            "active_leases": stale.count(False),
+            "stale_leases": stale.count(True),
         }
-
-    def clear(
-        self,
-        lineage: Optional[str] = None,
-        fingerprint_prefix: Optional[str] = None,
-    ) -> int:
-        """Delete entries; returns the count removed.
-
-        Without filters everything goes (index counters included).  With
-        ``lineage`` only entries recorded under that family name are removed;
-        with ``fingerprint_prefix`` only entries whose graph fingerprint
-        starts with the prefix.  Filters compose (AND); a filtered clear
-        keeps the ``solves_recorded`` counter (the work was still done).
-        """
-        if not self._root.exists():
-            return 0
-        with self._locked(exclusive=True):
-            index = self._read_index()
-            if lineage is None and fingerprint_prefix is None:
-                removed = len(index["entries"])
-                for entry_id in index["entries"]:
-                    with contextlib.suppress(OSError):
-                        (self._blob_dir / f"{entry_id}.npz").unlink()
-                self._write_index(self._empty_index())
-                return removed
-            doomed = [
-                entry_id
-                for entry_id, meta in index["entries"].items()
-                if (lineage is None or meta.get("lineage") == lineage)
-                and (
-                    fingerprint_prefix is None
-                    or str(meta.get("fingerprint", "")).startswith(fingerprint_prefix)
-                )
-            ]
-            for entry_id in doomed:
-                with contextlib.suppress(OSError):
-                    (self._blob_dir / f"{entry_id}.npz").unlink()
-                del index["entries"][entry_id]
-            if doomed:
-                self._write_index(index)
-        return len(doomed)
 
     def verify(self, fix: bool = False) -> Dict[str, object]:
         """Integrity-check the store; optionally repair it.
 
-        Detects three failure classes:
-
-        * **missing** — index entries whose ``.npz`` blob is gone,
-        * **corrupt** — blobs that fail to load or whose eigenvalue vector is
-          malformed (wrong length, non-ascending, non-finite),
-        * **orphaned** — ``.npz`` files in the blob directory that no index
-          entry references (e.g. left behind by an index reset),
-        * **stale leases** — solve-lease files whose holder is dead
-          (expired heartbeat or dead pid on this host); live leases are
-          reported but never flagged.
-
-        With ``fix=True`` missing/corrupt entries are dropped from the index
-        and corrupt/orphaned blob files deleted.  Orphan deletion re-scans
-        under the exclusive lock and skips blobs younger than a minute:
-        :meth:`put` writes the blob *before* indexing it, so a fresh blob
-        may simply not be indexed yet by a concurrent writer.  Stale lease
-        files are deleted after a re-check under the lease lock (a waiter
-        may have legitimately taken one over since the scan).  Returns a
-        report dict.
+        A blob is corrupt when it fails to load, or its eigenvalues are the
+        wrong length, non-finite or not ascending (interval variants: or
+        lower ends above the upper ones).  Also reports **stale leases**,
+        whose holder is dead (live ones are only counted); ``fix=True``
+        deletes those still stale on a re-check inside the transaction, as
+        a waiter may have taken one over since the scan.
         """
-        with self._locked(exclusive=False):
-            index = self._read_index()
-        missing: List[str] = []
-        corrupt: List[str] = []
-        for entry_id, meta in sorted(index["entries"].items()):
-            blob = self._blob_dir / f"{entry_id}.npz"
-            if not blob.exists():
-                missing.append(entry_id)
-                continue
-            try:
-                with np.load(blob) as data:
-                    values = np.asarray(data["eigenvalues"], dtype=np.float64)
-                    float(data["solve_seconds"])
-                    lo = None
-                    if "eigenvalues_lo" in data.files:
-                        lo = np.asarray(data["eigenvalues_lo"], dtype=np.float64)
-                ok = (
-                    values.ndim == 1
-                    and values.shape[0] == int(meta["h"])
-                    and bool(np.all(np.isfinite(values)))
-                    and bool(np.all(np.diff(values) >= -1e-9))
-                )
-                if ok and lo is not None:
-                    # Interval variants: lower ends must be well-formed and
-                    # never exceed the uppers (the interlacing invariant).
-                    ok = (
-                        lo.shape == values.shape
-                        and bool(np.all(np.isfinite(lo)))
-                        and bool(np.all(np.diff(lo) >= -1e-9))
-                        and bool(np.all(lo <= values + 1e-9))
-                    )
-            except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-                ok = False
-            if not ok:
-                corrupt.append(entry_id)
-        known = {f"{entry_id}.npz" for entry_id in index["entries"]}
-        orphaned: List[str] = []
-        if self._blob_dir.exists():
-            orphaned = sorted(
-                name.name
-                for name in self._blob_dir.glob("*.npz")
-                if name.name not in known
-            )
-        lease_rows = self.leases()
-        stale_leases = sorted(row["lease"] for row in lease_rows if row["stale"])
+        report = super().verify(fix)
+        rows = self.leases()
+        stale = sorted(row["lease"] for row in rows if row["stale"])
         removed = 0
-        leases_removed = 0
-        if fix and stale_leases:
-            with self._lease_locked():
-                now = time.time()
-                for name in stale_leases:
-                    path = self._lease_dir / f"{name}.json"
-                    meta = _read_lease_file(path)
-                    if meta is not None and _lease_is_stale(meta, now):
-                        with contextlib.suppress(OSError):
-                            path.unlink()
-                            leases_removed += 1
-        if fix and (missing or corrupt or orphaned):
-            with self._locked(exclusive=True):
-                index = self._read_index()
-                for entry_id in missing + corrupt:
-                    if entry_id in index["entries"]:
-                        del index["entries"][entry_id]
+        if fix and stale:
+            now = time.time()
+            with self._catalog.write() as conn:
+                for key in stale:
+                    held = conn.execute(_LEASE_ROW, (key,)).fetchone()
+                    if held is not None and _lease_is_stale(held, now):
+                        conn.execute("DELETE FROM leases WHERE base = ?", (key,))
                         removed += 1
-                    with contextlib.suppress(OSError):
-                        (self._blob_dir / f"{entry_id}.npz").unlink()
-                self._write_index(index)
-                # Orphans re-derived from the fresh index inside the lock (a
-                # racing put may have indexed one since the scan), and young
-                # blobs are left alone — they may be a put in flight whose
-                # index write is queued behind this very lock.
-                known_now = {f"{entry_id}.npz" for entry_id in index["entries"]}
-                cutoff = time.time() - 60.0
-                for name in orphaned:
-                    if name in known_now:
-                        continue
-                    blob = self._blob_dir / name
-                    with contextlib.suppress(OSError):
-                        if blob.stat().st_mtime <= cutoff:
-                            blob.unlink()
+        report.update(active_leases=len(rows) - len(stale), stale_leases=stale,
+                      ok=report["ok"] and not stale, leases_removed=removed)
+        return report
+
+    def _describe(self, row: sqlite3.Row) -> Dict[str, object]:
         return {
-            "root": str(self._root),
-            "entries_checked": len(index["entries"]),
-            "missing": missing,
-            "corrupt": corrupt,
-            "orphaned_blobs": orphaned,
-            "active_leases": sum(1 for row in lease_rows if not row["stale"]),
-            "stale_leases": stale_leases,
-            "ok": not (missing or corrupt or orphaned or stale_leases),
-            "fixed": bool(fix),
-            "entries_removed": removed,
-            "leases_removed": leases_removed,
+            "entry": row["id"], "fingerprint": row["fingerprint"][:12],
+            "lineage": row["lineage"] or "-", "variant": row["variant"],
+            "normalized": bool(row["normalized"]), "sparse": bool(row["sparse"]),
+            "backend": row["backend"], "dtype": row["dtype"],
+            "num_eigenvalues": row["h"], "solve_seconds": row["solve_seconds"],
+            "bytes": row["bytes"],
         }
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _ensure_dirs(self) -> None:
-        """Create the store tree on first *write*.
-
-        Read-only operations (``get``, ``stats``, ``cache stats`` on a
-        mistyped path) must not scatter empty store directories around.
-        """
-        self._blob_dir.mkdir(parents=True, exist_ok=True)
-
-    @staticmethod
-    def _empty_index() -> Dict[str, object]:
-        return {"format_version": _FORMAT_VERSION, "solves_recorded": 0, "entries": {}}
-
-    def _read_index(self, allow_cached: bool = False) -> Dict[str, object]:
-        """Parse the index file.
-
-        ``allow_cached=True`` (read-only paths) reuses the last parsed index
-        while the file is byte-identical; write paths always parse fresh and
-        never publish their (about-to-be-mutated) dict into the cache.
-        """
-        path = self._root / _INDEX_NAME
-        stat_key = None
-        if allow_cached:
-            try:
-                stat = path.stat()
-                stat_key = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-            except OSError:
-                stat_key = None
-            if stat_key is not None:
-                with self._counter_lock:
-                    cached = self._index_cache
-                if cached is not None and cached[0] == stat_key:
-                    return cached[1]
+    def _blob_ok(self, row: sqlite3.Row) -> bool:
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return self._empty_index()
-        if data.get("format_version") != _FORMAT_VERSION:
-            return self._empty_index()
-        data.setdefault("entries", {})
-        if stat_key is not None:
-            with self._counter_lock:
-                self._index_cache = (stat_key, data)
-        return data
+            values, _, lo = self._load(row["id"])
+        except (OSError,) + _BAD_BLOB:
+            return False
 
-    def _write_index(self, index: Dict[str, object]) -> None:
-        self._atomic_write_text(self._root / _INDEX_NAME, json.dumps(index, indent=1))
-        with self._counter_lock:
-            self._index_cache = None
+        def ascending(vector: np.ndarray) -> bool:
+            finite = np.all(np.isfinite(vector))
+            return bool(finite and np.all(np.diff(vector) >= -1e-9))
 
-    def _touch(self, entry_id: str) -> None:
-        """Refresh an entry's ``last_used`` stamp (LRU bookkeeping)."""
-        with self._locked(exclusive=True):
-            index = self._read_index()
-            meta = index["entries"].get(entry_id)
-            if meta is not None:
-                meta["last_used"] = time.time()
-                self._write_index(index)
-
-    def _evict_over_budget(self, index: Dict[str, object]) -> None:
-        """Evict least-recently-used entries until blobs fit ``max_bytes``.
-
-        Called with the exclusive lock held and the (mutable) index dict;
-        the caller writes the index afterwards.  The newest entry is never
-        evicted — a single over-budget spectrum is better than an empty
-        store that re-solves forever.
-        """
-        entries: Dict[str, Dict] = index["entries"]
-        sizes: Dict[str, int] = {}
-        for entry_id in entries:
-            blob = self._blob_dir / f"{entry_id}.npz"
-            try:
-                sizes[entry_id] = blob.stat().st_size
-            except OSError:
-                sizes[entry_id] = 0
-        total = sum(sizes.values())
-        if total <= self._max_bytes:
-            return
-        by_age = sorted(
-            entries,
-            key=lambda e: float(entries[e].get("last_used", entries[e].get("created_at", 0.0))),
+        if values.shape != (row["h"],) or not ascending(values):
+            return False
+        # Interval variants: lower ends must be well-formed and never exceed
+        # the uppers (the interlacing invariant).
+        return lo is None or bool(
+            lo.shape == values.shape and ascending(lo) and np.all(lo <= values + 1e-9)
         )
-        for entry_id in by_age[:-1]:  # keep at least the most recent entry
-            if total <= self._max_bytes:
-                break
-            with contextlib.suppress(OSError):
-                (self._blob_dir / f"{entry_id}.npz").unlink()
-            total -= sizes.get(entry_id, 0)
-            del entries[entry_id]
-
-    def _drop_entry(self, entry_id: str) -> None:
-        with contextlib.suppress(OSError):
-            (self._blob_dir / f"{entry_id}.npz").unlink()
-        with self._locked(exclusive=True):
-            index = self._read_index()
-            if entry_id in index["entries"]:
-                del index["entries"][entry_id]
-                self._write_index(index)
-
-    def _atomic_write_text(self, path: Path, text: str) -> None:
-        _atomic_write_text(path, text)
-
-    def _atomic_write_npz(self, path: Path, **arrays: np.ndarray) -> None:
-        _atomic_write_npz(path, **arrays)
-
-    def _locked(self, exclusive: bool):
-        """Hold the store-wide advisory file lock (no-op where unsupported)."""
-        return _flocked(self._root, _LOCK_NAME, exclusive)
 
 
 @dataclass(frozen=True)
@@ -1073,88 +728,40 @@ class StoredCutTable:
         return int(self.vertices.shape[0])
 
 
-class CutStore:
+class CutStore(_StoreView):
     """Persistent, fingerprint-keyed archive of convex min-cut tables.
 
     The cut values ``C(v, G)`` of the convex min-cut baseline are independent
     of the memory size ``M`` *and* of the max-flow backend (all backends are
     exact), so one on-disk table per graph fingerprint makes every warm
     re-run — across processes, pool workers, and sessions — perform zero
-    max-flow calls.  Layout mirrors :class:`SpectrumStore` (it shares the
-    same root directory by default): one ``.npz`` blob per graph under
-    ``<root>/cuts/``, a ``cuts-index.json``, and an advisory ``.cuts.lock``
-    for concurrent writers.  The persistent ``flows_recorded`` counter sums
-    the max-flow calls somebody actually paid for, which is what the CI
-    warm-run smoke asserts on.
+    max-flow calls.  It shares the root directory and catalog of
+    :class:`SpectrumStore`: one ``.npz`` blob per graph under
+    ``<root>/cuts/`` and one ``cuts`` row each.  The persistent
+    ``flows_recorded`` counter sums the max-flow calls somebody actually
+    paid for, which is what the CI warm-run smoke asserts on.
     """
 
-    _INDEX_NAME = "cuts-index.json"
-    _LOCK_NAME = ".cuts.lock"
+    _TABLE = "cuts"
     _BLOB_DIR = "cuts"
+    _COUNTER = "flows_recorded"
+    _SUMMARY = {"num_graphs": "COUNT(*)", "num_cuts": "SUM(num_cuts)"}
 
-    def __init__(self, root: Union[str, Path, None] = None) -> None:
-        self._root = Path(root) if root is not None else default_store_root()
-        self._blob_dir = self._root / self._BLOB_DIR
-        self._counter_lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._puts = 0
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def root(self) -> Path:
-        return self._root
-
-    @property
-    def hits(self) -> int:
-        """Lookups this handle served from disk."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Lookups this handle could not serve."""
-        return self._misses
-
-    @property
-    def puts(self) -> int:
-        """Merges this handle wrote."""
-        return self._puts
-
-    def __len__(self) -> int:
-        return len(self._read_index()["entries"])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CutStore(root={str(self._root)!r}, entries={len(self)})"
-
-    # ------------------------------------------------------------------
-    # lookup / publish
-    # ------------------------------------------------------------------
     @_timed_io("cut", "get")
     def get(self, fingerprint: str) -> Optional[StoredCutTable]:
         """Load the stored cut table for a graph fingerprint, or ``None``."""
         table = self._load(fingerprint)
-        with self._counter_lock:
-            if table is None:
-                self._misses += 1
-            else:
-                self._hits += 1
+        self._record(hits=int(table is not None), misses=int(table is None))
         return table
 
     def _load(self, fingerprint: str) -> Optional[StoredCutTable]:
-        """Read a table from disk without touching the traffic counters.
-
-        Internal readers (:meth:`merge` unioning the existing table,
-        :meth:`verify` integrity checks) go through here so ``cache stats``
-        only reports *lookup* traffic.
-        """
-        blob = self._blob_dir / f"{fingerprint}.npz"
+        """Read a table without counting it: ``cache stats`` reports lookups
+        only, not :meth:`merge` unions or :meth:`verify` checks."""
         try:
-            with np.load(blob) as data:
+            with np.load(self._table.blob(fingerprint)) as data:
                 vertices = np.ascontiguousarray(data["vertices"], dtype=np.int64)
                 values = np.ascontiguousarray(data["values"], dtype=np.int64)
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+        except (OSError,) + _BAD_BLOB:
             return None
         if vertices.shape != values.shape or vertices.ndim != 1:
             return None
@@ -1164,13 +771,8 @@ class CutStore:
 
     @_timed_io("cut", "merge")
     def merge(
-        self,
-        fingerprint: str,
-        vertices,
-        values,
-        flow_calls: int = 0,
-        backend: Optional[str] = None,
-        lineage: Optional[str] = None,
+        self, fingerprint: str, vertices, values, flow_calls: int = 0,
+        backend: Optional[str] = None, lineage: Optional[str] = None,
     ) -> int:
         """Union new ``vertex -> cut`` entries into a graph's table.
 
@@ -1184,9 +786,10 @@ class CutStore:
         new_values = np.asarray(values, dtype=np.int64).reshape(-1)
         if new_vertices.shape != new_values.shape:
             raise ValueError("vertices and values must have equal length")
-        self._blob_dir.mkdir(parents=True, exist_ok=True)
+        self._table.blob_dir.mkdir(parents=True, exist_ok=True)
         now = time.time()
-        with _flocked(self._root, self._LOCK_NAME, exclusive=True):
+        # The transaction serialises concurrent read-union-writes of a table.
+        with self._catalog.write() as conn:
             existing = self._load(fingerprint)
             if existing is not None and len(existing):
                 merged_v = np.concatenate([existing.vertices, new_vertices])
@@ -1196,197 +799,36 @@ class CutStore:
             # Later entries win on duplicates (they are identical anyway:
             # the cut value of a vertex is a graph invariant).
             order = np.arange(merged_v.shape[0] - 1, -1, -1)
-            uniq, first = np.unique(merged_v[order], return_index=True)
-            table_v = uniq
+            table_v, first = np.unique(merged_v[order], return_index=True)
             table_c = merged_c[order][first]
-            _atomic_write_npz(
-                self._blob_dir / f"{fingerprint}.npz",
-                vertices=table_v,
-                values=table_c,
+            size = _atomic_write_npz(
+                self._table.blob(fingerprint), vertices=table_v, values=table_c
             )
-            index = self._read_index()
-            index["flows_recorded"] = int(index.get("flows_recorded", 0)) + int(
-                flow_calls
+            conn.execute(
+                "INSERT INTO cuts VALUES (:fp, :fp, :n, COALESCE(:backend, 'unknown'), "
+                ":lineage, :size, :now, :now) ON CONFLICT(id) DO UPDATE SET "
+                "num_cuts = :n, bytes = :size, last_used = :now, "
+                "backend = COALESCE(:backend, backend), "
+                "lineage = COALESCE(:lineage, lineage)",
+                {"fp": fingerprint, "n": int(table_v.shape[0]), "backend": backend,
+                 "lineage": lineage, "size": size, "now": now},
             )
-            meta = index["entries"].setdefault(
-                fingerprint, {"created_at": now}
-            )
-            meta.update(
-                {
-                    "num_cuts": int(table_v.shape[0]),
-                    "backend": backend or meta.get("backend", "unknown"),
-                    "lineage": lineage if lineage is not None else meta.get("lineage"),
-                    "last_used": now,
-                }
-            )
-            _atomic_write_text(
-                self._root / self._INDEX_NAME, json.dumps(index, indent=1)
-            )
-        with self._counter_lock:
-            self._puts += 1
+            bump(conn, self._COUNTER, flow_calls)
+        self._record(puts=1)
         return int(table_v.shape[0])
 
-    # ------------------------------------------------------------------
-    # management
-    # ------------------------------------------------------------------
-    def entries(self) -> List[Dict[str, object]]:
-        """Metadata of every stored cut table."""
-        index = self._read_index()
-        rows: List[Dict[str, object]] = []
-        for fingerprint, meta in sorted(index["entries"].items()):
-            blob = self._blob_dir / f"{fingerprint}.npz"
-            rows.append(
-                {
-                    "fingerprint": fingerprint[:12],
-                    "lineage": meta.get("lineage") or "-",
-                    "backend": str(meta.get("backend", "unknown")),
-                    "num_cuts": int(meta.get("num_cuts", 0)),
-                    "bytes": blob.stat().st_size if blob.exists() else 0,
-                }
-            )
-        return rows
-
-    def stats(self) -> Dict[str, object]:
-        """Aggregate cut-store statistics (persisted + handle traffic)."""
-        index = self._read_index()
-        entries = index["entries"]
-        total_bytes = 0
-        for fingerprint in entries:
-            blob = self._blob_dir / f"{fingerprint}.npz"
-            if blob.exists():
-                total_bytes += blob.stat().st_size
+    def _describe(self, row: sqlite3.Row) -> Dict[str, object]:
         return {
-            "root": str(self._root),
-            "num_graphs": len(entries),
-            "num_cuts": sum(int(m.get("num_cuts", 0)) for m in entries.values()),
-            "total_bytes": total_bytes,
-            "flows_recorded": int(index.get("flows_recorded", 0)),
-            "handle_hits": self._hits,
-            "handle_misses": self._misses,
-            "handle_puts": self._puts,
+            "fingerprint": row["id"][:12], "lineage": row["lineage"] or "-",
+            "backend": row["backend"], "num_cuts": row["num_cuts"],
+            "bytes": row["bytes"],
         }
 
-    def clear(
-        self,
-        lineage: Optional[str] = None,
-        fingerprint_prefix: Optional[str] = None,
-    ) -> int:
-        """Delete cut tables; returns the count removed.
-
-        Without filters everything goes (counters included).  With
-        ``lineage`` only tables recorded under that family name are removed;
-        with ``fingerprint_prefix`` only matching graphs.  Filters compose
-        (AND) and keep the ``flows_recorded`` counter (the work was still
-        done) — the same semantics as :meth:`SpectrumStore.clear`.
-        """
-        if not self._root.exists():
-            return 0
-        with _flocked(self._root, self._LOCK_NAME, exclusive=True):
-            index = self._read_index()
-            if lineage is None and fingerprint_prefix is None:
-                doomed = list(index["entries"])
-                new_index = self._empty_index()
-            else:
-                doomed = [
-                    fp
-                    for fp, meta in index["entries"].items()
-                    if (lineage is None or meta.get("lineage") == lineage)
-                    and (fingerprint_prefix is None or fp.startswith(fingerprint_prefix))
-                ]
-                for fp in doomed:
-                    del index["entries"][fp]
-                new_index = index
-            for fp in doomed:
-                with contextlib.suppress(OSError):
-                    (self._blob_dir / f"{fp}.npz").unlink()
-            if doomed or (lineage is None and fingerprint_prefix is None):
-                _atomic_write_text(
-                    self._root / self._INDEX_NAME, json.dumps(new_index, indent=1)
-                )
-        return len(doomed)
-
-    def verify(self, fix: bool = False) -> Dict[str, object]:
-        """Integrity-check the cut store; optionally repair it.
-
-        Mirrors :meth:`SpectrumStore.verify`: **missing** (indexed table
-        whose blob is gone), **corrupt** (blob unreadable, malformed, or
-        disagreeing with the indexed ``num_cuts``, or negative/out-of-range
-        cut values) and **orphaned** (blobs no index entry references).
-        With ``fix=True`` missing/corrupt entries are dropped, corrupt blobs
-        deleted, and orphans older than a minute removed (a younger blob may
-        be a racing :meth:`merge` whose index write is still queued).
-        """
-        with _flocked(self._root, self._LOCK_NAME, exclusive=False):
-            index = self._read_index()
-        missing: List[str] = []
-        corrupt: List[str] = []
-        for fingerprint, meta in sorted(index["entries"].items()):
-            blob = self._blob_dir / f"{fingerprint}.npz"
-            if not blob.exists():
-                missing.append(fingerprint)
-                continue
-            table = self._load(fingerprint)
-            ok = (
-                table is not None
-                and len(table) == int(meta.get("num_cuts", -1))
-                and (len(table) == 0 or int(table.values.min()) >= 0)
-            )
-            if not ok:
-                corrupt.append(fingerprint)
-        known = {f"{fingerprint}.npz" for fingerprint in index["entries"]}
-        orphaned: List[str] = []
-        if self._blob_dir.exists():
-            orphaned = sorted(
-                blob.name
-                for blob in self._blob_dir.glob("*.npz")
-                if blob.name not in known
-            )
-        removed = 0
-        if fix and (missing or corrupt or orphaned):
-            with _flocked(self._root, self._LOCK_NAME, exclusive=True):
-                index = self._read_index()
-                for fingerprint in missing + corrupt:
-                    if fingerprint in index["entries"]:
-                        del index["entries"][fingerprint]
-                        removed += 1
-                    with contextlib.suppress(OSError):
-                        (self._blob_dir / f"{fingerprint}.npz").unlink()
-                _atomic_write_text(
-                    self._root / self._INDEX_NAME, json.dumps(index, indent=1)
-                )
-                known_now = {f"{fp}.npz" for fp in index["entries"]}
-                cutoff = time.time() - 60.0
-                for name in orphaned:
-                    if name in known_now:
-                        continue
-                    blob = self._blob_dir / name
-                    with contextlib.suppress(OSError):
-                        if blob.stat().st_mtime <= cutoff:
-                            blob.unlink()
-        return {
-            "root": str(self._root),
-            "entries_checked": len(index["entries"]),
-            "missing": missing,
-            "corrupt": corrupt,
-            "orphaned_blobs": orphaned,
-            "ok": not (missing or corrupt or orphaned),
-            "fixed": bool(fix),
-            "entries_removed": removed,
-        }
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _empty_index() -> Dict[str, object]:
-        return {"format_version": _FORMAT_VERSION, "flows_recorded": 0, "entries": {}}
-
-    def _read_index(self) -> Dict[str, object]:
-        try:
-            data = json.loads((self._root / self._INDEX_NAME).read_text())
-        except (OSError, json.JSONDecodeError):
-            return self._empty_index()
-        if data.get("format_version") != _FORMAT_VERSION:
-            return self._empty_index()
-        data.setdefault("entries", {})
-        return data
+    def _blob_ok(self, row: sqlite3.Row) -> bool:
+        """Readable, as long as its row says, and no negative cut value."""
+        table = self._load(row["id"])
+        return (
+            table is not None
+            and len(table) == row["num_cuts"]
+            and (len(table) == 0 or int(table.values.min()) >= 0)
+        )

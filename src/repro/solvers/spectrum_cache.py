@@ -330,7 +330,7 @@ class SpectrumCache:
         # Second tier: the persistent store may hold this spectrum (or a
         # longer one) from an earlier run or another process.  Checked
         # outside the lock — it is disk I/O.  A broken store (unreadable
-        # mount, permission error on the lock file) degrades to a cold
+        # mount, a locked or damaged catalog) degrades to a cold
         # solve, mirroring the write path below.  A genuine store miss then
         # contends for the cross-process solve lease: leaders solve below
         # (and release in the ``finally``), followers come back with the
@@ -388,7 +388,7 @@ class SpectrumCache:
                     pass  # a full/read-only disk must not break the computation
         finally:
             # Publish-then-release ordering: followers re-read the store the
-            # moment the lease file disappears, so the entry must be there.
+            # moment the lease row disappears, so the entry must be there.
             if lease is not None:
                 lease.release()
         with self._lock:

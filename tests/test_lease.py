@@ -12,7 +12,6 @@ its followers.  Three layers are covered: the on-disk lease mechanics
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
@@ -24,9 +23,11 @@ import pytest
 
 from repro.graphs.generators import fft_graph
 from repro.runtime.store import (
+    _HOSTNAME,
     DEFAULT_LEASE_TTL_SECONDS,
     LEASE_TTL_ENV_VAR,
     SpectrumStore,
+    _base_id,
     default_lease_ttl,
 )
 from repro.solvers.spectrum_cache import SpectrumCache
@@ -40,29 +41,31 @@ def store(tmp_path):
     return SpectrumStore(tmp_path / "spectra", lease_ttl=5.0)
 
 
-def lease_file(store: SpectrumStore, fingerprint: str = FINGERPRINT):
-    return store._lease_path(fingerprint, True, False, None, "exact")
+def lease_key(fingerprint: str = FINGERPRINT) -> str:
+    return _base_id(fingerprint, True, False, None, "exact")
 
 
-def write_lease_file(store: SpectrumStore, **overrides) -> None:
-    """Plant a lease file as some other holder would have written it."""
-    from repro.runtime.store import _HOSTNAME
-
+def write_lease_row(store: SpectrumStore, **overrides) -> None:
+    """Plant a lease row as some other holder would have written it."""
     now = time.time()
-    meta = {
+    row = {
+        "base": lease_key(),
+        "token": "planted-token",
         "pid": os.getpid(),
         "host": _HOSTNAME,
-        "token": "planted-token",
         "fingerprint": FINGERPRINT,
         "variant": "exact",
         "created_at": now,
         "heartbeat_at": now,
         "ttl": 30.0,
     }
-    meta.update(overrides)
-    path = lease_file(store)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(meta))
+    row.update(overrides)
+    with store._catalog.write() as conn:
+        conn.execute(
+            f"INSERT OR REPLACE INTO leases ({', '.join(row)}) "
+            f"VALUES ({', '.join('?' * len(row))})",
+            tuple(row.values()),
+        )
 
 
 class TestLeaseTtlConfig:
@@ -113,11 +116,11 @@ class TestSolveLease:
     def test_truncation_is_not_part_of_the_lease_key(self, store):
         # Every h of one spectrum contends for a single lease: that is what
         # lets different-M queries on one graph coalesce onto one solve.
-        assert lease_file(store) == store._lease_path(
+        assert lease_key() == _base_id(
             FINGERPRINT, True, False, None, "exact"
         )
         # ...but normalisation (like any key ingredient) splits it.
-        assert lease_file(store) != store._lease_path(
+        assert lease_key() != _base_id(
             FINGERPRINT, False, False, None, "exact"
         )
 
@@ -167,7 +170,7 @@ class TestSolveLease:
         reaper = multiprocessing.get_context("fork").Process(target=lambda: None)
         reaper.start()
         reaper.join()
-        write_lease_file(store, pid=reaper.pid, ttl=3600.0)
+        write_lease_row(store, pid=reaper.pid, ttl=3600.0)
         start = time.monotonic()
         assert store.wait_for_lease(FINGERPRINT, timeout=30.0) == "stale"
         assert time.monotonic() - start < 5.0  # dead-pid path, not the ttl
@@ -176,16 +179,14 @@ class TestSolveLease:
         takeover.release()
 
     def test_corrupt_lease_file_is_taken_over(self, store):
-        path = lease_file(store)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{half a lease")
+        write_lease_row(store, heartbeat_at="{half a lease", ttl=None)
         assert store.wait_for_lease(FINGERPRINT, timeout=5.0) == "stale"
         takeover = store.acquire_lease(FINGERPRINT)
         assert takeover is not None
         takeover.release()
 
     def test_verify_reports_and_fix_removes_stale_leases(self, store):
-        write_lease_file(store, heartbeat_at=time.time() - 3600.0, ttl=1.0)
+        write_lease_row(store, heartbeat_at=time.time() - 3600.0, ttl=1.0)
         live = store.acquire_lease(OTHER_FINGERPRINT)
         report = store.verify()
         assert report["ok"] is False

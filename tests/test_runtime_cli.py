@@ -300,7 +300,7 @@ class TestCLI:
     def test_store_env_var_respected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SPECTRUM_STORE", str(tmp_path / "env-store"))
         self.run_cli("sweep", "--family", "fft", "--sizes", "3", "--memory-sizes", "4")
-        assert (tmp_path / "env-store" / "index.json").exists()
+        assert (tmp_path / "env-store" / "catalog.sqlite").exists()
 
 
 class TestConvexMinCutCLI:

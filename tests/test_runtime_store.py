@@ -7,6 +7,7 @@ cache checks disk before eigensolving and publishes fresh solves back.
 
 from __future__ import annotations
 
+import errno
 import threading
 
 import numpy as np
@@ -25,6 +26,12 @@ def store(tmp_path):
 
 
 FP = "a" * 64  # an arbitrary fingerprint; the store treats it as opaque
+
+
+def corrupt_catalog(store: SpectrumStore) -> None:
+    """Overwrite the catalog file (closed first, so no WAL survives it)."""
+    store._catalog.close()
+    (store.root / "catalog.sqlite").write_text("{not json")
 
 
 class TestStoreBasics:
@@ -94,9 +101,30 @@ class TestStoreBasics:
         assert len(store) == 1
         assert not (store.root / "blobs" / f"{big_id}.npz").exists()
 
+    def test_transient_read_error_is_a_miss_that_keeps_the_entry(
+        self, store, monkeypatch
+    ):
+        # EMFILE/EIO/EACCES say nothing about the blob: only a missing or
+        # malformed blob may drop its entry.
+        entry_id = store.put(FP, np.arange(3, dtype=float), 1.0)
+        real_load = np.load
+        failures = [OSError(errno.EMFILE, "Too many open files")]
+
+        def flaky_load(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", flaky_load)
+        assert store.get(FP, 3) is None
+        assert len(store) == 1
+        assert (store.root / "blobs" / f"{entry_id}.npz").exists()
+        got = store.get(FP, 3)
+        assert got is not None and got.num_eigenvalues == 3
+
     def test_corrupt_index_treated_as_empty(self, store):
         store.put(FP, np.arange(3, dtype=float), 1.0)
-        (store.root / "index.json").write_text("{not json")
+        corrupt_catalog(store)
         assert store.get(FP, 3) is None
         assert len(store) == 0
 
