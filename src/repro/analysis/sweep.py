@@ -45,10 +45,8 @@ __all__ = [
     "METHODS",
 ]
 
-#: Methods understood by :func:`sweep`.  ``spectral-coarse`` evaluates the
-#: interlacing-certified bound interval; its row ``bound`` is the certified
-#: *safe* lower end (see :class:`repro.core.result.IntervalBoundResult`).
-METHODS = ("spectral", "spectral-unnormalized", "spectral-coarse", "convex-min-cut")
+#: Methods understood by :func:`sweep`.
+METHODS = ("spectral", "spectral-unnormalized", "convex-min-cut")
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,7 @@ def evaluate_graph_rows(
         cap = max_vertices.get(method)
         if cap is not None and graph.num_vertices > cap:
             continue
-        if method in ("spectral", "spectral-unnormalized", "spectral-coarse"):
+        if method in ("spectral", "spectral-unnormalized"):
             per_m = _evaluate_spectral(method, engine, feasible_ms)
         else:  # convex-min-cut
             mincut_engine = MinCutEngine(

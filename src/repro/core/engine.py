@@ -36,16 +36,10 @@ from repro.core.formula import (
     evaluate_bound_formula,
     resolve_k_candidates,
 )
-from repro.core.result import (
-    IntervalBoundResult,
-    ParallelBoundResult,
-    SpectralBoundResult,
-)
+from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
 from repro.solvers.backend import EigenSolverOptions
-from repro.solvers.coarsen import DEFAULT_COARSEN_RATIO
 from repro.solvers.spectrum_cache import (
-    CachedIntervalSpectrum,
     CachedSpectrum,
     SpectrumCache,
     default_spectrum_cache,
@@ -57,9 +51,7 @@ __all__ = ["BoundEngine", "SweepPoint", "SolveRecord", "SWEEP_METHODS"]
 KSpec = Optional[Union[int, Sequence[int]]]
 
 #: Bound methods understood by :meth:`BoundEngine.sweep`.
-#: ``spectral-coarse`` evaluates certified bound intervals from an
-#: interlacing-coarsened spectrum (see :meth:`BoundEngine.spectral_interval`).
-SWEEP_METHODS = ("spectral", "spectral-unnormalized", "spectral-coarse")
+SWEEP_METHODS = ("spectral", "spectral-unnormalized")
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ class SweepPoint:
     method: str
     memory_size: int
     num_processors: int
-    result: Union[SpectralBoundResult, ParallelBoundResult, IntervalBoundResult]
+    result: Union[SpectralBoundResult, ParallelBoundResult]
 
     @property
     def bound(self) -> float:
@@ -243,41 +235,16 @@ class BoundEngine:
         (self._hit_log if fetched.cache_hit else self._miss_log).append(record)
         return fetched
 
-    def _fetch_interval(
-        self, h: int, normalized: bool, ratio: float, coarsen_seed: int
-    ) -> CachedIntervalSpectrum:
-        fetched = self._cache.interval_spectrum(
-            self._graph,
-            h,
-            normalized=normalized,
-            eig_options=self._eig_options,
-            sparse=self._sparse,
-            lineage=self._lineage,
-            ratio=ratio,
-            coarsen_seed=coarsen_seed,
-        )
-        if not fetched.cache_hit:
-            self._eigensolves += 1
-        context = obs.current_context()
-        record = SolveRecord(
-            normalized=normalized,
-            num_eigenvalues=h,
-            backend=fetched.backend,
-            dtype=fetched.dtype,
-            solve_seconds=fetched.solve_seconds,
-            cache_hit=fetched.cache_hit,
-            trace_id=context.trace_id if context else None,
-            span_id=context.span_id if context else None,
-        )
-        (self._hit_log if fetched.cache_hit else self._miss_log).append(record)
-        return fetched
-
     # ------------------------------------------------------------------
     # bounds
     # ------------------------------------------------------------------
     def spectral(self, M: int, k: KSpec = None) -> SpectralBoundResult:
         """Theorem 4 bound (out-degree-normalised Laplacian ``L~``)."""
         return self._spectral_result(M, k, normalized=True)
+
+    # An alias, not a second path: ``spectral-coarse`` answers the exact
+    # bound, and perfbench's stage timers wrap this name.
+    spectral_interval = spectral
 
     def unnormalized(self, M: int, k: KSpec = None) -> SpectralBoundResult:
         """Theorem 5 bound (ordinary Laplacian scaled by ``1/max d_out``)."""
@@ -317,68 +284,6 @@ class BoundEngine:
             eig_elapsed_seconds=fetched.solve_seconds,
         )
 
-    def spectral_interval(
-        self,
-        M: int,
-        k: KSpec = None,
-        normalized: bool = True,
-        num_processors: int = 1,
-        ratio: float = DEFAULT_COARSEN_RATIO,
-        coarsen_seed: int = 0,
-    ) -> IntervalBoundResult:
-        """Certified bound interval from an interlacing-coarsened spectrum.
-
-        Solves the spectrum of a seeded principal submatrix keeping
-        ``~ratio * n`` vertices — a fraction of the exact cost at paper
-        scale — and evaluates the bound formula at the certified eigenvalue
-        interval ends.  Monotonicity of the formula in every eigenvalue
-        makes ``[value_lo, value_hi]`` a certified bracket of the exact
-        bound; ``result.value`` is the safe lower end.  Coarse spectra are
-        cached/stored under a distinct variant, so a later exact solve of
-        the same graph refreshes lazily without invalidating this entry.
-        """
-        check_memory_size(M)
-        check_positive_int(num_processors, "num_processors")
-        start = time.perf_counter()
-        n = self._graph.num_vertices
-        if n == 0:
-            return IntervalBoundResult(
-                value=0.0, value_lo=0.0, value_hi=0.0,
-                raw_value_lo=0.0, raw_value_hi=0.0,
-                best_k=1, num_vertices=0, memory_size=M,
-                num_processors=num_processors, normalized=normalized,
-                num_eigenvalues=0, num_coarse=0, exact=True,
-                elapsed_seconds=time.perf_counter() - start,
-            )
-        h, _ = resolve_k_candidates(n, self._num_eigenvalues, k)
-        h = min(max(2, h), n)
-        fetched = self._fetch_interval(h, normalized, ratio, coarsen_seed)
-        raw_lo, _, _ = evaluate_bound_formula(
-            fetched.lower, n, M, k=k, num_processors=num_processors
-        )
-        raw_hi, best_k, _ = evaluate_bound_formula(
-            fetched.upper, n, M, k=k, num_processors=num_processors
-        )
-        return IntervalBoundResult(
-            value=max(0.0, raw_lo),
-            value_lo=max(0.0, raw_lo),
-            value_hi=max(0.0, raw_hi),
-            raw_value_lo=raw_lo,
-            raw_value_hi=raw_hi,
-            best_k=best_k,
-            num_vertices=n,
-            memory_size=M,
-            num_processors=num_processors,
-            normalized=normalized,
-            num_eigenvalues=int(fetched.upper.shape[0]),
-            num_coarse=fetched.num_coarse,
-            exact=fetched.exact,
-            lower_eigenvalues=tuple(float(x) for x in fetched.lower),
-            upper_eigenvalues=tuple(float(x) for x in fetched.upper),
-            elapsed_seconds=time.perf_counter() - start,
-            eig_elapsed_seconds=fetched.solve_seconds,
-        )
-
     def sweep(
         self,
         memory_sizes: Iterable[int],
@@ -414,14 +319,8 @@ class BoundEngine:
             normalized = method != "spectral-unnormalized"
             for p in proc_list:
                 for M in memory_list:
-                    result: Union[
-                        SpectralBoundResult, ParallelBoundResult, IntervalBoundResult
-                    ]
-                    if method == "spectral-coarse":
-                        result = self.spectral_interval(
-                            M, k=k, normalized=normalized, num_processors=p
-                        )
-                    elif p == 1:
+                    result: Union[SpectralBoundResult, ParallelBoundResult]
+                    if p == 1:
                         result = self._spectral_result(M, k, normalized=normalized)
                     else:
                         result = self.parallel(M, p, k=k, normalized=normalized)

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "SpectralBoundResult",
     "ParallelBoundResult",
-    "IntervalBoundResult",
     "BaselineBoundResult",
 ]
 
@@ -110,72 +109,6 @@ class ParallelBoundResult:
         data.pop("eigenvalues", None)
         data.pop("per_k_values", None)
         return data
-
-
-@dataclass(frozen=True)
-class IntervalBoundResult:
-    """Certified bound *interval* from an interlacing-coarsened spectrum.
-
-    The bound formula is monotone non-decreasing in every eigenvalue, so
-    evaluating it at the certified lower/upper eigenvalue endpoint vectors
-    (:mod:`repro.solvers.coarsen`) brackets the exact bound:
-    ``value_lo <= exact bound <= value_hi``, provably.
-
-    Attributes
-    ----------
-    value:
-        Alias of ``value_lo`` — the certified-*safe* I/O lower bound (the
-        exact bound can only be higher), so interval results drop into any
-        consumer of ``result.value`` without weakening its guarantee.
-    value_lo / value_hi:
-        Clamped interval ends; ``raw_value_lo``/``raw_value_hi`` are the
-        un-clamped formula maxima.
-    best_k:
-        The ``k`` attaining the maximum at the *upper* ends (the better
-        estimate of the exact optimiser).
-    num_coarse:
-        Vertices kept by the coarse solve (``== num_vertices`` when the
-        graph was too small to coarsen and the interval is a point).
-    exact:
-        True when no coarsening happened (``value_lo == value_hi``).
-
-    The remaining fields mirror :class:`SpectralBoundResult`.
-    """
-
-    value: float
-    value_lo: float
-    value_hi: float
-    raw_value_lo: float
-    raw_value_hi: float
-    best_k: int
-    num_vertices: int
-    memory_size: int
-    num_processors: int
-    normalized: bool
-    num_eigenvalues: int
-    num_coarse: int
-    exact: bool
-    lower_eigenvalues: Tuple[float, ...] = field(repr=False, default=())
-    upper_eigenvalues: Tuple[float, ...] = field(repr=False, default=())
-    elapsed_seconds: float = 0.0
-    eig_elapsed_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view with the eigenvalue vectors dropped."""
-        data = asdict(self)
-        data.pop("lower_eigenvalues", None)
-        data.pop("upper_eigenvalues", None)
-        return data
-
-    @property
-    def width(self) -> float:
-        """Size of the certified interval (0 for exact results)."""
-        return self.value_hi - self.value_lo
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when even the safe end carries no information."""
-        return self.value <= 0.0
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ The three legs, all default-off or always-cheap:
   propagation through the sweep pool; ``obs.span("eigensolve", ...)`` is
   the instrumentation idiom and is a shared no-op object when disabled.
 * :mod:`repro.obs.metrics` — the process-global :class:`MetricsRegistry`
-  (promoted from ``repro.server.metrics``, which re-exports it); hot
-  seams record histograms/counters into :func:`global_registry`.
+  (also the serving layer's per-server registry); hot seams record
+  histograms/counters into :func:`global_registry`.
 * :mod:`repro.obs.profiling` — per-task cProfile capture behind
   ``REPRO_PROFILE=1``, written next to the trace file.
 * :mod:`repro.obs.perf` — the performance-regression sentinel over the

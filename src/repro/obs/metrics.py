@@ -4,11 +4,10 @@ Pure stdlib, deliberately small: counters, gauges and latency histograms,
 each optionally labelled, rendered in the Prometheus text exposition
 format (``GET /metrics``) and snapshot-able as JSON (``GET /v1/stats``).
 
-This module is the process-wide home of the registry machinery.  It began
-life as ``repro.server.metrics`` (which now re-exports it unchanged) and
-was promoted here so every layer of the stack — engine, solvers, cache
-tiers, pool, server — can record into one :func:`global_registry` without
-importing the serving stack.
+This module is the process-wide home of the registry machinery, outside
+the serving stack, so every layer — engine, solvers, cache tiers, pool,
+server — can record into one :func:`global_registry` without importing
+the server.
 
 Two kinds of values coexist:
 

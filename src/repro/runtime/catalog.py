@@ -20,7 +20,9 @@ it in a forked child.  Every :class:`sqlite3.Error` is raised as
 :class:`OSError`, except that a file that is not a database (or is
 corrupt) reads as empty and is replaced by the first write.  The JSON
 indexes of older builds (``index.json``, ``cuts-index.json``) are imported
-once, on first open.
+once, on first open; so is a catalog of the builds that also stored
+interlacing-interval spectra, whose ``variant`` columns and non-exact rows
+are dropped.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ _SCHEMA = """
 CREATE TABLE IF NOT EXISTS spectra (
     id TEXT PRIMARY KEY, base TEXT NOT NULL, h INTEGER NOT NULL,
     fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL,
-    sparse INTEGER NOT NULL, dtype TEXT NOT NULL, variant TEXT NOT NULL,
+    sparse INTEGER NOT NULL, dtype TEXT NOT NULL,
     backend TEXT NOT NULL, lineage TEXT, solve_seconds REAL NOT NULL,
     bytes INTEGER NOT NULL, created_at REAL NOT NULL, last_used REAL NOT NULL);
 CREATE INDEX IF NOT EXISTS spectra_by_base ON spectra (base, h);
@@ -64,7 +66,7 @@ CREATE TABLE IF NOT EXISTS cuts (
     created_at REAL NOT NULL, last_used REAL NOT NULL);
 CREATE TABLE IF NOT EXISTS leases (
     base TEXT PRIMARY KEY, token TEXT, pid INTEGER, host TEXT, fingerprint TEXT,
-    variant TEXT, created_at REAL, heartbeat_at REAL, ttl REAL);
+    created_at REAL, heartbeat_at REAL, ttl REAL);
 CREATE TABLE IF NOT EXISTS counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
 """
 
@@ -85,6 +87,11 @@ class Table:
         for key in keys:
             with contextlib.suppress(OSError):
                 self.blob(key).unlink()
+
+
+def _has_variant(conn: sqlite3.Connection) -> bool:
+    """Whether the catalog still has the ``variant`` column of older builds."""
+    return any(row[1] == "variant" for row in conn.execute("PRAGMA table_info(spectra)"))
 
 
 def bump(conn: sqlite3.Connection, counter: str, amount: int) -> None:
@@ -295,12 +302,30 @@ class Catalog:
                     time.sleep(0.01)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.row_factory = sqlite3.Row
+            if _has_variant(conn):
+                self._drop_variants(conn)
             if legacy:
                 self._import_legacy(conn, legacy)
         except BaseException:
             conn.close()
             raise
         return conn
+
+    def _drop_variants(self, conn: sqlite3.Connection) -> None:
+        """Delete the interval spectra of older builds (rows, blobs and
+        leases) and drop their ``variant`` columns, once: the column is
+        re-checked inside the transaction, so a process that opened the
+        catalog at the same time finds it migrated."""
+        with _transaction(conn):
+            if not _has_variant(conn):
+                return
+            doomed = [key for (key,) in conn.execute(
+                "SELECT id FROM spectra WHERE variant != 'exact'"
+            )]
+            for table in ("spectra", "leases"):
+                conn.execute(f"DELETE FROM {table} WHERE variant != 'exact'")
+                conn.execute(f"ALTER TABLE {table} DROP COLUMN variant")
+        Table("spectra", self.root / "blobs", "solves_recorded").unlink(doomed)
 
     def _import_legacy(self, conn: sqlite3.Connection, names: List[str]) -> None:
         """Import the JSON indexes of an older build once, then delete them."""
@@ -322,9 +347,13 @@ class Catalog:
         except (OSError, ValueError, TypeError, KeyError):
             return
         cuts = name == "cuts-index.json"
+        retired: List[str] = []
         for key, meta in entries.items():
             blob = self.root / ("cuts" if cuts else "blobs") / f"{key}.npz"
             try:
+                if meta.get("variant", "exact") != "exact":  # an interval spectrum
+                    retired.append(key)
+                    continue
                 created = float(meta.get("created_at", 0.0))
                 backend = str(meta.get("backend", "unknown"))
                 lineage = meta.get("lineage")
@@ -334,8 +363,7 @@ class Catalog:
                     dtype = (meta.get("options") or {}).get("dtype", "float64")
                     row = (key, str(meta["base"]), int(meta["h"]),
                            str(meta["fingerprint"]), int(bool(meta["normalized"])),
-                           int(bool(meta["sparse"])), str(dtype),
-                           str(meta.get("variant", "exact")), backend, lineage,
+                           int(bool(meta["sparse"])), str(dtype), backend, lineage,
                            float(meta["solve_seconds"]))
                 row += (blob.stat().st_size if blob.exists() else 0, created,
                         float(meta.get("last_used", created)))
@@ -346,6 +374,7 @@ class Catalog:
                 f"VALUES ({', '.join('?' * len(row))})",
                 row,
             )
+        Table("spectra", self.root / "blobs", "solves_recorded").unlink(retired)
         for counter in ("solves_recorded", "flows_recorded"):
             with contextlib.suppress(TypeError, ValueError):
                 bump(conn, counter, int(index.get(counter, 0)))

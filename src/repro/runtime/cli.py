@@ -45,9 +45,7 @@ keys on both, so variants coexist.  ``auto`` routes large graphs to the
 AMG-preconditioned LOBPCG backend, and ``$REPRO_SOLVER_BACKEND`` forces a
 backend id for every ``auto`` solve (mirroring ``$REPRO_MINCUT_BACKEND``)
 without touching scripts — it applies to ``solve``, ``sweep`` and ``serve``
-alike.  ``--method spectral-coarse`` (``sweep --methods spectral-coarse``)
-computes a *certified interval* bound from an interlacing-coarsened
-eigensolve: the reported bound is the provably-safe lower end.  ``--mincut-backend`` (``auto``/``dinic``/``array-dinic``/
+alike.  ``--mincut-backend`` (``auto``/``dinic``/``array-dinic``/
 ``scipy``) picks the max-flow backend of the convex min-cut baseline
 (``sweep --methods convex-min-cut`` / ``solve --method convex-min-cut``);
 cut values are exact, so all backends share one fingerprint-keyed cut table
@@ -208,11 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--method",
-        choices=["spectral", "spectral-coarse", "convex-min-cut"],
+        choices=["spectral", "convex-min-cut"],
         default="spectral",
-        help="bound method (spectral-coarse = certified interval from an "
-        "interlacing-coarsened eigensolve; convex-min-cut = the Elango et "
-        "al. baseline)",
+        help="bound method (convex-min-cut = the Elango et al. baseline)",
     )
     solve.add_argument(
         "--num-eigenvalues", type=int, default=100, help="eigenvalue truncation h"
@@ -240,12 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--methods",
         nargs="+",
         default=["spectral"],
-        choices=[
-            "spectral",
-            "spectral-unnormalized",
-            "spectral-coarse",
-            "convex-min-cut",
-        ],
+        choices=["spectral", "spectral-unnormalized", "convex-min-cut"],
         help="bound methods to evaluate",
     )
     sweep.add_argument(

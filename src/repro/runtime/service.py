@@ -67,11 +67,10 @@ class BoundQuery:
     ``graph`` may be a :class:`GraphSpec`, a path to a saved graph
     (``.npz``/``.json``), or a live :class:`ComputationGraph`.
     ``method="convex-min-cut"`` routes to the baseline (``normalization``
-    and ``num_processors`` are then ignored); ``method="spectral-coarse"``
-    answers with a certified bound *interval* from an interlacing-coarsened
-    eigensolve (``bound`` is then the safe lower end, and ``bound_lo`` /
-    ``bound_hi`` are populated); the default ``"spectral"`` keeps the
-    Theorem 4/5/6 behaviour selected by ``normalization``.
+    and ``num_processors`` are then ignored); the default ``"spectral"``
+    keeps the Theorem 4/5/6 behaviour selected by ``normalization``.
+    ``"spectral-coarse"`` is an alias of ``"spectral"`` kept for clients
+    that still send it (see :class:`BoundAnswer`).
     """
 
     graph: GraphRef
@@ -87,9 +86,8 @@ class BoundAnswer:
     """The structured result of one :class:`BoundQuery`.
 
     ``bound_lo``/``bound_hi`` are populated only for ``spectral-coarse``
-    queries; ``bound`` then equals ``bound_lo``, the certified-safe end of
-    the interval, so consumers that only read ``bound`` keep a valid lower
-    bound regardless of the method.
+    queries, and both equal ``bound``: the alias answers the exact bound,
+    a zero-width interval that still brackets it.
 
     ``trace_id`` links the answer to the query span that produced it when
     tracing is enabled.  ``served_by_trace_id`` marks coalesced followers:
@@ -253,7 +251,7 @@ class BoundService:
     def _answer_inner(self, query: BoundQuery) -> BoundAnswer:
         if query.method == "convex-min-cut":
             return self._answer_mincut(query)
-        if query.method not in ("spectral", "spectral-coarse"):
+        if query.method not in KNOWN_METHODS:
             raise ValueError(
                 f"unknown method {query.method!r}; expected one of "
                 f"{sorted(KNOWN_METHODS)}"
@@ -267,27 +265,6 @@ class BoundService:
             )
         engine, description = self._engine_for(query.graph)
         start = time.perf_counter()
-        if query.method == "spectral-coarse":
-            interval = engine.spectral_interval(
-                query.memory_size,
-                k=query.k,
-                normalized=normalized,
-                num_processors=int(query.num_processors),
-            )
-            return BoundAnswer(
-                graph=description,
-                memory_size=int(query.memory_size),
-                num_processors=int(query.num_processors),
-                normalization="normalized" if normalized else "unnormalized",
-                bound=interval.value,
-                raw_value=interval.raw_value_lo,
-                best_k=interval.best_k,
-                num_vertices=interval.num_vertices,
-                elapsed_seconds=time.perf_counter() - start,
-                eig_elapsed_seconds=interval.eig_elapsed_seconds,
-                bound_lo=interval.value_lo,
-                bound_hi=interval.value_hi,
-            )
         if int(query.num_processors) == 1:
             if normalized:
                 result = engine.spectral(query.memory_size, k=query.k)
@@ -300,6 +277,9 @@ class BoundService:
                 k=query.k,
                 normalized=normalized,
             )
+        # ``spectral-coarse`` is an alias of ``spectral``: the exact bound,
+        # reported as the zero-width interval ``[bound, bound]``.
+        point = result.value if query.method == "spectral-coarse" else None
         return BoundAnswer(
             graph=description,
             memory_size=int(query.memory_size),
@@ -311,6 +291,8 @@ class BoundService:
             num_vertices=result.num_vertices,
             elapsed_seconds=time.perf_counter() - start,
             eig_elapsed_seconds=result.eig_elapsed_seconds,
+            bound_lo=point,
+            bound_hi=point,
         )
 
     def _answer_mincut(self, query: BoundQuery) -> BoundAnswer:

@@ -7,8 +7,8 @@ same for the convex min-cut baseline's cut values.  Both are views of one
 store directory: ``blobs/<entry id>.npz`` holds one spectrum (eigenvalues
 plus solve cost), named by a content key derived from what the in-memory
 cache keys on — the graph's structural fingerprint, the normalisation, the
-resolved sparse/dense assembly, the solver options, the variant and the
-truncation ``h`` — ``cuts/<fingerprint>.npz`` holds one graph's cut table,
+resolved sparse/dense assembly, the solver options and the truncation
+``h`` — ``cuts/<fingerprint>.npz`` holds one graph's cut table,
 and ``catalog.sqlite`` (:mod:`repro.runtime.catalog`) holds one row per
 blob, the solve leases and the ``solves_recorded`` / ``flows_recorded``
 counters that ``python -m repro cache stats`` reports.
@@ -152,9 +152,6 @@ class StoredSpectrum:
 
     ``eigenvalues`` is the *full* stored vector (``num_eigenvalues`` long,
     possibly more than the caller asked for — callers slice); read-only.
-    For interval variants (``variant != "exact"``) it holds the certified
-    *upper* interval ends and ``eigenvalues_lo`` the lower ends; exact
-    entries leave ``eigenvalues_lo`` as ``None``.
     """
 
     eigenvalues: np.ndarray
@@ -162,8 +159,6 @@ class StoredSpectrum:
     num_eigenvalues: int
     backend: str = "unknown"
     dtype: str = "float64"
-    eigenvalues_lo: Optional[np.ndarray] = None
-    variant: str = "exact"
 
 
 def _canonical_options(options: Optional[EigenSolverOptions]) -> Dict[str, object]:
@@ -175,13 +170,8 @@ def _base_id(
     normalized: bool,
     sparse: bool,
     options: Optional[EigenSolverOptions],
-    variant: str = "exact",
 ) -> str:
     payload = [fingerprint, bool(normalized), bool(sparse), _canonical_options(options)]
-    if variant != "exact":
-        # Appended only for non-exact variants so every pre-variant entry id
-        # (and any store written by an older build) remains addressable.
-        payload.append(str(variant))
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()[:40]
@@ -431,31 +421,28 @@ class SpectrumStore(_StoreView):
     def get(
         self, fingerprint: str, num_eigenvalues: int, normalized: bool = True,
         sparse: bool = False, eig_options: Optional[EigenSolverOptions] = None,
-        variant: str = "exact",
     ) -> Optional[StoredSpectrum]:
         """Load a stored spectrum covering ``num_eigenvalues``, or ``None``.
 
         Any entry with the same (fingerprint, normalisation, assembly,
-        options, variant) and a truncation ``h' >= num_eigenvalues``
-        qualifies (eigenvalues are ascending, so a longer vector contains
-        the answer); the largest such entry is returned so in-memory tiers
-        can cache the most reusable vector.  Non-exact variants (e.g.
-        ``"coarse-r50-s0"`` interval spectra) live under distinct ids, so an
-        exact refresh of the same graph lands next to — never on top of —
-        the certified entry.  A blob that is gone or malformed is dropped;
-        one the disk cannot read right now (``EMFILE``, ``EIO``) is a miss.
+        options) and a truncation ``h' >= num_eigenvalues`` qualifies
+        (eigenvalues are ascending, so a longer vector contains the
+        answer); the largest such entry is returned so in-memory tiers can
+        cache the most reusable vector.  A blob that is gone or malformed is
+        dropped; one the disk cannot read right now (``EMFILE``, ``EIO``) is
+        a miss.
         """
         h = int(num_eigenvalues)
         if h <= 0:
             return None
         rows = self._catalog.read(
-            "SELECT id, h, backend, dtype, variant FROM spectra "
+            "SELECT id, h, backend, dtype FROM spectra "
             "WHERE base = ? AND h >= ? ORDER BY h DESC",
-            (_base_id(fingerprint, normalized, sparse, eig_options, variant), h),
+            (_base_id(fingerprint, normalized, sparse, eig_options), h),
         )
         for row in rows:  # longest first; the rest are fallbacks for bad blobs
             try:
-                values, solve_seconds, values_lo = self._load(row["id"])
+                values, solve_seconds = self._load(row["id"])
             except (FileNotFoundError,) + _BAD_BLOB:
                 with contextlib.suppress(OSError), self._catalog.write() as conn:
                     conn.execute("DELETE FROM spectra WHERE id = ?", (row["id"],))
@@ -471,8 +458,7 @@ class SpectrumStore(_StoreView):
                         (time.time(), row["id"]),
                     )
             return StoredSpectrum(
-                values, solve_seconds, row["h"], backend=row["backend"],
-                dtype=row["dtype"], eigenvalues_lo=values_lo, variant=row["variant"],
+                values, solve_seconds, row["h"], backend=row["backend"], dtype=row["dtype"]
             )
         self._record(misses=1)
         return None
@@ -482,8 +468,7 @@ class SpectrumStore(_StoreView):
         self, fingerprint: str, eigenvalues: np.ndarray, solve_seconds: float,
         normalized: bool = True, sparse: bool = False,
         eig_options: Optional[EigenSolverOptions] = None, backend: Optional[str] = None,
-        lineage: Optional[str] = None, variant: str = "exact",
-        eigenvalues_lo: Optional[np.ndarray] = None,
+        lineage: Optional[str] = None,
     ) -> str:
         """Publish one solved spectrum; returns the entry id.
 
@@ -492,34 +477,25 @@ class SpectrumStore(_StoreView):
         eigensolve; the counter tracks work done, not entries).  ``backend``
         records the resolved backend id and ``lineage`` the family name of
         the producing sweep (``cache clear --family`` filters on it); both
-        are metadata only and never part of the content key.  ``variant``
-        *is* part of the key (non-exact spectra must never be served as
-        exact); interval variants pass the certified lower ends as
-        ``eigenvalues_lo`` with ``eigenvalues`` holding the upper ends.
+        are metadata only and never part of the content key.
         """
         values = np.ascontiguousarray(eigenvalues, dtype=np.float64)
         h = int(values.shape[0])
-        base = _base_id(fingerprint, normalized, sparse, eig_options, variant)
+        base = _base_id(fingerprint, normalized, sparse, eig_options)
         entry_id = _entry_id(base, h)
-        arrays = {"eigenvalues": values, "solve_seconds": np.float64(solve_seconds)}
-        if eigenvalues_lo is not None:
-            lo = np.ascontiguousarray(eigenvalues_lo, dtype=np.float64)
-            if lo.shape != values.shape:
-                raise ValueError(
-                    f"eigenvalues_lo shape {lo.shape} != eigenvalues {values.shape}"
-                )
-            arrays["eigenvalues_lo"] = lo
         self._table.blob_dir.mkdir(parents=True, exist_ok=True)
-        size = _atomic_write_npz(self._table.blob(entry_id), **arrays)
+        size = _atomic_write_npz(
+            self._table.blob(entry_id),
+            eigenvalues=values, solve_seconds=np.float64(solve_seconds),
+        )
         now = time.time()
         with self._catalog.write() as conn:
             conn.execute(
-                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
+                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(id) DO UPDATE SET last_used = excluded.last_used",
                 (entry_id, base, h, fingerprint, int(bool(normalized)),
                  int(bool(sparse)), _canonical_options(eig_options)["dtype"],
-                 str(variant), backend or "unknown", lineage, float(solve_seconds),
-                 size, now, now),
+                 backend or "unknown", lineage, float(solve_seconds), size, now, now),
             )
             bump(conn, self._COUNTER, 1)
             evicted = self._evict_over_budget(conn, entry_id)
@@ -548,28 +524,23 @@ class SpectrumStore(_StoreView):
         conn.executemany("DELETE FROM spectra WHERE id = ?", [(d,) for d in doomed])
         return doomed
 
-    def _load(self, entry_id: str) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
-        """Read-only (eigenvalues, solve seconds, lower ends or None) of a blob."""
+    def _load(self, entry_id: str) -> Tuple[np.ndarray, float]:
+        """Read-only eigenvalues and the solve seconds of a blob."""
         with np.load(self._table.blob(entry_id)) as data:
             values = np.ascontiguousarray(data["eigenvalues"], dtype=np.float64)
             solve_seconds = float(data["solve_seconds"])
-            lo = None
-            if "eigenvalues_lo" in data.files:
-                lo = np.ascontiguousarray(data["eigenvalues_lo"], dtype=np.float64)
-                lo.flags.writeable = False
         values.flags.writeable = False
-        return values, solve_seconds, lo
+        return values, solve_seconds
 
     def acquire_lease(
         self, fingerprint: str, normalized: bool = True, sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None, variant: str = "exact",
-        ttl: Optional[float] = None,
+        eig_options: Optional[EigenSolverOptions] = None, ttl: Optional[float] = None,
     ) -> Optional[SolveLease]:
         """Try to become the solve leader for one spectrum; ``None`` if held.
 
         The lease is keyed by the same base id as the stored entries —
-        fingerprint, normalisation, assembly, solver options, variant, but
-        *not* the truncation ``h`` — so every query shape needing one cold
+        fingerprint, normalisation, assembly, solver options, but *not* the
+        truncation ``h`` — so every query shape needing one cold
         spectrum contends for a single lease.  A held-but-stale lease
         (expired heartbeat, a dead pid on this host, or an unreadable row)
         is taken over in place.  The winner gets a heartbeating
@@ -579,7 +550,7 @@ class SpectrumStore(_StoreView):
         effective_ttl = max(0.0, float(ttl)) if ttl is not None else self._lease_ttl
         if effective_ttl <= 0:
             raise ValueError("solve leasing is disabled (lease_ttl <= 0)")
-        key = _base_id(fingerprint, normalized, sparse, eig_options, variant)
+        key = _base_id(fingerprint, normalized, sparse, eig_options)
         now = time.time()
         token = f"{_HOSTNAME}:{os.getpid()}:{time.monotonic_ns():x}"
         with self._catalog.write() as conn:
@@ -587,15 +558,14 @@ class SpectrumStore(_StoreView):
             if held is not None and not _lease_is_stale(held, now):
                 return None
             conn.execute(
-                "INSERT OR REPLACE INTO leases VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (key, token, os.getpid(), _HOSTNAME, fingerprint, str(variant),
-                 now, now, effective_ttl),
+                "INSERT OR REPLACE INTO leases VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (key, token, os.getpid(), _HOSTNAME, fingerprint, now, now, effective_ttl),
             )
         return SolveLease(self, key, token, effective_ttl)
 
     def wait_for_lease(
         self, fingerprint: str, normalized: bool = True, sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None, variant: str = "exact",
+        eig_options: Optional[EigenSolverOptions] = None,
         timeout: Optional[float] = None, poll_interval: float = 0.05,
     ) -> str:
         """Block while another process holds the solve lease.
@@ -607,7 +577,7 @@ class SpectrumStore(_StoreView):
         — at which point the caller should just solve; wasteful, never
         wrong.
         """
-        key = _base_id(fingerprint, normalized, sparse, eig_options, variant)
+        key = _base_id(fingerprint, normalized, sparse, eig_options)
         if timeout is None:
             timeout = max(10.0, 2.0 * max(self._lease_ttl, 1.0))
         deadline = time.monotonic() + timeout
@@ -630,9 +600,8 @@ class SpectrumStore(_StoreView):
         )
         return [
             {"lease": row["base"], "fingerprint": str(row["fingerprint"])[:12],
-             "variant": str(row["variant"]), "pid": row["pid"], "host": row["host"],
-             "age_seconds": row["age"], "ttl": row["ttl"],
-             "stale": _lease_is_stale(row, now)}
+             "pid": row["pid"], "host": row["host"], "age_seconds": row["age"],
+             "ttl": row["ttl"], "stale": _lease_is_stale(row, now)}
             for row in rows
         ]
 
@@ -657,11 +626,10 @@ class SpectrumStore(_StoreView):
         """Integrity-check the store; optionally repair it.
 
         A blob is corrupt when it fails to load, or its eigenvalues are the
-        wrong length, non-finite or not ascending (interval variants: or
-        lower ends above the upper ones).  Also reports **stale leases**,
-        whose holder is dead (live ones are only counted); ``fix=True``
-        deletes those still stale on a re-check inside the transaction, as
-        a waiter may have taken one over since the scan.
+        wrong length, non-finite or not ascending.  Also reports **stale
+        leases**, whose holder is dead (live ones are only counted);
+        ``fix=True`` deletes those still stale on a re-check inside the
+        transaction, as a waiter may have taken one over since the scan.
         """
         report = super().verify(fix)
         rows = self.leases()
@@ -682,7 +650,7 @@ class SpectrumStore(_StoreView):
     def _describe(self, row: sqlite3.Row) -> Dict[str, object]:
         return {
             "entry": row["id"], "fingerprint": row["fingerprint"][:12],
-            "lineage": row["lineage"] or "-", "variant": row["variant"],
+            "lineage": row["lineage"] or "-",
             "normalized": bool(row["normalized"]), "sparse": bool(row["sparse"]),
             "backend": row["backend"], "dtype": row["dtype"],
             "num_eigenvalues": row["h"], "solve_seconds": row["solve_seconds"],
@@ -691,20 +659,13 @@ class SpectrumStore(_StoreView):
 
     def _blob_ok(self, row: sqlite3.Row) -> bool:
         try:
-            values, _, lo = self._load(row["id"])
+            values, _ = self._load(row["id"])
         except (OSError,) + _BAD_BLOB:
             return False
-
-        def ascending(vector: np.ndarray) -> bool:
-            finite = np.all(np.isfinite(vector))
-            return bool(finite and np.all(np.diff(vector) >= -1e-9))
-
-        if values.shape != (row["h"],) or not ascending(values):
-            return False
-        # Interval variants: lower ends must be well-formed and never exceed
-        # the uppers (the interlacing invariant).
-        return lo is None or bool(
-            lo.shape == values.shape and ascending(lo) and np.all(lo <= values + 1e-9)
+        return bool(
+            values.shape == (row["h"],)
+            and np.all(np.isfinite(values))
+            and np.all(np.diff(values) >= -1e-9)
         )
 
 

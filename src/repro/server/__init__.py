@@ -9,9 +9,6 @@ JSON-decode requests into :class:`BoundQuery` objects and call
   specs / inline edge lists / fingerprints);
 * :mod:`repro.server.app` — the WSGI application (``POST /v1/bounds``,
   ``GET /v1/stats``, ``GET /healthz``, ``GET /metrics``);
-* :mod:`repro.server.metrics` — thread-safe counters/gauges/histograms
-  with Prometheus text rendering and passthrough of the service-level
-  eigensolve/flow-call/cache counters;
 * :mod:`repro.server.runner` — the threaded stdlib server with admission
   control (bounded in-flight solves + queue, 429 on overload) and
   in-flight coalescing of identical queries, plus the pre-forked
@@ -24,9 +21,9 @@ JSON-decode requests into :class:`BoundQuery` objects and call
 ``python -m repro serve`` boots the whole stack from the CLI.
 """
 
+from repro.obs.metrics import MetricsRegistry
 from repro.server.app import BoundsApp, ServerOverloadedError
 from repro.server.client import BoundsClient, ServerError
-from repro.server.metrics import MetricsRegistry
 from repro.server.protocol import PROTOCOL_VERSION, GraphRegistry, ProtocolError
 from repro.server.runner import (
     SERVE_WORKERS_ENV_VAR,

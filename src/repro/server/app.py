@@ -41,9 +41,13 @@ from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.obs.metrics import latency_quantiles, merge_expositions
+from repro.obs.metrics import (
+    MetricsRegistry,
+    global_registry,
+    latency_quantiles,
+    merge_expositions,
+)
 from repro.runtime.service import BoundAnswer, BoundService
-from repro.server.metrics import MetricsRegistry, global_registry
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     DecodedQuery,

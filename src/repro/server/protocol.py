@@ -16,8 +16,7 @@ Request (``POST /v1/bounds``)::
                   "num_processors": 1,          # optional, default 1
                   "normalization": "normalized", # optional
                   "k": null,                     # optional truncation pin
-                  "method": "spectral"}]}        # or "spectral-coarse" /
-                                                 # "convex-min-cut"
+                  "method": "spectral"}]}        # or "convex-min-cut"
 
 Graph references come in three forms (server-side filesystem paths are
 deliberately *not* one of them — path refs stay a local CLI affordance):
@@ -35,10 +34,9 @@ Response::
     {"version": 1,
      "answers": [{... BoundAnswer fields ..., "fingerprint": "..."}]}
 
-``spectral-coarse`` answers additionally populate ``bound_lo`` /
-``bound_hi`` — the certified interval bracketing the exact bound — and
-``bound`` equals the safe lower end ``bound_lo`` (``null`` on both fields
-for every other method).
+``"method": "spectral-coarse"`` is accepted as an alias of ``spectral``:
+its answers carry the exact bound in ``bound``, ``bound_lo`` and
+``bound_hi`` alike (the last two are ``null`` for every other method).
 
 Errors are structured objects, never bare strings::
 

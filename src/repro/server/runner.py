@@ -56,10 +56,9 @@ from wsgiref.simple_server import (
     make_server,
 )
 
-from repro.obs.metrics import global_registry, set_process_labels
+from repro.obs.metrics import MetricsRegistry, global_registry, set_process_labels
 from repro.runtime.service import BoundService
 from repro.server.app import BoundsApp, ServerOverloadedError
-from repro.server.metrics import MetricsRegistry
 
 __all__ = [
     "AdmissionController",

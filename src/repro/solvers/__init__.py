@@ -11,8 +11,6 @@ Lanczos-Arnoldi; this subpackage therefore provides
   previous level's Ritz vectors,
 * :mod:`amg` — a pure-SciPy smoothed-aggregation multigrid V-cycle (the
   ``amg`` backend's preconditioner when ``pyamg`` is not installed),
-* :mod:`coarsen` — interlacing-certified spectral coarsening: eigenvalue
-  *intervals* from a principal-submatrix solve at a fraction of the cost,
 * :mod:`backend` — :class:`EigenSolverOptions` (method/dtype/tolerance, the
   hashable object all cache tiers key on) and the legacy entry point
   :func:`smallest_eigenvalues`,
@@ -25,14 +23,7 @@ Lanczos-Arnoldi; this subpackage therefore provides
 * :mod:`spectrum_cache` — an LRU cache of eigensolves keyed by the graph's
   structural fingerprint, shared by all bound computations so repeated
   bounds on the same graph solve once.
-
-Deprecated package-level imports: ``lanczos_smallest_eigenvalues`` and
-``power_iteration_smallest_eigenvalues`` remain importable from this package
-for backwards compatibility but emit :class:`DeprecationWarning` — import
-them from their defining modules, or go through the backend registry.
 """
-
-import warnings
 
 from repro.solvers.backend import EigenSolverOptions, smallest_eigenvalues
 from repro.solvers.backends import (
@@ -47,15 +38,9 @@ from repro.solvers.backends import (
     resolve_method,
     solve_smallest,
 )
-from repro.solvers.coarsen import (
-    IntervalSpectrum,
-    certified_interval_spectrum,
-    coarse_variant,
-)
 from repro.solvers.dense import dense_spectrum, dense_smallest_eigenvalues
 from repro.solvers.power_iteration import power_iteration_largest_eigenvalue
 from repro.solvers.spectrum_cache import (
-    CachedIntervalSpectrum,
     CachedSpectrum,
     SpectrumCache,
     default_spectrum_cache,
@@ -74,46 +59,10 @@ __all__ = [
     "create_backend",
     "register_backend",
     "default_warm_start_context",
-    "IntervalSpectrum",
-    "certified_interval_spectrum",
-    "coarse_variant",
     "CachedSpectrum",
-    "CachedIntervalSpectrum",
     "SpectrumCache",
     "default_spectrum_cache",
     "dense_spectrum",
     "dense_smallest_eigenvalues",
-    "lanczos_smallest_eigenvalues",
     "power_iteration_largest_eigenvalue",
-    "power_iteration_smallest_eigenvalues",
 ]
-
-#: Deprecated package-level names -> (module, attribute, replacement hint).
-_DEPRECATED = {
-    "lanczos_smallest_eigenvalues": (
-        "repro.solvers.lanczos",
-        "lanczos_smallest_eigenvalues",
-        "repro.solvers.lanczos.lanczos_smallest_eigenvalues or the 'lanczos' backend",
-    ),
-    "power_iteration_smallest_eigenvalues": (
-        "repro.solvers.power_iteration",
-        "power_iteration_smallest_eigenvalues",
-        "repro.solvers.power_iteration.power_iteration_smallest_eigenvalues or "
-        "the 'power' backend",
-    ),
-}
-
-
-def __getattr__(name: str):
-    """Lazy deprecation shims for direct solver-function imports."""
-    if name in _DEPRECATED:
-        module_name, attribute, hint = _DEPRECATED[name]
-        warnings.warn(
-            f"importing {name} from repro.solvers is deprecated; use {hint}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

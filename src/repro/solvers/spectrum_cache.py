@@ -65,16 +65,9 @@ from repro.graphs.compgraph import ComputationGraph
 from repro.graphs.laplacian import laplacian, laplacian_operator
 from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import WarmStartContext, solve_smallest
-from repro.solvers.coarsen import (
-    DEFAULT_COARSEN_RATIO,
-    certified_interval_spectrum,
-    coarse_plan,
-    coarse_variant,
-)
 
 __all__ = [
     "CachedSpectrum",
-    "CachedIntervalSpectrum",
     "SpectrumCache",
     "default_spectrum_cache",
 ]
@@ -140,28 +133,6 @@ class CachedSpectrum:
     dtype: str = "float64"
 
 
-@dataclass(frozen=True)
-class CachedIntervalSpectrum:
-    """One certified-interval spectrum lookup result.
-
-    ``lower[i] <= lambda_i <= upper[i]`` for the exact fine eigenvalues, by
-    Cauchy interlacing (:mod:`repro.solvers.coarsen`).  Both arrays carry
-    the Theorem 5 ``/max_out_degree`` scaling when ``normalized=False`` was
-    requested, exactly like :class:`CachedSpectrum`.  ``exact`` is True when
-    the graph was too small to coarsen and the "intervals" are points.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-    solve_seconds: float
-    cache_hit: bool
-    backend: str = "unknown"
-    dtype: str = "float64"
-    num_coarse: int = 0
-    num_vertices: int = 0
-    exact: bool = False
-
-
 class SpectrumCache:
     """LRU cache of smallest-eigenvalue computations for graph Laplacians.
 
@@ -192,12 +163,6 @@ class SpectrumCache:
         self._store = store
         self._warm_start = warm_start if warm_start is not None else WarmStartContext()
         self._entries: "OrderedDict[Tuple, Tuple[np.ndarray, float, str]]" = OrderedDict()
-        # Interval (coarsened) spectra live in their own LRU map: their keys
-        # carry a variant tag and their values two arrays, and they must
-        # never be served where an exact spectrum was requested.
-        self._interval_entries: "OrderedDict[Tuple, Tuple[np.ndarray, np.ndarray, float, str]]" = (
-            OrderedDict()
-        )
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -259,7 +224,6 @@ class SpectrumCache:
         """Drop all entries and reset the hit/miss counters."""
         with self._lock:
             self._entries.clear()
-            self._interval_entries.clear()
             self._hits = 0
             self._misses = 0
             self._store_hits = 0
@@ -337,13 +301,9 @@ class SpectrumCache:
         # spectrum the leader published.
         lease = None
         if self._store is not None:
-            stored = self._fetch_stored(
-                base_key[0], h, normalized, use_sparse, options, "exact"
-            )
+            stored = self._fetch_stored(base_key[0], h, normalized, use_sparse, options)
             if stored is None:
-                stored, lease = self._claim_solve(
-                    base_key[0], h, normalized, use_sparse, options, "exact"
-                )
+                stored, lease = self._claim_solve(base_key[0], h, normalized, use_sparse, options)
             if stored is not None:
                 stored_key = base_key + (stored.num_eigenvalues,)
                 with self._lock:
@@ -446,7 +406,7 @@ class SpectrumCache:
     # ------------------------------------------------------------------
     # store tier + cross-process lease plumbing
     # ------------------------------------------------------------------
-    def _fetch_stored(self, fingerprint, h, normalized, use_sparse, options, variant):
+    def _fetch_stored(self, fingerprint, h, normalized, use_sparse, options):
         """One store lookup; a broken store reads as a miss."""
         try:
             return self._store.get(
@@ -455,12 +415,11 @@ class SpectrumCache:
                 normalized=bool(normalized),
                 sparse=bool(use_sparse),
                 eig_options=options,
-                variant=variant,
             )
         except OSError:
             return None
 
-    def _claim_solve(self, fingerprint, h, normalized, use_sparse, options, variant):
+    def _claim_solve(self, fingerprint, h, normalized, use_sparse, options):
         """Contend for the cross-process solve lease on one cold spectrum.
 
         Returns ``(stored, lease)`` with at most one side set: ``stored``
@@ -484,7 +443,6 @@ class SpectrumCache:
                         normalized=bool(normalized),
                         sparse=bool(use_sparse),
                         eig_options=options,
-                        variant=variant,
                     )
                 except (OSError, ValueError):
                     return None, None
@@ -493,9 +451,7 @@ class SpectrumCache:
                     # previous leader may have published and released in
                     # the window since our fetch missed.  Without this a
                     # late acquirer would re-solve a published spectrum.
-                    stored = self._fetch_stored(
-                        fingerprint, h, normalized, use_sparse, options, variant
-                    )
+                    stored = self._fetch_stored(fingerprint, h, normalized, use_sparse, options)
                     if stored is not None:
                         lease.release()
                         return stored, None
@@ -510,15 +466,12 @@ class SpectrumCache:
                     normalized=bool(normalized),
                     sparse=bool(use_sparse),
                     eig_options=options,
-                    variant=variant,
                 )
                 waited += time.perf_counter() - start
                 # Whatever ended the wait, the published spectrum wins; a
                 # "stale" verdict without one loops back to take the lease
                 # over, "timeout" falls through to a redundant solve.
-                stored = self._fetch_stored(
-                    fingerprint, h, normalized, use_sparse, options, variant
-                )
+                stored = self._fetch_stored(fingerprint, h, normalized, use_sparse, options)
                 if stored is not None:
                     return stored, None
                 if outcome == "timeout":
@@ -531,166 +484,9 @@ class SpectrumCache:
                 _LEASE_WAIT_SECONDS.observe(waited)
         return None, None
 
-    # ------------------------------------------------------------------
-    # certified interval lookup (coarsened spectra)
-    # ------------------------------------------------------------------
-    def interval_spectrum(
-        self,
-        graph: ComputationGraph,
-        num_eigenvalues: int,
-        normalized: bool = True,
-        eig_options: Optional[EigenSolverOptions] = None,
-        sparse: Optional[bool] = None,
-        lineage: Optional[str] = None,
-        ratio: float = DEFAULT_COARSEN_RATIO,
-        coarsen_seed: int = 0,
-    ) -> CachedIntervalSpectrum:
-        """Certified eigenvalue intervals via interlacing coarsening.
-
-        The cheap sibling of :meth:`spectrum`: solves a seeded principal
-        submatrix keeping ``~ratio * n`` vertices and returns intervals that
-        provably contain the exact eigenvalues (see
-        :mod:`repro.solvers.coarsen`).  Cached and persisted exactly like
-        exact spectra but under a distinct ``coarse-r<ratio>-s<seed>``
-        variant, so exact refreshes of the same graph can land lazily next
-        to the certified entry without either ever masquerading as the
-        other.  Counters are shared: a miss is one eigensolve.
-        """
-        n = graph.num_vertices
-        h = int(num_eigenvalues)
-        if h < 0:
-            raise ValueError(f"num_eigenvalues must be non-negative, got {h}")
-        if h > n:
-            raise ValueError(f"requested {h} eigenvalues from an n={n} graph")
-        if n == 0 or h == 0:
-            empty = np.zeros(0)
-            return CachedIntervalSpectrum(empty, empty, 0.0, True, exact=True)
-        options = eig_options or EigenSolverOptions()
-        dtype = options.dtype
-        use_sparse = sparse if sparse is not None else n > SPARSE_CUTOFF
-        variant = coarse_variant(ratio, coarsen_seed)
-        num_coarse, exact_plan = coarse_plan(n, h, ratio)
-        base_key = (
-            graph.fingerprint(), bool(normalized), bool(use_sparse), options, variant,
-        )
-        key = base_key + (h,)
-
-        def _result(lower, upper, seconds, hit, backend):
-            return CachedIntervalSpectrum(
-                lower, upper, seconds, hit, backend, dtype,
-                num_coarse=num_coarse, num_vertices=n, exact=exact_plan,
-            )
-
-        with self._lock:
-            found = self._interval_entries.get(key)
-            if found is not None:
-                self._interval_entries.move_to_end(key)
-                self._hits += 1
-                _SPECTRUM_LOOKUPS.inc(tier="memory")
-                return _result(found[0], found[1], found[2], True, found[3])
-            for other_key, (lower, upper, seconds, backend) in self._interval_entries.items():
-                if other_key[:5] == base_key and other_key[5] >= h:
-                    self._interval_entries.move_to_end(other_key)
-                    self._hits += 1
-                    _SPECTRUM_LOOKUPS.inc(tier="memory")
-                    lo, up = lower[:h], upper[:h]
-                    lo.flags.writeable = False
-                    up.flags.writeable = False
-                    return _result(lo, up, seconds, True, backend)
-
-        lease = None
-        if self._store is not None:
-            stored = self._fetch_stored(
-                base_key[0], h, normalized, use_sparse, options, variant
-            )
-            if stored is None:
-                stored, lease = self._claim_solve(
-                    base_key[0], h, normalized, use_sparse, options, variant
-                )
-            if stored is not None:
-                upper = stored.eigenvalues
-                # Degenerate (exact) interval entries may omit the lower
-                # array — the uppers are the values.
-                lower = stored.eigenvalues_lo if stored.eigenvalues_lo is not None else upper
-                stored_key = base_key + (stored.num_eigenvalues,)
-                with self._lock:
-                    if stored_key not in self._interval_entries:
-                        self._interval_entries[stored_key] = (
-                            lower, upper, stored.solve_seconds, stored.backend,
-                        )
-                    self._interval_entries.move_to_end(stored_key)
-                    while len(self._interval_entries) > self._max_entries:
-                        self._interval_entries.popitem(last=False)
-                    self._hits += 1
-                    self._store_hits += 1
-                _SPECTRUM_LOOKUPS.inc(tier="store")
-                lo, up = lower[:h], upper[:h]
-                lo.flags.writeable = False
-                up.flags.writeable = False
-                return _result(lo, up, stored.solve_seconds, True, stored.backend)
-
-        try:
-            with obs.span(
-                "eigensolve",
-                fingerprint=graph.fingerprint() if obs.enabled() else None,
-                h=h,
-                dtype=options.dtype,
-                coarse=True,
-            ) as active:
-                start = time.perf_counter()
-                if use_sparse:
-                    lap = laplacian_operator(graph, normalized=normalized)
-                else:
-                    lap = laplacian(graph, normalized=normalized, sparse=False)
-                interval = certified_interval_spectrum(
-                    lap,
-                    h,
-                    options,
-                    ratio=ratio,
-                    seed=coarsen_seed,
-                    warm_start=self._warm_start,
-                    lineage=lineage,
-                    normalized=normalized,
-                )
-                lower, upper = interval.lower, interval.upper
-                if not normalized:
-                    max_out = graph.freeze().max_out_degree
-                    scale = 1.0 / max_out if max_out else 0.0
-                    lower, upper = lower * scale, upper * scale
-                lower = np.ascontiguousarray(lower, dtype=np.float64)
-                upper = np.ascontiguousarray(upper, dtype=np.float64)
-                lower.flags.writeable = False
-                upper.flags.writeable = False
-                solve_seconds = time.perf_counter() - start
-                active.set_attr(backend=interval.backend)
-                _EIG_SECONDS.observe(solve_seconds, backend=interval.backend, dtype=options.dtype)
-            if self._store is not None:
-                try:
-                    self._store.put(
-                        base_key[0],
-                        upper,
-                        solve_seconds,
-                        normalized=bool(normalized),
-                        sparse=bool(use_sparse),
-                        eig_options=options,
-                        backend=interval.backend,
-                        lineage=lineage,
-                        variant=variant,
-                        eigenvalues_lo=lower,
-                    )
-                except OSError:
-                    pass
-        finally:
-            if lease is not None:
-                lease.release()
-        with self._lock:
-            self._interval_entries[key] = (lower, upper, solve_seconds, interval.backend)
-            self._interval_entries.move_to_end(key)
-            self._misses += 1
-            while len(self._interval_entries) > self._max_entries:
-                self._interval_entries.popitem(last=False)
-        _SPECTRUM_LOOKUPS.inc(tier="solve")
-        return _result(lower, upper, solve_seconds, False, interval.backend)
+    # An alias, not a second path: ``spectral-coarse`` answers from the
+    # exact spectrum, and perfbench's stage timers wrap this name.
+    interval_spectrum = spectrum
 
 
 _DEFAULT_CACHE = SpectrumCache(max_entries=128)

@@ -12,27 +12,22 @@ Covers the three tentpole layers and their contracts:
   ``resolve_method`` auto-routing (dense / sparse / amg by size, the
   ``$REPRO_SOLVER_BACKEND`` escape hatch, resolved ids recorded everywhere
   an ``"auto"`` could previously leak);
-* interlacing-certified coarsening: hypothesis property tests that the
-  certified intervals contain the exact eigenvalues on random DAGs (both
-  the raw interval arithmetic and the public entry point), non-trivial
-  lower ends for small deletion counts, the interval cache/store tiers,
-  and the engine/service surfaces (``spectral_interval``,
-  ``method="spectral-coarse"``).
+* ``method="spectral-coarse"``, an alias of ``spectral``: one
+  eigensolve serves both, and the alias answers the exact bound as the
+  zero-width interval ``bound_lo == bound_hi == bound``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.engine import BoundEngine
-from repro.core.result import IntervalBoundResult
 from repro.core.spectra import butterfly_spectrum_array, hypercube_spectrum_array
 from repro.graphs.generators import fft_graph, hypercube_graph
-from repro.graphs.generators.random_graphs import random_dag
 from repro.graphs.laplacian import LaplacianOperator, laplacian, laplacian_operator
 from repro.runtime.families import GraphSpec
 from repro.runtime.service import BoundQuery, BoundService
@@ -52,29 +47,9 @@ from repro.solvers.backends import (
     resolve_method,
     solve_smallest,
 )
-from repro.solvers.coarsen import (
-    COARSEN_MIN_VERTICES,
-    _interval_arrays,
-    certified_interval_spectrum,
-    coarse_plan,
-    coarse_variant,
-    coarsen_keep_indices,
-    principal_submatrix,
-)
 from repro.solvers.spectrum_cache import SpectrumCache
 
 H = 12
-
-common_settings = settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-
-# (n, edge probability, seed) for small random DAGs (repo-wide idiom).
-dag_params = st.tuples(
-    st.integers(min_value=4, max_value=24),
-    st.floats(min_value=0.05, max_value=0.9),
-    st.integers(min_value=0, max_value=10_000),
-)
 
 
 def shifted_fft_laplacian(levels: int) -> sp.csr_matrix:
@@ -268,174 +243,56 @@ class TestResolvedBackendRecording:
         assert all(r.backend in available_backends() for r in engine.solve_log)
 
 
-class TestInterlacingContainment:
-    """The certified intervals provably contain the exact eigenvalues."""
-
-    @given(
-        params=dag_params,
-        keep_fraction=st.floats(min_value=0.3, max_value=1.0),
-        coarsen_seed=st.integers(min_value=0, max_value=100),
-    )
-    @common_settings
-    def test_interval_arithmetic_on_random_dags(
-        self, params, keep_fraction, coarsen_seed
-    ):
-        """Raw interlacing arithmetic, bypassing the small-n exact shortcut."""
-        n, p, seed = params
-        lap = laplacian(random_dag(n, edge_probability=p, seed=seed), normalized=False)
-        exact = np.linalg.eigvalsh(lap)
-        num_coarse = max(1, int(round(keep_fraction * n)))
-        keep = coarsen_keep_indices(n, num_coarse, seed=coarsen_seed)
-        coarse = np.linalg.eigvalsh(
-            principal_submatrix(sp.csr_matrix(lap), keep).toarray()
-        )
-        h = num_coarse
-        lower, upper = _interval_arrays(coarse, h, n - num_coarse)
-        assert np.all(lower <= upper + 1e-12)
-        assert np.all(lower - 1e-8 <= exact[:h])
-        assert np.all(exact[:h] <= upper + 1e-8)
-
-    @given(
-        n=st.integers(min_value=COARSEN_MIN_VERTICES, max_value=96),
-        p=st.floats(min_value=0.05, max_value=0.4),
-        seed=st.integers(min_value=0, max_value=1000),
-        ratio=st.floats(min_value=0.5, max_value=0.98),
-    )
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_public_entry_point_on_random_dags(self, n, p, seed, ratio):
-        lap = laplacian(random_dag(n, edge_probability=p, seed=seed), normalized=True)
-        exact = np.linalg.eigvalsh(lap)
-        h = 10
-        interval = certified_interval_spectrum(sp.csr_matrix(lap), h, ratio=ratio)
-        assert interval.contains(exact[:h])
-        assert np.all(np.asarray(interval.lower) <= np.asarray(interval.upper) + 1e-12)
-        num_coarse, exact_plan = coarse_plan(n, h, ratio)
-        assert interval.exact == exact_plan
-        assert interval.num_coarse == num_coarse
-
-    def test_small_deletion_gives_nontrivial_lower_ends(self):
-        # Deleting m=1 vertex from a connected graph's Laplacian leaves a
-        # positive-definite principal submatrix, so every lower end beyond
-        # index m is strictly positive (the informative regime).
-        dimension = 7  # n = 128
-        lap = laplacian(hypercube_graph(dimension), normalized=False, sparse=True)
-        exact = hypercube_spectrum_array(dimension)
-        h = 10
-        interval = certified_interval_spectrum(lap, h, ratio=127.0 / 128.0)
-        assert not interval.exact
-        assert interval.num_deleted == 1
-        assert interval.contains(exact[:h])
-        assert np.all(np.asarray(interval.lower)[1:] > 0.0)
-
-    def test_small_graphs_degenerate_to_exact(self):
-        lap = laplacian(fft_graph(3), normalized=False, sparse=True)
-        interval = certified_interval_spectrum(lap, 6, ratio=0.5)
-        assert interval.exact
-        np.testing.assert_array_equal(interval.lower, interval.upper)
-
-    def test_deterministic_in_seed(self):
-        lap = laplacian(hypercube_graph(7), normalized=False, sparse=True)
-        first = certified_interval_spectrum(lap, 8, ratio=0.5, seed=3)
-        second = certified_interval_spectrum(lap, 8, ratio=0.5, seed=3)
-        np.testing.assert_array_equal(first.upper, second.upper)
-        np.testing.assert_array_equal(first.lower, second.lower)
-
-    def test_validation(self):
-        lap = laplacian(fft_graph(3), normalized=False, sparse=True)
-        with pytest.raises(ValueError, match="ratio"):
-            certified_interval_spectrum(lap, 4, ratio=0.0)
-        with pytest.raises(ValueError, match="ratio"):
-            certified_interval_spectrum(lap, 4, ratio=1.5)
-        with pytest.raises(ValueError, match="eigenvalues"):
-            certified_interval_spectrum(lap, lap.shape[0] + 1)
-
-    def test_variant_tag_round_trip(self):
-        assert coarse_variant(0.5, 0) == "coarse-r0.5-s0"
-        assert coarse_variant(0.25, 7) == "coarse-r0.25-s7"
-
-
-class TestIntervalCacheTiers:
-    GRAPH = hypercube_graph(7)  # n = 128: big enough to actually coarsen
-
-    def test_memory_cache_hit_and_prefix_serving(self):
-        cache = SpectrumCache()
-        first = cache.interval_spectrum(self.GRAPH, 10)
-        assert not first.cache_hit and cache.misses == 1
-        again = cache.interval_spectrum(self.GRAPH, 10)
-        assert again.cache_hit
-        prefix = cache.interval_spectrum(self.GRAPH, 6)
-        assert prefix.cache_hit  # served as a prefix of the h=10 entry
-        np.testing.assert_array_equal(prefix.upper, first.upper[:6])
-        np.testing.assert_array_equal(prefix.lower, first.lower[:6])
-        assert cache.misses == 1
-
-    def test_interval_and_exact_entries_coexist(self):
-        cache = SpectrumCache()
-        cache.interval_spectrum(self.GRAPH, 8)
-        cache.spectrum(self.GRAPH, 8)
-        assert cache.misses == 2  # distinct tiers, no cross-contamination
-
-    def test_store_round_trip_with_variant(self, tmp_path):
-        store = SpectrumStore(tmp_path / "s")
-        cache = SpectrumCache(store=store)
-        first = cache.interval_spectrum(self.GRAPH, 8, coarsen_seed=1)
-        assert not first.cache_hit
-        rows = store.entries()
-        assert len(rows) == 1
-        assert rows[0]["variant"] == coarse_variant(seed=1)
-        assert store.verify()["ok"]
-        # A fresh cache against the same store serves the interval from disk.
-        warm = SpectrumCache(store=SpectrumStore(tmp_path / "s"))
-        served = warm.interval_spectrum(self.GRAPH, 8, coarsen_seed=1)
-        assert served.cache_hit and warm.store_hits == 1
-        np.testing.assert_allclose(served.upper, first.upper, atol=1e-12)
-        np.testing.assert_allclose(served.lower, first.lower, atol=1e-12)
-        # A different coarsening seed is a different variant: real solve.
-        other = warm.interval_spectrum(self.GRAPH, 8, coarsen_seed=2)
-        assert not other.cache_hit
-
-
 class TestEngineAndServiceIntervals:
+    """``spectral-coarse`` is an alias of ``spectral`` at every layer."""
+
     def test_engine_interval_brackets_exact_bound(self):
-        graph = hypercube_graph(7)
-        cache = SpectrumCache()
-        engine = BoundEngine(graph, num_eigenvalues=10, cache=cache)
-        interval = engine.spectral_interval(8)
-        exact = engine.spectral(8)
-        assert isinstance(interval, IntervalBoundResult)
-        assert interval.value == interval.value_lo
-        assert interval.value_lo <= exact.value + 1e-9
-        assert exact.value <= interval.value_hi + 1e-9
-        assert interval.width >= 0.0
-        data = interval.as_dict()
-        assert "lower_eigenvalues" not in data and "upper_eigenvalues" not in data
+        # The engine alias is the exact bound: a zero-width bracket.
+        engine = BoundEngine(hypercube_graph(7), num_eigenvalues=10, cache=SpectrumCache())
+        alias, exact = engine.spectral_interval(8), engine.spectral(8)
+        assert replace(alias, elapsed_seconds=0.0) == replace(exact, elapsed_seconds=0.0)
 
     def test_engine_interval_is_cached(self):
         engine = BoundEngine(hypercube_graph(7), num_eigenvalues=10, cache=SpectrumCache())
-        engine.spectral_interval(8)
-        solves = engine.num_eigensolves
+        engine.spectral(8)
         engine.spectral_interval(16)  # same spectrum, different M
-        assert engine.num_eigensolves == solves
+        assert engine.num_eigensolves == 1
 
-    def test_sweep_accepts_spectral_coarse(self):
-        engine = BoundEngine(hypercube_graph(7), num_eigenvalues=10, cache=SpectrumCache())
-        points = engine.sweep([4, 8], methods=("spectral-coarse",))
-        assert len(points) == 2
-        assert all(isinstance(p.result, IntervalBoundResult) for p in points)
+    def test_cache_alias_shares_exact_entries(self):
+        cache = SpectrumCache()
+        exact = cache.spectrum(hypercube_graph(7), 8)
+        alias = cache.interval_spectrum(hypercube_graph(7), 8)
+        assert alias.cache_hit and cache.misses == 1
+        np.testing.assert_array_equal(alias.eigenvalues, exact.eigenvalues)
+
+    def test_sweep_rejects_spectral_coarse(self):
+        engine = BoundEngine(hypercube_graph(4), num_eigenvalues=10, cache=SpectrumCache())
+        with pytest.raises(ValueError, match="unknown method"):
+            engine.sweep([4, 8], methods=("spectral-coarse",))
 
     def test_service_routes_spectral_coarse(self):
-        service = BoundService(store=None, num_eigenvalues=10)
-        spec = GraphSpec(family="hypercube", size_param=7)
-        coarse, exact = service.submit(
-            [
-                BoundQuery(graph=spec, memory_size=8, method="spectral-coarse"),
-                BoundQuery(graph=spec, memory_size=8),
-            ]
-        )
-        assert coarse.bound_lo is not None and coarse.bound_hi is not None
-        assert coarse.bound == coarse.bound_lo
-        assert coarse.bound_lo <= exact.bound <= coarse.bound_hi + 1e-9
-        assert exact.bound_lo is None and exact.bound_hi is None
+        service = BoundService(store=None, num_eigenvalues=100)
+        ignored = dict(elapsed_seconds=0.0, bound_lo=None, bound_hi=None)
+        cases = [("fft", 8, 4, 1, "normalized")] + [
+            ("hypercube", 7, 8, processors, normalization)
+            for normalization in ("normalized", "unnormalized")
+            for processors in (1, 2)
+        ]
+        for family, size, M, processors, normalization in cases:
+            spec = GraphSpec(family=family, size_param=size)
+            exact, alias = service.submit([
+                BoundQuery(spec, M, processors, normalization, method=method)
+                for method in ("spectral", "spectral-coarse")
+            ])
+            # Field for field the exact answer, but for the zero-width interval.
+            assert alias.bound_lo == alias.bound_hi == alias.bound
+            assert exact.bound_lo is None and exact.bound_hi is None
+            assert replace(alias, **ignored) == replace(exact, **ignored)
+            if family == "fft":
+                # A cold batch of both methods pays one eigensolve, and the
+                # bound is the independent dense-Laplacian oracle's value.
+                assert service.stats()["cache_misses"] == 1
+                assert exact.bound == pytest.approx(32.40394228294514, rel=1e-9)
 
     def test_service_rejects_unknown_method(self):
         service = BoundService(store=None, num_eigenvalues=10)

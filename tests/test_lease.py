@@ -42,7 +42,7 @@ def store(tmp_path):
 
 
 def lease_key(fingerprint: str = FINGERPRINT) -> str:
-    return _base_id(fingerprint, True, False, None, "exact")
+    return _base_id(fingerprint, True, False, None)
 
 
 def write_lease_row(store: SpectrumStore, **overrides) -> None:
@@ -54,7 +54,6 @@ def write_lease_row(store: SpectrumStore, **overrides) -> None:
         "pid": os.getpid(),
         "host": _HOSTNAME,
         "fingerprint": FINGERPRINT,
-        "variant": "exact",
         "created_at": now,
         "heartbeat_at": now,
         "ttl": 30.0,
@@ -116,13 +115,9 @@ class TestSolveLease:
     def test_truncation_is_not_part_of_the_lease_key(self, store):
         # Every h of one spectrum contends for a single lease: that is what
         # lets different-M queries on one graph coalesce onto one solve.
-        assert lease_key() == _base_id(
-            FINGERPRINT, True, False, None, "exact"
-        )
+        assert lease_key() == _base_id(FINGERPRINT, True, False, None)
         # ...but normalisation (like any key ingredient) splits it.
-        assert lease_key() != _base_id(
-            FINGERPRINT, False, False, None, "exact"
-        )
+        assert lease_key() != _base_id(FINGERPRINT, False, False, None)
 
     def test_wait_returns_released_when_the_leader_publishes(self, store):
         lease = store.acquire_lease(FINGERPRINT)

@@ -17,11 +17,11 @@ import time
 import pytest
 
 from repro.graphs.generators import fft_graph, hypercube_graph
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.cli import build_parser, build_server_from_args
 from repro.runtime.families import GraphSpec
 from repro.runtime.service import BoundAnswer, BoundQuery, BoundService
 from repro.server.client import BoundsClient, ServerError, parse_metric
-from repro.server.metrics import MetricsRegistry
 from repro.server.protocol import (
     MAX_QUERIES_PER_REQUEST,
     PROTOCOL_VERSION,

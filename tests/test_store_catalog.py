@@ -3,14 +3,16 @@
 Three concerns beyond the store API itself: the write path survives a crash
 at any step (a dead process between blob write and insert, a writer killed
 inside its transaction, a full disk); a store written by an older build
-(JSON indexes) is imported once, with its counters; and a handle stays
-usable across ``fork`` and between threads.
+(JSON indexes, or a catalog holding interval spectra) is migrated once,
+with its counters; and a handle stays usable across ``fork`` and between
+threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -24,7 +26,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.convex_mincut import MinCutEngine
+from repro.core.engine import BoundEngine
 from repro.graphs.generators import fft_graph
+from repro.runtime.families import GraphSpec
+from repro.runtime.service import BoundQuery, BoundService
 from repro.runtime.store import CutStore, SpectrumStore, _base_id, _entry_id
 from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
@@ -270,6 +275,162 @@ class TestLegacyImport:
         engine = MinCutEngine(graph, store=CutStore(root))
         engine.max_cut()
         assert engine.flow_calls == 0 and engine.store_served > 0
+
+
+#: The catalog schema of the builds that stored interval spectra.
+_VARIANT_SCHEMA = """
+PRAGMA journal_mode=WAL;
+CREATE TABLE spectra (
+    id TEXT PRIMARY KEY, base TEXT NOT NULL, h INTEGER NOT NULL,
+    fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL,
+    sparse INTEGER NOT NULL, dtype TEXT NOT NULL, variant TEXT NOT NULL,
+    backend TEXT NOT NULL, lineage TEXT, solve_seconds REAL NOT NULL,
+    bytes INTEGER NOT NULL, created_at REAL NOT NULL, last_used REAL NOT NULL);
+CREATE INDEX spectra_by_base ON spectra (base, h);
+CREATE TABLE cuts (
+    id TEXT PRIMARY KEY, fingerprint TEXT NOT NULL, num_cuts INTEGER NOT NULL,
+    backend TEXT NOT NULL, lineage TEXT, bytes INTEGER NOT NULL,
+    created_at REAL NOT NULL, last_used REAL NOT NULL);
+CREATE TABLE leases (
+    base TEXT PRIMARY KEY, token TEXT, pid INTEGER, host TEXT, fingerprint TEXT,
+    variant TEXT, created_at REAL, heartbeat_at REAL, ttl REAL);
+CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
+"""
+
+COARSE = "coarse-r0.5-s0"
+
+
+def _coarse_base(fingerprint):
+    """The base id those builds gave a coarse entry: the variant was hashed in."""
+    payload = [fingerprint, True, False, dataclasses.asdict(EigenSolverOptions()), COARSE]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:40]
+
+
+def _write_variant_catalog(root):
+    """A store with one exact spectrum (fft:4, h=10), one coarse interval
+    spectrum whose blob carries ``eigenvalues_lo``, and two leases."""
+    recorder = _Recorder()
+    BoundEngine(fft_graph(4), num_eigenvalues=10, cache=SpectrumCache(store=recorder)).spectral(4)
+    [(fingerprint, values, seconds, kwargs)] = recorder.spectra
+    (root / "blobs").mkdir(parents=True)
+    exact = _entry_id(_base_id(fingerprint, kwargs["normalized"], kwargs["sparse"], None), 10)
+    coarse = _entry_id(_coarse_base(fingerprint), 10)
+    np.savez_compressed(root / "blobs" / f"{exact}.npz",
+                        eigenvalues=values, solve_seconds=np.float64(seconds))
+    np.savez_compressed(root / "blobs" / f"{coarse}.npz", eigenvalues=values + 1.0,
+                        eigenvalues_lo=values * 0.0, solve_seconds=np.float64(seconds))
+    now = time.time()
+    conn = sqlite3.connect(root / "catalog.sqlite")
+    conn.executescript(_VARIANT_SCHEMA)
+    with conn:
+        for entry_id, variant in ((exact, "exact"), (coarse, COARSE)):
+            conn.execute(
+                "INSERT INTO spectra VALUES (?, ?, 10, ?, 1, 0, 'float64', ?, ?, 'fft', "
+                "?, ?, ?, ?)",
+                (entry_id, entry_id[:40], fingerprint, variant, kwargs["backend"], seconds,
+                 (root / "blobs" / f"{entry_id}.npz").stat().st_size, now, now),
+            )
+        for base, owner, variant in ((_base_id(OTHER, True, False, None), OTHER, "exact"),
+                                     (coarse[:40], fingerprint, COARSE)):
+            conn.execute(
+                "INSERT INTO leases VALUES (?, 'token', ?, 'elsewhere', ?, ?, ?, ?, 30.0)",
+                (base, os.getpid(), owner, variant, now, now),
+            )
+        conn.execute("INSERT INTO counters VALUES ('solves_recorded', 2)")
+    conn.close()
+    return exact, coarse
+
+
+def _catalog_state(root):
+    """Everything a migration could change: schema, rows and blob names."""
+    conn = sqlite3.connect(root / "catalog.sqlite")
+    try:
+        state = {
+            table: conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+            for table in ("spectra", "leases", "counters")
+        }
+        state["schema"] = conn.execute("SELECT sql FROM sqlite_master ORDER BY name").fetchall()
+    finally:
+        conn.close()
+    state["blobs"] = _blob_names(root)
+    return state
+
+
+def _columns(root, table):
+    conn = sqlite3.connect(root / "catalog.sqlite")
+    try:
+        return [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
+    finally:
+        conn.close()
+
+
+class TestVariantMigration:
+    def test_interval_rows_are_dropped_once_and_exact_ones_served(self, tmp_path):
+        root = tmp_path / "spectra"
+        exact, coarse = _write_variant_catalog(root)
+
+        store = SpectrumStore(root)
+        assert [entry["entry"] for entry in store.entries()] == [exact]
+        assert _blob_names(root) == [f"{exact}.npz"]
+        for table in ("spectra", "leases"):
+            assert "variant" not in _columns(root, table)
+        assert [lease["lease"] for lease in store.leases()] == [_base_id(OTHER, True, False, None)]
+        assert store.stats()["solves_recorded"] == 2  # work done, not entries
+        assert store.verify()["ok"]
+
+        # The exact spectrum serves the bound without an eigensolve.
+        query = BoundQuery(GraphSpec(family="fft", size_param=4), 4)
+        service = BoundService(store=root, num_eigenvalues=10)
+        [served] = service.submit([query])
+        assert service.stats()["cache_misses"] == 0 and service.stats()["store_hits"] == 1
+        [solved] = BoundService(store=None, num_eigenvalues=10).submit([query])
+        assert served.bound == solved.bound and served.raw_value == solved.raw_value
+
+        # A second open changes nothing.
+        before = _catalog_state(root)
+        SpectrumStore(root).verify()
+        assert _catalog_state(root) == before
+
+    def test_processes_opening_it_together_migrate_it_once(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        for attempt in range(5):
+            root = tmp_path / f"spectra-{attempt}"
+            exact, _ = _write_variant_catalog(root)
+            barrier = ctx.Barrier(4)
+
+            def first_open():
+                barrier.wait(timeout=30)
+                assert len(SpectrumStore(root)) == 1
+
+            procs = [ctx.Process(target=first_open) for _ in range(4)]
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=60)
+            assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
+            assert "variant" not in _columns(root, "spectra")
+            assert [entry["entry"] for entry in SpectrumStore(root).entries()] == [exact]
+            assert _blob_names(root) == [f"{exact}.npz"]
+
+    def test_legacy_json_interval_entries_are_not_imported(self, tmp_path):
+        graph = fft_graph(4)
+        recorder = _Recorder()
+        SpectrumCache(store=recorder).spectrum(graph, 8)
+        root = tmp_path / "old-store"
+        _write_json_layout(root, recorder, solves_recorded=2)
+        index = json.loads((root / "index.json").read_text())
+        [(exact, meta)] = index["entries"].items()
+        coarse = _entry_id(_coarse_base(meta["fingerprint"]), 8)
+        index["entries"][coarse] = {**meta, "base": coarse[:40], "variant": COARSE}
+        (root / "index.json").write_text(json.dumps(index))
+        (root / "blobs" / f"{coarse}.npz").write_bytes(
+            (root / "blobs" / f"{exact}.npz").read_bytes()
+        )
+
+        store = SpectrumStore(root)
+        assert [entry["entry"] for entry in store.entries()] == [exact]
+        assert _blob_names(root) == [f"{exact}.npz"]
+        assert store.verify()["ok"]
 
 
 class TestProcessesAndThreads:
