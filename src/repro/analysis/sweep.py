@@ -152,7 +152,6 @@ def evaluate_graph_rows(
     cache: Optional[SpectrumCache] = None,
     eig_options: Optional[EigenSolverOptions] = None,
     lineage: Optional[str] = None,
-    mincut_backend: Optional[str] = None,
     cut_store=None,
     convex_chunk: Optional[Tuple[int, int]] = None,
 ) -> Tuple[List[SweepRow], int, List[SolveRecord], Optional[Dict[str, object]]]:
@@ -162,9 +161,9 @@ def evaluate_graph_rows(
     in a loop with a shared cache, and the orchestrator's pool workers call
     it once per task with a store-backed private cache.  ``eig_options``
     selects the spectral backend/precision, and ``lineage`` tags solves for
-    warm starting (defaults to the family name).  ``mincut_backend`` /
-    ``cut_store`` configure the convex min-cut baseline (max-flow backend id
-    and persistent :class:`~repro.runtime.store.CutStore`); ``convex_chunk``
+    warm starting (defaults to the family name).  ``cut_store`` is the
+    convex min-cut baseline's persistent
+    :class:`~repro.runtime.store.CutStore`; ``convex_chunk``
     restricts the baseline to the ``(index, total)``-th strided slice of its
     candidate vertices (see :func:`convex_candidates`).
 
@@ -224,7 +223,6 @@ def evaluate_graph_rows(
         else:  # convex-min-cut
             mincut_engine = MinCutEngine(
                 graph,
-                backend=mincut_backend,
                 store=cut_store,
                 lineage=lineage if lineage is not None else family,
             )
@@ -253,7 +251,6 @@ def sweep(
     solver: Optional[str] = None,
     dtype: Optional[str] = None,
     eig_options: Optional[EigenSolverOptions] = None,
-    mincut_backend: Optional[str] = None,
 ) -> List[SweepRow]:
     """Evaluate ``methods`` over a graph family.
 
@@ -290,17 +287,13 @@ def sweep(
         its root path) shared by all engines/workers of the sweep.
     solver, dtype:
         Shorthand for ``eig_options``: backend id (``auto``/``dense``/
-        ``sparse``/``lanczos``/``power``/``lobpcg``/``amg``) and precision
+        ``sparse``/``lobpcg``/``amg``) and precision
         (``float64``/``float32``).  ``auto`` honours the
         ``REPRO_SOLVER_BACKEND`` environment variable.  Mutually exclusive
         with ``eig_options``.
     eig_options:
         Full :class:`~repro.solvers.backend.EigenSolverOptions` forwarded to
         every engine/worker of the sweep.
-    mincut_backend:
-        Max-flow backend id for the convex min-cut baseline (``auto``/
-        ``dinic``/``array-dinic``/``scipy``; ``None`` resolves like ``auto``,
-        the ``--mincut-backend`` CLI flag).
 
     Returns
     -------
@@ -325,7 +318,6 @@ def sweep(
         convex_vertex_cap=convex_vertex_cap,
         max_vertices=max_vertices,
         eig_options=eig_options,
-        mincut_backend=mincut_backend,
     )
     report = orchestrator.run_family(
         family, graph_builder, size_params, memory_sizes, methods=methods

@@ -1,13 +1,10 @@
 """Baseline lower-bound methods the paper compares against.
 
-* :mod:`maxflow` — a pure-Python Dinic max-flow / min-cut solver (the
-  reference kernel of the convex min-cut baseline).
 * :mod:`flownet` — the reusable vertex-split flow network of the baseline's
   reduction, built once per graph from the frozen CSR view (plus the cheap
-  per-vertex upper bounds used for search pruning).
-* :mod:`flow_backends` — pluggable :class:`MaxFlowBackend` registry
-  (``dinic`` reference / ``array-dinic`` / C-compiled ``scipy``), mirroring
-  the spectral backend registry of :mod:`repro.solvers.backends`.
+  per-vertex upper bounds used for search pruning), and
+  :class:`ScipyMinCut`, which solves its per-vertex min cuts with SciPy's
+  C-compiled max-flow.
 * :mod:`convex_mincut` — reconstruction of the convex min-cut automatic bound
   of Elango et al. [13], the only polynomial-time automatic baseline the paper
   evaluates (Figures 7–11), with per-graph cut caching and pruning
@@ -27,29 +24,16 @@ from repro.baselines.convex_mincut import (
     partitioned_convex_min_cut_bound,
 )
 from repro.baselines.exact import minimum_io_over_all_orders, minimum_io_upper_bound
-from repro.baselines.flow_backends import (
-    MaxFlowBackend,
-    available_flow_backends,
-    create_flow_backend,
-    register_flow_backend,
-    resolve_flow_backend_id,
-)
-from repro.baselines.flownet import ConvexCutNetwork
-from repro.baselines.maxflow import MaxFlowSolver
+from repro.baselines.flownet import ConvexCutNetwork, ScipyMinCut
 from repro.baselines.partitioner import (
     contiguous_topological_partition,
     spectral_bisection_partition,
 )
 
 __all__ = [
-    "MaxFlowSolver",
     "ConvexCutNetwork",
-    "MaxFlowBackend",
+    "ScipyMinCut",
     "MinCutEngine",
-    "available_flow_backends",
-    "create_flow_backend",
-    "register_flow_backend",
-    "resolve_flow_backend_id",
     "convex_min_cut_value",
     "convex_min_cut_bound",
     "partitioned_convex_min_cut_bound",

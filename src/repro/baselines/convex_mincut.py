@@ -31,12 +31,12 @@ Execution model.  The min-cut is computed on a vertex-split flow network
 (vertex capacity 1, structural arcs of infinite capacity enforcing
 down-closure and the "pay-once-per-boundary-vertex" accounting), built *once*
 per graph from the frozen CSR view (:class:`~repro.baselines.flownet
-.ConvexCutNetwork`) and solved by a pluggable
-:class:`~repro.baselines.flow_backends.MaxFlowBackend`.  :class:`MinCutEngine`
-adds the two layers that make whole-paper sweeps cheap:
+.ConvexCutNetwork`) and solved by SciPy's C-compiled max-flow
+(:class:`~repro.baselines.flownet.ScipyMinCut`).  :class:`MinCutEngine` adds
+the two layers that make whole-paper sweeps cheap:
 
-* **cut caching** — ``C(v, G)`` is independent of ``M`` and of the backend,
-  so values live in an in-memory table and, optionally, a persistent
+* **cut caching** — ``C(v, G)`` is independent of ``M``, so values live in
+  an in-memory table and, optionally, a persistent
   :class:`~repro.runtime.store.CutStore` keyed by the graph fingerprint;
   a warm re-run performs zero max-flow calls;
 * **upper-bound pruning** — candidates are visited best-upper-bound-first
@@ -56,12 +56,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.baselines.flow_backends import (
-    MaxFlowBackend,
-    create_flow_backend,
-    resolve_flow_backend_id,
-)
-from repro.baselines.flownet import ConvexCutNetwork
+from repro.baselines.flownet import ConvexCutNetwork, ScipyMinCut
 from repro.baselines.partitioner import contiguous_topological_partition
 from repro.core.result import BaselineBoundResult
 from repro.graphs.compgraph import ComputationGraph
@@ -70,7 +65,6 @@ from repro.utils.validation import check_memory_size, check_positive_int
 _MAXFLOW_SECONDS = obs.global_registry().histogram(
     "repro_maxflow_seconds",
     "Wall-clock latency of individual max-flow solves.",
-    labelnames=("backend",),
 )
 _CUT_LOOKUPS = obs.global_registry().counter(
     "repro_cut_lookups_total",
@@ -94,9 +88,6 @@ class MinCutEngine:
     ----------
     graph:
         The computation graph (frozen lazily on first use).
-    backend:
-        Max-flow backend id (``None``/``"auto"`` resolves via
-        :func:`~repro.baselines.flow_backends.resolve_flow_backend_id`).
     store:
         Optional persistent :class:`~repro.runtime.store.CutStore`; known
         cut values are loaded once per engine and every newly computed value
@@ -112,26 +103,24 @@ class MinCutEngine:
     def __init__(
         self,
         graph: ComputationGraph,
-        backend: Optional[str] = None,
         store=None,
         prune: bool = True,
         lineage: Optional[str] = None,
     ) -> None:
         self._graph = graph
-        self._backend_id = resolve_flow_backend_id(backend)
         self._store = store
         self._prune = bool(prune)
         self._lineage = lineage
         self._network: Optional[ConvexCutNetwork] = None
-        self._backend: Optional[MaxFlowBackend] = None
+        self._solver: Optional[ScipyMinCut] = None
         self._known: Dict[int, int] = {}
         self._store_loaded = False
         self._store_served = 0
         self._pruned = 0
         self._cut_seconds = 0.0
-        # Backends mutate shared per-network state (residual capacities, the
-        # scipy capacity template), so concurrent callers — e.g. BoundService
-        # threads sharing one LRU-cached engine — must serialise here.
+        # The solver mutates its shared capacity template, so concurrent
+        # callers — e.g. BoundService threads sharing one LRU-cached engine —
+        # must serialise here.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -143,14 +132,9 @@ class MinCutEngine:
         return self._graph
 
     @property
-    def backend_id(self) -> str:
-        """The resolved max-flow backend id."""
-        return self._backend_id
-
-    @property
     def flow_calls(self) -> int:
         """Max-flow solves this engine actually performed."""
-        return self._backend.flow_calls if self._backend is not None else 0
+        return self._solver.flow_calls if self._solver is not None else 0
 
     @property
     def store_served(self) -> int:
@@ -176,7 +160,6 @@ class MinCutEngine:
         """
         context = obs.current_context()
         return {
-            "backend": self._backend_id,
             "flow_calls": self.flow_calls,
             "store_served": self._store_served,
             "pruned": self._pruned,
@@ -225,9 +208,7 @@ class MinCutEngine:
         if candidates.size == 0:
             return 0, None
         start = time.perf_counter()
-        with obs.span(
-            "mincut", backend=self._backend_id, candidates=int(candidates.size)
-        ), self._lock:
+        with obs.span("mincut", candidates=int(candidates.size)), self._lock:
             self._load_store_table()
             network = self._get_network()
             best_cut = 0
@@ -282,14 +263,12 @@ class MinCutEngine:
             # empty; no flow problem needs solving.
             value = 0
         else:
-            if self._backend is None:
-                self._backend = create_flow_backend(self._backend_id, network)
+            if self._solver is None:
+                self._solver = ScipyMinCut(network)
             sources, sinks = network.terminals(vertex)
             flow_start = time.perf_counter()
-            value = self._backend.min_cut(sources, sinks)
-            _MAXFLOW_SECONDS.observe(
-                time.perf_counter() - flow_start, backend=self._backend_id
-            )
+            value = self._solver.min_cut(sources, sinks)
+            _MAXFLOW_SECONDS.observe(time.perf_counter() - flow_start)
         _CUT_LOOKUPS.inc(tier="flow")
         self._known[vertex] = value
         return value
@@ -314,17 +293,12 @@ class MinCutEngine:
             list(fresh.keys()),
             list(fresh.values()),
             flow_calls=flow_calls,
-            backend=self._backend_id,
+            backend="scipy",
             lineage=self._lineage,
         )
 
 
-def convex_min_cut_value(
-    graph: ComputationGraph,
-    vertex: int,
-    backend: Optional[str] = None,
-    store=None,
-) -> int:
+def convex_min_cut_value(graph: ComputationGraph, vertex: int, store=None) -> int:
     """The minimum wavefront ``C(v, G)`` of any convex prefix through ``vertex``.
 
     Returns 0 when ``vertex`` has no descendants (the prefix can then grow to
@@ -332,13 +306,12 @@ def convex_min_cut_value(
     :class:`MinCutEngine` — loops over many vertices of one graph should hold
     an engine instead, which builds the flow network once and caches values.
     """
-    return MinCutEngine(graph, backend=backend, store=store).cut_value(vertex)
+    return MinCutEngine(graph, store=store).cut_value(vertex)
 
 
 def convex_min_cut_max_value(
     graph: ComputationGraph,
     vertices: Optional[Iterable[int]] = None,
-    backend: Optional[str] = None,
     store=None,
     prune: bool = True,
 ) -> Tuple[int, Optional[int]]:
@@ -349,16 +322,13 @@ def convex_min_cut_max_value(
     computations only depend on the graph; sweeps over several ``M`` values
     call this once and derive the bounds arithmetically.
     """
-    return MinCutEngine(graph, backend=backend, store=store, prune=prune).max_cut(
-        vertices
-    )
+    return MinCutEngine(graph, store=store, prune=prune).max_cut(vertices)
 
 
 def convex_min_cut_bound(
     graph: ComputationGraph,
     M: int,
     vertices: Optional[Iterable[int]] = None,
-    backend: Optional[str] = None,
     store=None,
     prune: bool = True,
 ) -> BaselineBoundResult:
@@ -376,13 +346,13 @@ def convex_min_cut_bound(
         restricting the set is a valid — just possibly weaker — bound and is
         useful to keep the ``O(n)`` max-flow calls affordable on larger
         graphs.
-    backend, store, prune:
-        Forwarded to :class:`MinCutEngine` (max-flow backend selection,
-        persistent cut table, upper-bound pruning).
+    store, prune:
+        Forwarded to :class:`MinCutEngine` (persistent cut table,
+        upper-bound pruning).
     """
     check_memory_size(M)
     start = time.perf_counter()
-    engine = MinCutEngine(graph, backend=backend, store=store, prune=prune)
+    engine = MinCutEngine(graph, store=store, prune=prune)
     candidates = list(vertices) if vertices is not None else list(graph.vertices())
     best_cut, best_vertex = engine.max_cut(candidates)
     best_value = max(0.0, 2.0 * (best_cut - M))
@@ -400,7 +370,6 @@ def convex_min_cut_bound(
             "store_served": float(engine.store_served),
         },
         elapsed_seconds=elapsed,
-        backend=engine.backend_id,
         flow_calls=engine.flow_calls,
     )
 
@@ -409,7 +378,6 @@ def partitioned_convex_min_cut_bound(
     graph: ComputationGraph,
     M: int,
     max_part_size: Optional[int] = None,
-    backend: Optional[str] = None,
     store=None,
     prune: bool = True,
 ) -> BaselineBoundResult:
@@ -421,7 +389,7 @@ def partitioned_convex_min_cut_bound(
     plotted.  The partitioned variant is provided for completeness and used in
     the ablation benchmarks.
 
-    Per-part maxima go through the same backend/caching path as the
+    Per-part maxima go through the same solver/caching path as the
     whole-graph bound, and structurally identical parts (equal subgraph
     fingerprints — common under the contiguous partitioners on regular
     graphs) are solved once and reused.
@@ -436,15 +404,12 @@ def partitioned_convex_min_cut_bound(
     max_cut_by_fingerprint: Dict[str, int] = {}
     flow_calls = 0
     parts: List[List[int]] = contiguous_topological_partition(graph, max_part_size)
-    backend_id = resolve_flow_backend_id(backend)
     for index, part in enumerate(parts):
         subgraph, _ = graph.subgraph(part)
         fingerprint = subgraph.fingerprint()
         max_cut = max_cut_by_fingerprint.get(fingerprint)
         if max_cut is None:
-            engine = MinCutEngine(
-                subgraph, backend=backend_id, store=store, prune=prune
-            )
+            engine = MinCutEngine(subgraph, store=store, prune=prune)
             max_cut, _ = engine.max_cut()
             flow_calls += engine.flow_calls
             max_cut_by_fingerprint[fingerprint] = max_cut
@@ -464,6 +429,5 @@ def partitioned_convex_min_cut_bound(
             "unique_parts": float(len(max_cut_by_fingerprint)),
         },
         elapsed_seconds=elapsed,
-        backend=backend_id,
         flow_calls=flow_calls,
     )

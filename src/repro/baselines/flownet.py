@@ -7,9 +7,9 @@ nevertheless rebuilt the whole ``2n + 2``-node network from scratch for each
 of the ``O(n)`` max-flow calls, iterating ``graph.edges()`` in Python every
 time.  :class:`ConvexCutNetwork` builds the *fixed* part once, directly from
 the frozen :class:`~repro.graphs.csr.CSRView` with vectorized edge-array
-arithmetic, and exposes it as flat arc arrays that every
-:class:`~repro.baselines.flow_backends.MaxFlowBackend` shares; per-vertex
-solves only swap the source/sink arc capacities.
+arithmetic, and exposes it as flat arc arrays; :class:`ScipyMinCut` turns
+them into one persistent capacity matrix, and per-vertex solves only swap
+the source/sink arc capacities.
 
 Node layout (unchanged from the original reduction):
 
@@ -19,7 +19,7 @@ Node layout (unchanged from the original reduction):
 * ``source = 2n`` with arcs to ``anc(v) ∪ {v}``, ``sink = 2n + 1`` with arcs
   from ``desc(v)`` — these are the only per-vertex parts, so the network
   pre-allocates one source arc and one sink arc *slot* per vertex (capacity
-  0 = absent) that backends flip in place.
+  0 = absent) that the solver flips in place.
 
 The network also provides the cheap per-vertex **upper bound** used for
 search pruning: for any topological order, *every* prefix ending at a
@@ -37,12 +37,15 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from repro.baselines.maxflow import INFINITE_CAPACITY
 from repro.graphs.compgraph import ComputationGraph
 
-__all__ = ["ConvexCutNetwork"]
+__all__ = ["ConvexCutNetwork", "ScipyMinCut", "INFINITE_CAPACITY"]
+
+#: Effectively infinite capacity for structural (uncuttable) arcs.
+INFINITE_CAPACITY = 1 << 50
 
 
 def _window_minimum(
@@ -88,8 +91,8 @@ class ConvexCutNetwork:
         The super-source (``2n``) and super-sink (``2n + 1``) node ids.
     arc_tails, arc_heads, arc_caps:
         Flat int64 arrays of every *forward* arc (unit, structural, then the
-        per-vertex source/sink slots), in a fixed order shared by all
-        backends.  Source/sink slots carry capacity 0 in the template.
+        per-vertex source/sink slots), in a fixed order.  Source/sink slots
+        carry capacity 0 in the template.
     source_arc, sink_arc:
         ``source_arc[u]`` / ``sink_arc[u]`` index the arc slot
         ``source -> u_in`` / ``u_in -> sink`` inside the arc arrays.
@@ -234,3 +237,56 @@ class ConvexCutNetwork:
             f"ConvexCutNetwork(n={self.num_vertices}, m={self.num_edges}, "
             f"nodes={self.num_nodes}, arcs={self.num_arcs})"
         )
+
+
+class ScipyMinCut:
+    """Per-vertex min cuts of one :class:`ConvexCutNetwork`, solved by
+    :func:`scipy.sparse.csgraph.maximum_flow` (C-compiled).
+
+    One CSR capacity matrix is built per network (source/sink slots present
+    as explicit zeros so the sparsity pattern never changes); per-vertex
+    solves mutate only the slot entries of the shared ``data`` array.
+    Capacities use ``n + 1`` as the "infinite" value — every finite cut in
+    the reduction is at most ``n``, and the small constant keeps all flow
+    arithmetic comfortably inside the int32 scipy requires.  ``flow_calls``
+    counts the solves, which every caching/pruning layer audits.
+    """
+
+    def __init__(self, network: ConvexCutNetwork) -> None:
+        self.network = network
+        self.flow_calls = 0
+        n = network.num_vertices
+        self._inf = n + 1
+        caps = np.minimum(network.arc_caps, self._inf).astype(np.int32)
+        matrix = sp.csr_matrix(
+            (caps, (network.arc_tails, network.arc_heads)),
+            shape=(network.num_nodes, network.num_nodes),
+        )
+        matrix.sort_indices()
+        indptr, indices = matrix.indptr, matrix.indices
+        u_in = 2 * np.arange(n, dtype=np.int64)
+        # Source arcs are the (sorted, unique) entries of the source row.
+        self._src_pos = indptr[network.source] + np.searchsorted(
+            indices[indptr[network.source] : indptr[network.source + 1]], u_in
+        )
+        # The sink column is the largest node id, so each vertex's sink slot
+        # is the last entry of its u_in row.
+        self._sink_pos = indptr[u_in + 1] - 1
+        if n and (
+            not np.array_equal(indices[self._src_pos], u_in)
+            or not np.all(indices[self._sink_pos] == network.sink)
+        ):  # pragma: no cover - layout invariant
+            raise AssertionError("scipy capacity template slot layout broken")
+        self._matrix = matrix
+
+    def min_cut(self, sources: np.ndarray, sinks: np.ndarray) -> int:
+        """Min-cut value with ``sources`` attached to the super-source and
+        ``sinks`` to the super-sink (both are graph-vertex id arrays)."""
+        self.flow_calls += 1
+        data = self._matrix.data
+        data[self._src_pos] = 0
+        data[self._sink_pos] = 0
+        data[self._src_pos[np.asarray(sources, dtype=np.int64)]] = self._inf
+        data[self._sink_pos[np.asarray(sinks, dtype=np.int64)]] = self._inf
+        network = self.network
+        return int(maximum_flow(self._matrix, network.source, network.sink).flow_value)

@@ -131,9 +131,6 @@ class BaselineBoundResult:
         Free-form method-specific numbers (e.g. the raw cut value).
     elapsed_seconds:
         Wall-clock time of the computation.
-    backend:
-        For flow-based methods, the resolved max-flow backend id (``None``
-        for methods without a backend choice).
     flow_calls:
         Max-flow solves actually performed (0 when every cut value came
         from a cache tier — the warm-run audit trail, mirroring
@@ -147,7 +144,6 @@ class BaselineBoundResult:
     witness_vertex: Optional[int] = None
     details: Dict[str, float] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-    backend: Optional[str] = None
     flow_calls: int = 0
 
     def as_dict(self) -> Dict[str, object]:

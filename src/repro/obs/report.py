@@ -6,7 +6,7 @@ Backs ``python -m repro obs report trace.jsonl``.  Two views:
   showing wall time, CPU time, and each span's share of its root;
 * a **self-time table** — per span *name*, total wall time minus the
   wall time of direct children, aggregated and sorted; this is where
-  "the sweep was slow" turns into "87% of it was lanczos eigensolves".
+  "the sweep was slow" turns into "87% of it was lobpcg eigensolves".
 
 Works on any trace the tracer writes, including multi-process sweeps
 after shard merging (records are self-contained, so order and pid mixing

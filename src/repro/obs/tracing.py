@@ -6,7 +6,7 @@ of one logical operation, its own ``span_id``, and a ``parent_id`` link.
 Spans nest through a thread-local stack, so instrumented seams do not
 need to thread context objects through call signatures::
 
-    with obs.span("eigensolve", fingerprint=fp, backend="lanczos"):
+    with obs.span("eigensolve", fingerprint=fp, backend="lobpcg"):
         ...
 
 Tracing is **off by default** and zero-cost when off: :func:`span`

@@ -38,19 +38,18 @@ task and fold the workers' span shards back into the same file.  Setting
 ``REPRO_PROFILE=1`` additionally cProfiles each sweep task into
 ``PATH.profile-<task>-<pid>.pstats``.
 
-``solve`` and ``sweep`` take ``--solver`` (``auto``/``dense``/``sparse``/
-``lanczos``/``power``/``lobpcg``/``amg``) and ``--dtype``
-(``float64``/``float32``) to pick the spectral backend; every cache tier
-keys on both, so variants coexist.  ``auto`` routes large graphs to the
-AMG-preconditioned LOBPCG backend, and ``$REPRO_SOLVER_BACKEND`` forces a
-backend id for every ``auto`` solve (mirroring ``$REPRO_MINCUT_BACKEND``)
-without touching scripts — it applies to ``solve``, ``sweep`` and ``serve``
-alike.  ``--mincut-backend`` (``auto``/``dinic``/``array-dinic``/
-``scipy``) picks the max-flow backend of the convex min-cut baseline
-(``sweep --methods convex-min-cut`` / ``solve --method convex-min-cut``);
-cut values are exact, so all backends share one fingerprint-keyed cut table
-and a warm re-run performs zero max-flow calls (``num_flow_calls`` in the
-``sweep --json`` payload, ``cuts.flows_recorded`` in ``cache stats``).
+``solve``, ``sweep`` and ``serve`` take ``--solver`` (``auto``/``dense``/
+``sparse``/``lobpcg``/``amg``) and ``--dtype`` (``float64``/``float32``) to
+pick the spectral backend; every cache tier keys on both, so variants
+coexist.  ``auto`` routes by size (dense, then ARPACK shift-invert, then the
+AMG-preconditioned LOBPCG backend), and ``$REPRO_SOLVER_BACKEND`` forces a
+backend id for every ``auto`` solve without touching scripts — it applies
+to ``solve``, ``sweep`` and ``serve`` alike.  The convex min-cut baseline
+(``sweep --methods convex-min-cut`` / ``solve --method convex-min-cut``)
+solves its max-flow problems with SciPy; cut values are exact and live in
+one fingerprint-keyed cut table, so a warm re-run performs zero max-flow
+calls (``num_flow_calls`` in the ``sweep --json`` payload,
+``cuts.flows_recorded`` in ``cache stats``).
 
 All subcommands share one persistent :class:`~repro.runtime.store
 .SpectrumStore` (``--store DIR``, ``$REPRO_SPECTRUM_STORE``, or
@@ -71,7 +70,6 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.analysis.reporting import format_table
-from repro.baselines.flow_backends import available_flow_backends
 from repro.runtime.families import FAMILY_BUILDERS, GraphSpec
 from repro.runtime.orchestrator import SweepOrchestrator
 from repro.runtime.service import BoundQuery, BoundService
@@ -109,8 +107,10 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         "--solver",
         choices=("auto",) + available_backends(),
         default="auto",
-        help="spectral backend (default: auto = dense / sparse / amg by size; "
-        "$REPRO_SOLVER_BACKEND forces a backend for auto solves)",
+        help="spectral backend: dense (exact LAPACK), sparse (ARPACK "
+        "shift-invert), lobpcg (shift-inverted block LOBPCG), amg (multigrid-"
+        "preconditioned LOBPCG); default auto = dense / sparse / amg by size, "
+        "and $REPRO_SOLVER_BACKEND forces a backend for auto solves",
     )
     parser.add_argument(
         "--dtype",
@@ -138,22 +138,6 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
         "'python -m repro obs report PATH'; REPRO_PROFILE=1 adds per-task "
         "cProfile dumps next to it)",
     )
-
-
-def _add_mincut_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mincut-backend",
-        choices=("auto",) + available_flow_backends(),
-        default="auto",
-        help="max-flow backend for the convex min-cut baseline "
-        "(default: auto = scipy when available; dinic forces the "
-        "pure-Python reference)",
-    )
-
-
-def _mincut_backend_from_args(args: argparse.Namespace) -> Optional[str]:
-    backend = getattr(args, "mincut_backend", "auto")
-    return None if backend == "auto" else backend
 
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
@@ -215,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--json", action="store_true", help="print JSON instead of a table")
     _add_solver_arguments(solve)
-    _add_mincut_arguments(solve)
     _add_store_arguments(solve)
     _add_trace_argument(solve)
 
@@ -256,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write rows + summary as JSON ('-' for stdout)",
     )
     _add_solver_arguments(sweep)
-    _add_mincut_arguments(sweep)
     _add_store_arguments(sweep)
     _add_trace_argument(sweep)
 
@@ -309,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_LEASE_TTL_SECONDS or 30; 0 disables leasing)",
     )
     _add_solver_arguments(serve)
-    _add_mincut_arguments(serve)
     _add_store_arguments(serve)
     _add_trace_argument(serve)
 
@@ -395,7 +376,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         store=_store_from_args(args),
         num_eigenvalues=args.num_eigenvalues,
         eig_options=_eig_options_from_args(args),
-        mincut_backend=_mincut_backend_from_args(args),
     )
     normalization = "unnormalized" if args.unnormalized else "normalized"
     queries = [
@@ -429,7 +409,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         processes=args.processes if args.processes > 0 else None,
         num_eigenvalues=args.num_eigenvalues,
         eig_options=_eig_options_from_args(args),
-        mincut_backend=_mincut_backend_from_args(args),
     )
     report = orchestrator.run_family(
         args.family, None, args.sizes, args.memory_sizes, methods=tuple(args.methods)
@@ -468,7 +447,6 @@ def build_server_from_args(args: argparse.Namespace):
         store=_store_from_args(args),
         num_eigenvalues=args.num_eigenvalues,
         eig_options=_eig_options_from_args(args),
-        mincut_backend=_mincut_backend_from_args(args),
     )
     return BoundServer(
         service,
@@ -515,7 +493,6 @@ def build_fleet_from_args(args: argparse.Namespace, workers: int):
         store_root=store_root,
         num_eigenvalues=args.num_eigenvalues,
         eig_options=_eig_options_from_args(args),
-        mincut_backend=_mincut_backend_from_args(args),
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
         retry_after_seconds=args.retry_after,

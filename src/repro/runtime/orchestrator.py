@@ -167,7 +167,7 @@ class TaskRecord:
     """Per solve-task observability record (surfaces in CLI JSON output).
 
     Spectral tasks fill ``backend``/``dtype``/``solve_seconds``; convex
-    min-cut tasks fill ``flow_backend``/``flow_calls``/``cut_seconds`` (and
+    min-cut tasks fill ``flow_calls``/``cut_seconds`` (and
     their chunk coordinates when the orchestrator split the per-vertex flow
     calls across workers).
     """
@@ -182,7 +182,6 @@ class TaskRecord:
     backend: str
     dtype: str
     solve_seconds: float
-    flow_backend: Optional[str] = None
     flow_calls: int = 0
     cut_seconds: float = 0.0
     chunk_index: int = 0
@@ -241,7 +240,6 @@ _TaskPayload = Tuple[
     Optional[Dict[str, int]],  # max_vertices
     Optional[str],  # store root
     Optional[EigenSolverOptions],
-    Optional[str],  # mincut backend id
     Optional[Tuple[obs.TraceContext, Optional[str]]],  # trace ctx + shard base
 ]
 
@@ -284,7 +282,6 @@ def _execute_task(payload: _TaskPayload) -> _TaskOutcome:
         max_vertices,
         store_root,
         eig_options,
-        mincut_backend,
         trace,
     ) = payload
     parent_context, shard_base = trace if trace is not None else (None, None)
@@ -320,7 +317,6 @@ def _execute_task(payload: _TaskPayload) -> _TaskOutcome:
             max_vertices=max_vertices,
             cache=cache,
             eig_options=eig_options,
-            mincut_backend=mincut_backend,
             cut_store=cut_store,
             convex_chunk=chunk,
         )
@@ -353,7 +349,6 @@ def _task_record(
         backend=reference.backend if reference is not None else "-",
         dtype=reference.dtype if reference is not None else options.dtype,
         solve_seconds=sum(r.solve_seconds for r in solved),
-        flow_backend=str(cut_stats["backend"]) if cut_stats else None,
         flow_calls=int(cut_stats["flow_calls"]) if cut_stats else 0,
         cut_seconds=float(cut_stats["cut_seconds"]) if cut_stats else 0.0,
         chunk_index=solve_task.chunk_index,
@@ -412,9 +407,6 @@ class SweepOrchestrator:
         Schedule pooled tasks by descending size estimate (the default) so
         the dominant eigensolve starts first.  Serial execution always runs
         in submission order (warm starts chain through ascending levels).
-    mincut_backend:
-        Max-flow backend id for the convex min-cut baseline (``None`` =
-        auto: scipy when available).
     convex_chunks:
         Number of candidate-vertex chunks each graph's convex min-cut task
         splits into (``None`` = one chunk per worker process when pooled,
@@ -436,7 +428,6 @@ class SweepOrchestrator:
         eig_options: Optional[EigenSolverOptions] = None,
         split_methods: bool = True,
         largest_first: bool = True,
-        mincut_backend: Optional[str] = None,
         convex_chunks: Optional[int] = None,
         pin_blas: bool = True,
     ) -> None:
@@ -458,7 +449,6 @@ class SweepOrchestrator:
         self._eig_options = eig_options
         self._split_methods = bool(split_methods)
         self._largest_first = bool(largest_first)
-        self._mincut_backend = mincut_backend
         self._convex_chunks = convex_chunks
         self._pin_blas = bool(pin_blas)
 
@@ -645,7 +635,6 @@ class SweepOrchestrator:
             self._max_vertices,
             store_root,
             self._eig_options,
-            self._mincut_backend,
             trace,
         )
 
@@ -752,7 +741,6 @@ class SweepOrchestrator:
                     max_vertices=self._max_vertices,
                     cache=cache,
                     eig_options=self._eig_options,
-                    mincut_backend=self._mincut_backend,
                     cut_store=self._cut_store,
                     convex_chunk=chunk,
                 )

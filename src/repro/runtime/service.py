@@ -128,9 +128,6 @@ class BoundService:
         LRU budget of per-graph engines kept alive between batches.
     eig_options:
         Solver options forwarded to every engine.
-    mincut_backend:
-        Max-flow backend id for ``method="convex-min-cut"`` queries
-        (``None`` = auto).
     """
 
     def __init__(
@@ -139,7 +136,6 @@ class BoundService:
         num_eigenvalues: int = 100,
         max_engines: int = 64,
         eig_options: Optional[EigenSolverOptions] = None,
-        mincut_backend: Optional[str] = None,
     ) -> None:
         if isinstance(store, (str, Path)):
             store = SpectrumStore(store)
@@ -149,7 +145,6 @@ class BoundService:
         self._cut_store = CutStore(store.root) if store is not None else None
         self._num_eigenvalues = int(num_eigenvalues)
         self._eig_options = eig_options
-        self._mincut_backend = mincut_backend
         self._max_engines = int(max_engines)
         self._engines: "OrderedDict[object, BoundEngine]" = OrderedDict()
         self._mincut_engines: "OrderedDict[object, MinCutEngine]" = OrderedDict()
@@ -345,12 +340,7 @@ class BoundService:
             ref.build() if isinstance(ref, GraphSpec) else GraphSpec(path=ref).build()
         )
         lineage = ref.family if isinstance(ref, GraphSpec) else None
-        engine = MinCutEngine(
-            graph,
-            backend=self._mincut_backend,
-            store=self._cut_store,
-            lineage=lineage,
-        )
+        engine = MinCutEngine(graph, store=self._cut_store, lineage=lineage)
         with self._lock:
             existing = self._mincut_engines.get(key)
             if existing is not None:

@@ -593,7 +593,6 @@ class FleetConfig:
     store_root: Optional[str] = None
     num_eigenvalues: int = 100
     eig_options: Optional[object] = None  # EigenSolverOptions (picklable)
-    mincut_backend: Optional[str] = None
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     max_queue: int = DEFAULT_MAX_QUEUE
     retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS
@@ -611,7 +610,6 @@ class FleetConfig:
             store=store,
             num_eigenvalues=self.num_eigenvalues,
             eig_options=self.eig_options,
-            mincut_backend=self.mincut_backend,
         )
 
 

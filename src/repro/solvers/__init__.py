@@ -3,29 +3,24 @@
 The spectral bound of Theorem 4 needs the ``h`` smallest eigenvalues of a
 symmetric positive semi-definite Laplacian.  The paper notes the bound "is not
 only efficiently computable by power iteration" and costs ``O(h n^2)`` with
-Lanczos-Arnoldi; this subpackage therefore provides
+Lanczos-Arnoldi.  Its graphs repeat eigenvalues many times, which calls for
+the block form of that iteration (LOBPCG); this subpackage provides
 
-* :mod:`backends` — the :class:`SpectralBackend` protocol and registry
-  (``dense``, ``sparse``, ``lanczos``, ``power``, ``lobpcg``, ``amg``), plus
-  :class:`WarmStartContext` for seeding consecutive family solves with the
-  previous level's Ritz vectors,
+* :mod:`backends` — the :class:`SpectralBackend` protocol, the four backends
+  (``dense``, ``sparse``, ``lobpcg``, ``amg``) and :func:`solve_smallest`,
+  plus :class:`WarmStartContext` for seeding re-solves of a graph with its
+  previous Ritz vectors,
 * :mod:`amg` — a pure-SciPy smoothed-aggregation multigrid V-cycle (the
   ``amg`` backend's preconditioner when ``pyamg`` is not installed),
 * :mod:`backend` — :class:`EigenSolverOptions` (method/dtype/tolerance, the
-  hashable object all cache tiers key on) and the legacy entry point
-  :func:`smallest_eigenvalues`,
+  hashable object all cache tiers key on),
 * :mod:`dense` — exact dense spectra via LAPACK (``numpy.linalg.eigvalsh``),
-* :mod:`lanczos` — an in-package Lanczos iteration with full
-  reorthogonalisation (matrix-free, works with dense and sparse operators),
-* :mod:`power_iteration` — shifted power iteration with deflation (the
-  slowest option, included because it is the simplest building block the
-  paper's efficiency claim refers to),
 * :mod:`spectrum_cache` — an LRU cache of eigensolves keyed by the graph's
   structural fingerprint, shared by all bound computations so repeated
   bounds on the same graph solve once.
 """
 
-from repro.solvers.backend import EigenSolverOptions, smallest_eigenvalues
+from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import (
     SOLVER_BACKEND_ENV_VAR,
     BackendSolveResult,
@@ -34,12 +29,10 @@ from repro.solvers.backends import (
     available_backends,
     create_backend,
     default_warm_start_context,
-    register_backend,
     resolve_method,
     solve_smallest,
 )
 from repro.solvers.dense import dense_spectrum, dense_smallest_eigenvalues
-from repro.solvers.power_iteration import power_iteration_largest_eigenvalue
 from repro.solvers.spectrum_cache import (
     CachedSpectrum,
     SpectrumCache,
@@ -47,7 +40,6 @@ from repro.solvers.spectrum_cache import (
 )
 
 __all__ = [
-    "smallest_eigenvalues",
     "solve_smallest",
     "resolve_method",
     "EigenSolverOptions",
@@ -57,12 +49,10 @@ __all__ = [
     "SOLVER_BACKEND_ENV_VAR",
     "available_backends",
     "create_backend",
-    "register_backend",
     "default_warm_start_context",
     "CachedSpectrum",
     "SpectrumCache",
     "default_spectrum_cache",
     "dense_spectrum",
     "dense_smallest_eigenvalues",
-    "power_iteration_largest_eigenvalue",
 ]

@@ -1,13 +1,10 @@
-"""Solver options and the legacy entry point for smallest eigenvalues.
+"""Solver options: what every cache tier keys an eigensolve on.
 
-The actual solver implementations live in :mod:`repro.solvers.backends` as a
-:class:`~repro.solvers.backends.SpectralBackend` registry (``dense``,
-``sparse``, ``lanczos``, ``power``, ``lobpcg``).  This module keeps
-
-* :class:`EigenSolverOptions` — the frozen, hashable configuration object
-  that caches and the persistent store key on, and
-* :func:`smallest_eigenvalues` — the historical free-function entry point,
-  now a thin wrapper over :func:`repro.solvers.backends.solve_smallest`.
+The solver implementations live in :mod:`repro.solvers.backends` (``dense``,
+``sparse``, ``lobpcg``, ``amg``); callers solve through
+:func:`repro.solvers.backends.solve_smallest`.  This module keeps
+:class:`EigenSolverOptions`, the frozen, hashable configuration object that
+caches and the persistent store key on.
 
 All backends return eigenvalues in increasing order, clamped at zero: graph
 Laplacians are positive semi-definite, so tiny negative values are numerical
@@ -17,16 +14,10 @@ noise and would otherwise leak into the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
-import numpy as np
-import scipy.sparse as sp
+from repro.solvers.backends import available_backends
 
-from repro.solvers.backends import WarmStartContext, available_backends, solve_smallest
-
-__all__ = ["EigenSolverOptions", "smallest_eigenvalues", "DENSE_CUTOFF"]
-
-MatrixLike = Union[np.ndarray, sp.spmatrix]
+__all__ = ["EigenSolverOptions", "DENSE_CUTOFF"]
 
 #: Below this dimension the dense solver is both faster and exact.  LAPACK's
 #: blocked ``syevd`` on a few-thousand-dimensional Laplacian takes a couple of
@@ -34,16 +25,8 @@ MatrixLike = Union[np.ndarray, sp.spmatrix]
 #: accuracy issues on the highly clustered spectra of hypercubes/butterflies).
 DENSE_CUTOFF = 6000
 
+_VALID_METHODS = frozenset({"auto", *available_backends()})
 _VALID_DTYPES = frozenset({"float64", "float32"})
-
-
-def _valid_methods() -> frozenset:
-    """``auto`` plus every *currently* registered backend id.
-
-    Computed per validation so backends registered after import (the
-    ``register_backend`` extension point) are accepted too.
-    """
-    return frozenset({"auto", *available_backends()})
 
 
 @dataclass(frozen=True)
@@ -53,8 +36,8 @@ class EigenSolverOptions:
     Attributes
     ----------
     method:
-        One of ``"auto"``, ``"dense"``, ``"sparse"``, ``"lanczos"``,
-        ``"power"``, ``"lobpcg"``.
+        One of ``"auto"``, ``"dense"``, ``"sparse"``, ``"lobpcg"``,
+        ``"amg"``.
     dense_cutoff:
         Matrix dimension below which ``"auto"`` uses the dense backend.
     tolerance:
@@ -78,58 +61,12 @@ class EigenSolverOptions:
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
-        valid = _valid_methods()
-        if self.method not in valid:
+        if self.method not in _VALID_METHODS:
             raise ValueError(
-                f"method must be one of {sorted(valid)}, got {self.method!r}"
+                f"method must be one of {sorted(_VALID_METHODS)}, got {self.method!r}"
             )
         if self.dtype not in _VALID_DTYPES:
             raise ValueError(
                 f"dtype must be one of {sorted(_VALID_DTYPES)}, got {self.dtype!r}"
             )
 
-
-def smallest_eigenvalues(
-    matrix: MatrixLike,
-    k: int,
-    options: EigenSolverOptions | None = None,
-    warm_start: Optional[WarmStartContext] = None,
-    lineage: Optional[str] = None,
-    normalized: bool = True,
-) -> np.ndarray:
-    """Return the ``k`` smallest eigenvalues of a symmetric PSD matrix.
-
-    Parameters
-    ----------
-    matrix:
-        Dense array or SciPy sparse matrix (a graph Laplacian in this
-        package's use).
-    k:
-        Number of eigenvalues requested, ``0 <= k <= n``.
-    options:
-        Backend options; defaults to automatic selection.
-    warm_start, lineage:
-        Optional warm-start context and lineage key; when both are given and
-        the resolved backend supports warm starts, the solve is seeded from
-        the lineage's previous Ritz vectors (see
-        :class:`repro.solvers.backends.WarmStartContext`).
-    normalized:
-        Part of the warm-start key (spectra of the two normalisations must
-        never seed each other); ignored without ``warm_start``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``k`` eigenvalues in increasing order, with small negative numerical
-        noise clamped to zero.
-    """
-    options = options or EigenSolverOptions()
-    result = solve_smallest(
-        matrix,
-        k,
-        options,
-        warm_start=warm_start,
-        lineage=lineage,
-        normalized=normalized,
-    )
-    return result.eigenvalues

@@ -1,11 +1,9 @@
-"""Pluggable spectral backends: protocol, registry, and implementations.
+"""Spectral backends: protocol, implementations, and dispatch.
 
-:mod:`repro.solvers.backend` used to be a single dispatch function; this
-module turns the solver layer into first-class objects so that backends can
+The solver layer is a small set of first-class objects.  Backends
 
-* be **registered** under an id (``dense``, ``sparse``, ``lanczos``,
-  ``power``, ``lobpcg``) and constructed from
-  :class:`~repro.solvers.backend.EigenSolverOptions`,
+* are looked up by id (``dense``, ``sparse``, ``lobpcg``, ``amg``) and
+  constructed from :class:`~repro.solvers.backend.EigenSolverOptions`,
 * carry **state across solves** — iterative backends accept an initial
   subspace, and :class:`WarmStartContext` threads the Ritz vectors of one
   solve into the next solve of the same *lineage* (e.g. consecutive FFT
@@ -15,8 +13,11 @@ module turns the solver layer into first-class objects so that backends can
   throughput); results are always returned as float64 so downstream bound
   code is unchanged, and caches key on the dtype so variants coexist.
 
-The legacy entry point :func:`repro.solvers.backend.smallest_eigenvalues`
-is now a thin wrapper over :func:`solve_smallest` below.
+The paper computes the bound "by power iteration" or Lanczos.  The
+butterfly and hypercube spectra it bounds repeat eigenvalues many times,
+and single-vector Krylov iterations skip copies of them, so the iterative
+backends here are the *block* form of that iteration: LOBPCG, shift-inverted
+(``lobpcg``) or multigrid-preconditioned (``amg``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import threading
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,8 +37,6 @@ from scipy.linalg import LinAlgWarning
 from repro.obs.metrics import global_registry
 from repro.solvers.amg import smoothed_aggregation_preconditioner
 from repro.solvers.dense import dense_smallest_eigenvalues
-from repro.solvers.lanczos import lanczos_smallest_eigenvalues
-from repro.solvers.power_iteration import power_iteration_smallest_eigenvalues
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.solvers.backend import EigenSolverOptions
@@ -49,7 +48,6 @@ __all__ = [
     "SOLVER_BACKEND_ENV_VAR",
     "available_backends",
     "create_backend",
-    "register_backend",
     "resolve_method",
     "solve_smallest",
     "default_warm_start_context",
@@ -64,7 +62,7 @@ _BACKEND_SOLVES = global_registry().counter(
 )
 
 #: Environment escape hatch: when set (and the caller asked for ``auto``),
-#: every solve routes to this backend id.  Mirrors ``REPRO_MINCUT_BACKEND``.
+#: every solve routes to this backend id.
 SOLVER_BACKEND_ENV_VAR = "REPRO_SOLVER_BACKEND"
 
 #: Above this size ``auto`` prefers the AMG-preconditioned backend over
@@ -142,8 +140,8 @@ def _as_sparse(matrix: MatrixLike) -> sp.spmatrix:
         tocsr = getattr(matrix, "tocsr", None)
         if not callable(tocsr):
             raise TypeError(
-                f"{type(matrix).__name__} is matrix-free with no tocsr(); "
-                f"use a matvec-only backend (lanczos) instead"
+                f"{type(matrix).__name__} is matrix-free with no tocsr(); every "
+                f"backend needs explicit entries (pass a sparse matrix instead)"
             )
         return tocsr()
     return sp.csr_matrix(np.asarray(matrix))
@@ -261,7 +259,7 @@ def default_warm_start_context() -> WarmStartContext:
 
 
 # ----------------------------------------------------------------------
-# protocol + registry
+# protocol
 # ----------------------------------------------------------------------
 class SpectralBackend(ABC):
     """One way of computing the ``k`` smallest eigenvalues of a PSD matrix.
@@ -271,7 +269,7 @@ class SpectralBackend(ABC):
     ``initial_subspace`` is honoured by :meth:`solve`.
     """
 
-    #: Registry id; subclasses must override.
+    #: Backend id; subclasses must override.
     id: str = ""
     #: Whether :meth:`solve` can use an initial subspace.
     supports_warm_start: bool = False
@@ -293,63 +291,9 @@ class SpectralBackend(ABC):
         """Return the ``k`` smallest eigenvalues (ascending, float64)."""
 
 
-_REGISTRY: Dict[str, Callable[["EigenSolverOptions"], SpectralBackend]] = {}
-
-
-def register_backend(cls):
-    """Class decorator registering a :class:`SpectralBackend` under its id."""
-    if not cls.id:
-        raise ValueError(f"{cls.__name__} must define a non-empty id")
-    _REGISTRY[cls.id] = cls
-    return cls
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend ids, sorted (``auto`` is a dispatch, not a backend)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def create_backend(name: str, options: "EigenSolverOptions") -> SpectralBackend:
-    """Instantiate the backend registered under ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown spectral backend {name!r}; registered: {available_backends()}"
-        )
-    return factory(options)
-
-
-def resolve_method(method: str, n: int, k: int, options: "EigenSolverOptions") -> str:
-    """Map ``"auto"`` to a concrete backend id.
-
-    Resolution order: an explicit ``method`` always wins; then the
-    ``REPRO_SOLVER_BACKEND`` environment variable (validated against the
-    registry) overrides the size heuristic; then the heuristic picks
-    ``dense`` for small problems (n below ``options.dense_cutoff``, or
-    near-full spectra of moderate size), ``sparse`` (ARPACK shift-invert) up
-    to :data:`AMG_AUTO_CUTOFF`, and ``amg`` beyond — ``auto`` never densifies
-    above :data:`DENSE_AUTO_CAP`.
-    """
-    if method != "auto":
-        return method
-    forced = os.environ.get(SOLVER_BACKEND_ENV_VAR, "").strip()
-    if forced:
-        if forced not in _REGISTRY:
-            raise ValueError(
-                f"{SOLVER_BACKEND_ENV_VAR}={forced!r} is not a registered "
-                f"spectral backend; known: {available_backends()}"
-            )
-        return forced
-    if n <= options.dense_cutoff or (k >= n - 1 and n <= DENSE_AUTO_CAP):
-        return "dense"
-    return "sparse" if n <= AMG_AUTO_CUTOFF else "amg"
-
-
 # ----------------------------------------------------------------------
 # implementations
 # ----------------------------------------------------------------------
-@register_backend
 class DenseBackend(SpectralBackend):
     """Exact LAPACK solve — the reference backend, ``O(n^3)``."""
 
@@ -361,7 +305,6 @@ class DenseBackend(SpectralBackend):
         return BackendSolveResult(np.asarray(values, dtype=np.float64), None, self.id)
 
 
-@register_backend
 class SparseBackend(SpectralBackend):
     """ARPACK shift-invert with a robust fallback chain.
 
@@ -421,64 +364,6 @@ class SparseBackend(SpectralBackend):
             raise
 
 
-@register_backend
-class LanczosBackend(SpectralBackend):
-    """In-package Lanczos with full reorthogonalisation.
-
-    Warm start: the previous lineage level's leading Ritz vector (embedded
-    into the new dimension) replaces the random start vector, which shortens
-    the Krylov build needed to resolve the low end of the spectrum.
-    """
-
-    id = "lanczos"
-    supports_warm_start = True
-
-    def solve(self, matrix, k, initial_subspace=None):
-        mat = _cast_matrix(matrix, self.dtype)
-        n = matrix.shape[0]
-        start_vector = None
-        warm = False
-        if initial_subspace is not None and n > 0:
-            rng = np.random.default_rng(self.options.seed)
-            adapted = adapt_subspace(initial_subspace, n, 1, rng)
-            if adapted is not None:
-                start_vector = adapted[:, 0]
-                warm = True
-        result = lanczos_smallest_eigenvalues(
-            mat,
-            k,
-            max_iterations=self.options.max_iterations,
-            tolerance=self.options.tolerance,
-            seed=self.options.seed,
-            start_vector=start_vector,
-        )
-        vectors = result.eigenvectors
-        return BackendSolveResult(
-            np.asarray(result.eigenvalues, dtype=np.float64), vectors, self.id, warm
-        )
-
-
-@register_backend
-class PowerBackend(SpectralBackend):
-    """Shifted power iteration with deflation — simplest, slowest."""
-
-    id = "power"
-
-    def solve(self, matrix, k, initial_subspace=None):
-        # The Gershgorin shift needs explicit entries, so operators are
-        # lowered to their sparse form first.
-        mat = _as_sparse(matrix) if _is_operator(matrix) else matrix
-        mat = _cast_matrix(mat, self.dtype)
-        values = power_iteration_smallest_eigenvalues(
-            mat,
-            k,
-            tolerance=self.options.tolerance,
-            seed=self.options.seed,
-        )
-        return BackendSolveResult(np.asarray(values, dtype=np.float64), None, self.id)
-
-
-@register_backend
 class LobpcgBackend(SpectralBackend):
     """Shift-inverted blocked LOBPCG with warm starts.
 
@@ -567,7 +452,6 @@ class LobpcgBackend(SpectralBackend):
         return BackendSolveResult(values[:k], vectors[:, : max(k, 1)], self.id)
 
 
-@register_backend
 class AmgBackend(LobpcgBackend):
     """LOBPCG preconditioned by an algebraic-multigrid V-cycle.
 
@@ -652,7 +536,7 @@ class AmgBackend(LobpcgBackend):
             if n > self.dense_fallback_cap:
                 raise RuntimeError(
                     f"amg-preconditioned lobpcg diverged for n={n} and the "
-                    f"matrix is too large to densify; retry with method='lanczos'"
+                    f"matrix is too large to densify; retry with method='lobpcg'"
                 )
             return self._dense_fallback(matrix, k)
         values = np.asarray(values, dtype=np.float64) - sigma
@@ -660,6 +544,56 @@ class AmgBackend(LobpcgBackend):
         values = values[order]
         vectors = np.asarray(vectors, dtype=np.float64)[:, order]
         return BackendSolveResult(values[:k], vectors, self.id, warm)
+
+
+# ----------------------------------------------------------------------
+# dispatch
+# ----------------------------------------------------------------------
+_BACKENDS: Dict[str, Type[SpectralBackend]] = {
+    cls.id: cls for cls in (DenseBackend, SparseBackend, LobpcgBackend, AmgBackend)
+}
+
+
+def available_backends() -> Tuple[str, ...]:
+    """Backend ids, sorted (``auto`` is a dispatch, not a backend)."""
+    return tuple(sorted(_BACKENDS))
+
+
+def create_backend(name: str, options: "EigenSolverOptions") -> SpectralBackend:
+    """Instantiate the backend with id ``name``."""
+    try:
+        cls = _BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown spectral backend {name!r}; known: {available_backends()}"
+        )
+    return cls(options)
+
+
+def resolve_method(method: str, n: int, k: int, options: "EigenSolverOptions") -> str:
+    """Map ``"auto"`` to a concrete backend id.
+
+    Resolution order: an explicit ``method`` always wins; then the
+    ``REPRO_SOLVER_BACKEND`` environment variable (validated against the
+    backend ids) overrides the size heuristic; then the heuristic picks
+    ``dense`` for small problems (n below ``options.dense_cutoff``, or
+    near-full spectra of moderate size), ``sparse`` (ARPACK shift-invert) up
+    to :data:`AMG_AUTO_CUTOFF`, and ``amg`` beyond — ``auto`` never densifies
+    above :data:`DENSE_AUTO_CAP`.
+    """
+    if method != "auto":
+        return method
+    forced = os.environ.get(SOLVER_BACKEND_ENV_VAR, "").strip()
+    if forced:
+        if forced not in _BACKENDS:
+            raise ValueError(
+                f"{SOLVER_BACKEND_ENV_VAR}={forced!r} is not a spectral "
+                f"backend; known: {available_backends()}"
+            )
+        return forced
+    if n <= options.dense_cutoff or (k >= n - 1 and n <= DENSE_AUTO_CAP):
+        return "dense"
+    return "sparse" if n <= AMG_AUTO_CUTOFF else "amg"
 
 
 # ----------------------------------------------------------------------
@@ -673,7 +607,7 @@ def solve_smallest(
     lineage: Optional[str] = None,
     normalized: bool = True,
 ) -> BackendSolveResult:
-    """Solve through the registry, with optional warm-start threading.
+    """Resolve ``options.method`` and solve, with optional warm starts.
 
     The returned eigenvalues are postprocessed the way every caller expects:
     ascending, float64, with numerical noise around zero clamped (graph

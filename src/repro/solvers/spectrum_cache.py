@@ -377,9 +377,9 @@ class SpectrumCache:
         ) as active:
             start = time.perf_counter()
             # Sparse assembly hands backends the matrix-free LaplacianOperator:
-            # matvec-only backends (lanczos, amg's LOBPCG loop) never see an
-            # explicit Laplacian, and those needing entries lower it themselves
-            # at O(m).  The spectra are identical, so cache keys are unchanged.
+            # amg's LOBPCG loop never sees an explicit Laplacian, and the
+            # parts needing entries lower it themselves at O(m).  The
+            # spectra are identical, so cache keys are unchanged.
             if use_sparse:
                 lap = laplacian_operator(graph, normalized=normalized)
             else:

@@ -1,21 +1,17 @@
-"""Dinic's max-flow / min-cut algorithm (pure Python).
+"""Pure-Python Dinic max-flow: the test-suite's min-cut oracle.
 
-Substrate for the convex min-cut baseline: the per-vertex transformed graphs
-have unit vertex capacities and "infinite" structural arcs, so the min cut is
-at most ``n`` and Dinic's algorithm (BFS level graph + blocking flows) runs in
-``O(E sqrt(V))`` for these unit-capacity-like networks — fast enough for the
-thousands of max-flow calls the baseline makes on small and medium graphs.
+The package solves the convex min-cut baseline's flow problems with SciPy's
+C-compiled ``maximum_flow`` (:class:`repro.baselines.flownet.ScipyMinCut`).
+This module keeps an independent reference to check it against: Dinic's
+algorithm (BFS level graph + blocking flows) over flat arc arrays, an
+incremental :class:`MaxFlowSolver` front-end, and :func:`rebuild_min_cut`,
+which builds a fresh solver from a :class:`ConvexCutNetwork` for every
+vertex.  That per-call rebuild is the legacy execution model, so
+``benchmarks/bench_mincut_baseline.py`` also times it as its baseline.
 
 The implementation uses integer capacities with a large finite constant for
 "infinite" arcs (safe because every finite cut in our constructions is at most
 the number of graph vertices).
-
-The algorithm itself lives in :func:`dinic_max_flow`, a module-level kernel
-over flat arc arrays (``to``/``head``/``cap``), so the reusable flow networks
-of :mod:`repro.baselines.flow_backends` can run Dinic repeatedly on one
-persistent arc structure — resetting a capacity list is orders of magnitude
-cheaper than re-adding every arc through :meth:`MaxFlowSolver.add_edge`.
-:class:`MaxFlowSolver` remains the convenient incremental front-end.
 """
 
 from __future__ import annotations
@@ -23,10 +19,10 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Sequence, Set
 
-__all__ = ["MaxFlowSolver", "INFINITE_CAPACITY", "dinic_max_flow"]
+import numpy as np
 
-#: Effectively infinite capacity for structural (uncuttable) arcs.
-INFINITE_CAPACITY = 1 << 50
+from repro.baselines.flownet import INFINITE_CAPACITY, ConvexCutNetwork
+from repro.graphs.compgraph import ComputationGraph
 
 
 def _bfs_levels(
@@ -194,3 +190,38 @@ class MaxFlowSolver:
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self.num_nodes:
             raise ValueError(f"node {v} out of range for network with {self.num_nodes} nodes")
+
+
+def rebuild_min_cut(net: ConvexCutNetwork, sources: np.ndarray, sinks: np.ndarray) -> int:
+    """Min cut of one source/sink attachment on a freshly built solver.
+
+    Every call pays ``O(n + m)`` Python-level ``add_edge`` work before the
+    first BFS — the legacy cost profile.
+    """
+    solver = MaxFlowSolver(net.num_nodes)
+    n = net.num_vertices
+    m = net.num_edges
+    tails = net.arc_tails
+    heads = net.arc_heads
+    caps = net.arc_caps
+    for i in range(n + 2 * m):  # fixed arcs only; slots added below
+        solver.add_edge(int(tails[i]), int(heads[i]), int(caps[i]))
+    for u in sources.tolist():
+        solver.add_edge(net.source, 2 * u, INFINITE_CAPACITY)
+    for u in sinks.tolist():
+        solver.add_edge(2 * u, net.sink, INFINITE_CAPACITY)
+    return solver.max_flow(net.source, net.sink)
+
+
+def oracle_cuts(graph: ComputationGraph) -> List[int]:
+    """``C(v, G)`` for every vertex: one rebuilt Dinic solve per vertex with
+    descendants (no pruning, no caching); vertices without descendants
+    have the exact value 0."""
+    net = ConvexCutNetwork(graph)
+    cuts = []
+    for v in graph.vertices():
+        if net.has_descendants(v):
+            cuts.append(rebuild_min_cut(net, *net.terminals(v)))
+        else:
+            cuts.append(0)
+    return cuts

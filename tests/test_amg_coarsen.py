@@ -38,7 +38,7 @@ from repro.solvers.amg import (
     smoothed_aggregation_preconditioner,
     strength_graph,
 )
-from repro.solvers.backend import EigenSolverOptions, smallest_eigenvalues
+from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import (
     AMG_AUTO_CUTOFF,
     SOLVER_BACKEND_ENV_VAR,
@@ -103,14 +103,14 @@ class TestAmgBackendParity:
         dimension = 8  # n = 256
         exact = hypercube_spectrum_array(dimension)[:H]
         lap = laplacian(hypercube_graph(dimension), normalized=False, sparse=True)
-        values = smallest_eigenvalues(lap, H, EigenSolverOptions(method="amg"))
+        values = solve_smallest(lap, H, EigenSolverOptions(method="amg")).eigenvalues
         np.testing.assert_allclose(values, exact, atol=1e-5)
 
     def test_butterfly_parity_cold(self):
         levels = 6  # n = 448
         exact = butterfly_spectrum_array(levels)[:H]
         lap = laplacian(fft_graph(levels), normalized=False, sparse=True)
-        values = smallest_eigenvalues(lap, H, EigenSolverOptions(method="amg"))
+        values = solve_smallest(lap, H, EigenSolverOptions(method="amg")).eigenvalues
         np.testing.assert_allclose(values, exact, atol=1e-5)
 
     def test_butterfly_parity_float32(self):
@@ -118,7 +118,7 @@ class TestAmgBackendParity:
         exact = butterfly_spectrum_array(levels)[:H]
         lap = laplacian(fft_graph(levels), normalized=False, sparse=True)
         options = EigenSolverOptions(method="amg", dtype="float32")
-        values = smallest_eigenvalues(lap, H, options)
+        values = solve_smallest(lap, H, options).eigenvalues
         assert values.dtype == np.float64  # results are always upcast
         np.testing.assert_allclose(values, exact, atol=1e-3)
 
@@ -140,8 +140,8 @@ class TestAmgBackendParity:
         csr = laplacian(graph, normalized=False, sparse=True)
         operator = laplacian_operator(graph, normalized=False)
         options = EigenSolverOptions(method="amg")
-        from_csr = smallest_eigenvalues(csr, H, options)
-        from_op = smallest_eigenvalues(operator, H, options)
+        from_csr = solve_smallest(csr, H, options).eigenvalues
+        from_op = solve_smallest(operator, H, options).eigenvalues
         np.testing.assert_allclose(from_op, from_csr, atol=1e-7)
 
 
@@ -180,8 +180,8 @@ class TestLaplacianOperator:
 
 class TestResolveMethod:
     def test_explicit_method_always_wins(self):
-        options = EigenSolverOptions(method="power")
-        assert resolve_method("power", 10**6, 5, options) == "power"
+        options = EigenSolverOptions(method="lobpcg")
+        assert resolve_method("lobpcg", 10**6, 5, options) == "lobpcg"
 
     def test_auto_routes_by_size(self):
         options = EigenSolverOptions()
@@ -198,16 +198,18 @@ class TestResolveMethod:
 
     def test_env_var_forces_auto_solves(self, monkeypatch):
         options = EigenSolverOptions()
-        monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "lanczos")
-        assert resolve_method("auto", 100, 5, options) == "lanczos"
-        assert resolve_method("auto", 10**6, 5, options) == "lanczos"
+        monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "lobpcg")
+        assert resolve_method("auto", 100, 5, options) == "lobpcg"
+        assert resolve_method("auto", 10**6, 5, options) == "lobpcg"
         # Explicit methods ignore the escape hatch.
         assert resolve_method("dense", 100, 5, options) == "dense"
 
     def test_env_var_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match=SOLVER_BACKEND_ENV_VAR):
-            resolve_method("auto", 100, 5, EigenSolverOptions())
+        # lanczos and power were backends in older builds.
+        for value in ("bogus", "lanczos", "power"):
+            monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, value)
+            with pytest.raises(ValueError, match=SOLVER_BACKEND_ENV_VAR):
+                resolve_method("auto", 100, 5, EigenSolverOptions())
 
     def test_env_var_applies_end_to_end(self, monkeypatch):
         monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "lobpcg")

@@ -251,7 +251,7 @@ class TestSpectrumCache:
         graph = fft_graph(3)
         cache.spectrum(graph, 5, normalized=True)
         cache.spectrum(graph, 5, normalized=False)
-        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="lanczos"))
+        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="lobpcg"))
         assert cache.misses == 3
 
     def test_sparse_assembly_is_part_of_the_key(self):

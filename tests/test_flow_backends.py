@@ -1,10 +1,10 @@
-"""Tests for the reusable flow network and the max-flow backend registry.
+"""Tests for the reusable flow network and its SciPy min-cut solver.
 
-The contract every backend must honour: identical ``C(v, G)`` to the
-pure-Python Dinic reference on every vertex of every DAG (the cut value is
-an exact integer, so parity is equality, not approximation).  On top of it,
-the pruning layer must provably never change ``max_v C(v, G)``, and the
-caching layers must make warm re-runs flow-free.
+The contract the solver must honour: identical ``C(v, G)`` to the
+pure-Python Dinic oracle (:mod:`tests.flow_oracle`) on every vertex of every
+DAG (the cut value is an exact integer, so parity is equality, not
+approximation).  On top of it, the pruning layer must provably never change
+``max_v C(v, G)``, and the caching layers must make warm re-runs flow-free.
 """
 
 from __future__ import annotations
@@ -19,17 +19,7 @@ from repro.baselines.convex_mincut import (
     convex_min_cut_max_value,
     convex_min_cut_value,
 )
-from repro.baselines.flow_backends import (
-    BACKEND_ENV_VAR,
-    ArrayDinicBackend,
-    DinicRebuildBackend,
-    ScipyMaxFlowBackend,
-    available_flow_backends,
-    create_flow_backend,
-    resolve_flow_backend_id,
-)
-from repro.baselines.flownet import ConvexCutNetwork
-from repro.baselines.maxflow import INFINITE_CAPACITY
+from repro.baselines.flownet import INFINITE_CAPACITY, ConvexCutNetwork, ScipyMinCut
 from repro.graphs.compgraph import ComputationGraph
 from repro.graphs.generators import (
     chain_graph,
@@ -39,8 +29,7 @@ from repro.graphs.generators import (
     naive_matmul_graph,
 )
 from repro.graphs.generators.random_graphs import random_dag
-
-ALL_BACKENDS = ("dinic", "array-dinic", "scipy")
+from tests.flow_oracle import oracle_cuts
 
 dag_params = st.tuples(
     st.integers(min_value=2, max_value=20),
@@ -58,9 +47,9 @@ def build(params):
     return random_dag(n, edge_probability=p, seed=seed)
 
 
-def reference_cuts(graph):
-    """All C(v, G) via the reference backend (no pruning, no caching)."""
-    engine = MinCutEngine(graph, backend="dinic", prune=False)
+def scipy_cuts(graph):
+    """All C(v, G) via the package's engine (no pruning)."""
+    engine = MinCutEngine(graph, prune=False)
     return [engine.cut_value(v) for v in graph.vertices()]
 
 
@@ -108,7 +97,7 @@ class TestUpperBounds:
         for graph in (chain_graph(6), diamond_graph(4), fft_graph(3)):
             net = ConvexCutNetwork(graph)
             ub = net.prefix_upper_bounds()
-            cuts = reference_cuts(graph)
+            cuts = oracle_cuts(graph)
             assert all(int(ub[v]) >= cuts[v] for v in graph.vertices())
 
     def test_sinks_get_exact_zero(self):
@@ -128,7 +117,7 @@ class TestUpperBounds:
         graph = build(params)
         net = ConvexCutNetwork(graph)
         ub = net.prefix_upper_bounds()
-        engine = MinCutEngine(graph, backend="array-dinic", prune=False)
+        engine = MinCutEngine(graph, prune=False)
         for v in graph.vertices():
             assert int(ub[v]) >= engine.cut_value(v)
 
@@ -173,7 +162,7 @@ class TestUpperBounds:
         graph = build(params)
         ub = ConvexCutNetwork(graph).prefix_upper_bounds()
         loose = self.single_prefix_ub(graph)
-        engine = MinCutEngine(graph, backend="array-dinic", prune=False)
+        engine = MinCutEngine(graph, prune=False)
         for v in graph.vertices():
             assert engine.cut_value(v) <= int(ub[v]) <= int(loose[v])
 
@@ -187,91 +176,52 @@ class TestUpperBounds:
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend_id", ALL_BACKENDS)
-    def test_closed_form_families(self, backend_id):
+    def test_closed_form_families(self):
         for graph in (chain_graph(6), diamond_graph(4), fft_graph(3),
                       hypercube_graph(3), naive_matmul_graph(2)):
-            expected = reference_cuts(graph)
-            engine = MinCutEngine(graph, backend=backend_id, prune=False)
-            assert [engine.cut_value(v) for v in graph.vertices()] == expected
+            assert scipy_cuts(graph) == oracle_cuts(graph)
 
     @given(params=dag_params)
     @common_settings
     def test_random_dag_parity(self, params):
-        """All backends agree with the reference Dinic on every vertex."""
+        """SciPy agrees with the Dinic oracle on every vertex."""
         graph = build(params)
-        expected = reference_cuts(graph)
-        for backend_id in ("array-dinic", "scipy"):
-            engine = MinCutEngine(graph, backend=backend_id, prune=False)
-            got = [engine.cut_value(v) for v in graph.vertices()]
-            assert got == expected, f"backend {backend_id} disagrees"
+        assert scipy_cuts(graph) == oracle_cuts(graph)
 
     @given(params=dag_params)
     @common_settings
     def test_pruned_max_equals_exhaustive_max(self, params):
         """The acceptance criterion: pruning never changes max_v C(v, G)."""
         graph = build(params)
-        exhaustive, _ = convex_min_cut_max_value(graph, prune=False, backend="dinic")
-        for backend_id in ALL_BACKENDS:
-            engine = MinCutEngine(graph, backend=backend_id, prune=True)
-            pruned_max, witness = engine.max_cut()
-            assert pruned_max == exhaustive
-            assert witness is not None
+        exhaustive = max(oracle_cuts(graph))
+        assert convex_min_cut_max_value(graph, prune=False)[0] == exhaustive
+        pruned_max, witness = MinCutEngine(graph, prune=True).max_cut()
+        assert pruned_max == exhaustive
+        assert witness is not None
 
     def test_persistent_backend_state_is_reset_between_solves(self):
-        """Back-to-back solves on one backend instance must not leak residual
-        capacities or stale source/sink attachments."""
+        """Back-to-back solves on one solver instance must not leak stale
+        capacities or source/sink attachments."""
         g = fft_graph(3)
-        expected = reference_cuts(g)
-        for backend_id in ("array-dinic", "scipy"):
-            net = ConvexCutNetwork(g)
-            backend = create_flow_backend(backend_id, net)
-            for _ in range(2):  # second pass hits the same instance again
-                for v in g.vertices():
-                    if not net.has_descendants(v):
-                        continue
-                    sources, sinks = net.terminals(v)
-                    assert backend.min_cut(sources, sinks) == expected[v]
+        expected = oracle_cuts(g)
+        net = ConvexCutNetwork(g)
+        solver = ScipyMinCut(net)
+        for _ in range(2):  # second pass hits the same instance again
+            for v in g.vertices():
+                if not net.has_descendants(v):
+                    continue
+                sources, sinks = net.terminals(v)
+                assert solver.min_cut(sources, sinks) == expected[v]
 
     def test_flow_calls_counter(self):
         g = diamond_graph(3)
         net = ConvexCutNetwork(g)
-        backend = create_flow_backend("array-dinic", net)
-        assert backend.flow_calls == 0
+        solver = ScipyMinCut(net)
+        assert solver.flow_calls == 0
         sources, sinks = net.terminals(0)
-        backend.min_cut(sources, sinks)
-        backend.min_cut(sources, sinks)
-        assert backend.flow_calls == 2
-
-
-class TestRegistry:
-    def test_available_backends(self):
-        assert set(ALL_BACKENDS) <= set(available_flow_backends())
-
-    def test_explicit_ids_resolve(self):
-        for backend_id in ALL_BACKENDS:
-            assert resolve_flow_backend_id(backend_id) == backend_id
-
-    def test_auto_prefers_scipy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_flow_backend_id(None) == "scipy"
-        assert resolve_flow_backend_id("auto") == "scipy"
-
-    def test_env_var_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "dinic")
-        assert resolve_flow_backend_id(None) == "dinic"
-        # Explicit ids beat the environment.
-        assert resolve_flow_backend_id("scipy") == "scipy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown max-flow backend"):
-            resolve_flow_backend_id("nope")
-
-    def test_create_returns_registered_classes(self):
-        net = ConvexCutNetwork(chain_graph(3))
-        assert isinstance(create_flow_backend("dinic", net), DinicRebuildBackend)
-        assert isinstance(create_flow_backend("array-dinic", net), ArrayDinicBackend)
-        assert isinstance(create_flow_backend("scipy", net), ScipyMaxFlowBackend)
+        solver.min_cut(sources, sinks)
+        solver.min_cut(sources, sinks)
+        assert solver.flow_calls == 2
 
 
 class TestMinCutEngine:
@@ -313,7 +263,9 @@ class TestMinCutEngine:
         engine = MinCutEngine(fft_graph(3))
         engine.max_cut()
         stats = engine.stats()
-        assert stats["backend"] in available_flow_backends()
+        assert set(stats) == {
+            "flow_calls", "store_served", "pruned", "cut_seconds", "trace_id", "span_id",
+        }
         assert stats["flow_calls"] == engine.flow_calls > 0
         assert stats["cut_seconds"] > 0.0
 
@@ -336,14 +288,21 @@ class TestWarmStore:
         assert warm.store_served > 0
 
     def test_store_is_backend_independent(self, tmp_path):
+        """Cut tables recorded under a max-flow backend id that no longer
+        exists (older builds offered ``dinic``/``array-dinic``) still serve:
+        cut values are exact, so the recorded backend is provenance only."""
         from repro.runtime.store import CutStore
 
         store = CutStore(tmp_path / "store")
         g = diamond_graph(4)
-        MinCutEngine(g, backend="array-dinic", store=store).max_cut()
-        warm = MinCutEngine(g, backend="scipy", store=store)
-        warm.max_cut()
-        assert warm.flow_calls == 0  # cut values are exact; backends share
+        cuts = oracle_cuts(g)
+        store.merge(
+            g.fingerprint(), list(g.vertices()), cuts, flow_calls=len(cuts),
+            backend="array-dinic",
+        )
+        warm = MinCutEngine(g, store=store)
+        assert warm.max_cut()[0] == max(cuts)
+        assert warm.flow_calls == 0
 
     def test_partial_table_serves_known_vertices_only(self, tmp_path):
         from repro.runtime.store import CutStore

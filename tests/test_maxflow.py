@@ -1,10 +1,15 @@
-"""Tests for the Dinic max-flow substrate."""
+"""Known-answer tests for the pure-Python Dinic max-flow oracle.
+
+The flow-network tests trust :mod:`tests.flow_oracle` as the reference the
+SciPy solver must match; these tests anchor the oracle itself to hand-checked
+max-flow values.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines.maxflow import INFINITE_CAPACITY, MaxFlowSolver
+from tests.flow_oracle import INFINITE_CAPACITY, MaxFlowSolver
 
 
 class TestBasicFlows:

@@ -63,7 +63,7 @@ class TestStoreBasics:
         store.put(FP, np.arange(3, dtype=float), 1.0, normalized=True, sparse=False)
         assert store.get(FP, 3, normalized=False) is None
         assert store.get(FP, 3, sparse=True) is None
-        assert store.get(FP, 3, eig_options=EigenSolverOptions(method="lanczos")) is None
+        assert store.get(FP, 3, eig_options=EigenSolverOptions(method="lobpcg")) is None
         assert store.get(FP, 3) is not None
 
     def test_distinct_fingerprints_do_not_collide(self, store):

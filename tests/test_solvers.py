@@ -1,4 +1,4 @@
-"""Tests for the eigensolvers (dense, Lanczos, power iteration, backend)."""
+"""Tests for the dense eigensolver and the backend entry point."""
 
 from __future__ import annotations
 
@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.graphs.generators import fft_graph, hypercube_graph, random_dag
+from repro.graphs.generators import fft_graph
 from repro.graphs.laplacian import laplacian
-from repro.solvers.backend import EigenSolverOptions, smallest_eigenvalues
+from repro.solvers.backend import EigenSolverOptions
+from repro.solvers.backends import solve_smallest
 from repro.solvers.dense import dense_smallest_eigenvalues, dense_spectrum
-from repro.solvers.lanczos import lanczos_smallest_eigenvalues, lanczos_tridiagonalize
-from repro.solvers.power_iteration import (
-    gershgorin_upper_bound,
-    power_iteration_largest_eigenvalue,
-    power_iteration_smallest_eigenvalues,
-)
 
 
 def example_laplacian(levels: int = 3, normalized: bool = True) -> np.ndarray:
@@ -54,108 +49,30 @@ class TestDense:
         assert dense_spectrum(np.zeros((0, 0))).shape == (0,)
 
 
-class TestLanczos:
-    def test_matches_dense_on_fft(self):
-        L = example_laplacian(4)
-        exact = dense_spectrum(L)[:8]
-        result = lanczos_smallest_eigenvalues(L, 8, seed=1)
-        np.testing.assert_allclose(result.eigenvalues, exact, atol=1e-5)
-
-    def test_matches_dense_on_random_graph(self):
-        L = laplacian(random_dag(60, 0.2, seed=3), normalized=True)
-        exact = dense_spectrum(L)[:6]
-        result = lanczos_smallest_eigenvalues(L, 6, seed=0)
-        np.testing.assert_allclose(result.eigenvalues, exact, atol=1e-5)
-
-    def test_handles_clustered_spectrum(self):
-        """The hypercube Laplacian has large multiplicities."""
-        L = laplacian(hypercube_graph(5), normalized=False)
-        exact = dense_spectrum(L)[:10]
-        result = lanczos_smallest_eigenvalues(L, 10, max_iterations=L.shape[0], seed=2)
-        np.testing.assert_allclose(result.eigenvalues, exact, atol=1e-5)
-
-    def test_sparse_input(self):
-        L = laplacian(fft_graph(4), normalized=True, sparse=True)
-        exact = dense_spectrum(L)[:5]
-        result = lanczos_smallest_eigenvalues(L, 5, seed=0)
-        np.testing.assert_allclose(result.eigenvalues, exact, atol=1e-5)
-
-    def test_k_zero(self):
-        result = lanczos_smallest_eigenvalues(np.eye(4), 0)
-        assert result.eigenvalues.shape == (0,)
-        assert result.converged
-
-    def test_k_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            lanczos_smallest_eigenvalues(np.eye(3), 5)
-
-    def test_tridiagonalize_orthonormal_basis(self):
-        L = example_laplacian(3)
-        alphas, betas, basis = lanczos_tridiagonalize(L, 20, seed=0)
-        gram = basis.T @ basis
-        np.testing.assert_allclose(gram, np.eye(gram.shape[0]), atol=1e-8)
-        assert alphas.shape[0] == basis.shape[1]
-        assert betas.shape[0] == alphas.shape[0] - 1
-
-
-class TestPowerIteration:
-    def test_gershgorin_bounds_largest(self):
-        L = example_laplacian(3)
-        assert gershgorin_upper_bound(L) >= dense_spectrum(L)[-1] - 1e-9
-
-    def test_gershgorin_sparse(self):
-        L = laplacian(fft_graph(3), normalized=True, sparse=True)
-        dense_bound = gershgorin_upper_bound(np.asarray(L.todense()))
-        assert gershgorin_upper_bound(L) == pytest.approx(dense_bound)
-
-    def test_largest_eigenvalue(self):
-        L = example_laplacian(3)
-        value, vector = power_iteration_largest_eigenvalue(L, seed=0)
-        assert value == pytest.approx(dense_spectrum(L)[-1], rel=1e-4)
-        assert np.linalg.norm(vector) == pytest.approx(1.0)
-
-    def test_smallest_eigenvalues_match_dense(self):
-        L = laplacian(random_dag(40, 0.25, seed=7), normalized=True)
-        exact = dense_spectrum(L)[:4]
-        approx = power_iteration_smallest_eigenvalues(L, 4, seed=1)
-        np.testing.assert_allclose(approx, exact, atol=1e-3)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            power_iteration_smallest_eigenvalues(np.eye(3), 4)
-
-
 class TestBackend:
     def test_dense_and_sparse_agree(self):
         L_dense = example_laplacian(4)
         L_sparse = sp.csr_matrix(L_dense)
-        a = smallest_eigenvalues(L_dense, 10, EigenSolverOptions(method="dense"))
-        b = smallest_eigenvalues(L_sparse, 10, EigenSolverOptions(method="sparse"))
+        a = solve_smallest(L_dense, 10, EigenSolverOptions(method="dense")).eigenvalues
+        b = solve_smallest(L_sparse, 10, EigenSolverOptions(method="sparse")).eigenvalues
         np.testing.assert_allclose(a, b, atol=1e-6)
-
-    def test_lanczos_and_power_backends(self):
-        L = example_laplacian(3)
-        exact = dense_spectrum(L)[:4]
-        for method in ("lanczos", "power"):
-            values = smallest_eigenvalues(L, 4, EigenSolverOptions(method=method))
-            np.testing.assert_allclose(values, exact, atol=1e-3)
 
     def test_auto_uses_dense_for_small(self):
         L = example_laplacian(2)
-        values = smallest_eigenvalues(L, 3)
+        values = solve_smallest(L, 3, EigenSolverOptions()).eigenvalues
         np.testing.assert_allclose(values, dense_spectrum(L)[:3], atol=1e-9)
 
     def test_clamps_negative_noise(self):
-        values = smallest_eigenvalues(example_laplacian(3), 3)
+        values = solve_smallest(example_laplacian(3), 3, EigenSolverOptions()).eigenvalues
         assert np.all(values >= 0.0)
 
     def test_k_zero_and_errors(self):
         L = example_laplacian(2)
-        assert smallest_eigenvalues(L, 0).shape == (0,)
+        assert solve_smallest(L, 0, EigenSolverOptions()).eigenvalues.shape == (0,)
         with pytest.raises(ValueError):
-            smallest_eigenvalues(L, -1)
+            solve_smallest(L, -1, EigenSolverOptions())
         with pytest.raises(ValueError):
-            smallest_eigenvalues(L, L.shape[0] + 1)
+            solve_smallest(L, L.shape[0] + 1, EigenSolverOptions())
 
     def test_invalid_method_rejected(self):
         with pytest.raises(ValueError):
