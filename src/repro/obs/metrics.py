@@ -63,6 +63,7 @@ so these appear on the wire automatically.
 
 from __future__ import annotations
 
+import re
 import threading
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -77,6 +78,7 @@ __all__ = [
     "process_labels",
     "set_process_labels",
     "merge_expositions",
+    "parse_metric",
     "latency_quantiles",
 ]
 
@@ -532,6 +534,48 @@ def merge_expositions(texts: Sequence[str]) -> str:
         lines.extend(headers[family])
         lines.extend(samples[family])
     return "\n".join(lines) + "\n" if lines else ""
+
+
+_METRIC_LINE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>\{[^}]*\})?\s+(?P<value>\S+)$"
+)
+
+_LABEL_PAIR = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>[^"]*)"')
+
+
+def parse_metric(metrics_text: str, name: str, **labels: str) -> float:
+    """Sum of every sample of ``name`` in a Prometheus text exposition.
+
+    Keyword arguments filter by label: ``parse_metric(text,
+    "repro_lease_total", role="leader")`` sums only samples whose label
+    set contains ``role="leader"`` (extra labels on the sample — e.g. the
+    fleet's ``worker`` process label — are ignored).  Histogram series
+    must be addressed by their full sample name (``..._count``,
+    ``..._sum``); plain counters and gauges by their metric name.  Raises
+    ``KeyError`` when no sample matches — asking for a metric the server
+    does not export should fail loudly in tests and CI.
+    """
+    total = 0.0
+    found = False
+    wanted = {key: str(value) for key, value in labels.items()}
+    for line in metrics_text.splitlines():
+        if line.startswith("#"):
+            continue
+        match = _METRIC_LINE.match(line.strip())
+        if not match or match.group("name") != name:
+            continue
+        if wanted:
+            sample_labels = {
+                pair.group("key"): pair.group("value")
+                for pair in _LABEL_PAIR.finditer(match.group("labels") or "")
+            }
+            if any(sample_labels.get(k) != v for k, v in wanted.items()):
+                continue
+        total += float(match.group("value"))
+        found = True
+    if not found:
+        raise KeyError(f"metric {name!r} not found in exposition")
+    return total
 
 
 #: The latency histograms whose quantiles ``/v1/stats`` surfaces, and the

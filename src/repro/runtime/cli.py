@@ -270,11 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Retry-After hint attached to 429 responses",
     )
     serve.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable in-flight coalescing of identical queries",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -455,7 +450,6 @@ def build_server_from_args(args: argparse.Namespace):
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
         retry_after_seconds=args.retry_after,
-        coalesce=not args.no_coalesce,
     )
 
 
@@ -496,7 +490,6 @@ def build_fleet_from_args(args: argparse.Namespace, workers: int):
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
         retry_after_seconds=args.retry_after,
-        coalesce=not args.no_coalesce,
         lease_ttl=getattr(args, "lease_ttl", None),
         trace_path=str(trace_path) if trace_path is not None else None,
     )

@@ -7,14 +7,17 @@ JSON-decode requests into :class:`BoundQuery` objects and call
 * :mod:`repro.server.protocol` — the versioned ``/v1`` JSON wire schema
   (shared by server and client, structured errors, graph refs as family
   specs / inline edge lists / fingerprints);
-* :mod:`repro.server.app` — the WSGI application (``POST /v1/bounds``,
-  ``GET /v1/stats``, ``GET /healthz``, ``GET /metrics``);
-* :mod:`repro.server.runner` — the threaded stdlib server with admission
-  control (bounded in-flight solves + queue, 429 on overload) and
-  in-flight coalescing of identical queries, plus the pre-forked
-  :class:`ServerFleet` (``--workers N``): shared-socket accept sharding,
-  consistent-hash 307 routing to each graph's owning worker, and worker
-  supervision/respawn;
+* :mod:`repro.server.app` — the application: routing, structured errors
+  and request metrics for ``POST /v1/bounds``, ``GET /v1/stats``,
+  ``GET /v1/fleet/stats``, ``GET /healthz`` and ``GET /metrics``;
+* :mod:`repro.server.runner` — the transport (one ``http.server`` handler,
+  one threaded server class with a graceful drain) and
+  :class:`BoundServer`, which adds admission control (bounded in-flight
+  solves + queue, 429 on overload) and in-flight coalescing of identical
+  queries; plus the pre-forked :class:`ServerFleet` (``--workers N``),
+  whose every worker is a :class:`BoundServer` on two sockets:
+  shared-socket accept sharding, consistent-hash 307 routing to each
+  graph's owning worker, and worker supervision/respawn;
 * :mod:`repro.server.client` — a thin stdlib keep-alive client that
   follows shard redirects.
 

@@ -1,4 +1,4 @@
-"""Stdlib WSGI application exposing :class:`BoundService` over HTTP.
+"""The HTTP application exposing :class:`BoundService`: routing, errors, metrics.
 
 Endpoints (see :mod:`repro.server.protocol` for the ``/v1`` wire schema):
 
@@ -13,14 +13,15 @@ GET      ``/metrics``         Prometheus text exposition; on a fleet's
                               *shared* port, the merged all-worker view
 =======  ===================  ===============================================
 
-The app is a plain WSGI callable with **no** third-party dependencies and
-no opinion about threading: hand it to any WSGI container.  The two
-serving policies — admission control and in-flight coalescing — are
-injected as duck-typed collaborators (``admission`` with
+:class:`BoundsApp` knows no sockets: :mod:`repro.server.runner`'s request
+handler reads a request's method, path and body off the connection and
+calls the app with them, and writes the ``(status, headers, body)`` it
+returns.  The two serving policies — admission control and in-flight
+coalescing — are injected as duck-typed collaborators (``admission`` with
 ``slot()``/``stats()``, ``coalescer`` with ``claim``/``resolve``/``fail``/
 ``stats``); :class:`repro.server.runner.BoundServer` wires the stdlib
-implementations in.  Keeping the app policy-free is what lets the test
-suite drive overload and coalescing deterministically with stub services.
+implementations in, and the test suite drives overload and coalescing
+deterministically through stub services.
 
 Error contract: every non-2xx response body is the structured error object
 of :func:`repro.server.protocol.encode_error` — protocol violations map to
@@ -37,8 +38,7 @@ import json
 import os
 import time
 import urllib.request
-from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import obs
 from repro.obs.metrics import (
@@ -46,6 +46,7 @@ from repro.obs.metrics import (
     global_registry,
     latency_quantiles,
     merge_expositions,
+    parse_metric,
 )
 from repro.runtime.service import BoundAnswer, BoundService
 from repro.server.protocol import (
@@ -65,11 +66,15 @@ __all__ = [
     "MAX_BODY_BYTES",
     "SLOW_QUERY_ENV_VAR",
     "FLEET_SCRAPE_TIMEOUT_SECONDS",
+    "SOLVE_TIMEOUT_SECONDS",
 ]
 
 #: Per-sibling timeout when an aggregating worker scrapes the fleet's
 #: direct ports; an unreachable worker is reported down, never waited on.
 FLEET_SCRAPE_TIMEOUT_SECONDS = 2.0
+
+#: Ceiling on waiting for another request's in-flight solve.
+SOLVE_TIMEOUT_SECONDS = 300.0
 
 #: Requests slower than this many seconds are logged (and counted in
 #: ``repro_slow_queries_total``); unset/unparsable disables the log.
@@ -96,16 +101,15 @@ def _slow_query_threshold() -> Optional[float]:
         return None
     return value if value >= 0 else None
 
-def _scrape_metric_or_zero(text: str, name: str, **labels: str) -> float:
+
+def _metric_or_zero(text: str, name: str, **labels: str) -> float:
     """One summed metric from an exposition, 0 when absent.
 
-    The fleet rollup reads each worker's scrape with this: a worker that
-    has not registered a given metric yet (no admission controller, no
-    lease activity) contributes zero rather than failing the rollup.
-    Integral values come back as ``int`` for clean JSON.
+    The fleet rollup reads each worker's fields with this: a worker that
+    has not recorded a given metric yet (no lease activity, no redirect)
+    contributes zero rather than failing the rollup.  Integral values
+    come back as ``int`` for clean JSON.
     """
-    from repro.server.client import parse_metric
-
     try:
         value = parse_metric(text, name, **labels)
     except KeyError:
@@ -118,17 +122,21 @@ def _scrape_metric_or_zero(text: str, name: str, **labels: str) -> float:
 #: instead of a JSON document to the server).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-_REASONS = {
-    200: "OK",
-    307: "Temporary Redirect",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+#: The per-worker fields of ``/v1/fleet/stats``: (field, metric, labels).
+_ROLLUP_FIELDS = (
+    ("up", "repro_worker_up", {}),
+    ("restarts", "repro_worker_restarts", {}),
+    ("in_flight", "repro_in_flight_solves", {}),
+    ("queued", "repro_queued_solves", {}),
+    ("admission_rejections", "repro_admission_rejections_total", {}),
+    ("eigensolves", "repro_eigensolves_total", {}),
+    ("cache_hits", "repro_cache_hits_total", {}),
+    ("lease_leaders", "repro_lease_total", {"role": "leader"}),
+    ("lease_followers", "repro_lease_total", {"role": "follower"}),
+    ("http_requests", "repro_http_requests_total", {}),
+    ("shard_redirects", "repro_shard_redirects_total", {}),
+    ("slow_queries", "repro_slow_queries_total", {}),
+)
 
 #: Verbs allowed as metric label values; anything else (clients can send
 #: arbitrary method tokens) is labelled "other" so request metrics cannot
@@ -150,24 +158,26 @@ class ServerOverloadedError(RuntimeError):
         self.retry_after_seconds = retry_after_seconds
 
 
+class _Request(NamedTuple):
+    """What a route handler sees of one request."""
+
+    content_length: int
+    body: bytes
+    shared: bool
+
+
 class BoundsApp:
-    """The WSGI callable serving one :class:`BoundService`.
+    """The per-request entry point serving one :class:`BoundService`.
 
     Parameters
     ----------
     service:
         The bound service every ``/v1/bounds`` batch is submitted to.
-    metrics:
-        Registry the request metrics (and the service-counter passthrough
-        gauges) are registered in; defaults to a private one.
-    graphs:
-        Registry resolving ``{"fingerprint": ...}`` graph refs; defaults
-        to a private LRU of inline-submitted graphs.
     admission:
-        Optional admission controller; only ``POST /v1/bounds`` batches
-        that must actually solve pass through it.
+        Admission controller; only ``POST /v1/bounds`` batches that must
+        actually solve pass through it.
     coalescer:
-        Optional in-flight coalescer for identical concurrent queries.
+        In-flight coalescer for identical concurrent queries.
     sharding:
         Optional :class:`repro.server.runner.ShardInfo` (duck-typed:
         ``worker_id``, ``owner(key)``, ``url_for(id)``, ``describe()``).
@@ -176,27 +186,25 @@ class BoundsApp:
         ``/v1/bounds`` batches wholly owned by a *different* worker are
         307-redirected to that worker's direct port so its memory tier
         stays hot for its shard.
-    solve_timeout_seconds:
-        Ceiling on waiting for another request's in-flight solve.
+
+    Request metrics and the service-counter passthroughs live in a private
+    registry; ``{"fingerprint": ...}`` graph refs resolve against a
+    private LRU of inline-submitted graphs.
     """
 
     def __init__(
         self,
         service: BoundService,
-        metrics: Optional[MetricsRegistry] = None,
-        graphs: Optional[GraphRegistry] = None,
-        admission=None,
-        coalescer=None,
+        admission,
+        coalescer,
         sharding=None,
-        solve_timeout_seconds: float = 300.0,
     ) -> None:
         self._service = service
-        self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._graphs = graphs if graphs is not None else GraphRegistry()
+        self._metrics = MetricsRegistry()
+        self._graphs = GraphRegistry()
         self._admission = admission
         self._coalescer = coalescer
         self._sharding = sharding
-        self._solve_timeout = solve_timeout_seconds
         self._slow_query_seconds = _slow_query_threshold()
         self._slow_log = get_logger("server.slow")
         self._started = time.time()
@@ -257,75 +265,87 @@ class BoundsApp:
             "Queries served for free by batch-level dedup in submit().",
             callback=lambda: counters()["deduped"],
         )
-        if admission is not None:
-            m.counter(
-                "repro_admission_rejections_total",
-                "Requests shed with 429 by admission control.",
-                callback=lambda: admission.rejected,
-            )
-            m.gauge(
-                "repro_in_flight_solves",
-                "Solve batches currently admitted.",
-                callback=lambda: admission.in_flight,
-            )
-            m.gauge(
-                "repro_queued_solves",
-                "Solve batches waiting for an admission slot.",
-                callback=lambda: admission.queued,
-            )
-        if coalescer is not None:
-            m.counter(
-                "repro_coalesced_queries_total",
-                "Queries served by waiting on another request's identical "
-                "in-flight solve.",
-                callback=lambda: coalescer.coalesced,
-            )
-            m.counter(
-                "repro_coalesce_leader_solves_total",
-                "Queries that led a coalesced in-flight solve.",
-                callback=lambda: coalescer.leaders,
-            )
+        m.counter(
+            "repro_admission_rejections_total",
+            "Requests shed with 429 by admission control.",
+            callback=lambda: admission.rejected,
+        )
+        m.gauge(
+            "repro_in_flight_solves",
+            "Solve batches currently admitted.",
+            callback=lambda: admission.in_flight,
+        )
+        m.gauge(
+            "repro_queued_solves",
+            "Solve batches waiting for an admission slot.",
+            callback=lambda: admission.queued,
+        )
+        m.counter(
+            "repro_coalesced_queries_total",
+            "Queries served by waiting on another request's identical "
+            "in-flight solve.",
+            callback=lambda: coalescer.coalesced,
+        )
+        m.counter(
+            "repro_coalesce_leader_solves_total",
+            "Queries that led a coalesced in-flight solve.",
+            callback=lambda: coalescer.leaders,
+        )
 
     # ------------------------------------------------------------------
-    # WSGI entry point
+    # per-request entry point
     # ------------------------------------------------------------------
-    def __call__(self, environ, start_response):
-        method = environ.get("REQUEST_METHOD", "GET")
-        path = environ.get("PATH_INFO", "/")
+    def __call__(
+        self,
+        method: str,
+        path: str,
+        content_length: int,
+        body: bytes,
+        shared: bool = False,
+    ) -> Tuple[int, List[Tuple[str, str]], bytes]:
+        """Answer one request: ``(status, headers, body)``.
+
+        ``path`` excludes the query string.  ``content_length`` is the
+        declared ``Content-Length`` (-1 when unparsable); ``body`` is what
+        the caller read of it, empty when the declaration was out of
+        range.  ``shared`` marks arrival on a fleet's shared socket, where
+        shard redirects and the fleet-wide ``/metrics`` apply.
+        """
         start = time.perf_counter()
+        request = _Request(content_length, body, shared)
         endpoint, handler, allowed = self._route(path)
         extra_headers: List[Tuple[str, str]] = []
         with obs.span("http_request", endpoint=endpoint, method=method) as request_span:
             if handler is None:
-                status, body = 404, encode_error(f"no such endpoint: {path}", "not-found")
+                status, content = 404, encode_error(f"no such endpoint: {path}", "not-found")
             elif method not in allowed:
                 extra_headers.append(("Allow", ", ".join(sorted(allowed))))
-                status, body = 405, encode_error(
+                status, content = 405, encode_error(
                     f"{method} is not supported on {path}", "method-not-allowed"
                 )
             else:
                 try:
-                    status, body, extra_headers = handler(environ)
+                    status, content, extra_headers = handler(request)
                 except ProtocolError as exc:
-                    status, body = exc.status, encode_error(exc.message, exc.code, exc.detail)
+                    status, content = exc.status, encode_error(exc.message, exc.code, exc.detail)
                 except ServerOverloadedError as exc:
                     retry_after = max(1, int(round(exc.retry_after_seconds)))
                     extra_headers = [("Retry-After", str(retry_after))]
-                    status, body = 429, encode_error(str(exc), "overloaded")
+                    status, content = 429, encode_error(str(exc), "overloaded")
                 except TimeoutError as exc:
-                    status, body = 503, encode_error(str(exc), "solve-timeout")
+                    status, content = 503, encode_error(str(exc), "solve-timeout")
                 except ValueError as exc:
-                    status, body = 400, encode_error(str(exc), "invalid-query")
+                    status, content = 400, encode_error(str(exc), "invalid-query")
                 except Exception as exc:  # noqa: BLE001 - the server must answer
-                    status, body = 500, encode_error(
+                    status, content = 500, encode_error(
                         f"{type(exc).__name__}: {exc}", "internal-error"
                     )
             request_span.set_attr(status_code=status)
-        if isinstance(body, (dict, list)):
-            raw = json.dumps(body).encode("utf-8")
+        if isinstance(content, (dict, list)):
+            raw = json.dumps(content).encode("utf-8")
             content_type = "application/json"
         else:
-            raw = body if isinstance(body, bytes) else str(body).encode("utf-8")
+            raw = content if isinstance(content, bytes) else str(content).encode("utf-8")
             content_type = "text/plain; version=0.0.4; charset=utf-8"
         elapsed = time.perf_counter() - start
         method_label = method if method in _LABELLED_METHODS else "other"
@@ -352,8 +372,7 @@ class BoundsApp:
                 self._slow_query_seconds,
                 request_span.trace_id or "-",
             )
-        start_response(f"{status} {_REASONS.get(status, 'Unknown')}", headers)
-        return [raw]
+        return status, headers, raw
 
     def _route(self, path: str):
         return self._routes.get(path, ("unknown", None, set()))
@@ -361,7 +380,7 @@ class BoundsApp:
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
-    def _handle_healthz(self, environ):
+    def _handle_healthz(self, request: _Request):
         body = {
             "status": "ok",
             "protocol_version": PROTOCOL_VERSION,
@@ -369,14 +388,13 @@ class BoundsApp:
         }
         return 200, body, []
 
-    def _handle_metrics(self, environ):
-        # On a fleet's *shared* socket (tagged ``repro.shard_redirect``
-        # like the bounds redirects), whichever worker wins the accept
+    def _handle_metrics(self, request: _Request):
+        # On a fleet's *shared* socket, whichever worker wins the accept
         # answers for the whole fleet: its own exposition merged with a
         # scrape of every sibling's direct port.  Direct-port requests
         # always render locally — that is what the aggregation scrapes,
         # so recursion is structurally impossible.
-        if self._sharding is not None and environ.get("repro.shard_redirect"):
+        if request.shared:
             return 200, self._fleet_metrics_text(), []
         return 200, self._local_metrics_text(), []
 
@@ -384,13 +402,9 @@ class BoundsApp:
         # Per-server metrics (request counters, callback gauges) plus the
         # process-global registry (eigensolve/cache/flow instrumentation
         # from repro.obs) in one exposition.
-        text = self._metrics.render()
-        shared = global_registry()
-        if shared is not self._metrics:
-            text += shared.render()
-        return text
+        return self._metrics.render() + global_registry().render()
 
-    def _handle_stats(self, environ):
+    def _handle_stats(self, request: _Request):
         body: Dict[str, object] = {
             "version": PROTOCOL_VERSION,
             "uptime_seconds": round(time.time() - self._started, 3),
@@ -398,11 +412,9 @@ class BoundsApp:
             "service": self._service.stats(),
             "metrics": self._metrics.snapshot(),
             "latency_quantiles": latency_quantiles(),
+            "admission": self._admission.stats(),
+            "coalescing": self._coalescer.stats(),
         }
-        if self._admission is not None:
-            body["admission"] = self._admission.stats()
-        if self._coalescer is not None:
-            body["coalescing"] = self._coalescer.stats()
         if self._sharding is not None:
             body["fleet"] = self._sharding.describe()
         return 200, body, []
@@ -410,51 +422,45 @@ class BoundsApp:
     # ------------------------------------------------------------------
     # fleet aggregation
     # ------------------------------------------------------------------
-    def _scrape_fleet(self) -> List[Dict[str, object]]:
-        """Every worker's direct-port ``/metrics`` text (``None`` if down).
-
-        The local worker renders in-process instead of scraping itself
-        over HTTP; siblings get :data:`FLEET_SCRAPE_TIMEOUT_SECONDS` each.
-        """
-        scrapes: List[Dict[str, object]] = []
-        for worker_id in range(self._sharding.num_workers):
-            url = self._sharding.url_for(worker_id)
-            if worker_id == self._sharding.worker_id:
-                text: Optional[str] = self._local_metrics_text()
-            else:
-                try:
-                    with urllib.request.urlopen(
-                        f"{url}/metrics", timeout=FLEET_SCRAPE_TIMEOUT_SECONDS
-                    ) as response:
-                        text = response.read().decode("utf-8")
-                except (OSError, ValueError):
-                    text = None
-            scrapes.append({"worker": worker_id, "url": url, "text": text})
-        return scrapes
-
     def _fleet_metrics_text(self) -> str:
         """The merged all-worker exposition served on the shared port.
 
-        Every sample keeps its ``worker=<id>`` process label, so label-
-        blind sums over the aggregate equal hand-summing the direct
-        ports.  A worker that cannot be scraped contributes a synthetic
-        ``repro_worker_up{worker="<id>"} 0`` sample instead of silently
-        vanishing from the exposition.
+        The local worker renders in-process; each sibling's direct-port
+        ``/metrics`` is scraped with :data:`FLEET_SCRAPE_TIMEOUT_SECONDS`
+        to answer.  Every sample keeps its ``worker=<id>`` process label,
+        so label-blind sums over the aggregate equal hand-summing the
+        direct ports.  A worker that cannot be scraped contributes a
+        synthetic ``repro_worker_up{worker="<id>"} 0`` sample instead of
+        silently vanishing from the exposition.
         """
         texts: List[str] = []
-        for scrape in self._scrape_fleet():
-            if scrape["text"] is not None:
-                texts.append(scrape["text"])
-            else:
+        for worker_id in range(self._sharding.num_workers):
+            if worker_id == self._sharding.worker_id:
+                texts.append(self._local_metrics_text())
+                continue
+            url = self._sharding.url_for(worker_id)
+            try:
+                with urllib.request.urlopen(
+                    f"{url}/metrics", timeout=FLEET_SCRAPE_TIMEOUT_SECONDS
+                ) as response:
+                    texts.append(response.read().decode("utf-8"))
+            except (OSError, ValueError):
                 texts.append(
                     "# HELP repro_worker_up 1 for each live serving worker "
                     "process.\n"
                     "# TYPE repro_worker_up gauge\n"
-                    f'repro_worker_up{{worker="{scrape["worker"]}"}} 0\n'
+                    f'repro_worker_up{{worker="{worker_id}"}} 0\n'
                 )
         return merge_expositions(texts)
 
-    def _handle_fleet_stats(self, environ):
+    def _handle_fleet_stats(self, request: _Request):
+        """Per-worker rows and fleet totals, read off the merged exposition.
+
+        Each worker's fields are its ``worker=<id>`` samples of the same
+        text ``/metrics`` serves on the shared port, so the rollup cannot
+        disagree with it; ``repro_worker_up == 0`` marks a worker that
+        could not be scraped.
+        """
         if self._sharding is None:
             raise ProtocolError(
                 "this server is not part of a fleet; /v1/fleet/stats is "
@@ -462,32 +468,20 @@ class BoundsApp:
                 code="not-a-fleet",
                 status=404,
             )
-        rollup_fields = (
-            ("up", "repro_worker_up", {}),
-            ("restarts", "repro_worker_restarts", {}),
-            ("in_flight", "repro_in_flight_solves", {}),
-            ("queued", "repro_queued_solves", {}),
-            ("admission_rejections", "repro_admission_rejections_total", {}),
-            ("eigensolves", "repro_eigensolves_total", {}),
-            ("cache_hits", "repro_cache_hits_total", {}),
-            ("lease_leaders", "repro_lease_total", {"role": "leader"}),
-            ("lease_followers", "repro_lease_total", {"role": "follower"}),
-            ("http_requests", "repro_http_requests_total", {}),
-            ("shard_redirects", "repro_shard_redirects_total", {}),
-            ("slow_queries", "repro_slow_queries_total", {}),
-        )
+        text = self._fleet_metrics_text()
         workers: List[Dict[str, object]] = []
-        totals = {field: 0 for field, _, _ in rollup_fields}
-        for scrape in self._scrape_fleet():
+        totals = {field: 0 for field, _, _ in _ROLLUP_FIELDS}
+        for worker_id in range(self._sharding.num_workers):
+            label = str(worker_id)
+            reachable = _metric_or_zero(text, "repro_worker_up", worker=label) != 0
             entry: Dict[str, object] = {
-                "worker": scrape["worker"],
-                "url": scrape["url"],
-                "reachable": scrape["text"] is not None,
+                "worker": worker_id,
+                "url": self._sharding.url_for(worker_id),
+                "reachable": reachable,
             }
-            if scrape["text"] is not None:
-                text = scrape["text"]
-                for field, metric, labels in rollup_fields:
-                    value = _scrape_metric_or_zero(text, metric, **labels)
+            if reachable:
+                for field, metric, labels in _ROLLUP_FIELDS:
+                    value = _metric_or_zero(text, metric, worker=label, **labels)
                     entry[field] = value
                     totals[field] += value
             workers.append(entry)
@@ -502,10 +496,10 @@ class BoundsApp:
         }
         return 200, body, []
 
-    def _handle_bounds(self, environ):
-        payload = self._read_json_body(environ)
+    def _handle_bounds(self, request: _Request):
+        payload = self._read_json_body(request)
         decoded = decode_bounds_request(payload, self._graphs)
-        redirect = self._shard_redirect(environ, decoded)
+        redirect = self._shard_redirect(request, decoded)
         if redirect is not None:
             return redirect
         for item in decoded:
@@ -516,17 +510,16 @@ class BoundsApp:
         body = encode_answers(answers, [item.fingerprint for item in decoded])
         return 200, body, []
 
-    def _shard_redirect(self, environ, decoded: List[DecodedQuery]):
+    def _shard_redirect(self, request: _Request, decoded: List[DecodedQuery]):
         """307 to the owning worker, or ``None`` to serve locally.
 
-        Only batches arriving on the fleet's *shared* socket (tagged
-        ``repro.shard_redirect`` by the worker runner) are eligible —
+        Only batches arriving on the fleet's *shared* socket are eligible —
         direct-port traffic is served where it lands, which is what makes
         redirect loops structurally impossible.  A batch is bounced only
         when every query in it is owned by one single *other* worker;
         mixed-owner batches are served locally rather than split.
         """
-        if self._sharding is None or not environ.get("repro.shard_redirect"):
+        if not request.shared:
             return None
         owners = {self._sharding.owner(item.routing_key) for item in decoded}
         if len(owners) != 1:
@@ -543,14 +536,9 @@ class BoundsApp:
         }
         return 307, body, [("Location", location)]
 
-    def _read_json_body(self, environ) -> object:
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            raise ProtocolError("invalid Content-Length header")
+    def _read_json_body(self, request: _Request) -> object:
+        length = request.content_length
         if length < 0:
-            # read(-1) would block on the open socket until the client
-            # hangs up, parking a handler thread per such request.
             raise ProtocolError("invalid Content-Length header")
         if length > MAX_BODY_BYTES:
             raise ProtocolError(
@@ -559,11 +547,10 @@ class BoundsApp:
                 code="body-too-large",
                 status=413,
             )
-        raw = environ["wsgi.input"].read(length) if length else b""
-        if not raw:
+        if not request.body:
             raise ProtocolError("request body is empty; send a JSON object")
         try:
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"malformed JSON body: {exc}", code="malformed-json")
 
@@ -578,9 +565,6 @@ class BoundsApp:
         in-flight ticket, so a thundering herd of identical requests is
         served whole however small the admission window is.
         """
-        if self._coalescer is None:
-            with self._admission.slot() if self._admission else nullcontext():
-                return self._service.submit([item.query for item in decoded])
         unique: Dict[Tuple, DecodedQuery] = {}
         for item in decoded:
             unique.setdefault(item.key, item)
@@ -589,7 +573,7 @@ class BoundsApp:
         if leader_keys:
             settled = set()
             try:
-                with self._admission.slot() if self._admission else nullcontext():
+                with self._admission.slot():
                     for key in leader_keys:
                         ticket = claims[key][0]
                         # One submit per key (the keys are already unique,
@@ -615,7 +599,7 @@ class BoundsApp:
                 raise
         results = {}
         for key, (ticket, is_leader) in claims.items():
-            answer = ticket.wait(self._solve_timeout)
+            answer = ticket.wait(SOLVE_TIMEOUT_SECONDS)
             if not is_leader and isinstance(answer, BoundAnswer):
                 # Followers rode the leader's in-flight solve: point at the
                 # trace that actually did the work and zero the eigensolve

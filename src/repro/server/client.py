@@ -26,7 +26,6 @@ Transport properties that matter for measuring the server honestly:
 from __future__ import annotations
 
 import json
-import re
 import threading
 from http.client import (
     BadStatusLine,
@@ -37,16 +36,11 @@ from http.client import (
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urljoin, urlsplit
 
+from repro.obs.metrics import parse_metric
 from repro.runtime.service import BoundAnswer, BoundQuery
 from repro.server.protocol import decode_answers, encode_bounds_request
 
 __all__ = ["BoundsClient", "ServerError", "parse_metric"]
-
-_METRIC_LINE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>\{[^}]*\})?\s+(?P<value>\S+)$"
-)
-
-_LABEL_PAIR = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>[^"]*)"')
 
 #: Redirect-following ceiling; a shard redirect is exactly one hop, so
 #: hitting this means the fleet is misconfigured, not that we need depth.
@@ -68,44 +62,6 @@ class ServerError(RuntimeError):
         self.code = code
         self.message = message
         self.retry_after_seconds = retry_after_seconds
-
-
-def _parse_labels(raw: Optional[str]) -> Dict[str, str]:
-    if not raw:
-        return {}
-    return {m.group("key"): m.group("value") for m in _LABEL_PAIR.finditer(raw)}
-
-
-def parse_metric(metrics_text: str, name: str, **labels: str) -> float:
-    """Sum of every sample of ``name`` in a Prometheus text exposition.
-
-    Keyword arguments filter by label: ``parse_metric(text,
-    "repro_lease_total", role="leader")`` sums only samples whose label
-    set contains ``role="leader"`` (extra labels on the sample — e.g. the
-    fleet's ``worker`` process label — are ignored).  Histogram series
-    must be addressed by their full sample name (``..._count``,
-    ``..._sum``); plain counters and gauges by their metric name.  Raises
-    ``KeyError`` when no sample matches — asking for a metric the server
-    does not export should fail loudly in tests and CI.
-    """
-    total = 0.0
-    found = False
-    wanted = {key: str(value) for key, value in labels.items()}
-    for line in metrics_text.splitlines():
-        if line.startswith("#"):
-            continue
-        match = _METRIC_LINE.match(line.strip())
-        if not match or match.group("name") != name:
-            continue
-        if wanted:
-            sample_labels = _parse_labels(match.group("labels"))
-            if any(sample_labels.get(k) != v for k, v in wanted.items()):
-                continue
-        total += float(match.group("value"))
-        found = True
-    if not found:
-        raise KeyError(f"metric {name!r} not found in exposition")
-    return total
 
 
 class BoundsClient:

@@ -1,9 +1,9 @@
 """Server runners: one threaded process, or a pre-forked sharded fleet.
 
-:class:`BoundServer` wraps the WSGI app of :mod:`repro.server.app` in a
-stdlib threading HTTP server (``wsgiref`` + ``socketserver.ThreadingMixIn``
-— one thread per connection, no third-party dependencies) and owns the two
-concurrency policies the app itself stays agnostic of:
+:class:`BoundServer` serves the app of :mod:`repro.server.app` over a
+stdlib threading HTTP server (``http.server`` + ``socketserver.ThreadingMixIn``
+— one thread per keep-alive connection, no third-party dependencies) and
+owns the two concurrency policies the app itself stays agnostic of:
 
 * **admission control** (:class:`AdmissionController`) — at most
   ``max_in_flight`` solve batches run concurrently and at most
@@ -23,7 +23,7 @@ concurrency policies the app itself stays agnostic of:
 
 :class:`ServerFleet` (``python -m repro serve --workers N``) scales past
 the GIL: a pre-forked fleet of shared-nothing worker processes, each a
-full :class:`BoundServer`-style stack over the *same* on-disk stores.
+full :class:`BoundServer` over the *same* on-disk stores.
 The parent binds every socket before forking — one shared public socket
 all workers accept on (classic pre-fork load balancing by the kernel)
 plus one direct per-worker socket — then supervises and respawns dead
@@ -34,6 +34,11 @@ direct port, so each worker's in-memory cache tier stays hot for its
 shard.  Cross-process duplicate *solves* are collapsed one layer down by
 the spectrum store's solve leases (see
 :meth:`repro.runtime.store.SpectrumStore.acquire_lease`).
+
+Both share one drain: closing a server (``BoundServer.close()``, or SIGTERM
+to ``python -m repro serve`` with one worker or many) stops accepting, lets
+in-flight requests finish and answer, and ends idle keep-alive connections
+at once.
 """
 
 from __future__ import annotations
@@ -45,20 +50,16 @@ import socket as socketlib
 import threading
 import time
 from bisect import bisect_right
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from socketserver import ThreadingMixIn
-from typing import Dict, List, Optional, Sequence, Tuple
-from wsgiref.simple_server import (
-    ServerHandler,
-    WSGIRequestHandler,
-    WSGIServer,
-    make_server,
-)
+from http.server import BaseHTTPRequestHandler
+from socketserver import BaseServer, TCPServer, ThreadingMixIn
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.obs.metrics import MetricsRegistry, global_registry, set_process_labels
+from repro.obs.metrics import global_registry, set_process_labels
 from repro.runtime.service import BoundService
-from repro.server.app import BoundsApp, ServerOverloadedError
+from repro.server.app import MAX_BODY_BYTES, BoundsApp, ServerOverloadedError
 
 __all__ = [
     "AdmissionController",
@@ -114,11 +115,12 @@ class AdmissionController:
         self.retry_after_seconds = retry_after_seconds
         self._condition = threading.Condition()
         self._in_flight = 0
-        self._queued = 0
-        # Slots being handed directly from a releaser to a queued waiter
-        # (see release(): the slot never becomes visibly free, so fresh
-        # arrivals cannot barge past the queue).
-        self._handoffs = 0
+        # One token per queued waiter, oldest first.  release() grants its
+        # slot to the oldest waiter's token instead of freeing it: the slot
+        # is never visibly free, and no later arrival can take it, so a
+        # fresh arrival can never barge past threads already waiting.
+        self._waiting: Deque[object] = deque()
+        self._granted: Set[object] = set()
         self._admitted = 0
         self._rejected = 0
 
@@ -128,7 +130,7 @@ class AdmissionController:
 
     @property
     def queued(self) -> int:
-        return self._queued
+        return len(self._waiting)
 
     @property
     def admitted(self) -> int:
@@ -144,53 +146,52 @@ class AdmissionController:
                 "max_in_flight": self.max_in_flight,
                 "max_queue": self.max_queue,
                 "in_flight": self._in_flight,
-                "queued": self._queued,
+                "queued": len(self._waiting),
                 "admitted": self._admitted,
                 "rejected": self._rejected,
             }
 
     def acquire(self) -> None:
         with self._condition:
-            if (
-                self._in_flight < self.max_in_flight
-                and self._queued == 0
-                and self._handoffs == 0
-            ):
+            if self._in_flight < self.max_in_flight and not self._waiting:
                 self._in_flight += 1
                 self._admitted += 1
                 _ADMISSION_WAIT_SECONDS.observe(0.0)
                 return
-            if self._queued >= self.max_queue:
+            if len(self._waiting) >= self.max_queue:
                 self._rejected += 1
                 raise ServerOverloadedError(
-                    f"{self._in_flight} solves in flight and {self._queued} "
+                    f"{self._in_flight} solves in flight and {len(self._waiting)} "
                     f"queued; retry after {self.retry_after_seconds}s",
                     self.retry_after_seconds,
                 )
             wait_start = time.perf_counter()
-            self._queued += 1
+            token = object()
+            self._waiting.append(token)
             try:
-                while self._handoffs == 0 and self._in_flight >= self.max_in_flight:
+                while token not in self._granted:
                     self._condition.wait()
-            finally:
-                self._queued -= 1
-            if self._handoffs:
-                self._handoffs -= 1  # slot transferred; in_flight unchanged
-            else:
-                self._in_flight += 1
+            except BaseException:
+                # Never strand the queue: pass on a slot already granted,
+                # or give up the place in line.
+                if token in self._granted:
+                    self._granted.discard(token)
+                    self.release()
+                else:
+                    self._waiting.remove(token)
+                raise
+            self._granted.discard(token)
             self._admitted += 1
             _ADMISSION_WAIT_SECONDS.observe(time.perf_counter() - wait_start)
 
     def release(self) -> None:
         with self._condition:
-            if self._queued > 0:
-                # Hand the slot straight to a queued waiter instead of
-                # freeing it: the slot is never visibly free, so a fresh
-                # arrival can never barge past threads already waiting.
-                self._handoffs += 1
+            if self._waiting:
+                # The slot passes to the oldest waiter; in_flight is unchanged.
+                self._granted.add(self._waiting.popleft())
+                self._condition.notify_all()
             else:
                 self._in_flight -= 1
-            self._condition.notify()
 
     @contextmanager
     def slot(self):
@@ -289,124 +290,129 @@ class QueryCoalescer:
         ticket.fail(error)
 
 
-class _ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    daemon_threads = True
-    allow_reuse_address = True
+def _listen(host: str, port: int) -> socketlib.socket:
+    sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
+    sock.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_REUSEADDR, 1)
+    sock.bind((host, port))
+    sock.listen(128)
+    return sock
 
 
-class _CountingInput:
-    """Wraps ``wsgi.input`` to count the bytes the app actually consumed.
+class _RequestHandler(BaseHTTPRequestHandler):
+    """One keep-alive HTTP/1.1 connection; every request goes to the app.
 
-    Keep-alive correctness depends on it: a request body the app never
-    read (a POST answered 404/405 before the read) would otherwise be
-    parsed as the start of the *next* request on the connection.
-    """
-
-    def __init__(self, raw) -> None:
-        self._raw = raw
-        self.consumed = 0
-
-    def read(self, size: int = -1) -> bytes:
-        data = self._raw.read(size)
-        self.consumed += len(data)
-        return data
-
-    def readline(self, limit: int = -1) -> bytes:
-        data = self._raw.readline(limit)
-        self.consumed += len(data)
-        return data
-
-    def __getattr__(self, name):
-        return getattr(self._raw, name)
-
-    def __iter__(self):
-        return iter(self._raw)
-
-
-class _QuietRequestHandler(WSGIRequestHandler):
-    """Quiet, keep-alive-capable request handler.
-
-    Per-request access logging is off (``/metrics`` is the observability),
-    and unlike upstream ``WSGIRequestHandler`` — which hangs up after every
-    response — this handler speaks HTTP/1.1 and serves a connection's
-    requests in a loop, so :class:`~repro.server.client.BoundsClient` and
-    any keep-alive client pay the TCP handshake once per connection
-    instead of once per request.  Safe with wsgiref because the app always
-    sets ``Content-Length`` (responses are self-delimiting).
+    ``http.server`` parses requests, loops over a connection's requests and
+    supplies the reason phrases.  This class reads the declared body, hands
+    the request to the server's :class:`~repro.server.app.BoundsApp` and
+    writes the answer.  Every verb reaches the app (the ``do_*`` fallback),
+    so an unknown verb gets the app's recorded 405, not an unrecorded 501.
+    Per-request access logging is off: ``/metrics`` is the observability.
     """
 
     protocol_version = "HTTP/1.1"
-
-    # Socket timeout (socketserver applies it in setup()): a client that
-    # declares a Content-Length it never sends would otherwise park a
-    # handler thread in wsgi.input.read() forever — with this, the read
-    # raises TimeoutError, the app answers 503, and the thread is freed.
-    # On an *idle* kept-alive connection the same timeout simply closes it.
+    # Without TCP_NODELAY each small response on a kept-alive connection
+    # waits out Nagle's algorithm against the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    # Socket timeout: a client that declares a body it never sends frees
+    # its handler thread after this many seconds (the read times out and
+    # http.server drops the connection).
     timeout = 30
+
+    def __getattr__(self, name: str):
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
     def handle(self) -> None:
-        # Upstream's handle() serves exactly one request then returns
-        # (closing the connection); loop handle_one_request the way
-        # BaseHTTPRequestHandler does so keep-alive actually keeps alive.
-        self.close_connection = True
-        self.handle_one_request()
-        while not self.close_connection:
-            self.handle_one_request()
+        try:
+            super().handle()
+        except OSError:
+            pass  # the client reset the connection: nobody is left to answer
 
     def handle_one_request(self) -> None:
-        try:
-            self.raw_requestline = self.rfile.readline(65537)
-        except (TimeoutError, OSError):
-            self.close_connection = True
-            return
-        if len(self.raw_requestline) > 65536:
-            self.requestline = ""
-            self.request_version = ""
-            self.command = ""
-            self.send_error(414)
-            self.close_connection = True
-            return
-        if not self.raw_requestline:
-            self.close_connection = True
-            return
-        if not self.parse_request():
-            return
-        stdin = _CountingInput(self.rfile)
-        handler = ServerHandler(
-            stdin, self.wfile, self.get_stderr(), self.get_environ(),
-            multithread=True,
-        )
-        handler.http_version = "1.1"
-        handler.request_handler = self  # backpointer for logging
-        handler.run(self.server.get_app())
-        self._discard_unread_body(stdin)
+        self.server.idle(self.connection)
+        super().handle_one_request()
 
-    def _discard_unread_body(self, stdin: "_CountingInput") -> None:
-        """Resynchronise the connection after an app that skipped the body.
+    def parse_request(self) -> bool:
+        self.server.busy(self.connection)
+        return super().parse_request()
 
-        Routes that answer before reading ``wsgi.input`` (404, 405, 413)
-        leave the declared body sitting in the socket; small remainders
-        are drained so the connection stays usable, anything larger (or
-        an unparsable declaration) just closes it.
-        """
+    def _serve(self) -> None:
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self.close_connection = True
-            return
-        leftover = length - stdin.consumed
-        if leftover <= 0:
-            return
-        if leftover > 65536:
-            self.close_connection = True
-            return
+            length = -1
+        # A body left unread would be parsed as the next request, so an
+        # out-of-range declaration gets the app's 400/413 and a hang-up.
+        readable = 0 <= length <= MAX_BODY_BYTES
+        body = self.rfile.read(length) if readable else b""
+        status, headers, raw = self.server.app(
+            self.command, self.path.split("?", 1)[0], length, body, self.server.shared
+        )
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
+        if not readable or self.server.closing:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        if self.command != "HEAD":
+            self.wfile.write(raw)
+
+
+class _HTTPServer(ThreadingMixIn, TCPServer):
+    """A thread-per-connection server over an already-listening socket.
+
+    ``shared`` marks a fleet's shared socket, where the app applies shard
+    redirects and answers ``/metrics`` for the whole fleet.
+
+    The drain: a connection counts as idle while its handler waits for
+    the next request line.  :meth:`server_close` shuts idle connections
+    for reading, so their handlers see EOF and return at once (a request
+    already buffered is still served), lets in-flight requests finish and
+    answer with ``Connection: close``, then joins every handler thread.
+    """
+
+    def __init__(self, sock: socketlib.socket, app: BoundsApp, shared: bool) -> None:
+        # Not TCPServer.__init__, which would create a socket of its own.
+        BaseServer.__init__(self, sock.getsockname()[:2], _RequestHandler)
+        self.socket = sock
+        self.app = app
+        self.shared = shared
+        self.closing = False
+        self._lock = threading.Lock()
+        self._idle: Set[socketlib.socket] = set()
+
+    def idle(self, connection: socketlib.socket) -> None:
+        with self._lock:
+            self._idle.add(connection)
+            if self.closing:
+                self._shut_for_reading(connection)
+
+    def busy(self, connection: socketlib.socket) -> None:
+        with self._lock:
+            self._idle.discard(connection)
+
+    def shutdown_request(self, request: socketlib.socket) -> None:
+        self.busy(request)
+        super().shutdown_request(request)
+
+    @staticmethod
+    def _shut_for_reading(connection: socketlib.socket) -> None:
         try:
-            self.rfile.read(leftover)
-        except (TimeoutError, OSError):
-            self.close_connection = True
+            connection.shutdown(socketlib.SHUT_RD)
+        except OSError:
+            pass  # already gone
+
+    def server_close(self) -> None:
+        with self._lock:
+            self.closing = True
+            for connection in self._idle:
+                self._shut_for_reading(connection)
+        # Closes the listening socket, then joins every handler thread.
+        super().server_close()
 
 
 class BoundServer:
@@ -420,14 +426,11 @@ class BoundServer:
         Bind address; ``port=0`` picks an ephemeral port (tests do this).
     max_in_flight, max_queue, retry_after_seconds:
         Admission-control knobs (see :class:`AdmissionController`).
-    metrics:
-        Optional shared registry; by default the server owns a fresh one.
-    coalesce:
-        Set ``False`` to disable in-flight coalescing (benchmarks measure
-        the difference; production keeps it on).
 
     Use either as a context manager around :meth:`start` (background
-    thread, e.g. tests/benchmarks) or via :meth:`serve_forever` (the CLI).
+    threads, e.g. tests/benchmarks) or via :meth:`serve_forever` (the CLI).
+    :meth:`close` drains: in-flight requests finish and answer, idle
+    keep-alive connections close at once.
     """
 
     def __init__(
@@ -438,68 +441,87 @@ class BoundServer:
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
         retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS,
-        metrics: Optional[MetricsRegistry] = None,
-        coalesce: bool = True,
+    ) -> None:
+        self._assemble(
+            service, [(_listen(host, port), False)], None,
+            max_in_flight, max_queue, retry_after_seconds,
+        )
+
+    @classmethod
+    def _fleet_worker(
+        cls,
+        config: "FleetConfig",
+        sharding: "ShardInfo",
+        shared_sock: socketlib.socket,
+        direct_sock: socketlib.socket,
+    ) -> "BoundServer":
+        """One fleet worker's server, over the sockets the parent bound."""
+        server = cls.__new__(cls)
+        server._assemble(
+            config.build_service(), [(shared_sock, True), (direct_sock, False)],
+            sharding, config.max_in_flight, config.max_queue,
+            config.retry_after_seconds,
+        )
+        return server
+
+    def _assemble(
+        self, service, sockets, sharding, max_in_flight, max_queue, retry_after_seconds
     ) -> None:
         self.service = service
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.admission = AdmissionController(
             max_in_flight=max_in_flight,
             max_queue=max_queue,
             retry_after_seconds=retry_after_seconds,
         )
-        self.coalescer = QueryCoalescer() if coalesce else None
-        self.app = BoundsApp(
-            service,
-            metrics=self.metrics,
-            admission=self.admission,
-            coalescer=self.coalescer,
-        )
-        self._httpd = make_server(
-            host,
-            port,
-            self.app,
-            server_class=_ThreadingWSGIServer,
-            handler_class=_QuietRequestHandler,
-        )
-        self._thread: Optional[threading.Thread] = None
+        self.coalescer = QueryCoalescer()
+        self.app = BoundsApp(service, self.admission, self.coalescer, sharding)
+        self._httpds = [_HTTPServer(sock, self.app, shared) for sock, shared in sockets]
+        self._threads: List[threading.Thread] = []
 
     @property
     def host(self) -> str:
-        return self._httpd.server_address[0]
+        return self._httpds[0].server_address[0]
 
     @property
     def port(self) -> int:
-        return self._httpd.server_port
+        return self._httpds[0].server_address[1]
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "BoundServer":
-        """Serve from a daemon thread; returns immediately."""
-        if self._thread is not None:
+        """Serve from daemon threads (one per socket); returns immediately."""
+        if self._threads:
             raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name=f"repro-server:{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
+        self._threads = [
+            threading.Thread(
+                target=httpd.serve_forever,
+                kwargs={"poll_interval": 0.05},
+                name=f"repro-server:{httpd.server_address[1]}",
+                daemon=True,
+            )
+            for httpd in self._httpds
+        ]
+        for thread in self._threads:
+            thread.start()
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted (the CLI path)."""
-        self._httpd.serve_forever(poll_interval=0.5)
+        """Serve until interrupted (the CLI path); the caller then closes."""
+        self.start()
+        threading.Event().wait()
 
     def close(self) -> None:
-        if self._thread is not None:
-            self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        """Stop accepting, finish in-flight requests, close idle connections."""
+        if self._threads:
+            for httpd in self._httpds:
+                httpd.shutdown()
+        for httpd in self._httpds:
+            httpd.server_close()
+        for thread in self._threads:
+            thread.join(timeout=5.0)
+        self._threads = []
 
     def __enter__(self) -> "BoundServer":
         return self
@@ -596,7 +618,6 @@ class FleetConfig:
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     max_queue: int = DEFAULT_MAX_QUEUE
     retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS
-    coalesce: bool = True
     lease_ttl: Optional[float] = None
     trace_path: Optional[str] = None
 
@@ -611,47 +632,6 @@ class FleetConfig:
             num_eigenvalues=self.num_eigenvalues,
             eig_options=self.eig_options,
         )
-
-
-class _FleetWSGIServer(ThreadingMixIn, WSGIServer):
-    """Threading WSGI server over a socket inherited from the pre-fork parent.
-
-    ``daemon_threads=False`` + ``block_on_close`` make ``server_close()``
-    join in-flight request threads — the graceful-drain half of worker
-    shutdown (SIGTERM stops accepting, then outstanding solves finish).
-    """
-
-    daemon_threads = False
-    block_on_close = True
-    allow_reuse_address = True
-
-    def __init__(self, sock: socketlib.socket, handler_class) -> None:
-        # bind_and_activate=False: adopt the parent's already-listening
-        # socket instead of binding a fresh one.
-        super().__init__(
-            sock.getsockname()[:2], handler_class, bind_and_activate=False
-        )
-        self.socket.close()  # the unbound one the base class created
-        self.socket = sock
-        host, port = sock.getsockname()[:2]
-        self.server_name = socketlib.getfqdn(host)
-        self.server_port = port
-        self.setup_environ()  # normally done by server_bind()
-
-
-def _tag_environ(app, **flags):
-    """Wrap a WSGI app, stamping constant keys into every request environ.
-
-    How a worker tells shared-socket arrivals (eligible for shard
-    redirects) apart from direct-port arrivals (never redirected — that
-    is what makes redirect loops impossible).
-    """
-
-    def tagged(environ, start_response):
-        environ.update(flags)
-        return app(environ, start_response)
-
-    return tagged
 
 
 def _fleet_worker_main(
@@ -696,45 +676,14 @@ def _fleet_worker_main(
 
         obs.configure(f"{config.trace_path}.worker-{worker_id}.jsonl")
 
-    service = config.build_service()
-    admission = AdmissionController(
-        max_in_flight=config.max_in_flight,
-        max_queue=config.max_queue,
-        retry_after_seconds=config.retry_after_seconds,
-    )
-    coalescer = QueryCoalescer() if config.coalesce else None
-    app = BoundsApp(
-        service,
-        metrics=MetricsRegistry(),
-        admission=admission,
-        coalescer=coalescer,
-        sharding=ShardInfo(worker_id, tuple(worker_urls), ring, restarts=incarnation),
-    )
-    shared_httpd = _FleetWSGIServer(shared_sock, _QuietRequestHandler)
-    shared_httpd.set_app(_tag_environ(app, **{"repro.shard_redirect": True}))
-    direct_httpd = _FleetWSGIServer(direct_sock, _QuietRequestHandler)
-    direct_httpd.set_app(app)
-    threads = [
-        threading.Thread(
-            target=httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name=f"repro-worker-{worker_id}-{kind}",
-        )
-        for kind, httpd in (("shared", shared_httpd), ("direct", direct_httpd))
-    ]
-    for thread in threads:
-        thread.start()
+    sharding = ShardInfo(worker_id, tuple(worker_urls), ring, restarts=incarnation)
+    server = BoundServer._fleet_worker(config, sharding, shared_sock, direct_sock)
+    server.start()
     try:
         stop.wait()
     finally:
-        shared_httpd.shutdown()
-        direct_httpd.shutdown()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        # Joins in-flight request handlers (graceful drain), then closes
-        # this process's copies of the socket fds.
-        shared_httpd.server_close()
-        direct_httpd.server_close()
+        # The drain; it also closes this process's copies of the socket fds.
+        server.close()
 
 
 class ServerFleet:
@@ -771,13 +720,13 @@ class ServerFleet:
         self.config = config
         self.host = host
         self.num_workers = int(workers)
-        self._shared_sock = self._listen(host, port)
+        self._shared_sock = _listen(host, port)
         # Non-blocking: N workers race accept() on this socket; with a
         # blocking fd the kernel may wake several and park the losers in
         # accept() forever.  socketserver tolerates the EAGAIN of losing.
         self._shared_sock.setblocking(False)
         self.port = int(self._shared_sock.getsockname()[1])
-        self._direct_socks = [self._listen(host, 0) for _ in range(self.num_workers)]
+        self._direct_socks = [_listen(host, 0) for _ in range(self.num_workers)]
         self.worker_urls: Tuple[str, ...] = tuple(
             f"http://{host}:{sock.getsockname()[1]}" for sock in self._direct_socks
         )
@@ -788,14 +737,6 @@ class ServerFleet:
         self._restarts = [0] * self.num_workers
         self._closing = threading.Event()
         self._monitor: Optional[threading.Thread] = None
-
-    @staticmethod
-    def _listen(host: str, port: int) -> socketlib.socket:
-        sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
-        sock.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_REUSEADDR, 1)
-        sock.bind((host, port))
-        sock.listen(128)
-        return sock
 
     @property
     def url(self) -> str:

@@ -316,6 +316,39 @@ class TestAdmissionController:
         assert admission.queued == 0 and admission.in_flight == 0
 
 
+    def test_many_threads_never_exceed_the_window_or_lose_a_slot(self):
+        import sys
+
+        admission = AdmissionController(max_in_flight=2, max_queue=64)
+        lock = threading.Lock()
+        active = [0]
+        peak = [0]
+
+        def work():
+            for _ in range(50):
+                with admission.slot():
+                    with lock:
+                        active[0] += 1
+                        peak[0] = max(peak[0], active[0])
+                    with lock:
+                        active[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, daemon=True) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert peak[0] <= 2
+        assert admission.in_flight == 0 and admission.queued == 0
+        assert admission.admitted == 8 * 50
+
+
 class TestQueryCoalescer:
     def test_follower_shares_leader_result(self):
         coalescer = QueryCoalescer()
@@ -413,7 +446,7 @@ class TestEndpoints:
 
         from repro.server import runner as runner_module
 
-        monkeypatch.setattr(runner_module._QuietRequestHandler, "timeout", 0.5)
+        monkeypatch.setattr(runner_module._RequestHandler, "timeout", 0.5)
         service = BlockingService()
         service.release.set()
         with BoundServer(service, port=0) as server:
@@ -440,6 +473,19 @@ class TestEndpoints:
         text = BoundsClient(live_server.url).metrics_text()
         assert "EVILVERB" not in text
         assert 'method="other"' in text
+
+    def test_head_answer_has_no_body_and_keeps_the_connection_usable(self, live_server):
+        import http.client
+
+        conn = http.client.HTTPConnection(live_server.host, live_server.port, timeout=10)
+        try:
+            conn.request("HEAD", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 405 and response.read() == b""
+            conn.request("GET", "/healthz")  # a body sent after HEAD would garble this
+            assert json.loads(conn.getresponse().read())["status"] == "ok"
+        finally:
+            conn.close()
 
     def test_malformed_payloads_are_structured_400s(self, live_server):
         client = BoundsClient(live_server.url)
@@ -767,6 +813,47 @@ class TestServingPolicies:
             assert server.coalescer.stats()["in_flight"] == 0
 
 
+class TestDrain:
+    def test_close_answers_in_flight_and_drops_idle_connections(self):
+        before = set(threading.enumerate())
+        service = BlockingService()
+        server = BoundServer(service, port=0).start()
+        idle = BoundsClient(server.url)
+        assert idle.health()["status"] == "ok"  # now idles on a kept-alive connection
+        outcomes: list = []
+        in_flight = post_in_thread(BoundsClient(server.url), QUERY_A, outcomes)
+        wait_until(lambda: len(service.calls) == 1)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=0.3)
+        assert closer.is_alive()  # close() waits for the in-flight request
+        service.release.set()
+        closer.join(timeout=1.0)
+        assert not closer.is_alive()  # ...but not for the idle connection
+        in_flight.join(timeout=5)
+        idle.close()
+        assert outcomes[0]["answers"][0]["bound"] == 1.0
+        leftover = [t for t in threading.enumerate() if t not in before]
+        assert leftover == []  # every handler and serving thread was joined
+
+    def test_fleet_close_with_a_held_connection_exits_every_worker_cleanly(self):
+        config = FleetConfig(store_root=None, num_eigenvalues=NUM_EIGENVALUES)
+        with ServerFleet(config, workers=2) as fleet:
+            fleet.start()
+            TestServerFleet._wait_healthy((fleet.url,) + fleet.worker_urls)
+            held = [BoundsClient(url) for url in (fleet.url,) + fleet.worker_urls]
+            for client in held:
+                assert client.health()["status"] == "ok"
+            procs = list(fleet._procs)
+            start = time.monotonic()
+            fleet.close()
+            elapsed = time.monotonic() - start
+        for client in held:
+            client.close()
+        assert [proc.exitcode for proc in procs] == [0, 0]  # drained, not SIGKILLed
+        assert elapsed < 2.0
+
+
 class TestServeCLI:
     def test_serve_args_build_a_working_server(self):
         args = build_parser().parse_args(
@@ -801,12 +888,13 @@ class TestServeCLI:
         assert "disabled" not in banner
 
     def test_serve_store_and_no_coalesce_flags(self, tmp_path):
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--store", str(tmp_path / "s"), "--no-coalesce"]
-        )
-        server = build_server_from_args(args)
+        argv = ["serve", "--port", "0", "--store", str(tmp_path / "s")]
+        # --no-coalesce was a flag in older builds; coalescing is always on.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--no-coalesce"])
+        server = build_server_from_args(build_parser().parse_args(argv))
         try:
-            assert server.coalescer is None
+            assert server.coalescer is not None
             assert str(server.service.store.root) == str(tmp_path / "s")
         finally:
             server.close()
@@ -830,7 +918,7 @@ class TestServeCLI:
 
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--workers", "3", "--store",
-             str(tmp_path / "s"), "--lease-ttl", "7.5", "--no-coalesce",
+             str(tmp_path / "s"), "--lease-ttl", "7.5",
              "--num-eigenvalues", "25", "--max-in-flight", "2"]
         )
         fleet = build_fleet_from_args(args, 3)
@@ -839,7 +927,6 @@ class TestServeCLI:
             assert len(fleet.worker_urls) == 3
             assert fleet.config.store_root == str(tmp_path / "s")
             assert fleet.config.lease_ttl == 7.5
-            assert fleet.config.coalesce is False
             assert fleet.config.num_eigenvalues == 25
             assert fleet.config.max_in_flight == 2
         finally:
@@ -932,6 +1019,19 @@ class TestClientKeepAlive:
         [conn] = list(client._pool().values())
         conn.sock.shutdown(socket.SHUT_RDWR)
         assert client.health()["status"] == "ok"  # retried on a fresh conn
+
+    def test_sequential_keep_alive_requests_do_not_stall(self, live_server):
+        # Without TCP_NODELAY on the server, every small response on a
+        # kept-alive connection waits ~40 ms for the client's delayed ACK
+        # (20 requests took ~0.9 s); with it, a few milliseconds in all.
+        client = BoundsClient(live_server.url)
+        client.bounds(MIXED_QUERIES[:1])  # warm the spectrum cache
+        for request in (client.health, lambda: client.bounds(MIXED_QUERIES[:1])):
+            start = time.perf_counter()
+            for _ in range(20):
+                request()
+            assert time.perf_counter() - start < 0.4
+        client.close()
 
 
 def _raw_post(base_url: str, payload: dict):
