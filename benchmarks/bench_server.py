@@ -17,14 +17,14 @@ recorded in ``BENCH_server.json``:
   thanks to in-flight coalescing (without it, concurrent misses race past
   the spectrum cache and solve redundantly); the coalescing hit rate is
   recorded;
-* **multi-worker fleet** — the same warm mix through a two-worker
-  pre-forked :class:`ServerFleet` (shared port, shard redirects followed
-  by the client) still performs zero solves, and on a multi-core host
-  outscores the single-process server; a *cold* herd fired at both
-  workers' direct ports — different memory sizes, so neither the HTTP
-  coalescer nor batch dedup can help — pays exactly one eigensolve
-  across both processes via the store's solve lease, with the lease
-  leader/follower split recorded.
+* **multi-worker fleet** — the same warm mix through the shared port of
+  a two-worker pre-forked :class:`ServerFleet` (each request answered by
+  the worker that accepted it) still performs zero solves, and on a
+  multi-core host outscores the single-process server; a *cold* herd
+  fired at both workers' direct ports — different memory sizes, so
+  neither the HTTP coalescer nor batch dedup can help — pays exactly one
+  eigensolve across both processes via the store's solve lease, with the
+  lease leader/follower split recorded.
 
 Defaults are CI-scale; ``REPRO_BENCH_LARGE=1`` lifts the FFT levels and
 the thread count.
@@ -250,8 +250,8 @@ def test_server_cold_warm_and_herd(benchmark, tmp_path):
     assert len({a.bound for a in herd_answers}) == 1
     coalesce_rate = coalesced / len(herd_queries)
 
-    # Multi-worker fleet: the warm mix through the shared port (shard
-    # redirects and all) still performs zero solves...
+    # Multi-worker fleet: the warm mix through the shared port still
+    # performs zero solves...
     fleet_warm = fleet_serve_and_replay(store_root, queries)
     assert fleet_warm["eigensolves"] == 0
     assert [a.bound for a in fleet_warm["answers"]] == [

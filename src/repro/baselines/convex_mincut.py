@@ -38,7 +38,9 @@ the two layers that make whole-paper sweeps cheap:
 * **cut caching** — ``C(v, G)`` is independent of ``M``, so values live in
   an in-memory table and, optionally, a persistent
   :class:`~repro.runtime.store.CutStore` keyed by the graph fingerprint;
-  a warm re-run performs zero max-flow calls;
+  a warm re-run performs zero max-flow calls, and a cold pass takes the
+  store's solve lease before its first max-flow, so processes racing one
+  cold graph and candidate set pay for it once;
 * **upper-bound pruning** — candidates are visited best-upper-bound-first
   (the ``O(n + E)`` topological-prefix wavefront of
   :meth:`~repro.baselines.flownet.ConvexCutNetwork.prefix_upper_bounds`),
@@ -91,7 +93,9 @@ class MinCutEngine:
     store:
         Optional persistent :class:`~repro.runtime.store.CutStore`; known
         cut values are loaded once per engine and every newly computed value
-        is published back (with the flow calls paid, for auditing).
+        is published back (with the flow calls paid, for auditing).  A
+        :meth:`max_cut` pass that needs a max-flow first claims the store's
+        solve lease for its graph and candidate set.
     prune:
         Skip candidates whose cheap upper bound cannot beat the best cut
         found so far (on by default; exhaustive order is kept for parity
@@ -118,10 +122,11 @@ class MinCutEngine:
         self._store_served = 0
         self._pruned = 0
         self._cut_seconds = 0.0
-        # The solver mutates its shared capacity template, so concurrent
-        # callers — e.g. BoundService threads sharing one LRU-cached engine —
-        # must serialise here.
-        self._lock = threading.RLock()
+        #: Serialises evaluations: the solver mutates its shared capacity
+        #: template, so concurrent callers — e.g. BoundService threads
+        #: sharing one LRU-cached engine — must take turns.  Re-entrant, so
+        #: a caller can hold it to read :attr:`flow_calls` around a call.
+        self.lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # observability
@@ -175,7 +180,7 @@ class MinCutEngine:
         """``C(vertex, G)``, from cache tiers or one max-flow solve."""
         vertex = self._graph.check_vertex(vertex)
         start = time.perf_counter()
-        with self._lock:
+        with self.lock:
             self._load_store_table()
             value = self._known.get(vertex)
             if value is None:
@@ -208,28 +213,51 @@ class MinCutEngine:
         if candidates.size == 0:
             return 0, None
         start = time.perf_counter()
-        with obs.span("mincut", candidates=int(candidates.size)), self._lock:
+        with obs.span("mincut", candidates=int(candidates.size)), self.lock:
             self._load_store_table()
-            network = self._get_network()
-            best_cut = 0
-            best_vertex: Optional[int] = None
-            # Known (cached) candidate values are free: scanning them first —
-            # in the caller's order, which fixes the witness tie-breaking on
-            # warm runs — seeds the prune threshold before any flow is paid.
-            for v in candidates.tolist():
-                value = self._known.get(v)
-                if value is None:
-                    continue
-                _CUT_LOOKUPS.inc(tier="memory")
-                if value > best_cut or best_vertex is None:
-                    best_cut = value
-                    best_vertex = v
-            if self._prune:
-                candidates = network.candidate_order(candidates)
-                upper_bounds = network.prefix_upper_bounds()
-            fresh: Dict[int, int] = {}
-            flows_before = self.flow_calls
-            for v in candidates.tolist():
+            result = self._best_cut(candidates, claim=self._store is not None)
+            if result is None:  # another process published: a warm pass
+                result = self._best_cut(candidates, claim=False)
+            self._cut_seconds += time.perf_counter() - start
+        return result
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _best_cut(
+        self, candidates: np.ndarray, claim: bool
+    ) -> Optional[Tuple[int, Optional[int]]]:
+        """One pass of :meth:`max_cut`; ``None`` asks for a warm re-run.
+
+        With ``claim`` set, the pass claims the store's solve lease right
+        before its first max-flow.  It leads — solving, publishing, then
+        releasing — unless another process's leader published cuts of these
+        candidates meanwhile: then it returns ``None`` with those cuts known.
+        """
+        network = self._get_network()
+        best_cut = 0
+        best_vertex: Optional[int] = None
+        # Known (cached) candidate values are free: scanning them first —
+        # in the caller's order, which fixes the witness tie-breaking on
+        # warm runs — seeds the prune threshold before any flow is paid.
+        for v in candidates.tolist():
+            value = self._known.get(v)
+            if value is None:
+                continue
+            _CUT_LOOKUPS.inc(tier="memory")
+            if value > best_cut or best_vertex is None:
+                best_cut = value
+                best_vertex = v
+        order = candidates
+        if self._prune:
+            order = network.candidate_order(candidates)
+            upper_bounds = network.prefix_upper_bounds()
+        fresh: Dict[int, int] = {}
+        pruned = 0
+        flows_before = self.flow_calls
+        lease = None
+        try:
+            for v in order.tolist():
                 if v in self._known:
                     continue  # already counted in the seeding scan
                 if (
@@ -237,20 +265,44 @@ class MinCutEngine:
                     and best_vertex is not None
                     and int(upper_bounds[v]) <= best_cut
                 ):
-                    self._pruned += 1
+                    pruned += 1
                     continue
+                if claim:
+                    claim = False
+                    outcome = self._claim(candidates)
+                    if outcome.found is not None:
+                        return None
+                    lease = outcome.lease
                 value = self._solve(v)
                 fresh[v] = value
                 if value > best_cut or best_vertex is None:
                     best_cut = value
                     best_vertex = v
+            self._pruned += pruned
             self._publish(fresh, flow_calls=self.flow_calls - flows_before)
-            self._cut_seconds += time.perf_counter() - start
+        finally:
+            # Publish-then-release: followers re-read the table the moment
+            # the lease row disappears.
+            if lease is not None:
+                lease.release()
         return best_cut, best_vertex
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
+    def _claim(self, candidates: np.ndarray):
+        """The store's solve lease for one cold pass over ``candidates``.
+
+        A leader elsewhere has published once the stored table holds a cut
+        of some candidate this engine did not know; those cuts are then
+        absorbed here.
+        """
+        fingerprint = self._graph.fingerprint()
+        wanted = set(candidates.tolist())
+
+        def fetch():
+            news = self._absorb(self._store.get(fingerprint))
+            return news if wanted.intersection(news) else None
+
+        return self._store.claim(fingerprint, fetch, candidates=candidates)
+
     def _get_network(self) -> ConvexCutNetwork:
         if self._network is None:
             self._network = ConvexCutNetwork(self._graph)
@@ -277,12 +329,18 @@ class MinCutEngine:
         if self._store is None or self._store_loaded:
             return
         self._store_loaded = True
-        table = self._store.get(self._graph.fingerprint())
-        if table is not None:
-            self._known.update(table.as_dict())
-            self._store_served = len(table)
-            if self._store_served:
-                _CUT_LOOKUPS.inc(self._store_served, tier="store")
+        self._absorb(self._store.get(self._graph.fingerprint()))
+
+    def _absorb(self, table) -> Dict[int, int]:
+        """Learn a stored table's cuts this engine did not know yet."""
+        if table is None:
+            return {}
+        news = {v: c for v, c in table.as_dict().items() if v not in self._known}
+        self._known.update(news)
+        self._store_served += len(news)
+        if news:
+            _CUT_LOOKUPS.inc(len(news), tier="store")
+        return news
 
     def _publish(self, fresh: Dict[int, int], flow_calls: int) -> None:
         self._known.update(fresh)

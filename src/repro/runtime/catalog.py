@@ -6,7 +6,8 @@ One database, ``<root>/catalog.sqlite``, indexes the blobs of the
 
 * ``spectra`` and ``cuts`` — one row per ``.npz`` blob (under ``blobs/``
   and ``cuts/``): its metadata, byte size and LRU stamp;
-* ``leases`` — cross-process solve leases, one row per spectrum base id;
+* ``leases`` — cross-process solve leases, one row per cold spectrum or
+  max-flow pass being solved;
 * ``counters`` — ``solves_recorded`` and ``flows_recorded``, the
   eigensolves and max-flow calls somebody paid for.
 

@@ -17,11 +17,11 @@ Four subcommands expose the runtime subsystem without writing any Python:
   coalescing).  Against a pre-warmed ``--store`` the whole HTTP path
   answers without a single eigensolve or max-flow call, which the CI serve
   smoke asserts via ``repro_eigensolves_total`` / ``repro_flow_calls_total``.
-  ``--workers N`` (or ``$REPRO_SERVE_WORKERS``) boots a pre-forked sharded
-  fleet instead: N shared-nothing worker processes over the same store,
-  shard-routed by consistent hashing on the graph identity, with
-  cross-process solve coalescing via store leases (``--lease-ttl`` /
-  ``$REPRO_LEASE_TTL_SECONDS``);
+  ``--workers N`` (or ``$REPRO_SERVE_WORKERS``) boots a pre-forked fleet
+  instead: N shared-nothing worker processes, each answering whatever it
+  accepts, over the same store (so a fleet refuses ``--no-store``), with
+  cross-process coalescing of eigensolves and max-flow passes via store
+  leases (``--lease-ttl`` / ``$REPRO_LEASE_TTL_SECONDS``);
 * ``obs`` — observability utilities over :mod:`repro.obs`: ``obs report
   trace.jsonl`` renders a trace (written via ``--trace`` on ``solve`` /
   ``sweep`` / ``serve``) as a top-down span tree plus a self-time table
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes; >1 boots a pre-forked sharded fleet "
+        help="worker processes; >1 boots a pre-forked fleet over the store "
         "(default: $REPRO_SERVE_WORKERS or 1)",
     )
     serve.add_argument(
@@ -473,18 +473,15 @@ def build_fleet_from_args(args: argparse.Namespace, workers: int):
     Like :func:`build_server_from_args`, factored out (and lazily
     importing) so tests can boot the exact CLI fleet wiring on ephemeral
     ports without blocking in ``serve_forever``.  The fleet does not take
-    a live service: each forked worker builds its own from the config.
+    a live service: each forked worker builds its own from the config, over
+    the store (``main`` refuses ``--no-store`` for a fleet).
     """
     from repro.server.runner import FleetConfig, ServerFleet
 
-    if getattr(args, "no_store", False):
-        store_root = None
-    else:
-        root = args.store if args.store is not None else default_store_root()
-        store_root = str(root)
+    root = args.store if args.store is not None else default_store_root()
     trace_path = getattr(args, "trace", None)
     config = FleetConfig(
-        store_root=store_root,
+        store_root=str(root),
         num_eigenvalues=args.num_eigenvalues,
         eig_options=_eig_options_from_args(args),
         max_in_flight=args.max_in_flight,
@@ -510,10 +507,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if workers > 1:
         fleet = build_fleet_from_args(args, workers)
         fleet.start()
-        store_label = fleet.config.store_root or "disabled"
         print(
             f"serving bounds on {fleet.url} with {workers} workers "
-            f"(store: {store_label})"
+            f"(store: {fleet.config.store_root})"
         )
         for worker_id, url in enumerate(fleet.worker_urls):
             print(f"  worker {worker_id}: {url}")
@@ -611,7 +607,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(list(argv) if argv is not None else None)
+    parser = build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else None)
+    if args.command == "serve" and args.no_store and _serve_workers(args) > 1:
+        # The store is all a fleet's workers share: without it each would
+        # solve every cold graph for itself.
+        parser.error("serve --workers N (N > 1) needs a store; drop --no-store")
     handlers = {
         "solve": _cmd_solve,
         "sweep": _cmd_sweep,

@@ -142,7 +142,9 @@ class BoundService:
         if max_engines < 1:
             raise ValueError(f"max_engines must be positive, got {max_engines}")
         self._cache = SpectrumCache(max_entries=max(128, 4 * max_engines), store=store)
-        self._cut_store = CutStore(store.root) if store is not None else None
+        self._cut_store = (
+            CutStore(store.root, lease_ttl=store.lease_ttl) if store is not None else None
+        )
         self._num_eigenvalues = int(num_eigenvalues)
         self._eig_options = eig_options
         self._max_engines = int(max_engines)
@@ -294,10 +296,14 @@ class BoundService:
         """Serve one convex min-cut query through a (cached) MinCutEngine."""
         engine, description = self._mincut_engine_for(query.graph)
         start = time.perf_counter()
-        flows_before = engine.flow_calls
-        best_cut, _ = engine.max_cut()
+        # Read the flow count under the engine's lock: a query that waited
+        # out another thread's pass must not count that pass's flows too.
+        with engine.lock:
+            flows_before = engine.flow_calls
+            best_cut, _ = engine.max_cut()
+            flows = engine.flow_calls - flows_before
         with self._lock:
-            self._flow_calls += engine.flow_calls - flows_before
+            self._flow_calls += flows
         bound = max(0.0, 2.0 * (best_cut - int(query.memory_size)))
         return BoundAnswer(
             graph=description,

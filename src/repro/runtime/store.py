@@ -19,13 +19,15 @@ A blob is written to a temporary file and moved into place with
 partial blob; a crash in between leaves an orphan blob for ``verify``.  A racing
 duplicate solve rewrites identical bytes and keeps the existing row —
 wasteful, never wrong.  Cold solves are coalesced across processes by
-*solve leases* (:meth:`SpectrumStore.acquire_lease`): a compare-and-set on a
+*solve leases* (:meth:`~_StoreView.acquire_lease`): a compare-and-set on a
 ``leases`` row carrying the leader's pid/host/heartbeat/ttl, so N workers
-needing one cold spectrum pay one eigensolve, and a leader killed mid-solve
-hands over by ttl expiry or same-host dead-pid detection.  SQLite's locks,
-like the ``flock`` they replaced, are unreliable on network filesystems:
-keep a shared store on a local disk, and copy one only while nothing writes
-to it, together with its ``catalog.sqlite-wal`` file.
+needing one cold spectrum pay one eigensolve, N workers needing one cold
+cut table pay one max-flow pass, and a leader killed mid-solve hands over
+by ttl expiry or same-host dead-pid detection.  :meth:`~_StoreView.claim`
+is the one acquire/re-check/wait/re-read loop both kinds of solve run.
+SQLite's locks, like the ``flock`` they replaced, are unreliable on network
+filesystems: keep a shared store on a local disk, and copy one only while
+nothing writes to it, together with its ``catalog.sqlite-wal`` file.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +59,21 @@ _STORE_IO_SECONDS = global_registry().histogram(
     "Wall-clock latency of persistent store operations.",
     labelnames=("store", "op"),
 )
+_LEASE_TOTAL = global_registry().counter(
+    "repro_lease_total",
+    "Cross-process solve-lease episodes: leaders solved, followers waited.",
+    labelnames=("store", "role"),
+)
+_LEASE_WAIT_SECONDS = global_registry().histogram(
+    "repro_lease_wait_seconds",
+    "Time followers spent blocked on another process's solve lease.",
+    labelnames=("store",),
+)
+
+#: How many acquire→wait→re-read rounds a cold miss plays before giving up
+#: on coalescing and solving redundantly.  Each round only recurs when a
+#: leader died or raced away, so 4 bounds pathological churn, not latency.
+_LEASE_MAX_ROUNDS = 4
 
 
 def _timed_io(store: str, op: str):
@@ -78,7 +95,7 @@ def _timed_io(store: str, op: str):
     return wrap
 
 __all__ = [
-    "StoredSpectrum", "SpectrumStore", "SolveLease", "CutStore",
+    "StoredSpectrum", "SpectrumStore", "SolveLease", "Claim", "CutStore",
     "STORE_ENV_VAR", "STORE_MAX_BYTES_ENV_VAR", "LEASE_TTL_ENV_VAR",
     "default_store_root", "default_store_max_bytes", "default_lease_ttl",
 ]
@@ -236,7 +253,7 @@ class SolveLease:
     takeover after a stale verdict is never clobbered.
     """
 
-    def __init__(self, store: "SpectrumStore", key: str, token: str, ttl: float) -> None:
+    def __init__(self, store: "_StoreView", key: str, token: str, ttl: float) -> None:
         self._store = store
         self.key = key
         self.token = token
@@ -274,11 +291,33 @@ class SolveLease:
         self.release()
 
 
+class Claim(NamedTuple):
+    """What :meth:`_StoreView.claim` came back with.
+
+    At most one of ``found`` and ``lease`` is set.  ``found`` is what
+    another process's leader published meanwhile: serve it.  ``lease`` is
+    held when the caller leads: solve, publish, then release it.  Neither
+    means leasing is off or broken, or the wait timed out: solve anyway
+    (wasteful, never wrong).  ``followed`` says the caller waited on
+    another process's lease.
+    """
+
+    found: object = None
+    lease: Optional[SolveLease] = None
+    followed: bool = False
+
+
 class _StoreView:
     """A handle on one table of a store's :class:`Catalog`: the traffic
-    counters and management surface :class:`SpectrumStore` and
-    :class:`CutStore` share.  Subclasses describe their rows (``_SUMMARY``,
-    ``_describe``) and validate their blobs (``_blob_ok``)."""
+    counters, management surface and solve leases :class:`SpectrumStore`
+    and :class:`CutStore` share.  Subclasses describe their rows
+    (``_SUMMARY``, ``_describe``), validate their blobs (``_blob_ok``) and
+    name their leases (``_lease_key``).
+
+    ``lease_ttl`` is the heartbeat ttl (seconds) of this handle's solve
+    leases.  ``None`` (default) reads ``$REPRO_LEASE_TTL_SECONDS`` (default
+    30); ``<= 0`` disables leasing (``acquire_lease`` then raises).
+    """
 
     _TABLE = ""
     _BLOB_DIR = ""
@@ -286,10 +325,13 @@ class _StoreView:
     #: ``stats()`` keys summarising the table, and the SQL aggregate of each.
     _SUMMARY: Dict[str, str] = {}
 
-    def __init__(self, root: Union[str, Path, None] = None) -> None:
+    def __init__(
+        self, root: Union[str, Path, None] = None, lease_ttl: Optional[float] = None
+    ) -> None:
         self._root = Path(root) if root is not None else default_store_root()
         self._table = Table(self._TABLE, self._root / self._BLOB_DIR, self._COUNTER)
         self._catalog = Catalog(self._root)
+        self._lease_ttl = max(0.0, float(lease_ttl)) if lease_ttl is not None else default_lease_ttl()
         # Per-handle traffic counters (the persistent ones live in the
         # catalog); one handle may serve many engine threads.
         self._counter_lock = threading.Lock()
@@ -300,6 +342,120 @@ class _StoreView:
     @property
     def root(self) -> Path:
         return self._root
+
+    @property
+    def lease_ttl(self) -> float:
+        """Solve-lease heartbeat ttl in seconds (0 = leasing disabled)."""
+        return self._lease_ttl
+
+    def acquire_lease(
+        self, fingerprint: str, ttl: Optional[float] = None, **key
+    ) -> Optional[SolveLease]:
+        """Try to become the solve leader for one cold result; ``None`` if held.
+
+        ``key`` names the result beyond its graph (see ``_lease_key``).  A
+        held-but-stale lease (expired heartbeat, a dead pid on this host,
+        or an unreadable row) is taken over in place.  The winner gets a
+        heartbeating :class:`SolveLease` it must :meth:`~SolveLease.release`
+        after publishing.
+        """
+        effective_ttl = max(0.0, float(ttl)) if ttl is not None else self._lease_ttl
+        if effective_ttl <= 0:
+            raise ValueError("solve leasing is disabled (lease_ttl <= 0)")
+        lease_key = self._lease_key(fingerprint, **key)
+        now = time.time()
+        token = f"{_HOSTNAME}:{os.getpid()}:{time.monotonic_ns():x}"
+        with self._catalog.write() as conn:
+            held = conn.execute(_LEASE_ROW, (lease_key,)).fetchone()
+            if held is not None and not _lease_is_stale(held, now):
+                return None
+            conn.execute(
+                "INSERT OR REPLACE INTO leases VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (lease_key, token, os.getpid(), _HOSTNAME, fingerprint, now, now,
+                 effective_ttl),
+            )
+        return SolveLease(self, lease_key, token, effective_ttl)
+
+    def wait_for_lease(
+        self, fingerprint: str, timeout: Optional[float] = None,
+        poll_interval: float = 0.05, **key,
+    ) -> str:
+        """Block while another process holds the solve lease.
+
+        Returns ``"released"`` once the lease row is gone (the leader
+        published and released — re-read the store), ``"stale"`` if the
+        leader died (try :meth:`acquire_lease` again), or ``"timeout"``
+        after ``timeout`` seconds (default: twice the ttl, at least 10 s)
+        — at which point the caller should just solve; wasteful, never
+        wrong.
+        """
+        lease_key = self._lease_key(fingerprint, **key)
+        if timeout is None:
+            timeout = max(10.0, 2.0 * max(self._lease_ttl, 1.0))
+        deadline = time.monotonic() + timeout
+        while True:
+            held = self._catalog.read(_LEASE_ROW, (lease_key,))
+            if not held:
+                return "released"
+            if _lease_is_stale(held[0], time.time()):
+                return "stale"
+            if time.monotonic() >= deadline:
+                return "timeout"
+            time.sleep(poll_interval)
+
+    def claim(self, fingerprint: str, fetch: Callable[[], object], **key) -> Claim:
+        """Contend for the solve lease on one cold result (see :class:`Claim`).
+
+        The one claim path of every cold solve over a store: spectra in
+        :class:`~repro.solvers.spectrum_cache.SpectrumCache` and cut tables
+        in :class:`~repro.baselines.convex_mincut.MinCutEngine`.  ``fetch``
+        reads the published result (``None`` while there is none) and
+        ``key`` names the lease as for :meth:`acquire_lease`.  Episodes are
+        counted in ``repro_lease_total{store,role}``, follower wait time in
+        ``repro_lease_wait_seconds``.
+        """
+        if self._lease_ttl <= 0:
+            return Claim()
+        waited = 0.0
+        followed = False
+        try:
+            for _ in range(_LEASE_MAX_ROUNDS):
+                try:
+                    lease = self.acquire_lease(fingerprint, **key)
+                except OSError:
+                    return Claim(followed=followed)
+                if lease is not None:
+                    # Re-check now that we hold the lease: the previous
+                    # leader may have published and released in the window
+                    # since our miss.  Without this a late acquirer would
+                    # solve again what is already published.
+                    found = fetch()
+                    if found is not None:
+                        lease.release()
+                        return Claim(found, followed=followed)
+                    _LEASE_TOTAL.inc(store=self._TABLE, role="leader")
+                    return Claim(lease=lease, followed=followed)
+                followed = True
+                start = time.perf_counter()
+                outcome = self.wait_for_lease(fingerprint, **key)
+                waited += time.perf_counter() - start
+                # Whatever ended the wait, a published result wins; a
+                # "stale" verdict without one loops back to take the lease
+                # over, "timeout" gives up on coalescing.
+                found = fetch()
+                if found is not None or outcome == "timeout":
+                    return Claim(found, followed=True)
+            return Claim(followed=followed)
+        finally:
+            if followed:
+                _LEASE_TOTAL.inc(store=self._TABLE, role="follower")
+                _LEASE_WAIT_SECONDS.observe(waited, store=self._TABLE)
+
+    def _update_lease(self, sql: str, params: Sequence) -> None:
+        """A token-checked heartbeat or release.  A failure is harmless: the
+        lease then expires by ttl or dead pid."""
+        with contextlib.suppress(OSError), self._catalog.write() as conn:
+            conn.execute(sql, params)
 
     @property
     def hits(self) -> int:
@@ -387,9 +543,8 @@ class SpectrumStore(_StoreView):
         evicted until the store fits.  ``None`` (default) reads
         ``$REPRO_SPECTRUM_STORE_MAX_BYTES``; unset means unbounded.
     lease_ttl:
-        Heartbeat ttl (seconds) of cross-process solve leases.  ``None``
-        (default) reads ``$REPRO_LEASE_TTL_SECONDS`` (default 30);
-        ``<= 0`` disables leasing (``acquire_lease`` then raises).
+        Heartbeat ttl (seconds) of cross-process solve leases (see
+        :class:`_StoreView`).
     """
 
     _TABLE = "spectra"
@@ -401,21 +556,15 @@ class SpectrumStore(_StoreView):
         self, root: Union[str, Path, None] = None, max_bytes: Optional[int] = None,
         lease_ttl: Optional[float] = None,
     ) -> None:
-        super().__init__(root)
+        super().__init__(root, lease_ttl)
         self._max_bytes = max_bytes if max_bytes is not None else default_store_max_bytes()
         if self._max_bytes is not None and self._max_bytes < 1:
             raise ValueError(f"max_bytes must be positive, got {self._max_bytes}")
-        self._lease_ttl = max(0.0, float(lease_ttl)) if lease_ttl is not None else default_lease_ttl()
 
     @property
     def max_bytes(self) -> Optional[int]:
         """Size cap of the blob directory (None = unbounded)."""
         return self._max_bytes
-
-    @property
-    def lease_ttl(self) -> float:
-        """Solve-lease heartbeat ttl in seconds (0 = leasing disabled)."""
-        return self._lease_ttl
 
     @_timed_io("spectrum", "get")
     def get(
@@ -532,67 +681,19 @@ class SpectrumStore(_StoreView):
         values.flags.writeable = False
         return values, solve_seconds
 
-    def acquire_lease(
-        self, fingerprint: str, normalized: bool = True, sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None, ttl: Optional[float] = None,
-    ) -> Optional[SolveLease]:
-        """Try to become the solve leader for one spectrum; ``None`` if held.
-
-        The lease is keyed by the same base id as the stored entries —
-        fingerprint, normalisation, assembly, solver options, but *not* the
-        truncation ``h`` — so every query shape needing one cold
-        spectrum contends for a single lease.  A held-but-stale lease
-        (expired heartbeat, a dead pid on this host, or an unreadable row)
-        is taken over in place.  The winner gets a heartbeating
-        :class:`SolveLease` it must :meth:`~SolveLease.release` after
-        publishing via :meth:`put`.
-        """
-        effective_ttl = max(0.0, float(ttl)) if ttl is not None else self._lease_ttl
-        if effective_ttl <= 0:
-            raise ValueError("solve leasing is disabled (lease_ttl <= 0)")
-        key = _base_id(fingerprint, normalized, sparse, eig_options)
-        now = time.time()
-        token = f"{_HOSTNAME}:{os.getpid()}:{time.monotonic_ns():x}"
-        with self._catalog.write() as conn:
-            held = conn.execute(_LEASE_ROW, (key,)).fetchone()
-            if held is not None and not _lease_is_stale(held, now):
-                return None
-            conn.execute(
-                "INSERT OR REPLACE INTO leases VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (key, token, os.getpid(), _HOSTNAME, fingerprint, now, now, effective_ttl),
-            )
-        return SolveLease(self, key, token, effective_ttl)
-
-    def wait_for_lease(
+    def _lease_key(
         self, fingerprint: str, normalized: bool = True, sparse: bool = False,
         eig_options: Optional[EigenSolverOptions] = None,
-        timeout: Optional[float] = None, poll_interval: float = 0.05,
     ) -> str:
-        """Block while another process holds the solve lease.
-
-        Returns ``"released"`` once the lease row is gone (the leader
-        published and released — re-read the store), ``"stale"`` if the
-        leader died (try :meth:`acquire_lease` again), or ``"timeout"``
-        after ``timeout`` seconds (default: twice the ttl, at least 10 s)
-        — at which point the caller should just solve; wasteful, never
-        wrong.
-        """
-        key = _base_id(fingerprint, normalized, sparse, eig_options)
-        if timeout is None:
-            timeout = max(10.0, 2.0 * max(self._lease_ttl, 1.0))
-        deadline = time.monotonic() + timeout
-        while True:
-            held = self._catalog.read(_LEASE_ROW, (key,))
-            if not held:
-                return "released"
-            if _lease_is_stale(held[0], time.time()):
-                return "stale"
-            if time.monotonic() >= deadline:
-                return "timeout"
-            time.sleep(poll_interval)
+        """A spectrum's lease shares its entries' base id: fingerprint,
+        normalisation, assembly and solver options, but *not* the truncation
+        ``h``, so every query shape needing one cold spectrum contends for a
+        single lease."""
+        return _base_id(fingerprint, normalized, sparse, eig_options)
 
     def leases(self) -> List[Dict[str, object]]:
-        """Metadata of every lease (holder, age, staleness)."""
+        """Metadata of every lease of the catalog, spectra's and cuts'
+        (holder, age, staleness)."""
         now = time.time()
         rows = self._catalog.read(
             "SELECT *, ? - COALESCE(created_at, ?) AS age FROM leases ORDER BY base",
@@ -604,12 +705,6 @@ class SpectrumStore(_StoreView):
              "ttl": row["ttl"], "stale": _lease_is_stale(row, now)}
             for row in rows
         ]
-
-    def _update_lease(self, sql: str, params: Sequence) -> None:
-        """A token-checked heartbeat or release.  A failure is harmless: the
-        lease then expires by ttl or dead pid."""
-        with contextlib.suppress(OSError), self._catalog.write() as conn:
-            conn.execute(sql, params)
 
     def stats(self) -> Dict[str, object]:
         """Aggregate store statistics (persisted + this handle's traffic)."""
@@ -700,13 +795,23 @@ class CutStore(_StoreView):
     :class:`SpectrumStore`: one ``.npz`` blob per graph under
     ``<root>/cuts/`` and one ``cuts`` row each.  The persistent
     ``flows_recorded`` counter sums the max-flow calls somebody actually
-    paid for, which is what the CI warm-run smoke asserts on.
+    paid for, which is what the CI warm-run smoke asserts on.  A cold
+    max-flow pass takes a solve lease first (see ``_lease_key``), so
+    processes needing one cold table pay for it once.
     """
 
     _TABLE = "cuts"
     _BLOB_DIR = "cuts"
     _COUNTER = "flows_recorded"
     _SUMMARY = {"num_graphs": "COUNT(*)", "num_cuts": "SUM(num_cuts)"}
+
+    def _lease_key(self, fingerprint: str, candidates: np.ndarray) -> str:
+        """A cut lease names the graph *and* the candidate vertices of one
+        max-flow pass, so the disjoint candidate chunks a sweep schedules
+        over one graph never wait on each other."""
+        digest = hashlib.sha256(fingerprint.encode())
+        digest.update(np.ascontiguousarray(candidates, dtype=np.int64).tobytes())
+        return f"cuts-{digest.hexdigest()[:40]}"
 
     @_timed_io("cut", "get")
     def get(self, fingerprint: str) -> Optional[StoredCutTable]:

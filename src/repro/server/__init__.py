@@ -15,11 +15,10 @@ JSON-decode requests into :class:`BoundQuery` objects and call
   :class:`BoundServer`, which adds admission control (bounded in-flight
   solves + queue, 429 on overload) and in-flight coalescing of identical
   queries; plus the pre-forked :class:`ServerFleet` (``--workers N``),
-  whose every worker is a :class:`BoundServer` on two sockets:
-  shared-socket accept sharding, consistent-hash 307 routing to each
-  graph's owning worker, and worker supervision/respawn;
-* :mod:`repro.server.client` — a thin stdlib keep-alive client that
-  follows shard redirects.
+  whose every worker is a :class:`BoundServer` on two sockets (the shared
+  one all workers accept on, and its own direct one) answering whatever
+  it accepts over the common store, with worker supervision/respawn;
+* :mod:`repro.server.client` — a thin stdlib keep-alive client.
 
 ``python -m repro serve`` boots the whole stack from the CLI.
 """
@@ -36,7 +35,6 @@ from repro.server.runner import (
     QueryCoalescer,
     ServerFleet,
     ShardInfo,
-    ShardRing,
 )
 
 __all__ = [
@@ -55,5 +53,4 @@ __all__ = [
     "ServerFleet",
     "ServerOverloadedError",
     "ShardInfo",
-    "ShardRing",
 ]

@@ -37,7 +37,6 @@ import dataclasses
 import json
 import os
 import time
-import urllib.request
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import obs
@@ -49,6 +48,7 @@ from repro.obs.metrics import (
     parse_metric,
 )
 from repro.runtime.service import BoundAnswer, BoundService
+from repro.server.client import BoundsClient, ServerError
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     DecodedQuery,
@@ -85,11 +85,6 @@ _SLOW_QUERIES = global_registry().counter(
     "HTTP requests slower than the REPRO_SLOW_QUERY_SECONDS threshold.",
 )
 
-_SHARD_REDIRECTS = global_registry().counter(
-    "repro_shard_redirects_total",
-    "Shared-socket batches redirected (307) to their owning worker.",
-)
-
 
 def _slow_query_threshold() -> Optional[float]:
     raw = os.environ.get(SLOW_QUERY_ENV_VAR)
@@ -106,7 +101,7 @@ def _metric_or_zero(text: str, name: str, **labels: str) -> float:
     """One summed metric from an exposition, 0 when absent.
 
     The fleet rollup reads each worker's fields with this: a worker that
-    has not recorded a given metric yet (no lease activity, no redirect)
+    has not recorded a given metric yet (no lease activity, no slow query)
     contributes zero rather than failing the rollup.  Integral values
     come back as ``int`` for clean JSON.
     """
@@ -134,7 +129,6 @@ _ROLLUP_FIELDS = (
     ("lease_leaders", "repro_lease_total", {"role": "leader"}),
     ("lease_followers", "repro_lease_total", {"role": "follower"}),
     ("http_requests", "repro_http_requests_total", {}),
-    ("shard_redirects", "repro_shard_redirects_total", {}),
     ("slow_queries", "repro_slow_queries_total", {}),
 )
 
@@ -180,12 +174,11 @@ class BoundsApp:
         In-flight coalescer for identical concurrent queries.
     sharding:
         Optional :class:`repro.server.runner.ShardInfo` (duck-typed:
-        ``worker_id``, ``owner(key)``, ``url_for(id)``, ``describe()``).
+        ``worker_id``, ``num_workers``, ``url_for(id)``, ``describe()``).
         When set, this app is one worker of a fleet: it stamps
-        ``X-Repro-Worker`` on every response, and shared-socket
-        ``/v1/bounds`` batches wholly owned by a *different* worker are
-        307-redirected to that worker's direct port so its memory tier
-        stays hot for its shard.
+        ``X-Repro-Worker`` on every response, and its shared socket
+        answers ``/metrics`` and ``/v1/fleet/stats`` for the whole fleet.
+        It answers every ``/v1/bounds`` batch it accepts itself.
 
     Request metrics and the service-counter passthroughs live in a private
     registry; ``{"fingerprint": ...}`` graph refs resolve against a
@@ -309,7 +302,7 @@ class BoundsApp:
         declared ``Content-Length`` (-1 when unparsable); ``body`` is what
         the caller read of it, empty when the declaration was out of
         range.  ``shared`` marks arrival on a fleet's shared socket, where
-        shard redirects and the fleet-wide ``/metrics`` apply.
+        ``/metrics`` answers for the whole fleet.
         """
         start = time.perf_counter()
         request = _Request(content_length, body, shared)
@@ -395,7 +388,7 @@ class BoundsApp:
         # always render locally — that is what the aggregation scrapes,
         # so recursion is structurally impossible.
         if request.shared:
-            return 200, self._fleet_metrics_text(), []
+            return 200, self._merged_metrics_text(), []
         return 200, self._local_metrics_text(), []
 
     def _local_metrics_text(self) -> str:
@@ -422,7 +415,7 @@ class BoundsApp:
     # ------------------------------------------------------------------
     # fleet aggregation
     # ------------------------------------------------------------------
-    def _fleet_metrics_text(self) -> str:
+    def _merged_metrics_text(self) -> str:
         """The merged all-worker exposition served on the shared port.
 
         The local worker renders in-process; each sibling's direct-port
@@ -438,13 +431,13 @@ class BoundsApp:
             if worker_id == self._sharding.worker_id:
                 texts.append(self._local_metrics_text())
                 continue
+            # BoundsClient speaks plain http.client, which (unlike urllib)
+            # never sends a loopback scrape through an ``http_proxy``.
             url = self._sharding.url_for(worker_id)
             try:
-                with urllib.request.urlopen(
-                    f"{url}/metrics", timeout=FLEET_SCRAPE_TIMEOUT_SECONDS
-                ) as response:
-                    texts.append(response.read().decode("utf-8"))
-            except (OSError, ValueError):
+                with BoundsClient(url, timeout=FLEET_SCRAPE_TIMEOUT_SECONDS) as sibling:
+                    texts.append(sibling.metrics_text())
+            except (ServerError, ValueError):
                 texts.append(
                     "# HELP repro_worker_up 1 for each live serving worker "
                     "process.\n"
@@ -468,7 +461,7 @@ class BoundsApp:
                 code="not-a-fleet",
                 status=404,
             )
-        text = self._fleet_metrics_text()
+        text = self._merged_metrics_text()
         workers: List[Dict[str, object]] = []
         totals = {field: 0 for field, _, _ in _ROLLUP_FIELDS}
         for worker_id in range(self._sharding.num_workers):
@@ -499,9 +492,6 @@ class BoundsApp:
     def _handle_bounds(self, request: _Request):
         payload = self._read_json_body(request)
         decoded = decode_bounds_request(payload, self._graphs)
-        redirect = self._shard_redirect(request, decoded)
-        if redirect is not None:
-            return redirect
         for item in decoded:
             self._queries_total.inc(
                 method=item.query.method, normalization=item.query.normalization
@@ -509,32 +499,6 @@ class BoundsApp:
         answers = self._solve(decoded)
         body = encode_answers(answers, [item.fingerprint for item in decoded])
         return 200, body, []
-
-    def _shard_redirect(self, request: _Request, decoded: List[DecodedQuery]):
-        """307 to the owning worker, or ``None`` to serve locally.
-
-        Only batches arriving on the fleet's *shared* socket are eligible —
-        direct-port traffic is served where it lands, which is what makes
-        redirect loops structurally impossible.  A batch is bounced only
-        when every query in it is owned by one single *other* worker;
-        mixed-owner batches are served locally rather than split.
-        """
-        if not request.shared:
-            return None
-        owners = {self._sharding.owner(item.routing_key) for item in decoded}
-        if len(owners) != 1:
-            return None
-        owner = owners.pop()
-        if owner == self._sharding.worker_id:
-            return None
-        _SHARD_REDIRECTS.inc()
-        location = f"{self._sharding.url_for(owner)}/v1/bounds"
-        body = {
-            "redirect": location,
-            "owner_worker": owner,
-            "worker": self._sharding.worker_id,
-        }
-        return 307, body, [("Location", location)]
 
     def _read_json_body(self, request: _Request) -> object:
         length = request.content_length

@@ -7,17 +7,16 @@ benchmark exercise the server exactly the way an external service would.
 
 Transport properties that matter for measuring the server honestly:
 
-* **keep-alive** — one pooled :class:`http.client.HTTPConnection` per
-  host:port, reused across requests, so a client thread pays the TCP
+* **keep-alive** — one :class:`http.client.HTTPConnection` per client
+  thread, reused across requests, so a client thread pays the TCP
   handshake once per connection rather than once per request (the server
   side speaks HTTP/1.1 since :class:`repro.server.runner` grew persistent
-  connections).  A connection that died while pooled (server restart,
+  connections).  A connection that died while idle (server restart,
   idle timeout) is retried once on a fresh connection — only ever for
   *reused* connections, so a genuinely failing request still fails.
-* **redirects** — 307/308 are followed with method and body preserved
-  (``urllib`` refuses to re-POST), which is how a fleet's shard routing
-  reaches the client: the shared port answers 307 to the owning worker's
-  direct port and the client transparently lands there.
+* **no proxies** — :mod:`http.client` connects straight to the server,
+  whatever ``http_proxy`` says, so a client on the server's own host
+  (a fleet worker scraping a sibling, say) never detours through a proxy.
 * **typed errors** — any structured server error surfaces as
   :class:`ServerError` (``status``, ``code``, the 429 ``Retry-After``
   hint) instead of a bare exception.
@@ -25,6 +24,7 @@ Transport properties that matter for measuring the server honestly:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 from http.client import (
@@ -34,17 +34,13 @@ from http.client import (
     RemoteDisconnected,
 )
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urlsplit
 
 from repro.obs.metrics import parse_metric
 from repro.runtime.service import BoundAnswer, BoundQuery
 from repro.server.protocol import decode_answers, encode_bounds_request
 
 __all__ = ["BoundsClient", "ServerError", "parse_metric"]
-
-#: Redirect-following ceiling; a shard redirect is exactly one hop, so
-#: hitting this means the fleet is misconfigured, not that we need depth.
-_MAX_REDIRECTS = 3
 
 
 class ServerError(RuntimeError):
@@ -67,15 +63,16 @@ class ServerError(RuntimeError):
 class BoundsClient:
     """Client for one bounds server, e.g. ``BoundsClient("http://host:port")``.
 
-    Thread-safe; connections are pooled per ``host:port`` *and* per
-    thread, so concurrent benchmark threads each keep their own persistent
-    connection instead of serialising on one socket.  Use as a context
-    manager (or call :meth:`close`) to drop the pooled connections.
+    Thread-safe; each thread keeps its own persistent connection, so
+    concurrent benchmark threads do not serialise on one socket.  Use as a
+    context manager (or call :meth:`close`) to drop the connections.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.base_url)
+        self._netloc, self._prefix = parts.netloc, parts.path
         self._local = threading.local()
         self._lock = threading.Lock()
         self._all_connections: List[HTTPConnection] = []
@@ -83,63 +80,31 @@ class BoundsClient:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _pool(self) -> Dict[str, Tuple[HTTPConnection, bool]]:
-        pool = getattr(self._local, "pool", None)
-        if pool is None:
-            pool = self._local.pool = {}
-        return pool
-
-    def _connection(self, netloc: str) -> Tuple[HTTPConnection, bool]:
-        """This thread's pooled connection for ``netloc`` + reused flag."""
-        pool = self._pool()
-        conn = pool.get(netloc)
+    def _connection(self) -> Tuple[HTTPConnection, bool]:
+        """This thread's connection, and whether it is a reused one."""
+        conn = getattr(self._local, "conn", None)
         if conn is not None:
             return conn, True
-        conn = HTTPConnection(netloc, timeout=self.timeout)
-        pool[netloc] = conn
+        conn = self._local.conn = HTTPConnection(self._netloc, timeout=self.timeout)
         with self._lock:
             self._all_connections.append(conn)
         return conn, False
 
-    def _discard(self, netloc: str) -> None:
-        conn = self._pool().pop(netloc, None)
+    def _discard(self) -> None:
+        conn = getattr(self._local, "conn", None)
         if conn is not None:
+            self._local.conn = None
             conn.close()
-            with self._lock:
-                try:
-                    self._all_connections.remove(conn)
-                except ValueError:
-                    pass
+            with self._lock, contextlib.suppress(ValueError):
+                self._all_connections.remove(conn)
 
     def _request(self, path: str, payload: Optional[dict] = None) -> bytes:
         body = json.dumps(payload).encode("utf-8") if payload is not None else None
         url = f"{self.base_url}{path}"
-        for _ in range(_MAX_REDIRECTS + 1):
-            status, headers, raw = self._round_trip(url, body)
-            if status in (307, 308):
-                location = headers.get("Location")
-                if not location:
-                    raise ServerError(status, "bad-redirect",
-                                      f"{url}: redirect without a Location header")
-                url = urljoin(url, location)
-                continue
-            if 200 <= status < 300:
-                return raw
-            raise self._server_error(status, headers, raw)
-        raise ServerError(0, "redirect-loop",
-                          f"{url}: more than {_MAX_REDIRECTS} redirects")
-
-    def _round_trip(
-        self, url: str, body: Optional[bytes]
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        parts = urlsplit(url)
-        netloc = parts.netloc
-        target = parts.path or "/"
-        if parts.query:
-            target += f"?{parts.query}"
+        target = self._prefix + path
         method = "POST" if body is not None else "GET"
         request_headers = {"Content-Type": "application/json"} if body else {}
-        conn, reused = self._connection(netloc)
+        conn, reused = self._connection()
         try:
             conn.request(method, target, body=body, headers=request_headers)
             response = conn.getresponse()
@@ -147,28 +112,30 @@ class BoundsClient:
         except (RemoteDisconnected, BadStatusLine, BrokenPipeError,
                 ConnectionResetError) as exc:
             # A *reused* connection may have been closed server-side while
-            # pooled (restart, keep-alive timeout); that is the one case a
+            # idle (restart, keep-alive timeout); that is the one case a
             # transparent retry on a fresh connection is sound — the
             # request never reached a handler.  A fresh connection failing
             # the same way is a real error.
-            self._discard(netloc)
+            self._discard()
             if not reused:
                 raise ServerError(0, "unreachable", f"{url}: {exc}") from None
-            conn, _ = self._connection(netloc)
+            conn, _ = self._connection()
             try:
                 conn.request(method, target, body=body, headers=request_headers)
                 response = conn.getresponse()
                 raw = response.read()
             except (OSError, HTTPException) as retry_exc:
-                self._discard(netloc)
+                self._discard()
                 raise ServerError(0, "unreachable", f"{url}: {retry_exc}") from None
         except (OSError, HTTPException) as exc:
-            self._discard(netloc)
+            self._discard()
             raise ServerError(0, "unreachable", f"{url}: {exc}") from None
-        headers = {key: value for key, value in response.getheaders()}
         if response.will_close:
-            self._discard(netloc)
-        return response.status, headers, raw
+            self._discard()
+        if 200 <= response.status < 300:
+            return raw
+        headers = {key: value for key, value in response.getheaders()}
+        raise self._server_error(response.status, headers, raw)
 
     @staticmethod
     def _server_error(status: int, headers: Dict[str, str], raw: bytes) -> ServerError:
@@ -238,18 +205,13 @@ class BoundsClient:
         """
         return self._get_json("/v1/fleet/stats")
 
-    def fleet_metrics(self) -> str:
-        """The merged all-worker Prometheus exposition, one scrape.
-
-        Against a fleet's shared port, ``GET /metrics`` is answered with
-        every worker's samples (``worker=<id>`` labels preserved), so
-        ``parse_metric`` over this text equals hand-summing the direct
-        ports.  Against a plain server it is that server's exposition.
-        """
-        return self._request("/metrics").decode("utf-8")
-
     def metrics_text(self) -> str:
-        """``GET /metrics`` — the raw Prometheus exposition."""
+        """``GET /metrics`` — the raw Prometheus exposition.
+
+        Against a fleet's shared port this is every worker's samples in
+        one scrape (``worker=<id>`` labels preserved), so ``parse_metric``
+        over it equals hand-summing the direct ports.
+        """
         return self._request("/metrics").decode("utf-8")
 
     def metric(self, name: str, **labels: str) -> float:

@@ -170,18 +170,6 @@ class DecodedQuery:
     key: Tuple
     fingerprint: Optional[str] = None
 
-    @property
-    def routing_key(self) -> str:
-        """Stable string identifying the *graph* (not the full query).
-
-        The fleet's consistent-hash shard routing hashes this, so every
-        query about one graph — any ``memory_size``, ``k`` or method —
-        lands on the same worker and shares its warm engine/spectrum.
-        """
-        if self.fingerprint is not None:
-            return self.fingerprint
-        return ":".join(str(part) for part in self.key[0])
-
 
 def _require(condition: bool, message: str, **error_kwargs) -> None:
     if not condition:

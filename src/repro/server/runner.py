@@ -1,4 +1,4 @@
-"""Server runners: one threaded process, or a pre-forked sharded fleet.
+"""Server runners: one threaded process, or a pre-forked fleet.
 
 :class:`BoundServer` serves the app of :mod:`repro.server.app` over a
 stdlib threading HTTP server (``http.server`` + ``socketserver.ThreadingMixIn``
@@ -23,17 +23,15 @@ owns the two concurrency policies the app itself stays agnostic of:
 
 :class:`ServerFleet` (``python -m repro serve --workers N``) scales past
 the GIL: a pre-forked fleet of shared-nothing worker processes, each a
-full :class:`BoundServer` over the *same* on-disk stores.
+full :class:`BoundServer` over the *same* on-disk store.
 The parent binds every socket before forking — one shared public socket
 all workers accept on (classic pre-fork load balancing by the kernel)
 plus one direct per-worker socket — then supervises and respawns dead
-workers.  Requests are routed by consistent hashing on the graph
-identity (:class:`ShardRing`): a worker that picks up a shared-socket
-request wholly owned by a sibling answers ``307`` to that sibling's
-direct port, so each worker's in-memory cache tier stays hot for its
-shard.  Cross-process duplicate *solves* are collapsed one layer down by
-the spectrum store's solve leases (see
-:meth:`repro.runtime.store.SpectrumStore.acquire_lease`).
+workers.  Every worker answers whatever it accepts.  The store is the
+fleet's only shared state: a solve one worker published, any worker
+reads, and cross-process duplicate *solves* — eigensolves and max-flow
+passes alike — are collapsed by the store's solve leases (see
+:meth:`repro.runtime.store.SpectrumStore.claim`).
 
 Both share one drain: closing a server (``BoundServer.close()``, or SIGTERM
 to ``python -m repro serve`` with one worker or many) stops accepting, lets
@@ -43,13 +41,11 @@ at once.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import signal
 import socket as socketlib
 import threading
 import time
-from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -67,7 +63,6 @@ __all__ = [
     "ServerOverloadedError",
     "SolveTicket",
     "BoundServer",
-    "ShardRing",
     "ShardInfo",
     "FleetConfig",
     "ServerFleet",
@@ -365,8 +360,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
 class _HTTPServer(ThreadingMixIn, TCPServer):
     """A thread-per-connection server over an already-listening socket.
 
-    ``shared`` marks a fleet's shared socket, where the app applies shard
-    redirects and answers ``/metrics`` for the whole fleet.
+    ``shared`` marks a fleet's shared socket, where the app answers
+    ``/metrics`` for the whole fleet.
 
     The drain: a connection counts as idle while its handler waits for
     the next request line.  :meth:`server_close` shuts idle connections
@@ -531,65 +526,26 @@ class BoundServer:
 
 
 # ----------------------------------------------------------------------
-# pre-forked sharded fleet
+# pre-forked fleet
 # ----------------------------------------------------------------------
-class ShardRing:
-    """Consistent-hash ring mapping graph routing keys to worker ids.
-
-    ``replicas`` virtual points per worker (sha256-placed) keep the load
-    split near-uniform, and — the property plain modulo hashing lacks —
-    changing the worker count remaps only ``~1/N`` of the keys, so a
-    resized fleet keeps most workers' memory tiers valid.
-    """
-
-    def __init__(self, num_workers: int, replicas: int = 64) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be positive, got {replicas}")
-        self.num_workers = int(num_workers)
-        self.replicas = int(replicas)
-        points: List[Tuple[int, int]] = []
-        for worker_id in range(self.num_workers):
-            for replica in range(self.replicas):
-                digest = hashlib.sha256(
-                    f"worker-{worker_id}:{replica}".encode()
-                ).digest()
-                points.append((int.from_bytes(digest[:8], "big"), worker_id))
-        points.sort()
-        self._hashes = [point for point, _ in points]
-        self._owners = [owner for _, owner in points]
-
-    def owner(self, key: str) -> int:
-        """The worker id owning a routing key (first point clockwise)."""
-        digest = hashlib.sha256(str(key).encode()).digest()
-        point = int.from_bytes(digest[:8], "big")
-        index = bisect_right(self._hashes, point) % len(self._hashes)
-        return self._owners[index]
-
-
 @dataclass(frozen=True)
 class ShardInfo:
     """One worker's view of the fleet, injected into its :class:`BoundsApp`.
 
-    ``worker_urls[i]`` is worker ``i``'s *direct* base URL — where shard
-    redirects point and where per-worker ``/metrics`` are scraped.
-    ``restarts`` is this worker's incarnation number: 0 for the original
-    process, incremented by the parent's supervisor for each respawn, so
-    a worker's own telemetry reveals it is a replacement.
+    ``worker_urls[i]`` is worker ``i``'s *direct* base URL, where its
+    ``/metrics`` are scraped.  ``restarts`` is this worker's incarnation
+    number: 0 for the original process, incremented by the parent's
+    supervisor for each respawn, so a worker's own telemetry reveals it is
+    a replacement.
     """
 
     worker_id: int
     worker_urls: Tuple[str, ...]
-    ring: ShardRing
     restarts: int = 0
 
     @property
     def num_workers(self) -> int:
         return len(self.worker_urls)
-
-    def owner(self, key: str) -> int:
-        return self.ring.owner(key)
 
     def url_for(self, worker_id: int) -> str:
         return self.worker_urls[worker_id]
@@ -609,10 +565,10 @@ class FleetConfig:
 
     Carried across ``fork()`` into :func:`_fleet_worker_main`; each worker
     builds its *own* :class:`BoundService` (shared-nothing memory tiers)
-    over the common on-disk store root.
+    over the common on-disk store root, which a fleet cannot do without.
     """
 
-    store_root: Optional[str] = None
+    store_root: str
     num_eigenvalues: int = 100
     eig_options: Optional[object] = None  # EigenSolverOptions (picklable)
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
@@ -622,13 +578,10 @@ class FleetConfig:
     trace_path: Optional[str] = None
 
     def build_service(self) -> BoundService:
-        store = None
-        if self.store_root is not None:
-            from repro.runtime.store import SpectrumStore
+        from repro.runtime.store import SpectrumStore
 
-            store = SpectrumStore(self.store_root, lease_ttl=self.lease_ttl)
         return BoundService(
-            store=store,
+            store=SpectrumStore(self.store_root, lease_ttl=self.lease_ttl),
             num_eigenvalues=self.num_eigenvalues,
             eig_options=self.eig_options,
         )
@@ -639,11 +592,14 @@ def _fleet_worker_main(
     shared_sock: socketlib.socket,
     direct_socks: Sequence[socketlib.socket],
     worker_urls: Tuple[str, ...],
-    ring: ShardRing,
     config: FleetConfig,
-    incarnation: int = 0,
+    incarnation: int,
+    ready,
 ) -> None:
-    """One worker process: accept on the shared + own direct socket, drain on SIGTERM."""
+    """One worker process: accept on the shared + own direct socket, drain on SIGTERM.
+
+    ``ready`` (a ``multiprocessing`` event) is set once the worker serves.
+    """
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
     # ^C goes to the whole foreground process group; the parent coordinates
@@ -676,9 +632,10 @@ def _fleet_worker_main(
 
         obs.configure(f"{config.trace_path}.worker-{worker_id}.jsonl")
 
-    sharding = ShardInfo(worker_id, tuple(worker_urls), ring, restarts=incarnation)
+    sharding = ShardInfo(worker_id, tuple(worker_urls), restarts=incarnation)
     server = BoundServer._fleet_worker(config, sharding, shared_sock, direct_sock)
     server.start()
+    ready.set()
     try:
         stop.wait()
     finally:
@@ -691,16 +648,16 @@ class ServerFleet:
 
     The parent creates every listening socket *before* forking — the
     shared public one (``host:port``) all workers accept on, plus one
-    ephemeral direct socket per worker — so the shard map is fixed and a
-    respawned worker reclaims its predecessor's exact ports.  A monitor
-    thread restarts dead workers (counted in :attr:`restarts`);
-    :meth:`close` SIGTERMs the fleet and reaps it.
+    ephemeral direct socket per worker — so a respawned worker reclaims
+    its predecessor's exact ports.  :meth:`start` returns once every
+    worker serves; a monitor thread restarts dead workers (counted in
+    :attr:`restarts`); :meth:`close` SIGTERMs the fleet and reaps it.
 
     Workers are shared-nothing above the disk: each owns its service,
     caches and admission control.  What makes the fleet *coherent* is the
     on-disk store (every solve published once, readable by all) and its
-    solve leases (concurrent cold misses collapse to one eigensolve
-    fleet-wide).
+    solve leases (concurrent cold misses collapse to one eigensolve or
+    max-flow pass fleet-wide).
     """
 
     def __init__(
@@ -709,7 +666,6 @@ class ServerFleet:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        replicas: int = 64,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -730,7 +686,6 @@ class ServerFleet:
         self.worker_urls: Tuple[str, ...] = tuple(
             f"http://{host}:{sock.getsockname()[1]}" for sock in self._direct_socks
         )
-        self.ring = ShardRing(self.num_workers, replicas=replicas)
         self._procs: List[Optional[multiprocessing.process.BaseProcess]] = [
             None
         ] * self.num_workers
@@ -750,15 +705,22 @@ class ServerFleet:
     def start(self) -> "ServerFleet":
         if self._monitor is not None:
             raise RuntimeError("fleet already started")
-        for worker_id in range(self.num_workers):
-            self._spawn(worker_id)
+        ready = [self._spawn(worker_id) for worker_id in range(self.num_workers)]
+        # Return once every worker serves.  Connections made earlier queue
+        # on the shared socket for whichever worker starts first, and
+        # keep-alive would pin them all to it while its siblings idle.
+        for proc, event in zip(self._procs, ready):
+            while not event.wait(0.05) and proc.is_alive():
+                pass
         self._monitor = threading.Thread(
             target=self._supervise, name="repro-fleet-monitor", daemon=True
         )
         self._monitor.start()
         return self
 
-    def _spawn(self, worker_id: int) -> None:
+    def _spawn(self, worker_id: int):
+        """Fork one worker; returns the event it sets once it serves."""
+        ready = self._ctx.Event()
         proc = self._ctx.Process(
             target=_fleet_worker_main,
             args=(
@@ -766,15 +728,16 @@ class ServerFleet:
                 self._shared_sock,
                 tuple(self._direct_socks),
                 self.worker_urls,
-                self.ring,
                 self.config,
                 self._restarts[worker_id],
+                ready,
             ),
             name=f"repro-worker-{worker_id}",
             daemon=True,
         )
         proc.start()
         self._procs[worker_id] = proc
+        return ready
 
     def _supervise(self) -> None:
         """Respawn dead workers until the fleet is closing.

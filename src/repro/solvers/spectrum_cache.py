@@ -32,14 +32,14 @@ Properties:
   performed".
 * **Cross-process solve coalescing** — when the store's solve leases are
   enabled (``lease_ttl > 0``, the default), a cold miss first tries to
-  become the *lease leader* for that spectrum; losers block on the lease
-  and then read the published spectrum from the store, so concurrent cold
-  misses across worker processes (and across different ``M``/truncations,
-  which share one spectrum) pay exactly one eigensolve.  A follower whose
-  wait times out — or whose leader died — falls back to solving itself:
-  wasteful, never wrong.  Episodes are counted in ``lease_leaders`` /
-  ``lease_followers`` and the ``repro_lease_total{role=...}`` metric, with
-  follower wait time in the ``repro_lease_wait_seconds`` histogram.
+  become the *lease leader* for that spectrum
+  (:meth:`~repro.runtime.store.SpectrumStore.claim`); losers block on the
+  lease and then read the published spectrum from the store, so concurrent
+  cold misses across worker processes (and across different
+  ``M``/truncations, which share one spectrum) pay exactly one eigensolve.
+  A follower whose wait times out — or whose leader died — falls back to
+  solving itself: wasteful, never wrong.  Episodes are counted in
+  ``lease_leaders`` / ``lease_followers``.
 
 The module-level :func:`default_spectrum_cache` is shared by all
 :class:`~repro.core.engine.BoundEngine` instances that are not given an
@@ -86,20 +86,6 @@ _SPECTRUM_LOOKUPS = obs.global_registry().counter(
     "Spectrum fetches by serving tier (memory/store hit vs fresh solve).",
     labelnames=("tier",),
 )
-_LEASE_TOTAL = obs.global_registry().counter(
-    "repro_lease_total",
-    "Cross-process solve-lease episodes: leaders solved, followers waited.",
-    labelnames=("role",),
-)
-_LEASE_WAIT_SECONDS = obs.global_registry().histogram(
-    "repro_lease_wait_seconds",
-    "Time followers spent blocked on another process's solve lease.",
-)
-
-#: How many acquire→wait→re-read rounds a cold miss plays before giving up
-#: on coalescing and solving redundantly.  Each round only recurs when a
-#: leader died or raced away, so 4 bounds pathological churn, not latency.
-_LEASE_MAX_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -301,9 +287,22 @@ class SpectrumCache:
         # spectrum the leader published.
         lease = None
         if self._store is not None:
-            stored = self._fetch_stored(base_key[0], h, normalized, use_sparse, options)
+            fingerprint = base_key[0]
+            stored = self._fetch_stored(fingerprint, h, normalized, use_sparse, options)
             if stored is None:
-                stored, lease = self._claim_solve(base_key[0], h, normalized, use_sparse, options)
+                # The lease key excludes ``h``, so every truncation of one
+                # spectrum coalesces onto one solve.
+                claim = self._store.claim(
+                    fingerprint,
+                    lambda: self._fetch_stored(fingerprint, h, normalized, use_sparse, options),
+                    normalized=bool(normalized),
+                    sparse=bool(use_sparse),
+                    eig_options=options,
+                )
+                stored, lease = claim.found, claim.lease
+                with self._lock:
+                    self._lease_leaders += lease is not None
+                    self._lease_followers += claim.followed
             if stored is not None:
                 stored_key = base_key + (stored.num_eigenvalues,)
                 with self._lock:
@@ -404,7 +403,7 @@ class SpectrumCache:
             return values, elapsed, result.backend
 
     # ------------------------------------------------------------------
-    # store tier + cross-process lease plumbing
+    # store tier
     # ------------------------------------------------------------------
     def _fetch_stored(self, fingerprint, h, normalized, use_sparse, options):
         """One store lookup; a broken store reads as a miss."""
@@ -418,71 +417,6 @@ class SpectrumCache:
             )
         except OSError:
             return None
-
-    def _claim_solve(self, fingerprint, h, normalized, use_sparse, options):
-        """Contend for the cross-process solve lease on one cold spectrum.
-
-        Returns ``(stored, lease)`` with at most one side set: ``stored``
-        when another process's leader published the spectrum while we
-        waited (serve it as a store hit), ``lease`` when *we* are the
-        leader and must solve — and release.  ``(None, None)`` means
-        leasing is disabled/broken or the wait timed out; the caller just
-        solves (wasteful, never wrong).  The lease key deliberately
-        excludes ``h``, so every truncation of one spectrum coalesces.
-        """
-        store = self._store
-        if store is None or store.lease_ttl <= 0:
-            return None, None
-        waited = 0.0
-        followed = False
-        try:
-            for _ in range(_LEASE_MAX_ROUNDS):
-                try:
-                    lease = store.acquire_lease(
-                        fingerprint,
-                        normalized=bool(normalized),
-                        sparse=bool(use_sparse),
-                        eig_options=options,
-                    )
-                except (OSError, ValueError):
-                    return None, None
-                if lease is not None:
-                    # Re-check the store now that we hold the lease: the
-                    # previous leader may have published and released in
-                    # the window since our fetch missed.  Without this a
-                    # late acquirer would re-solve a published spectrum.
-                    stored = self._fetch_stored(fingerprint, h, normalized, use_sparse, options)
-                    if stored is not None:
-                        lease.release()
-                        return stored, None
-                    with self._lock:
-                        self._lease_leaders += 1
-                    _LEASE_TOTAL.inc(role="leader")
-                    return None, lease
-                followed = True
-                start = time.perf_counter()
-                outcome = store.wait_for_lease(
-                    fingerprint,
-                    normalized=bool(normalized),
-                    sparse=bool(use_sparse),
-                    eig_options=options,
-                )
-                waited += time.perf_counter() - start
-                # Whatever ended the wait, the published spectrum wins; a
-                # "stale" verdict without one loops back to take the lease
-                # over, "timeout" falls through to a redundant solve.
-                stored = self._fetch_stored(fingerprint, h, normalized, use_sparse, options)
-                if stored is not None:
-                    return stored, None
-                if outcome == "timeout":
-                    return None, None
-        finally:
-            if followed:
-                with self._lock:
-                    self._lease_followers += 1
-                _LEASE_TOTAL.inc(role="follower")
-                _LEASE_WAIT_SECONDS.observe(waited)
-        return None, None
 
     # An alias, not a second path: ``spectral-coarse`` answers from the
     # exact spectrum, and perfbench's stage timers wrap this name.

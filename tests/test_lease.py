@@ -2,12 +2,14 @@
 
 The lease is what turns a fleet of shared-nothing worker processes into a
 coherent serving tier: concurrent cold misses on one spectrum — across
-threads, processes, or both — must pay exactly one eigensolve, and a
-leader that dies mid-solve must hand its lease over instead of wedging
-its followers.  Three layers are covered: the on-disk lease mechanics
+threads, processes, or both — must pay exactly one eigensolve, concurrent
+cold max-flow passes over one graph exactly one pass, and a leader that
+dies mid-solve must hand its lease over instead of wedging its followers.
+Three layers are covered: the on-disk lease mechanics
 (acquire/heartbeat/release, staleness via ttl and dead pids), recovery
 (a SIGKILLed leader process), and the end-to-end guarantee through
-:class:`SpectrumCache` in two genuinely separate processes.
+:class:`SpectrumCache` and :class:`MinCutEngine` in two genuinely separate
+processes.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines.convex_mincut import MinCutEngine
 from repro.graphs.generators import fft_graph
+from repro.obs.metrics import global_registry, parse_metric
 from repro.runtime.store import (
     _HOSTNAME,
     DEFAULT_LEASE_TTL_SECONDS,
     LEASE_TTL_ENV_VAR,
+    CutStore,
     SpectrumStore,
     _base_id,
     default_lease_ttl,
@@ -327,3 +332,87 @@ class TestCrossProcessCoalescing:
         assert spectrum.eigenvalues.shape == (8,)
         assert cache.misses == 1
         assert cache.lease_leaders == 0 and cache.lease_followers == 0
+
+
+def _cold_max_cut_worker(root, barrier, results):
+    """Child process: one cold max-flow pass through its own engine."""
+    engine = MinCutEngine(fft_graph(5), store=CutStore(root, lease_ttl=30.0))
+    barrier.wait(timeout=60.0)
+    best_cut, _ = engine.max_cut()
+    results.put({"pid": os.getpid(), "best_cut": best_cut, "flow_calls": engine.flow_calls})
+
+
+def _cut_leases(role: str) -> float:
+    try:
+        return parse_metric(
+            global_registry().render(), "repro_lease_total", store="cuts", role=role
+        )
+    except KeyError:
+        return 0.0
+
+
+class TestCutLease:
+    def test_two_processes_cold_max_cut_pay_one_pass(self, tmp_path):
+        reference = MinCutEngine(fft_graph(5))
+        best_cut, _ = reference.max_cut()
+        assert reference.flow_calls > 0
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        results_queue = ctx.Queue()
+        root = tmp_path / "store"
+        workers = [
+            ctx.Process(target=_cold_max_cut_worker, args=(root, barrier, results_queue))
+            for _ in range(2)
+        ]
+        for proc in workers:
+            proc.start()
+        try:
+            results = [results_queue.get(timeout=120.0) for _ in workers]
+        finally:
+            for proc in workers:
+                proc.join(timeout=30.0)
+                if proc.is_alive():
+                    proc.kill()
+        assert all(proc.exitcode == 0 for proc in workers)
+        assert len({result["pid"] for result in results}) == 2
+        assert [result["best_cut"] for result in results] == [best_cut, best_cut]
+        # One pass between them: the follower read the leader's table.
+        assert sum(result["flow_calls"] for result in results) == reference.flow_calls
+        assert CutStore(root).stats()["flows_recorded"] == reference.flow_calls
+        assert SpectrumStore(root).leases() == []
+
+    def test_disjoint_candidate_chunks_lead_at_once(self, tmp_path):
+        graph = fft_graph(5)
+        fingerprint = graph.fingerprint()
+        chunks = [np.arange(0, graph.num_vertices, 2), np.arange(1, graph.num_vertices, 2)]
+        store = CutStore(tmp_path / "store", lease_ttl=30.0)
+        leases = [store.acquire_lease(fingerprint, candidates=chunk) for chunk in chunks]
+        assert all(lease is not None for lease in leases)  # neither waits
+        assert store.acquire_lease(fingerprint, candidates=chunks[0]) is None
+        for lease in leases:
+            lease.release()
+
+        # Two engines racing one chunk each both lead, and the chunks'
+        # maxima combine to the whole graph's.
+        engines = [
+            MinCutEngine(graph, store=CutStore(tmp_path / "store", lease_ttl=30.0))
+            for _ in chunks
+        ]
+        leaders, followers = _cut_leases("leader"), _cut_leases("follower")
+        barrier = threading.Barrier(len(chunks))
+        maxima = [None] * len(chunks)
+
+        def evaluate(index):
+            barrier.wait(timeout=30.0)
+            maxima[index] = engines[index].max_cut(chunks[index])[0]
+
+        threads = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(chunks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert all(maximum is not None for maximum in maxima)
+        assert _cut_leases("leader") - leaders == 2
+        assert _cut_leases("follower") - followers == 0
+        assert max(maxima) == MinCutEngine(graph).max_cut()[0]
+        assert all(engine.flow_calls > 0 for engine in engines)

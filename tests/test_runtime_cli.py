@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -480,3 +482,35 @@ class TestBoundServiceConvex:
         # The cumulative counter keeps the evicted engines' work.
         total_vertices_bound = sum((l + 1) * 2 ** l for l in (2, 3, 4))
         assert 0 < stats["flow_calls"] <= total_vertices_bound
+
+    def test_concurrent_convex_submits_count_each_flow_once(self):
+        # Eight cold queries on one graph share one engine: the first pays
+        # the max-flow pass, the rest wait on the engine and pay nothing.
+        # A waiter must not count the pass it waited out as its own.
+        spec = GraphSpec(family="fft", size_param=6)
+        queries = [BoundQuery(spec, M, method="convex-min-cut") for M in range(2, 18, 2)]
+        sequential = BoundService()
+        expected = sequential.submit(queries)
+        assert sequential.counters()["flow_calls"] == 368
+
+        service = BoundService()
+        barrier = threading.Barrier(len(queries))
+        answers = [None] * len(queries)
+
+        def submit(index):
+            barrier.wait(timeout=30.0)
+            [answers[index]] = service.submit([queries[index]])
+
+        threads = [threading.Thread(target=submit, args=(i,)) for i in range(len(queries))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [a.bound for a in answers] == [a.bound for a in expected]
+        assert service.counters()["flow_calls"] == 368

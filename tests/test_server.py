@@ -21,6 +21,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.cli import build_parser, build_server_from_args
 from repro.runtime.families import GraphSpec
 from repro.runtime.service import BoundAnswer, BoundQuery, BoundService
+from repro.runtime.store import CutStore
 from repro.server.client import BoundsClient, ServerError, parse_metric
 from repro.server.protocol import (
     MAX_QUERIES_PER_REQUEST,
@@ -39,7 +40,6 @@ from repro.server.runner import (
     QueryCoalescer,
     ServerFleet,
     ServerOverloadedError,
-    ShardRing,
 )
 
 NUM_EIGENVALUES = 20
@@ -836,8 +836,8 @@ class TestDrain:
         leftover = [t for t in threading.enumerate() if t not in before]
         assert leftover == []  # every handler and serving thread was joined
 
-    def test_fleet_close_with_a_held_connection_exits_every_worker_cleanly(self):
-        config = FleetConfig(store_root=None, num_eigenvalues=NUM_EIGENVALUES)
+    def test_fleet_close_with_a_held_connection_exits_every_worker_cleanly(self, tmp_path):
+        config = FleetConfig(store_root=str(tmp_path / "store"), num_eigenvalues=NUM_EIGENVALUES)
         with ServerFleet(config, workers=2) as fleet:
             fleet.start()
             TestServerFleet._wait_healthy((fleet.url,) + fleet.worker_urls)
@@ -913,6 +913,19 @@ class TestServeCLI:
         monkeypatch.setenv("REPRO_SERVE_WORKERS", "junk")
         assert _serve_workers(args) == 1
 
+    def test_fleet_without_a_store_is_a_usage_error(self, capsys, monkeypatch):
+        from repro.runtime.cli import main
+
+        # The store is all a fleet's workers share.
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", "--workers", "2", "--no-store"])
+        assert info.value.code == 2
+        assert "needs a store" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "2")
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", "--no-store"])
+        assert info.value.code == 2
+
     def test_serve_args_build_the_fleet_config(self, tmp_path):
         from repro.runtime.cli import build_fleet_from_args
 
@@ -964,49 +977,16 @@ class TestParseMetric:
             parse_metric(self.EXPOSITION, "repro_lease_total", role="bystander")
 
 
-class TestShardRing:
-    def test_owner_is_deterministic_and_in_range(self):
-        ring = ShardRing(3)
-        again = ShardRing(3)
-        for key in ("spec:fft:3", "spec:hypercube:4", "a" * 64):
-            assert 0 <= ring.owner(key) < 3
-            assert ring.owner(key) == again.owner(key)
-
-    def test_every_worker_owns_a_fair_share(self):
-        ring = ShardRing(3)
-        counts = [0, 0, 0]
-        for index in range(1000):
-            counts[ring.owner(f"key-{index}")] += 1
-        # Near-uniform, not exact: each worker well clear of starvation.
-        assert min(counts) > 150
-
-    def test_resize_remaps_a_minority_of_keys(self):
-        keys = [f"key-{index}" for index in range(1000)]
-        before = ShardRing(3)
-        after = ShardRing(4)
-        moved = sum(1 for key in keys if before.owner(key) != after.owner(key))
-        # Consistent hashing moves ~1/4 of keys for 3 -> 4 workers; plain
-        # modulo hashing would move ~3/4.
-        assert moved < 500
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardRing(0)
-        with pytest.raises(ValueError):
-            ShardRing(2, replicas=0)
-
-
 class TestClientKeepAlive:
     def test_connection_is_reused_across_requests(self, live_server):
         client = BoundsClient(live_server.url)
         assert client.health()["status"] == "ok"
-        [first] = list(client._pool().values())
+        first = client._local.conn
         assert client.stats()["version"] == PROTOCOL_VERSION
-        [second] = list(client._pool().values())
-        assert second is first  # same pooled HTTPConnection, no re-handshake
+        assert client._local.conn is first  # same HTTPConnection, no re-handshake
         client.close()
-        assert client._pool() == {}
-        # A closed client transparently re-pools on the next request.
+        assert getattr(client._local, "conn", None) is None
+        # A closed client transparently reconnects on the next request.
         assert client.health()["status"] == "ok"
 
     def test_stale_pooled_connection_is_retried_once(self, live_server):
@@ -1016,8 +996,7 @@ class TestClientKeepAlive:
         # pooled socket is dead but the pool still hands it out.
         import socket
 
-        [conn] = list(client._pool().values())
-        conn.sock.shutdown(socket.SHUT_RDWR)
+        client._local.conn.sock.shutdown(socket.SHUT_RDWR)
         assert client.health()["status"] == "ok"  # retried on a fresh conn
 
     def test_sequential_keep_alive_requests_do_not_stall(self, live_server):
@@ -1035,7 +1014,7 @@ class TestClientKeepAlive:
 
 
 def _raw_post(base_url: str, payload: dict):
-    """One non-redirect-following POST; returns (status, headers, body)."""
+    """One POST on a fresh connection; returns (status, headers, body)."""
     import http.client
     from urllib.parse import urlsplit
 
@@ -1063,7 +1042,7 @@ class TestServerFleet:
 
         wait_until(lambda: all(healthy(url) for url in urls), timeout=timeout)
 
-    def test_fleet_serves_shards_and_redirects(self, tmp_path):
+    def test_every_worker_answers_what_it_accepts(self, tmp_path):
         config = FleetConfig(
             store_root=str(tmp_path / "store"),
             num_eigenvalues=NUM_EIGENVALUES,
@@ -1073,45 +1052,96 @@ class TestServerFleet:
             fleet.start()
             self._wait_healthy((fleet.url,) + fleet.worker_urls)
             client = BoundsClient(fleet.url)
-            # The shared port serves the full mixed workload bit-exactly
-            # (redirects followed transparently by the client).
-            assert_same_bounds(
-                client.bounds(MIXED_QUERIES), direct_answers(MIXED_QUERIES)
-            )
+            # The shared port serves the full mixed workload bit-exactly.
+            expected = direct_answers(MIXED_QUERIES)
+            assert_same_bounds(client.bounds(MIXED_QUERIES), expected)
             assert client.fleet_worker_urls() == list(fleet.worker_urls)
 
-            # Shard affinity: a single-graph batch through the shared port
-            # is always answered by its ring owner — either directly (the
-            # owner won the accept) or via a 307 to the owner's direct port.
-            owner = fleet.ring.owner("spec:fft:3")
-            payload = encode_bounds_request(
-                [BoundQuery(GraphSpec(family="fft", size_param=3), 2)]
-            )
-            for _ in range(8):
-                status, headers, _body = _raw_post(fleet.url, payload)
-                if status == 200:
-                    assert headers["X-Repro-Worker"] == str(owner)
-                else:
-                    assert status == 307
-                    assert headers["Location"].startswith(
-                        fleet.worker_urls[owner]
-                    )
-
-            # Direct ports never redirect — that is what makes a redirect
-            # loop impossible — even for a graph the worker does not own.
-            non_owner = 1 - owner
-            status, headers, _body = _raw_post(
-                fleet.worker_urls[non_owner], payload
-            )
-            assert status == 200
-            assert headers["X-Repro-Worker"] == str(non_owner)
+            # Every POST, on a fresh connection each so either worker may
+            # accept it, is answered by the worker that accepted it: 200,
+            # never a redirect.
+            payload = encode_bounds_request(MIXED_QUERIES)
+            for url in (fleet.url,) * 8 + fleet.worker_urls:
+                status, headers, body = _raw_post(url, payload)
+                assert status == 200
+                assert headers["X-Repro-Worker"] in ("0", "1")
+                assert "Location" not in headers
+                assert_same_bounds(decode_answers(json.loads(body)), expected)
             assert fleet.restarts == [0, 0]
 
-    def test_killed_worker_is_respawned_on_its_ports(self):
+    def test_cold_convex_herd_pays_one_max_flow_pass(self, tmp_path):
+        # Eight clients, one cold graph, eight memory sizes (so neither the
+        # coalescer nor batch dedup can help), all through the shared port
+        # of two workers: the store's cut lease makes the fleet pay one
+        # max-flow pass, the same 368 flows one BoundService pays.
+        spec = GraphSpec(family="fft", size_param=6)
+        herd = [BoundQuery(spec, M, method="convex-min-cut") for M in range(2, 18, 2)]
+        reference = BoundService()
+        expected = reference.submit(herd)
+        assert reference.counters()["flow_calls"] == 368
+        root = tmp_path / "store"
+        config = FleetConfig(
+            store_root=str(root), num_eigenvalues=NUM_EIGENVALUES, lease_ttl=10.0
+        )
+        with ServerFleet(config, workers=2) as fleet:
+            fleet.start()
+            self._wait_healthy((fleet.url,) + fleet.worker_urls)
+            clients = [BoundsClient(fleet.url, timeout=120.0) for _ in herd]
+            barrier = threading.Barrier(len(herd))
+            answers = [None] * len(herd)
+
+            def ask(index):
+                barrier.wait(timeout=30.0)
+                [answers[index]] = clients[index].bounds([herd[index]])
+
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(herd))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert_same_bounds(answers, expected)
+            merged = BoundsClient(fleet.url).metrics_text()
+        assert CutStore(root).stats()["flows_recorded"] == 368
+        assert parse_metric(merged, "repro_flow_calls_total") == 368
+
+    def test_sibling_scrape_ignores_http_proxy(self, tmp_path, monkeypatch):
+        # A proxy that accepts nothing: a scrape sent through it would
+        # report the healthy sibling unreachable.
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        config = FleetConfig(store_root=str(tmp_path / "store"), num_eigenvalues=NUM_EIGENVALUES)
+        with ServerFleet(config, workers=2) as fleet:
+            fleet.start()
+            self._wait_healthy((fleet.url,) + fleet.worker_urls)
+            client = BoundsClient(fleet.url)
+            assert client.fleet_stats()["unreachable"] == []
+            assert parse_metric(client.metrics_text(), "repro_worker_up") == 2
+
+    def test_start_returns_once_every_worker_serves(self, tmp_path, monkeypatch):
+        # A client connecting before every worker serves would queue on the
+        # shared socket for the first worker up and stay pinned there.
+        build = FleetConfig.build_service
+
+        def slow_build(config):
+            time.sleep(0.5)
+            return build(config)
+
+        monkeypatch.setattr(FleetConfig, "build_service", slow_build)
+        config = FleetConfig(store_root=str(tmp_path / "store"), num_eigenvalues=NUM_EIGENVALUES)
+        with ServerFleet(config, workers=2) as fleet:
+            start = time.monotonic()
+            fleet.start()
+            assert time.monotonic() - start >= 0.5
+            for url in fleet.worker_urls:
+                assert BoundsClient(url, timeout=5.0).health()["status"] == "ok"
+
+    def test_killed_worker_is_respawned_on_its_ports(self, tmp_path):
         import os
         import signal
 
-        config = FleetConfig(store_root=None, num_eigenvalues=NUM_EIGENVALUES)
+        config = FleetConfig(store_root=str(tmp_path / "store"), num_eigenvalues=NUM_EIGENVALUES)
         with ServerFleet(config, workers=2) as fleet:
             fleet.start()
             self._wait_healthy((fleet.url,) + fleet.worker_urls)
@@ -1125,9 +1155,9 @@ class TestServerFleet:
             assert health["status"] == "ok"
             assert fleet.restarts == [1, 0]
 
-    def test_worker_count_is_validated(self):
+    def test_worker_count_is_validated(self, tmp_path):
         with pytest.raises(ValueError):
-            ServerFleet(FleetConfig(), workers=0)
+            ServerFleet(FleetConfig(store_root=str(tmp_path)), workers=0)
 
 
 class TestFleetObservability:
@@ -1149,7 +1179,7 @@ class TestFleetObservability:
 
             # The shared port serves the union of every worker's samples,
             # worker labels intact — one scrape sees the whole fleet.
-            merged = client.fleet_metrics()
+            merged = client.metrics_text()
             assert 'worker="0"' in merged
             assert 'worker="1"' in merged
             assert parse_metric(merged, "repro_worker_up") == 2
@@ -1193,8 +1223,8 @@ class TestFleetObservability:
             client.fleet_stats()
         assert info.value.status == 404
         assert info.value.code == "not-a-fleet"
-        # ...but fleet_metrics degrades to the local exposition.
-        assert "repro_http_requests_total" in client.fleet_metrics()
+        # ...while its /metrics is the local exposition.
+        assert "repro_http_requests_total" in client.metrics_text()
 
     def test_stats_reports_latency_quantiles(self, live_server):
         client = BoundsClient(live_server.url)

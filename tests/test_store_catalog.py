@@ -30,7 +30,7 @@ from repro.core.engine import BoundEngine
 from repro.graphs.generators import fft_graph
 from repro.runtime.families import GraphSpec
 from repro.runtime.service import BoundQuery, BoundService
-from repro.runtime.store import CutStore, SpectrumStore, _base_id, _entry_id
+from repro.runtime.store import Claim, CutStore, SpectrumStore, _base_id, _entry_id
 from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
@@ -171,14 +171,15 @@ class TestWriteFaults:
 class _Recorder:
     """Stands in for both stores and records what gets published."""
 
-    lease_ttl = 0.0
-
     def __init__(self):
         self.spectra = []
         self.cuts = []
 
     def get(self, *args, **kwargs):
         return None
+
+    def claim(self, *args, **kwargs):
+        return Claim()  # leasing off: every cold miss solves
 
     def put(self, fingerprint, eigenvalues, solve_seconds, **kwargs):
         self.spectra.append((fingerprint, np.asarray(eigenvalues), solve_seconds, kwargs))
