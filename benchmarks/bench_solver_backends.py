@@ -1,19 +1,9 @@
-"""Spectral-backend layer benchmark: LOBPCG, warm starts, AMG, scheduling.
+"""Spectral-backend layer benchmark: AMG and scheduling.
 
-Three claims of the pluggable solver layer (PR 3 + PR 6), measured on the
-Figure 7 FFT family and persisted to ``BENCH_solvers.json``:
+Two claims of the pluggable solver layer, measured on the Figure 7 FFT
+family and persisted to ``BENCH_solvers.json`` (``bench_solvers.py`` times
+every backend cold):
 
-* **warm-started LOBPCG vs cold solves** — sweeping the family through one
-  :class:`~repro.solvers.backends.WarmStartContext` leaves the context
-  holding the largest level's Ritz block (bounded memory: one block per
-  lineage, far smaller than the spectrum caches).  When that level's
-  *spectrum* is gone — evicted from the size-capped store or the in-memory
-  LRU, or requested by a process whose caches are cold while the context is
-  shared — re-solving seeded from the context converges in ~10 shift-invert
-  LOBPCG iterations instead of ~20, and the recorded numbers show it beating
-  the cold dense *and* cold sparse (ARPACK) backends on the largest CI-scale
-  FFT level.  (Cross-level prolongation is deliberately not attempted: see
-  :func:`repro.solvers.backends.adapt_subspace` for the measurements.)
 * **largest-first per-normalization scheduling** — the same family sweep
   over a 2-worker pool, once with the legacy one-task-per-graph unit and
   once with per-(graph, normalization) tasks scheduled largest-first.  Rows
@@ -27,15 +17,15 @@ Figure 7 FFT family and persisted to ``BENCH_solvers.json``:
   the ``h = 16`` smallest eigenvalues of the 114,688-vertex FFT level-13
   Laplacian (matrix-free, through the spectrum cache) on one core in tens
   of seconds, where the ``sparse`` (ARPACK shift-invert) and plain
-  ``lobpcg`` backends take ~2 minutes each — the checked-in record shows
-  the >=5x speedup (8.65x measured) at the largest shared size.  A second request for the same
+  ``lobpcg`` backends take ~2 minutes each — a paper-scale run measured
+  the >=5x speedup (8.65x) at the largest shared size.  A second request for the same
   spectrum must perform **zero** eigensolves (the warm-path contract the
   other cache benches assert for the small backends).  The 100k+ vertex
   smoke runs in CI too; baselines run at FFT level 9 there (they are the
   slow side of the comparison) and at level 13 under ``REPRO_BENCH_LARGE=1``,
   optionally restricted via ``REPRO_BENCH_AMG_BASELINES=sparse,lobpcg``.
 
-Defaults are CI scale (chain ``l = 6..9``, pool sweep ``l = 5..8``); set
+Defaults are CI scale (pool sweep ``l = 5..8``); set
 ``REPRO_BENCH_LARGE=1`` for paper-scale levels.  Wall-clock assertions are
 disabled with ``REPRO_BENCH_TIMING_ASSERT=0`` (shared CI runners); the
 agreement/row-identity/simulation assertions always run.
@@ -63,18 +53,14 @@ from benchmarks.common import (
 from repro.graphs.generators import fft_graph
 from repro.graphs.laplacian import laplacian
 from repro.runtime.orchestrator import SweepOrchestrator
-from repro.solvers.backend import EigenSolverOptions
-from repro.solvers.backends import WarmStartContext, solve_smallest
+from repro.solvers.backends import EigenSolverOptions, solve_smallest
 from repro.solvers.spectrum_cache import SpectrumCache
 
-CHAIN_LEVELS = pick([6, 7, 8, 9], [8, 9, 10, 11])
 SWEEP_LEVELS = pick(list(range(5, 9)), list(range(8, 12)))
 MEMORY_SIZES = [4, 8, 16, 32]
 METHODS = ("spectral", "spectral-unnormalized")
 NUM_EIGENVALUES = 100
 POOL_PROCESSES = 2
-#: Dense is O(n^3); beyond this it stops being a sensible cold baseline.
-DENSE_CAP = 6000
 
 TIMING_ASSERT = os.environ.get("REPRO_BENCH_TIMING_ASSERT", "1") != "0"
 
@@ -95,121 +81,10 @@ AMG_BASELINES = tuple(
 )
 
 
-def _timed_solve(matrix, options, context=None, lineage=None, num_eigenvalues=None):
+def _timed_solve(matrix, options, num_eigenvalues):
     start = time.perf_counter()
-    result = solve_smallest(
-        matrix,
-        NUM_EIGENVALUES if num_eigenvalues is None else num_eigenvalues,
-        options,
-        warm_start=context,
-        lineage=lineage,
-    )
+    result = solve_smallest(matrix, num_eigenvalues, options)
     return result, time.perf_counter() - start
-
-
-def test_warm_started_lobpcg_vs_cold_backends(benchmark):
-    laplacians = {
-        level: laplacian(fft_graph(level), normalized=True, sparse=True)
-        for level in CHAIN_LEVELS
-    }
-    largest = CHAIN_LEVELS[-1]
-    n = laplacians[largest].shape[0]
-    lobpcg = EigenSolverOptions(method="lobpcg")
-
-    # Family sweep through one warm-start context: each level solves cold
-    # (sizes differ, so nothing seeds) and deposits its Ritz block; after
-    # the loop the context holds the largest level's block.
-    context = WarmStartContext()
-    chain_rows = []
-    for level in CHAIN_LEVELS:
-        result, seconds = _timed_solve(
-            laplacians[level], lobpcg, context=context, lineage="fft"
-        )
-        chain_rows.append(
-            {
-                "level": level,
-                "n": laplacians[level].shape[0],
-                "seconds": round(seconds, 4),
-                "warm_started": result.warm_started,
-            }
-        )
-
-    # The headline scenario: the largest level's *spectrum* is gone (LRU /
-    # size-capped eviction, or another consumer of the shared context) but
-    # the warm context survives — re-solve seeded vs every cold backend.
-    warm_result, warm_seconds = run_once(
-        benchmark,
-        lambda: _timed_solve(laplacians[largest], lobpcg, context=context, lineage="fft"),
-    )
-    assert warm_result.warm_started
-
-    cold = {}
-    cold_results = {}
-    cold_results["lobpcg"], cold["lobpcg"] = _timed_solve(laplacians[largest], lobpcg)
-    cold_results["sparse"], cold["sparse"] = _timed_solve(
-        laplacians[largest], EigenSolverOptions(method="sparse")
-    )
-    if n <= DENSE_CAP:
-        dense_matrix = np.asarray(laplacians[largest].todense())
-        cold_results["dense"], cold["dense"] = _timed_solve(
-            dense_matrix, EigenSolverOptions(method="dense")
-        )
-    _, float32_seconds = _timed_solve(
-        laplacians[largest], EigenSolverOptions(method="lobpcg", dtype="float32")
-    )
-
-    # All backends must agree on the spectrum they produce.
-    for name, result in cold_results.items():
-        np.testing.assert_allclose(
-            result.eigenvalues, warm_result.eigenvalues, atol=1e-6,
-            err_msg=f"{name} disagrees with warm lobpcg",
-        )
-
-    solver_rows = [
-        {"solver": "lobpcg (warm-started)", "seconds": round(warm_seconds, 4)},
-        {"solver": "lobpcg (cold)", "seconds": round(cold["lobpcg"], 4)},
-        {"solver": "lobpcg float32 (cold)", "seconds": round(float32_seconds, 4)},
-        {"solver": "sparse/ARPACK (cold)", "seconds": round(cold["sparse"], 4)},
-    ]
-    if "dense" in cold:
-        solver_rows.append({"solver": "dense (cold)", "seconds": round(cold["dense"], 4)})
-    print_dict_rows(
-        f"Warm-started LOBPCG vs cold backends (fft level {largest}, n={n}, "
-        f"h={NUM_EIGENVALUES})",
-        solver_rows,
-    )
-    print_dict_rows("Warm-start context population (ascending levels)", chain_rows)
-
-    _merge_perf_record(
-        {
-            "benchmark": "solver_backends_fft",
-            "levels": CHAIN_LEVELS,
-            "largest_level": largest,
-            "largest_n": n,
-            "num_eigenvalues": NUM_EIGENVALUES,
-            "warm_lobpcg_seconds": round(warm_seconds, 4),
-            "cold_lobpcg_seconds": round(cold["lobpcg"], 4),
-            "cold_sparse_seconds": round(cold["sparse"], 4),
-            "cold_dense_seconds": round(cold.get("dense", float("nan")), 4),
-            "cold_lobpcg_float32_seconds": round(float32_seconds, 4),
-            "warm_vs_cold_sparse_speedup": round(cold["sparse"] / warm_seconds, 2),
-            "warm_vs_cold_dense_speedup": (
-                round(cold["dense"] / warm_seconds, 2) if "dense" in cold else None
-            ),
-            "chain": chain_rows,
-        }
-    )
-
-    if TIMING_ASSERT:
-        assert warm_seconds < cold["sparse"], (
-            f"warm lobpcg ({warm_seconds:.3f}s) should beat cold sparse "
-            f"({cold['sparse']:.3f}s)"
-        )
-        if "dense" in cold:
-            assert warm_seconds < cold["dense"], (
-                f"warm lobpcg ({warm_seconds:.3f}s) should beat cold dense "
-                f"({cold['dense']:.3f}s)"
-            )
 
 
 def _row_values(rows):
@@ -376,9 +251,7 @@ def test_amg_paper_scale_vs_iterative(benchmark):
         baseline_graph = fft_graph(AMG_BASELINE_LEVEL)
         baseline_n = baseline_graph.num_vertices
         baseline_matrix = laplacian(baseline_graph, normalized=True, sparse=True)
-        result, amg_at_baseline_seconds = _timed_solve(
-            baseline_matrix, amg, num_eigenvalues=AMG_H
-        )
+        result, amg_at_baseline_seconds = _timed_solve(baseline_matrix, amg, AMG_H)
         amg_at_baseline_values = result.eigenvalues
 
     rows = [
@@ -400,9 +273,7 @@ def test_amg_paper_scale_vs_iterative(benchmark):
             baseline_matrix = laplacian(
                 fft_graph(AMG_BASELINE_LEVEL), normalized=True, sparse=True
             )
-        result, seconds = _timed_solve(
-            baseline_matrix, EigenSolverOptions(method=name), num_eigenvalues=AMG_H
-        )
+        result, seconds = _timed_solve(baseline_matrix, EigenSolverOptions(method=name), AMG_H)
         np.testing.assert_allclose(
             result.eigenvalues, amg_at_baseline_values, atol=1e-5,
             err_msg=f"{name} disagrees with amg at level {AMG_BASELINE_LEVEL}",
@@ -486,7 +357,7 @@ def _timed_cache_spectrum(cache, graph, options):
 
 
 def _merge_perf_record(update: dict) -> None:
-    """Merge this test's numbers into ``BENCH_solvers.json`` (two tests
+    """Merge this test's numbers into ``BENCH_solvers.json`` (both tests
     of this file contribute to it)."""
     path = merge_perf_record("BENCH_solvers.json", update)
     bench_print(f"[perf record updated: {path}]")

@@ -22,8 +22,7 @@ from benchmarks.common import print_dict_rows, pick, run_once
 from repro.core.bounds import spectral_bound_from_eigenvalues
 from repro.graphs.generators import fft_graph
 from repro.graphs.laplacian import laplacian
-from repro.solvers.backend import EigenSolverOptions
-from repro.solvers.backends import solve_smallest
+from repro.solvers.backends import EigenSolverOptions, solve_smallest
 
 LEVELS = pick(7, 9)
 NUM_EIGENVALUES = 30

@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.baselines.convex_mincut import MinCutEngine
 from repro.core.engine import BoundEngine, SolveRecord
 from repro.graphs.compgraph import ComputationGraph
-from repro.solvers.backend import EigenSolverOptions
+from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
 __all__ = [
@@ -160,8 +160,8 @@ def evaluate_graph_rows(
     This is the per-graph kernel of :func:`sweep`: the serial path calls it
     in a loop with a shared cache, and the orchestrator's pool workers call
     it once per task with a store-backed private cache.  ``eig_options``
-    selects the spectral backend/precision, and ``lineage`` tags solves for
-    warm starting (defaults to the family name).  ``cut_store`` is the
+    selects the spectral backend/precision, and ``lineage`` is the family
+    name the stores record (defaults to ``family``).  ``cut_store`` is the
     convex min-cut baseline's persistent
     :class:`~repro.runtime.store.CutStore`; ``convex_chunk``
     restricts the baseline to the ``(index, total)``-th strided slice of its
@@ -248,8 +248,6 @@ def sweep(
     max_vertices: Optional[Dict[str, int]] = None,
     processes: int = 1,
     store=None,
-    solver: Optional[str] = None,
-    dtype: Optional[str] = None,
     eig_options: Optional[EigenSolverOptions] = None,
 ) -> List[SweepRow]:
     """Evaluate ``methods`` over a graph family.
@@ -285,15 +283,10 @@ def sweep(
     store:
         Optional persistent :class:`~repro.runtime.store.SpectrumStore` (or
         its root path) shared by all engines/workers of the sweep.
-    solver, dtype:
-        Shorthand for ``eig_options``: backend id (``auto``/``dense``/
-        ``sparse``/``lobpcg``/``amg``) and precision
-        (``float64``/``float32``).  ``auto`` honours the
-        ``REPRO_SOLVER_BACKEND`` environment variable.  Mutually exclusive
-        with ``eig_options``.
     eig_options:
-        Full :class:`~repro.solvers.backend.EigenSolverOptions` forwarded to
-        every engine/worker of the sweep.
+        :class:`~repro.solvers.backends.EigenSolverOptions` (backend id and
+        precision) forwarded to every engine/worker of the sweep.  ``auto``
+        honours the ``REPRO_SOLVER_BACKEND`` environment variable.
 
     Returns
     -------
@@ -304,12 +297,6 @@ def sweep(
     # kernel, so a top-level import would be circular.
     from repro.runtime.orchestrator import SweepOrchestrator
 
-    if eig_options is not None and (solver is not None or dtype is not None):
-        raise ValueError("pass either eig_options or solver/dtype, not both")
-    if eig_options is None and (solver is not None or dtype is not None):
-        eig_options = EigenSolverOptions(
-            method=solver or "auto", dtype=dtype or "float64"
-        )
     orchestrator = SweepOrchestrator(
         store=store,
         processes=processes,

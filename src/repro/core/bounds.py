@@ -46,7 +46,7 @@ from repro.core.formula import (
 )
 from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
-from repro.solvers.backend import EigenSolverOptions
+from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
 __all__ = [
@@ -64,7 +64,6 @@ def _engine(
     graph: ComputationGraph,
     num_eigenvalues: int,
     eig_options: Optional[EigenSolverOptions],
-    sparse: Optional[bool],
     cache: Optional[SpectrumCache],
 ) -> BoundEngine:
     """Engine used by the one-shot wrappers.
@@ -77,7 +76,6 @@ def _engine(
         graph,
         num_eigenvalues=num_eigenvalues,
         eig_options=eig_options,
-        sparse=sparse,
         cache=cache if cache is not None else SpectrumCache(max_entries=2),
     )
 
@@ -121,7 +119,6 @@ def bound_spectrum(
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     normalized: bool = True,
     eig_options: Optional[EigenSolverOptions] = None,
-    sparse: Optional[bool] = None,
     cache: Optional[SpectrumCache] = None,
 ) -> np.ndarray:
     """The smallest Laplacian eigenvalues a spectral bound needs.
@@ -133,7 +130,7 @@ def bound_spectrum(
     what :func:`spectral_bounds_for_memory_sizes` and
     :class:`~repro.core.engine.BoundEngine` do).
     """
-    return _engine(graph, num_eigenvalues, eig_options, sparse, cache).spectrum(
+    return _engine(graph, num_eigenvalues, eig_options, cache).spectrum(
         normalized=normalized
     )
 
@@ -145,7 +142,6 @@ def spectral_bounds_for_memory_sizes(
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     normalized: bool = True,
     eig_options: Optional[EigenSolverOptions] = None,
-    sparse: Optional[bool] = None,
     cache: Optional[SpectrumCache] = None,
 ) -> Dict[int, SpectralBoundResult]:
     """Spectral bounds for several memory sizes with one eigensolve.
@@ -157,7 +153,7 @@ def spectral_bounds_for_memory_sizes(
     separately in ``eig_elapsed_seconds``, so summing ``elapsed_seconds``
     over the sweep attributes the eigensolve exactly once.
     """
-    engine = _engine(graph, num_eigenvalues, eig_options, sparse, cache)
+    engine = _engine(graph, num_eigenvalues, eig_options, cache)
     results: Dict[int, SpectralBoundResult] = {}
     for M in memory_sizes:
         if normalized:
@@ -174,7 +170,6 @@ def spectral_bound(
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     normalized: bool = True,
     eig_options: Optional[EigenSolverOptions] = None,
-    sparse: Optional[bool] = None,
     cache: Optional[SpectrumCache] = None,
 ) -> SpectralBoundResult:
     """Spectral I/O lower bound for a computation graph (Theorem 4).
@@ -197,10 +192,7 @@ def spectral_bound(
         ``True`` uses the out-degree-normalised Laplacian ``L~`` (Theorem 4);
         ``False`` uses ``L / max_out_degree`` (Theorem 5).
     eig_options:
-        Optional eigensolver configuration (backend, tolerance, seed).
-    sparse:
-        Force sparse (True) or dense (False) Laplacian assembly; ``None``
-        decides by graph size.
+        Optional eigensolver configuration (backend and precision).
     cache:
         Optional shared :class:`SpectrumCache`; by default each call solves
         independently.
@@ -211,7 +203,7 @@ def spectral_bound(
         The bound (clamped at zero), the best ``k``, the eigenvalues used and
         the full ``k``-sweep for diagnostics.
     """
-    engine = _engine(graph, num_eigenvalues, eig_options, sparse, cache)
+    engine = _engine(graph, num_eigenvalues, eig_options, cache)
     if normalized:
         return engine.spectral(M, k=k)
     return engine.unnormalized(M, k=k)
@@ -223,7 +215,6 @@ def spectral_bound_unnormalized(
     k: KSpec = None,
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     eig_options: Optional[EigenSolverOptions] = None,
-    sparse: Optional[bool] = None,
     cache: Optional[SpectrumCache] = None,
 ) -> SpectralBoundResult:
     """Theorem 5 variant: ordinary Laplacian ``L`` scaled by ``1/max d_out``.
@@ -239,7 +230,6 @@ def spectral_bound_unnormalized(
         num_eigenvalues=num_eigenvalues,
         normalized=False,
         eig_options=eig_options,
-        sparse=sparse,
         cache=cache,
     )
 
@@ -252,7 +242,6 @@ def parallel_spectral_bound(
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     normalized: bool = True,
     eig_options: Optional[EigenSolverOptions] = None,
-    sparse: Optional[bool] = None,
     cache: Optional[SpectrumCache] = None,
 ) -> ParallelBoundResult:
     """Parallel spectral bound (Theorem 6).
@@ -262,5 +251,5 @@ def parallel_spectral_bound(
     (communication with slow memory or with other processors).  The
     sequential bound is recovered with ``p = 1``.
     """
-    engine = _engine(graph, num_eigenvalues, eig_options, sparse, cache)
+    engine = _engine(graph, num_eigenvalues, eig_options, cache)
     return engine.parallel(M, num_processors, k=k, normalized=normalized)

@@ -38,7 +38,7 @@ from repro.core.formula import (
 )
 from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
-from repro.solvers.backend import EigenSolverOptions
+from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import (
     CachedSpectrum,
     SpectrumCache,
@@ -103,8 +103,6 @@ class BoundEngine:
         Default truncation ``h`` for the ``k`` sweep (§6.1 of the paper).
     eig_options:
         Eigensolver configuration forwarded to the backend.
-    sparse:
-        Force sparse/dense Laplacian assembly (``None`` decides by size).
     cache:
         The :class:`SpectrumCache` to use.  ``None`` uses the process-wide
         default cache, so engines on the same graph share eigensolves even
@@ -116,10 +114,9 @@ class BoundEngine:
         across processes and runs.  Mutually exclusive with ``cache`` — a
         cache carries its own store.
     lineage:
-        Optional family-lineage tag (e.g. ``"fft"``) forwarded to the
-        spectrum cache: warm-start-capable backends seed their solves from
-        the previous solve of the same lineage in the shared
-        :class:`~repro.solvers.backends.WarmStartContext`.
+        Optional family name (e.g. ``"fft"``) the spectrum cache records
+        with fresh solves in its store (``cache clear --family`` filters on
+        it).
 
     Examples
     --------
@@ -136,7 +133,6 @@ class BoundEngine:
         graph: ComputationGraph,
         num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
         eig_options: Optional[EigenSolverOptions] = None,
-        sparse: Optional[bool] = None,
         cache: Optional[SpectrumCache] = None,
         store=None,
         lineage: Optional[str] = None,
@@ -145,7 +141,6 @@ class BoundEngine:
         self._graph = graph
         self._num_eigenvalues = int(num_eigenvalues)
         self._eig_options = eig_options
-        self._sparse = sparse
         self._lineage = lineage
         # Observability log: misses (real eigensolves, at most a handful per
         # engine — one per distinct (normalization, h)) are kept in full so
@@ -216,7 +211,6 @@ class BoundEngine:
             h,
             normalized=normalized,
             eig_options=self._eig_options,
-            sparse=self._sparse,
             lineage=self._lineage,
         )
         if not fetched.cache_hit:

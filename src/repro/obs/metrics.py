@@ -40,7 +40,7 @@ metric                                 kind       recorded by
                                                   ``tier`` (memory/store/solve)
 ``repro_backend_solves_total``         counter    :func:`~repro.solvers.
                                                   backends.solve_smallest`, by
-                                                  ``backend``/``warm``
+                                                  ``backend``
 ``repro_amg_cycles_total``             counter    one per AMG V-cycle applied
 ``repro_maxflow_seconds``              histogram  per max-flow call, by
                                                   ``backend``

@@ -5,7 +5,10 @@ One database, ``<root>/catalog.sqlite``, indexes the blobs of the
 :class:`~repro.runtime.store.CutStore` sharing that root, in four tables:
 
 * ``spectra`` and ``cuts`` — one row per ``.npz`` blob (under ``blobs/``
-  and ``cuts/``): its metadata, byte size and LRU stamp;
+  and ``cuts/``): its metadata, byte size and LRU stamp.  Every row of one
+  spectrum shares a ``base`` id, :func:`spectrum_base` of (graph
+  fingerprint, normalisation, resolved backend id, dtype), and differs in
+  its truncation ``h``;
 * ``leases`` — cross-process solve leases, one row per cold spectrum or
   max-flow pass being solved;
 * ``counters`` — ``solves_recorded`` and ``flows_recorded``, the
@@ -23,12 +26,16 @@ corrupt) reads as empty and is replaced by the first write.  The JSON
 indexes of older builds (``index.json``, ``cuts-index.json``) are imported
 once, on first open; so is a catalog of the builds that also stored
 interlacing-interval spectra, whose ``variant`` columns and non-exact rows
-are dropped.
+are dropped, and one of the builds that keyed spectra on an assembly flag
+and every solver option, whose rows are re-keyed on :func:`spectrum_base`
+(dropping those whose backend no longer exists) and whose ``sparse``
+column is dropped.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import shutil
@@ -39,6 +46,8 @@ import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
+
+from repro.solvers.backends import available_backends
 
 CATALOG_NAME = "catalog.sqlite"
 
@@ -56,8 +65,7 @@ _LEGACY_LOCKS = (".lock", ".cuts.lock", ".leases.lock")
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS spectra (
     id TEXT PRIMARY KEY, base TEXT NOT NULL, h INTEGER NOT NULL,
-    fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL,
-    sparse INTEGER NOT NULL, dtype TEXT NOT NULL,
+    fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL, dtype TEXT NOT NULL,
     backend TEXT NOT NULL, lineage TEXT, solve_seconds REAL NOT NULL,
     bytes INTEGER NOT NULL, created_at REAL NOT NULL, last_used REAL NOT NULL);
 CREATE INDEX IF NOT EXISTS spectra_by_base ON spectra (base, h);
@@ -90,9 +98,17 @@ class Table:
                 self.blob(key).unlink()
 
 
-def _has_variant(conn: sqlite3.Connection) -> bool:
-    """Whether the catalog still has the ``variant`` column of older builds."""
-    return any(row[1] == "variant" for row in conn.execute("PRAGMA table_info(spectra)"))
+def spectrum_base(fingerprint: str, normalized: bool, backend: str, dtype: str) -> str:
+    """The id of one spectrum: its rows' ``base``, their blob names' prefix
+    and its solve lease.  ``backend`` is a resolved backend id, never
+    ``auto``."""
+    payload = json.dumps([fingerprint, bool(normalized), backend, dtype])
+    return hashlib.sha256(payload.encode()).hexdigest()[:40]
+
+
+def _has_column(conn: sqlite3.Connection, column: str) -> bool:
+    """Whether ``spectra`` still has a column of older builds."""
+    return any(row[1] == column for row in conn.execute("PRAGMA table_info(spectra)"))
 
 
 def bump(conn: sqlite3.Connection, counter: str, amount: int) -> None:
@@ -303,8 +319,10 @@ class Catalog:
                     time.sleep(0.01)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.row_factory = sqlite3.Row
-            if _has_variant(conn):
+            if _has_column(conn, "variant"):
                 self._drop_variants(conn)
+            if _has_column(conn, "sparse"):
+                self._rekey_spectra(conn)
             if legacy:
                 self._import_legacy(conn, legacy)
         except BaseException:
@@ -318,7 +336,7 @@ class Catalog:
         re-checked inside the transaction, so a process that opened the
         catalog at the same time finds it migrated."""
         with _transaction(conn):
-            if not _has_variant(conn):
+            if not _has_column(conn, "variant"):
                 return
             doomed = [key for (key,) in conn.execute(
                 "SELECT id FROM spectra WHERE variant != 'exact'"
@@ -326,6 +344,35 @@ class Catalog:
             for table in ("spectra", "leases"):
                 conn.execute(f"DELETE FROM {table} WHERE variant != 'exact'")
                 conn.execute(f"ALTER TABLE {table} DROP COLUMN variant")
+        Table("spectra", self.root / "blobs", "solves_recorded").unlink(doomed)
+
+    def _rekey_spectra(self, conn: sqlite3.Connection) -> None:
+        """Re-key the spectra of builds that hashed an assembly flag and
+        every solver option into ``base``, once (the column is re-checked
+        inside the transaction, as in :meth:`_drop_variants`).
+
+        Each row's ``base`` is re-derived from its own fingerprint,
+        normalisation, backend and dtype; blob names stay.  Rows whose
+        backend is not a backend id (``unknown``, or one since deleted) go
+        with their blobs.  Spectrum leases go: their keys are of the old
+        format.
+        """
+        backends = available_backends()
+        with _transaction(conn):
+            if not _has_column(conn, "sparse"):
+                return
+            doomed = []
+            for row in conn.execute("SELECT * FROM spectra").fetchall():
+                if row["backend"] not in backends:
+                    doomed.append(row["id"])
+                    conn.execute("DELETE FROM spectra WHERE id = ?", (row["id"],))
+                    continue
+                base = spectrum_base(
+                    row["fingerprint"], row["normalized"], row["backend"], row["dtype"]
+                )
+                conn.execute("UPDATE spectra SET base = ? WHERE id = ?", (base, row["id"]))
+            conn.execute("DELETE FROM leases WHERE base NOT LIKE 'cuts-%'")
+            conn.execute("ALTER TABLE spectra DROP COLUMN sparse")
         Table("spectra", self.root / "blobs", "solves_recorded").unlink(doomed)
 
     def _import_legacy(self, conn: sqlite3.Connection, names: List[str]) -> None:
@@ -352,20 +399,21 @@ class Catalog:
         for key, meta in entries.items():
             blob = self.root / ("cuts" if cuts else "blobs") / f"{key}.npz"
             try:
-                if meta.get("variant", "exact") != "exact":  # an interval spectrum
-                    retired.append(key)
-                    continue
                 created = float(meta.get("created_at", 0.0))
                 backend = str(meta.get("backend", "unknown"))
                 lineage = meta.get("lineage")
                 if cuts:
                     row = (key, key, int(meta.get("num_cuts", 0)), backend, lineage)
+                elif (meta.get("variant", "exact") != "exact"  # an interval spectrum
+                      or backend not in available_backends()):
+                    retired.append(key)
+                    continue
                 else:
-                    dtype = (meta.get("options") or {}).get("dtype", "float64")
-                    row = (key, str(meta["base"]), int(meta["h"]),
-                           str(meta["fingerprint"]), int(bool(meta["normalized"])),
-                           int(bool(meta["sparse"])), str(dtype), backend, lineage,
-                           float(meta["solve_seconds"]))
+                    fingerprint, normalized = str(meta["fingerprint"]), bool(meta["normalized"])
+                    dtype = str((meta.get("options") or {}).get("dtype", "float64"))
+                    row = (key, spectrum_base(fingerprint, normalized, backend, dtype),
+                           int(meta["h"]), fingerprint, int(normalized), dtype, backend,
+                           lineage, float(meta["solve_seconds"]))
                 row += (blob.stat().st_size if blob.exists() else 0, created,
                         float(meta.get("last_used", created)))
             except (AttributeError, KeyError, TypeError, ValueError):

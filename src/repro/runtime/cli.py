@@ -40,11 +40,13 @@ task and fold the workers' span shards back into the same file.  Setting
 
 ``solve``, ``sweep`` and ``serve`` take ``--solver`` (``auto``/``dense``/
 ``sparse``/``lobpcg``/``amg``) and ``--dtype`` (``float64``/``float32``) to
-pick the spectral backend; every cache tier keys on both, so variants
-coexist.  ``auto`` routes by size (dense, then ARPACK shift-invert, then the
-AMG-preconditioned LOBPCG backend), and ``$REPRO_SOLVER_BACKEND`` forces a
-backend id for every ``auto`` solve without touching scripts — it applies
-to ``solve``, ``sweep`` and ``serve`` alike.  The convex min-cut baseline
+pick the spectral backend; every cache tier keys on the backend that runs
+(``auto`` resolved first) and the dtype, so ``auto`` shares spectra with an
+explicit request for the backend it picks.  ``auto`` routes by size (dense,
+then ARPACK shift-invert, then the AMG-preconditioned LOBPCG backend), and
+``$REPRO_SOLVER_BACKEND`` forces a backend id for every ``auto`` solve
+without touching scripts — it applies to ``solve``, ``sweep`` and ``serve``
+alike.  The convex min-cut baseline
 (``sweep --methods convex-min-cut`` / ``solve --method convex-min-cut``)
 solves its max-flow problems with SciPy; cut values are exact and live in
 one fingerprint-keyed cut table, so a warm re-run performs zero max-flow
@@ -74,8 +76,7 @@ from repro.runtime.families import FAMILY_BUILDERS, GraphSpec
 from repro.runtime.orchestrator import SweepOrchestrator
 from repro.runtime.service import BoundQuery, BoundService
 from repro.runtime.store import CutStore, SpectrumStore, default_store_root
-from repro.solvers.backend import EigenSolverOptions
-from repro.solvers.backends import available_backends
+from repro.solvers.backends import EigenSolverOptions, available_backends
 
 __all__ = ["main", "build_parser"]
 

@@ -34,10 +34,9 @@ workers pin BLAS threading to one thread each (see
 instead of ``p * blas_threads``.
 
 With ``processes=1`` the orchestrator degenerates to the serial loop the
-analysis harness always ran: tasks execute in submission order (which also
-lets warm-start-capable backends seed consecutive family levels from each
-other), one shared in-memory cache across the whole sweep (plus the optional
-store tier), zero pickling.
+analysis harness always ran: tasks execute in submission order, one shared
+in-memory cache across the whole sweep (plus the optional store tier), zero
+pickling.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.core.engine import SolveRecord
 from repro.graphs.compgraph import ComputationGraph
 from repro.runtime.families import GraphSpec, estimate_num_vertices, family_builder
 from repro.runtime.store import CutStore, SpectrumStore
-from repro.solvers.backend import EigenSolverOptions
+from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
 __all__ = [
@@ -406,15 +405,15 @@ class SweepOrchestrator:
     largest_first:
         Schedule pooled tasks by descending size estimate (the default) so
         the dominant eigensolve starts first.  Serial execution always runs
-        in submission order (warm starts chain through ascending levels).
+        in submission order.
     convex_chunks:
         Number of candidate-vertex chunks each graph's convex min-cut task
         splits into (``None`` = one chunk per worker process when pooled,
         no chunking serially).  Chunks are scheduled like any other solve
         task, so per-vertex flow calls interleave with eigensolves.
-    pin_blas:
-        Pin BLAS threading to 1 in pool workers (the default) so ``p``
-        workers use ``p`` cores instead of ``p * blas_threads``.
+
+    Pool workers pin BLAS threading to one thread each
+    (:func:`pin_worker_blas_threads`).
     """
 
     def __init__(
@@ -429,7 +428,6 @@ class SweepOrchestrator:
         split_methods: bool = True,
         largest_first: bool = True,
         convex_chunks: Optional[int] = None,
-        pin_blas: bool = True,
     ) -> None:
         if isinstance(store, (str, Path)):
             store = SpectrumStore(store)
@@ -450,7 +448,6 @@ class SweepOrchestrator:
         self._split_methods = bool(split_methods)
         self._largest_first = bool(largest_first)
         self._convex_chunks = convex_chunks
-        self._pin_blas = bool(pin_blas)
 
     @property
     def store(self) -> Optional[SpectrumStore]:
@@ -660,7 +657,6 @@ class SweepOrchestrator:
             ranks[index] = rank
         workers = min(self._processes, len(solve_tasks))
         outcomes: List[Optional[_TaskOutcome]] = [None] * len(solve_tasks)
-        initializer = pin_worker_blas_threads if self._pin_blas else None
         # Ship the sweep span's context so workers re-root under it; after
         # the pool drains (even on task failure), fold the per-pid span
         # shards into the main trace file so one sweep reads as one tree.
@@ -669,7 +665,7 @@ class SweepOrchestrator:
         trace = (context, tracer.path) if tracer is not None and context else None
         try:
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer
+                max_workers=workers, initializer=pin_worker_blas_threads
             ) as pool:
                 futures = {
                     index: pool.submit(
@@ -696,8 +692,7 @@ class SweepOrchestrator:
 
         This preserves the serial harness's strongest guarantee: one
         eigensolve per (graph, normalisation) for the *entire* sweep, even
-        when size parameters repeat.  Tasks run in submission order, so
-        warm-start-capable backends chain consecutive family levels.
+        when size parameters repeat.  Tasks run in submission order.
         """
         cache = SpectrumCache(
             max_entries=max(8, 2 * len(solve_tasks)), store=self._store

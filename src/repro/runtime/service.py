@@ -32,7 +32,7 @@ from repro.core.engine import BoundEngine
 from repro.graphs.compgraph import ComputationGraph
 from repro.runtime.families import GraphSpec
 from repro.runtime.store import CutStore, SpectrumStore
-from repro.solvers.backend import EigenSolverOptions
+from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
 __all__ = [

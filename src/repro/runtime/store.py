@@ -5,10 +5,10 @@ eigensolve happen at most once *per process*; :class:`SpectrumStore` extends
 that guarantee across processes and runs, and :class:`CutStore` does the
 same for the convex min-cut baseline's cut values.  Both are views of one
 store directory: ``blobs/<entry id>.npz`` holds one spectrum (eigenvalues
-plus solve cost), named by a content key derived from what the in-memory
-cache keys on — the graph's structural fingerprint, the normalisation, the
-resolved sparse/dense assembly, the solver options and the truncation
-``h`` — ``cuts/<fingerprint>.npz`` holds one graph's cut table,
+plus solve cost), named by the key the in-memory cache uses — the graph's
+structural fingerprint, the normalisation, the resolved backend id and the
+dtype, hashed by :func:`~repro.runtime.catalog.spectrum_base` — and the
+truncation ``h``; ``cuts/<fingerprint>.npz`` holds one graph's cut table,
 and ``catalog.sqlite`` (:mod:`repro.runtime.catalog`) holds one row per
 blob, the solve leases and the ``solves_recorded`` / ``flows_recorded``
 counters that ``python -m repro cache stats`` reports.
@@ -33,10 +33,8 @@ nothing writes to it, together with its ``catalog.sqlite-wal`` file.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import hashlib
-import json
 import os
 import socket
 import sqlite3
@@ -51,8 +49,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, 
 import numpy as np
 
 from repro.obs.metrics import global_registry
-from repro.runtime.catalog import Catalog, Table, bump
-from repro.solvers.backend import EigenSolverOptions
+from repro.runtime.catalog import Catalog, Table, bump, spectrum_base
 
 _STORE_IO_SECONDS = global_registry().histogram(
     "repro_store_io_seconds",
@@ -174,24 +171,6 @@ class StoredSpectrum:
     eigenvalues: np.ndarray
     solve_seconds: float
     num_eigenvalues: int
-    backend: str = "unknown"
-    dtype: str = "float64"
-
-
-def _canonical_options(options: Optional[EigenSolverOptions]) -> Dict[str, object]:
-    return dataclasses.asdict(options or EigenSolverOptions())
-
-
-def _base_id(
-    fingerprint: str,
-    normalized: bool,
-    sparse: bool,
-    options: Optional[EigenSolverOptions],
-) -> str:
-    payload = [fingerprint, bool(normalized), bool(sparse), _canonical_options(options)]
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()[:40]
 
 
 def _entry_id(base_id: str, num_eigenvalues: int) -> str:
@@ -569,12 +548,12 @@ class SpectrumStore(_StoreView):
     @_timed_io("spectrum", "get")
     def get(
         self, fingerprint: str, num_eigenvalues: int, normalized: bool = True,
-        sparse: bool = False, eig_options: Optional[EigenSolverOptions] = None,
+        backend: str = "dense", dtype: str = "float64",
     ) -> Optional[StoredSpectrum]:
         """Load a stored spectrum covering ``num_eigenvalues``, or ``None``.
 
-        Any entry with the same (fingerprint, normalisation, assembly,
-        options) and a truncation ``h' >= num_eigenvalues`` qualifies
+        Any entry with the same (fingerprint, normalisation, resolved
+        backend, dtype) and a truncation ``h' >= num_eigenvalues`` qualifies
         (eigenvalues are ascending, so a longer vector contains the
         answer); the largest such entry is returned so in-memory tiers can
         cache the most reusable vector.  A blob that is gone or malformed is
@@ -585,9 +564,8 @@ class SpectrumStore(_StoreView):
         if h <= 0:
             return None
         rows = self._catalog.read(
-            "SELECT id, h, backend, dtype FROM spectra "
-            "WHERE base = ? AND h >= ? ORDER BY h DESC",
-            (_base_id(fingerprint, normalized, sparse, eig_options), h),
+            "SELECT id, h FROM spectra WHERE base = ? AND h >= ? ORDER BY h DESC",
+            (spectrum_base(fingerprint, normalized, backend, dtype), h),
         )
         for row in rows:  # longest first; the rest are fallbacks for bad blobs
             try:
@@ -606,17 +584,14 @@ class SpectrumStore(_StoreView):
                         "UPDATE spectra SET last_used = ? WHERE id = ?",
                         (time.time(), row["id"]),
                     )
-            return StoredSpectrum(
-                values, solve_seconds, row["h"], backend=row["backend"], dtype=row["dtype"]
-            )
+            return StoredSpectrum(values, solve_seconds, row["h"])
         self._record(misses=1)
         return None
 
     @_timed_io("spectrum", "put")
     def put(
         self, fingerprint: str, eigenvalues: np.ndarray, solve_seconds: float,
-        normalized: bool = True, sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None, backend: Optional[str] = None,
+        normalized: bool = True, backend: str = "dense", dtype: str = "float64",
         lineage: Optional[str] = None,
     ) -> str:
         """Publish one solved spectrum; returns the entry id.
@@ -624,13 +599,13 @@ class SpectrumStore(_StoreView):
         Records the solve in the persistent ``solves_recorded`` counter even
         when another process raced the same entry in first (both paid for an
         eigensolve; the counter tracks work done, not entries).  ``backend``
-        records the resolved backend id and ``lineage`` the family name of
-        the producing sweep (``cache clear --family`` filters on it); both
-        are metadata only and never part of the content key.
+        is the resolved backend id that computed it.  ``lineage`` records the
+        family name of the producing sweep (``cache clear --family`` filters
+        on it); it is metadata only, never part of the key.
         """
         values = np.ascontiguousarray(eigenvalues, dtype=np.float64)
         h = int(values.shape[0])
-        base = _base_id(fingerprint, normalized, sparse, eig_options)
+        base = spectrum_base(fingerprint, normalized, backend, dtype)
         entry_id = _entry_id(base, h)
         self._table.blob_dir.mkdir(parents=True, exist_ok=True)
         size = _atomic_write_npz(
@@ -640,11 +615,10 @@ class SpectrumStore(_StoreView):
         now = time.time()
         with self._catalog.write() as conn:
             conn.execute(
-                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
+                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(id) DO UPDATE SET last_used = excluded.last_used",
-                (entry_id, base, h, fingerprint, int(bool(normalized)),
-                 int(bool(sparse)), _canonical_options(eig_options)["dtype"],
-                 backend or "unknown", lineage, float(solve_seconds), size, now, now),
+                (entry_id, base, h, fingerprint, int(bool(normalized)), dtype, backend,
+                 lineage, float(solve_seconds), size, now, now),
             )
             bump(conn, self._COUNTER, 1)
             evicted = self._evict_over_budget(conn, entry_id)
@@ -682,14 +656,14 @@ class SpectrumStore(_StoreView):
         return values, solve_seconds
 
     def _lease_key(
-        self, fingerprint: str, normalized: bool = True, sparse: bool = False,
-        eig_options: Optional[EigenSolverOptions] = None,
+        self, fingerprint: str, normalized: bool = True, backend: str = "dense",
+        dtype: str = "float64",
     ) -> str:
         """A spectrum's lease shares its entries' base id: fingerprint,
-        normalisation, assembly and solver options, but *not* the truncation
+        normalisation, resolved backend and dtype, but *not* the truncation
         ``h``, so every query shape needing one cold spectrum contends for a
         single lease."""
-        return _base_id(fingerprint, normalized, sparse, eig_options)
+        return spectrum_base(fingerprint, normalized, backend, dtype)
 
     def leases(self) -> List[Dict[str, object]]:
         """Metadata of every lease of the catalog, spectra's and cuts'
@@ -746,7 +720,7 @@ class SpectrumStore(_StoreView):
         return {
             "entry": row["id"], "fingerprint": row["fingerprint"][:12],
             "lineage": row["lineage"] or "-",
-            "normalized": bool(row["normalized"]), "sparse": bool(row["sparse"]),
+            "normalized": bool(row["normalized"]),
             "backend": row["backend"], "dtype": row["dtype"],
             "num_eigenvalues": row["h"], "solve_seconds": row["solve_seconds"],
             "bytes": row["bytes"],

@@ -6,29 +6,25 @@ only efficiently computable by power iteration" and costs ``O(h n^2)`` with
 Lanczos-Arnoldi.  Its graphs repeat eigenvalues many times, which calls for
 the block form of that iteration (LOBPCG); this subpackage provides
 
-* :mod:`backends` — the :class:`SpectralBackend` protocol, the four backends
-  (``dense``, ``sparse``, ``lobpcg``, ``amg``) and :func:`solve_smallest`,
-  plus :class:`WarmStartContext` for seeding re-solves of a graph with its
-  previous Ritz vectors,
+* :mod:`backends` — :class:`EigenSolverOptions` (a method and a dtype), the
+  :class:`SpectralBackend` protocol, the four backends (``dense``,
+  ``sparse``, ``lobpcg``, ``amg``), :func:`resolve_method` (which maps
+  ``auto`` to one of them) and :func:`solve_smallest`,
 * :mod:`amg` — a pure-SciPy smoothed-aggregation multigrid V-cycle (the
   ``amg`` backend's preconditioner when ``pyamg`` is not installed),
-* :mod:`backend` — :class:`EigenSolverOptions` (method/dtype/tolerance, the
-  hashable object all cache tiers key on),
 * :mod:`dense` — exact dense spectra via LAPACK (``numpy.linalg.eigvalsh``),
-* :mod:`spectrum_cache` — an LRU cache of eigensolves keyed by the graph's
-  structural fingerprint, shared by all bound computations so repeated
-  bounds on the same graph solve once.
+* :mod:`spectrum_cache` — an LRU cache of eigensolves keyed by (graph
+  fingerprint, normalisation, resolved backend, dtype), shared by all bound
+  computations so repeated bounds on the same graph solve once.
 """
 
-from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import (
     SOLVER_BACKEND_ENV_VAR,
     BackendSolveResult,
+    EigenSolverOptions,
     SpectralBackend,
-    WarmStartContext,
     available_backends,
     create_backend,
-    default_warm_start_context,
     resolve_method,
     solve_smallest,
 )
@@ -45,11 +41,9 @@ __all__ = [
     "EigenSolverOptions",
     "BackendSolveResult",
     "SpectralBackend",
-    "WarmStartContext",
     "SOLVER_BACKEND_ENV_VAR",
     "available_backends",
     "create_backend",
-    "default_warm_start_context",
     "CachedSpectrum",
     "SpectrumCache",
     "default_spectrum_cache",

@@ -3,20 +3,25 @@
 Every spectral bound (Theorems 4, 5, 6) consumes the same quantity: the ``h``
 smallest eigenvalues of a graph's (normalised or ordinary) Laplacian.  The
 eigensolve dominates the cost of a bound by orders of magnitude, yet it
-depends only on the graph structure, the normalisation, and the solver
-configuration — not on the memory size ``M``, the number of processors ``p``,
-or the ``k`` sweep.  :class:`SpectrumCache` therefore memoises eigensolves
-under the key ``(fingerprint, normalized, h, sparse assembly, solver
-options)``, where ``fingerprint`` is the structural hash from
-:meth:`repro.graphs.compgraph.ComputationGraph.fingerprint`.
+depends only on the graph structure, the normalisation, and the backend and
+precision that compute it — not on the memory size ``M``, the number of
+processors ``p``, or the ``k`` sweep.  :class:`SpectrumCache` therefore
+memoises eigensolves under one key, ``(fingerprint, normalized, backend,
+dtype)``: ``fingerprint`` is the structural hash from
+:meth:`repro.graphs.compgraph.ComputationGraph.fingerprint` and ``backend``
+the id :func:`~repro.solvers.backends.resolve_method` resolves *before* the
+lookup (``$REPRO_SOLVER_BACKEND`` and the size rules included), so ``auto``
+and an explicit request for the backend it picks share one spectrum, and a
+spectrum one backend computed is never served in place of another's.  The
+persistent store and its solve leases derive their ids from the same key.
 
 Properties:
 
 * **LRU budget** — the cache holds at most ``max_entries`` spectra (each is a
   tiny float vector, but fingerprinted graphs can be numerous in a sweep).
-* **Prefix serving** — a request for ``h`` eigenvalues is served from any
-  cached entry with the same graph/normalisation/options and ``h' >= h`` by
-  slicing (eigenvalues are ascending), so shrinking the truncation never
+* **Prefix serving** — each key holds the longest spectrum seen for it; a
+  request for ``h`` eigenvalues is served from any entry with ``h' >= h``
+  by slicing (eigenvalues are ascending), so shrinking the truncation never
   re-solves.
 * **Counters** — ``hits`` / ``misses`` are exposed; every miss corresponds to
   exactly one eigensolve, which is what the engine tests assert.
@@ -63,8 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 from repro import obs
 from repro.graphs.compgraph import ComputationGraph
 from repro.graphs.laplacian import laplacian, laplacian_operator
-from repro.solvers.backend import EigenSolverOptions
-from repro.solvers.backends import WarmStartContext, solve_smallest
+from repro.solvers.backends import EigenSolverOptions, resolve_method, solve_smallest
 
 __all__ = [
     "CachedSpectrum",
@@ -72,9 +76,9 @@ __all__ = [
     "default_spectrum_cache",
 ]
 
-#: Graphs larger than this default to sparse Laplacian assembly (mirrors the
-#: heuristic the bound functions have always used).
-SPARSE_CUTOFF = 2000
+#: What identifies one spectrum in every tier: (graph fingerprint,
+#: normalized, resolved backend id, dtype).
+SpectrumKey = Tuple[str, bool, str, str]
 
 _EIG_SECONDS = obs.global_registry().histogram(
     "repro_eigensolve_seconds",
@@ -106,8 +110,7 @@ class CachedSpectrum:
     cache_hit:
         True when the spectrum was served from the cache.
     backend:
-        Resolved backend id that produced the underlying solve (``"unknown"``
-        for entries predating backend tracking, e.g. old store blobs).
+        Resolved backend id that produced the underlying solve.
     dtype:
         Arithmetic precision of the solve (``"float64"``/``"float32"``).
     """
@@ -115,8 +118,8 @@ class CachedSpectrum:
     eigenvalues: np.ndarray
     solve_seconds: float
     cache_hit: bool
-    backend: str = "unknown"
-    dtype: str = "float64"
+    backend: str
+    dtype: str
 
 
 class SpectrumCache:
@@ -131,24 +134,18 @@ class SpectrumCache:
         Optional :class:`~repro.runtime.store.SpectrumStore` used as a
         second, persistent tier: memory misses check the store before
         eigensolving, and fresh solves are published back to it.
-    warm_start:
-        Optional :class:`~repro.solvers.backends.WarmStartContext` shared
-        with other caches; by default every cache owns a private context, so
-        lineage-tagged solves through the same cache warm-start each other.
     """
 
     def __init__(
-        self,
-        max_entries: int = 128,
-        store: "Optional[SpectrumStore]" = None,
-        warm_start: Optional[WarmStartContext] = None,
+        self, max_entries: int = 128, store: "Optional[SpectrumStore]" = None
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self._max_entries = int(max_entries)
         self._store = store
-        self._warm_start = warm_start if warm_start is not None else WarmStartContext()
-        self._entries: "OrderedDict[Tuple, Tuple[np.ndarray, float, str]]" = OrderedDict()
+        # One entry per key: the longest spectrum seen (read-only, so its
+        # slices are too) and its solve seconds.
+        self._entries: "OrderedDict[SpectrumKey, Tuple[np.ndarray, float]]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -198,11 +195,6 @@ class SpectrumCache:
         """The persistent second tier, if configured."""
         return self._store
 
-    @property
-    def warm_start(self) -> WarmStartContext:
-        """The warm-start context threaded into lineage-tagged solves."""
-        return self._warm_start
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -225,19 +217,17 @@ class SpectrumCache:
         num_eigenvalues: int,
         normalized: bool = True,
         eig_options: Optional[EigenSolverOptions] = None,
-        sparse: Optional[bool] = None,
         lineage: Optional[str] = None,
     ) -> CachedSpectrum:
         """The ``num_eigenvalues`` smallest Laplacian eigenvalues of ``graph``.
 
-        Serves from the cache when possible (exact key, or a prefix of a
-        larger cached spectrum); otherwise assembles the Laplacian, solves,
-        stores and returns.  ``normalized=False`` returns the Theorem 5
-        quantity ``lambda(L) / max_out_degree``.  ``lineage`` tags the solve
-        with a family identity (e.g. ``"fft"``) so warm-start-capable
-        backends can seed from the previous solve of the same lineage; it is
-        *not* part of the cache key (identical graphs share spectra whatever
-        lineage asked first).
+        Serves from the cache when possible (the key's entry, if it is long
+        enough); otherwise assembles the Laplacian, solves with the resolved
+        backend, stores and returns.  ``normalized=False`` returns the
+        Theorem 5 quantity ``lambda(L) / max_out_degree``.  ``lineage``
+        labels a fresh solve in the store with its family name (e.g.
+        ``"fft"``, for ``cache ls`` and ``cache clear --family``); it is
+        *not* part of the key.
         """
         n = graph.num_vertices
         h = int(num_eigenvalues)
@@ -245,37 +235,19 @@ class SpectrumCache:
             raise ValueError(f"num_eigenvalues must be non-negative, got {h}")
         if h > n:
             raise ValueError(f"requested {h} eigenvalues from an n={n} graph")
-        if n == 0 or h == 0:
-            return CachedSpectrum(np.zeros(0), 0.0, True)
         options = eig_options or EigenSolverOptions()
-        dtype = options.dtype
-        # Resolve the sparse/dense assembly choice *before* keying: the two
-        # paths can use different solver backends (dense LAPACK vs ARPACK),
-        # so their spectra must never be served interchangeably.  Keying on
-        # the resolved flag also lets sparse=None share entries with an
-        # explicit request that resolves the same way.
-        use_sparse = sparse if sparse is not None else n > SPARSE_CUTOFF
-        base_key = (graph.fingerprint(), bool(normalized), bool(use_sparse), options)
-        key = base_key + (h,)
+        backend, dtype = resolve_method(options.method, n, h), options.dtype
+        if n == 0 or h == 0:
+            return CachedSpectrum(np.zeros(0), 0.0, True, backend, dtype)
+        key: SpectrumKey = (graph.fingerprint(), bool(normalized), backend, dtype)
 
         with self._lock:
             found = self._entries.get(key)
-            if found is not None:
+            if found is not None and found[0].shape[0] >= h:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 _SPECTRUM_LOOKUPS.inc(tier="memory")
-                return CachedSpectrum(found[0], found[1], True, found[2], dtype)
-            # Prefix serving: any cached spectrum of the same graph /
-            # normalisation / assembly / options with h' >= h contains the
-            # answer.
-            for other_key, (values, solve_seconds, backend) in self._entries.items():
-                if other_key[:4] == base_key and other_key[4] >= h:
-                    self._entries.move_to_end(other_key)
-                    self._hits += 1
-                    _SPECTRUM_LOOKUPS.inc(tier="memory")
-                    prefix = values[:h]
-                    prefix.flags.writeable = False
-                    return CachedSpectrum(prefix, solve_seconds, True, backend, dtype)
+                return CachedSpectrum(found[0][:h], found[1], True, backend, dtype)
 
         # Second tier: the persistent store may hold this spectrum (or a
         # longer one) from an earlier run or another process.  Checked
@@ -287,61 +259,42 @@ class SpectrumCache:
         # spectrum the leader published.
         lease = None
         if self._store is not None:
-            fingerprint = base_key[0]
-            stored = self._fetch_stored(fingerprint, h, normalized, use_sparse, options)
+            stored = self._fetch_stored(key, h)
             if stored is None:
                 # The lease key excludes ``h``, so every truncation of one
                 # spectrum coalesces onto one solve.
                 claim = self._store.claim(
-                    fingerprint,
-                    lambda: self._fetch_stored(fingerprint, h, normalized, use_sparse, options),
-                    normalized=bool(normalized),
-                    sparse=bool(use_sparse),
-                    eig_options=options,
+                    key[0], lambda: self._fetch_stored(key, h),
+                    normalized=key[1], backend=backend, dtype=dtype,
                 )
                 stored, lease = claim.found, claim.lease
                 with self._lock:
                     self._lease_leaders += lease is not None
                     self._lease_followers += claim.followed
             if stored is not None:
-                stored_key = base_key + (stored.num_eigenvalues,)
                 with self._lock:
-                    # Promote the full stored vector into the memory tier so
-                    # follow-up lookups (including smaller h) stay in memory.
-                    if stored_key not in self._entries:
-                        self._entries[stored_key] = (
-                            stored.eigenvalues,
-                            stored.solve_seconds,
-                            stored.backend,
-                        )
-                    self._entries.move_to_end(stored_key)
-                    while len(self._entries) > self._max_entries:
-                        self._entries.popitem(last=False)
+                    # Keep the full stored vector, so follow-up lookups
+                    # (including smaller h) stay in memory.
+                    self._remember(key, stored.eigenvalues, stored.solve_seconds)
                     self._hits += 1
                     self._store_hits += 1
                 _SPECTRUM_LOOKUPS.inc(tier="store")
-                prefix = stored.eigenvalues[:h]
-                prefix.flags.writeable = False
-                return CachedSpectrum(prefix, stored.solve_seconds, True, stored.backend, dtype)
+                return CachedSpectrum(
+                    stored.eigenvalues[:h], stored.solve_seconds, True, backend, dtype
+                )
 
         # Solve outside the lock: concurrent misses on the same key may solve
         # twice, which is wasteful but never wrong (results are identical for
         # deterministic backends).
         try:
-            values, solve_seconds, backend = self._solve(
-                graph, h, normalized, options, use_sparse, lineage
+            values, solve_seconds = self._solve(
+                graph, h, normalized, EigenSolverOptions(backend, dtype)
             )
             if self._store is not None:
                 try:
                     self._store.put(
-                        base_key[0],
-                        values,
-                        solve_seconds,
-                        normalized=bool(normalized),
-                        sparse=bool(use_sparse),
-                        eig_options=options,
-                        backend=backend,
-                        lineage=lineage,
+                        key[0], values, solve_seconds, normalized=key[1],
+                        backend=backend, dtype=dtype, lineage=lineage,
                     )
                 except OSError:
                     pass  # a full/read-only disk must not break the computation
@@ -351,13 +304,20 @@ class SpectrumCache:
             if lease is not None:
                 lease.release()
         with self._lock:
-            self._entries[key] = (values, solve_seconds, backend)
-            self._entries.move_to_end(key)
+            self._remember(key, values, solve_seconds)
             self._misses += 1
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
         _SPECTRUM_LOOKUPS.inc(tier="solve")
         return CachedSpectrum(values, solve_seconds, False, backend, dtype)
+
+    def _remember(self, key: SpectrumKey, values: np.ndarray, solve_seconds: float) -> None:
+        """Keep ``values`` under ``key`` unless a longer spectrum is there
+        already; evict beyond the budget.  Caller holds the lock."""
+        found = self._entries.get(key)
+        if found is None or found[0].shape[0] < values.shape[0]:
+            self._entries[key] = (values, solve_seconds)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self._max_entries:
+            self._entries.popitem(last=False)
 
     def _solve(
         self,
@@ -365,9 +325,8 @@ class SpectrumCache:
         h: int,
         normalized: bool,
         options: EigenSolverOptions,
-        use_sparse: bool,
-        lineage: Optional[str],
-    ) -> Tuple[np.ndarray, float, str]:
+    ) -> Tuple[np.ndarray, float]:
+        """One eigensolve with ``options.method``, a resolved backend id."""
         with obs.span(
             "eigensolve",
             fingerprint=graph.fingerprint() if obs.enabled() else None,
@@ -375,22 +334,16 @@ class SpectrumCache:
             dtype=options.dtype,
         ) as active:
             start = time.perf_counter()
-            # Sparse assembly hands backends the matrix-free LaplacianOperator:
-            # amg's LOBPCG loop never sees an explicit Laplacian, and the
-            # parts needing entries lower it themselves at O(m).  The
-            # spectra are identical, so cache keys are unchanged.
-            if use_sparse:
-                lap = laplacian_operator(graph, normalized=normalized)
-            else:
+            # The backend decides the Laplacian's form: LAPACK takes the
+            # dense matrix, every other backend the matrix-free
+            # LaplacianOperator (amg's LOBPCG loop never sees an explicit
+            # Laplacian, and the parts needing entries lower it themselves
+            # at O(m)).
+            if options.method == "dense":
                 lap = laplacian(graph, normalized=normalized, sparse=False)
-            result = solve_smallest(
-                lap,
-                h,
-                options,
-                warm_start=self._warm_start,
-                lineage=lineage,
-                normalized=normalized,
-            )
+            else:
+                lap = laplacian_operator(graph, normalized=normalized)
+            result = solve_smallest(lap, h, options)
             values = result.eigenvalues
             if not normalized:
                 max_out = graph.freeze().max_out_degree
@@ -400,20 +353,17 @@ class SpectrumCache:
             elapsed = time.perf_counter() - start
             active.set_attr(backend=result.backend)
             _EIG_SECONDS.observe(elapsed, backend=result.backend, dtype=options.dtype)
-            return values, elapsed, result.backend
+            return values, elapsed
 
     # ------------------------------------------------------------------
     # store tier
     # ------------------------------------------------------------------
-    def _fetch_stored(self, fingerprint, h, normalized, use_sparse, options):
+    def _fetch_stored(self, key: SpectrumKey, h: int):
         """One store lookup; a broken store reads as a miss."""
+        fingerprint, normalized, backend, dtype = key
         try:
             return self._store.get(
-                fingerprint,
-                h,
-                normalized=bool(normalized),
-                sparse=bool(use_sparse),
-                eig_options=options,
+                fingerprint, h, normalized=normalized, backend=backend, dtype=dtype
             )
         except OSError:
             return None

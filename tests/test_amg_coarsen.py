@@ -5,8 +5,8 @@ Covers the three tentpole layers and their contracts:
 * the pure-SciPy smoothed-aggregation AMG machinery (aggregation covers
   every vertex, the V-cycle contracts residuals, block application matches
   column-wise matvecs) and the ``amg`` backend's closed-form parity on
-  hypercube/butterfly spectra — cold and warm, float64 and float32 — at
-  sizes that exercise the *real* multigrid path, not the dense fallback;
+  hypercube/butterfly spectra — float64 and float32 — at sizes that
+  exercise the *real* multigrid path, not the dense fallback;
 * matrix-free :class:`~repro.graphs.laplacian.LaplacianOperator` inputs
   (including sharded row blocks) agreeing with assembled-CSR solves, and
   ``resolve_method`` auto-routing (dense / sparse / amg by size, the
@@ -38,11 +38,10 @@ from repro.solvers.amg import (
     smoothed_aggregation_preconditioner,
     strength_graph,
 )
-from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import (
     AMG_AUTO_CUTOFF,
     SOLVER_BACKEND_ENV_VAR,
-    WarmStartContext,
+    EigenSolverOptions,
     available_backends,
     resolve_method,
     solve_smallest,
@@ -122,19 +121,6 @@ class TestAmgBackendParity:
         assert values.dtype == np.float64  # results are always upcast
         np.testing.assert_allclose(values, exact, atol=1e-3)
 
-    @pytest.mark.parametrize("dtype", ("float64", "float32"))
-    def test_warm_resolve_matches_cold(self, dtype):
-        options = EigenSolverOptions(method="amg", dtype=dtype)
-        context = WarmStartContext()
-        lap = laplacian(fft_graph(6), normalized=False, sparse=True)
-        cold = solve_smallest(lap, H, options, warm_start=context, lineage="fft")
-        assert not cold.warm_started
-        assert cold.backend == "amg"
-        warm = solve_smallest(lap, H, options, warm_start=context, lineage="fft")
-        assert warm.warm_started
-        atol = 1e-3 if dtype == "float32" else 1e-6
-        np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, atol=atol)
-
     def test_operator_input_matches_csr(self):
         graph = fft_graph(6)
         csr = laplacian(graph, normalized=False, sparse=True)
@@ -180,36 +166,32 @@ class TestLaplacianOperator:
 
 class TestResolveMethod:
     def test_explicit_method_always_wins(self):
-        options = EigenSolverOptions(method="lobpcg")
-        assert resolve_method("lobpcg", 10**6, 5, options) == "lobpcg"
+        assert resolve_method("lobpcg", 10**6, 5) == "lobpcg"
 
     def test_auto_routes_by_size(self):
-        options = EigenSolverOptions()
-        assert resolve_method("auto", 100, 5, options) == "dense"
-        assert resolve_method("auto", 10_000, 5, options) == "sparse"
-        assert resolve_method("auto", AMG_AUTO_CUTOFF + 1, 5, options) == "amg"
+        assert resolve_method("auto", 100, 5) == "dense"
+        assert resolve_method("auto", 10_000, 5) == "sparse"
+        assert resolve_method("auto", AMG_AUTO_CUTOFF + 1, 5) == "amg"
 
     def test_auto_never_dense_above_cutoff(self):
         # Full-spectrum requests (k >= n-1) go dense only below the cap.
-        options = EigenSolverOptions()
-        assert resolve_method("auto", 20_000, 19_999, options) == "dense"
+        assert resolve_method("auto", 20_000, 19_999) == "dense"
         n = 60_000
-        assert resolve_method("auto", n, n - 1, options) == "amg"
+        assert resolve_method("auto", n, n - 1) == "amg"
 
     def test_env_var_forces_auto_solves(self, monkeypatch):
-        options = EigenSolverOptions()
         monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "lobpcg")
-        assert resolve_method("auto", 100, 5, options) == "lobpcg"
-        assert resolve_method("auto", 10**6, 5, options) == "lobpcg"
+        assert resolve_method("auto", 100, 5) == "lobpcg"
+        assert resolve_method("auto", 10**6, 5) == "lobpcg"
         # Explicit methods ignore the escape hatch.
-        assert resolve_method("dense", 100, 5, options) == "dense"
+        assert resolve_method("dense", 100, 5) == "dense"
 
     def test_env_var_invalid_value_rejected(self, monkeypatch):
         # lanczos and power were backends in older builds.
         for value in ("bogus", "lanczos", "power"):
             monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, value)
             with pytest.raises(ValueError, match=SOLVER_BACKEND_ENV_VAR):
-                resolve_method("auto", 100, 5, EigenSolverOptions())
+                resolve_method("auto", 100, 5)
 
     def test_env_var_applies_end_to_end(self, monkeypatch):
         monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "lobpcg")

@@ -21,7 +21,7 @@ from repro.graphs.generators import (
     independent_ops_graph,
     inner_product_graph,
 )
-from repro.solvers.backend import EigenSolverOptions
+from repro.solvers.backends import EigenSolverOptions
 
 
 class TestFromEigenvalues:
@@ -130,9 +130,11 @@ class TestSpectralBound:
         assert a.raw_value == pytest.approx(b.raw_value, abs=1e-6)
 
     def test_sparse_and_dense_paths_agree(self):
+        # The dense backend solves the assembled Laplacian, the sparse one
+        # the matrix-free operator.
         graph = fft_graph(5)
-        dense = spectral_bound(graph, M=4, sparse=False)
-        sparse = spectral_bound(graph, M=4, sparse=True)
+        dense = spectral_bound(graph, M=4, eig_options=EigenSolverOptions(method="dense"))
+        sparse = spectral_bound(graph, M=4, eig_options=EigenSolverOptions(method="sparse"))
         assert dense.raw_value == pytest.approx(sparse.raw_value, rel=1e-6, abs=1e-6)
 
     def test_eig_options_forwarded(self):

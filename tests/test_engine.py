@@ -25,7 +25,7 @@ from repro.core.engine import BoundEngine, SweepPoint
 from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
 from repro.graphs.generators import fft_graph, hypercube_graph
-from repro.solvers.backend import EigenSolverOptions
+from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache, default_spectrum_cache
 
 MEMORY_SIZES = [4, 8, 16, 32]
@@ -255,17 +255,16 @@ class TestSpectrumCache:
         assert cache.misses == 3
 
     def test_sparse_assembly_is_part_of_the_key(self):
-        # Dense and sparse assembly can use different solver backends, so an
-        # explicit sparse=False request must never be served a sparse-solved
-        # spectrum (and vice versa).
+        # The key holds the backend that solves: an explicit dense request
+        # must never be served an ARPACK-solved spectrum (and vice versa).
         cache = SpectrumCache()
         graph = fft_graph(3)
-        cache.spectrum(graph, 5, sparse=True)
-        cache.spectrum(graph, 5, sparse=False)
+        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="sparse"))
+        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="dense"))
         assert cache.misses == 2
-        # sparse=None resolves to dense for this small graph and shares the
-        # dense entry.
-        cache.spectrum(graph, 5, sparse=None)
+        # auto resolves to dense for this small graph and shares the dense
+        # entry.
+        cache.spectrum(graph, 5)
         assert cache.misses == 2 and cache.hits == 1
 
     def test_unnormalized_scaling_applied(self):

@@ -26,13 +26,13 @@ import pytest
 from repro.baselines.convex_mincut import MinCutEngine
 from repro.graphs.generators import fft_graph
 from repro.obs.metrics import global_registry, parse_metric
+from repro.runtime.catalog import spectrum_base
 from repro.runtime.store import (
     _HOSTNAME,
     DEFAULT_LEASE_TTL_SECONDS,
     LEASE_TTL_ENV_VAR,
     CutStore,
     SpectrumStore,
-    _base_id,
     default_lease_ttl,
 )
 from repro.solvers.spectrum_cache import SpectrumCache
@@ -47,7 +47,7 @@ def store(tmp_path):
 
 
 def lease_key(fingerprint: str = FINGERPRINT) -> str:
-    return _base_id(fingerprint, True, False, None)
+    return spectrum_base(fingerprint, True, "dense", "float64")
 
 
 def write_lease_row(store: SpectrumStore, **overrides) -> None:
@@ -118,11 +118,14 @@ class TestSolveLease:
         assert store.leases() == []
 
     def test_truncation_is_not_part_of_the_lease_key(self, store):
-        # Every h of one spectrum contends for a single lease: that is what
-        # lets different-M queries on one graph coalesce onto one solve.
-        assert lease_key() == _base_id(FINGERPRINT, True, False, None)
-        # ...but normalisation (like any key ingredient) splits it.
-        assert lease_key() != _base_id(FINGERPRINT, False, False, None)
+        # Every h of one spectrum contends for a single lease, the base id
+        # its rows share: that is what lets different-M queries on one
+        # graph coalesce onto one solve.
+        entry_id = store.put(FINGERPRINT, np.arange(3, dtype=float), 1.0)
+        assert store._lease_key(FINGERPRINT) == lease_key() == entry_id.split("-h")[0]
+        # ...but every other key ingredient splits it.
+        for key in ({"normalized": False}, {"backend": "lobpcg"}, {"dtype": "float32"}):
+            assert store._lease_key(FINGERPRINT, **key) != lease_key()
 
     def test_wait_returns_released_when_the_leader_publishes(self, store):
         lease = store.acquire_lease(FINGERPRINT)

@@ -342,12 +342,6 @@ class TestBlasPinning:
 
         assert os.environ["OMP_NUM_THREADS"] == "4"
 
-    def test_pooled_run_with_pinning_disabled_still_works(self, tmp_path):
-        report = SweepOrchestrator(
-            store=tmp_path / "s", processes=2, num_eigenvalues=20, pin_blas=False
-        ).run_family("fft", fft_graph, [3], MEMORY_SIZES, methods=("spectral",))
-        assert report.num_rows == len(MEMORY_SIZES)
-
 
 class TestSweepFunctionIntegration:
     def test_sweep_with_processes_and_store(self, tmp_path):

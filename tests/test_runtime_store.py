@@ -16,7 +16,6 @@ import pytest
 from repro.core.engine import BoundEngine
 from repro.graphs.generators import fft_graph, hypercube_graph
 from repro.runtime.store import STORE_ENV_VAR, SpectrumStore, default_store_root
-from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
 
@@ -60,10 +59,12 @@ class TestStoreBasics:
         assert store.get(FP, 10) is None
 
     def test_key_includes_normalization_sparse_and_options(self, store):
-        store.put(FP, np.arange(3, dtype=float), 1.0, normalized=True, sparse=False)
+        # The key: fingerprint, normalisation, resolved backend and dtype.
+        store.put(FP, np.arange(3, dtype=float), 1.0, normalized=True, backend="dense")
         assert store.get(FP, 3, normalized=False) is None
-        assert store.get(FP, 3, sparse=True) is None
-        assert store.get(FP, 3, eig_options=EigenSolverOptions(method="lobpcg")) is None
+        assert store.get(FP, 3, backend="sparse") is None
+        assert store.get(FP, 3, backend="lobpcg") is None
+        assert store.get(FP, 3, dtype="float32") is None
         assert store.get(FP, 3) is not None
 
     def test_distinct_fingerprints_do_not_collide(self, store):

@@ -5,9 +5,10 @@ Covers the PR 3 contracts:
 * every backend agrees with the *closed-form* hypercube and butterfly (FFT)
   spectra within tolerance (float32 with a looser one), including at a size
   where the butterfly's repeated eigenvalues fill the requested block,
-* warm-started solves produce the same eigenvalues as cold solves,
-* :class:`SpectrumCache` and :class:`SpectrumStore` keys segregate dtype and
-  backend variants (mixed-precision spectra coexist),
+* :class:`SpectrumCache` and :class:`SpectrumStore` key a spectrum on the
+  *resolved* backend and the dtype: variants coexist, ``auto`` shares a
+  spectrum with the backend it picks, and the answer never depends on which
+  request or process came first,
 * the store's size-capped LRU eviction and integrity verification.
 """
 
@@ -22,11 +23,12 @@ import pytest
 from repro.core.spectra import butterfly_spectrum_array, hypercube_spectrum_array
 from repro.graphs.generators import fft_graph, hypercube_graph
 from repro.graphs.laplacian import laplacian
+from repro.runtime.families import GraphSpec
+from repro.runtime.service import BoundQuery, BoundService
 from repro.runtime.store import SpectrumStore
-from repro.solvers.backend import EigenSolverOptions
 from repro.solvers.backends import (
-    WarmStartContext,
-    adapt_subspace,
+    SOLVER_BACKEND_ENV_VAR,
+    EigenSolverOptions,
     available_backends,
     create_backend,
     solve_smallest,
@@ -104,58 +106,6 @@ class TestClosedFormParity:
         np.testing.assert_allclose(values, exact, atol=1e-3)
 
 
-class TestWarmStart:
-    def test_warm_resolve_matches_cold_solve(self):
-        """A warm-started LOBPCG re-solve reproduces the cold eigenvalues."""
-        options = EigenSolverOptions(method="lobpcg")
-        context = WarmStartContext()
-        lap = fft_laplacian(6)
-        cold = solve_smallest(lap, H, options, warm_start=context, lineage="fft")
-        assert not cold.warm_started  # nothing to seed from yet
-        warm = solve_smallest(lap, H, options, warm_start=context, lineage="fft")
-        assert warm.warm_started
-        assert context.seeds_served >= 1
-        np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, atol=1e-6)
-
-    def test_dimension_mismatch_is_never_seeded(self):
-        """Consecutive family levels have different sizes: no prolongation."""
-        options = EigenSolverOptions(method="lobpcg")
-        context = WarmStartContext()
-        solve_smallest(fft_laplacian(5), H, options, warm_start=context, lineage="fft")
-        bigger = solve_smallest(
-            fft_laplacian(6), H, options, warm_start=context, lineage="fft"
-        )
-        assert not bigger.warm_started
-
-    def test_contexts_segregate_normalization_and_options(self):
-        context = WarmStartContext()
-        opts = EigenSolverOptions(method="lobpcg")
-        context.update(WarmStartContext.key("fft", True, opts), np.eye(8))
-        assert context.get(WarmStartContext.key("fft", False, opts)) is None
-        assert context.get(WarmStartContext.key("fft", True, opts)) is not None
-        other = EigenSolverOptions(method="lobpcg", dtype="float32")
-        assert context.get(WarmStartContext.key("fft", True, other)) is None
-
-    def test_adapt_subspace_adjusts_columns_and_orthonormalizes(self):
-        rng = np.random.default_rng(0)
-        prev = rng.standard_normal((32, 4))
-        adapted = adapt_subspace(prev, 32, 6, rng)
-        assert adapted.shape == (32, 6)
-        np.testing.assert_allclose(adapted.T @ adapted, np.eye(6), atol=1e-10)
-        assert adapt_subspace(None, 32, 6, rng) is None
-        # Cross-dimension seeds are rejected (prolongation measured harmful).
-        assert adapt_subspace(prev, 64, 6, rng) is None
-
-    def test_backends_without_warm_support_ignore_context(self):
-        context = WarmStartContext()
-        lap = fft_laplacian(3, sparse=False)
-        result = solve_smallest(
-            lap, 5, EigenSolverOptions(method="dense"), warm_start=context, lineage="x"
-        )
-        assert not result.warm_started
-        assert len(context) == 0  # dense produces no vectors to stash
-
-
 class TestCacheKeySegregation:
     def test_dtype_variants_coexist_in_memory_cache(self):
         cache = SpectrumCache()
@@ -205,6 +155,53 @@ class TestCacheKeySegregation:
         )
         assert f32.cache_hit and warm.store_hits == 1
         assert f32.backend == "lobpcg"
+
+
+class TestOneKeyPerSpectrum:
+    """Every tier keys on (fingerprint, normalisation, resolved backend,
+    dtype), so an answer depends neither on how the backend was named nor
+    on what was solved before it."""
+
+    def test_auto_shares_the_spectrum_of_the_backend_it_picks(self, tmp_path):
+        graph = fft_graph(6)  # auto resolves to dense
+        store = SpectrumStore(tmp_path / "s")
+        first = SpectrumCache(store=store)
+        first.spectrum(graph, 10, eig_options=EigenSolverOptions(method="dense"))
+        second = SpectrumCache(store=store)
+        served = second.spectrum(graph, 10)
+        assert first.misses + second.misses == 1
+        assert served.cache_hit and served.backend == "dense"
+        assert store.stats()["solves_recorded"] == 1
+
+    def test_a_forced_backend_never_serves_another_backends_spectrum(
+        self, tmp_path, monkeypatch
+    ):
+        query = BoundQuery(GraphSpec(family="fft", size_param=7), 4)
+        monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, "amg")
+        BoundService(store=tmp_path / "s").submit([query])
+        monkeypatch.delenv(SOLVER_BACKEND_ENV_VAR)
+        [stored] = BoundService(store=tmp_path / "s").submit([query])
+        [solved] = BoundService(store=None).submit([query])
+        assert stored.raw_value == solved.raw_value
+        assert stored.bound == solved.bound and stored.best_k == solved.best_k
+
+    def test_growing_h_answers_what_a_fresh_cache_answers(self):
+        graph = fft_graph(7)
+        options = EigenSolverOptions(method="lobpcg")
+        cache = SpectrumCache()
+        cache.spectrum(graph, 20, eig_options=options, lineage="fft")
+        grown = cache.spectrum(graph, 40, eig_options=options, lineage="fft")
+        fresh = SpectrumCache().spectrum(graph, 40, eig_options=options, lineage="fft")
+        assert cache.misses == 2
+        np.testing.assert_array_equal(grown.eigenvalues, fresh.eigenvalues)
+
+    def test_below_the_lobpcg_floor_iterative_backends_answer_dense(self):
+        lap = fft_laplacian(4)  # n = 80 < 5 * (20 + 8)
+        dense = solve_smallest(lap, 20, EigenSolverOptions(method="dense")).eigenvalues
+        for backend in ("lobpcg", "amg"):
+            result = solve_smallest(lap, 20, EigenSolverOptions(method=backend))
+            assert result.backend == backend
+            np.testing.assert_array_equal(result.eigenvalues, dense)
 
 
 class TestStoreHygiene:

@@ -8,8 +8,7 @@ import scipy.sparse as sp
 
 from repro.graphs.generators import fft_graph
 from repro.graphs.laplacian import laplacian
-from repro.solvers.backend import EigenSolverOptions
-from repro.solvers.backends import solve_smallest
+from repro.solvers.backends import EigenSolverOptions, solve_smallest
 from repro.solvers.dense import dense_smallest_eigenvalues, dense_spectrum
 
 

@@ -3,14 +3,13 @@
 Three concerns beyond the store API itself: the write path survives a crash
 at any step (a dead process between blob write and insert, a writer killed
 inside its transaction, a full disk); a store written by an older build
-(JSON indexes, or a catalog holding interval spectra) is migrated once,
-with its counters; and a handle stays usable across ``fork`` and between
-threads.
+(JSON indexes, a catalog holding interval spectra, or one keyed on an
+assembly flag and every solver option) is migrated once, with its counters;
+and a handle stays usable across ``fork`` and between threads.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import hashlib
 import json
@@ -30,12 +29,26 @@ from repro.core.engine import BoundEngine
 from repro.graphs.generators import fft_graph
 from repro.runtime.families import GraphSpec
 from repro.runtime.service import BoundQuery, BoundService
-from repro.runtime.store import Claim, CutStore, SpectrumStore, _base_id, _entry_id
-from repro.solvers.backend import EigenSolverOptions
+from repro.runtime.store import Claim, CutStore, SpectrumStore, _entry_id
+from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
 FP = "a" * 64
 OTHER = "b" * 64
+
+#: The six solver options older builds hashed into every spectrum id, at
+#: their defaults.
+_OLD_OPTIONS = {"method": "auto", "dense_cutoff": 6000, "tolerance": 1e-8,
+                "max_iterations": None, "seed": 0, "dtype": "float64"}
+
+
+def _old_base(fingerprint, normalized=True, method="auto", *variant):
+    """The base id older builds gave a spectrum: the graph, the
+    normalisation, the assembly flag (dense below 2,000 vertices), every
+    solver option, and the variant in the builds that had one."""
+    payload = [fingerprint, bool(normalized), False, {**_OLD_OPTIONS, "method": method},
+               *variant]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:40]
 
 
 def _blob_names(root):
@@ -194,8 +207,7 @@ def _write_json_layout(root, recorder, solves_recorded):
     (root / "cuts").mkdir()
     entries = {}
     for fingerprint, values, seconds, kwargs in recorder.spectra:
-        options = kwargs["eig_options"] or EigenSolverOptions()
-        base = _base_id(fingerprint, kwargs["normalized"], kwargs["sparse"], options)
+        base = _old_base(fingerprint, kwargs["normalized"])
         entry_id = _entry_id(base, len(values))
         np.savez_compressed(
             root / "blobs" / f"{entry_id}.npz",
@@ -203,8 +215,8 @@ def _write_json_layout(root, recorder, solves_recorded):
         )
         entries[entry_id] = {
             "base": base, "h": len(values), "fingerprint": fingerprint,
-            "normalized": kwargs["normalized"], "sparse": kwargs["sparse"],
-            "options": dataclasses.asdict(options), "variant": "exact",
+            "normalized": kwargs["normalized"], "sparse": False,
+            "options": _OLD_OPTIONS, "variant": "exact",
             "backend": kwargs["backend"], "lineage": "fft", "solve_seconds": seconds,
             "created_at": 1.0, "last_used": 2.0,
         }
@@ -303,8 +315,7 @@ COARSE = "coarse-r0.5-s0"
 
 def _coarse_base(fingerprint):
     """The base id those builds gave a coarse entry: the variant was hashed in."""
-    payload = [fingerprint, True, False, dataclasses.asdict(EigenSolverOptions()), COARSE]
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:40]
+    return _old_base(fingerprint, True, "auto", COARSE)
 
 
 def _write_variant_catalog(root):
@@ -314,7 +325,7 @@ def _write_variant_catalog(root):
     BoundEngine(fft_graph(4), num_eigenvalues=10, cache=SpectrumCache(store=recorder)).spectral(4)
     [(fingerprint, values, seconds, kwargs)] = recorder.spectra
     (root / "blobs").mkdir(parents=True)
-    exact = _entry_id(_base_id(fingerprint, kwargs["normalized"], kwargs["sparse"], None), 10)
+    exact = _entry_id(_old_base(fingerprint, kwargs["normalized"]), 10)
     coarse = _entry_id(_coarse_base(fingerprint), 10)
     np.savez_compressed(root / "blobs" / f"{exact}.npz",
                         eigenvalues=values, solve_seconds=np.float64(seconds))
@@ -331,7 +342,7 @@ def _write_variant_catalog(root):
                 (entry_id, entry_id[:40], fingerprint, variant, kwargs["backend"], seconds,
                  (root / "blobs" / f"{entry_id}.npz").stat().st_size, now, now),
             )
-        for base, owner, variant in ((_base_id(OTHER, True, False, None), OTHER, "exact"),
+        for base, owner, variant in ((_old_base(OTHER), OTHER, "exact"),
                                      (coarse[:40], fingerprint, COARSE)):
             conn.execute(
                 "INSERT INTO leases VALUES (?, 'token', ?, 'elsewhere', ?, ?, ?, ?, 30.0)",
@@ -375,7 +386,9 @@ class TestVariantMigration:
         assert _blob_names(root) == [f"{exact}.npz"]
         for table in ("spectra", "leases"):
             assert "variant" not in _columns(root, table)
-        assert [lease["lease"] for lease in store.leases()] == [_base_id(OTHER, True, False, None)]
+        # Those builds also keyed on the assembly flag and every solver
+        # option, so the re-key that follows clears the exact lease too.
+        assert store.leases() == []
         assert store.stats()["solves_recorded"] == 2  # work done, not entries
         assert store.verify()["ok"]
 
@@ -432,6 +445,66 @@ class TestVariantMigration:
         assert [entry["entry"] for entry in store.entries()] == [exact]
         assert _blob_names(root) == [f"{exact}.npz"]
         assert store.verify()["ok"]
+
+
+#: The catalog schema of the builds that keyed spectra on an assembly flag
+#: and every solver option.
+_SPARSE_SCHEMA = _VARIANT_SCHEMA.replace(" variant TEXT NOT NULL,", "").replace(
+    " variant TEXT,", ""
+)
+
+
+class TestRekeyMigration:
+    def test_rows_are_rekeyed_on_what_computed_them(self, tmp_path):
+        """Two dense rows of one spectrum (written by ``auto`` and by
+        ``dense``) become one key; rows of deleted backends go."""
+        graph = fft_graph(6)
+        fingerprint = graph.fingerprint()
+        values = SpectrumCache().spectrum(graph, 10).eigenvalues
+        root = tmp_path / "spectra"
+        (root / "blobs").mkdir(parents=True)
+        rows = {  # entry id -> (normalized, backend)
+            _entry_id(_old_base(fingerprint, True, "auto"), 10): (True, "dense"),
+            _entry_id(_old_base(fingerprint, True, "dense"), 10): (True, "dense"),
+            _entry_id(_old_base(fingerprint, True, "lanczos"), 10): (True, "lanczos"),
+            _entry_id(_old_base(fingerprint, False, "auto"), 10): (False, "unknown"),
+        }
+        conn = sqlite3.connect(root / "catalog.sqlite")
+        conn.executescript(_SPARSE_SCHEMA)
+        with conn:
+            for entry_id, (normalized, backend) in rows.items():
+                blob = root / "blobs" / f"{entry_id}.npz"
+                np.savez_compressed(blob, eigenvalues=values, solve_seconds=np.float64(1.0))
+                conn.execute(
+                    "INSERT INTO spectra VALUES (?, ?, 10, ?, ?, 0, 'float64', ?, 'fft', "
+                    "1.0, ?, 1.0, 1.0)",
+                    (entry_id, entry_id[:40], fingerprint, int(normalized), backend,
+                     blob.stat().st_size),
+                )
+            for base in (_old_base(fingerprint), "cuts-" + "0" * 40):
+                conn.execute(
+                    "INSERT INTO leases VALUES (?, 'token', ?, 'elsewhere', ?, ?, ?, 30.0)",
+                    (base, os.getpid(), fingerprint, time.time(), time.time()),
+                )
+            conn.execute("INSERT INTO counters VALUES ('solves_recorded', 4)")
+        conn.close()
+
+        store = SpectrumStore(root)
+        dense = sorted(entry for entry, (_, backend) in rows.items() if backend == "dense")
+        assert [entry["entry"] for entry in store.entries()] == dense
+        assert _blob_names(root) == [f"{entry}.npz" for entry in dense]
+        assert "sparse" not in _columns(root, "spectra")
+        assert [lease["lease"] for lease in store.leases()] == ["cuts-" + "0" * 40]
+        assert store.stats()["solves_recorded"] == 4  # work done, not entries
+        assert store.verify()["ok"]
+
+        # Both spellings of the dense request read the re-keyed rows.
+        for options in (None, EigenSolverOptions(method="dense")):
+            cache = SpectrumCache(store=SpectrumStore(root))
+            served = cache.spectrum(graph, 10, eig_options=options)
+            assert cache.misses == 0 and served.backend == "dense"
+            np.testing.assert_array_equal(served.eigenvalues, values)
+        assert SpectrumStore(root).stats()["solves_recorded"] == 4
 
 
 class TestProcessesAndThreads:
