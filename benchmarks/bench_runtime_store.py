@@ -11,9 +11,9 @@ engine benchmark uses:
   finishes faster than the serial loop once the per-graph work dominates
   the pool startup cost (paper-scale graphs; at CI scale the numbers are
   recorded but not asserted);
-* **flat in store size** — a ``put`` (blob write + one catalog insert) and a
-  ``get`` (one indexed lookup + blob read) cost the same at 10 and at
-  10,000 entries.  The assertion is a ratio of medians from the same run on
+* **flat in store size** — a ``put`` (one catalog insert) and a ``get``
+  (one indexed ``SELECT`` of the row holding the eigenvalues) cost the same
+  at 10 and at 10,000 entries.  The assertion is a ratio of medians from the same run on
   the same host, so it holds on shared runners too.
 
 The measured numbers are persisted to ``BENCH_runtime.json`` at the

@@ -240,14 +240,17 @@ class MinCutEngine:
         # Known (cached) candidate values are free: scanning them first —
         # in the caller's order, which fixes the witness tie-breaking on
         # warm runs — seeds the prune threshold before any flow is paid.
+        known = 0
         for v in candidates.tolist():
             value = self._known.get(v)
             if value is None:
                 continue
-            _CUT_LOOKUPS.inc(tier="memory")
+            known += 1
             if value > best_cut or best_vertex is None:
                 best_cut = value
                 best_vertex = v
+        if known:
+            _CUT_LOOKUPS.inc(known, tier="memory")
         order = candidates
         if self._prune:
             order = network.candidate_order(candidates)

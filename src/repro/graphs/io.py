@@ -32,6 +32,7 @@ __all__ = [
     "load_graph",
     "save_graph_npz",
     "load_graph_npz",
+    "npz_num_vertices",
 ]
 
 _FORMAT_VERSION = 1
@@ -124,3 +125,10 @@ def load_graph_npz(path: Union[str, Path]) -> ComputationGraph:
             {int(v): str(s) for v, s in zip(data["op_ids"], data["op_values"])}
         )
     return graph
+
+
+def npz_num_vertices(path: Union[str, Path]) -> int:
+    """The vertex count of a graph written by :func:`save_graph_npz`
+    (member access is lazy, so the edge array is never decompressed)."""
+    with np.load(Path(path), allow_pickle=False) as data:
+        return int(data["num_vertices"])

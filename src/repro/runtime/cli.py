@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--fix",
         action="store_true",
-        help="verify: drop corrupt/missing catalog entries and delete orphaned blobs",
+        help="verify: delete rows whose stored spectrum or cut table is corrupt",
     )
     _add_store_arguments(cache)
 

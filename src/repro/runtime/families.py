@@ -40,7 +40,7 @@ from repro.graphs.generators import (
     strassen_graph,
     triangular_solve_graph,
 )
-from repro.graphs.io import load_graph, load_graph_npz
+from repro.graphs.io import load_graph, load_graph_npz, npz_num_vertices
 
 __all__ = [
     "FAMILY_BUILDERS",
@@ -156,9 +156,8 @@ class GraphSpec:
         """Cheap vertex-count estimate (for largest-first scheduling).
 
         Family specs use :data:`FAMILY_SIZE_ESTIMATORS`; ``.npz`` specs read
-        the ``num_vertices`` scalar from the archive (member access is lazy,
-        so the edge array is never decompressed); other paths fall back to
-        the file size as an ordering proxy.  Never raises — a broken path is
+        the ``num_vertices`` scalar from the archive; other paths fall back
+        to the file size as an ordering proxy.  Never raises — a broken path is
         estimated as 0 and fails later, on the worker, with a real error.
         """
         if self.family is not None:
@@ -166,8 +165,7 @@ class GraphSpec:
         path = Path(str(self.path))
         if path.suffix == ".npz":
             try:
-                with np.load(path, allow_pickle=False) as data:
-                    return int(data["num_vertices"])
+                return npz_num_vertices(path)
             except Exception:
                 return 0
         try:

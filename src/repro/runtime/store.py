@@ -4,21 +4,21 @@ The in-memory :class:`~repro.solvers.spectrum_cache.SpectrumCache` makes an
 eigensolve happen at most once *per process*; :class:`SpectrumStore` extends
 that guarantee across processes and runs, and :class:`CutStore` does the
 same for the convex min-cut baseline's cut values.  Both are views of one
-store directory: ``blobs/<entry id>.npz`` holds one spectrum (eigenvalues
-plus solve cost), named by the key the in-memory cache uses — the graph's
+store directory, which holds one file, ``catalog.sqlite``
+(:mod:`repro.runtime.catalog`, plus its ``-wal``/``-shm`` files while a
+process has it open).  A ``spectra`` row holds one spectrum's eigenvalues
+and solve cost under the key the in-memory cache uses — the graph's
 structural fingerprint, the normalisation, the resolved backend id and the
 dtype, hashed by :func:`~repro.runtime.catalog.spectrum_base` — and the
-truncation ``h``; ``cuts/<fingerprint>.npz`` holds one graph's cut table,
-and ``catalog.sqlite`` (:mod:`repro.runtime.catalog`) holds one row per
-blob, the solve leases and the ``solves_recorded`` / ``flows_recorded``
-counters that ``python -m repro cache stats`` reports.
+truncation ``h``; a ``cuts`` row holds one graph's cut table.  The catalog
+also keeps the solve leases and the ``solves_recorded`` /
+``flows_recorded`` counters that ``python -m repro cache stats`` reports.
 
 Many processes (pool workers, fleet workers, CI jobs) share one directory.
-A blob is written to a temporary file and moved into place with
-``os.replace`` *before* its row is inserted, so a row never points at a
-partial blob; a crash in between leaves an orphan blob for ``verify``.  A racing
-duplicate solve rewrites identical bytes and keeps the existing row —
-wasteful, never wrong.  Cold solves are coalesced across processes by
+A read is one indexed ``SELECT`` and a write one short transaction, so a
+reader sees a value whole or not at all.  A racing duplicate solve rewrites
+identical bytes into the existing row — wasteful, never wrong.  Cold
+solves are coalesced across processes by
 *solve leases* (:meth:`~_StoreView.acquire_lease`): a compare-and-set on a
 ``leases`` row carrying the leader's pid/host/heartbeat/ttl, so N workers
 needing one cold spectrum pay one eigensolve, N workers needing one cold
@@ -38,18 +38,16 @@ import hashlib
 import os
 import socket
 import sqlite3
-import tempfile
 import threading
 import time
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.obs.metrics import global_registry
-from repro.runtime.catalog import Catalog, Table, bump, spectrum_base
+from repro.runtime.catalog import Catalog, bump, spectrum_base
 
 _STORE_IO_SECONDS = global_registry().histogram(
     "repro_store_io_seconds",
@@ -113,8 +111,9 @@ LEASE_TTL_ENV_VAR = "REPRO_LEASE_TTL_SECONDS"
 #: power hands over within half a minute.
 DEFAULT_LEASE_TTL_SECONDS = 30.0
 
-#: What loading a blob raises when the blob itself is bad (not the disk).
-_BAD_BLOB = (EOFError, KeyError, ValueError, zipfile.BadZipFile)
+#: The stored form of eigenvalues and of cut tables.
+_FLOAT64 = np.dtype("<f8")
+_INT64 = np.dtype("<i8")
 
 _HOSTNAME = socket.gethostname()
 
@@ -162,7 +161,7 @@ def default_lease_ttl() -> float:
 
 @dataclass(frozen=True)
 class StoredSpectrum:
-    """One spectrum loaded from disk.
+    """One spectrum read from the store.
 
     ``eigenvalues`` is the *full* stored vector (``num_eigenvalues`` long,
     possibly more than the caller asked for — callers slice); read-only.
@@ -177,21 +176,12 @@ def _entry_id(base_id: str, num_eigenvalues: int) -> str:
     return f"{base_id}-h{int(num_eigenvalues):06d}"
 
 
-def _atomic_write_npz(path: Path, **arrays: np.ndarray) -> int:
-    """Write ``arrays`` to ``path`` through a temporary file; returns its size."""
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".npz"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-            size = handle.tell()
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-    return size
+def _array(value: object, dtype: np.dtype, length: int) -> Optional[np.ndarray]:
+    """A read-only array over a row's value; ``None`` unless it holds
+    ``length`` items of ``dtype``."""
+    if not isinstance(value, bytes) or len(value) != dtype.itemsize * length:
+        return None
+    return np.frombuffer(value, dtype=dtype)
 
 
 def _lease_is_stale(lease: sqlite3.Row, now: float) -> bool:
@@ -290,8 +280,8 @@ class _StoreView:
     """A handle on one table of a store's :class:`Catalog`: the traffic
     counters, management surface and solve leases :class:`SpectrumStore`
     and :class:`CutStore` share.  Subclasses describe their rows
-    (``_SUMMARY``, ``_describe``), validate their blobs (``_blob_ok``) and
-    name their leases (``_lease_key``).
+    (``_SUMMARY``, ``_describe``), validate their stored values
+    (``_row_ok``) and name their leases (``_lease_key``).
 
     ``lease_ttl`` is the heartbeat ttl (seconds) of this handle's solve
     leases.  ``None`` (default) reads ``$REPRO_LEASE_TTL_SECONDS`` (default
@@ -299,7 +289,6 @@ class _StoreView:
     """
 
     _TABLE = ""
-    _BLOB_DIR = ""
     _COUNTER = ""
     #: ``stats()`` keys summarising the table, and the SQL aggregate of each.
     _SUMMARY: Dict[str, str] = {}
@@ -308,7 +297,6 @@ class _StoreView:
         self, root: Union[str, Path, None] = None, lease_ttl: Optional[float] = None
     ) -> None:
         self._root = Path(root) if root is not None else default_store_root()
-        self._table = Table(self._TABLE, self._root / self._BLOB_DIR, self._COUNTER)
         self._catalog = Catalog(self._root)
         self._lease_ttl = max(0.0, float(lease_ttl)) if lease_ttl is not None else default_lease_ttl()
         # Per-handle traffic counters (the persistent ones live in the
@@ -438,7 +426,7 @@ class _StoreView:
 
     @property
     def hits(self) -> int:
-        """Lookups this handle served from disk."""
+        """Lookups this handle served from the store."""
         return self._hits
 
     @property
@@ -488,18 +476,15 @@ class _StoreView:
         fingerprint starts with the prefix.  Filters compose (AND); a
         filtered clear keeps the work counter (the work was still done).
         """
-        return self._catalog.clear(self._table, lineage, fingerprint_prefix)
+        return self._catalog.clear(self._TABLE, self._COUNTER, lineage, fingerprint_prefix)
 
     def verify(self, fix: bool = False) -> Dict[str, object]:
         """Integrity-check the store; optionally repair it.
 
-        Reports **missing** (rows whose blob is gone), **corrupt** (blobs
-        that fail to load or are malformed) and **orphaned** blobs (no row
-        references them, e.g. after a crash between blob write and insert).
-        ``fix=True`` drops missing/corrupt rows with their blobs, and deletes
-        orphans a minute old (a younger one may be a put in flight).
+        Reports the **corrupt** rows, whose stored value ``_row_ok``
+        rejects; ``fix=True`` deletes them.
         """
-        return self._catalog.verify(self._table, self._blob_ok, fix)
+        return self._catalog.verify(self._TABLE, self._row_ok, fix)
 
     def _record(self, hits: int = 0, misses: int = 0, puts: int = 0) -> None:
         with self._counter_lock:
@@ -509,7 +494,7 @@ class _StoreView:
 
 
 class SpectrumStore(_StoreView):
-    """File-system backed, fingerprint-keyed spectrum archive.
+    """Fingerprint-keyed spectrum archive in a store directory's catalog.
 
     Parameters
     ----------
@@ -517,9 +502,10 @@ class SpectrumStore(_StoreView):
         Store directory (created on first write).  ``None`` uses
         :func:`default_store_root`.
     max_bytes:
-        Size budget for the blob directory.  When the total blob size
-        exceeds it after a :meth:`put`, least-recently-used entries are
-        evicted until the store fits.  ``None`` (default) reads
+        Size budget for the stored eigenvalues.  When their total size
+        (``stats()["total_bytes"]``, 8 bytes per eigenvalue) exceeds it
+        after a :meth:`put`, least-recently-used entries are evicted until
+        the store fits.  ``None`` (default) reads
         ``$REPRO_SPECTRUM_STORE_MAX_BYTES``; unset means unbounded.
     lease_ttl:
         Heartbeat ttl (seconds) of cross-process solve leases (see
@@ -527,7 +513,6 @@ class SpectrumStore(_StoreView):
     """
 
     _TABLE = "spectra"
-    _BLOB_DIR = "blobs"
     _COUNTER = "solves_recorded"
     _SUMMARY = {"num_entries": "COUNT(*)", "num_graphs": "COUNT(DISTINCT fingerprint)"}
 
@@ -542,7 +527,7 @@ class SpectrumStore(_StoreView):
 
     @property
     def max_bytes(self) -> Optional[int]:
-        """Size cap of the blob directory (None = unbounded)."""
+        """Size cap of the stored eigenvalues in bytes (None = unbounded)."""
         return self._max_bytes
 
     @_timed_io("spectrum", "get")
@@ -550,33 +535,30 @@ class SpectrumStore(_StoreView):
         self, fingerprint: str, num_eigenvalues: int, normalized: bool = True,
         backend: str = "dense", dtype: str = "float64",
     ) -> Optional[StoredSpectrum]:
-        """Load a stored spectrum covering ``num_eigenvalues``, or ``None``.
+        """Read a stored spectrum covering ``num_eigenvalues``, or ``None``.
 
         Any entry with the same (fingerprint, normalisation, resolved
         backend, dtype) and a truncation ``h' >= num_eigenvalues`` qualifies
         (eigenvalues are ascending, so a longer vector contains the
         answer); the largest such entry is returned so in-memory tiers can
-        cache the most reusable vector.  A blob that is gone or malformed is
-        dropped; one the disk cannot read right now (``EMFILE``, ``EIO``) is
-        a miss.
+        cache the most reusable vector.  A row whose value is not ``h'``
+        float64 long is dropped and the next-longest served.  A catalog
+        that cannot be read raises :class:`OSError`.
         """
         h = int(num_eigenvalues)
         if h <= 0:
             return None
         rows = self._catalog.read(
-            "SELECT id, h FROM spectra WHERE base = ? AND h >= ? ORDER BY h DESC",
+            "SELECT id, h, solve_seconds, eigenvalues FROM spectra "
+            "WHERE base = ? AND h >= ? ORDER BY h DESC",
             (spectrum_base(fingerprint, normalized, backend, dtype), h),
         )
-        for row in rows:  # longest first; the rest are fallbacks for bad blobs
-            try:
-                values, solve_seconds = self._load(row["id"])
-            except (FileNotFoundError,) + _BAD_BLOB:
+        for row in rows:  # longest first; the rest are fallbacks for bad rows
+            values = _array(row["eigenvalues"], _FLOAT64, row["h"])
+            if values is None:
                 with contextlib.suppress(OSError), self._catalog.write() as conn:
                     conn.execute("DELETE FROM spectra WHERE id = ?", (row["id"],))
-                self._table.unlink([row["id"]])
                 continue
-            except OSError:
-                break
             self._record(hits=1)
             if self._max_bytes is not None:  # LRU order matters only under a cap
                 with contextlib.suppress(OSError), self._catalog.write() as conn:
@@ -584,7 +566,7 @@ class SpectrumStore(_StoreView):
                         "UPDATE spectra SET last_used = ? WHERE id = ?",
                         (time.time(), row["id"]),
                     )
-            return StoredSpectrum(values, solve_seconds, row["h"])
+            return StoredSpectrum(values, row["solve_seconds"], row["h"])
         self._record(misses=1)
         return None
 
@@ -603,38 +585,32 @@ class SpectrumStore(_StoreView):
         family name of the producing sweep (``cache clear --family`` filters
         on it); it is metadata only, never part of the key.
         """
-        values = np.ascontiguousarray(eigenvalues, dtype=np.float64)
-        h = int(values.shape[0])
+        values = np.ascontiguousarray(eigenvalues, dtype=_FLOAT64).tobytes()
+        h = len(values) // _FLOAT64.itemsize
         base = spectrum_base(fingerprint, normalized, backend, dtype)
         entry_id = _entry_id(base, h)
-        self._table.blob_dir.mkdir(parents=True, exist_ok=True)
-        size = _atomic_write_npz(
-            self._table.blob(entry_id),
-            eigenvalues=values, solve_seconds=np.float64(solve_seconds),
-        )
         now = time.time()
         with self._catalog.write() as conn:
             conn.execute(
-                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
-                "ON CONFLICT(id) DO UPDATE SET last_used = excluded.last_used",
+                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
+                "ON CONFLICT(id) DO UPDATE SET last_used = excluded.last_used, "
+                "eigenvalues = excluded.eigenvalues, bytes = excluded.bytes",
                 (entry_id, base, h, fingerprint, int(bool(normalized)), dtype, backend,
-                 lineage, float(solve_seconds), size, now, now),
+                 lineage, float(solve_seconds), len(values), now, now, values),
             )
             bump(conn, self._COUNTER, 1)
-            evicted = self._evict_over_budget(conn, entry_id)
-        self._table.unlink(evicted)
+            self._evict_over_budget(conn, entry_id)
         self._record(puts=1)
         return entry_id
 
-    def _evict_over_budget(self, conn: sqlite3.Connection, newest: str) -> List[str]:
-        """Delete least-recently-used rows until the blobs fit ``max_bytes``.
+    def _evict_over_budget(self, conn: sqlite3.Connection, newest: str) -> None:
+        """Delete least-recently-used rows until the values fit ``max_bytes``.
 
-        Returns the evicted ids; the caller deletes their blobs after the
-        commit.  ``newest`` is never evicted — a single over-budget spectrum
-        is better than an empty store that re-solves forever.
+        ``newest`` is never evicted — a single over-budget spectrum is
+        better than an empty store that re-solves forever.
         """
         if self._max_bytes is None:
-            return []
+            return
         total = conn.execute("SELECT SUM(bytes) FROM spectra").fetchone()[0] or 0
         doomed: List[str] = []
         for entry_id, size in conn.execute(
@@ -645,15 +621,6 @@ class SpectrumStore(_StoreView):
             doomed.append(entry_id)
             total -= size
         conn.executemany("DELETE FROM spectra WHERE id = ?", [(d,) for d in doomed])
-        return doomed
-
-    def _load(self, entry_id: str) -> Tuple[np.ndarray, float]:
-        """Read-only eigenvalues and the solve seconds of a blob."""
-        with np.load(self._table.blob(entry_id)) as data:
-            values = np.ascontiguousarray(data["eigenvalues"], dtype=np.float64)
-            solve_seconds = float(data["solve_seconds"])
-        values.flags.writeable = False
-        return values, solve_seconds
 
     def _lease_key(
         self, fingerprint: str, normalized: bool = True, backend: str = "dense",
@@ -685,6 +652,9 @@ class SpectrumStore(_StoreView):
         stale = [lease["stale"] for lease in self.leases()]
         return {
             **super().stats(),
+            "formats_discarded": self._catalog.scalar(
+                "SELECT value FROM counters WHERE name = 'formats_discarded'"
+            ),
             "max_bytes": self._max_bytes,
             "lease_ttl": self._lease_ttl,
             "active_leases": stale.count(False),
@@ -694,8 +664,8 @@ class SpectrumStore(_StoreView):
     def verify(self, fix: bool = False) -> Dict[str, object]:
         """Integrity-check the store; optionally repair it.
 
-        A blob is corrupt when it fails to load, or its eigenvalues are the
-        wrong length, non-finite or not ascending.  Also reports **stale
+        A row is corrupt when its eigenvalues are not ``h`` long, not
+        finite or not ascending.  Also reports **stale
         leases**, whose holder is dead (live ones are only counted);
         ``fix=True`` deletes those still stale on a re-check inside the
         transaction, as a waiter may have taken one over since the scan.
@@ -726,13 +696,10 @@ class SpectrumStore(_StoreView):
             "bytes": row["bytes"],
         }
 
-    def _blob_ok(self, row: sqlite3.Row) -> bool:
-        try:
-            values, _ = self._load(row["id"])
-        except (OSError,) + _BAD_BLOB:
-            return False
+    def _row_ok(self, row: sqlite3.Row) -> bool:
+        values = _array(row["eigenvalues"], _FLOAT64, row["h"])
         return bool(
-            values.shape == (row["h"],)
+            values is not None
             and np.all(np.isfinite(values))
             and np.all(np.diff(values) >= -1e-9)
         )
@@ -740,7 +707,7 @@ class SpectrumStore(_StoreView):
 
 @dataclass(frozen=True)
 class StoredCutTable:
-    """One graph's per-vertex convex min-cut table loaded from disk.
+    """One graph's per-vertex convex min-cut table read from the store.
 
     ``vertices``/``values`` are aligned int64 arrays (read-only): entry ``i``
     says ``C(vertices[i], G) == values[i]``.  The table may be partial — a
@@ -758,16 +725,27 @@ class StoredCutTable:
         return int(self.vertices.shape[0])
 
 
+_CUT_ROW = "SELECT num_cuts, vertices, cut_values FROM cuts WHERE id = ?"
+
+
+def _cut_table(row: sqlite3.Row) -> Optional[StoredCutTable]:
+    """The table of a ``cuts`` row; ``None`` unless both arrays are
+    ``num_cuts`` long."""
+    vertices = _array(row["vertices"], _INT64, row["num_cuts"])
+    values = _array(row["cut_values"], _INT64, row["num_cuts"])
+    return None if vertices is None or values is None else StoredCutTable(vertices, values)
+
+
 class CutStore(_StoreView):
     """Persistent, fingerprint-keyed archive of convex min-cut tables.
 
     The cut values ``C(v, G)`` of the convex min-cut baseline are independent
     of the memory size ``M`` *and* of the max-flow backend (all backends are
-    exact), so one on-disk table per graph fingerprint makes every warm
+    exact), so one stored table per graph fingerprint makes every warm
     re-run — across processes, pool workers, and sessions — perform zero
     max-flow calls.  It shares the root directory and catalog of
-    :class:`SpectrumStore`: one ``.npz`` blob per graph under
-    ``<root>/cuts/`` and one ``cuts`` row each.  The persistent
+    :class:`SpectrumStore`: one ``cuts`` row per graph, holding its sorted
+    vertices and their cut values.  The persistent
     ``flows_recorded`` counter sums the max-flow calls somebody actually
     paid for, which is what the CI warm-run smoke asserts on.  A cold
     max-flow pass takes a solve lease first (see ``_lease_key``), so
@@ -775,7 +753,6 @@ class CutStore(_StoreView):
     """
 
     _TABLE = "cuts"
-    _BLOB_DIR = "cuts"
     _COUNTER = "flows_recorded"
     _SUMMARY = {"num_graphs": "COUNT(*)", "num_cuts": "SUM(num_cuts)"}
 
@@ -789,25 +766,18 @@ class CutStore(_StoreView):
 
     @_timed_io("cut", "get")
     def get(self, fingerprint: str) -> Optional[StoredCutTable]:
-        """Load the stored cut table for a graph fingerprint, or ``None``."""
-        table = self._load(fingerprint)
+        """The stored cut table of a graph fingerprint, or ``None``.
+
+        A row whose arrays are not ``num_cuts`` long, and a catalog that
+        cannot be read right now, are misses.
+        """
+        try:
+            rows = self._catalog.read(_CUT_ROW, (fingerprint,))
+        except OSError:
+            rows = []
+        table = _cut_table(rows[0]) if rows else None
         self._record(hits=int(table is not None), misses=int(table is None))
         return table
-
-    def _load(self, fingerprint: str) -> Optional[StoredCutTable]:
-        """Read a table without counting it: ``cache stats`` reports lookups
-        only, not :meth:`merge` unions or :meth:`verify` checks."""
-        try:
-            with np.load(self._table.blob(fingerprint)) as data:
-                vertices = np.ascontiguousarray(data["vertices"], dtype=np.int64)
-                values = np.ascontiguousarray(data["values"], dtype=np.int64)
-        except (OSError,) + _BAD_BLOB:
-            return None
-        if vertices.shape != values.shape or vertices.ndim != 1:
-            return None
-        vertices.flags.writeable = False
-        values.flags.writeable = False
-        return StoredCutTable(vertices, values)
 
     @_timed_io("cut", "merge")
     def merge(
@@ -826,11 +796,11 @@ class CutStore(_StoreView):
         new_values = np.asarray(values, dtype=np.int64).reshape(-1)
         if new_vertices.shape != new_values.shape:
             raise ValueError("vertices and values must have equal length")
-        self._table.blob_dir.mkdir(parents=True, exist_ok=True)
         now = time.time()
         # The transaction serialises concurrent read-union-writes of a table.
         with self._catalog.write() as conn:
-            existing = self._load(fingerprint)
+            row = conn.execute(_CUT_ROW, (fingerprint,)).fetchone()
+            existing = _cut_table(row) if row is not None else None
             if existing is not None and len(existing):
                 merged_v = np.concatenate([existing.vertices, new_vertices])
                 merged_c = np.concatenate([existing.values, new_values])
@@ -841,17 +811,18 @@ class CutStore(_StoreView):
             order = np.arange(merged_v.shape[0] - 1, -1, -1)
             table_v, first = np.unique(merged_v[order], return_index=True)
             table_c = merged_c[order][first]
-            size = _atomic_write_npz(
-                self._table.blob(fingerprint), vertices=table_v, values=table_c
-            )
+            stored_v = table_v.astype(_INT64, copy=False).tobytes()
+            stored_c = table_c.astype(_INT64, copy=False).tobytes()
             conn.execute(
                 "INSERT INTO cuts VALUES (:fp, :fp, :n, COALESCE(:backend, 'unknown'), "
-                ":lineage, :size, :now, :now) ON CONFLICT(id) DO UPDATE SET "
-                "num_cuts = :n, bytes = :size, last_used = :now, "
+                ":lineage, :size, :now, :now, :vertices, :values) ON CONFLICT(id) "
+                "DO UPDATE SET num_cuts = :n, bytes = :size, last_used = :now, "
+                "vertices = :vertices, cut_values = :values, "
                 "backend = COALESCE(:backend, backend), "
                 "lineage = COALESCE(:lineage, lineage)",
                 {"fp": fingerprint, "n": int(table_v.shape[0]), "backend": backend,
-                 "lineage": lineage, "size": size, "now": now},
+                 "lineage": lineage, "size": len(stored_v) + len(stored_c), "now": now,
+                 "vertices": stored_v, "values": stored_c},
             )
             bump(conn, self._COUNTER, flow_calls)
         self._record(puts=1)
@@ -864,11 +835,7 @@ class CutStore(_StoreView):
             "bytes": row["bytes"],
         }
 
-    def _blob_ok(self, row: sqlite3.Row) -> bool:
-        """Readable, as long as its row says, and no negative cut value."""
-        table = self._load(row["id"])
-        return (
-            table is not None
-            and len(table) == row["num_cuts"]
-            and (len(table) == 0 or int(table.values.min()) >= 0)
-        )
+    def _row_ok(self, row: sqlite3.Row) -> bool:
+        """Both arrays ``num_cuts`` long, and no negative cut value."""
+        table = _cut_table(row)
+        return table is not None and (len(table) == 0 or int(table.values.min()) >= 0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.convex_mincut import (
+    MinCutEngine,
     convex_min_cut_bound,
     convex_min_cut_max_value,
     convex_min_cut_value,
@@ -21,6 +22,7 @@ from repro.graphs.generators import (
     inner_product_graph,
     naive_matmul_graph,
 )
+from repro.obs.metrics import global_registry
 from tests.flow_oracle import oracle_cuts
 
 
@@ -138,6 +140,17 @@ class TestBackendsAndCaching:
         assert warm.value == cold.value
         assert warm.flow_calls == 0
         assert warm.details["store_served"] > 0
+
+    def test_warm_pass_counts_each_known_candidate_once(self):
+        graph = fft_graph(5)
+        engine = MinCutEngine(graph, prune=False)  # the cold pass learns every cut
+        cold = engine.max_cut()
+        lookups = global_registry().get("repro_cut_lookups_total")
+        for candidates, n in ((None, graph.num_vertices), (range(10, 30), 20)):
+            before = lookups.value(tier="memory")
+            warm = engine.max_cut(candidates)
+            assert lookups.value(tier="memory") - before == n
+        assert warm[0] <= cold[0] and engine.max_cut() == cold
 
     def test_prune_disabled_matches_legacy_witness(self):
         g = fft_graph(3)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.graphs.generators import fft_graph
@@ -287,14 +289,25 @@ class TestCLI:
             "--memory-sizes", "4", "--store", store,
         )
         capsys.readouterr()
+        # The catalog is the whole store.
+        assert {path.name for path in (tmp_path / "s").iterdir()} <= {
+            "catalog.sqlite", "catalog.sqlite-wal", "catalog.sqlite-shm"
+        }
         assert self.run_cli("cache", "verify", "--store", store) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] and report["entries_checked"] == 2
-        # Break a blob, verify fails, --fix repairs.
-        blobs = list((tmp_path / "s" / "blobs").glob("*.npz"))
-        blobs[0].write_bytes(b"garbage")
+        assert "missing" not in report and "orphaned_blobs" not in report
+        # A NaN eigenvalue: verify fails, --fix repairs.
+        conn = sqlite3.connect(tmp_path / "s" / "catalog.sqlite")
+        with conn:
+            (entry, value), *_ = conn.execute("SELECT id, eigenvalues FROM spectra")
+            broken = np.frombuffer(value, dtype=np.float64).copy()
+            broken[-1] = np.nan
+            conn.execute("UPDATE spectra SET eigenvalues = ? WHERE id = ?",
+                         (broken.tobytes(), entry))
+        conn.close()
         assert self.run_cli("cache", "verify", "--store", store) == 1
-        capsys.readouterr()
+        assert json.loads(capsys.readouterr().out)["corrupt"] == [entry]
         assert self.run_cli("cache", "verify", "--store", store, "--fix") == 0
         capsys.readouterr()
         assert self.run_cli("cache", "verify", "--store", store) == 0
@@ -398,9 +411,14 @@ class TestConvexMinCutCLI:
         assert self.run_cli("cache", "verify", "--store", store) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] and report["cuts"]["entries_checked"] == 1
-        # Corrupt the cut blob: verify fails, --fix repairs.
-        (blob,) = list((tmp_path / "s" / "cuts").glob("*.npz"))
-        blob.write_bytes(b"garbage")
+        # A negative cut: verify fails, --fix repairs.
+        conn = sqlite3.connect(tmp_path / "s" / "catalog.sqlite")
+        with conn:
+            (value,) = conn.execute("SELECT cut_values FROM cuts").fetchone()
+            broken = np.frombuffer(value, dtype=np.int64).copy()
+            broken[0] = -1
+            conn.execute("UPDATE cuts SET cut_values = ?", (broken.tobytes(),))
+        conn.close()
         assert self.run_cli("cache", "verify", "--store", store) == 1
         capsys.readouterr()
         assert self.run_cli("cache", "verify", "--store", store, "--fix") == 0

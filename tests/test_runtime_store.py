@@ -8,6 +8,7 @@ cache checks disk before eigensolving and publishes fresh solves back.
 from __future__ import annotations
 
 import errno
+import sqlite3
 import threading
 
 import numpy as np
@@ -33,13 +34,28 @@ def corrupt_catalog(store: SpectrumStore) -> None:
     (store.root / "catalog.sqlite").write_text("{not json")
 
 
+def overwrite_row(root, table: str, key: str, **columns) -> None:
+    """Set columns of one catalog row through sqlite3, behind the store."""
+    conn = sqlite3.connect(root / "catalog.sqlite")
+    try:
+        with conn:
+            assignments = ", ".join(f"{name} = ?" for name in columns)
+            conn.execute(
+                f"UPDATE {table} SET {assignments} WHERE id = ?", (*columns.values(), key)
+            )
+    finally:
+        conn.close()
+
+
 class TestStoreBasics:
     def test_put_get_round_trip(self, store):
         values = np.array([0.0, 0.5, 1.25])
         store.put(FP, values, 0.125)
         got = store.get(FP, 3)
         assert got is not None
-        np.testing.assert_allclose(got.eigenvalues, values)
+        # The same float64 bytes come back.
+        assert got.eigenvalues.dtype == np.float64
+        assert got.eigenvalues.tobytes() == values.tobytes()
         assert got.solve_seconds == 0.125
         assert got.num_eigenvalues == 3
 
@@ -86,42 +102,54 @@ class TestStoreBasics:
             values[0] = 99.0
 
     def test_missing_blob_tolerated_and_entry_dropped(self, store):
+        # A row whose eigenvalues are gone (an empty value) is dropped.
         entry_id = store.put(FP, np.arange(3, dtype=float), 1.0)
-        (store.root / "blobs" / f"{entry_id}.npz").unlink()
+        overwrite_row(store.root, "spectra", entry_id, eigenvalues=b"")
         assert store.get(FP, 3) is None
-        assert len(store) == 0  # stale index entry was dropped
+        assert len(store) == 0 and store.misses == 1
 
     def test_corrupt_blob_removed_and_next_candidate_served(self, store):
         big_id = store.put(FP, np.arange(10, dtype=float), 1.0)
         store.put(FP, np.arange(5, dtype=float), 1.0)
-        (store.root / "blobs" / f"{big_id}.npz").write_bytes(b"garbage")
-        # The corrupt 10-entry is dropped (index AND file) and the request is
-        # served from the smaller-but-sufficient 5-entry.
+        overwrite_row(store.root, "spectra", big_id, eigenvalues=b"garbage")
+        # The 10-row, whose value has the wrong length, is dropped and the
+        # request is served from the smaller-but-sufficient 5-row.
         got = store.get(FP, 4)
         assert got is not None and got.num_eigenvalues == 5
-        assert len(store) == 1
-        assert not (store.root / "blobs" / f"{big_id}.npz").exists()
+        np.testing.assert_array_equal(got.eigenvalues, np.arange(5))
+        assert [entry["num_eigenvalues"] for entry in store.entries()] == [5]
 
     def test_transient_read_error_is_a_miss_that_keeps_the_entry(
         self, store, monkeypatch
     ):
-        # EMFILE/EIO/EACCES say nothing about the blob: only a missing or
-        # malformed blob may drop its entry.
-        entry_id = store.put(FP, np.arange(3, dtype=float), 1.0)
-        real_load = np.load
-        failures = [OSError(errno.EMFILE, "Too many open files")]
+        # A catalog read raising OSError (EIO, a locked or unreadable
+        # catalog) says nothing about the row: the cache reads it as a miss,
+        # and the row stays for the next lookup.
+        graph = fft_graph(3)
+        solved = SpectrumCache(store=store).spectrum(graph, 5)
+        real_read = store._catalog.read
+        failures = [OSError(errno.EIO, "disk I/O error")]
 
-        def flaky_load(*args, **kwargs):
+        def flaky_read(*args, **kwargs):
             if failures:
                 raise failures.pop()
-            return real_load(*args, **kwargs)
+            return real_read(*args, **kwargs)
 
-        monkeypatch.setattr(np, "load", flaky_load)
-        assert store.get(FP, 3) is None
+        monkeypatch.setattr(store._catalog, "read", flaky_read)
+        with pytest.raises(OSError):
+            store.get(graph.fingerprint(), 5)
         assert len(store) == 1
-        assert (store.root / "blobs" / f"{entry_id}.npz").exists()
-        got = store.get(FP, 3)
-        assert got is not None and got.num_eigenvalues == 3
+        # Both of the cache's reads fail (its lookup and the re-check under
+        # the solve lease): it solves, and the put keeps the one row.
+        failures += [OSError(errno.EIO, "disk I/O error")] * 2
+        missed = SpectrumCache(store=store)
+        served = missed.spectrum(graph, 5)
+        assert missed.misses == 1 and missed.store_hits == 0
+        assert served.eigenvalues.tobytes() == solved.eigenvalues.tobytes()
+        assert len(store) == 1
+        warm = SpectrumCache(store=store)
+        warm.spectrum(graph, 5)
+        assert warm.misses == 0 and warm.store_hits == 1
 
     def test_corrupt_index_treated_as_empty(self, store):
         store.put(FP, np.arange(3, dtype=float), 1.0)
@@ -135,7 +163,7 @@ class TestStoreBasics:
         assert store.clear() == 2
         assert len(store) == 0
         assert store.stats()["solves_recorded"] == 0
-        assert not list((store.root / "blobs").glob("*.npz"))
+        assert store.stats()["total_bytes"] == 0
 
     def test_stats(self, store):
         store.put(FP, np.arange(3, dtype=float), 1.0)
@@ -341,9 +369,11 @@ class TestCutStore:
 
     def test_corrupt_blob_is_a_miss(self, cuts):
         cuts.merge("fp", [0], [1])
-        blob = cuts.root / "cuts" / "fp.npz"
-        blob.write_bytes(b"garbage")
+        overwrite_row(cuts.root, "cuts", "fp", vertices=b"garbage")
         assert cuts.get("fp") is None
+        # The next merge replaces the unreadable table.
+        cuts.merge("fp", [2], [3])
+        assert cuts.get("fp").as_dict() == {2: 3}
 
     def test_merge_does_not_inflate_lookup_counters(self, cuts):
         cuts.merge("fp", [0], [1])
@@ -356,33 +386,31 @@ class TestCutStore:
         cuts.merge("fp", [0, 1], [1, 2])
         report = cuts.verify()
         assert report["ok"] and report["entries_checked"] == 1
-        assert not report["missing"] and not report["corrupt"]
+        assert report["corrupt"] == []
 
     def test_verify_detects_and_fixes_corrupt_and_missing(self, cuts):
         cuts.merge("aa", [0], [1])
         cuts.merge("bb", [0], [2])
-        (cuts.root / "cuts" / "aa.npz").write_bytes(b"garbage")
-        (cuts.root / "cuts" / "bb.npz").unlink()
+        cuts.merge("cc", [0], [3])
+        # A negative cut, and vertices gone while the row says one.
+        overwrite_row(cuts.root, "cuts", "aa", cut_values=np.int64([-1]).tobytes())
+        overwrite_row(cuts.root, "cuts", "bb", vertices=b"")
         report = cuts.verify()
         assert not report["ok"]
-        assert report["corrupt"] == ["aa"] and report["missing"] == ["bb"]
+        assert report["corrupt"] == ["aa", "bb"] and report["entries_checked"] == 3
         fixed = cuts.verify(fix=True)
         assert fixed["entries_removed"] == 2
         assert cuts.verify()["ok"]
-        assert len(cuts) == 0
+        assert len(cuts) == 1 and cuts.get("cc").as_dict() == {0: 3}
 
     def test_verify_detects_num_cuts_mismatch(self, cuts):
-        import numpy as _np
-
         cuts.merge("fp", [0, 1], [1, 2])
-        # Overwrite the blob with a shorter (valid-looking) table: the index
-        # still says num_cuts == 2.
-        _np.savez_compressed(
-            cuts.root / "cuts" / "fp.npz",
-            vertices=_np.array([0]), values=_np.array([1]),
-        )
+        # A shorter (valid-looking) table: the row still says num_cuts == 2.
+        overwrite_row(cuts.root, "cuts", "fp", vertices=np.int64([0]).tobytes(),
+                      cut_values=np.int64([1]).tobytes())
         report = cuts.verify()
         assert report["corrupt"] == ["fp"]
+        assert cuts.get("fp") is None
 
     def test_read_only_handle_creates_no_directories(self, tmp_path):
         from repro.runtime.store import CutStore
@@ -415,7 +443,11 @@ class TestCutStore:
         cuts = CutStore(root)
         spectra.put("fp", np.array([0.0, 1.0]), 0.1)
         cuts.merge("fp", [0], [1])
-        # Different indexes, blobs, locks — no interference.
+        # Different tables and counters of one catalog — no interference.
         assert len(spectra) == 1 and len(cuts) == 1
         assert spectra.stats()["solves_recorded"] == 1
         assert cuts.stats()["flows_recorded"] == 0
+        # The catalog is the whole store.
+        assert {path.name for path in root.iterdir()} <= {
+            "catalog.sqlite", "catalog.sqlite-wal", "catalog.sqlite-shm"
+        }

@@ -14,8 +14,7 @@ Covers the PR 3 contracts:
 
 from __future__ import annotations
 
-import os
-import time
+import sqlite3
 
 import numpy as np
 import pytest
@@ -240,26 +239,27 @@ class TestStoreHygiene:
 
     def test_verify_detects_and_fixes_corruption(self, tmp_path):
         store = SpectrumStore(tmp_path / "s")
-        entry_a = self.put_spectrum(store, "a" * 40)
-        entry_b = self.put_spectrum(store, "b" * 40)
-        blob_dir = tmp_path / "s" / "blobs"
-        (blob_dir / f"{entry_a}.npz").write_bytes(b"not a zipfile")  # corrupt
-        (blob_dir / f"{entry_b}.npz").unlink()  # missing
-        (blob_dir / "orphan.npz").write_bytes(b"stray")  # orphaned
-        # Age the orphan past verify's young-blob grace period (a fresh blob
-        # could be a concurrent put that has not indexed its entry yet).
-        old = time.time() - 120
-        os.utime(blob_dir / "orphan.npz", (old, old))
+        entries = {ch: self.put_spectrum(store, ch * 40) for ch in "abcd"}
+        values = np.linspace(0.0, 1.0, 32)
+        corrupted = {
+            "a": values[:31],  # the wrong length
+            "b": np.where(np.arange(32) == 5, np.nan, values),  # not finite
+            "c": values[::-1],  # descending
+        }
+        conn = sqlite3.connect(tmp_path / "s" / "catalog.sqlite")
+        with conn:
+            for ch, bad in corrupted.items():
+                conn.execute("UPDATE spectra SET eigenvalues = ? WHERE id = ?",
+                             (bad.tobytes(), entries[ch]))
+        conn.close()
         report = store.verify()
         assert not report["ok"]
-        assert report["corrupt"] == [entry_a]
-        assert report["missing"] == [entry_b]
-        assert report["orphaned_blobs"] == ["orphan.npz"]
+        assert report["corrupt"] == sorted(entries[ch] for ch in corrupted)
         fixed = store.verify(fix=True)
-        assert fixed["entries_removed"] == 2
+        assert fixed["entries_removed"] == 3
         after = store.verify()
-        assert after["ok"] and after["entries_checked"] == 0
-        assert not (blob_dir / "orphan.npz").exists()
+        assert after["ok"] and after["entries_checked"] == 1
+        assert store.get("d" * 40, 32) is not None
 
     def test_clear_by_lineage_and_fingerprint(self, tmp_path):
         store = SpectrumStore(tmp_path / "s")

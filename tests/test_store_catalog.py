@@ -1,17 +1,16 @@
 """Tests for the sqlite3 catalog under a store directory.
 
 Three concerns beyond the store API itself: the write path survives a crash
-at any step (a dead process between blob write and insert, a writer killed
-inside its transaction, a full disk); a store written by an older build
-(JSON indexes, a catalog holding interval spectra, or one keyed on an
-assembly flag and every solver option) is migrated once, with its counters;
-and a handle stays usable across ``fork`` and between threads.
+at any step (a writer killed inside its transaction, a full disk); a store
+written by an older build (a catalog of another format version, or the
+JSON layout from before the catalog) is discarded once, however many
+processes open it together; and a handle stays usable across ``fork`` and
+between threads, with readers seeing only whole values while a writer
+publishes.
 """
 
 from __future__ import annotations
 
-import errno
-import hashlib
 import json
 import multiprocessing
 import os
@@ -24,70 +23,25 @@ import time
 import numpy as np
 import pytest
 
-from repro.baselines.convex_mincut import MinCutEngine
-from repro.core.engine import BoundEngine
-from repro.graphs.generators import fft_graph
+from repro.graphs.generators import chain_graph, fft_graph
+from repro.runtime.catalog import FORMAT_VERSION, spectrum_base
+from repro.runtime.cli import main
 from repro.runtime.families import GraphSpec
 from repro.runtime.service import BoundQuery, BoundService
-from repro.runtime.store import Claim, CutStore, SpectrumStore, _entry_id
-from repro.solvers.backends import EigenSolverOptions
+from repro.runtime.store import CutStore, SpectrumStore, _entry_id
 from repro.solvers.spectrum_cache import SpectrumCache
 
 FP = "a" * 64
 OTHER = "b" * 64
 
-#: The six solver options older builds hashed into every spectrum id, at
-#: their defaults.
-_OLD_OPTIONS = {"method": "auto", "dense_cutoff": 6000, "tolerance": 1e-8,
-                "max_iterations": None, "seed": 0, "dtype": "float64"}
+_CATALOG_FILES = {"catalog.sqlite", "catalog.sqlite-wal", "catalog.sqlite-shm"}
 
 
-def _old_base(fingerprint, normalized=True, method="auto", *variant):
-    """The base id older builds gave a spectrum: the graph, the
-    normalisation, the assembly flag (dense below 2,000 vertices), every
-    solver option, and the variant in the builds that had one."""
-    payload = [fingerprint, bool(normalized), False, {**_OLD_OPTIONS, "method": method},
-               *variant]
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:40]
-
-
-def _blob_names(root):
-    return sorted(path.name for path in (root / "blobs").iterdir())
+def _file_names(root):
+    return {path.name for path in root.iterdir()}
 
 
 class TestWriteFaults:
-    def test_crash_between_blob_write_and_insert_leaves_one_orphan(self, tmp_path):
-        root = tmp_path / "spectra"
-        store = SpectrumStore(root)
-        store.put(OTHER, np.arange(4, dtype=float), 1.0)
-
-        def crash_after_blob_write():
-            # The blob is on disk; die where the catalog insert would begin.
-            store._catalog.write = lambda: os._exit(0)
-            store.put(FP, np.arange(3, dtype=float), 1.0)
-
-        child = multiprocessing.get_context("fork").Process(target=crash_after_blob_write)
-        child.start()
-        child.join(timeout=60)
-        assert child.exitcode == 0
-
-        reopened = SpectrumStore(root)
-        assert len(reopened) == 1
-        assert reopened.get(FP, 3) is None
-        report = reopened.verify()
-        assert report["missing"] == [] and report["corrupt"] == []
-        [orphan] = report["orphaned_blobs"]
-        # A young orphan may be a put in flight: fix leaves it alone...
-        reopened.verify(fix=True)
-        assert reopened.verify()["orphaned_blobs"] == [orphan]
-        # ...until it is older than the grace period.
-        old = time.time() - 120
-        os.utime(root / "blobs" / orphan, (old, old))
-        reopened.verify(fix=True)
-        assert reopened.verify()["ok"]
-        assert not (root / "blobs" / orphan).exists()
-        assert reopened.get(OTHER, 4) is not None
-
     def test_writer_killed_inside_its_transaction_does_not_wedge_the_store(
         self, tmp_path
     ):
@@ -120,26 +74,27 @@ class TestWriteFaults:
                 child.kill()
                 child.join(timeout=5)
 
-    def test_full_disk_fails_the_put_cleanly(self, tmp_path, monkeypatch):
+    def test_full_disk_fails_the_put_cleanly(self, tmp_path):
         root = tmp_path / "spectra"
         store = SpectrumStore(root)
         store.put(OTHER, np.arange(4, dtype=float), 1.0)
-        before = _blob_names(root)
-
-        def no_space(*args, **kwargs):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(np, "savez_compressed", no_space)
-        with pytest.raises(OSError):
-            store.put(FP, np.arange(3, dtype=float), 1.0)
-        assert _blob_names(root) == before  # no temporary file left behind
-        assert len(store) == 1
+        # Cap the catalog at its current size: a write that needs one more
+        # page fails as on a full disk (SQLITE_FULL).
+        conn = store._catalog._conn
+        conn.execute(f"PRAGMA max_page_count = {conn.execute('PRAGMA page_count').fetchone()[0]}")
+        with pytest.raises(OSError, match="full"):
+            store.put(FP, np.linspace(0.0, 1.0, 2000), 1.0)
+        assert len(store) == 1 and store.stats()["solves_recorded"] == 1
+        assert _file_names(root) <= _CATALOG_FILES
         # The cache swallows the failed publish and still answers.
-        graph = fft_graph(3)
-        spectrum = SpectrumCache(store=store).spectrum(graph, 5)
-        reference = SpectrumCache().spectrum(graph, 5)
-        np.testing.assert_array_equal(spectrum.eigenvalues, reference.eigenvalues)
+        cache = SpectrumCache(store=store)
+        spectrum = cache.spectrum(chain_graph(600), 600)  # too long for the pages left
+        assert spectrum.eigenvalues.shape == (600,) and cache.misses == 1
         assert len(store) == 1
+        # Space again: the handle writes.
+        conn.execute("PRAGMA max_page_count = 1073741823")
+        store.put(FP, np.linspace(0.0, 1.0, 2000), 1.0)
+        assert len(store) == 2 and store.get(FP, 2000) is not None
 
     def test_failed_commit_rolls_back_and_the_handle_stays_usable(self, tmp_path):
         store = SpectrumStore(tmp_path / "spectra")
@@ -169,7 +124,7 @@ class TestWriteFaults:
     def test_corrupt_catalog_is_replaced_by_the_next_write(self, tmp_path):
         root = tmp_path / "spectra"
         store = SpectrumStore(root)
-        lost = store.put(OTHER, np.arange(4, dtype=float), 1.0)
+        store.put(OTHER, np.arange(4, dtype=float), 1.0)
         store._catalog.close()
         (root / "catalog.sqlite").write_text("{not a database")
 
@@ -177,126 +132,18 @@ class TestWriteFaults:
         assert len(reopened) == 0 and reopened.get(OTHER, 4) is None
         reopened.put(FP, np.arange(3, dtype=float), 1.0)
         assert len(reopened) == 1 and reopened.get(FP, 3) is not None
-        assert SpectrumStore(root).verify()["orphaned_blobs"] == [f"{lost}.npz"]
+        assert SpectrumStore(root).verify()["ok"]
+        assert reopened.stats()["formats_discarded"] == 0  # replaced, not discarded
         assert reopened.clear() == 1 and len(SpectrumStore(root)) == 0
 
 
-class _Recorder:
-    """Stands in for both stores and records what gets published."""
-
-    def __init__(self):
-        self.spectra = []
-        self.cuts = []
-
-    def get(self, *args, **kwargs):
-        return None
-
-    def claim(self, *args, **kwargs):
-        return Claim()  # leasing off: every cold miss solves
-
-    def put(self, fingerprint, eigenvalues, solve_seconds, **kwargs):
-        self.spectra.append((fingerprint, np.asarray(eigenvalues), solve_seconds, kwargs))
-
-    def merge(self, fingerprint, vertices, values, flow_calls=0, **kwargs):
-        self.cuts.append((fingerprint, list(vertices), list(values), flow_calls))
-
-
-def _write_json_layout(root, recorder, solves_recorded):
-    """A store as older builds wrote it: JSON indexes, lock files, leases."""
-    (root / "blobs").mkdir(parents=True)
-    (root / "cuts").mkdir()
-    entries = {}
-    for fingerprint, values, seconds, kwargs in recorder.spectra:
-        base = _old_base(fingerprint, kwargs["normalized"])
-        entry_id = _entry_id(base, len(values))
-        np.savez_compressed(
-            root / "blobs" / f"{entry_id}.npz",
-            eigenvalues=values, solve_seconds=np.float64(seconds),
-        )
-        entries[entry_id] = {
-            "base": base, "h": len(values), "fingerprint": fingerprint,
-            "normalized": kwargs["normalized"], "sparse": False,
-            "options": _OLD_OPTIONS, "variant": "exact",
-            "backend": kwargs["backend"], "lineage": "fft", "solve_seconds": seconds,
-            "created_at": 1.0, "last_used": 2.0,
-        }
-    (root / "index.json").write_text(json.dumps(
-        {"format_version": 1, "solves_recorded": solves_recorded, "entries": entries}
-    ))
-    cut_entries = {}
-    for fingerprint, vertices, values, _ in recorder.cuts:
-        np.savez_compressed(
-            root / "cuts" / f"{fingerprint}.npz",
-            vertices=np.asarray(vertices), values=np.asarray(values),
-        )
-        cut_entries[fingerprint] = {
-            "num_cuts": len(vertices), "backend": "scipy", "lineage": "fft",
-            "created_at": 1.0, "last_used": 2.0,
-        }
-    flows = sum(calls for *_, calls in recorder.cuts)
-    (root / "cuts-index.json").write_text(json.dumps(
-        {"format_version": 1, "flows_recorded": flows, "entries": cut_entries}
-    ))
-    for name in (".lock", ".cuts.lock", ".leases.lock"):
-        (root / name).touch()
-    (root / "leases").mkdir()
-    (root / "leases" / f"{'0' * 40}.json").write_text("{}")
-    return flows
-
-
-class TestLegacyImport:
-    def test_json_layout_is_imported_once_with_its_counters(self, tmp_path):
-        graph = fft_graph(4)
-        recorder = _Recorder()
-        cache = SpectrumCache(store=recorder)
-        expected = {
-            normalized: cache.spectrum(graph, 8, normalized=normalized).eigenvalues
-            for normalized in (True, False)
-        }
-        MinCutEngine(graph, store=recorder).max_cut()
-        assert len(recorder.spectra) == 2 and len(recorder.cuts) == 1
-        root = tmp_path / "old-store"
-        # More solves than entries: the counter records work, not entries.
-        flows = _write_json_layout(root, recorder, solves_recorded=5)
-        legacy = {name: (root / name).read_text() for name in ("index.json", "cuts-index.json")}
-
-        store, cuts = SpectrumStore(root), CutStore(root)
-        assert len(store) == 2 and len(cuts) == 1
-        assert store.stats()["solves_recorded"] == 5
-        assert cuts.stats()["flows_recorded"] == flows > 0
-        assert {entry["lineage"] for entry in store.entries()} == {"fft"}
-        assert store.verify()["ok"] and cuts.verify()["ok"]
-        leftovers = ["index.json", "cuts-index.json", ".lock", ".cuts.lock",
-                     ".leases.lock", "leases"]
-        assert not any((root / name).exists() for name in leftovers)
-
-        # A second open does not import again, even if the JSON files came
-        # back (a crash between the import's commit and their deletion).
-        for name, text in legacy.items():
-            (root / name).write_text(text)
-        again = SpectrumStore(root)
-        assert len(again) == 2 and again.stats()["solves_recorded"] == 5
-        assert CutStore(root).stats()["flows_recorded"] == flows
-        assert not (root / "index.json").exists()
-
-        # Re-querying the imported graphs pays no eigensolve and no flow.
-        warm = SpectrumCache(store=SpectrumStore(root))
-        for normalized, values in expected.items():
-            served = warm.spectrum(graph, 8, normalized=normalized)
-            np.testing.assert_array_equal(served.eigenvalues, values)
-        assert warm.misses == 0 and warm.store_hits == 2
-        engine = MinCutEngine(graph, store=CutStore(root))
-        engine.max_cut()
-        assert engine.flow_calls == 0 and engine.store_served > 0
-
-
-#: The catalog schema of the builds that stored interval spectra.
-_VARIANT_SCHEMA = """
+#: The catalog schema of the builds that kept each value in an ``.npz``
+#: file beside its row; they never set ``PRAGMA user_version`` (0).
+_PARENT_SCHEMA = """
 PRAGMA journal_mode=WAL;
 CREATE TABLE spectra (
     id TEXT PRIMARY KEY, base TEXT NOT NULL, h INTEGER NOT NULL,
-    fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL,
-    sparse INTEGER NOT NULL, dtype TEXT NOT NULL, variant TEXT NOT NULL,
+    fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL, dtype TEXT NOT NULL,
     backend TEXT NOT NULL, lineage TEXT, solve_seconds REAL NOT NULL,
     bytes INTEGER NOT NULL, created_at REAL NOT NULL, last_used REAL NOT NULL);
 CREATE INDEX spectra_by_base ON spectra (base, h);
@@ -306,115 +153,60 @@ CREATE TABLE cuts (
     created_at REAL NOT NULL, last_used REAL NOT NULL);
 CREATE TABLE leases (
     base TEXT PRIMARY KEY, token TEXT, pid INTEGER, host TEXT, fingerprint TEXT,
-    variant TEXT, created_at REAL, heartbeat_at REAL, ttl REAL);
+    created_at REAL, heartbeat_at REAL, ttl REAL);
 CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
 """
 
-COARSE = "coarse-r0.5-s0"
 
-
-def _coarse_base(fingerprint):
-    """The base id those builds gave a coarse entry: the variant was hashed in."""
-    return _old_base(fingerprint, True, "auto", COARSE)
-
-
-def _write_variant_catalog(root):
-    """A store with one exact spectrum (fft:4, h=10), one coarse interval
-    spectrum whose blob carries ``eigenvalues_lo``, and two leases."""
-    recorder = _Recorder()
-    BoundEngine(fft_graph(4), num_eigenvalues=10, cache=SpectrumCache(store=recorder)).spectral(4)
-    [(fingerprint, values, seconds, kwargs)] = recorder.spectra
+def _write_parent_store(root, graph):
+    """A store as the builds before format 2 left it: one ``spectra`` row
+    (the normalised spectrum of ``graph``, h=10) whose eigenvalues live in
+    ``blobs/<id>.npz``, a cut table under ``cuts/``, and the JSON index of
+    the builds before the catalog."""
+    fingerprint = graph.fingerprint()
+    entry_id = _entry_id(spectrum_base(fingerprint, True, "dense", "float64"), 10)
     (root / "blobs").mkdir(parents=True)
-    exact = _entry_id(_old_base(fingerprint, kwargs["normalized"]), 10)
-    coarse = _entry_id(_coarse_base(fingerprint), 10)
-    np.savez_compressed(root / "blobs" / f"{exact}.npz",
-                        eigenvalues=values, solve_seconds=np.float64(seconds))
-    np.savez_compressed(root / "blobs" / f"{coarse}.npz", eigenvalues=values + 1.0,
-                        eigenvalues_lo=values * 0.0, solve_seconds=np.float64(seconds))
-    now = time.time()
+    (root / "cuts").mkdir()
+    np.savez_compressed(root / "blobs" / f"{entry_id}.npz",
+                        eigenvalues=np.linspace(0.0, 1.0, 10), solve_seconds=np.float64(1.0))
+    np.savez_compressed(root / "cuts" / f"{fingerprint}.npz",
+                        vertices=np.arange(3), values=np.arange(3))
+    (root / "index.json").write_text(json.dumps(
+        {"format_version": 1, "solves_recorded": 1, "entries": {}}
+    ))
     conn = sqlite3.connect(root / "catalog.sqlite")
-    conn.executescript(_VARIANT_SCHEMA)
+    conn.executescript(_PARENT_SCHEMA)
     with conn:
-        for entry_id, variant in ((exact, "exact"), (coarse, COARSE)):
-            conn.execute(
-                "INSERT INTO spectra VALUES (?, ?, 10, ?, 1, 0, 'float64', ?, ?, 'fft', "
-                "?, ?, ?, ?)",
-                (entry_id, entry_id[:40], fingerprint, variant, kwargs["backend"], seconds,
-                 (root / "blobs" / f"{entry_id}.npz").stat().st_size, now, now),
-            )
-        for base, owner, variant in ((_old_base(OTHER), OTHER, "exact"),
-                                     (coarse[:40], fingerprint, COARSE)):
-            conn.execute(
-                "INSERT INTO leases VALUES (?, 'token', ?, 'elsewhere', ?, ?, ?, ?, 30.0)",
-                (base, os.getpid(), owner, variant, now, now),
-            )
-        conn.execute("INSERT INTO counters VALUES ('solves_recorded', 2)")
+        conn.execute(
+            "INSERT INTO spectra VALUES (?, ?, 10, ?, 1, 'float64', 'dense', 'fft', "
+            "1.0, 500, 1.0, 1.0)",
+            (entry_id, entry_id[:40], fingerprint),
+        )
+        conn.execute("INSERT INTO counters VALUES ('solves_recorded', 1)")
     conn.close()
-    return exact, coarse
 
 
-def _catalog_state(root):
-    """Everything a migration could change: schema, rows and blob names."""
+def _user_version(root):
     conn = sqlite3.connect(root / "catalog.sqlite")
     try:
-        state = {
-            table: conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
-            for table in ("spectra", "leases", "counters")
-        }
-        state["schema"] = conn.execute("SELECT sql FROM sqlite_master ORDER BY name").fetchall()
-    finally:
-        conn.close()
-    state["blobs"] = _blob_names(root)
-    return state
-
-
-def _columns(root, table):
-    conn = sqlite3.connect(root / "catalog.sqlite")
-    try:
-        return [row[1] for row in conn.execute(f"PRAGMA table_info({table})")]
+        return conn.execute("PRAGMA user_version").fetchone()[0]
     finally:
         conn.close()
 
 
-class TestVariantMigration:
-    def test_interval_rows_are_dropped_once_and_exact_ones_served(self, tmp_path):
-        root = tmp_path / "spectra"
-        exact, coarse = _write_variant_catalog(root)
-
-        store = SpectrumStore(root)
-        assert [entry["entry"] for entry in store.entries()] == [exact]
-        assert _blob_names(root) == [f"{exact}.npz"]
-        for table in ("spectra", "leases"):
-            assert "variant" not in _columns(root, table)
-        # Those builds also keyed on the assembly flag and every solver
-        # option, so the re-key that follows clears the exact lease too.
-        assert store.leases() == []
-        assert store.stats()["solves_recorded"] == 2  # work done, not entries
-        assert store.verify()["ok"]
-
-        # The exact spectrum serves the bound without an eigensolve.
-        query = BoundQuery(GraphSpec(family="fft", size_param=4), 4)
-        service = BoundService(store=root, num_eigenvalues=10)
-        [served] = service.submit([query])
-        assert service.stats()["cache_misses"] == 0 and service.stats()["store_hits"] == 1
-        [solved] = BoundService(store=None, num_eigenvalues=10).submit([query])
-        assert served.bound == solved.bound and served.raw_value == solved.raw_value
-
-        # A second open changes nothing.
-        before = _catalog_state(root)
-        SpectrumStore(root).verify()
-        assert _catalog_state(root) == before
-
-    def test_processes_opening_it_together_migrate_it_once(self, tmp_path):
+class TestFormatReset:
+    def test_processes_opening_a_parent_format_store_discard_it_once(self, tmp_path):
         ctx = multiprocessing.get_context("fork")
+        query = BoundQuery(GraphSpec(family="fft", size_param=4), 4)
+        [solved] = BoundService(store=None, num_eigenvalues=10).submit([query])
         for attempt in range(5):
             root = tmp_path / f"spectra-{attempt}"
-            exact, _ = _write_variant_catalog(root)
+            _write_parent_store(root, fft_graph(4))
             barrier = ctx.Barrier(4)
 
             def first_open():
                 barrier.wait(timeout=30)
-                assert len(SpectrumStore(root)) == 1
+                assert len(SpectrumStore(root)) == 0
 
             procs = [ctx.Process(target=first_open) for _ in range(4)]
             for proc in procs:
@@ -422,89 +214,51 @@ class TestVariantMigration:
             for proc in procs:
                 proc.join(timeout=60)
             assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
-            assert "variant" not in _columns(root, "spectra")
-            assert [entry["entry"] for entry in SpectrumStore(root).entries()] == [exact]
-            assert _blob_names(root) == [f"{exact}.npz"]
+            assert _user_version(root) == FORMAT_VERSION
+            assert _file_names(root) <= _CATALOG_FILES
+            stats = SpectrumStore(root).stats()
+            assert stats["formats_discarded"] == 1
+            assert stats["num_entries"] == 0 and stats["solves_recorded"] == 0
 
-    def test_legacy_json_interval_entries_are_not_imported(self, tmp_path):
-        graph = fft_graph(4)
-        recorder = _Recorder()
-        SpectrumCache(store=recorder).spectrum(graph, 8)
-        root = tmp_path / "old-store"
-        _write_json_layout(root, recorder, solves_recorded=2)
-        index = json.loads((root / "index.json").read_text())
-        [(exact, meta)] = index["entries"].items()
-        coarse = _entry_id(_coarse_base(meta["fingerprint"]), 8)
-        index["entries"][coarse] = {**meta, "base": coarse[:40], "variant": COARSE}
-        (root / "index.json").write_text(json.dumps(index))
-        (root / "blobs" / f"{coarse}.npz").write_bytes(
-            (root / "blobs" / f"{exact}.npz").read_bytes()
-        )
+            # Re-querying the discarded spectrum pays one eigensolve.
+            service = BoundService(store=root, num_eigenvalues=10)
+            [served] = service.submit([query])
+            assert service.stats()["cache_misses"] == 1
+            assert (served.bound, served.raw_value) == (solved.bound, solved.raw_value)
+            assert main(["cache", "verify", "--store", str(root)]) == 0
+            assert SpectrumStore(root).stats()["formats_discarded"] == 1
 
-        store = SpectrumStore(root)
-        assert [entry["entry"] for entry in store.entries()] == [exact]
-        assert _blob_names(root) == [f"{exact}.npz"]
-        assert store.verify()["ok"]
-
-
-#: The catalog schema of the builds that keyed spectra on an assembly flag
-#: and every solver option.
-_SPARSE_SCHEMA = _VARIANT_SCHEMA.replace(" variant TEXT NOT NULL,", "").replace(
-    " variant TEXT,", ""
-)
-
-
-class TestRekeyMigration:
-    def test_rows_are_rekeyed_on_what_computed_them(self, tmp_path):
-        """Two dense rows of one spectrum (written by ``auto`` and by
-        ``dense``) become one key; rows of deleted backends go."""
-        graph = fft_graph(6)
-        fingerprint = graph.fingerprint()
-        values = SpectrumCache().spectrum(graph, 10).eigenvalues
+    def test_pre_catalog_layout_is_deleted_by_the_first_write(self, tmp_path):
         root = tmp_path / "spectra"
-        (root / "blobs").mkdir(parents=True)
-        rows = {  # entry id -> (normalized, backend)
-            _entry_id(_old_base(fingerprint, True, "auto"), 10): (True, "dense"),
-            _entry_id(_old_base(fingerprint, True, "dense"), 10): (True, "dense"),
-            _entry_id(_old_base(fingerprint, True, "lanczos"), 10): (True, "lanczos"),
-            _entry_id(_old_base(fingerprint, False, "auto"), 10): (False, "unknown"),
-        }
-        conn = sqlite3.connect(root / "catalog.sqlite")
-        conn.executescript(_SPARSE_SCHEMA)
-        with conn:
-            for entry_id, (normalized, backend) in rows.items():
-                blob = root / "blobs" / f"{entry_id}.npz"
-                np.savez_compressed(blob, eigenvalues=values, solve_seconds=np.float64(1.0))
-                conn.execute(
-                    "INSERT INTO spectra VALUES (?, ?, 10, ?, ?, 0, 'float64', ?, 'fft', "
-                    "1.0, ?, 1.0, 1.0)",
-                    (entry_id, entry_id[:40], fingerprint, int(normalized), backend,
-                     blob.stat().st_size),
-                )
-            for base in (_old_base(fingerprint), "cuts-" + "0" * 40):
-                conn.execute(
-                    "INSERT INTO leases VALUES (?, 'token', ?, 'elsewhere', ?, ?, ?, 30.0)",
-                    (base, os.getpid(), fingerprint, time.time(), time.time()),
-                )
-            conn.execute("INSERT INTO counters VALUES ('solves_recorded', 4)")
-        conn.close()
-
+        _write_parent_store(root, fft_graph(4))
+        for suffix in ("", "-wal", "-shm"):
+            (root / f"catalog.sqlite{suffix}").unlink(missing_ok=True)
+        for name in (".lock", ".cuts.lock", ".leases.lock"):
+            (root / name).touch()
+        (root / "leases").mkdir()
         store = SpectrumStore(root)
-        dense = sorted(entry for entry, (_, backend) in rows.items() if backend == "dense")
-        assert [entry["entry"] for entry in store.entries()] == dense
-        assert _blob_names(root) == [f"{entry}.npz" for entry in dense]
-        assert "sparse" not in _columns(root, "spectra")
-        assert [lease["lease"] for lease in store.leases()] == ["cuts-" + "0" * 40]
-        assert store.stats()["solves_recorded"] == 4  # work done, not entries
-        assert store.verify()["ok"]
+        # Its JSON index is not imported: reads see an empty store, and
+        # create nothing.
+        assert len(store) == 0 and store.stats()["formats_discarded"] == 0
+        assert "catalog.sqlite" not in _file_names(root)
+        store.put(FP, np.arange(3, dtype=float), 1.0)
+        assert _file_names(root) <= _CATALOG_FILES
+        assert store.stats()["formats_discarded"] == 1 and len(store) == 1
 
-        # Both spellings of the dense request read the re-keyed rows.
-        for options in (None, EigenSolverOptions(method="dense")):
-            cache = SpectrumCache(store=SpectrumStore(root))
-            served = cache.spectrum(graph, 10, eig_options=options)
-            assert cache.misses == 0 and served.backend == "dense"
-            np.testing.assert_array_equal(served.eigenvalues, values)
-        assert SpectrumStore(root).stats()["solves_recorded"] == 4
+    def test_a_new_store_is_not_counted_as_discarded(self, tmp_path):
+        root = tmp_path / "spectra"
+        (root / "cuts").mkdir(parents=True)  # not a store's: no index, no catalog
+        (root / "cuts" / "notes.txt").write_text("kept")
+        store = SpectrumStore(root)
+        store.put(FP, np.arange(3, dtype=float), 1.0)
+        assert store.stats()["formats_discarded"] == 0
+        assert _user_version(root) == FORMAT_VERSION
+        assert (root / "cuts" / "notes.txt").read_text() == "kept"
+
+
+def _vector(h):
+    """The spectrum the publisher below writes at length ``h``."""
+    return np.arange(h, dtype=float) / 7.0
 
 
 class TestProcessesAndThreads:
@@ -552,7 +306,9 @@ class TestProcessesAndThreads:
 
     def test_one_handle_shared_by_many_threads_loses_nothing(self, tmp_path):
         store = SpectrumStore(tmp_path / "spectra", lease_ttl=0.2)
-        store.put(FP, np.arange(3, dtype=float), 1.0)
+        cuts = CutStore(store.root)
+        store.put(FP, _vector(3), 1.0)
+        cuts.merge(FP, [2, 0, 1], [7, 5, 6])
         lease = store.acquire_lease(OTHER)  # its heartbeat shares the handle
         errors = []
         barrier = threading.Barrier(8)
@@ -561,12 +317,13 @@ class TestProcessesAndThreads:
             try:
                 barrier.wait(timeout=30)
                 for i in range(10):
-                    store.put(f"{index}-{i}" * 8, np.arange(3, dtype=float), 1.0)
-                    # A catalog lookup that reads no blob: np.load parses
-                    # headers with ast.literal_eval, and at this switch
-                    # interval CPython 3.11 can raise a spurious "AST
-                    # constructor recursion depth mismatch" SystemError.
-                    assert store.get(FP, 4) is None
+                    key = f"{index}-{i}" * 8
+                    store.put(key, _vector(4), 1.0)
+                    assert store.get(FP, 4) is None  # no row long enough
+                    stored = store.get(FP, 3)
+                    assert stored.eigenvalues.tobytes() == _vector(3).tobytes()
+                    assert store.get(key, 4).eigenvalues.tobytes() == _vector(4).tobytes()
+                    assert cuts.get(FP).as_dict() == {0: 5, 1: 6, 2: 7}
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -585,5 +342,55 @@ class TestProcessesAndThreads:
         assert not errors
         assert len(store) == 81
         assert store.stats()["solves_recorded"] == 81
-        assert store.misses == 80 and store.puts == 81
+        assert store.misses == 80 and store.hits == 160 and store.puts == 81
+        assert cuts.hits == 80
         assert store.leases() == []
+
+    def test_reader_racing_a_publisher_sees_only_whole_values(self, tmp_path):
+        """One process puts ever longer spectra of one key and merges a
+        growing cut table while another reads both in a loop: every read is
+        nothing yet, a whole written vector, or one merged table."""
+        root = tmp_path / "spectra"
+        SpectrumStore(root).put(OTHER, _vector(2), 1.0)  # the catalog exists
+        steps = 200
+        ctx = multiprocessing.get_context("fork")
+        done = ctx.Event()
+        results = ctx.Queue()
+
+        def publish():
+            spectra, cuts = SpectrumStore(root), CutStore(root)
+            for h in range(1, steps + 1):
+                spectra.put(FP, _vector(h), 1.0)
+                cuts.merge(FP, [h - 1], [h + 99])
+
+        def read_until_done():
+            spectra, cuts = SpectrumStore(root), CutStore(root)
+            reads, bad = 0, []
+            while True:
+                last = done.is_set()
+                stored = spectra.get(FP, 1)
+                if stored is not None and (
+                    stored.eigenvalues.tobytes() != _vector(stored.num_eigenvalues).tobytes()
+                ):
+                    bad.append(("spectrum", stored.num_eigenvalues))
+                table = cuts.get(FP)
+                if table is not None and (
+                    table.as_dict() != {v: v + 100 for v in range(len(table))}
+                ):
+                    bad.append(("cuts", len(table)))
+                reads += 1
+                if last:
+                    break
+            results.put((reads, bad, stored.num_eigenvalues, len(table)))
+
+        reader = ctx.Process(target=read_until_done)
+        publisher = ctx.Process(target=publish)
+        reader.start()
+        publisher.start()
+        publisher.join(timeout=120)
+        done.set()
+        reads, bad, final_h, final_cuts = results.get(timeout=120)
+        reader.join(timeout=30)
+        assert publisher.exitcode == 0 and reader.exitcode == 0
+        assert bad == [] and reads > 1
+        assert (final_h, final_cuts) == (steps, steps)
