@@ -13,18 +13,17 @@ recorded in ``BENCH_server.json``:
 * **parity** — every HTTP answer equals the direct
   :meth:`BoundService.submit` answer for the same query, float for float;
 * **thundering herd** — many threads requesting the same cold graph at
-  once (released together by a barrier) pay exactly **one** eigensolve
-  thanks to in-flight coalescing (without it, concurrent misses race past
-  the spectrum cache and solve redundantly); the coalescing hit rate is
-  recorded;
+  once (released together by a barrier), each at its own memory size, pay
+  exactly **one** eigensolve on a store-less server: concurrent misses on
+  one spectrum wait on one solve (the spectrum cache's single flight);
 * **multi-worker fleet** — the same warm mix through the shared port of
   a two-worker pre-forked :class:`ServerFleet` (each request answered by
   the worker that accepted it) still performs zero solves, and on a
   multi-core host outscores the single-process server; a *cold* herd
-  fired at both workers' direct ports — different memory sizes, so
-  neither the HTTP coalescer nor batch dedup can help — pays exactly one
-  eigensolve across both processes via the store's solve lease, with the
-  lease leader/follower split recorded.
+  fired at both workers' direct ports — different memory sizes, so batch
+  dedup cannot help — pays exactly one eigensolve across both processes
+  via the store's solve lease, with the lease leader/follower split
+  recorded.
 
 Defaults are CI-scale; ``REPRO_BENCH_LARGE=1`` lifts the FFT levels and
 the thread count.
@@ -178,8 +177,8 @@ def fleet_cold_herd(store_root) -> Dict[str, object]:
     """
     spec = GraphSpec(family="fft", size_param=FLEET_HERD_LEVEL)
     # M-major order: with len(MEMORY_SIZES) threads striding the list, the
-    # first concurrent wave is four *distinct* memory sizes — keys the
-    # per-worker HTTP coalescer and batch dedup cannot collapse.
+    # first concurrent wave is four *distinct* memory sizes — queries batch
+    # dedup cannot collapse.
     herd_queries = [
         BoundQuery(spec, memory_size)
         for _ in range(HERD_REQUESTS_PER_THREAD)
@@ -226,29 +225,29 @@ def test_server_cold_warm_and_herd(benchmark, tmp_path):
     assert [a.bound for a in warm["answers"]] == [a.bound for a in cold["answers"]]
 
     # The serving-layer cache contract, observed through /metrics alone.
-    # Cold needs at least one solve per (level, normalization); a few
-    # duplicates are possible when *different* query keys needing the same
-    # spectrum (same level, different M/method) race their cold misses —
-    # coalescing only collapses identical queries, the herd phase below
-    # pins that down exactly.
-    assert 2 * len(LEVELS) <= cold["eigensolves"] <= len(queries)
+    # Cold pays exactly one solve per (level, normalization): queries that
+    # need one spectrum at different M share its solve however they race.
+    assert cold["eigensolves"] == 2 * len(LEVELS)
     assert cold["flow_calls"] > 0
     assert warm["eigensolves"] == 0
     assert warm["flow_calls"] == 0
 
-    # Thundering herd on one cold graph: one eigensolve, shared by all.
+    # Thundering herd on one cold graph, each thread at its own memory size
+    # (replay strides the list, so thread i sends M = 2 + i): one
+    # eigensolve, shared by all, with no store to coordinate through.
+    herd_spec = GraphSpec(family="fft", size_param=HERD_LEVEL)
     herd_queries = [
-        BoundQuery(GraphSpec(family="fft", size_param=HERD_LEVEL), 8)
-    ] * (HERD_THREADS * HERD_REQUESTS_PER_THREAD)
+        BoundQuery(herd_spec, 2 + index % HERD_THREADS)
+        for index in range(HERD_THREADS * HERD_REQUESTS_PER_THREAD)
+    ]
     herd_service = BoundService(num_eigenvalues=NUM_EIGENVALUES)
     with BoundServer(herd_service, port=0) as server:
         server.start()
         herd_answers, herd_seconds, _ = replay(server.url, herd_queries, HERD_THREADS)
-        coalesced = server.coalescer.coalesced
         herd_eigensolves = scrape_metric(server.url, "repro_eigensolves_total")
     assert herd_eigensolves == 1, "the herd must pay exactly one eigensolve"
-    assert len({a.bound for a in herd_answers}) == 1
-    coalesce_rate = coalesced / len(herd_queries)
+    herd_direct = BoundService(num_eigenvalues=NUM_EIGENVALUES).submit(herd_queries)
+    assert [a.bound for a in herd_answers] == [a.bound for a in herd_direct]
 
     # Multi-worker fleet: the warm mix through the shared port still
     # performs zero solves...
@@ -270,13 +269,13 @@ def test_server_cold_warm_and_herd(benchmark, tmp_path):
     assert fleet_herd["lease_leaders"] == 1
     # Lease followers read the *published* spectrum: every answer must
     # match a direct solve of the same query, whichever worker served it.
-    herd_spec = GraphSpec(family="fft", size_param=FLEET_HERD_LEVEL)
+    fleet_herd_spec = GraphSpec(family="fft", size_param=FLEET_HERD_LEVEL)
     herd_reference = {
         memory_size: answer.bound
         for memory_size, answer in zip(
             MEMORY_SIZES,
             BoundService(num_eigenvalues=NUM_EIGENVALUES).submit(
-                [BoundQuery(herd_spec, memory_size) for memory_size in MEMORY_SIZES]
+                [BoundQuery(fleet_herd_spec, memory_size) for memory_size in MEMORY_SIZES]
             ),
         )
     }
@@ -300,9 +299,9 @@ def test_server_cold_warm_and_herd(benchmark, tmp_path):
         )
     bench_print(f"  warm speedup: {warm_speedup:6.2f}x")
     bench_print(
-        f"  herd: {len(herd_queries)} identical requests from {HERD_THREADS} threads "
-        f"in {herd_seconds:.3f}s -> {herd_eigensolves:.0f} eigensolve, "
-        f"{coalesced} coalesced ({100 * coalesce_rate:.0f}% hit rate)"
+        f"  herd: {len(herd_queries)} requests at {HERD_THREADS} memory sizes from "
+        f"{HERD_THREADS} threads in {herd_seconds:.3f}s -> "
+        f"{herd_eigensolves:.0f} eigensolve"
     )
     bench_print(
         f"  fleet ({FLEET_WORKERS} workers): warm {fleet_warm['seconds']:7.3f}s  "
@@ -344,8 +343,6 @@ def test_server_cold_warm_and_herd(benchmark, tmp_path):
             "herd_level": HERD_LEVEL,
             "herd_seconds": round(herd_seconds, 4),
             "herd_eigensolves": herd_eigensolves,
-            "herd_coalesced": coalesced,
-            "herd_coalesce_rate": round(coalesce_rate, 3),
             "fleet_workers": FLEET_WORKERS,
             "fleet_warm_seconds": round(fleet_warm["seconds"], 4),
             "fleet_warm_rps": round(fleet_warm["rps"], 1),

@@ -25,8 +25,8 @@ Reproduction of Jain & Zaharia, SPAA 2020.  The package provides:
   cross-process propagation, the process-global metrics registry, and
   opt-in per-task profiling (``python -m repro obs report``);
 * :mod:`repro.server` — the HTTP serving layer over the bound service:
-  versioned ``/v1`` JSON batch queries, Prometheus ``/metrics``, admission
-  control and in-flight coalescing (``python -m repro serve``).
+  versioned ``/v1`` JSON batch queries, Prometheus ``/metrics`` and
+  admission control of cold solves (``python -m repro serve``).
 
 Quickstart
 ----------

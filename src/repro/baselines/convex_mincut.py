@@ -51,6 +51,7 @@ the two layers that make whole-paper sweeps cheap:
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -102,6 +103,15 @@ class MinCutEngine:
         tests and for callers that need the legacy witness tie-breaking).
     lineage:
         Family tag recorded in the store (``cache`` CLI filters on it).
+
+    Attributes
+    ----------
+    admission:
+        ``None`` (default), or a gate with a ``slot()`` context manager
+        that a :meth:`max_cut` pass needing a max-flow runs inside, from
+        its first flow on; a warm pass never takes it.
+        :class:`~repro.runtime.service.BoundService` sets its own gate
+        before each pass it runs.
     """
 
     def __init__(
@@ -127,6 +137,7 @@ class MinCutEngine:
         #: sharing one LRU-cached engine — must take turns.  Re-entrant, so
         #: a caller can hold it to read :attr:`flow_calls` around a call.
         self.lock = threading.RLock()
+        self.admission = None
 
     # ------------------------------------------------------------------
     # observability
@@ -229,10 +240,11 @@ class MinCutEngine:
     ) -> Optional[Tuple[int, Optional[int]]]:
         """One pass of :meth:`max_cut`; ``None`` asks for a warm re-run.
 
-        With ``claim`` set, the pass claims the store's solve lease right
-        before its first max-flow.  It leads — solving, publishing, then
-        releasing — unless another process's leader published cuts of these
-        candidates meanwhile: then it returns ``None`` with those cuts known.
+        Right before its first max-flow the pass claims the store's solve
+        lease (with ``claim`` set), then takes an :attr:`admission` slot.
+        It leads — solving, publishing, then releasing both — unless another
+        process's leader published cuts of these candidates meanwhile: then
+        it returns ``None`` with those cuts known.
         """
         network = self._get_network()
         best_cut = 0
@@ -258,8 +270,9 @@ class MinCutEngine:
         fresh: Dict[int, int] = {}
         pruned = 0
         flows_before = self.flow_calls
-        lease = None
-        try:
+        # Unwinds in reverse: the slot, then the lease — after the publish,
+        # since followers re-read the table the moment the lease row goes.
+        with contextlib.ExitStack() as cold:
             for v in order.tolist():
                 if v in self._known:
                     continue  # already counted in the seeding scan
@@ -270,12 +283,15 @@ class MinCutEngine:
                 ):
                     pruned += 1
                     continue
-                if claim:
-                    claim = False
-                    outcome = self._claim(candidates)
-                    if outcome.found is not None:
-                        return None
-                    lease = outcome.lease
+                if not fresh:  # the pass's first max-flow
+                    if claim:
+                        outcome = self._claim(candidates)
+                        if outcome.found is not None:
+                            return None
+                        if outcome.lease is not None:
+                            cold.callback(outcome.lease.release)
+                    if self.admission is not None:
+                        cold.enter_context(self.admission.slot())
                 value = self._solve(v)
                 fresh[v] = value
                 if value > best_cut or best_vertex is None:
@@ -283,11 +299,6 @@ class MinCutEngine:
                     best_vertex = v
             self._pruned += pruned
             self._publish(fresh, flow_calls=self.flow_calls - flows_before)
-        finally:
-            # Publish-then-release: followers re-read the table the moment
-            # the lease row disappears.
-            if lease is not None:
-                lease.release()
         return best_cut, best_vertex
 
     def _claim(self, candidates: np.ndarray):

@@ -49,9 +49,7 @@ metric                                 kind       recorded by
 ``repro_store_io_seconds``             histogram  persistent store I/O, by
                                                   ``store``/``op``
 ``repro_admission_wait_seconds``       histogram  queue wait of admitted
-                                                  solve batches
-``repro_coalesce_total``               counter    coalescer claims, by
-                                                  ``role`` (leader/follower)
+                                                  cold solves
 ``repro_slow_queries_total``           counter    requests over the
                                                   ``REPRO_SLOW_QUERY_SECONDS``
                                                   threshold

@@ -13,7 +13,7 @@ this module is the tripwire on that trajectory:
   never gets judged against CI numbers and one noisy outlier never
   poisons the baseline;
 * **counter metrics** (eigensolves, flow calls, lease leaders/followers)
-  are compared exactly — the whole point of the caching/coalescing
+  are compared exactly — the whole point of the caching and single-flight
   layers is that these are deterministic, so *any* increase is a
   regression and fails ``python -m repro obs perf check``;
 * **wall-clock and throughput metrics** are threshold-gated (default
@@ -84,7 +84,6 @@ _COUNTER_SUFFIXES = (
     "flow_calls",
     "lease_leaders",
     "lease_followers",
-    "coalesced",
 )
 
 #: Suffixes of throughput-style metrics — higher is better.

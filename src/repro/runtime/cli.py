@@ -13,8 +13,8 @@ Four subcommands expose the runtime subsystem without writing any Python:
   ``--fingerprint``) the persistent spectrum store;
 * ``serve`` — expose the same :class:`~repro.runtime.service.BoundService`
   over HTTP (the :mod:`repro.server` subsystem: versioned ``/v1`` JSON
-  batch queries, Prometheus ``/metrics``, admission control and in-flight
-  coalescing).  Against a pre-warmed ``--store`` the whole HTTP path
+  batch queries, Prometheus ``/metrics``, admission control of cold
+  solves).  Against a pre-warmed ``--store`` the whole HTTP path
   answers without a single eigensolve or max-flow call, which the CI serve
   smoke asserts via ``repro_eigensolves_total`` / ``repro_flow_calls_total``.
   ``--workers N`` (or ``$REPRO_SERVE_WORKERS``) boots a pre-forked fleet
@@ -255,13 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-in-flight",
         type=int,
         default=4,
-        help="solve batches allowed to run concurrently",
+        help="cold solves (eigensolves, max-flow passes) allowed to run "
+        "concurrently; warm answers never wait for one",
     )
     serve.add_argument(
         "--max-queue",
         type=int,
         default=16,
-        help="solve batches allowed to wait for a slot before 429s start",
+        help="cold solves allowed to wait for a slot before 429s start",
     )
     serve.add_argument(
         "--retry-after",
@@ -610,10 +611,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    if args.command == "serve" and args.no_store and _serve_workers(args) > 1:
-        # The store is all a fleet's workers share: without it each would
-        # solve every cold graph for itself.
-        parser.error("serve --workers N (N > 1) needs a store; drop --no-store")
+    if args.command == "serve":
+        if args.no_store and _serve_workers(args) > 1:
+            # The store is all a fleet's workers share: without it each
+            # would solve every cold graph for itself.
+            parser.error("serve --workers N (N > 1) needs a store; drop --no-store")
+        # Refused before anything forks: a fleet worker would die on it at
+        # every respawn.
+        if args.max_in_flight < 1:
+            parser.error("serve --max-in-flight must be at least 1")
+        if args.max_queue < 0:
+            parser.error("serve --max-queue must be at least 0")
     handlers = {
         "solve": _cmd_solve,
         "sweep": _cmd_sweep,

@@ -90,10 +90,10 @@ class BoundAnswer:
     a zero-width interval that still brackets it.
 
     ``trace_id`` links the answer to the query span that produced it when
-    tracing is enabled.  ``served_by_trace_id`` marks coalesced followers:
-    the answer was computed once by a leader request (whose trace id this
-    is) and fanned out, so the follower's ``eig_elapsed_seconds`` is
-    reported as 0.0 — the solve time is counted once, on the leader.
+    tracing is enabled.  ``eig_elapsed_seconds`` is the cost of the
+    eigensolve behind the answer, which a warm answer reports too (it did
+    not pay it); only the ``eigensolve`` spans of a trace count each solve
+    once.
     """
 
     graph: str
@@ -109,7 +109,6 @@ class BoundAnswer:
     bound_lo: Optional[float] = None
     bound_hi: Optional[float] = None
     trace_id: Optional[str] = None
-    served_by_trace_id: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -128,6 +127,10 @@ class BoundService:
         LRU budget of per-graph engines kept alive between batches.
     eig_options:
         Solver options forwarded to every engine.
+
+    Cold work passes :attr:`admission`, when set: each eigensolve, and each
+    convex min-cut pass that needs a max-flow.  Warm lookups, store hits
+    and waiters on another thread's solve never take a slot.
     """
 
     def __init__(
@@ -168,6 +171,17 @@ class BoundService:
     def store(self) -> Optional[SpectrumStore]:
         return self._cache.store
 
+    @property
+    def admission(self):
+        """The gate (duck-typed ``slot()``) around every cold solve of this
+        service, or ``None``; :class:`~repro.server.runner.BoundServer`
+        sets its admission controller here."""
+        return self._cache.admission
+
+    @admission.setter
+    def admission(self, gate) -> None:
+        self._cache.admission = gate
+
     def counters(self) -> Dict[str, int]:
         """The in-memory counters alone — cheap enough for every ``/metrics``
         scrape (:meth:`stats` additionally reads the on-disk store catalog).
@@ -206,10 +220,12 @@ class BoundService:
         the same graph reference share one engine (and therefore one
         eigensolve per normalisation at most); across batches, engines and
         spectra persist in the service's caches.  Batches from multiple
-        threads run concurrently — the service lock only guards the engine
-        registry, never the bound evaluations themselves (the spectrum cache
-        has its own lock), so one client's cold eigensolve does not stall
-        another client's warm batch.
+        threads run concurrently: the service lock guards only the engine
+        registry, the spectrum cache's lock only its lookups, and
+        :attr:`admission` only cold solves.  So one client's cold eigensolve
+        does not stall another client's warm batch, and a client needing
+        the same cold spectrum waits for that one solve instead of starting
+        its own.
         """
         answers: List[BoundAnswer] = []
         first_seen: Dict[BoundQuery, int] = {}
@@ -298,7 +314,9 @@ class BoundService:
         start = time.perf_counter()
         # Read the flow count under the engine's lock: a query that waited
         # out another thread's pass must not count that pass's flows too.
+        # The lock also makes the engine this pass's alone, gate included.
         with engine.lock:
+            engine.admission = self.admission
             flows_before = engine.flow_calls
             best_cut, _ = engine.max_cut()
             flows = engine.flow_calls - flows_before

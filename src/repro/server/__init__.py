@@ -12,12 +12,13 @@ JSON-decode requests into :class:`BoundQuery` objects and call
   ``GET /v1/fleet/stats``, ``GET /healthz`` and ``GET /metrics``;
 * :mod:`repro.server.runner` — the transport (one ``http.server`` handler,
   one threaded server class with a graceful drain) and
-  :class:`BoundServer`, which adds admission control (bounded in-flight
-  solves + queue, 429 on overload) and in-flight coalescing of identical
-  queries; plus the pre-forked :class:`ServerFleet` (``--workers N``),
-  whose every worker is a :class:`BoundServer` on two sockets (the shared
-  one all workers accept on, and its own direct one) answering whatever
-  it accepts over the common store, with worker supervision/respawn;
+  :class:`BoundServer`, which adds admission control around the service's
+  cold solves (bounded in-flight solves + queue, 429 on overload; warm
+  answers never wait); plus the pre-forked :class:`ServerFleet`
+  (``--workers N``), whose every worker is a :class:`BoundServer` on two
+  sockets (the shared one all workers accept on, and its own direct one)
+  answering whatever it accepts over the common store, with worker
+  supervision/respawn;
 * :mod:`repro.server.client` — a thin stdlib keep-alive client.
 
 ``python -m repro serve`` boots the whole stack from the CLI.
@@ -32,7 +33,6 @@ from repro.server.runner import (
     AdmissionController,
     BoundServer,
     FleetConfig,
-    QueryCoalescer,
     ServerFleet,
     ShardInfo,
 )
@@ -47,7 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "QueryCoalescer",
     "SERVE_WORKERS_ENV_VAR",
     "ServerError",
     "ServerFleet",

@@ -6,7 +6,7 @@ Endpoints (see :mod:`repro.server.protocol` for the ``/v1`` wire schema):
 method   path                 what it serves
 =======  ===================  ===============================================
 POST     ``/v1/bounds``       a batch of bound queries -> a batch of answers
-GET      ``/v1/stats``        service/cache/admission/coalescing counters
+GET      ``/v1/stats``        service/cache/admission counters
 GET      ``/v1/fleet/stats``  per-worker rollup + fleet totals (fleet only)
 GET      ``/healthz``         liveness: ``{"status": "ok", ...}``
 GET      ``/metrics``         Prometheus text exposition; on a fleet's
@@ -16,24 +16,23 @@ GET      ``/metrics``         Prometheus text exposition; on a fleet's
 :class:`BoundsApp` knows no sockets: :mod:`repro.server.runner`'s request
 handler reads a request's method, path and body off the connection and
 calls the app with them, and writes the ``(status, headers, body)`` it
-returns.  The two serving policies — admission control and in-flight
-coalescing — are injected as duck-typed collaborators (``admission`` with
-``slot()``/``stats()``, ``coalescer`` with ``claim``/``resolve``/``fail``/
-``stats``); :class:`repro.server.runner.BoundServer` wires the stdlib
-implementations in, and the test suite drives overload and coalescing
-deterministically through stub services.
+returns.  A ``/v1/bounds`` batch is one
+:meth:`~repro.runtime.service.BoundService.submit` call: admission gates
+the service's cold solves, not requests, and the app only reports the
+controller (duck-typed: ``stats()``, ``rejected``, ``in_flight``,
+``queued``) and maps its :class:`ServerOverloadedError` to 429.
+:class:`repro.server.runner.BoundServer` wires both together.
 
 Error contract: every non-2xx response body is the structured error object
 of :func:`repro.server.protocol.encode_error` — protocol violations map to
-their declared status, an admission rejection maps to 429 with a
-``Retry-After`` header, service-level ``ValueError`` (unknown
+their declared status, an admission rejection (cold work only) maps to
+429 with a ``Retry-After`` header, service-level ``ValueError`` (unknown
 normalization/method, over-large ``k``) maps to 400, and anything
 unexpected to 500.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -47,11 +46,10 @@ from repro.obs.metrics import (
     merge_expositions,
     parse_metric,
 )
-from repro.runtime.service import BoundAnswer, BoundService
+from repro.runtime.service import BoundService
 from repro.server.client import BoundsClient, ServerError
 from repro.server.protocol import (
     PROTOCOL_VERSION,
-    DecodedQuery,
     GraphRegistry,
     ProtocolError,
     decode_bounds_request,
@@ -66,15 +64,11 @@ __all__ = [
     "MAX_BODY_BYTES",
     "SLOW_QUERY_ENV_VAR",
     "FLEET_SCRAPE_TIMEOUT_SECONDS",
-    "SOLVE_TIMEOUT_SECONDS",
 ]
 
 #: Per-sibling timeout when an aggregating worker scrapes the fleet's
 #: direct ports; an unreachable worker is reported down, never waited on.
 FLEET_SCRAPE_TIMEOUT_SECONDS = 2.0
-
-#: Ceiling on waiting for another request's in-flight solve.
-SOLVE_TIMEOUT_SECONDS = 300.0
 
 #: Requests slower than this many seconds are logged (and counted in
 #: ``repro_slow_queries_total``); unset/unparsable disables the log.
@@ -168,10 +162,8 @@ class BoundsApp:
     service:
         The bound service every ``/v1/bounds`` batch is submitted to.
     admission:
-        Admission controller; only ``POST /v1/bounds`` batches that must
-        actually solve pass through it.
-    coalescer:
-        In-flight coalescer for identical concurrent queries.
+        The admission controller gating the service's cold solves; the app
+        reports it in ``/v1/stats`` and ``/metrics``.
     sharding:
         Optional :class:`repro.server.runner.ShardInfo` (duck-typed:
         ``worker_id``, ``num_workers``, ``url_for(id)``, ``describe()``).
@@ -189,14 +181,12 @@ class BoundsApp:
         self,
         service: BoundService,
         admission,
-        coalescer,
         sharding=None,
     ) -> None:
         self._service = service
         self._metrics = MetricsRegistry()
         self._graphs = GraphRegistry()
         self._admission = admission
-        self._coalescer = coalescer
         self._sharding = sharding
         self._slow_query_seconds = _slow_query_threshold()
         self._slow_log = get_logger("server.slow")
@@ -260,29 +250,18 @@ class BoundsApp:
         )
         m.counter(
             "repro_admission_rejections_total",
-            "Requests shed with 429 by admission control.",
+            "Cold solves shed with 429 by admission control.",
             callback=lambda: admission.rejected,
         )
         m.gauge(
             "repro_in_flight_solves",
-            "Solve batches currently admitted.",
+            "Cold solves currently admitted.",
             callback=lambda: admission.in_flight,
         )
         m.gauge(
             "repro_queued_solves",
-            "Solve batches waiting for an admission slot.",
+            "Cold solves waiting for an admission slot.",
             callback=lambda: admission.queued,
-        )
-        m.counter(
-            "repro_coalesced_queries_total",
-            "Queries served by waiting on another request's identical "
-            "in-flight solve.",
-            callback=lambda: coalescer.coalesced,
-        )
-        m.counter(
-            "repro_coalesce_leader_solves_total",
-            "Queries that led a coalesced in-flight solve.",
-            callback=lambda: coalescer.leaders,
         )
 
     # ------------------------------------------------------------------
@@ -325,8 +304,6 @@ class BoundsApp:
                     retry_after = max(1, int(round(exc.retry_after_seconds)))
                     extra_headers = [("Retry-After", str(retry_after))]
                     status, content = 429, encode_error(str(exc), "overloaded")
-                except TimeoutError as exc:
-                    status, content = 503, encode_error(str(exc), "solve-timeout")
                 except ValueError as exc:
                     status, content = 400, encode_error(str(exc), "invalid-query")
                 except Exception as exc:  # noqa: BLE001 - the server must answer
@@ -406,7 +383,6 @@ class BoundsApp:
             "metrics": self._metrics.snapshot(),
             "latency_quantiles": latency_quantiles(),
             "admission": self._admission.stats(),
-            "coalescing": self._coalescer.stats(),
         }
         if self._sharding is not None:
             body["fleet"] = self._sharding.describe()
@@ -496,7 +472,7 @@ class BoundsApp:
             self._queries_total.inc(
                 method=item.query.method, normalization=item.query.normalization
             )
-        answers = self._solve(decoded)
+        answers = self._service.submit([item.query for item in decoded])
         body = encode_answers(answers, [item.fingerprint for item in decoded])
         return 200, body, []
 
@@ -517,62 +493,3 @@ class BoundsApp:
             return json.loads(request.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(f"malformed JSON body: {exc}", code="malformed-json")
-
-    # ------------------------------------------------------------------
-    # solving
-    # ------------------------------------------------------------------
-    def _solve(self, decoded: List[DecodedQuery]):
-        """Answer a decoded batch through the coalescing + admission gates.
-
-        Only *leader* solves (queries nobody else is currently computing)
-        pass through admission control; followers just wait on the
-        in-flight ticket, so a thundering herd of identical requests is
-        served whole however small the admission window is.
-        """
-        unique: Dict[Tuple, DecodedQuery] = {}
-        for item in decoded:
-            unique.setdefault(item.key, item)
-        claims = {key: self._coalescer.claim(key) for key in unique}
-        leader_keys = [key for key, (_, is_leader) in claims.items() if is_leader]
-        if leader_keys:
-            settled = set()
-            try:
-                with self._admission.slot():
-                    for key in leader_keys:
-                        ticket = claims[key][0]
-                        # One submit per key (the keys are already unique,
-                        # so a combined batch would dedupe nothing) and
-                        # per-key error attribution: a bad query must fail
-                        # only its own ticket, never a coalesced follower
-                        # of a *different*, valid query in this request.
-                        try:
-                            [answer] = self._service.submit([unique[key].query])
-                        except Exception as exc:
-                            self._coalescer.fail(ticket, exc)
-                        else:
-                            self._coalescer.resolve(ticket, answer)
-                        settled.add(key)
-            except BaseException as exc:
-                # Admission shed the request before (or between) solves, or
-                # a system-exiting exception interrupted the loop: settle
-                # every remaining ticket so followers see the failure
-                # instead of hanging on an orphaned in-flight key.
-                for key in leader_keys:
-                    if key not in settled:
-                        self._coalescer.fail(claims[key][0], exc)
-                raise
-        results = {}
-        for key, (ticket, is_leader) in claims.items():
-            answer = ticket.wait(SOLVE_TIMEOUT_SECONDS)
-            if not is_leader and isinstance(answer, BoundAnswer):
-                # Followers rode the leader's in-flight solve: point at the
-                # trace that actually did the work and zero the eigensolve
-                # time so aggregating eig_elapsed_seconds over answers
-                # counts each solve exactly once.
-                answer = dataclasses.replace(
-                    answer,
-                    served_by_trace_id=answer.trace_id,
-                    eig_elapsed_seconds=0.0,
-                )
-            results[key] = answer
-        return [results[item.key] for item in decoded]

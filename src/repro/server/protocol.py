@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -94,6 +94,7 @@ MAX_QUERIES_PER_REQUEST = 1024
 MAX_INLINE_VERTICES = 1_000_000
 
 _QUERY_FIELDS = {"graph", "memory_size", "num_processors", "normalization", "k", "method"}
+_ANSWER_FIELDS = frozenset(field.name for field in fields(BoundAnswer))
 _GRAPH_REF_FORMS = ("family/size", "num_vertices/edges", "fingerprint")
 
 
@@ -160,14 +161,11 @@ class GraphRegistry:
 class DecodedQuery:
     """One wire query, decoded: the service query plus serving metadata.
 
-    ``key`` identifies the solve for in-flight coalescing — identical keys
-    mean identical answers, so concurrent requests can share one solve.
     ``fingerprint`` is set for inline/fingerprint graph refs and echoed in
     the answer so clients learn the re-query handle.
     """
 
     query: BoundQuery
-    key: Tuple
     fingerprint: Optional[str] = None
 
 
@@ -200,8 +198,8 @@ def _int_field(mapping: Dict[str, object], name: str, default=None):
 
 def _decode_graph_ref(
     ref: object, registry: Optional[GraphRegistry]
-) -> Tuple[Union[GraphSpec, ComputationGraph], Tuple, Optional[str]]:
-    """A wire graph reference -> (service graph ref, coalescing key, fingerprint)."""
+) -> Tuple[Union[GraphSpec, ComputationGraph], Optional[str]]:
+    """A wire graph reference -> (service graph ref, fingerprint)."""
     _require(
         isinstance(ref, dict),
         f"'graph' must be an object with one of {_GRAPH_REF_FORMS}",
@@ -223,8 +221,7 @@ def _decode_graph_ref(
         size = _int_field(ref, "size")
         _require(size is not None, "a family graph ref needs an integer 'size'",
                  code="invalid-graph-ref")
-        spec = GraphSpec(family=family, size_param=size)
-        return spec, ("spec", family, size), None
+        return GraphSpec(family=family, size_param=size), None
     if "edges" in ref or "num_vertices" in ref:
         _require(
             set(ref) == {"num_vertices", "edges"},
@@ -269,7 +266,7 @@ def _decode_graph_ref(
             graph, fingerprint = registry.register(graph)
         else:
             fingerprint = graph.fingerprint()
-        return graph, ("graph", fingerprint), fingerprint
+        return graph, fingerprint
     if "fingerprint" in ref:
         _require(
             set(ref) == {"fingerprint"} and isinstance(ref["fingerprint"], str),
@@ -286,7 +283,7 @@ def _decode_graph_ref(
             code="unknown-graph",
             status=404,
         )
-        return graph, ("graph", fingerprint), fingerprint
+        return graph, fingerprint
     raise ProtocolError(
         f"unrecognised graph ref {sorted(ref)}; expected one of {_GRAPH_REF_FORMS}",
         code="invalid-graph-ref",
@@ -307,7 +304,7 @@ def _decode_query(
     )
     _require("graph" in payload, "each query needs a 'graph' reference",
              code="invalid-query")
-    graph, graph_key, fingerprint = _decode_graph_ref(payload["graph"], registry)
+    graph, fingerprint = _decode_graph_ref(payload["graph"], registry)
     memory_size = _int_field(payload, "memory_size")
     _require(
         memory_size is not None and memory_size >= 0,
@@ -344,8 +341,7 @@ def _decode_query(
         k=k,
         method=method,
     )
-    key = (graph_key, memory_size, num_processors, normalization, k, method)
-    return DecodedQuery(query=query, key=key, fingerprint=fingerprint)
+    return DecodedQuery(query=query, fingerprint=fingerprint)
 
 
 def decode_bounds_request(
@@ -454,9 +450,11 @@ def decode_answers(payload: object) -> List[BoundAnswer]:
     for item in answers:
         _require(isinstance(item, dict), "each answer must be an object",
                  code="invalid-response")
-        fields = {k: v for k, v in item.items() if k != "fingerprint"}
+        # Fields this version does not know (``fingerprint``, or one a
+        # server of another version sends) are skipped; missing ones fail.
+        known = {k: v for k, v in item.items() if k in _ANSWER_FIELDS}
         try:
-            decoded.append(BoundAnswer(**fields))
+            decoded.append(BoundAnswer(**known))
         except TypeError as exc:
             raise ProtocolError(str(exc), code="invalid-response")
     return decoded

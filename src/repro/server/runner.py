@@ -3,23 +3,18 @@
 :class:`BoundServer` serves the app of :mod:`repro.server.app` over a
 stdlib threading HTTP server (``http.server`` + ``socketserver.ThreadingMixIn``
 — one thread per keep-alive connection, no third-party dependencies) and
-owns the two concurrency policies the app itself stays agnostic of:
-
-* **admission control** (:class:`AdmissionController`) — at most
-  ``max_in_flight`` solve batches run concurrently and at most
-  ``max_queue`` more may wait; beyond that the request is rejected
-  *immediately* with HTTP 429 and a ``Retry-After`` hint, so an overloaded
-  server degrades by shedding load instead of by stacking up threads until
-  every client times out;
-* **in-flight coalescing** (:class:`QueryCoalescer`) — identical
-  ``(graph, M, p, normalization, k, method)`` queries that arrive while
-  the first one is still solving wait for *that* solve instead of starting
-  their own.  A thundering herd on one cold graph pays exactly one
-  eigensolve; without this, concurrent misses race past the spectrum
-  cache and solve redundantly.  This composes with (rather than replaces)
-  the batch-level dedup inside
-  :meth:`~repro.runtime.service.BoundService.submit` and the
-  spectrum/cut cache tiers below it.
+owns **admission control** (:class:`AdmissionController`), which it hands
+to the service: at most ``max_in_flight`` cold solves (eigensolves and
+max-flow passes) run concurrently and at most ``max_queue`` more may wait;
+beyond that the request needing the solve is rejected *immediately* with
+HTTP 429 and a ``Retry-After`` hint, so an overloaded server degrades by
+shedding cold work instead of by stacking up threads until every client
+times out.  Warm answers never take a slot, so they never wait behind
+cold ones.  Duplicate work is the service's business: concurrent misses
+on one spectrum share one solve
+(:class:`~repro.solvers.spectrum_cache.SpectrumCache`), and max-flow
+passes over one graph take turns on its engine's lock, so a thundering
+herd on one cold graph pays one solve and one slot.
 
 :class:`ServerFleet` (``python -m repro serve --workers N``) scales past
 the GIL: a pre-forked fleet of shared-nothing worker processes, each a
@@ -59,9 +54,7 @@ from repro.server.app import MAX_BODY_BYTES, BoundsApp, ServerOverloadedError
 
 __all__ = [
     "AdmissionController",
-    "QueryCoalescer",
     "ServerOverloadedError",
-    "SolveTicket",
     "BoundServer",
     "ShardInfo",
     "FleetConfig",
@@ -78,19 +71,14 @@ SERVE_WORKERS_ENV_VAR = "REPRO_SERVE_WORKERS"
 
 _ADMISSION_WAIT_SECONDS = global_registry().histogram(
     "repro_admission_wait_seconds",
-    "Time admitted solve batches spent waiting for an admission slot.",
-)
-_COALESCE_TOTAL = global_registry().counter(
-    "repro_coalesce_total",
-    "Coalescer claims by role: leaders run the solve, followers wait on it.",
-    labelnames=("role",),
+    "Time admitted solves spent waiting for an admission slot.",
 )
 
 
 class AdmissionController:
-    """Bounded-concurrency gate for solve batches.
+    """Bounded-concurrency gate for cold solves.
 
-    ``max_in_flight`` batches may run at once; up to ``max_queue`` more
+    ``max_in_flight`` solves may run at once; up to ``max_queue`` more
     block waiting for a slot; any further arrival fails fast with
     :class:`ServerOverloadedError` (mapped to 429 + ``Retry-After``).
     """
@@ -190,99 +178,12 @@ class AdmissionController:
 
     @contextmanager
     def slot(self):
-        """``with admission.slot():`` around one admitted solve batch."""
+        """``with admission.slot():`` around one admitted solve."""
         self.acquire()
         try:
             yield
         finally:
             self.release()
-
-
-class SolveTicket:
-    """One in-flight solve: the leader resolves it, followers wait on it."""
-
-    def __init__(self, key: Tuple) -> None:
-        self.key = key
-        self._event = threading.Event()
-        self._value = None
-        self._error: Optional[BaseException] = None
-
-    def resolve(self, value) -> None:
-        self._value = value
-        self._event.set()
-
-    def fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None):
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"timed out after {timeout}s waiting for an in-flight solve"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-class QueryCoalescer:
-    """Share in-flight solves between requests asking the same question.
-
-    :meth:`claim` either makes the caller the *leader* for a key (it must
-    later :meth:`resolve`/:meth:`fail` the ticket, even on error) or hands
-    back the existing in-flight ticket to wait on.  Once resolved, the key
-    leaves the in-flight table — results are *not* cached here; the
-    spectrum/cut stores below already answer warm repeats, this layer only
-    collapses concurrent duplicates of one cold solve.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._in_flight: Dict[Tuple, SolveTicket] = {}
-        self._leaders = 0
-        self._coalesced = 0
-
-    @property
-    def leaders(self) -> int:
-        """Claims that had to run the solve themselves."""
-        return self._leaders
-
-    @property
-    def coalesced(self) -> int:
-        """Claims served by somebody else's in-flight solve."""
-        return self._coalesced
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "leaders": self._leaders,
-                "coalesced": self._coalesced,
-                "in_flight": len(self._in_flight),
-            }
-
-    def claim(self, key: Tuple) -> Tuple[SolveTicket, bool]:
-        """Returns ``(ticket, is_leader)`` for one query key."""
-        with self._lock:
-            ticket = self._in_flight.get(key)
-            if ticket is not None:
-                self._coalesced += 1
-                _COALESCE_TOTAL.inc(role="follower")
-                return ticket, False
-            ticket = SolveTicket(key)
-            self._in_flight[key] = ticket
-            self._leaders += 1
-            _COALESCE_TOTAL.inc(role="leader")
-            return ticket, True
-
-    def resolve(self, ticket: SolveTicket, value) -> None:
-        with self._lock:
-            self._in_flight.pop(ticket.key, None)
-        ticket.resolve(value)
-
-    def fail(self, ticket: SolveTicket, error: BaseException) -> None:
-        with self._lock:
-            self._in_flight.pop(ticket.key, None)
-        ticket.fail(error)
 
 
 def _listen(host: str, port: int) -> socketlib.socket:
@@ -420,7 +321,9 @@ class BoundServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (tests do this).
     max_in_flight, max_queue, retry_after_seconds:
-        Admission-control knobs (see :class:`AdmissionController`).
+        Admission-control knobs (see :class:`AdmissionController`).  The
+        controller is handed to the service (``service.admission``), which
+        takes a slot only for its cold solves.
 
     Use either as a context manager around :meth:`start` (background
     threads, e.g. tests/benchmarks) or via :meth:`serve_forever` (the CLI).
@@ -468,8 +371,8 @@ class BoundServer:
             max_queue=max_queue,
             retry_after_seconds=retry_after_seconds,
         )
-        self.coalescer = QueryCoalescer()
-        self.app = BoundsApp(service, self.admission, self.coalescer, sharding)
+        service.admission = self.admission
+        self.app = BoundsApp(service, self.admission, sharding)
         self._httpds = [_HTTPServer(sock, self.app, shared) for sock, shared in sockets]
         self._threads: List[threading.Thread] = []
 
@@ -650,8 +553,9 @@ class ServerFleet:
     shared public one (``host:port``) all workers accept on, plus one
     ephemeral direct socket per worker — so a respawned worker reclaims
     its predecessor's exact ports.  :meth:`start` returns once every
-    worker serves; a monitor thread restarts dead workers (counted in
-    :attr:`restarts`); :meth:`close` SIGTERMs the fleet and reaps it.
+    worker serves, and raises if one exits before it does; a monitor
+    thread restarts dead workers (counted in :attr:`restarts`);
+    :meth:`close` SIGTERMs the fleet and reaps it.
 
     Workers are shared-nothing above the disk: each owns its service,
     caches and admission control.  What makes the fleet *coherent* is the
@@ -708,10 +612,18 @@ class ServerFleet:
         ready = [self._spawn(worker_id) for worker_id in range(self.num_workers)]
         # Return once every worker serves.  Connections made earlier queue
         # on the shared socket for whichever worker starts first, and
-        # keep-alive would pin them all to it while its siblings idle.
-        for proc, event in zip(self._procs, ready):
-            while not event.wait(0.05) and proc.is_alive():
-                pass
+        # keep-alive would pin them all to it while its siblings idle.  A
+        # worker that dies first would die again on every respawn (a bad
+        # config), so the fleet does not start at all.
+        for worker_id, (proc, event) in enumerate(zip(self._procs, ready)):
+            while not event.wait(0.05):
+                if not proc.is_alive() and not event.is_set():
+                    exitcode = proc.exitcode
+                    self.close()
+                    raise RuntimeError(
+                        f"fleet worker {worker_id} exited with code {exitcode} "
+                        f"before it served"
+                    )
         self._monitor = threading.Thread(
             target=self._supervise, name="repro-fleet-monitor", daemon=True
         )

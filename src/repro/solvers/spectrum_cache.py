@@ -35,16 +35,24 @@ Properties:
   Disk hits count as ``hits`` (no eigensolve happened) and are additionally
   tallied in ``store_hits``; ``misses`` keeps meaning "eigensolves
   performed".
-* **Cross-process solve coalescing** — when the store's solve leases are
-  enabled (``lease_ttl > 0``, the default), a cold miss first tries to
-  become the *lease leader* for that spectrum
-  (:meth:`~repro.runtime.store.SpectrumStore.claim`); losers block on the
-  lease and then read the published spectrum from the store, so concurrent
-  cold misses across worker processes (and across different
-  ``M``/truncations, which share one spectrum) pay exactly one eigensolve.
-  A follower whose wait times out — or whose leader died — falls back to
-  solving itself: wasteful, never wrong.  Episodes are counted in
-  ``lease_leaders`` / ``lease_followers``.
+* **One solve per spectrum** — concurrent misses on one key share one
+  eigensolve, with or without a store.  The first miss after the store
+  read *leads* a single flight for the key; later ones wait on its event
+  and are then ordinary hits (reporting the original solve's seconds), or
+  fail with the leader's error.  A waiter that needs a longer spectrum
+  than the leader solved leads the next flight.
+* **Cross-process solve leases** — over a store with leases enabled
+  (``lease_ttl > 0``, the default) a flight leader first claims the
+  spectrum's solve lease (:meth:`~repro.runtime.store.SpectrumStore.claim`);
+  if another process leads, it waits on the lease and serves what that
+  process published, so one cold spectrum costs one eigensolve across
+  processes (and across ``M``/truncations, which share one spectrum).  A
+  wait that times out — or whose leader died — falls back to solving:
+  wasteful, never wrong.  Episodes are counted in ``lease_leaders`` /
+  ``lease_followers``.
+* **Admission** — :attr:`SpectrumCache.admission`, when set, is a gate
+  (duck-typed ``slot()`` context manager) around each eigensolve and
+  nothing else: hits, store reads and waiting followers never take it.
 
 The module-level :func:`default_spectrum_cache` is shared by all
 :class:`~repro.core.engine.BoundEngine` instances that are not given an
@@ -54,11 +62,12 @@ a process reuse eigensolves.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -90,6 +99,15 @@ _SPECTRUM_LOOKUPS = obs.global_registry().counter(
     "Spectrum fetches by serving tier (memory/store hit vs fresh solve).",
     labelnames=("tier",),
 )
+
+
+class _Flight:
+    """One leader's lookup of one key, which concurrent misses wait on."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.result: "Optional[CachedSpectrum]" = None
+        self.error: Optional[BaseException] = None
 
 
 @dataclass(frozen=True)
@@ -134,6 +152,14 @@ class SpectrumCache:
         Optional :class:`~repro.runtime.store.SpectrumStore` used as a
         second, persistent tier: memory misses check the store before
         eigensolving, and fresh solves are published back to it.
+
+    Attributes
+    ----------
+    admission:
+        ``None`` (default), or a gate with a ``slot()`` context manager
+        that every eigensolve of this cache runs inside; it may raise to
+        shed the solve, which then fails the flight's waiters too.
+        :class:`~repro.runtime.service.BoundService` sets it.
     """
 
     def __init__(
@@ -147,11 +173,13 @@ class SpectrumCache:
         # slices are too) and its solve seconds.
         self._entries: "OrderedDict[SpectrumKey, Tuple[np.ndarray, float]]" = OrderedDict()
         self._lock = threading.Lock()
+        self._flights: Dict[SpectrumKey, _Flight] = {}
         self._hits = 0
         self._misses = 0
         self._store_hits = 0
         self._lease_leaders = 0
         self._lease_followers = 0
+        self.admission = None
 
     # ------------------------------------------------------------------
     # stats / management
@@ -182,12 +210,12 @@ class SpectrumCache:
 
     @property
     def lease_leaders(self) -> int:
-        """Cold misses this cache won a cross-process solve lease for."""
+        """Flights this cache won a cross-process solve lease for."""
         return self._lease_leaders
 
     @property
     def lease_followers(self) -> int:
-        """Cold misses this cache waited out another process's lease for."""
+        """Flights this cache waited out another process's lease for."""
         return self._lease_followers
 
     @property
@@ -242,65 +270,92 @@ class SpectrumCache:
         key: SpectrumKey = (graph.fingerprint(), bool(normalized), backend, dtype)
 
         with self._lock:
-            found = self._entries.get(key)
-            if found is not None and found[0].shape[0] >= h:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                _SPECTRUM_LOOKUPS.inc(tier="memory")
-                return CachedSpectrum(found[0][:h], found[1], True, backend, dtype)
+            found = self._memory_hit(key, h)
+        if found is not None:
+            return found
 
         # Second tier: the persistent store may hold this spectrum (or a
-        # longer one) from an earlier run or another process.  Checked
-        # outside the lock — it is disk I/O.  A broken store (unreadable
-        # mount, a locked or damaged catalog) degrades to a cold
-        # solve, mirroring the write path below.  A genuine store miss then
-        # contends for the cross-process solve lease: leaders solve below
-        # (and release in the ``finally``), followers come back with the
-        # spectrum the leader published.
-        lease = None
+        # longer one) from an earlier run or another process.  Read
+        # outside the lock; a broken store (unreadable mount, a locked or
+        # damaged catalog) reads as a miss.
         if self._store is not None:
             stored = self._fetch_stored(key, h)
-            if stored is None:
-                # The lease key excludes ``h``, so every truncation of one
-                # spectrum coalesces onto one solve.
-                claim = self._store.claim(
-                    key[0], lambda: self._fetch_stored(key, h),
-                    normalized=key[1], backend=backend, dtype=dtype,
-                )
-                stored, lease = claim.found, claim.lease
-                with self._lock:
-                    self._lease_leaders += lease is not None
-                    self._lease_followers += claim.followed
             if stored is not None:
-                with self._lock:
-                    # Keep the full stored vector, so follow-up lookups
-                    # (including smaller h) stay in memory.
-                    self._remember(key, stored.eigenvalues, stored.solve_seconds)
-                    self._hits += 1
-                    self._store_hits += 1
-                _SPECTRUM_LOOKUPS.inc(tier="store")
-                return CachedSpectrum(
-                    stored.eigenvalues[:h], stored.solve_seconds, True, backend, dtype
-                )
+                return self._serve_stored(key, h, stored)
 
-        # Solve outside the lock: concurrent misses on the same key may solve
-        # twice, which is wasteful but never wrong (results are identical for
-        # deterministic backends).
+        # A genuine miss joins the key's flight, or leads one.
+        while True:
+            with self._lock:
+                # Re-checked: a flight may have landed since the first look.
+                found = self._memory_hit(key, h)
+                if found is not None:
+                    return found
+                flight = self._flights.get(key)
+                if flight is None:
+                    flight = self._flights[key] = _Flight()
+                    break
+            flight.done.wait()
+            if flight.error is not None:
+                raise flight.error
+            led = flight.result
+            if led.eigenvalues.shape[0] >= h:
+                with self._lock:
+                    self._hits += 1
+                _SPECTRUM_LOOKUPS.inc(tier="memory")
+                return CachedSpectrum(
+                    led.eigenvalues[:h], led.solve_seconds, True, backend, dtype
+                )
+            # The leader fetched a shorter spectrum: lead the next flight.
+
         try:
-            values, solve_seconds = self._solve(
-                graph, h, normalized, EigenSolverOptions(backend, dtype)
+            flight.result = self._lead(graph, key, h, lineage)
+        except BaseException as exc:
+            flight.error = exc
+            raise
+        finally:
+            with self._lock:
+                del self._flights[key]
+            flight.done.set()
+        return flight.result
+
+    def _lead(
+        self, graph: ComputationGraph, key: SpectrumKey, h: int, lineage: Optional[str]
+    ) -> CachedSpectrum:
+        """A flight leader's work: claim the store's solve lease, then solve
+        inside the admission gate and publish — or serve what another
+        process published meanwhile."""
+        fingerprint, normalized, backend, dtype = key
+        lease = None
+        if self._store is not None:
+            # The lease key excludes ``h``, so every truncation of one
+            # spectrum contends for one lease.
+            claim = self._store.claim(
+                fingerprint, lambda: self._fetch_stored(key, h),
+                normalized=normalized, backend=backend, dtype=dtype,
             )
+            with self._lock:
+                self._lease_leaders += claim.lease is not None
+                self._lease_followers += claim.followed
+            if claim.found is not None:
+                return self._serve_stored(key, h, claim.found)
+            lease = claim.lease
+        gate = self.admission.slot() if self.admission is not None else contextlib.nullcontext()
+        try:
+            with gate:
+                values, solve_seconds = self._solve(
+                    graph, h, normalized, EigenSolverOptions(backend, dtype)
+                )
             if self._store is not None:
                 try:
                     self._store.put(
-                        key[0], values, solve_seconds, normalized=key[1],
+                        fingerprint, values, solve_seconds, normalized=normalized,
                         backend=backend, dtype=dtype, lineage=lineage,
                     )
                 except OSError:
                     pass  # a full/read-only disk must not break the computation
         finally:
-            # Publish-then-release ordering: followers re-read the store the
-            # moment the lease row disappears, so the entry must be there.
+            # Publish-then-release ordering: another process's followers
+            # re-read the store the moment the lease row disappears.
             if lease is not None:
                 lease.release()
         with self._lock:
@@ -308,6 +363,29 @@ class SpectrumCache:
             self._misses += 1
         _SPECTRUM_LOOKUPS.inc(tier="solve")
         return CachedSpectrum(values, solve_seconds, False, backend, dtype)
+
+    def _memory_hit(self, key: SpectrumKey, h: int) -> Optional[CachedSpectrum]:
+        """The memory tier's answer, if its entry is long enough.  Caller
+        holds the lock."""
+        found = self._entries.get(key)
+        if found is None or found[0].shape[0] < h:
+            return None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        _SPECTRUM_LOOKUPS.inc(tier="memory")
+        return CachedSpectrum(found[0][:h], found[1], True, key[2], key[3])
+
+    def _serve_stored(self, key: SpectrumKey, h: int, stored) -> CachedSpectrum:
+        """Answer from a store read, keeping the whole stored vector in
+        memory so follow-up lookups (including smaller h) stay there."""
+        with self._lock:
+            self._remember(key, stored.eigenvalues, stored.solve_seconds)
+            self._hits += 1
+            self._store_hits += 1
+        _SPECTRUM_LOOKUPS.inc(tier="store")
+        return CachedSpectrum(
+            stored.eigenvalues[:h], stored.solve_seconds, True, key[2], key[3]
+        )
 
     def _remember(self, key: SpectrumKey, values: np.ndarray, solve_seconds: float) -> None:
         """Keep ``values`` under ``key`` unless a longer spectrum is there

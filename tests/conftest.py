@@ -6,8 +6,11 @@ small enough that every bound / simulation / baseline runs in milliseconds.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+import repro.solvers.spectrum_cache as spectrum_cache_module
 from repro.graphs.generators import (
     bellman_held_karp_graph,
     fft_graph,
@@ -51,3 +54,22 @@ def strassen4():
 def dot2():
     """Inner product of two 2-vectors — the 7-vertex graph of Figure 1."""
     return inner_product_graph(2)
+
+
+@pytest.fixture
+def flight_waiters(monkeypatch):
+    """Threads that waited on another lookup's flight, in order."""
+    waiting: list = []
+
+    class WatchedEvent(threading.Event):
+        def wait(self, timeout=None):
+            waiting.append(threading.current_thread())
+            return super().wait(timeout)
+
+    class WatchedFlight(spectrum_cache_module._Flight):
+        def __init__(self) -> None:
+            super().__init__()
+            self.done = WatchedEvent()
+
+    monkeypatch.setattr(spectrum_cache_module, "_Flight", WatchedFlight)
+    return waiting

@@ -8,6 +8,9 @@ numerically identical to the one-shot public functions.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -374,3 +377,176 @@ class TestSpectrumCache:
         assert all(results)
         assert len(cache) <= 2
         assert cache.hits + cache.misses >= 80
+
+
+def hold_solves(cache: SpectrumCache, fail_with: Exception = None):
+    """Hold ``cache``'s eigensolves until the returned event is set; the
+    returned list records each solve as it begins."""
+    release = threading.Event()
+    started: list = []
+    solve = cache._solve
+
+    def held(*args):
+        started.append(args)
+        assert release.wait(timeout=30)
+        if fail_with is not None:
+            raise fail_with
+        return solve(*args)
+
+    cache._solve = held
+    return release, started
+
+
+def wait_for(predicate, what: str) -> None:
+    deadline = time.monotonic() + 10
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def in_thread(fn, *args):
+    """Run ``fn(*args)`` in a thread; returns (thread, [result or error])."""
+    outcome: list = []
+
+    def run():
+        try:
+            outcome.append(fn(*args))
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestSingleFlight:
+    """Concurrent misses on one spectrum share one lookup."""
+
+    @staticmethod
+    def lead_and_follow(cache, graph, leader_h, follower_h, started, waiters):
+        """Start a leader, and once its solve is held, a follower that
+        waits on its flight."""
+        leader = in_thread(cache.spectrum, graph, leader_h)
+        wait_for(lambda: started, "the leader's solve")
+        follower = in_thread(cache.spectrum, graph, follower_h)
+        wait_for(lambda: waiters, "a lookup waiting on the flight")
+        return leader, follower
+
+    def test_follower_shares_leader_result(self, flight_waiters):
+        cache = SpectrumCache()
+        graph = fft_graph(4)
+        release, started = hold_solves(cache)
+        (leader, led), (follower, followed) = self.lead_and_follow(
+            cache, graph, 8, 5, started, flight_waiters
+        )
+        release.set()
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        [led], [followed] = led, followed
+        assert cache.misses == 1 and cache.hits == 1
+        assert not led.cache_hit and followed.cache_hit
+        np.testing.assert_array_equal(followed.eigenvalues, led.eigenvalues[:5])
+        # An ordinary hit: it reports the solve it was served from.
+        assert followed.solve_seconds == led.solve_seconds
+        assert cache._flights == {}
+
+    def test_failure_propagates_and_key_clears(self, flight_waiters):
+        cache = SpectrumCache()
+        graph = fft_graph(4)
+        boom = RuntimeError("solver exploded")
+        release, started = hold_solves(cache, fail_with=boom)
+        (leader, led), (follower, followed) = self.lead_and_follow(
+            cache, graph, 8, 8, started, flight_waiters
+        )
+        release.set()
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        assert led == [boom] and followed == [boom]
+        assert cache.misses == 0 and cache._flights == {}
+        # The failed flight is gone: the next lookup leads afresh.
+        del cache._solve  # solve for real again
+        assert cache.spectrum(graph, 8).eigenvalues.shape == (8,)
+        assert cache.misses == 1
+
+    def test_longer_follower_leads_again(self, flight_waiters):
+        cache = SpectrumCache()
+        graph = fft_graph(4)
+        release, started = hold_solves(cache)
+        (leader, led), (follower, followed) = self.lead_and_follow(
+            cache, graph, 4, 9, started, flight_waiters
+        )
+        release.set()
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        [led], [followed] = led, followed
+        assert led.eigenvalues.shape == (4,)
+        # Never a short spectrum: the follower solved the longer one itself.
+        assert followed.eigenvalues.shape == (9,) and not followed.cache_hit
+        assert cache.misses == 2
+        np.testing.assert_allclose(
+            followed.eigenvalues, SpectrumCache().spectrum(graph, 9).eigenvalues
+        )
+
+    def test_many_threads_pay_one_solve_per_key(self):
+        # More threads than cores, switching every microsecond: a lost
+        # update on the flight table or the counters would show as a
+        # second solve of a key, a lost lookup, or a flight left behind.
+        graphs = [fft_graph(2), fft_graph(3), hypercube_graph(3)]
+        expected = [SpectrumCache().spectrum(g, 6).eigenvalues for g in graphs]
+        cache = SpectrumCache()
+        rounds = 200
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                got = list(pool.map(
+                    lambda i: cache.spectrum(graphs[i % 3], 6).eigenvalues, range(rounds)
+                ))
+        finally:
+            sys.setswitchinterval(switch)
+        for i, values in enumerate(got):
+            np.testing.assert_array_equal(values, expected[i % 3])
+        assert cache.misses == len(graphs)
+        assert cache.hits == rounds - len(graphs)
+        assert cache._flights == {}
+
+    def test_shed_leader_fails_followers_and_leaves_nothing_behind(
+        self, tmp_path, flight_waiters
+    ):
+        from repro.runtime.store import SpectrumStore
+        from repro.server.runner import AdmissionController, ServerOverloadedError
+
+        store = SpectrumStore(tmp_path / "store", lease_ttl=30.0)
+        cache = SpectrumCache(store=store)
+        cache.admission = AdmissionController(max_in_flight=1, max_queue=0)
+        cache.admission.acquire()  # someone else's solve holds the only slot
+        # Hold the leader between its lease and the gate, so that a
+        # follower joins its flight before it is shed.
+        claimed = threading.Event()
+        shed = threading.Event()
+        claim = store.claim
+
+        def held_claim(*args, **kwargs):
+            outcome = claim(*args, **kwargs)
+            claimed.set()
+            assert shed.wait(timeout=30)
+            return outcome
+
+        store.claim = held_claim
+        graph = fft_graph(4)
+        leader, led = in_thread(cache.spectrum, graph, 8)
+        assert claimed.wait(timeout=30)
+        follower, followed = in_thread(cache.spectrum, graph, 4)
+        wait_for(lambda: flight_waiters, "a lookup waiting on the flight")
+        shed.set()
+        leader.join(timeout=30)
+        follower.join(timeout=30)
+        [led], [followed] = led, followed
+        assert isinstance(led, ServerOverloadedError)
+        assert followed is led  # the same 429, not a second shed
+        assert cache.admission.rejected == 1
+        assert cache._flights == {}
+        assert store.leases() == []
+        cache.admission.release()
+        assert cache.admission.in_flight == 0
+        assert cache.misses == 0 and len(store) == 0

@@ -23,7 +23,7 @@ from repro import obs
 from repro.obs.report import build_trees, render_report, report_as_json, self_times
 from repro.runtime.families import GraphSpec
 from repro.runtime.orchestrator import SweepOrchestrator
-from repro.runtime.service import BoundAnswer, BoundService
+from repro.runtime.service import BoundService
 from repro.server.runner import BoundServer
 
 NUM_EIGENVALUES = 20
@@ -359,59 +359,23 @@ class TestServerSurfacing:
         assert obs.global_registry().get("repro_slow_queries_total").value() == before
 
 
-class _BlockingTracedService:
-    """Stub service: blocks until released, tags answers with a trace id."""
-
-    def __init__(self) -> None:
-        self.release = threading.Event()
-        self.calls: list = []
-        self._lock = threading.Lock()
-
-    def submit(self, queries):
-        with self._lock:
-            self.calls.append(list(queries))
-        if not self.release.wait(timeout=30):
-            raise TimeoutError("stub service never released")
-        return [
-            BoundAnswer(
-                graph="stub",
-                memory_size=int(query.memory_size),
-                num_processors=int(query.num_processors),
-                normalization=query.normalization,
-                bound=1.0,
-                raw_value=1.0,
-                best_k=None,
-                num_vertices=0,
-                elapsed_seconds=0.6,
-                eig_elapsed_seconds=0.5,
-                trace_id="leader-query-trace",
-            )
-            for query in queries
-        ]
-
-    def counters(self):
-        return {
-            "queries_served": sum(len(call) for call in self.calls),
-            "deduped": 0,
-            "engines_cached": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "store_hits": 0,
-            "mincut_engines_cached": 0,
-            "flow_calls": 0,
-        }
-
-    def stats(self):
-        return dict(self.counters())
-
-
-class TestCoalescedFollowers:
-    def test_followers_report_served_by_and_count_solve_time_once(self):
-        """Satellite fix: a coalesced follower must not re-report the
-        leader's eigensolve time as its own — it advertises
-        ``served_by_trace_id`` and ``eig_elapsed_seconds == 0``."""
+class TestSingleFlightFollowers:
+    def test_followers_report_the_original_solve_time(self):
+        """Requests that waited on another request's eigensolve are
+        ordinary cache hits: the same ``eig_elapsed_seconds`` as the
+        solve's own answer, their own trace, and one eigensolve in all."""
         obs.disable()
-        service = _BlockingTracedService()
+        service = BoundService(num_eigenvalues=NUM_EIGENVALUES)
+        release = threading.Event()
+        started: list = []
+        solve = service.cache._solve
+
+        def held(*args):
+            started.append(args)
+            assert release.wait(timeout=30)
+            return solve(*args)
+
+        service.cache._solve = held
         payload = json.dumps(
             {"queries": [{"graph": {"family": "fft", "size": 3}, "memory_size": 4}]}
         ).encode()
@@ -428,35 +392,26 @@ class TestCoalescedFollowers:
                 with urllib.request.urlopen(request, timeout=30) as response:
                     outcomes.append(json.loads(response.read().decode()))
 
-            leader = threading.Thread(target=post, daemon=True)
-            leader.start()
-            deadline = 50
-            while len(service.calls) < 1 and deadline:
-                threading.Event().wait(0.01)
-                deadline -= 1
-            assert service.calls, "leader never reached the stub service"
-            followers = [threading.Thread(target=post, daemon=True) for _ in range(2)]
-            for thread in followers:
+            threads = [threading.Thread(target=post, daemon=True) for _ in range(3)]
+            threads[0].start()
+            deadline = time.monotonic() + 10
+            while not started:
+                assert time.monotonic() < deadline, "the leader never solved"
+                time.sleep(0.005)
+            for thread in threads[1:]:
                 thread.start()
-            deadline = 500
-            while server.coalescer.coalesced < 2 and deadline:
-                threading.Event().wait(0.01)
-                deadline -= 1
-            assert server.coalescer.coalesced == 2
-            service.release.set()
-            for thread in [leader] + followers:
+            time.sleep(0.1)
+            release.set()
+            for thread in threads:
                 thread.join(timeout=10)
-        assert len(service.calls) == 1  # the herd paid one solve
+        assert len(started) == 1  # the herd paid one solve
         answers = [o["answers"][0] for o in outcomes]
-        leaders = [a for a in answers if a["served_by_trace_id"] is None]
-        borrowed = [a for a in answers if a["served_by_trace_id"] is not None]
-        assert len(leaders) == 1 and len(borrowed) == 2
-        assert leaders[0]["eig_elapsed_seconds"] == 0.5
-        for answer in borrowed:
-            assert answer["served_by_trace_id"] == "leader-query-trace"
-            assert answer["eig_elapsed_seconds"] == 0.0
-            # The solve they rode is still identified for aggregation.
-            assert answer["trace_id"] == "leader-query-trace"
+        assert len(answers) == 3
+        assert all("served_by_trace_id" not in answer for answer in answers)
+        assert len({answer["eig_elapsed_seconds"] for answer in answers}) == 1
+        assert answers[0]["eig_elapsed_seconds"] > 0.0
+        counters = service.counters()
+        assert counters["cache_misses"] == 1 and counters["cache_hits"] == 2
 
 
 # ---------------------------------------------------------------------------

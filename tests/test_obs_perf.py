@@ -96,7 +96,6 @@ class TestClassify:
         [
             ("cold_eigensolves", "counter"),
             ("fleet_herd_lease_leaders", "counter"),
-            ("herd_coalesced", "counter"),
             ("warm_seconds", "timing"),
             ("p95_latency", "timing"),
             ("fleet_warm_speedup", "throughput"),

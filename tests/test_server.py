@@ -1,11 +1,12 @@
 """Tests for the ``repro.server`` HTTP serving layer.
 
 Three layers are covered: the pure pieces (protocol codec, metrics
-registry, admission controller, coalescer) without any sockets; a live
-threaded server hammered from many client threads, checked for exact
-parity with direct :class:`BoundService` calls; and the serving policies
-driven deterministically through a blocking stub service (coalescing must
-fire, overload must 429 without corrupting state).
+registry, admission controller) without any sockets; a live threaded
+server hammered from many client threads, checked for exact parity with
+direct :class:`BoundService` calls; and the serving policies driven
+deterministically through a real service whose eigensolves are held
+(concurrent misses must share one solve, warm answers must never wait,
+overload must 429 without corrupting state).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from repro.graphs.generators import fft_graph, hypercube_graph
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.cli import build_parser, build_server_from_args
 from repro.runtime.families import GraphSpec
-from repro.runtime.service import BoundAnswer, BoundQuery, BoundService
-from repro.runtime.store import CutStore
+from repro.runtime.service import BoundQuery, BoundService
+from repro.runtime.store import CutStore, SpectrumStore
 from repro.server.client import BoundsClient, ServerError, parse_metric
 from repro.server.protocol import (
     MAX_QUERIES_PER_REQUEST,
@@ -37,7 +38,6 @@ from repro.server.runner import (
     AdmissionController,
     BoundServer,
     FleetConfig,
-    QueryCoalescer,
     ServerFleet,
     ServerOverloadedError,
 )
@@ -103,10 +103,7 @@ class TestProtocol:
         assert payload["version"] == PROTOCOL_VERSION
         decoded = decode_bounds_request(payload)
         assert [item.query for item in decoded] == queries
-        # Identical queries -> identical coalescing keys; different -> not.
-        assert decoded[0].key != decoded[1].key
-        again = decode_bounds_request(encode_bounds_request([queries[0]] * 2))
-        assert again[0].key == again[1].key
+        assert [item.fingerprint for item in decoded] == [None, None]
 
     def test_inline_graph_registers_and_fingerprint_resolves(self):
         registry = GraphRegistry()
@@ -122,7 +119,7 @@ class TestProtocol:
         )[0]
         # Same canonical instance -> the service reuses one warm engine.
         assert by_handle.query.graph is decoded.query.graph
-        assert by_handle.key == decoded.key
+        assert by_handle.fingerprint == decoded.fingerprint
 
     def test_unknown_fingerprint_is_404(self):
         with pytest.raises(ProtocolError) as info:
@@ -194,6 +191,20 @@ class TestProtocol:
         assert payload["answers"][0]["fingerprint"] == "ab12"
         assert "fingerprint" not in payload["answers"][1]
         assert decode_answers(payload) == answers
+
+    def test_answers_from_another_server_version_decode(self):
+        # Servers before this protocol revision also sent
+        # served_by_trace_id, and a later one may add a field; a client
+        # skips fields it does not know, but still refuses an answer
+        # missing one it needs.
+        [answer] = direct_answers(MIXED_QUERIES[:1])
+        payload = encode_answers([answer])
+        payload["answers"][0].update(served_by_trace_id=None, added_later=1)
+        assert decode_answers(payload) == [answer]
+        del payload["answers"][0]["bound"]
+        with pytest.raises(ProtocolError) as info:
+            decode_answers(payload)
+        assert info.value.code == "invalid-response"
 
     def test_path_specs_are_local_only(self):
         with pytest.raises(ProtocolError, match="local-only"):
@@ -349,28 +360,6 @@ class TestAdmissionController:
         assert admission.admitted == 8 * 50
 
 
-class TestQueryCoalescer:
-    def test_follower_shares_leader_result(self):
-        coalescer = QueryCoalescer()
-        ticket, is_leader = coalescer.claim(("k",))
-        assert is_leader
-        follower, follower_leads = coalescer.claim(("k",))
-        assert follower is ticket and not follower_leads
-        coalescer.resolve(ticket, "answer")
-        assert follower.wait(1.0) == "answer"
-        assert coalescer.stats() == {"leaders": 1, "coalesced": 1, "in_flight": 0}
-
-    def test_failure_propagates_and_key_clears(self):
-        coalescer = QueryCoalescer()
-        ticket, _ = coalescer.claim(("k",))
-        follower, _ = coalescer.claim(("k",))
-        coalescer.fail(ticket, ValueError("boom"))
-        with pytest.raises(ValueError, match="boom"):
-            follower.wait(1.0)
-        _, is_leader = coalescer.claim(("k",))
-        assert is_leader  # resolved keys leave the in-flight table
-
-
 class TestEndpoints:
     def test_healthz(self, live_server):
         health = BoundsClient(live_server.url).health()
@@ -447,8 +436,7 @@ class TestEndpoints:
         from repro.server import runner as runner_module
 
         monkeypatch.setattr(runner_module._RequestHandler, "timeout", 0.5)
-        service = BlockingService()
-        service.release.set()
+        service = BoundService(num_eigenvalues=NUM_EIGENVALUES)
         with BoundServer(service, port=0) as server:
             server.start()
             with socket.create_connection(
@@ -523,9 +511,11 @@ class TestEndpoints:
         stats = client.stats()
         assert stats["version"] == PROTOCOL_VERSION
         assert stats["service"]["queries_served"] == 2
-        assert stats["admission"]["admitted"] >= 1
-        assert stats["coalescing"]["leaders"] >= 2
+        assert stats["admission"]["admitted"] == 2  # one slot per eigensolve
+        assert "coalescing" not in stats
         assert stats["metrics"]["repro_http_requests_total"] >= 1
+        client.bounds(MIXED_QUERIES[:2])
+        assert client.stats()["admission"]["admitted"] == 2  # warm: no slot
 
     def test_metrics_endpoint(self, live_server):
         client = BoundsClient(live_server.url)
@@ -571,15 +561,13 @@ class TestConcurrentServing:
             assert_same_bounds(answers, expected)
         stats = live_server.service.counters()
         assert stats["queries_served"] >= len(MIXED_QUERIES)
-        # However the herd interleaved, coalescing + the spectrum cache keep
-        # eigensolves near the 4 distinct (graph, normalization) pairs.  One
-        # duplicate solve is possible when two *different* query keys needing
-        # the same spectrum (fft:3 at M=2 and at M=4/p=2) race their cold
-        # cache misses, so the hard ceiling is 5 — never the 4 * THREADS *
-        # ROUNDS an uncoalesced, uncached server would pay.
-        assert stats["cache_misses"] <= 5
+        # However the herd interleaved, concurrent misses on one spectrum
+        # share one solve: one eigensolve per distinct (graph,
+        # normalization) pair, even where different queries need it (fft:3
+        # at M=2 and at M=4/p=2).
+        assert stats["cache_misses"] == 4
         metrics = BoundsClient(live_server.url).metrics_text()
-        assert parse_metric(metrics, "repro_eigensolves_total") <= 5
+        assert parse_metric(metrics, "repro_eigensolves_total") == 4
         served = self.THREADS * self.ROUNDS * len(MIXED_QUERIES)
         assert parse_metric(metrics, "repro_queries_total") == served
 
@@ -601,61 +589,38 @@ class TestConcurrentServing:
         assert_same_bounds(warm, cold)
 
 
-def make_answer(query: BoundQuery, marker: float = 1.0) -> BoundAnswer:
-    return BoundAnswer(
-        graph="stub",
-        memory_size=int(query.memory_size),
-        num_processors=int(query.num_processors),
-        normalization=query.normalization,
-        bound=marker,
-        raw_value=marker,
-        best_k=None,
-        num_vertices=0,
-        elapsed_seconds=0.0,
-        eig_elapsed_seconds=0.0,
-    )
+class HeldSolves:
+    """Holds every eigensolve of a real :class:`BoundService` until released.
 
-
-class BlockingService:
-    """A BoundService stand-in whose submit() blocks until released.
-
-    Lets the tests hold a solve "in flight" for as long as they need to
-    arrange coalescing and overload scenarios deterministically.
+    ``started`` lists the graphs whose solves began; ``fail_with`` makes a
+    released solve raise instead of solving.
     """
 
-    def __init__(self, fail_with: Exception = None) -> None:
+    def __init__(self, service: BoundService, fail_with: Exception = None) -> None:
         self.release = threading.Event()
-        self.calls: list = []
+        self.started: list = []
         self.fail_with = fail_with
-        self._lock = threading.Lock()
+        solve = service.cache._solve
 
-    def submit(self, queries):
-        with self._lock:
-            self.calls.append(list(queries))
-        if not self.release.wait(timeout=30):
-            raise TimeoutError("BlockingService never released")
-        if self.fail_with is not None:
-            raise self.fail_with
-        return [make_answer(query, marker=float(len(self.calls))) for query in queries]
+        def held(graph, *args):
+            self.started.append(graph)
+            if not self.release.wait(timeout=30):
+                raise TimeoutError("held solve never released")
+            if self.fail_with is not None:
+                raise self.fail_with
+            return solve(graph, *args)
 
-    def counters(self):
-        return {
-            "queries_served": sum(len(call) for call in self.calls),
-            "deduped": 0,
-            "engines_cached": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "store_hits": 0,
-            "mincut_engines_cached": 0,
-            "flow_calls": 0,
-        }
-
-    def stats(self):
-        return dict(self.counters())
+        service.cache._solve = held
 
 
 QUERY_A = {"graph": {"family": "fft", "size": 3}, "memory_size": 4}
 QUERY_B = {"graph": {"family": "fft", "size": 4}, "memory_size": 4}
+
+
+def expected_bound(payload: dict) -> float:
+    """What a fresh service answers for one wire query."""
+    [item] = decode_bounds_request({"queries": [payload]})
+    return direct_answers([item.query])[0].bound
 
 
 def post_in_thread(client: BoundsClient, payload: dict, outcomes: list):
@@ -670,102 +635,103 @@ def post_in_thread(client: BoundsClient, payload: dict, outcomes: list):
     return thread
 
 
+def held_server(fail_with: Exception = None, **server_kwargs):
+    """A server over a real service whose eigensolves wait to be released."""
+    service = BoundService(num_eigenvalues=NUM_EIGENVALUES)
+    solves = HeldSolves(service, fail_with)
+    return BoundServer(service, port=0, **server_kwargs), solves
+
+
 class TestServingPolicies:
     def test_coalescing_fires_for_identical_inflight_queries(self):
-        service = BlockingService()
-        with BoundServer(service, port=0) as server:
+        server, solves = held_server()
+        with server:
             server.start()
             client = BoundsClient(server.url)
             outcomes: list = []
             leader = post_in_thread(client, QUERY_A, outcomes)
-            wait_until(lambda: len(service.calls) == 1)  # leader is solving
+            wait_until(lambda: len(solves.started) == 1)  # leader is solving
             followers = [post_in_thread(client, QUERY_A, outcomes) for _ in range(3)]
-            wait_until(lambda: server.coalescer.coalesced == 3)
-            service.release.set()
+            wait_until(lambda: client.metric("repro_queries_total") == 4)
+            time.sleep(0.1)
+            assert outcomes == []  # the followers wait on the leader's solve
+            solves.release.set()
             for thread in [leader] + followers:
                 thread.join(timeout=10)
-            assert len(service.calls) == 1  # the herd paid one solve
-            bounds = sorted(o["answers"][0]["bound"] for o in outcomes)
-            assert bounds == [1.0] * 4  # everyone got the leader's answer
-            assert client.metric("repro_coalesced_queries_total") == 3
-            assert client.metric("repro_coalesce_leader_solves_total") == 1
+            assert len(solves.started) == 1  # the herd paid one solve
+            counters = server.service.counters()
+            assert counters["cache_misses"] == 1 and counters["cache_hits"] == 3
+            bounds = [o["answers"][0]["bound"] for o in outcomes]
+            assert bounds == [expected_bound(QUERY_A)] * 4
+            assert client.metric("repro_eigensolves_total") == 1
 
     def test_distinct_queries_do_not_coalesce(self):
-        service = BlockingService()
-        service.release.set()
-        with BoundServer(service, port=0) as server:
+        server, solves = held_server()
+        solves.release.set()
+        with server:
             server.start()
             client = BoundsClient(server.url)
             client.bounds_raw({"queries": [QUERY_A]})
             client.bounds_raw({"queries": [QUERY_B]})
-            assert server.coalescer.coalesced == 0
-            assert len(service.calls) == 2
+            assert len(solves.started) == 2
+            assert server.service.counters()["cache_misses"] == 2
 
     def test_overload_returns_429_without_corrupting_state(self):
-        service = BlockingService()
-        with BoundServer(
-            service, port=0, max_in_flight=1, max_queue=0, retry_after_seconds=2
-        ) as server:
+        server, solves = held_server(max_in_flight=1, max_queue=0, retry_after_seconds=2)
+        with server:
             server.start()
             client = BoundsClient(server.url)
             outcomes: list = []
             blocked = post_in_thread(client, QUERY_A, outcomes)
-            wait_until(lambda: len(service.calls) == 1)
-            # A *different* query needs its own solve slot: shed with 429.
+            wait_until(lambda: len(solves.started) == 1)
+            # A cold query on another graph needs its own solve slot: shed.
             with pytest.raises(ServerError) as info:
                 client.bounds_raw({"queries": [QUERY_B]})
             assert info.value.status == 429
             assert info.value.code == "overloaded"
             assert info.value.retry_after_seconds == 2
             assert server.admission.rejected == 1
-            service.release.set()
+            solves.release.set()
             blocked.join(timeout=10)
-            assert outcomes[0]["answers"][0]["bound"] == 1.0
+            assert outcomes[0]["answers"][0]["bound"] == expected_bound(QUERY_A)
             # The shed request corrupted nothing: the port keeps serving,
             # in-flight bookkeeping drained back to zero.
             assert client.bounds_raw({"queries": [QUERY_B]})["answers"]
             assert server.admission.in_flight == 0
-            assert server.coalescer.stats()["in_flight"] == 0
+            assert server.service.cache._flights == {}
             assert client.metric("repro_admission_rejections_total") == 1
 
     def test_followers_bypass_admission_control(self):
-        service = BlockingService()
-        with BoundServer(
-            service, port=0, max_in_flight=1, max_queue=0
-        ) as server:
+        server, solves = held_server(max_in_flight=1, max_queue=0)
+        with server:
             server.start()
             client = BoundsClient(server.url)
             outcomes: list = []
             leader = post_in_thread(client, QUERY_A, outcomes)
-            wait_until(lambda: len(service.calls) == 1)
-            # Identical queries ride the in-flight solve instead of competing
-            # for the (full) admission window: a thundering herd on one graph
-            # is served whole, never shed.
+            wait_until(lambda: len(solves.started) == 1)
+            # Identical queries wait on the in-flight solve instead of
+            # competing for the (full) admission window: a thundering herd
+            # on one graph is served whole, never shed.
             followers = [post_in_thread(client, QUERY_A, outcomes) for _ in range(4)]
-            wait_until(lambda: server.coalescer.coalesced == 4)
+            wait_until(lambda: client.metric("repro_queries_total") == 5)
             assert server.admission.rejected == 0
-            service.release.set()
+            solves.release.set()
             for thread in [leader] + followers:
                 thread.join(timeout=10)
-            assert [o["answers"][0]["bound"] for o in outcomes] == [1.0] * 5
+            assert [o["answers"][0]["bound"] for o in outcomes] == [
+                expected_bound(QUERY_A)
+            ] * 5
+            assert len(solves.started) == 1
+            assert server.admission.stats()["admitted"] == 1
+            assert server.admission.rejected == 0
 
     def test_bad_query_fails_only_its_own_key(self):
-        """One client's invalid query must never 400 another client's valid
-        query that coalesced onto the same request's leader."""
-
-        class FussyBlockingService(BlockingService):
-            BAD_MEMORY_SIZE = 13
-
-            def submit(self, queries):
-                answers = super().submit(queries)
-                if any(q.memory_size == self.BAD_MEMORY_SIZE for q in queries):
-                    raise ValueError("that memory size is cursed")
-                return answers
-
+        """One client's invalid query must never fail another client's valid
+        query that waits on the same solve."""
         good = {"graph": {"family": "fft", "size": 3}, "memory_size": 4}
-        bad = {"graph": {"family": "fft", "size": 3}, "memory_size": 13}
-        service = FussyBlockingService()
-        with BoundServer(service, port=0) as server:
+        bad = {"graph": {"family": "fft", "size": 3}, "memory_size": 4, "k": 1000}
+        server, solves = held_server()
+        with server:
             server.start()
             client = BoundsClient(server.url)
             mixed_outcomes: list = []
@@ -781,58 +747,157 @@ class TestServingPolicies:
 
             mixed = threading.Thread(target=post_mixed, daemon=True)
             mixed.start()
-            wait_until(lambda: len(service.calls) >= 1)  # leading both keys
+            wait_until(lambda: len(solves.started) == 1)  # leading the solve
             follower = post_in_thread(client, good, good_outcomes)
-            wait_until(lambda: server.coalescer.coalesced == 1)
-            service.release.set()
+            wait_until(lambda: client.metric("repro_queries_total") == 3)
+            solves.release.set()
             mixed.join(timeout=10)
             follower.join(timeout=10)
-            # The mixed request fails (it owns the cursed query)...
+            # The mixed request fails (it owns the bad query)...
             assert isinstance(mixed_outcomes[0], ServerError)
             assert mixed_outcomes[0].status == 400
             # ...but the innocent follower gets its valid answer.
             assert not isinstance(good_outcomes[0], ServerError)
-            assert good_outcomes[0]["answers"][0]["bound"] == 1.0
+            assert good_outcomes[0]["answers"][0]["bound"] == expected_bound(good)
+            assert len(solves.started) == 1
 
-    def test_leader_failure_propagates_to_followers(self):
-        service = BlockingService(fail_with=ValueError("solver exploded"))
-        with BoundServer(service, port=0) as server:
+    def test_leader_failure_propagates_to_followers(self, flight_waiters):
+        server, solves = held_server(fail_with=ValueError("solver exploded"))
+        with server:
             server.start()
             client = BoundsClient(server.url)
             outcomes: list = []
             leader = post_in_thread(client, QUERY_A, outcomes)
-            wait_until(lambda: len(service.calls) == 1)
+            wait_until(lambda: len(solves.started) == 1)
             follower = post_in_thread(client, QUERY_A, outcomes)
-            wait_until(lambda: server.coalescer.coalesced == 1)
-            service.release.set()
+            wait_until(lambda: len(flight_waiters) == 1)  # waits on the solve
+            solves.release.set()
             leader.join(timeout=10)
             follower.join(timeout=10)
             assert all(isinstance(o, ServerError) for o in outcomes)
             assert {o.status for o in outcomes} == {400}
-            # The failed key left the in-flight table; a retry leads afresh.
-            assert server.coalescer.stats()["in_flight"] == 0
+            assert len(solves.started) == 1
+            # The failed solve left no flight or slot; a retry leads afresh.
+            assert server.service.cache._flights == {}
+            assert server.admission.in_flight == 0
+            solves.fail_with = None
+            answer = client.bounds_raw({"queries": [QUERY_A]})["answers"][0]
+            assert answer["bound"] == expected_bound(QUERY_A)
+            assert len(solves.started) == 2
+
+    def test_warm_queries_never_wait_for_cold_solves(self):
+        warm = {"graph": {"family": "hypercube", "size": 3}, "memory_size": 2}
+        service = BoundService(num_eigenvalues=NUM_EIGENVALUES)
+        with BoundServer(service, port=0, max_in_flight=2, max_queue=0) as server:
+            server.start()
+            client = BoundsClient(server.url)
+            client.bounds_raw({"queries": [warm]})  # warms hypercube:3
+            solves = HeldSolves(service)
+            outcomes: list = []
+            cold = [post_in_thread(client, query, outcomes) for query in (QUERY_A, QUERY_B)]
+            wait_until(lambda: len(solves.started) == 2)
+            assert server.admission.in_flight == 2  # every slot is held
+            before = server.admission.stats()
+            # A warm query, at another M, answers while both solves block...
+            again = dict(warm, memory_size=3)
+            [answer] = client.bounds_raw({"queries": [again]})["answers"]
+            assert answer["bound"] == expected_bound(again)
+            after = server.admission.stats()
+            assert (after["admitted"], after["rejected"]) == (
+                before["admitted"], before["rejected"]
+            )
+            # ...while cold work on a new graph is shed.
+            with pytest.raises(ServerError) as info:
+                client.bounds_raw({"queries": [{"graph": {"family": "fft", "size": 5},
+                                                "memory_size": 4}]})
+            assert info.value.status == 429 and info.value.retry_after_seconds == 1
+            assert outcomes == []  # the cold solves are still held
+            solves.release.set()
+            for thread in cold:
+                thread.join(timeout=10)
+            assert sorted(o["answers"][0]["bound"] for o in outcomes) == sorted(
+                [expected_bound(QUERY_A), expected_bound(QUERY_B)]
+            )
+
+    def test_a_max_flow_pass_takes_one_slot_and_a_warm_pass_none(self):
+        service = BoundService(num_eigenvalues=NUM_EIGENVALUES)
+        admission = AdmissionController(max_in_flight=1, max_queue=0)
+        service.admission = admission
+        cold = BoundQuery(GraphSpec(family="fft", size_param=4), 4, method="convex-min-cut")
+        [answer] = service.submit([cold])
+        assert answer.bound == direct_answers([cold])[0].bound
+        assert service.counters()["flow_calls"] > 1  # many flows, one slot
+        assert admission.admitted == 1
+        admission.acquire()  # every slot taken
+        try:
+            # Warm passes, at any M, answer without one...
+            service.submit([BoundQuery(cold.graph, 2, method="convex-min-cut")])
+            assert admission.admitted == 2 and admission.rejected == 0
+            # ...while a pass that needs a max-flow is shed.
+            with pytest.raises(ServerOverloadedError):
+                service.submit(
+                    [BoundQuery(GraphSpec(family="fft", size_param=3), 4,
+                                method="convex-min-cut")]
+                )
+            assert admission.rejected == 1
+        finally:
+            admission.release()
+        assert admission.in_flight == 0
+
+    def test_distinct_memory_sizes_share_one_solve(self, tmp_path, monkeypatch):
+        # Eight cold queries that differ only in M need one spectrum: one
+        # eigensolve, with or without a store, and no wait on the store's
+        # lease (a waiter in the same process waits on the solve itself).
+        lease_waits: list = []
+        monkeypatch.setattr(
+            SpectrumStore, "wait_for_lease",
+            lambda *args, **kwargs: lease_waits.append(args) or "timeout",
+        )
+        spec = {"family": "fft", "size": 5}
+        for store in (None, tmp_path / "store"):
+            service = BoundService(num_eigenvalues=NUM_EIGENVALUES, store=store)
+            solves = HeldSolves(service)
+            with BoundServer(service, port=0) as server:
+                server.start()
+                client = BoundsClient(server.url)
+                outcomes: list = []
+                herd = [
+                    post_in_thread(client, {"graph": spec, "memory_size": M}, outcomes)
+                    for M in range(2, 10)
+                ]
+                wait_until(lambda: client.metric("repro_queries_total") == 8)
+                solves.release.set()
+                for thread in herd:
+                    thread.join(timeout=10)
+            assert len(outcomes) == 8
+            assert len(solves.started) == 1
+            counters = service.counters()
+            assert counters["cache_misses"] == 1
+            assert counters["lease_leaders"] == (0 if store is None else 1)
+            assert counters["lease_followers"] == 0
+            assert lease_waits == []
 
 
 class TestDrain:
     def test_close_answers_in_flight_and_drops_idle_connections(self):
         before = set(threading.enumerate())
-        service = BlockingService()
-        server = BoundServer(service, port=0).start()
+        server, solves = held_server()
+        server.start()
         idle = BoundsClient(server.url)
         assert idle.health()["status"] == "ok"  # now idles on a kept-alive connection
         outcomes: list = []
         in_flight = post_in_thread(BoundsClient(server.url), QUERY_A, outcomes)
-        wait_until(lambda: len(service.calls) == 1)
+        wait_until(lambda: len(solves.started) == 1)
         closer = threading.Thread(target=server.close, daemon=True)
         closer.start()
         closer.join(timeout=0.3)
         assert closer.is_alive()  # close() waits for the in-flight request
-        service.release.set()
+        solves.release.set()
         closer.join(timeout=1.0)
         assert not closer.is_alive()  # ...but not for the idle connection
         in_flight.join(timeout=5)
         idle.close()
-        assert outcomes[0]["answers"][0]["bound"] == 1.0
+        assert outcomes[0]["answers"][0]["bound"] == expected_bound(QUERY_A)
         leftover = [t for t in threading.enumerate() if t not in before]
         assert leftover == []  # every handler and serving thread was joined
 
@@ -894,7 +959,7 @@ class TestServeCLI:
             build_parser().parse_args(argv + ["--no-coalesce"])
         server = build_server_from_args(build_parser().parse_args(argv))
         try:
-            assert server.coalescer is not None
+            assert server.service.admission is server.admission
             assert str(server.service.store.root) == str(tmp_path / "s")
         finally:
             server.close()
@@ -925,6 +990,25 @@ class TestServeCLI:
         with pytest.raises(SystemExit) as info:
             main(["serve", "--port", "0", "--no-store"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-in-flight", "0"], "--max-in-flight must be at least 1"),
+            (["--max-queue", "-1"], "--max-queue must be at least 0"),
+            (["--workers", "2", "--max-in-flight", "0"], "--max-in-flight must be at least 1"),
+        ],
+    )
+    def test_bad_admission_config_is_a_usage_error(self, flags, message, tmp_path, capsys):
+        from repro.runtime.cli import main
+
+        # Refused before a server binds or a fleet forks: a fleet worker
+        # would otherwise die on it at every respawn.
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", "--store", str(tmp_path / "s")] + flags)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_serve_args_build_the_fleet_config(self, tmp_path):
         from repro.runtime.cli import build_fleet_from_args
@@ -1158,6 +1242,76 @@ class TestServerFleet:
     def test_worker_count_is_validated(self, tmp_path):
         with pytest.raises(ValueError):
             ServerFleet(FleetConfig(store_root=str(tmp_path)), workers=0)
+
+    def test_start_raises_when_a_worker_dies_before_serving(self, tmp_path):
+        # Every worker raises building its admission controller; the fleet
+        # must say so instead of respawning them forever.
+        config = FleetConfig(store_root=str(tmp_path / "store"), max_in_flight=0)
+        fleet = ServerFleet(config, workers=2)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 1 before it served"):
+            fleet.start()
+        assert time.monotonic() - start < 10.0
+        time.sleep(0.5)  # a monitor would have respawned by now
+        assert fleet.restarts == [0, 0]
+        assert all(proc is None for proc in fleet._procs)
+        with pytest.raises(ServerError) as info:  # the ports are released
+            BoundsClient(fleet.url, timeout=2.0).health()
+        assert info.value.code == "unreachable"
+
+    def test_herd_survives_the_lease_holder_being_killed_mid_solve(self, tmp_path):
+        import os
+        import signal
+
+        # A cold fft:8 herd through both direct ports: one worker takes the
+        # spectrum lease, the other's requests wait on it.  SIGKILL the
+        # holder mid-solve; the survivor must take the lease over and
+        # answer every request it holds, and the slot must respawn.
+        root = tmp_path / "store"
+        config = FleetConfig(store_root=str(root), num_eigenvalues=NUM_EIGENVALUES, lease_ttl=30.0)
+        spec = GraphSpec(family="fft", size_param=8)
+        herd = [BoundQuery(spec, M) for M in (2, 4, 6, 8)]
+        expected = {a.memory_size: a.bound for a in direct_answers(herd)}
+        store = SpectrumStore(root)
+        with ServerFleet(config, workers=2) as fleet:
+            fleet.start()
+            self._wait_healthy(fleet.worker_urls)
+            pids = [proc.pid for proc in fleet._procs]
+            outcomes: dict = {}
+
+            def ask(worker_id, query):
+                client = BoundsClient(fleet.worker_urls[worker_id], timeout=120.0)
+                try:
+                    [answer] = client.bounds([query])
+                    outcomes[(worker_id, query.memory_size)] = answer
+                except (ServerError, OSError) as exc:
+                    outcomes[(worker_id, query.memory_size)] = exc
+
+            threads = [
+                threading.Thread(target=ask, args=(worker_id, query), daemon=True)
+                for worker_id in (0, 1)
+                for query in herd
+            ]
+            for thread in threads:
+                thread.start()
+            held: list = []
+            wait_until(lambda: held.extend(store.leases()) or held, timeout=30.0)
+            [lease] = held
+            victim = pids.index(lease["pid"])
+            survivor = 1 - victim
+            os.kill(lease["pid"], signal.SIGKILL)
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+            for memory_size, bound in expected.items():
+                answer = outcomes[(survivor, memory_size)]
+                assert not isinstance(answer, Exception), answer
+                assert answer.bound == bound
+            assert store.leases() == []
+            assert len(store) == 1
+            wait_until(lambda: fleet.restarts[victim] == 1, timeout=15.0)
+            self._wait_healthy((fleet.worker_urls[victim],))
+            assert fleet.restarts[survivor] == 0
 
 
 class TestFleetObservability:
