@@ -5,10 +5,9 @@ can be computed "by power iteration" or "Lanczos-Arnoldi" in ``O(h n^2)``
 instead of a full ``O(n^3)`` eigendecomposition.  The butterfly Laplacian
 repeats eigenvalues many times, and single-vector iterations skip copies of
 them: LOBPCG is the block form of power iteration that such spectra need.
-This bench times the four backends (``dense`` LAPACK, ``sparse`` ARPACK
-shift-invert, shift-inverted ``lobpcg``, multigrid-preconditioned ``amg``)
-on the same butterfly Laplacian and checks they agree on the bound they
-produce.
+This bench times the three backends (``dense`` LAPACK, shift-inverted
+``lobpcg``, multigrid-preconditioned ``amg``) on the same butterfly
+Laplacian and checks they agree on the bound they produce.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.solvers.backends import EigenSolverOptions, solve_smallest
 LEVELS = pick(7, 9)
 NUM_EIGENVALUES = 30
 M = 4
-BACKENDS = ["dense", "sparse", "lobpcg", "amg"]
+BACKENDS = ["dense", "lobpcg", "amg"]
 
 
 def smallest(matrix, backend: str) -> np.ndarray:

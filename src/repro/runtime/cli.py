@@ -39,12 +39,12 @@ task and fold the workers' span shards back into the same file.  Setting
 ``PATH.profile-<task>-<pid>.pstats``.
 
 ``solve``, ``sweep`` and ``serve`` take ``--solver`` (``auto``/``dense``/
-``sparse``/``lobpcg``/``amg``) and ``--dtype`` (``float64``/``float32``) to
-pick the spectral backend; every cache tier keys on the backend that runs
-(``auto`` resolved first) and the dtype, so ``auto`` shares spectra with an
-explicit request for the backend it picks.  ``auto`` routes by size (dense,
-then ARPACK shift-invert, then the AMG-preconditioned LOBPCG backend), and
-``$REPRO_SOLVER_BACKEND`` forces a backend id for every ``auto`` solve
+``lobpcg``/``amg``) and ``--dtype`` (``float64``/``float32``) to pick the
+spectral backend; every cache tier keys on the backend that runs (``auto``
+resolved first) and the dtype, so ``auto`` shares spectra with an explicit
+request for the backend it picks.  ``auto`` routes by size (dense, then
+shift-inverted block LOBPCG, then the AMG-preconditioned LOBPCG backend),
+and ``$REPRO_SOLVER_BACKEND`` forces a backend id for every ``auto`` solve
 without touching scripts — it applies to ``solve``, ``sweep`` and ``serve``
 alike.  The convex min-cut baseline
 (``sweep --methods convex-min-cut`` / ``solve --method convex-min-cut``)
@@ -108,10 +108,10 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         "--solver",
         choices=("auto",) + available_backends(),
         default="auto",
-        help="spectral backend: dense (exact LAPACK), sparse (ARPACK "
-        "shift-invert), lobpcg (shift-inverted block LOBPCG), amg (multigrid-"
-        "preconditioned LOBPCG); default auto = dense / sparse / amg by size, "
-        "and $REPRO_SOLVER_BACKEND forces a backend for auto solves",
+        help="spectral backend: dense (exact LAPACK), lobpcg (shift-inverted "
+        "block LOBPCG), amg (multigrid-preconditioned LOBPCG); default auto = "
+        "dense / lobpcg / amg by size, and $REPRO_SOLVER_BACKEND forces a "
+        "backend for auto solves",
     )
     parser.add_argument(
         "--dtype",

@@ -7,9 +7,9 @@ Lanczos-Arnoldi.  Its graphs repeat eigenvalues many times, which calls for
 the block form of that iteration (LOBPCG); this subpackage provides
 
 * :mod:`backends` — :class:`EigenSolverOptions` (a method and a dtype), the
-  :class:`SpectralBackend` protocol, the four backends (``dense``,
-  ``sparse``, ``lobpcg``, ``amg``), :func:`resolve_method` (which maps
-  ``auto`` to one of them) and :func:`solve_smallest`,
+  :class:`SpectralBackend` protocol, the three backends (``dense``,
+  ``lobpcg``, ``amg``), :func:`resolve_method` (which maps ``auto`` to one
+  of them by size) and :func:`solve_smallest`,
 * :mod:`amg` — a pure-SciPy smoothed-aggregation multigrid V-cycle (the
   ``amg`` backend's preconditioner when ``pyamg`` is not installed),
 * :mod:`dense` — exact dense spectra via LAPACK (``numpy.linalg.eigvalsh``),

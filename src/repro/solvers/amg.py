@@ -112,33 +112,37 @@ def aggregate_vertices(strength: sp.csr_matrix) -> np.ndarray:
     prolongator below has exactly one entry per row.
     """
     n = strength.shape[0]
-    indptr, indices = strength.indptr, strength.indices
-    labels = np.full(n, -1, dtype=np.int64)
+    # Python lists, not per-vertex NumPy calls: most neighbourhoods hold a
+    # handful of entries, where one NumPy call costs more than the loop.
+    indptr = strength.indptr.tolist()
+    indices = strength.indices.tolist()
+    labels = [-1] * n
     next_label = 0
     # Pass 1: root aggregates.
     for v in range(n):
         if labels[v] != -1:
             continue
         neighbours = indices[indptr[v] : indptr[v + 1]]
-        if neighbours.size and np.any(labels[neighbours] != -1):
+        if any(labels[u] != -1 for u in neighbours):
             continue
         labels[v] = next_label
-        labels[neighbours] = next_label
+        for u in neighbours:
+            labels[u] = next_label
         next_label += 1
     # Pass 2: attach stragglers to a neighbouring aggregate.
     for v in range(n):
         if labels[v] != -1:
             continue
-        neighbours = indices[indptr[v] : indptr[v + 1]]
-        tagged = neighbours[labels[neighbours] != -1]
-        if tagged.size:
-            labels[v] = labels[tagged[0]]
+        for u in indices[indptr[v] : indptr[v + 1]]:
+            if labels[u] != -1:
+                labels[v] = labels[u]
+                break
     # Pass 3: singletons for whatever is left.
     for v in range(n):
         if labels[v] == -1:
             labels[v] = next_label
             next_label += 1
-    return labels
+    return np.asarray(labels, dtype=np.int64)
 
 
 def tentative_prolongator(labels: np.ndarray) -> sp.csr_matrix:

@@ -2,7 +2,7 @@
 
 The solver layer is a small set of first-class objects.  Backends
 
-* are looked up by id (``dense``, ``sparse``, ``lobpcg``, ``amg``) and
+* are looked up by id (``dense``, ``lobpcg``, ``amg``) and
   constructed from :class:`EigenSolverOptions`, which names a method
   (``auto`` or a backend id) and a precision — nothing else: the size
   cutoff, tolerance, iteration caps and seed are the constants below,
@@ -18,9 +18,12 @@ precision.
 
 The paper computes the bound "by power iteration" or Lanczos.  The
 butterfly and hypercube spectra it bounds repeat eigenvalues many times,
-and single-vector Krylov iterations skip copies of them, so the iterative
-backends here are the *block* form of that iteration: LOBPCG, shift-inverted
-(``lobpcg``) or multigrid-preconditioned (``amg``).
+and single-vector Krylov iterations (ARPACK included) skip copies of them,
+returning eigenvalues that are too high and so a lower bound that is too
+high.  The iterative backends here are therefore the *block* form of that
+iteration: LOBPCG, shift-inverted (``lobpcg``) or multigrid-preconditioned
+(``amg``).  ``auto`` picks ``dense`` up to :data:`DENSE_CUTOFF` vertices,
+``lobpcg`` up to :data:`AMG_AUTO_CUTOFF` and ``amg`` beyond.
 
 All backends return eigenvalues in increasing order, clamped at zero: graph
 Laplacians are positive semi-definite, so tiny negative values are numerical
@@ -67,11 +70,13 @@ _BACKEND_SOLVES = global_registry().counter(
 #: every solve routes to this backend id.
 SOLVER_BACKEND_ENV_VAR = "REPRO_SOLVER_BACKEND"
 
-#: Below this dimension ``auto`` uses the dense solver, which is both faster
-#: and exact there.  LAPACK's blocked ``syevd`` on a few-thousand-dimensional
-#: Laplacian takes a couple of seconds, which in practice beats ARPACK
-#: shift-invert (and avoids ARPACK's accuracy issues on the highly clustered
-#: spectra of hypercubes/butterflies).
+#: Up to this dimension ``auto`` uses the dense solver, which is exact.  The
+#: crossover to ``lobpcg`` depends on the graph family, not only on its size
+#: (h = 100, one BLAS thread): on fft:9 (n = 5,120) dense takes 14-20 s and
+#: ``lobpcg`` 2.4 s, but on the normalised bhk:12 (n = 4,096) ``lobpcg`` runs
+#: into its iteration cap at 19-20 s where dense takes 6.5-7.4 s.  A
+#: size-only cutoff cannot serve both, so it stays where no family loses
+#: badly.
 DENSE_CUTOFF = 6000
 
 #: Convergence tolerance of the iterative backends.
@@ -81,7 +86,7 @@ TOLERANCE = 1e-8
 SEED = 0
 
 #: Above this size ``auto`` prefers the AMG-preconditioned backend over
-#: ARPACK shift-invert: the sparse-LU fill of shift-invert grows
+#: shift-inverted LOBPCG: the sparse-LU fill of shift-invert grows
 #: superlinearly on expander-ish computation graphs while the AMG V-cycle
 #: stays O(m).
 AMG_AUTO_CUTOFF = 50_000
@@ -105,7 +110,7 @@ class EigenSolverOptions:
     ----------
     method:
         ``"auto"`` (routed by :func:`resolve_method`) or a backend id:
-        ``"dense"``, ``"sparse"``, ``"lobpcg"``, ``"amg"``.
+        ``"dense"``, ``"lobpcg"``, ``"amg"``.
     dtype:
         Arithmetic precision: ``"float64"`` (default) or ``"float32"``
         (roughly twice the matvec throughput, ~1e-6 accuracy).  Results are
@@ -148,16 +153,9 @@ def _is_operator(matrix: MatrixLike) -> bool:
 
 
 def _cast_matrix(matrix: MatrixLike, dtype: np.dtype) -> MatrixLike:
-    """Cast a dense/sparse/operator matrix to the solve dtype."""
+    """Cast a dense or sparse matrix to the solve dtype."""
     if sp.issparse(matrix):
         return matrix if matrix.dtype == dtype else matrix.astype(dtype)
-    if _is_operator(matrix):
-        if matrix.dtype == dtype:
-            return matrix
-        astype = getattr(matrix, "astype", None)
-        # Operators without a cast (rare; ours have one) run in their native
-        # dtype — results are float64 downstream either way.
-        return astype(dtype) if callable(astype) else matrix
     arr = np.asarray(matrix)
     return arr if arr.dtype == dtype else arr.astype(dtype)
 
@@ -180,15 +178,6 @@ def _as_sparse(matrix: MatrixLike) -> sp.spmatrix:
             )
         return tocsr()
     return sp.csr_matrix(np.asarray(matrix))
-
-
-def _densify(matrix: MatrixLike) -> np.ndarray:
-    """A dense array view of ``matrix`` (for dense solves/fallbacks)."""
-    if sp.issparse(matrix):
-        return np.asarray(matrix.todense())
-    if _is_operator(matrix):
-        return np.asarray(_as_sparse(matrix).todense())
-    return np.asarray(matrix)
 
 
 # ----------------------------------------------------------------------
@@ -224,79 +213,38 @@ class DenseBackend(SpectralBackend):
     id = "dense"
 
     def solve(self, matrix, k):
-        mat = _cast_matrix(_densify(matrix), self.dtype)
+        # Sparse entries go to dense.py as they are: it checks their
+        # symmetry in O(nnz) and densifies them once.
+        if _is_operator(matrix):
+            matrix = _as_sparse(matrix)
+        mat = _cast_matrix(matrix, self.dtype)
         values = dense_smallest_eigenvalues(mat, k)
         return BackendSolveResult(np.asarray(values, dtype=np.float64), self.id)
 
 
-class SparseBackend(SpectralBackend):
-    """ARPACK shift-invert with a robust fallback chain.
-
-    Shift-invert around a small negative shift is fast and accurate for PSD
-    Laplacians (``L + eps I`` is positive definite); plain ``which='SA'`` is
-    the fallback, and the dense solver the last resort for moderate sizes.
-    ARPACK is double-precision internally, so ``dtype`` only affects the
-    input matrix (and therefore the matvec accuracy), not the iteration.
-    """
-
-    id = "sparse"
-
-    def solve(self, matrix, k):
-        n = matrix.shape[0]
-        if k >= n - 1 or n <= 2:
-            values = dense_smallest_eigenvalues(
-                _cast_matrix(_densify(matrix), self.dtype), k
-            )
-            return BackendSolveResult(np.asarray(values, dtype=np.float64), self.id)
-        mat = _cast_matrix(_as_sparse(matrix).tocsc(), self.dtype)
-        # Graph Laplacians of symmetric graphs have heavily clustered
-        # spectra; a generous Lanczos basis (ncv) is needed for ARPACK to
-        # resolve whole clusters instead of returning a too-large value from
-        # the middle of one.
-        ncv = min(n - 1, max(4 * k + 1, 120))
-        try:
-            values = spla.eigsh(
-                mat,
-                k=k,
-                sigma=-1e-6,
-                which="LM",
-                return_eigenvectors=False,
-                tol=TOLERANCE,
-                ncv=ncv,
-            )
-            return BackendSolveResult(np.asarray(values, dtype=np.float64), self.id)
-        except Exception:  # pragma: no cover - exercised only on ARPACK failures
-            pass
-        try:
-            values = spla.eigsh(
-                mat,
-                k=k,
-                which="SA",
-                return_eigenvectors=False,
-                tol=max(TOLERANCE, 1e-6),
-                maxiter=n * 20,
-                ncv=ncv,
-            )
-            return BackendSolveResult(np.asarray(values, dtype=np.float64), self.id)
-        except Exception:  # pragma: no cover
-            if n <= 5000:
-                values = dense_smallest_eigenvalues(mat, k)
-                return BackendSolveResult(np.asarray(values, dtype=np.float64), self.id)
-            raise
-
-
 class LobpcgBackend(SpectralBackend):
-    """Shift-inverted blocked LOBPCG.
+    """Shift-inverted blocked LOBPCG — ``auto``'s backend from
+    :data:`DENSE_CUTOFF` to :data:`AMG_AUTO_CUTOFF` vertices.
 
     Runs ``scipy.sparse.linalg.lobpcg`` on the operator ``(L + sigma I)^{-1}``
     (one sparse LU factorisation, PD because ``L`` is PSD and ``sigma > 0``),
-    asking for the *largest* eigenvalues of the inverse — the same spectral
-    transformation ARPACK shift-invert uses, but as a blocked iteration over
-    a ``k + oversample`` subspace.  The transform matters: plain LOBPCG
-    needs hundreds of iterations on the heavily clustered butterfly/hypercube
-    spectra, shift-inverted it converges in ~20.  Small problems (where
-    LOBPCG's requirement ``5 * block < n`` fails) fall back to the dense
-    backend, so they answer exactly what ``dense`` answers.
+    asking for the *largest* eigenvalues of the inverse — the spectral
+    transformation of ARPACK shift-invert, but as a blocked iteration over a
+    ``k + oversample`` subspace (Knyazev 2001), which does not skip copies
+    of a repeated eigenvalue.  The transform matters: plain LOBPCG needs
+    hundreds of iterations on the heavily clustered butterfly/hypercube
+    spectra, shift-inverted it converges in ~20.
+
+    The factorisation uses a symmetric fill-reducing ordering (minimum
+    degree on ``A^T + A``) with diagonal pivots, which is stable because
+    ``L + sigma I`` is positive definite.  SuperLU's default COLAMD column
+    ordering ignores the symmetry: on matmul:15 (n = 6,975) its factor held
+    3.29M nonzeros against 241k, and a 108-column solve took 270 ms against
+    34 ms.
+
+    Small problems (where LOBPCG's requirement ``5 * block < n`` fails) fall
+    back to the dense backend, so they answer exactly what ``dense``
+    answers.
     """
 
     id = "lobpcg"
@@ -325,7 +273,12 @@ class LobpcgBackend(SpectralBackend):
         x = np.ascontiguousarray(x, dtype=self.dtype)
         tol = max(TOLERANCE, 1e-6 if self.options.dtype == "float32" else 0.0)
         try:
-            lu = spla.splu(mat + sigma * sp.identity(n, dtype=mat.dtype, format="csc"))
+            lu = spla.splu(
+                mat + sigma * sp.identity(n, dtype=mat.dtype, format="csc"),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
             operator = spla.LinearOperator(
                 (n, n),
                 matvec=lu.solve,
@@ -350,7 +303,7 @@ class LobpcgBackend(SpectralBackend):
             if n > self.dense_fallback_cap:
                 raise RuntimeError(
                     f"lobpcg produced a degenerate spectrum for n={n} and the "
-                    f"matrix is too large to densify; retry with method='sparse'"
+                    f"matrix is too large to densify; retry with method='amg'"
                 )
             return self._dense_fallback(matrix, k)
         values = np.sort(1.0 / np.asarray(inverse_values, dtype=np.float64) - sigma)
@@ -375,9 +328,10 @@ class AmgBackend(LobpcgBackend):
     setup is linear — the combination is what unlocks n >> 50k on one core.
 
     Matrix-free inputs (:func:`repro.graphs.laplacian.laplacian_operator`)
-    are used directly for the LOBPCG matvecs (preserving any row-block
-    sharding); explicit entries are materialised only for the hierarchy
-    setup, which needs them.
+    are lowered to CSR once: the hierarchy setup needs the entries anyway,
+    and the LOBPCG matvecs then run on the shifted CSR it already holds
+    (10 ms per 24-column apply at fft:13, against 33-37 ms through the
+    operator plus the shift).
 
     Small problems (LOBPCG needs ``5 * block < n``) fall back to the dense
     backend, as for :class:`LobpcgBackend`.
@@ -404,25 +358,13 @@ class AmgBackend(LobpcgBackend):
             preconditioner = smoothed_aggregation_preconditioner(
                 shifted, seed=SEED
             )
-            if _is_operator(matrix):
-                # Keep the caller's matrix-free application (row-block
-                # sharding and all); only the +sigma shift is added here.
-                base = _cast_matrix(matrix, self.dtype)
-                operator = spla.LinearOperator(
-                    (n, n),
-                    matvec=lambda v: base @ v + sigma * v,
-                    matmat=lambda V: base @ V + sigma * V,
-                    dtype=shifted.dtype,
-                )
-            else:
-                operator = shifted
             with warnings.catch_warnings():
                 # Same rationale as LobpcgBackend: the convergence warning is
                 # noise at our tolerances; parity tests bound the accuracy.
                 warnings.simplefilter("ignore", UserWarning)
                 warnings.simplefilter("ignore", LinAlgWarning)
                 values, vectors = spla.lobpcg(
-                    operator,
+                    shifted,
                     x,
                     M=preconditioner,
                     largest=False,
@@ -448,7 +390,7 @@ class AmgBackend(LobpcgBackend):
 # dispatch
 # ----------------------------------------------------------------------
 _BACKENDS: Dict[str, Type[SpectralBackend]] = {
-    cls.id: cls for cls in (DenseBackend, SparseBackend, LobpcgBackend, AmgBackend)
+    cls.id: cls for cls in (DenseBackend, LobpcgBackend, AmgBackend)
 }
 
 
@@ -475,9 +417,11 @@ def resolve_method(method: str, n: int, k: int) -> str:
     ``REPRO_SOLVER_BACKEND`` environment variable (validated against the
     backend ids) overrides the size heuristic; then the heuristic picks
     ``dense`` for small problems (n up to :data:`DENSE_CUTOFF`, or
-    near-full spectra of moderate size), ``sparse`` (ARPACK shift-invert) up
-    to :data:`AMG_AUTO_CUTOFF`, and ``amg`` beyond — ``auto`` never densifies
-    above :data:`DENSE_AUTO_CAP`.
+    near-full spectra of moderate size), ``lobpcg`` (shift-inverted block
+    LOBPCG) up to :data:`AMG_AUTO_CUTOFF`, and ``amg`` beyond — ``auto``
+    never densifies above :data:`DENSE_AUTO_CAP`.  No route leads to a
+    single-vector Krylov solver: those skip copies of repeated eigenvalues
+    and overstate the bound.
     """
     if method != "auto":
         return method
@@ -491,7 +435,7 @@ def resolve_method(method: str, n: int, k: int) -> str:
         return forced
     if n <= DENSE_CUTOFF or (k >= n - 1 and n <= DENSE_AUTO_CAP):
         return "dense"
-    return "sparse" if n <= AMG_AUTO_CUTOFF else "amg"
+    return "lobpcg" if n <= AMG_AUTO_CUTOFF else "amg"
 
 
 # ----------------------------------------------------------------------

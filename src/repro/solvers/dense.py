@@ -18,11 +18,27 @@ MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 
 def _to_dense_symmetric(matrix: MatrixLike) -> np.ndarray:
-    """Densify and validate a symmetric matrix."""
+    """Densify and validate a symmetric matrix.
+
+    Both forms are held to ``np.allclose(A, A.T, atol=1e-8)``.  A sparse
+    matrix is checked only where ``A - A.T`` is nonzero, in O(nnz), and
+    then densified once; everywhere else its entries equal their mirror
+    images, which that rule accepts.
+    """
     if sp.issparse(matrix):
-        dense = np.asarray(matrix.todense(), dtype=np.float64)
-    else:
-        dense = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+        csr = sp.csr_matrix(matrix, dtype=np.float64)
+        differ = (csr - csr.T).tocoo()
+        # The pattern of A - A.T is symmetric, so checking A[i, j] against
+        # A[j, i] at each of its entries applies the rule both ways round.
+        if differ.nnz:
+            upper = np.asarray(csr[differ.row, differ.col]).ravel()
+            lower = np.asarray(csr[differ.col, differ.row]).ravel()
+            if not np.allclose(upper, lower, atol=1e-8):
+                raise ValueError("matrix must be symmetric")
+        return csr.toarray()
+    dense = np.asarray(matrix, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {dense.shape}")
     if not np.allclose(dense, dense.T, atol=1e-8):

@@ -413,12 +413,12 @@ class SpectrumCache:
         ) as active:
             start = time.perf_counter()
             # The backend decides the Laplacian's form: LAPACK takes the
-            # dense matrix, every other backend the matrix-free
-            # LaplacianOperator (amg's LOBPCG loop never sees an explicit
-            # Laplacian, and the parts needing entries lower it themselves
-            # at O(m)).
+            # sparse matrix, which dense.py checks for symmetry in O(nnz)
+            # and densifies once; lobpcg and amg take the matrix-free
+            # LaplacianOperator and lower it to CSR themselves, at O(m), for
+            # the factorisation and the hierarchy that need the entries.
             if options.method == "dense":
-                lap = laplacian(graph, normalized=normalized, sparse=False)
+                lap = laplacian(graph, normalized=normalized, sparse=True)
             else:
                 lap = laplacian_operator(graph, normalized=normalized)
             result = solve_smallest(lap, h, options)

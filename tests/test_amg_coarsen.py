@@ -56,8 +56,49 @@ def shifted_fft_laplacian(levels: int) -> sp.csr_matrix:
     return (lap + 1e-2 * sp.identity(lap.shape[0], format="csr")).tocsr()
 
 
+def reference_aggregation(strength: sp.csr_matrix) -> np.ndarray:
+    """The three greedy aggregation passes written with per-vertex NumPy
+    calls: the reference :func:`aggregate_vertices` must match label for
+    label."""
+    n = strength.shape[0]
+    indptr, indices = strength.indptr, strength.indices
+    labels = np.full(n, -1, dtype=np.int64)
+    next_label = 0
+    for v in range(n):
+        if labels[v] != -1:
+            continue
+        neighbours = indices[indptr[v] : indptr[v + 1]]
+        if neighbours.size and np.any(labels[neighbours] != -1):
+            continue
+        labels[v] = next_label
+        labels[neighbours] = next_label
+        next_label += 1
+    for v in range(n):
+        if labels[v] != -1:
+            continue
+        neighbours = indices[indptr[v] : indptr[v + 1]]
+        tagged = neighbours[labels[neighbours] != -1]
+        if tagged.size:
+            labels[v] = labels[tagged[0]]
+    for v in range(n):
+        if labels[v] == -1:
+            labels[v] = next_label
+            next_label += 1
+    return labels
+
+
 class TestAmgMachinery:
     """The pure-SciPy smoothed-aggregation building blocks."""
+
+    @pytest.mark.parametrize(
+        "family,size", [("fft", 7), ("matmul", 6), ("bhk", 8), ("hypercube", 6)]
+    )
+    def test_aggregation_matches_the_reference(self, family, size):
+        lap = laplacian(GraphSpec(family=family, size_param=size).build(), sparse=True)
+        strength = strength_graph(lap)
+        labels = aggregate_vertices(strength)
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, reference_aggregation(strength))
 
     def test_aggregation_labels_every_vertex(self):
         matrix = shifted_fft_laplacian(6)
@@ -170,7 +211,7 @@ class TestResolveMethod:
 
     def test_auto_routes_by_size(self):
         assert resolve_method("auto", 100, 5) == "dense"
-        assert resolve_method("auto", 10_000, 5) == "sparse"
+        assert resolve_method("auto", 10_000, 5) == "lobpcg"
         assert resolve_method("auto", AMG_AUTO_CUTOFF + 1, 5) == "amg"
 
     def test_auto_never_dense_above_cutoff(self):
@@ -187,8 +228,8 @@ class TestResolveMethod:
         assert resolve_method("dense", 100, 5) == "dense"
 
     def test_env_var_invalid_value_rejected(self, monkeypatch):
-        # lanczos and power were backends in older builds.
-        for value in ("bogus", "lanczos", "power"):
+        # lanczos, power and sparse were backends in older builds.
+        for value in ("bogus", "lanczos", "power", "sparse"):
             monkeypatch.setenv(SOLVER_BACKEND_ENV_VAR, value)
             with pytest.raises(ValueError, match=SOLVER_BACKEND_ENV_VAR):
                 resolve_method("auto", 100, 5)

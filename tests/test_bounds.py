@@ -130,11 +130,16 @@ class TestSpectralBound:
         assert a.raw_value == pytest.approx(b.raw_value, abs=1e-6)
 
     def test_sparse_and_dense_paths_agree(self):
-        # The dense backend solves the assembled Laplacian, the sparse one
-        # the matrix-free operator.
+        # The dense backend solves the assembled Laplacian, lobpcg the
+        # sparse factorisation of the matrix-free operator's entries (h = 20
+        # keeps n = 192 above LOBPCG's size floor, so it really iterates).
         graph = fft_graph(5)
-        dense = spectral_bound(graph, M=4, eig_options=EigenSolverOptions(method="dense"))
-        sparse = spectral_bound(graph, M=4, eig_options=EigenSolverOptions(method="sparse"))
+        dense = spectral_bound(
+            graph, M=4, num_eigenvalues=20, eig_options=EigenSolverOptions(method="dense")
+        )
+        sparse = spectral_bound(
+            graph, M=4, num_eigenvalues=20, eig_options=EigenSolverOptions(method="lobpcg")
+        )
         assert dense.raw_value == pytest.approx(sparse.raw_value, rel=1e-6, abs=1e-6)
 
     def test_eig_options_forwarded(self):

@@ -259,10 +259,10 @@ class TestSpectrumCache:
 
     def test_sparse_assembly_is_part_of_the_key(self):
         # The key holds the backend that solves: an explicit dense request
-        # must never be served an ARPACK-solved spectrum (and vice versa).
+        # must never be served an amg-solved spectrum (and vice versa).
         cache = SpectrumCache()
         graph = fft_graph(3)
-        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="sparse"))
+        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="amg"))
         cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="dense"))
         assert cache.misses == 2
         # auto resolves to dense for this small graph and shares the dense

@@ -78,7 +78,7 @@ class TestStoreBasics:
         # The key: fingerprint, normalisation, resolved backend and dtype.
         store.put(FP, np.arange(3, dtype=float), 1.0, normalized=True, backend="dense")
         assert store.get(FP, 3, normalized=False) is None
-        assert store.get(FP, 3, backend="sparse") is None
+        assert store.get(FP, 3, backend="amg") is None
         assert store.get(FP, 3, backend="lobpcg") is None
         assert store.get(FP, 3, dtype="float32") is None
         assert store.get(FP, 3) is not None

@@ -18,9 +18,14 @@ import sqlite3
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import repro.solvers.backends as backends_module
 from repro.core.spectra import butterfly_spectrum_array, hypercube_spectrum_array
+from repro.graphs.compgraph import ComputationGraph
 from repro.graphs.generators import fft_graph, hypercube_graph
+from repro.graphs.generators.random_graphs import random_dag
 from repro.graphs.laplacian import laplacian
 from repro.runtime.families import GraphSpec
 from repro.runtime.service import BoundQuery, BoundService
@@ -33,11 +38,12 @@ from repro.solvers.backends import (
     solve_smallest,
 )
 from repro.solvers.spectrum_cache import SpectrumCache
+from tests.inertia import count_below
 
 H = 12
-BACKENDS = ("dense", "sparse", "lobpcg", "amg")
+BACKENDS = ("dense", "lobpcg", "amg")
 #: Backend ids older builds offered; they must now be rejected everywhere.
-DELETED_BACKENDS = ("lanczos", "power")
+DELETED_BACKENDS = ("lanczos", "power", "sparse")
 
 
 def fft_laplacian(levels: int, sparse: bool = True):
@@ -103,6 +109,61 @@ class TestClosedFormParity:
         values = solve_smallest(lap, H, options).eigenvalues
         assert values.dtype == np.float64  # results are always upcast
         np.testing.assert_allclose(values, exact, atol=1e-3)
+
+
+class TestRepeatedEigenvaluesAboveTheDenseCutoff:
+    """What ``auto`` sends above :data:`DENSE_CUTOFF` must not skip copies
+    of a repeated eigenvalue: a skipped copy makes every later value too
+    high, and so the paper's lower bound too high."""
+
+    def test_auto_above_the_cutoff_reproduces_the_butterfly_spectrum(self, monkeypatch):
+        # fft:8 (n = 2,304) stands in for the 6k-50k band at a tenth of
+        # the cost; single-vector ARPACK overshoots its h = 100 block by
+        # 0.14.
+        monkeypatch.setattr(backends_module, "DENSE_CUTOFF", 1000)
+        lap = fft_laplacian(8)
+        result = solve_smallest(lap, 100, EigenSolverOptions())
+        assert result.backend == "lobpcg"
+        np.testing.assert_allclose(
+            result.eigenvalues, butterfly_spectrum_array(8)[:100], rtol=0, atol=1e-9
+        )
+
+    def test_count_below_matches_a_dense_count(self):
+        rng = np.random.default_rng(0)
+        lap = fft_laplacian(4)
+        spectrum = np.linalg.eigvalsh(lap.toarray())
+        for shift in rng.uniform(-0.5, spectrum[-1] + 0.5, size=20):
+            assert count_below(lap, shift) == np.count_nonzero(spectrum < shift)
+
+    @given(
+        component=st.tuples(
+            st.integers(min_value=14, max_value=30),
+            st.floats(min_value=0.05, max_value=0.6),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        copies=st.integers(min_value=4, max_value=8),
+        normalized=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_planted_multiplicity(self, component, copies, normalized):
+        """Disjoint copies of one random DAG repeat every eigenvalue
+        ``copies`` times; lobpcg must return all of them, as dense does."""
+        size, p, seed = component
+        edges = random_dag(size, edge_probability=p, seed=seed).freeze().edges
+        assume(edges.shape[0] > 0)
+        graph = ComputationGraph(size * copies)
+        graph.add_edges_array(np.concatenate([edges + c * size for c in range(copies)]))
+        lap = laplacian(graph, normalized=normalized, sparse=True)
+        # The largest h that keeps LOBPCG above its size floor, so it iterates.
+        h = graph.num_vertices // 5 - 8
+        assume(h > copies)
+        iterative = solve_smallest(lap, h, EigenSolverOptions(method="lobpcg")).eigenvalues
+        dense = solve_smallest(lap, h, EigenSolverOptions(method="dense")).eigenvalues
+        np.testing.assert_allclose(iterative, dense, rtol=0, atol=1e-8)
+        # Every eigenvalue below (just under) the h-th returned one is there.
+        shift = iterative[-1] - 1e-6 * max(1.0, iterative[-1])
+        assume(np.min(np.abs(dense - shift)) > 1e-7)
+        assert count_below(lap, shift) == np.count_nonzero(iterative < shift)
 
 
 class TestCacheKeySegregation:

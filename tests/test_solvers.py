@@ -36,6 +36,55 @@ class TestDense:
         with pytest.raises(ValueError, match="symmetric"):
             dense_spectrum(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_sparse_symmetry_check_decides_as_allclose(self):
+        """A sparse input is checked in O(nnz), with the dense rule's
+        verdict: ``np.allclose(A, A.T, atol=1e-8)``.  Near-symmetric inputs
+        straddle both of its tolerances, with duplicate entries, mirror
+        entries missing and non-finite values among them."""
+        rng = np.random.default_rng(0)
+        verdicts = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            count = int(rng.integers(0, 2 * n * n))
+            rows = rng.integers(0, n, size=count)
+            cols = rng.integers(0, n, size=count)
+            values = rng.choice([-1.0, 1.0], size=count) * 10.0 ** rng.uniform(-10, 3, count)
+            values[rng.random(count) < 0.01] = rng.choice([np.inf, -np.inf, np.nan])
+            # Mirror most entries, each with a relative or absolute wobble
+            # around the tolerances (rtol 1e-5, atol 1e-8).
+            mirrored = rng.random(count) < 0.9
+            wobble = np.where(
+                rng.random(count) < 0.5,
+                values * rng.choice([-1.0, 1.0], size=count) * 10.0 ** rng.uniform(-7, -3, count),
+                rng.choice([-1.0, 1.0], size=count) * 10.0 ** rng.uniform(-10, -6, count),
+            )
+            wobble[rng.random(count) < 0.5] = 0.0
+            with np.errstate(invalid="ignore"):
+                matrix = sp.coo_matrix(
+                    (
+                        np.concatenate([values, (values + wobble)[mirrored]]),
+                        (
+                            np.concatenate([rows, cols[mirrored]]),
+                            np.concatenate([cols, rows[mirrored]]),
+                        ),
+                    ),
+                    shape=(n, n),
+                )
+                dense = matrix.toarray()
+                expected = np.allclose(dense, dense.T, atol=1e-8)
+            try:
+                with np.errstate(invalid="ignore"):
+                    dense_spectrum(matrix.tocsr())
+                accepted = True
+            except np.linalg.LinAlgError:
+                accepted = True  # symmetric, but LAPACK rejects inf/nan
+            except ValueError as exc:
+                assert "symmetric" in str(exc)
+                accepted = False
+            assert accepted == expected, matrix.toarray()
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             dense_spectrum(np.zeros((2, 3)))
@@ -50,10 +99,10 @@ class TestDense:
 
 class TestBackend:
     def test_dense_and_sparse_agree(self):
-        L_dense = example_laplacian(4)
+        L_dense = example_laplacian(5)  # n = 192: lobpcg iterates at k = 10
         L_sparse = sp.csr_matrix(L_dense)
         a = solve_smallest(L_dense, 10, EigenSolverOptions(method="dense")).eigenvalues
-        b = solve_smallest(L_sparse, 10, EigenSolverOptions(method="sparse")).eigenvalues
+        b = solve_smallest(L_sparse, 10, EigenSolverOptions(method="lobpcg")).eigenvalues
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_auto_uses_dense_for_small(self):
