@@ -168,7 +168,7 @@ def test_disabled_obs_is_noop_on_hot_path(fft_family):
     calls = 20000
     start = time.perf_counter()
     for _ in range(calls):
-        with obs.span("eigensolve", fingerprint=None, h=100, dtype="float64"):
+        with obs.span("eigensolve", fingerprint=None, h=100):
             pass
     per_span = (time.perf_counter() - start) / calls
 

@@ -15,7 +15,7 @@ every backend cold):
 
 * **AMG-preconditioned LOBPCG at paper scale** — the ``amg`` backend solves
   the ``h = 16`` smallest eigenvalues of the 114,688-vertex FFT level-13
-  Laplacian (matrix-free, through the spectrum cache) on one core in tens
+  Laplacian (through the spectrum cache) on one core in tens
   of seconds, where the shift-inverted ``lobpcg`` backend pays a sparse LU
   factorisation whose fill grows superlinearly with the graph.  A second
   request for the same spectrum must perform **zero** eigensolves (the
@@ -54,7 +54,7 @@ from benchmarks.common import (
 from repro.graphs.generators import fft_graph
 from repro.graphs.laplacian import laplacian
 from repro.runtime.orchestrator import SweepOrchestrator
-from repro.solvers.backends import EigenSolverOptions, solve_smallest
+from repro.solvers.backends import solve_smallest
 from repro.solvers.spectrum_cache import SpectrumCache
 
 SWEEP_LEVELS = pick(list(range(5, 9)), list(range(8, 12)))
@@ -82,9 +82,9 @@ AMG_BASELINES = tuple(
 )
 
 
-def _timed_solve(matrix, options, num_eigenvalues):
+def _timed_solve(matrix, solver, num_eigenvalues):
     start = time.perf_counter()
-    result = solve_smallest(matrix, num_eigenvalues, options)
+    result = solve_smallest(matrix, num_eigenvalues, solver)
     return result, time.perf_counter() - start
 
 
@@ -222,15 +222,12 @@ def test_amg_paper_scale_vs_iterative(benchmark):
     graph = fft_graph(AMG_SMOKE_LEVEL)
     n = graph.num_vertices
     assert n >= 100_000, f"smoke must cover >= 100k vertices, got n={n}"
-    amg = EigenSolverOptions(method="amg")
-
-    # Cold solve through the spectrum cache: this exercises the matrix-free
-    # LaplacianOperator path end to end (the cache hands operators, not
-    # assembled matrices, to iterative backends).
+    # Cold solve through the spectrum cache: Laplacian assembly, the AMG
+    # hierarchy and LOBPCG end to end.
     cache = SpectrumCache()
     cold, cold_seconds = run_once(
         benchmark,
-        lambda: _timed_cache_spectrum(cache, graph, amg),
+        lambda: _timed_cache_spectrum(cache, graph, "amg"),
     )
     assert not cold.cache_hit and cache.misses == 1
     assert cold.backend == "amg"
@@ -239,7 +236,7 @@ def test_amg_paper_scale_vs_iterative(benchmark):
     assert np.all(np.diff(values) >= -1e-9) and abs(values[0]) < 1e-6
 
     # Warm-path contract: a second request performs zero eigensolves.
-    warm, _ = _timed_cache_spectrum(cache, graph, amg)
+    warm, _ = _timed_cache_spectrum(cache, graph, "amg")
     assert warm.cache_hit and cache.misses == 1, "warm path must not eigensolve"
 
     # Iterative baselines at the largest size every backend shares.
@@ -252,7 +249,7 @@ def test_amg_paper_scale_vs_iterative(benchmark):
         baseline_graph = fft_graph(AMG_BASELINE_LEVEL)
         baseline_n = baseline_graph.num_vertices
         baseline_matrix = laplacian(baseline_graph, normalized=True, sparse=True)
-        result, amg_at_baseline_seconds = _timed_solve(baseline_matrix, amg, AMG_H)
+        result, amg_at_baseline_seconds = _timed_solve(baseline_matrix, "amg", AMG_H)
         amg_at_baseline_values = result.eigenvalues
 
     rows = [
@@ -274,7 +271,7 @@ def test_amg_paper_scale_vs_iterative(benchmark):
             baseline_matrix = laplacian(
                 fft_graph(AMG_BASELINE_LEVEL), normalized=True, sparse=True
             )
-        result, seconds = _timed_solve(baseline_matrix, EigenSolverOptions(method=name), AMG_H)
+        result, seconds = _timed_solve(baseline_matrix, name, AMG_H)
         np.testing.assert_allclose(
             result.eigenvalues, amg_at_baseline_values, atol=1e-5,
             err_msg=f"{name} disagrees with amg at level {AMG_BASELINE_LEVEL}",
@@ -351,9 +348,9 @@ def _prune_stale_amg_baselines() -> None:
         write_perf_record("BENCH_solvers.json", pruned)
 
 
-def _timed_cache_spectrum(cache, graph, options):
+def _timed_cache_spectrum(cache, graph, solver):
     start = time.perf_counter()
-    fetched = cache.spectrum(graph, AMG_H, eig_options=options)
+    fetched = cache.spectrum(graph, AMG_H, solver=solver)
     return fetched, time.perf_counter() - start
 
 

@@ -21,7 +21,7 @@ from benchmarks.common import print_dict_rows, pick, run_once
 from repro.core.bounds import spectral_bound_from_eigenvalues
 from repro.graphs.generators import fft_graph
 from repro.graphs.laplacian import laplacian
-from repro.solvers.backends import EigenSolverOptions, solve_smallest
+from repro.solvers.backends import solve_smallest
 
 LEVELS = pick(7, 9)
 NUM_EIGENVALUES = 30
@@ -30,8 +30,7 @@ BACKENDS = ["dense", "lobpcg", "amg"]
 
 
 def smallest(matrix, backend: str) -> np.ndarray:
-    options = EigenSolverOptions(method=backend)
-    return solve_smallest(matrix, NUM_EIGENVALUES, options).eigenvalues
+    return solve_smallest(matrix, NUM_EIGENVALUES, backend).eigenvalues
 
 
 @pytest.fixture(scope="module")

@@ -34,7 +34,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.baselines.convex_mincut import MinCutEngine
 from repro.core.engine import BoundEngine, SolveRecord
 from repro.graphs.compgraph import ComputationGraph
-from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
 __all__ = [
@@ -150,7 +149,7 @@ def evaluate_graph_rows(
     convex_vertex_cap: Optional[int] = None,
     max_vertices: Optional[Dict[str, int]] = None,
     cache: Optional[SpectrumCache] = None,
-    eig_options: Optional[EigenSolverOptions] = None,
+    solver: str = "auto",
     lineage: Optional[str] = None,
     cut_store=None,
     convex_chunk: Optional[Tuple[int, int]] = None,
@@ -159,9 +158,9 @@ def evaluate_graph_rows(
 
     This is the per-graph kernel of :func:`sweep`: the serial path calls it
     in a loop with a shared cache, and the orchestrator's pool workers call
-    it once per task with a store-backed private cache.  ``eig_options``
-    selects the spectral backend/precision, and ``lineage`` is the family
-    name the stores record (defaults to ``family``).  ``cut_store`` is the
+    it once per task with a store-backed private cache.  ``solver``
+    selects the spectral backend (``auto`` or an id), and ``lineage`` is
+    the family name the stores record (defaults to ``family``).  ``cut_store`` is the
     convex min-cut baseline's persistent
     :class:`~repro.runtime.store.CutStore`; ``convex_chunk``
     restricts the baseline to the ``(index, total)``-th strided slice of its
@@ -186,7 +185,7 @@ def evaluate_graph_rows(
         graph,
         num_eigenvalues=num_eigenvalues,
         cache=cache,
-        eig_options=eig_options,
+        solver=solver,
         lineage=lineage if lineage is not None else family,
     )
     cut_stats: Optional[Dict[str, object]] = None
@@ -248,7 +247,7 @@ def sweep(
     max_vertices: Optional[Dict[str, int]] = None,
     processes: int = 1,
     store=None,
-    eig_options: Optional[EigenSolverOptions] = None,
+    solver: str = "auto",
 ) -> List[SweepRow]:
     """Evaluate ``methods`` over a graph family.
 
@@ -283,10 +282,10 @@ def sweep(
     store:
         Optional persistent :class:`~repro.runtime.store.SpectrumStore` (or
         its root path) shared by all engines/workers of the sweep.
-    eig_options:
-        :class:`~repro.solvers.backends.EigenSolverOptions` (backend id and
-        precision) forwarded to every engine/worker of the sweep.  ``auto``
-        honours the ``REPRO_SOLVER_BACKEND`` environment variable.
+    solver:
+        ``"auto"`` or a backend id, forwarded to every engine/worker of the
+        sweep.  ``auto`` honours the ``REPRO_SOLVER_BACKEND`` environment
+        variable.
 
     Returns
     -------
@@ -304,7 +303,7 @@ def sweep(
         skip_infeasible=skip_infeasible,
         convex_vertex_cap=convex_vertex_cap,
         max_vertices=max_vertices,
-        eig_options=eig_options,
+        solver=solver,
     )
     report = orchestrator.run_family(
         family, graph_builder, size_params, memory_sizes, methods=methods

@@ -46,7 +46,6 @@ from repro.core.formula import (
 )
 from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
-from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache
 
 __all__ = [
@@ -63,7 +62,7 @@ __all__ = [
 def _engine(
     graph: ComputationGraph,
     num_eigenvalues: int,
-    eig_options: Optional[EigenSolverOptions],
+    solver: str,
     cache: Optional[SpectrumCache],
 ) -> BoundEngine:
     """Engine used by the one-shot wrappers.
@@ -75,7 +74,7 @@ def _engine(
     return BoundEngine(
         graph,
         num_eigenvalues=num_eigenvalues,
-        eig_options=eig_options,
+        solver=solver,
         cache=cache if cache is not None else SpectrumCache(max_entries=2),
     )
 
@@ -118,7 +117,7 @@ def bound_spectrum(
     graph: ComputationGraph,
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     normalized: bool = True,
-    eig_options: Optional[EigenSolverOptions] = None,
+    solver: str = "auto",
     cache: Optional[SpectrumCache] = None,
 ) -> np.ndarray:
     """The smallest Laplacian eigenvalues a spectral bound needs.
@@ -130,7 +129,7 @@ def bound_spectrum(
     what :func:`spectral_bounds_for_memory_sizes` and
     :class:`~repro.core.engine.BoundEngine` do).
     """
-    return _engine(graph, num_eigenvalues, eig_options, cache).spectrum(
+    return _engine(graph, num_eigenvalues, solver, cache).spectrum(
         normalized=normalized
     )
 
@@ -141,7 +140,7 @@ def spectral_bounds_for_memory_sizes(
     k: KSpec = None,
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     normalized: bool = True,
-    eig_options: Optional[EigenSolverOptions] = None,
+    solver: str = "auto",
     cache: Optional[SpectrumCache] = None,
 ) -> Dict[int, SpectralBoundResult]:
     """Spectral bounds for several memory sizes with one eigensolve.
@@ -153,7 +152,7 @@ def spectral_bounds_for_memory_sizes(
     separately in ``eig_elapsed_seconds``, so summing ``elapsed_seconds``
     over the sweep attributes the eigensolve exactly once.
     """
-    engine = _engine(graph, num_eigenvalues, eig_options, cache)
+    engine = _engine(graph, num_eigenvalues, solver, cache)
     results: Dict[int, SpectralBoundResult] = {}
     for M in memory_sizes:
         if normalized:
@@ -169,7 +168,7 @@ def spectral_bound(
     k: KSpec = None,
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     normalized: bool = True,
-    eig_options: Optional[EigenSolverOptions] = None,
+    solver: str = "auto",
     cache: Optional[SpectrumCache] = None,
 ) -> SpectralBoundResult:
     """Spectral I/O lower bound for a computation graph (Theorem 4).
@@ -191,8 +190,9 @@ def spectral_bound(
     normalized:
         ``True`` uses the out-degree-normalised Laplacian ``L~`` (Theorem 4);
         ``False`` uses ``L / max_out_degree`` (Theorem 5).
-    eig_options:
-        Optional eigensolver configuration (backend and precision).
+    solver:
+        ``"auto"`` (routed by size) or a backend id: ``"dense"``,
+        ``"lobpcg"``, ``"amg"``.
     cache:
         Optional shared :class:`SpectrumCache`; by default each call solves
         independently.
@@ -203,7 +203,7 @@ def spectral_bound(
         The bound (clamped at zero), the best ``k``, the eigenvalues used and
         the full ``k``-sweep for diagnostics.
     """
-    engine = _engine(graph, num_eigenvalues, eig_options, cache)
+    engine = _engine(graph, num_eigenvalues, solver, cache)
     if normalized:
         return engine.spectral(M, k=k)
     return engine.unnormalized(M, k=k)
@@ -214,7 +214,7 @@ def spectral_bound_unnormalized(
     M: int,
     k: KSpec = None,
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
-    eig_options: Optional[EigenSolverOptions] = None,
+    solver: str = "auto",
     cache: Optional[SpectrumCache] = None,
 ) -> SpectralBoundResult:
     """Theorem 5 variant: ordinary Laplacian ``L`` scaled by ``1/max d_out``.
@@ -229,7 +229,7 @@ def spectral_bound_unnormalized(
         k=k,
         num_eigenvalues=num_eigenvalues,
         normalized=False,
-        eig_options=eig_options,
+        solver=solver,
         cache=cache,
     )
 
@@ -241,7 +241,7 @@ def parallel_spectral_bound(
     k: KSpec = None,
     num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
     normalized: bool = True,
-    eig_options: Optional[EigenSolverOptions] = None,
+    solver: str = "auto",
     cache: Optional[SpectrumCache] = None,
 ) -> ParallelBoundResult:
     """Parallel spectral bound (Theorem 6).
@@ -251,5 +251,5 @@ def parallel_spectral_bound(
     (communication with slow memory or with other processors).  The
     sequential bound is recovered with ``p = 1``.
     """
-    engine = _engine(graph, num_eigenvalues, eig_options, cache)
+    engine = _engine(graph, num_eigenvalues, solver, cache)
     return engine.parallel(M, num_processors, k=k, normalized=normalized)

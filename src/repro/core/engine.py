@@ -38,7 +38,7 @@ from repro.core.formula import (
 )
 from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
-from repro.solvers.backends import EigenSolverOptions
+from repro.solvers.backends import check_solver
 from repro.solvers.spectrum_cache import (
     CachedSpectrum,
     SpectrumCache,
@@ -58,7 +58,7 @@ SWEEP_METHODS = ("spectral", "spectral-unnormalized")
 class SolveRecord:
     """One spectrum fetch performed by an engine (for observability).
 
-    ``backend``/``dtype`` come from the backend registry via the cache;
+    ``backend`` comes from the backend registry via the cache;
     ``cache_hit`` distinguishes real eigensolves from served lookups, and
     ``solve_seconds`` is the cost of the underlying solve either way.
     ``trace_id``/``span_id`` link the fetch into the active trace (the
@@ -70,7 +70,6 @@ class SolveRecord:
     normalized: bool
     num_eigenvalues: int
     backend: str
-    dtype: str
     solve_seconds: float
     cache_hit: bool
     trace_id: Optional[str] = None
@@ -101,8 +100,10 @@ class BoundEngine:
         The computation graph to bound.
     num_eigenvalues:
         Default truncation ``h`` for the ``k`` sweep (§6.1 of the paper).
-    eig_options:
-        Eigensolver configuration forwarded to the backend.
+    solver:
+        ``"auto"`` (the default: routed by size) or a backend id
+        (``"dense"``, ``"lobpcg"``, ``"amg"``); anything else raises
+        :class:`ValueError` here.
     cache:
         The :class:`SpectrumCache` to use.  ``None`` uses the process-wide
         default cache, so engines on the same graph share eigensolves even
@@ -132,7 +133,7 @@ class BoundEngine:
         self,
         graph: ComputationGraph,
         num_eigenvalues: int = DEFAULT_NUM_EIGENVALUES,
-        eig_options: Optional[EigenSolverOptions] = None,
+        solver: str = "auto",
         cache: Optional[SpectrumCache] = None,
         store=None,
         lineage: Optional[str] = None,
@@ -140,7 +141,7 @@ class BoundEngine:
         check_positive_int(num_eigenvalues, "num_eigenvalues")
         self._graph = graph
         self._num_eigenvalues = int(num_eigenvalues)
-        self._eig_options = eig_options
+        self._solver = check_solver(solver)
         self._lineage = lineage
         # Observability log: misses (real eigensolves, at most a handful per
         # engine — one per distinct (normalization, h)) are kept in full so
@@ -210,7 +211,7 @@ class BoundEngine:
             self._graph,
             h,
             normalized=normalized,
-            eig_options=self._eig_options,
+            solver=self._solver,
             lineage=self._lineage,
         )
         if not fetched.cache_hit:
@@ -220,7 +221,6 @@ class BoundEngine:
             normalized=normalized,
             num_eigenvalues=h,
             backend=fetched.backend,
-            dtype=fetched.dtype,
             solve_seconds=fetched.solve_seconds,
             cache_hit=fetched.cache_hit,
             trace_id=context.trace_id if context else None,

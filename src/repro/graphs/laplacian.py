@@ -17,11 +17,10 @@ FFT butterfly costs milliseconds, not seconds.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.graphs.compgraph import ComputationGraph
 from repro.graphs.csr import pack_edge_keys, unpack_edge_key
@@ -31,8 +30,6 @@ __all__ = [
     "adjacency_matrix",
     "degree_vector",
     "laplacian",
-    "LaplacianOperator",
-    "laplacian_operator",
     "normalized_laplacian",
     "laplacian_quadratic_form",
 ]
@@ -154,124 +151,6 @@ def laplacian(
     if sparse:
         return lap
     return np.asarray(lap.todense())
-
-
-class LaplacianOperator(spla.LinearOperator):
-    """Matrix-free Laplacian ``L = D - A`` over the frozen CSR adjacency.
-
-    Stores only the sparse symmetrised adjacency (O(m) memory) and the
-    weighted degree vector; ``matvec``/``matmat`` compute ``deg * x - A @ x``
-    without ever materialising the n-by-n Laplacian.  This is what lets the
-    iterative backends run on graphs whose dense Laplacian would not fit in
-    memory (n = 100k already means 80 GB dense).
-
-    Parameters
-    ----------
-    adjacency:
-        Symmetric CSR adjacency of the undirected graph ``G~``.
-    degrees:
-        Weighted degree vector (the adjacency row sums); recomputed when
-        omitted.
-    block_rows:
-        Optional row-block size: products are evaluated in row blocks of
-        this many rows, bounding the transient output footprint when the
-        right-hand side is a wide block (LOBPCG subspaces, Lanczos bases).
-        ``None`` applies the whole operator at once.
-    """
-
-    def __init__(
-        self,
-        adjacency: sp.csr_matrix,
-        degrees: Optional[np.ndarray] = None,
-        block_rows: Optional[int] = None,
-        dtype: np.dtype = np.float64,
-    ) -> None:
-        adj = adjacency.tocsr()
-        if adj.shape[0] != adj.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if block_rows is not None and block_rows < 1:
-            raise ValueError(f"block_rows must be positive, got {block_rows}")
-        dtype = np.dtype(dtype)
-        if adj.dtype != dtype:
-            adj = adj.astype(dtype)
-        if degrees is None:
-            degrees = np.asarray(adj.sum(axis=1)).ravel()
-        super().__init__(dtype=dtype, shape=adj.shape)
-        self.adjacency = adj
-        self.degrees = np.ascontiguousarray(degrees, dtype=dtype)
-        self.block_rows = int(block_rows) if block_rows is not None else None
-        self._csr: Optional[sp.csr_matrix] = None
-
-    @property
-    def nnz(self) -> int:
-        """Stored nonzeros (adjacency entries plus the diagonal)."""
-        return self.adjacency.nnz + self.shape[0]
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        deg = self.degrees if x.ndim == 1 else self.degrees[:, None]
-        if self.block_rows is None or self.shape[0] <= self.block_rows:
-            return deg * x - self.adjacency @ x
-        n = self.shape[0]
-        out = np.empty(x.shape, dtype=np.result_type(self.dtype, x.dtype))
-        for start in range(0, n, self.block_rows):
-            stop = min(start + self.block_rows, n)
-            block = self.adjacency[start:stop] @ x
-            if x.ndim == 1:
-                out[start:stop] = self.degrees[start:stop] * x[start:stop] - block
-            else:
-                out[start:stop] = (
-                    self.degrees[start:stop, None] * x[start:stop] - block
-                )
-        return out
-
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(np.asarray(x).ravel())
-
-    def _matmat(self, x: np.ndarray) -> np.ndarray:
-        return self._apply(np.asarray(x))
-
-    def _adjoint(self) -> "LaplacianOperator":
-        return self  # symmetric by construction
-
-    def diagonal(self) -> np.ndarray:
-        """Laplacian diagonal (``G~`` is loop-free, so this is the degrees)."""
-        return self.degrees
-
-    def tocsr(self) -> sp.csr_matrix:
-        """Materialise (and cache) the sparse Laplacian ``D - A``.
-
-        Used by backends that need explicit entries (shift-invert
-        factorisations, AMG hierarchy setup); still O(m) memory.
-        """
-        if self._csr is None:
-            lap = sp.diags(self.degrees, format="csr") - self.adjacency
-            self._csr = lap.tocsr()
-        return self._csr
-
-    def astype(self, dtype: np.dtype) -> "LaplacianOperator":
-        """This operator with entries cast to ``dtype`` (self if unchanged)."""
-        dtype = np.dtype(dtype)
-        if dtype == self.dtype:
-            return self
-        return LaplacianOperator(
-            self.adjacency, self.degrees, block_rows=self.block_rows, dtype=dtype
-        )
-
-
-def laplacian_operator(
-    graph: ComputationGraph,
-    normalized: bool = True,
-    block_rows: Optional[int] = None,
-) -> LaplacianOperator:
-    """Matrix-free :class:`LaplacianOperator` for ``graph``.
-
-    Semantically identical to ``laplacian(graph, normalized, sparse=True)``
-    (same ``@`` results to rounding) but never forms ``D - A`` explicitly
-    unless a consumer asks for :meth:`LaplacianOperator.tocsr`.  See
-    :class:`LaplacianOperator` for ``block_rows``.
-    """
-    adj = adjacency_matrix(graph, normalized=normalized, sparse=True, directed=False)
-    return LaplacianOperator(adj, block_rows=block_rows)
 
 
 def normalized_laplacian(graph: ComputationGraph, sparse: bool = False) -> MatrixLike:

@@ -35,7 +35,7 @@ metric                                 kind       recorded by
 ``repro_eigensolve_seconds``           histogram  :class:`~repro.solvers.
                                                   spectrum_cache.SpectrumCache`
                                                   per real eigensolve, by
-                                                  ``backend``/``dtype``
+                                                  ``backend``
 ``repro_spectrum_lookups_total``       counter    every spectrum fetch, by
                                                   ``tier`` (memory/store/solve)
 ``repro_backend_solves_total``         counter    :func:`~repro.solvers.
@@ -310,7 +310,7 @@ class Histogram(_Metric):
 
         With labels, one label combination's distribution; without, the
         aggregate over every combination (how p95 eigensolve latency is
-        reported across backends/dtypes).  Mirrors PromQL's
+        reported across backends).  Mirrors PromQL's
         ``histogram_quantile``: the target rank is located in a cumulative
         bucket and interpolated linearly between the bucket's bounds
         (lower bound 0 for the first).  A rank landing in the ``+Inf``

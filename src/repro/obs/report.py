@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Attributes worth echoing inline in the tree view, in display order.
-_INLINE_ATTRS = ("fingerprint", "backend", "dtype", "method", "vertex", "status_code")
+_INLINE_ATTRS = ("fingerprint", "backend", "method", "vertex", "status_code")
 
 
 def build_trees(

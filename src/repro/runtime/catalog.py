@@ -8,8 +8,8 @@ tables:
 * ``spectra`` — one row per stored spectrum: its eigenvalues (a BLOB of
   ``h`` little-endian float64), metadata, byte size and LRU stamp.  Every
   row of one spectrum shares a ``base`` id, :func:`spectrum_base` of (graph
-  fingerprint, normalisation, resolved backend id, dtype), and differs in
-  its truncation ``h``;
+  fingerprint, normalisation, resolved backend id), and differs in its
+  truncation ``h``;
 * ``cuts`` — one row per graph: its cut table as two BLOBs of ``num_cuts``
   little-endian int64 each (the sorted, unique vertices and their cut
   values);
@@ -28,8 +28,10 @@ catalog together discard it once, and ``formats_discarded`` counts it.
 So does the first write to a directory holding the JSON indexes of the
 builds before the catalog.  What older builds kept beside the catalog
 (``blobs/``, ``cuts/``, JSON indexes, lock files, ``leases/``) goes after
-the commit.  The store is a cache of deterministic results, so a
-discarded catalog costs re-solves and nothing else.
+the commit, and one ``VACUUM`` returns the dropped tables' pages to the
+disk (a catalog another process is writing keeps them free for reuse).
+The store is a cache of deterministic results, so a discarded catalog
+costs re-solves and nothing else.
 
 WAL mode lets readers proceed while a writer commits, and every write is
 one short ``BEGIN IMMEDIATE`` transaction, so its cost does not grow with
@@ -61,7 +63,7 @@ from repro.utils.logging import get_logger
 CATALOG_NAME = "catalog.sqlite"
 
 #: The ``PRAGMA user_version`` of this schema; any other is discarded.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: How long a write waits for another process's transaction to finish.
 BUSY_TIMEOUT_SECONDS = 30.0
@@ -74,7 +76,7 @@ _OLD_FILES = _OLD_INDEXES + ("blobs", "cuts", "leases", ".lock", ".cuts.lock", "
 _SCHEMA = (
     """CREATE TABLE spectra (
     id TEXT PRIMARY KEY, base TEXT NOT NULL, h INTEGER NOT NULL,
-    fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL, dtype TEXT NOT NULL,
+    fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL,
     backend TEXT NOT NULL, lineage TEXT, solve_seconds REAL NOT NULL,
     bytes INTEGER NOT NULL, created_at REAL NOT NULL, last_used REAL NOT NULL,
     eigenvalues BLOB NOT NULL)""",
@@ -93,10 +95,10 @@ _SCHEMA = (
 _LOG = get_logger("store")
 
 
-def spectrum_base(fingerprint: str, normalized: bool, backend: str, dtype: str) -> str:
+def spectrum_base(fingerprint: str, normalized: bool, backend: str) -> str:
     """The id of one spectrum: its rows' ``base``, their ids' prefix and its
     solve lease.  ``backend`` is a resolved backend id, never ``auto``."""
-    payload = json.dumps([fingerprint, bool(normalized), backend, dtype])
+    payload = json.dumps([fingerprint, bool(normalized), backend])
     return hashlib.sha256(payload.encode()).hexdigest()[:40]
 
 
@@ -314,6 +316,10 @@ class Catalog:
             if not (tables or indexed):
                 return  # a new store: nothing of an older one to delete
             bump(conn, "formats_discarded", 1)
+        # Dropping the tables left their pages on the free list.  A busy
+        # catalog refuses the VACUUM, and new rows reuse the pages instead.
+        with contextlib.suppress(sqlite3.OperationalError):
+            conn.execute("VACUUM")
         for path in (self.root / name for name in _OLD_FILES):
             if path.is_dir():
                 shutil.rmtree(path, ignore_errors=True)

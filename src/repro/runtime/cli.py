@@ -6,7 +6,7 @@ Four subcommands expose the runtime subsystem without writing any Python:
   memory sizes (optionally the Theorem 6 parallel bound via ``-p``);
 * ``sweep`` — run a family sweep (the paper's figure workloads) across
   optional worker processes, printing the row table and a summary (the
-  ``--json`` payload also carries per solve-task backend/dtype/solve-time
+  ``--json`` payload also carries per solve-task backend/solve-time
   records, so scheduling and backend choices are observable);
 * ``cache`` — inspect (``stats``, ``list``), integrity-check (``verify
   [--fix]``) or reset (``clear``, optionally filtered by ``--family`` /
@@ -39,14 +39,13 @@ task and fold the workers' span shards back into the same file.  Setting
 ``PATH.profile-<task>-<pid>.pstats``.
 
 ``solve``, ``sweep`` and ``serve`` take ``--solver`` (``auto``/``dense``/
-``lobpcg``/``amg``) and ``--dtype`` (``float64``/``float32``) to pick the
-spectral backend; every cache tier keys on the backend that runs (``auto``
-resolved first) and the dtype, so ``auto`` shares spectra with an explicit
-request for the backend it picks.  ``auto`` routes by size (dense, then
-shift-inverted block LOBPCG, then the AMG-preconditioned LOBPCG backend),
-and ``$REPRO_SOLVER_BACKEND`` forces a backend id for every ``auto`` solve
-without touching scripts — it applies to ``solve``, ``sweep`` and ``serve``
-alike.  The convex min-cut baseline
+``lobpcg``/``amg``) to pick the spectral backend; every cache tier keys on
+the backend that runs (``auto`` resolved first), so ``auto`` shares spectra
+with an explicit request for the backend it picks.  ``auto`` routes by size
+(dense, then shift-inverted block LOBPCG, then the AMG-preconditioned LOBPCG
+backend), and ``$REPRO_SOLVER_BACKEND`` forces a backend id for every
+``auto`` solve without touching scripts — it applies to ``solve``, ``sweep``
+and ``serve`` alike.  The convex min-cut baseline
 (``sweep --methods convex-min-cut`` / ``solve --method convex-min-cut``)
 solves its max-flow problems with SciPy; cut values are exact and live in
 one fingerprint-keyed cut table, so a warm re-run performs zero max-flow
@@ -76,7 +75,7 @@ from repro.runtime.families import FAMILY_BUILDERS, GraphSpec
 from repro.runtime.orchestrator import SweepOrchestrator
 from repro.runtime.service import BoundQuery, BoundService
 from repro.runtime.store import CutStore, SpectrumStore, default_store_root
-from repro.solvers.backends import EigenSolverOptions, available_backends
+from repro.solvers.backends import available_backends
 
 __all__ = ["main", "build_parser"]
 
@@ -113,20 +112,6 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
         "dense / lobpcg / amg by size, and $REPRO_SOLVER_BACKEND forces a "
         "backend for auto solves",
     )
-    parser.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help="eigensolve precision (float32 trades ~1e-6 accuracy for speed)",
-    )
-
-
-def _eig_options_from_args(args: argparse.Namespace) -> Optional[EigenSolverOptions]:
-    solver = getattr(args, "solver", "auto")
-    dtype = getattr(args, "dtype", "float64")
-    if solver == "auto" and dtype == "float64":
-        return None
-    return EigenSolverOptions(method=solver, dtype=dtype)
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -372,7 +357,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     service = BoundService(
         store=_store_from_args(args),
         num_eigenvalues=args.num_eigenvalues,
-        eig_options=_eig_options_from_args(args),
+        solver=args.solver,
     )
     normalization = "unnormalized" if args.unnormalized else "normalized"
     queries = [
@@ -405,7 +390,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         store=store,
         processes=args.processes if args.processes > 0 else None,
         num_eigenvalues=args.num_eigenvalues,
-        eig_options=_eig_options_from_args(args),
+        solver=args.solver,
     )
     report = orchestrator.run_family(
         args.family, None, args.sizes, args.memory_sizes, methods=tuple(args.methods)
@@ -443,7 +428,7 @@ def build_server_from_args(args: argparse.Namespace):
     service = BoundService(
         store=_store_from_args(args),
         num_eigenvalues=args.num_eigenvalues,
-        eig_options=_eig_options_from_args(args),
+        solver=args.solver,
     )
     return BoundServer(
         service,
@@ -485,7 +470,7 @@ def build_fleet_from_args(args: argparse.Namespace, workers: int):
     config = FleetConfig(
         store_root=str(root),
         num_eigenvalues=args.num_eigenvalues,
-        eig_options=_eig_options_from_args(args),
+        solver=args.solver,
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
         retry_after_seconds=args.retry_after,

@@ -56,7 +56,7 @@ from repro.core.engine import SolveRecord
 from repro.graphs.compgraph import ComputationGraph
 from repro.runtime.families import GraphSpec, estimate_num_vertices, family_builder
 from repro.runtime.store import CutStore, SpectrumStore
-from repro.solvers.backends import EigenSolverOptions
+from repro.solvers.backends import check_solver
 from repro.solvers.spectrum_cache import SpectrumCache
 
 __all__ = [
@@ -165,7 +165,7 @@ class SolveTask:
 class TaskRecord:
     """Per solve-task observability record (surfaces in CLI JSON output).
 
-    Spectral tasks fill ``backend``/``dtype``/``solve_seconds``; convex
+    Spectral tasks fill ``backend``/``solve_seconds``; convex
     min-cut tasks fill ``flow_calls``/``cut_seconds`` (and
     their chunk coordinates when the orchestrator split the per-vertex flow
     calls across workers).
@@ -179,7 +179,6 @@ class TaskRecord:
     seconds: float
     num_eigensolves: int
     backend: str
-    dtype: str
     solve_seconds: float
     flow_calls: int = 0
     cut_seconds: float = 0.0
@@ -238,7 +237,7 @@ _TaskPayload = Tuple[
     Optional[int],  # convex_vertex_cap
     Optional[Dict[str, int]],  # max_vertices
     Optional[str],  # store root
-    Optional[EigenSolverOptions],
+    str,  # solver
     Optional[Tuple[obs.TraceContext, Optional[str]]],  # trace ctx + shard base
 ]
 
@@ -280,7 +279,7 @@ def _execute_task(payload: _TaskPayload) -> _TaskOutcome:
         convex_vertex_cap,
         max_vertices,
         store_root,
-        eig_options,
+        solver,
         trace,
     ) = payload
     parent_context, shard_base = trace if trace is not None else (None, None)
@@ -315,7 +314,7 @@ def _execute_task(payload: _TaskPayload) -> _TaskOutcome:
             convex_vertex_cap=convex_vertex_cap,
             max_vertices=max_vertices,
             cache=cache,
-            eig_options=eig_options,
+            solver=solver,
             cut_store=cut_store,
             convex_chunk=chunk,
         )
@@ -331,12 +330,10 @@ def _task_record(
     solve_task: SolveTask,
     schedule_rank: int,
     outcome: _TaskOutcome,
-    eig_options: Optional[EigenSolverOptions],
 ) -> TaskRecord:
     _, eigensolves, seconds, records, cut_stats, span_ids = outcome
     solved = [r for r in records if not r.cache_hit]
     reference = solved[0] if solved else (records[0] if records else None)
-    options = eig_options or EigenSolverOptions()
     return TaskRecord(
         family=solve_task.task.family,
         size_param=solve_task.task.size_param,
@@ -346,7 +343,6 @@ def _task_record(
         seconds=seconds,
         num_eigensolves=eigensolves,
         backend=reference.backend if reference is not None else "-",
-        dtype=reference.dtype if reference is not None else options.dtype,
         solve_seconds=sum(r.solve_seconds for r in solved),
         flow_calls=int(cut_stats["flow_calls"]) if cut_stats else 0,
         cut_seconds=float(cut_stats["cut_seconds"]) if cut_stats else 0.0,
@@ -395,9 +391,10 @@ class SweepOrchestrator:
         ``os.cpu_count()``.
     num_eigenvalues, skip_infeasible, convex_vertex_cap, max_vertices:
         Forwarded to :func:`repro.analysis.sweep.evaluate_graph_rows`.
-    eig_options:
-        Solver backend/precision configuration forwarded to every engine
-        and worker (``--solver``/``--dtype`` on the CLI).
+    solver:
+        ``"auto"`` or a backend id, forwarded to every engine and worker
+        (``--solver`` on the CLI); anything else raises
+        :class:`ValueError` here.
     split_methods:
         Expand each graph into per-method solve tasks (the default).  Off,
         the task unit is a whole graph with all methods — the pre-split
@@ -424,11 +421,12 @@ class SweepOrchestrator:
         skip_infeasible: bool = True,
         convex_vertex_cap: Optional[int] = None,
         max_vertices: Optional[Dict[str, int]] = None,
-        eig_options: Optional[EigenSolverOptions] = None,
+        solver: str = "auto",
         split_methods: bool = True,
         largest_first: bool = True,
         convex_chunks: Optional[int] = None,
     ) -> None:
+        self._solver = check_solver(solver)
         if isinstance(store, (str, Path)):
             store = SpectrumStore(store)
         self._store = store
@@ -444,7 +442,6 @@ class SweepOrchestrator:
         self._skip_infeasible = bool(skip_infeasible)
         self._convex_vertex_cap = convex_vertex_cap
         self._max_vertices = max_vertices
-        self._eig_options = eig_options
         self._split_methods = bool(split_methods)
         self._largest_first = bool(largest_first)
         self._convex_chunks = convex_chunks
@@ -456,10 +453,6 @@ class SweepOrchestrator:
     @property
     def processes(self) -> int:
         return self._processes
-
-    @property
-    def eig_options(self) -> Optional[EigenSolverOptions]:
-        return self._eig_options
 
     # ------------------------------------------------------------------
     # entry points
@@ -556,7 +549,7 @@ class SweepOrchestrator:
                 if cut_stats is not None:
                     flow_calls += int(cut_stats["flow_calls"])
                 task_records.append(
-                    _task_record(solve_tasks[j], ranks[j], outcomes[j], self._eig_options)
+                    _task_record(solve_tasks[j], ranks[j], outcomes[j])
                 )
             if len(group) == 1:
                 rows.extend(outcomes[index][0])
@@ -631,7 +624,7 @@ class SweepOrchestrator:
             self._convex_vertex_cap,
             self._max_vertices,
             store_root,
-            self._eig_options,
+            self._solver,
             trace,
         )
 
@@ -735,7 +728,7 @@ class SweepOrchestrator:
                     convex_vertex_cap=self._convex_vertex_cap,
                     max_vertices=self._max_vertices,
                     cache=cache,
-                    eig_options=self._eig_options,
+                    solver=self._solver,
                     cut_store=self._cut_store,
                     convex_chunk=chunk,
                 )

@@ -32,7 +32,7 @@ from repro.core.engine import BoundEngine
 from repro.graphs.compgraph import ComputationGraph
 from repro.runtime.families import GraphSpec
 from repro.runtime.store import CutStore, SpectrumStore
-from repro.solvers.backends import EigenSolverOptions
+from repro.solvers.backends import check_solver
 from repro.solvers.spectrum_cache import SpectrumCache
 
 __all__ = [
@@ -125,8 +125,9 @@ class BoundService:
         Default ``h`` truncation for every engine the service builds.
     max_engines:
         LRU budget of per-graph engines kept alive between batches.
-    eig_options:
-        Solver options forwarded to every engine.
+    solver:
+        ``"auto"`` or a backend id, forwarded to every engine; anything
+        else raises :class:`ValueError` here.
 
     Cold work passes :attr:`admission`, when set: each eigensolve, and each
     convex min-cut pass that needs a max-flow.  Warm lookups, store hits
@@ -138,8 +139,9 @@ class BoundService:
         store: Union[SpectrumStore, str, Path, None] = None,
         num_eigenvalues: int = 100,
         max_engines: int = 64,
-        eig_options: Optional[EigenSolverOptions] = None,
+        solver: str = "auto",
     ) -> None:
+        self._solver = check_solver(solver)
         if isinstance(store, (str, Path)):
             store = SpectrumStore(store)
         if max_engines < 1:
@@ -149,7 +151,6 @@ class BoundService:
             CutStore(store.root, lease_ttl=store.lease_ttl) if store is not None else None
         )
         self._num_eigenvalues = int(num_eigenvalues)
-        self._eig_options = eig_options
         self._max_engines = int(max_engines)
         self._engines: "OrderedDict[object, BoundEngine]" = OrderedDict()
         self._mincut_engines: "OrderedDict[object, MinCutEngine]" = OrderedDict()
@@ -397,7 +398,7 @@ class BoundService:
         engine = BoundEngine(
             graph,
             num_eigenvalues=self._num_eigenvalues,
-            eig_options=self._eig_options,
+            solver=self._solver,
             cache=self._cache,
             lineage=lineage,
         )

@@ -8,8 +8,8 @@ store directory, which holds one file, ``catalog.sqlite``
 (:mod:`repro.runtime.catalog`, plus its ``-wal``/``-shm`` files while a
 process has it open).  A ``spectra`` row holds one spectrum's eigenvalues
 and solve cost under the key the in-memory cache uses — the graph's
-structural fingerprint, the normalisation, the resolved backend id and the
-dtype, hashed by :func:`~repro.runtime.catalog.spectrum_base` — and the
+structural fingerprint, the normalisation and the resolved backend id,
+hashed by :func:`~repro.runtime.catalog.spectrum_base` — and the
 truncation ``h``; a ``cuts`` row holds one graph's cut table.  The catalog
 also keeps the solve leases and the ``solves_recorded`` /
 ``flows_recorded`` counters that ``python -m repro cache stats`` reports.
@@ -533,12 +533,12 @@ class SpectrumStore(_StoreView):
     @_timed_io("spectrum", "get")
     def get(
         self, fingerprint: str, num_eigenvalues: int, normalized: bool = True,
-        backend: str = "dense", dtype: str = "float64",
+        backend: str = "dense",
     ) -> Optional[StoredSpectrum]:
         """Read a stored spectrum covering ``num_eigenvalues``, or ``None``.
 
         Any entry with the same (fingerprint, normalisation, resolved
-        backend, dtype) and a truncation ``h' >= num_eigenvalues`` qualifies
+        backend) and a truncation ``h' >= num_eigenvalues`` qualifies
         (eigenvalues are ascending, so a longer vector contains the
         answer); the largest such entry is returned so in-memory tiers can
         cache the most reusable vector.  A row whose value is not ``h'``
@@ -551,7 +551,7 @@ class SpectrumStore(_StoreView):
         rows = self._catalog.read(
             "SELECT id, h, solve_seconds, eigenvalues FROM spectra "
             "WHERE base = ? AND h >= ? ORDER BY h DESC",
-            (spectrum_base(fingerprint, normalized, backend, dtype), h),
+            (spectrum_base(fingerprint, normalized, backend), h),
         )
         for row in rows:  # longest first; the rest are fallbacks for bad rows
             values = _array(row["eigenvalues"], _FLOAT64, row["h"])
@@ -573,7 +573,7 @@ class SpectrumStore(_StoreView):
     @_timed_io("spectrum", "put")
     def put(
         self, fingerprint: str, eigenvalues: np.ndarray, solve_seconds: float,
-        normalized: bool = True, backend: str = "dense", dtype: str = "float64",
+        normalized: bool = True, backend: str = "dense",
         lineage: Optional[str] = None,
     ) -> str:
         """Publish one solved spectrum; returns the entry id.
@@ -587,15 +587,15 @@ class SpectrumStore(_StoreView):
         """
         values = np.ascontiguousarray(eigenvalues, dtype=_FLOAT64).tobytes()
         h = len(values) // _FLOAT64.itemsize
-        base = spectrum_base(fingerprint, normalized, backend, dtype)
+        base = spectrum_base(fingerprint, normalized, backend)
         entry_id = _entry_id(base, h)
         now = time.time()
         with self._catalog.write() as conn:
             conn.execute(
-                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
+                "INSERT INTO spectra VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(id) DO UPDATE SET last_used = excluded.last_used, "
                 "eigenvalues = excluded.eigenvalues, bytes = excluded.bytes",
-                (entry_id, base, h, fingerprint, int(bool(normalized)), dtype, backend,
+                (entry_id, base, h, fingerprint, int(bool(normalized)), backend,
                  lineage, float(solve_seconds), len(values), now, now, values),
             )
             bump(conn, self._COUNTER, 1)
@@ -623,14 +623,13 @@ class SpectrumStore(_StoreView):
         conn.executemany("DELETE FROM spectra WHERE id = ?", [(d,) for d in doomed])
 
     def _lease_key(
-        self, fingerprint: str, normalized: bool = True, backend: str = "dense",
-        dtype: str = "float64",
+        self, fingerprint: str, normalized: bool = True, backend: str = "dense"
     ) -> str:
         """A spectrum's lease shares its entries' base id: fingerprint,
-        normalisation, resolved backend and dtype, but *not* the truncation
-        ``h``, so every query shape needing one cold spectrum contends for a
-        single lease."""
-        return spectrum_base(fingerprint, normalized, backend, dtype)
+        normalisation and resolved backend, but *not* the truncation ``h``,
+        so every query shape needing one cold spectrum contends for a single
+        lease."""
+        return spectrum_base(fingerprint, normalized, backend)
 
     def leases(self) -> List[Dict[str, object]]:
         """Metadata of every lease of the catalog, spectra's and cuts'
@@ -691,7 +690,7 @@ class SpectrumStore(_StoreView):
             "entry": row["id"], "fingerprint": row["fingerprint"][:12],
             "lineage": row["lineage"] or "-",
             "normalized": bool(row["normalized"]),
-            "backend": row["backend"], "dtype": row["dtype"],
+            "backend": row["backend"],
             "num_eigenvalues": row["h"], "solve_seconds": row["solve_seconds"],
             "bytes": row["bytes"],
         }

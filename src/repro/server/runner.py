@@ -473,7 +473,7 @@ class FleetConfig:
 
     store_root: str
     num_eigenvalues: int = 100
-    eig_options: Optional[object] = None  # EigenSolverOptions (picklable)
+    solver: str = "auto"
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     max_queue: int = DEFAULT_MAX_QUEUE
     retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS
@@ -486,7 +486,7 @@ class FleetConfig:
         return BoundService(
             store=SpectrumStore(self.store_root, lease_ttl=self.lease_ttl),
             num_eigenvalues=self.num_eigenvalues,
-            eig_options=self.eig_options,
+            solver=self.solver,
         )
 
 

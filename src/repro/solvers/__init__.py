@@ -6,24 +6,24 @@ only efficiently computable by power iteration" and costs ``O(h n^2)`` with
 Lanczos-Arnoldi.  Its graphs repeat eigenvalues many times, which calls for
 the block form of that iteration (LOBPCG); this subpackage provides
 
-* :mod:`backends` — :class:`EigenSolverOptions` (a method and a dtype), the
-  :class:`SpectralBackend` protocol, the three backends (``dense``,
-  ``lobpcg``, ``amg``), :func:`resolve_method` (which maps ``auto`` to one
-  of them by size) and :func:`solve_smallest`,
+* :mod:`backends` — the :class:`SpectralBackend` protocol, the three
+  backends (``dense``, ``lobpcg``, ``amg``), :func:`check_solver` (which
+  accepts ``auto`` or a backend id), :func:`resolve_method` (which maps
+  ``auto`` to one of them by size) and :func:`solve_smallest`,
 * :mod:`amg` — a pure-SciPy smoothed-aggregation multigrid V-cycle (the
   ``amg`` backend's preconditioner when ``pyamg`` is not installed),
 * :mod:`dense` — exact dense spectra via LAPACK (``numpy.linalg.eigvalsh``),
 * :mod:`spectrum_cache` — an LRU cache of eigensolves keyed by (graph
-  fingerprint, normalisation, resolved backend, dtype), shared by all bound
+  fingerprint, normalisation, resolved backend), shared by all bound
   computations so repeated bounds on the same graph solve once.
 """
 
 from repro.solvers.backends import (
     SOLVER_BACKEND_ENV_VAR,
     BackendSolveResult,
-    EigenSolverOptions,
     SpectralBackend,
     available_backends,
+    check_solver,
     create_backend,
     resolve_method,
     solve_smallest,
@@ -38,7 +38,7 @@ from repro.solvers.spectrum_cache import (
 __all__ = [
     "solve_smallest",
     "resolve_method",
-    "EigenSolverOptions",
+    "check_solver",
     "BackendSolveResult",
     "SpectralBackend",
     "SOLVER_BACKEND_ENV_VAR",

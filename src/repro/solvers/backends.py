@@ -1,20 +1,17 @@
-"""Spectral backends: options, protocol, implementations, and dispatch.
+"""Spectral backends: protocol, implementations, and dispatch.
 
 The solver layer is a small set of first-class objects.  Backends
 
-* are looked up by id (``dense``, ``lobpcg``, ``amg``) and
-  constructed from :class:`EigenSolverOptions`, which names a method
-  (``auto`` or a backend id) and a precision — nothing else: the size
-  cutoff, tolerance, iteration caps and seed are the constants below,
-* run in **mixed precision** — ``EigenSolverOptions.dtype`` selects the
-  arithmetic (``float64`` exact-ish, ``float32`` roughly twice the matvec
-  throughput); results are always returned as float64 so downstream bound
-  code is unchanged.
+* are looked up by id (``dense``, ``lobpcg``, ``amg``); a caller names one,
+  or ``auto``, with a plain ``solver`` string, and nothing else is
+  configurable: the size cutoffs, tolerance, iteration caps and seed are
+  the constants below,
+* take the Laplacian as an ndarray or a sparse matrix and solve it in
+  float64.
 
 Every cache tier keys a spectrum on the *resolved* backend id
-(:func:`resolve_method`) and the dtype, never on ``auto``: two requests
-share a spectrum exactly when the same backend would compute it in the same
-precision.
+(:func:`resolve_method`), never on ``auto``: two requests share a spectrum
+exactly when the same backend would compute it.
 
 The paper computes the bound "by power iteration" or Lanczos.  The
 butterfly and hypercube spectra it bounds repeat eigenvalues many times,
@@ -49,16 +46,16 @@ from repro.solvers.dense import dense_smallest_eigenvalues
 
 __all__ = [
     "BackendSolveResult",
-    "EigenSolverOptions",
     "SpectralBackend",
     "SOLVER_BACKEND_ENV_VAR",
     "available_backends",
+    "check_solver",
     "create_backend",
     "resolve_method",
     "solve_smallest",
 ]
 
-MatrixLike = Union[np.ndarray, sp.spmatrix, spla.LinearOperator]
+MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 _BACKEND_SOLVES = global_registry().counter(
     "repro_backend_solves_total",
@@ -95,39 +92,6 @@ AMG_AUTO_CUTOFF = 50_000
 #: dense matrix alone would be tens of GB.
 DENSE_AUTO_CAP = 50_000
 
-#: Supported floating-point precisions (option value -> numpy dtype).
-DTYPES: Dict[str, np.dtype] = {
-    "float64": np.dtype(np.float64),
-    "float32": np.dtype(np.float32),
-}
-
-
-@dataclass(frozen=True)
-class EigenSolverOptions:
-    """What to solve with: a method and a precision.
-
-    Attributes
-    ----------
-    method:
-        ``"auto"`` (routed by :func:`resolve_method`) or a backend id:
-        ``"dense"``, ``"lobpcg"``, ``"amg"``.
-    dtype:
-        Arithmetic precision: ``"float64"`` (default) or ``"float32"``
-        (roughly twice the matvec throughput, ~1e-6 accuracy).  Results are
-        always returned as float64 arrays; every cache tier keys on this
-        field, so mixed-precision spectra coexist.
-    """
-
-    method: str = "auto"
-    dtype: str = "float64"
-
-    def __post_init__(self) -> None:
-        methods = ("auto", *available_backends())
-        if self.method not in methods:
-            raise ValueError(f"method must be one of {sorted(methods)}, got {self.method!r}")
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(DTYPES)}, got {self.dtype!r}")
-
 
 @dataclass(frozen=True)
 class BackendSolveResult:
@@ -136,9 +100,9 @@ class BackendSolveResult:
     Attributes
     ----------
     eigenvalues:
-        The ``k`` requested smallest eigenvalues, ascending, float64 (after
-        any mixed-precision arithmetic), *not yet* clamped — postprocessing
-        is the caller's job (:func:`solve_smallest` does it).
+        The ``k`` requested smallest eigenvalues, ascending, float64, *not
+        yet* clamped — postprocessing is the caller's job
+        (:func:`solve_smallest` does it).
     backend:
         Resolved backend id (``"auto"`` never appears here).
     """
@@ -147,61 +111,19 @@ class BackendSolveResult:
     backend: str
 
 
-def _is_operator(matrix: MatrixLike) -> bool:
-    """True for abstract linear operators (matrix-free), not sparse matrices."""
-    return isinstance(matrix, spla.LinearOperator) and not sp.issparse(matrix)
-
-
-def _cast_matrix(matrix: MatrixLike, dtype: np.dtype) -> MatrixLike:
-    """Cast a dense or sparse matrix to the solve dtype."""
-    if sp.issparse(matrix):
-        return matrix if matrix.dtype == dtype else matrix.astype(dtype)
-    arr = np.asarray(matrix)
-    return arr if arr.dtype == dtype else arr.astype(dtype)
-
-
-def _as_sparse(matrix: MatrixLike) -> sp.spmatrix:
-    """A sparse view of ``matrix`` for backends needing explicit entries.
-
-    Matrix-free operators must expose ``tocsr()``
-    (:class:`~repro.graphs.laplacian.LaplacianOperator` does, at O(m) cost);
-    a fully abstract operator cannot be factorised and is rejected.
-    """
-    if sp.issparse(matrix):
-        return matrix
-    if _is_operator(matrix):
-        tocsr = getattr(matrix, "tocsr", None)
-        if not callable(tocsr):
-            raise TypeError(
-                f"{type(matrix).__name__} is matrix-free with no tocsr(); every "
-                f"backend needs explicit entries (pass a sparse matrix instead)"
-            )
-        return tocsr()
-    return sp.csr_matrix(np.asarray(matrix))
-
-
 # ----------------------------------------------------------------------
 # protocol
 # ----------------------------------------------------------------------
 class SpectralBackend(ABC):
-    """One way of computing the ``k`` smallest eigenvalues of a PSD matrix.
-
-    Backends are constructed from an :class:`EigenSolverOptions`.
-    """
+    """One way of computing the ``k`` smallest eigenvalues of a PSD matrix."""
 
     #: Backend id; subclasses must override.
     id: str = ""
 
-    def __init__(self, options: EigenSolverOptions) -> None:
-        self.options = options
-
-    @property
-    def dtype(self) -> np.dtype:
-        return DTYPES[self.options.dtype]
-
     @abstractmethod
     def solve(self, matrix: MatrixLike, k: int) -> BackendSolveResult:
-        """Return the ``k`` smallest eigenvalues (ascending, float64)."""
+        """Return the ``k`` smallest eigenvalues (ascending, float64) of an
+        ndarray or a sparse matrix."""
 
 
 # ----------------------------------------------------------------------
@@ -215,10 +137,7 @@ class DenseBackend(SpectralBackend):
     def solve(self, matrix, k):
         # Sparse entries go to dense.py as they are: it checks their
         # symmetry in O(nnz) and densifies them once.
-        if _is_operator(matrix):
-            matrix = _as_sparse(matrix)
-        mat = _cast_matrix(matrix, self.dtype)
-        values = dense_smallest_eigenvalues(mat, k)
+        values = dense_smallest_eigenvalues(matrix, k)
         return BackendSolveResult(np.asarray(values, dtype=np.float64), self.id)
 
 
@@ -264,14 +183,12 @@ class LobpcgBackend(SpectralBackend):
         block = min(n, k + self.oversample)
         if n < max(5 * block, 32):
             return self._dense_fallback(matrix, k)
-        mat = _cast_matrix(_as_sparse(matrix).tocsc(), self.dtype)
+        mat = sp.csc_matrix(matrix, dtype=np.float64)
         # Shift keeps L + sigma I comfortably positive definite; scaling by
         # the largest diagonal entry makes it dimensionless (the normalized
         # and unnormalized Laplacians differ by ~max degree).
         sigma = float(max(self.shift_scale * mat.diagonal().max(), 1e-8))
         x = np.random.default_rng(SEED).standard_normal((n, block))
-        x = np.ascontiguousarray(x, dtype=self.dtype)
-        tol = max(TOLERANCE, 1e-6 if self.options.dtype == "float32" else 0.0)
         try:
             lu = spla.splu(
                 mat + sigma * sp.identity(n, dtype=mat.dtype, format="csc"),
@@ -293,7 +210,7 @@ class LobpcgBackend(SpectralBackend):
                 warnings.simplefilter("ignore", UserWarning)
                 warnings.simplefilter("ignore", LinAlgWarning)
                 inverse_values, vectors = spla.lobpcg(
-                    operator, x, largest=True, tol=tol, maxiter=self.maxiter
+                    operator, x, largest=True, tol=TOLERANCE, maxiter=self.maxiter
                 )
         except Exception:
             if n > self.dense_fallback_cap:
@@ -311,7 +228,7 @@ class LobpcgBackend(SpectralBackend):
 
     def _dense_fallback(self, matrix: MatrixLike, k: int) -> BackendSolveResult:
         """The dense backend's answer, recorded under this backend's id."""
-        return BackendSolveResult(DenseBackend(self.options).solve(matrix, k).eigenvalues, self.id)
+        return BackendSolveResult(DenseBackend().solve(matrix, k).eigenvalues, self.id)
 
 
 class AmgBackend(LobpcgBackend):
@@ -327,11 +244,9 @@ class AmgBackend(LobpcgBackend):
     of SpMVs instead of triangular solves against a dense-ish factor, and
     setup is linear — the combination is what unlocks n >> 50k on one core.
 
-    Matrix-free inputs (:func:`repro.graphs.laplacian.laplacian_operator`)
-    are lowered to CSR once: the hierarchy setup needs the entries anyway,
-    and the LOBPCG matvecs then run on the shifted CSR it already holds
-    (10 ms per 24-column apply at fft:13, against 33-37 ms through the
-    operator plus the shift).
+    The LOBPCG matvecs run on the shifted CSR the hierarchy setup builds
+    anyway (10 ms per 24-column apply at fft:13, against 33-37 ms through a
+    matrix-free Laplacian plus the shift).
 
     Small problems (LOBPCG needs ``5 * block < n``) fall back to the dense
     backend, as for :class:`LobpcgBackend`.
@@ -348,12 +263,10 @@ class AmgBackend(LobpcgBackend):
         block = min(n, k + self.oversample)
         if n < max(5 * block, 32):
             return self._dense_fallback(matrix, k)
-        csr = _cast_matrix(_as_sparse(matrix).tocsr(), self.dtype)
+        csr = sp.csr_matrix(matrix, dtype=np.float64)
         sigma = float(max(self.shift_scale * csr.diagonal().max(), 1e-8))
         shifted = (csr + sigma * sp.identity(n, dtype=csr.dtype, format="csr")).tocsr()
         x = np.random.default_rng(SEED).standard_normal((n, block))
-        x = np.ascontiguousarray(x, dtype=self.dtype)
-        tol = max(TOLERANCE, 1e-6 if self.options.dtype == "float32" else 0.0)
         try:
             preconditioner = smoothed_aggregation_preconditioner(
                 shifted, seed=SEED
@@ -368,7 +281,7 @@ class AmgBackend(LobpcgBackend):
                     x,
                     M=preconditioner,
                     largest=False,
-                    tol=tol,
+                    tol=TOLERANCE,
                     maxiter=self.maxiter,
                 )
         except Exception:
@@ -399,7 +312,19 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
-def create_backend(name: str, options: EigenSolverOptions) -> SpectralBackend:
+def check_solver(solver: str) -> str:
+    """``solver`` if it names ``auto`` or a backend id; else ``ValueError``.
+
+    Constructors taking a ``solver`` call it, so a typo fails before any
+    store row or lease is written.
+    """
+    solvers = ("auto", *available_backends())
+    if solver not in solvers:
+        raise ValueError(f"solver must be one of {sorted(solvers)}, got {solver!r}")
+    return solver
+
+
+def create_backend(name: str) -> SpectralBackend:
     """Instantiate the backend with id ``name``."""
     try:
         cls = _BACKENDS[name]
@@ -407,13 +332,14 @@ def create_backend(name: str, options: EigenSolverOptions) -> SpectralBackend:
         raise ValueError(
             f"unknown spectral backend {name!r}; known: {available_backends()}"
         )
-    return cls(options)
+    return cls()
 
 
 def resolve_method(method: str, n: int, k: int) -> str:
     """Map ``"auto"`` to a concrete backend id.
 
-    Resolution order: an explicit ``method`` always wins; then the
+    Resolution order: an explicit ``method`` always wins (an unknown one
+    raises :class:`ValueError`, see :func:`check_solver`); then the
     ``REPRO_SOLVER_BACKEND`` environment variable (validated against the
     backend ids) overrides the size heuristic; then the heuristic picks
     ``dense`` for small problems (n up to :data:`DENSE_CUTOFF`, or
@@ -424,7 +350,7 @@ def resolve_method(method: str, n: int, k: int) -> str:
     and overstate the bound.
     """
     if method != "auto":
-        return method
+        return check_solver(method)
     forced = os.environ.get(SOLVER_BACKEND_ENV_VAR, "").strip()
     if forced:
         if forced not in _BACKENDS:
@@ -441,8 +367,8 @@ def resolve_method(method: str, n: int, k: int) -> str:
 # ----------------------------------------------------------------------
 # high-level solve
 # ----------------------------------------------------------------------
-def solve_smallest(matrix: MatrixLike, k: int, options: EigenSolverOptions) -> BackendSolveResult:
-    """Resolve ``options.method`` and solve.
+def solve_smallest(matrix: MatrixLike, k: int, solver: str = "auto") -> BackendSolveResult:
+    """Resolve ``solver`` (``auto`` or a backend id) and solve.
 
     The returned eigenvalues are postprocessed the way every caller expects:
     ascending, float64, with numerical noise around zero clamped (graph
@@ -453,17 +379,16 @@ def solve_smallest(matrix: MatrixLike, k: int, options: EigenSolverOptions) -> B
         raise ValueError(f"k must be non-negative, got {k}")
     if k > n:
         raise ValueError(f"requested {k} eigenvalues from an n={n} matrix")
-    method = resolve_method(options.method, n, k)
+    method = resolve_method(solver, n, k)
     if k == 0:
         # Even the trivial solve reports the *resolved* backend id so records
         # and store entries never show "auto".
         return BackendSolveResult(np.zeros(0), method)
 
-    result = create_backend(method, options).solve(matrix, k)
+    result = create_backend(method).solve(matrix, k)
     values = np.asarray(result.eigenvalues, dtype=np.float64).copy()
-    # float32 arithmetic leaves noise around 1e-7; float64 around 1e-12.
-    clamp = 1e-6 if options.dtype == "float32" else 1e-10
-    values[np.abs(values) < clamp] = 0.0
+    # float64 arithmetic leaves noise around 1e-12.
+    values[np.abs(values) < 1e-10] = 0.0
     values[values < 0.0] = 0.0
     values = np.sort(values)
     _BACKEND_SOLVES.inc(backend=result.backend)

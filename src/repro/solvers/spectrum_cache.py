@@ -3,11 +3,11 @@
 Every spectral bound (Theorems 4, 5, 6) consumes the same quantity: the ``h``
 smallest eigenvalues of a graph's (normalised or ordinary) Laplacian.  The
 eigensolve dominates the cost of a bound by orders of magnitude, yet it
-depends only on the graph structure, the normalisation, and the backend and
-precision that compute it — not on the memory size ``M``, the number of
-processors ``p``, or the ``k`` sweep.  :class:`SpectrumCache` therefore
-memoises eigensolves under one key, ``(fingerprint, normalized, backend,
-dtype)``: ``fingerprint`` is the structural hash from
+depends only on the graph structure, the normalisation, and the backend
+that computes it — not on the memory size ``M``, the number of processors
+``p``, or the ``k`` sweep.  :class:`SpectrumCache` therefore memoises
+eigensolves under one key, ``(fingerprint, normalized, backend)``:
+``fingerprint`` is the structural hash from
 :meth:`repro.graphs.compgraph.ComputationGraph.fingerprint` and ``backend``
 the id :func:`~repro.solvers.backends.resolve_method` resolves *before* the
 lookup (``$REPRO_SOLVER_BACKEND`` and the size rules included), so ``auto``
@@ -76,8 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 from repro import obs
 from repro.graphs.compgraph import ComputationGraph
-from repro.graphs.laplacian import laplacian, laplacian_operator
-from repro.solvers.backends import EigenSolverOptions, resolve_method, solve_smallest
+from repro.graphs.laplacian import laplacian
+from repro.solvers.backends import resolve_method, solve_smallest
 
 __all__ = [
     "CachedSpectrum",
@@ -86,13 +86,13 @@ __all__ = [
 ]
 
 #: What identifies one spectrum in every tier: (graph fingerprint,
-#: normalized, resolved backend id, dtype).
-SpectrumKey = Tuple[str, bool, str, str]
+#: normalized, resolved backend id).
+SpectrumKey = Tuple[str, bool, str]
 
 _EIG_SECONDS = obs.global_registry().histogram(
     "repro_eigensolve_seconds",
     "Wall-clock latency of real eigensolves (cache misses only).",
-    labelnames=("backend", "dtype"),
+    labelnames=("backend",),
 )
 _SPECTRUM_LOOKUPS = obs.global_registry().counter(
     "repro_spectrum_lookups_total",
@@ -129,15 +129,12 @@ class CachedSpectrum:
         True when the spectrum was served from the cache.
     backend:
         Resolved backend id that produced the underlying solve.
-    dtype:
-        Arithmetic precision of the solve (``"float64"``/``"float32"``).
     """
 
     eigenvalues: np.ndarray
     solve_seconds: float
     cache_hit: bool
     backend: str
-    dtype: str
 
 
 class SpectrumCache:
@@ -244,14 +241,14 @@ class SpectrumCache:
         graph: ComputationGraph,
         num_eigenvalues: int,
         normalized: bool = True,
-        eig_options: Optional[EigenSolverOptions] = None,
+        solver: str = "auto",
         lineage: Optional[str] = None,
     ) -> CachedSpectrum:
         """The ``num_eigenvalues`` smallest Laplacian eigenvalues of ``graph``.
 
         Serves from the cache when possible (the key's entry, if it is long
-        enough); otherwise assembles the Laplacian, solves with the resolved
-        backend, stores and returns.  ``normalized=False`` returns the
+        enough); otherwise assembles the Laplacian, solves with the backend
+        ``solver`` resolves to, stores and returns.  ``normalized=False`` returns the
         Theorem 5 quantity ``lambda(L) / max_out_degree``.  ``lineage``
         labels a fresh solve in the store with its family name (e.g.
         ``"fft"``, for ``cache ls`` and ``cache clear --family``); it is
@@ -263,11 +260,10 @@ class SpectrumCache:
             raise ValueError(f"num_eigenvalues must be non-negative, got {h}")
         if h > n:
             raise ValueError(f"requested {h} eigenvalues from an n={n} graph")
-        options = eig_options or EigenSolverOptions()
-        backend, dtype = resolve_method(options.method, n, h), options.dtype
+        backend = resolve_method(solver, n, h)
         if n == 0 or h == 0:
-            return CachedSpectrum(np.zeros(0), 0.0, True, backend, dtype)
-        key: SpectrumKey = (graph.fingerprint(), bool(normalized), backend, dtype)
+            return CachedSpectrum(np.zeros(0), 0.0, True, backend)
+        key: SpectrumKey = (graph.fingerprint(), bool(normalized), backend)
 
         with self._lock:
             found = self._memory_hit(key, h)
@@ -302,9 +298,7 @@ class SpectrumCache:
                 with self._lock:
                     self._hits += 1
                 _SPECTRUM_LOOKUPS.inc(tier="memory")
-                return CachedSpectrum(
-                    led.eigenvalues[:h], led.solve_seconds, True, backend, dtype
-                )
+                return CachedSpectrum(led.eigenvalues[:h], led.solve_seconds, True, backend)
             # The leader fetched a shorter spectrum: lead the next flight.
 
         try:
@@ -324,14 +318,14 @@ class SpectrumCache:
         """A flight leader's work: claim the store's solve lease, then solve
         inside the admission gate and publish — or serve what another
         process published meanwhile."""
-        fingerprint, normalized, backend, dtype = key
+        fingerprint, normalized, backend = key
         lease = None
         if self._store is not None:
             # The lease key excludes ``h``, so every truncation of one
             # spectrum contends for one lease.
             claim = self._store.claim(
                 fingerprint, lambda: self._fetch_stored(key, h),
-                normalized=normalized, backend=backend, dtype=dtype,
+                normalized=normalized, backend=backend,
             )
             with self._lock:
                 self._lease_leaders += claim.lease is not None
@@ -342,14 +336,12 @@ class SpectrumCache:
         gate = self.admission.slot() if self.admission is not None else contextlib.nullcontext()
         try:
             with gate:
-                values, solve_seconds = self._solve(
-                    graph, h, normalized, EigenSolverOptions(backend, dtype)
-                )
+                values, solve_seconds = self._solve(graph, h, normalized, backend)
             if self._store is not None:
                 try:
                     self._store.put(
                         fingerprint, values, solve_seconds, normalized=normalized,
-                        backend=backend, dtype=dtype, lineage=lineage,
+                        backend=backend, lineage=lineage,
                     )
                 except OSError:
                     pass  # a full/read-only disk must not break the computation
@@ -362,7 +354,7 @@ class SpectrumCache:
             self._remember(key, values, solve_seconds)
             self._misses += 1
         _SPECTRUM_LOOKUPS.inc(tier="solve")
-        return CachedSpectrum(values, solve_seconds, False, backend, dtype)
+        return CachedSpectrum(values, solve_seconds, False, backend)
 
     def _memory_hit(self, key: SpectrumKey, h: int) -> Optional[CachedSpectrum]:
         """The memory tier's answer, if its entry is long enough.  Caller
@@ -373,7 +365,7 @@ class SpectrumCache:
         self._entries.move_to_end(key)
         self._hits += 1
         _SPECTRUM_LOOKUPS.inc(tier="memory")
-        return CachedSpectrum(found[0][:h], found[1], True, key[2], key[3])
+        return CachedSpectrum(found[0][:h], found[1], True, key[2])
 
     def _serve_stored(self, key: SpectrumKey, h: int, stored) -> CachedSpectrum:
         """Answer from a store read, keeping the whole stored vector in
@@ -383,9 +375,7 @@ class SpectrumCache:
             self._hits += 1
             self._store_hits += 1
         _SPECTRUM_LOOKUPS.inc(tier="store")
-        return CachedSpectrum(
-            stored.eigenvalues[:h], stored.solve_seconds, True, key[2], key[3]
-        )
+        return CachedSpectrum(stored.eigenvalues[:h], stored.solve_seconds, True, key[2])
 
     def _remember(self, key: SpectrumKey, values: np.ndarray, solve_seconds: float) -> None:
         """Keep ``values`` under ``key`` unless a longer spectrum is there
@@ -398,30 +388,20 @@ class SpectrumCache:
             self._entries.popitem(last=False)
 
     def _solve(
-        self,
-        graph: ComputationGraph,
-        h: int,
-        normalized: bool,
-        options: EigenSolverOptions,
+        self, graph: ComputationGraph, h: int, normalized: bool, backend: str
     ) -> Tuple[np.ndarray, float]:
-        """One eigensolve with ``options.method``, a resolved backend id."""
+        """One eigensolve with ``backend``, a resolved backend id."""
         with obs.span(
             "eigensolve",
             fingerprint=graph.fingerprint() if obs.enabled() else None,
             h=h,
-            dtype=options.dtype,
         ) as active:
             start = time.perf_counter()
-            # The backend decides the Laplacian's form: LAPACK takes the
-            # sparse matrix, which dense.py checks for symmetry in O(nnz)
-            # and densifies once; lobpcg and amg take the matrix-free
-            # LaplacianOperator and lower it to CSR themselves, at O(m), for
-            # the factorisation and the hierarchy that need the entries.
-            if options.method == "dense":
-                lap = laplacian(graph, normalized=normalized, sparse=True)
-            else:
-                lap = laplacian_operator(graph, normalized=normalized)
-            result = solve_smallest(lap, h, options)
+            # Every backend takes the sparse Laplacian: dense.py checks its
+            # symmetry in O(nnz) and densifies it once, lobpcg factorises
+            # it and amg builds its hierarchy on it.
+            lap = laplacian(graph, normalized=normalized, sparse=True)
+            result = solve_smallest(lap, h, backend)
             values = result.eigenvalues
             if not normalized:
                 max_out = graph.freeze().max_out_degree
@@ -430,7 +410,7 @@ class SpectrumCache:
             values.flags.writeable = False
             elapsed = time.perf_counter() - start
             active.set_attr(backend=result.backend)
-            _EIG_SECONDS.observe(elapsed, backend=result.backend, dtype=options.dtype)
+            _EIG_SECONDS.observe(elapsed, backend=result.backend)
             return values, elapsed
 
     # ------------------------------------------------------------------
@@ -438,17 +418,19 @@ class SpectrumCache:
     # ------------------------------------------------------------------
     def _fetch_stored(self, key: SpectrumKey, h: int):
         """One store lookup; a broken store reads as a miss."""
-        fingerprint, normalized, backend, dtype = key
+        fingerprint, normalized, backend = key
         try:
-            return self._store.get(
-                fingerprint, h, normalized=normalized, backend=backend, dtype=dtype
-            )
+            return self._store.get(fingerprint, h, normalized=normalized, backend=backend)
         except OSError:
             return None
 
     # An alias, not a second path: ``spectral-coarse`` answers from the
     # exact spectrum, and perfbench's stage timers wrap this name.
     interval_spectrum = spectrum
+
+
+# An alias perfbench's stage timers wrap by name; nothing here calls it.
+laplacian_operator = laplacian
 
 
 _DEFAULT_CACHE = SpectrumCache(max_entries=128)

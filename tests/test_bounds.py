@@ -21,7 +21,6 @@ from repro.graphs.generators import (
     independent_ops_graph,
     inner_product_graph,
 )
-from repro.solvers.backends import EigenSolverOptions
 
 
 class TestFromEigenvalues:
@@ -130,21 +129,17 @@ class TestSpectralBound:
         assert a.raw_value == pytest.approx(b.raw_value, abs=1e-6)
 
     def test_sparse_and_dense_paths_agree(self):
-        # The dense backend solves the assembled Laplacian, lobpcg the
-        # sparse factorisation of the matrix-free operator's entries (h = 20
-        # keeps n = 192 above LOBPCG's size floor, so it really iterates).
+        # The dense backend densifies the sparse Laplacian, lobpcg factorises
+        # it (h = 20 keeps n = 192 above LOBPCG's size floor, so it really
+        # iterates).
         graph = fft_graph(5)
-        dense = spectral_bound(
-            graph, M=4, num_eigenvalues=20, eig_options=EigenSolverOptions(method="dense")
-        )
-        sparse = spectral_bound(
-            graph, M=4, num_eigenvalues=20, eig_options=EigenSolverOptions(method="lobpcg")
-        )
+        dense = spectral_bound(graph, M=4, num_eigenvalues=20, solver="dense")
+        sparse = spectral_bound(graph, M=4, num_eigenvalues=20, solver="lobpcg")
         assert dense.raw_value == pytest.approx(sparse.raw_value, rel=1e-6, abs=1e-6)
 
     def test_eig_options_forwarded(self):
         graph = fft_graph(4)
-        result = spectral_bound(graph, M=2, eig_options=EigenSolverOptions(method="lobpcg"))
+        result = spectral_bound(graph, M=2, solver="lobpcg")
         reference = spectral_bound(graph, M=2)
         assert result.raw_value == pytest.approx(reference.raw_value, abs=1e-4)
 

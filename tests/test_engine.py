@@ -28,7 +28,6 @@ from repro.core.engine import BoundEngine, SweepPoint
 from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
 from repro.graphs.generators import fft_graph, hypercube_graph
-from repro.solvers.backends import EigenSolverOptions
 from repro.solvers.spectrum_cache import SpectrumCache, default_spectrum_cache
 
 MEMORY_SIZES = [4, 8, 16, 32]
@@ -254,7 +253,7 @@ class TestSpectrumCache:
         graph = fft_graph(3)
         cache.spectrum(graph, 5, normalized=True)
         cache.spectrum(graph, 5, normalized=False)
-        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="lobpcg"))
+        cache.spectrum(graph, 5, solver="lobpcg")
         assert cache.misses == 3
 
     def test_sparse_assembly_is_part_of_the_key(self):
@@ -262,8 +261,8 @@ class TestSpectrumCache:
         # must never be served an amg-solved spectrum (and vice versa).
         cache = SpectrumCache()
         graph = fft_graph(3)
-        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="amg"))
-        cache.spectrum(graph, 5, eig_options=EigenSolverOptions(method="dense"))
+        cache.spectrum(graph, 5, solver="amg")
+        cache.spectrum(graph, 5, solver="dense")
         assert cache.misses == 2
         # auto resolves to dense for this small graph and shares the dense
         # entry.

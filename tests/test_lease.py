@@ -47,7 +47,7 @@ def store(tmp_path):
 
 
 def lease_key(fingerprint: str = FINGERPRINT) -> str:
-    return spectrum_base(fingerprint, True, "dense", "float64")
+    return spectrum_base(fingerprint, True, "dense")
 
 
 def write_lease_row(store: SpectrumStore, **overrides) -> None:
@@ -124,7 +124,7 @@ class TestSolveLease:
         entry_id = store.put(FINGERPRINT, np.arange(3, dtype=float), 1.0)
         assert store._lease_key(FINGERPRINT) == lease_key() == entry_id.split("-h")[0]
         # ...but every other key ingredient splits it.
-        for key in ({"normalized": False}, {"backend": "lobpcg"}, {"dtype": "float32"}):
+        for key in ({"normalized": False}, {"backend": "lobpcg"}):
             assert store._lease_key(FINGERPRINT, **key) != lease_key()
 
     def test_wait_returns_released_when_the_leader_publishes(self, store):

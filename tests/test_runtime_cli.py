@@ -242,7 +242,7 @@ class TestCLI:
             self.run_cli(
                 "sweep", "--family", "fft", "--sizes", "3", "4",
                 "--memory-sizes", "4", "--store", str(tmp_path / "s"),
-                "--solver", "lobpcg", "--dtype", "float32", "--json", str(out),
+                "--solver", "lobpcg", "--json", str(out),
             )
             == 0
         )
@@ -251,9 +251,12 @@ class TestCLI:
         assert len(payload["tasks"]) == 2
         for record in payload["tasks"]:
             assert record["backend"] == "lobpcg"
-            assert record["dtype"] == "float32"
+            assert "dtype" not in record
             assert record["solve_seconds"] >= 0.0
-        # dtype/backend flow into the store key: a float64 run re-solves.
+        with pytest.raises(SystemExit):  # --dtype is not an option
+            self.run_cli("sweep", "--family", "fft", "--sizes", "3", "--no-store",
+                         "--dtype", "float32")
+        # The backend flows into the store key: an auto (dense) run re-solves.
         out2 = tmp_path / "run2.json"
         assert (
             self.run_cli(

@@ -196,7 +196,7 @@ class TestOrchestrator:
         assert len(report.tasks) == 2
         for record in report.tasks:
             assert record.backend == "dense"  # auto resolves dense at this scale
-            assert record.dtype == "float64"
+            assert "dtype" not in record.as_dict()
             assert record.num_eigensolves >= 0
             assert record.solve_seconds >= 0.0
             assert record.size_estimate == (record.size_param + 1) * 2**record.size_param

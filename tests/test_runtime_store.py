@@ -75,12 +75,11 @@ class TestStoreBasics:
         assert store.get(FP, 10) is None
 
     def test_key_includes_normalization_sparse_and_options(self, store):
-        # The key: fingerprint, normalisation, resolved backend and dtype.
+        # The key: fingerprint, normalisation and resolved backend.
         store.put(FP, np.arange(3, dtype=float), 1.0, normalized=True, backend="dense")
         assert store.get(FP, 3, normalized=False) is None
         assert store.get(FP, 3, backend="amg") is None
         assert store.get(FP, 3, backend="lobpcg") is None
-        assert store.get(FP, 3, dtype="float32") is None
         assert store.get(FP, 3) is not None
 
     def test_distinct_fingerprints_do_not_collide(self, store):

@@ -3,12 +3,15 @@
 Covers the PR 3 contracts:
 
 * every backend agrees with the *closed-form* hypercube and butterfly (FFT)
-  spectra within tolerance (float32 with a looser one), including at a size
-  where the butterfly's repeated eigenvalues fill the requested block,
+  spectra within tolerance, including at a size where the butterfly's
+  repeated eigenvalues fill the requested block, and answers the same for
+  an ndarray as for a sparse matrix,
+* an unknown ``solver`` fails when the engine, service or orchestrator is
+  built,
 * :class:`SpectrumCache` and :class:`SpectrumStore` key a spectrum on the
-  *resolved* backend and the dtype: variants coexist, ``auto`` shares a
-  spectrum with the backend it picks, and the answer never depends on which
-  request or process came first,
+  *resolved* backend: variants coexist, ``auto`` shares a spectrum with the
+  backend it picks, and the answer never depends on which request or
+  process came first,
 * the store's size-capped LRU eviction and integrity verification.
 """
 
@@ -22,17 +25,18 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.solvers.backends as backends_module
+from repro.core.engine import BoundEngine
 from repro.core.spectra import butterfly_spectrum_array, hypercube_spectrum_array
 from repro.graphs.compgraph import ComputationGraph
 from repro.graphs.generators import fft_graph, hypercube_graph
 from repro.graphs.generators.random_graphs import random_dag
 from repro.graphs.laplacian import laplacian
 from repro.runtime.families import GraphSpec
+from repro.runtime.orchestrator import SweepOrchestrator
 from repro.runtime.service import BoundQuery, BoundService
 from repro.runtime.store import SpectrumStore
 from repro.solvers.backends import (
     SOLVER_BACKEND_ENV_VAR,
-    EigenSolverOptions,
     available_backends,
     create_backend,
     solve_smallest,
@@ -57,15 +61,26 @@ class TestRegistry:
     def test_create_backend_unknown_rejected(self):
         for name in ("nope",) + DELETED_BACKENDS:
             with pytest.raises(ValueError, match="unknown spectral backend"):
-                create_backend(name, EigenSolverOptions())
+                create_backend(name)
 
-    def test_options_validate_method_and_dtype(self):
-        for method in ("bogus",) + DELETED_BACKENDS:
-            with pytest.raises(ValueError, match="method"):
-                EigenSolverOptions(method=method)
-        with pytest.raises(ValueError, match="dtype"):
-            EigenSolverOptions(dtype="float16")
-        assert EigenSolverOptions(method="lobpcg", dtype="float32").dtype == "float32"
+    def test_options_validate_method_and_dtype(self, tmp_path):
+        """An unknown ``solver`` fails at construction, before the store
+        directory, a row or a lease exists."""
+        root = tmp_path / "s"
+        for solver in ("bogus",) + DELETED_BACKENDS:
+            with pytest.raises(ValueError, match="solver"):
+                BoundEngine(fft_graph(3), solver=solver, store=SpectrumStore(root))
+            with pytest.raises(ValueError, match="solver"):
+                BoundService(store=root, solver=solver)
+            with pytest.raises(ValueError, match="solver"):
+                SweepOrchestrator(store=root, solver=solver)
+            with pytest.raises(ValueError, match="solver"):
+                SpectrumCache(store=SpectrumStore(root)).spectrum(fft_graph(3), 4, solver=solver)
+        assert not root.exists()
+        for solver in ("auto",) + BACKENDS:
+            BoundEngine(fft_graph(3), solver=solver)
+            BoundService(store=root, solver=solver)
+            SweepOrchestrator(store=root, solver=solver)
 
 
 class TestClosedFormParity:
@@ -77,7 +92,7 @@ class TestClosedFormParity:
         dimension = 5
         exact = hypercube_spectrum_array(dimension)[:H]
         lap = laplacian(hypercube_graph(dimension), normalized=False, sparse=True)
-        values = solve_smallest(lap, H, EigenSolverOptions(method=backend)).eigenvalues
+        values = solve_smallest(lap, H, backend).eigenvalues
         np.testing.assert_allclose(values, exact, atol=1e-5)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -85,7 +100,7 @@ class TestClosedFormParity:
         levels = 4
         exact = butterfly_spectrum_array(levels)[:H]
         lap = fft_laplacian(levels)
-        values = solve_smallest(lap, H, EigenSolverOptions(method=backend)).eigenvalues
+        values = solve_smallest(lap, H, backend).eigenvalues
         np.testing.assert_allclose(values, exact, atol=1e-5)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -96,19 +111,17 @@ class TestClosedFormParity:
         levels, h = 7, 30
         exact = butterfly_spectrum_array(levels)[:h]
         assert np.unique(np.round(exact, 9)).size < h // 2  # repeats dominate
-        options = EigenSolverOptions(method=backend)
-        values = solve_smallest(fft_laplacian(levels), h, options).eigenvalues
+        values = solve_smallest(fft_laplacian(levels), h, backend).eigenvalues
         np.testing.assert_allclose(values, exact, atol=1e-5)
 
-    @pytest.mark.parametrize("backend", ("dense", "lobpcg", "amg"))
-    def test_float32_parity_loose_tolerance(self, backend):
-        levels = 4
-        exact = butterfly_spectrum_array(levels)[:H]
-        lap = fft_laplacian(levels)
-        options = EigenSolverOptions(method=backend, dtype="float32")
-        values = solve_smallest(lap, H, options).eigenvalues
-        assert values.dtype == np.float64  # results are always upcast
-        np.testing.assert_allclose(values, exact, atol=1e-3)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_ndarray_answers_what_the_sparse_matrix_answers(self, backend):
+        # fft:6 (n = 448) keeps lobpcg and amg above their size floor.
+        lap = fft_laplacian(6)
+        from_sparse = solve_smallest(lap, H, backend)
+        from_array = solve_smallest(lap.toarray(), H, backend)
+        assert from_sparse.backend == from_array.backend == backend
+        np.testing.assert_array_equal(from_array.eigenvalues, from_sparse.eigenvalues)
 
 
 class TestRepeatedEigenvaluesAboveTheDenseCutoff:
@@ -122,7 +135,7 @@ class TestRepeatedEigenvaluesAboveTheDenseCutoff:
         # 0.14.
         monkeypatch.setattr(backends_module, "DENSE_CUTOFF", 1000)
         lap = fft_laplacian(8)
-        result = solve_smallest(lap, 100, EigenSolverOptions())
+        result = solve_smallest(lap, 100)
         assert result.backend == "lobpcg"
         np.testing.assert_allclose(
             result.eigenvalues, butterfly_spectrum_array(8)[:100], rtol=0, atol=1e-9
@@ -157,8 +170,8 @@ class TestRepeatedEigenvaluesAboveTheDenseCutoff:
         # The largest h that keeps LOBPCG above its size floor, so it iterates.
         h = graph.num_vertices // 5 - 8
         assume(h > copies)
-        iterative = solve_smallest(lap, h, EigenSolverOptions(method="lobpcg")).eigenvalues
-        dense = solve_smallest(lap, h, EigenSolverOptions(method="dense")).eigenvalues
+        iterative = solve_smallest(lap, h, "lobpcg").eigenvalues
+        dense = solve_smallest(lap, h, "dense").eigenvalues
         np.testing.assert_allclose(iterative, dense, rtol=0, atol=1e-8)
         # Every eigenvalue below (just under) the h-th returned one is there.
         shift = iterative[-1] - 1e-6 * max(1.0, iterative[-1])
@@ -167,66 +180,43 @@ class TestRepeatedEigenvaluesAboveTheDenseCutoff:
 
 
 class TestCacheKeySegregation:
-    def test_dtype_variants_coexist_in_memory_cache(self):
-        cache = SpectrumCache()
-        graph = fft_graph(4)
-        f64 = cache.spectrum(graph, 6, eig_options=EigenSolverOptions(method="dense"))
-        f32 = cache.spectrum(
-            graph, 6, eig_options=EigenSolverOptions(method="dense", dtype="float32")
-        )
-        assert cache.misses == 2  # distinct keys -> two solves
-        assert not f64.cache_hit and not f32.cache_hit
-        assert f64.dtype == "float64" and f32.dtype == "float32"
-        again = cache.spectrum(
-            graph, 6, eig_options=EigenSolverOptions(method="dense", dtype="float32")
-        )
-        assert again.cache_hit
-
     def test_backend_variants_coexist_in_memory_cache(self):
         cache = SpectrumCache()
         graph = fft_graph(4)
-        cache.spectrum(graph, 6, eig_options=EigenSolverOptions(method="dense"))
-        cache.spectrum(graph, 6, eig_options=EigenSolverOptions(method="lobpcg"))
+        cache.spectrum(graph, 6, solver="dense")
+        cache.spectrum(graph, 6, solver="lobpcg")
         assert cache.misses == 2
 
     def test_cached_spectrum_reports_backend(self):
         cache = SpectrumCache()
-        fetched = cache.spectrum(
-            fft_graph(4), 6, eig_options=EigenSolverOptions(method="lobpcg")
-        )
+        fetched = cache.spectrum(fft_graph(4), 6, solver="lobpcg")
         assert fetched.backend == "lobpcg"
 
     def test_store_segregates_dtype_and_records_backend(self, tmp_path):
         store = SpectrumStore(tmp_path / "s")
         cache = SpectrumCache(store=store)
         graph = fft_graph(4)
-        cache.spectrum(graph, 6, eig_options=EigenSolverOptions(method="lobpcg"))
-        cache.spectrum(
-            graph, 6, eig_options=EigenSolverOptions(method="lobpcg", dtype="float32")
-        )
-        assert len(store) == 2
-        entries = store.entries()
-        assert {e["dtype"] for e in entries} == {"float64", "float32"}
-        assert {e["backend"] for e in entries} == {"lobpcg"}
-        # A fresh cache against the same store serves both variants from disk.
+        cache.spectrum(graph, 6, solver="lobpcg")
+        assert len(store) == 1
+        [entry] = store.entries()
+        assert entry["backend"] == "lobpcg" and "dtype" not in entry
+        # A fresh cache against the same store serves it from disk.
         warm = SpectrumCache(store=SpectrumStore(tmp_path / "s"))
-        f32 = warm.spectrum(
-            graph, 6, eig_options=EigenSolverOptions(method="lobpcg", dtype="float32")
-        )
-        assert f32.cache_hit and warm.store_hits == 1
-        assert f32.backend == "lobpcg"
+        served = warm.spectrum(graph, 6, solver="lobpcg")
+        assert served.cache_hit and warm.store_hits == 1
+        assert served.backend == "lobpcg"
 
 
 class TestOneKeyPerSpectrum:
-    """Every tier keys on (fingerprint, normalisation, resolved backend,
-    dtype), so an answer depends neither on how the backend was named nor
-    on what was solved before it."""
+    """Every tier keys on (fingerprint, normalisation, resolved backend), so
+    an answer depends neither on how the backend was named nor on what was
+    solved before it."""
 
     def test_auto_shares_the_spectrum_of_the_backend_it_picks(self, tmp_path):
         graph = fft_graph(6)  # auto resolves to dense
         store = SpectrumStore(tmp_path / "s")
         first = SpectrumCache(store=store)
-        first.spectrum(graph, 10, eig_options=EigenSolverOptions(method="dense"))
+        first.spectrum(graph, 10, solver="dense")
         second = SpectrumCache(store=store)
         served = second.spectrum(graph, 10)
         assert first.misses + second.misses == 1
@@ -247,19 +237,18 @@ class TestOneKeyPerSpectrum:
 
     def test_growing_h_answers_what_a_fresh_cache_answers(self):
         graph = fft_graph(7)
-        options = EigenSolverOptions(method="lobpcg")
         cache = SpectrumCache()
-        cache.spectrum(graph, 20, eig_options=options, lineage="fft")
-        grown = cache.spectrum(graph, 40, eig_options=options, lineage="fft")
-        fresh = SpectrumCache().spectrum(graph, 40, eig_options=options, lineage="fft")
+        cache.spectrum(graph, 20, solver="lobpcg", lineage="fft")
+        grown = cache.spectrum(graph, 40, solver="lobpcg", lineage="fft")
+        fresh = SpectrumCache().spectrum(graph, 40, solver="lobpcg", lineage="fft")
         assert cache.misses == 2
         np.testing.assert_array_equal(grown.eigenvalues, fresh.eigenvalues)
 
     def test_below_the_lobpcg_floor_iterative_backends_answer_dense(self):
         lap = fft_laplacian(4)  # n = 80 < 5 * (20 + 8)
-        dense = solve_smallest(lap, 20, EigenSolverOptions(method="dense")).eigenvalues
+        dense = solve_smallest(lap, 20, "dense").eigenvalues
         for backend in ("lobpcg", "amg"):
-            result = solve_smallest(lap, 20, EigenSolverOptions(method=backend))
+            result = solve_smallest(lap, 20, backend)
             assert result.backend == backend
             np.testing.assert_array_equal(result.eigenvalues, dense)
 

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from repro.graphs.generators import fft_graph
 from repro.graphs.laplacian import laplacian
-from repro.solvers.backends import EigenSolverOptions, solve_smallest
+from repro.solvers.backends import solve_smallest
 from repro.solvers.dense import dense_smallest_eigenvalues, dense_spectrum
 
 
@@ -101,27 +101,27 @@ class TestBackend:
     def test_dense_and_sparse_agree(self):
         L_dense = example_laplacian(5)  # n = 192: lobpcg iterates at k = 10
         L_sparse = sp.csr_matrix(L_dense)
-        a = solve_smallest(L_dense, 10, EigenSolverOptions(method="dense")).eigenvalues
-        b = solve_smallest(L_sparse, 10, EigenSolverOptions(method="lobpcg")).eigenvalues
+        a = solve_smallest(L_dense, 10, "dense").eigenvalues
+        b = solve_smallest(L_sparse, 10, "lobpcg").eigenvalues
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_auto_uses_dense_for_small(self):
         L = example_laplacian(2)
-        values = solve_smallest(L, 3, EigenSolverOptions()).eigenvalues
+        values = solve_smallest(L, 3).eigenvalues
         np.testing.assert_allclose(values, dense_spectrum(L)[:3], atol=1e-9)
 
     def test_clamps_negative_noise(self):
-        values = solve_smallest(example_laplacian(3), 3, EigenSolverOptions()).eigenvalues
+        values = solve_smallest(example_laplacian(3), 3).eigenvalues
         assert np.all(values >= 0.0)
 
     def test_k_zero_and_errors(self):
         L = example_laplacian(2)
-        assert solve_smallest(L, 0, EigenSolverOptions()).eigenvalues.shape == (0,)
+        assert solve_smallest(L, 0).eigenvalues.shape == (0,)
         with pytest.raises(ValueError):
-            solve_smallest(L, -1, EigenSolverOptions())
+            solve_smallest(L, -1)
         with pytest.raises(ValueError):
-            solve_smallest(L, L.shape[0] + 1, EigenSolverOptions())
+            solve_smallest(L, L.shape[0] + 1)
 
     def test_invalid_method_rejected(self):
-        with pytest.raises(ValueError):
-            EigenSolverOptions(method="bogus")
+        with pytest.raises(ValueError, match="solver"):
+            solve_smallest(example_laplacian(2), 3, "bogus")

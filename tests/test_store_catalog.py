@@ -164,7 +164,7 @@ def _write_parent_store(root, graph):
     ``blobs/<id>.npz``, a cut table under ``cuts/``, and the JSON index of
     the builds before the catalog."""
     fingerprint = graph.fingerprint()
-    entry_id = _entry_id(spectrum_base(fingerprint, True, "dense", "float64"), 10)
+    entry_id = _entry_id(spectrum_base(fingerprint, True, "dense"), 10)
     (root / "blobs").mkdir(parents=True)
     (root / "cuts").mkdir()
     np.savez_compressed(root / "blobs" / f"{entry_id}.npz",
@@ -186,12 +186,65 @@ def _write_parent_store(root, graph):
     conn.close()
 
 
-def _user_version(root):
+#: The format-2 catalog: values in the rows, and a ``dtype`` in the key of
+#: every spectrum.
+_FORMAT_2_SCHEMA = """
+PRAGMA journal_mode=WAL;
+CREATE TABLE spectra (
+    id TEXT PRIMARY KEY, base TEXT NOT NULL, h INTEGER NOT NULL,
+    fingerprint TEXT NOT NULL, normalized INTEGER NOT NULL, dtype TEXT NOT NULL,
+    backend TEXT NOT NULL, lineage TEXT, solve_seconds REAL NOT NULL,
+    bytes INTEGER NOT NULL, created_at REAL NOT NULL, last_used REAL NOT NULL,
+    eigenvalues BLOB NOT NULL);
+CREATE INDEX spectra_by_base ON spectra (base, h);
+CREATE TABLE cuts (
+    id TEXT PRIMARY KEY, fingerprint TEXT NOT NULL, num_cuts INTEGER NOT NULL,
+    backend TEXT NOT NULL, lineage TEXT, bytes INTEGER NOT NULL,
+    created_at REAL NOT NULL, last_used REAL NOT NULL,
+    vertices BLOB NOT NULL, cut_values BLOB NOT NULL);
+CREATE TABLE leases (
+    base TEXT PRIMARY KEY, token TEXT, pid INTEGER, host TEXT, fingerprint TEXT,
+    created_at REAL, heartbeat_at REAL, ttl REAL);
+CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
+PRAGMA user_version = 2;
+"""
+
+
+def _write_format_2_store(root, graph):
+    """A format-2 store: the normalised spectrum of ``graph`` (h=10) and
+    400 others (h=100, ~0.3 MB) in their rows, and a cut table."""
+    fingerprints = [graph.fingerprint()] + [f"{i:064x}" for i in range(400)]
+    root.mkdir(parents=True)
+    conn = sqlite3.connect(root / "catalog.sqlite")
+    conn.executescript(_FORMAT_2_SCHEMA)
+    with conn:
+        for fingerprint in fingerprints:
+            h = 10 if fingerprint == fingerprints[0] else 100
+            base = spectrum_base(fingerprint, True, "dense")
+            values = np.linspace(0.0, 1.0, h).tobytes()
+            conn.execute(
+                "INSERT INTO spectra VALUES (?, ?, ?, ?, 1, 'float64', 'dense', 'fft', "
+                "1.0, ?, 1.0, 1.0, ?)",
+                (_entry_id(base, h), base, h, fingerprint, len(values), values),
+            )
+        conn.execute(
+            "INSERT INTO cuts VALUES (?, ?, 3, 'scipy', 'fft', 48, 1.0, 1.0, ?, ?)",
+            (fingerprints[0], fingerprints[0], np.arange(3).tobytes(), np.arange(3).tobytes()),
+        )
+        conn.execute("INSERT INTO counters VALUES ('solves_recorded', 401)")
+    conn.close()
+
+
+def _pragma(root, name):
     conn = sqlite3.connect(root / "catalog.sqlite")
     try:
-        return conn.execute("PRAGMA user_version").fetchone()[0]
+        return conn.execute(f"PRAGMA {name}").fetchone()[0]
     finally:
         conn.close()
+
+
+def _user_version(root):
+    return _pragma(root, "user_version")
 
 
 class TestFormatReset:
@@ -199,9 +252,11 @@ class TestFormatReset:
         ctx = multiprocessing.get_context("fork")
         query = BoundQuery(GraphSpec(family="fft", size_param=4), 4)
         [solved] = BoundService(store=None, num_eigenvalues=10).submit([query])
-        for attempt in range(5):
+        for attempt in range(10):
+            # The builds before format 2, and format 2, whose key held a dtype.
+            write_old_store = (_write_parent_store, _write_format_2_store)[attempt % 2]
             root = tmp_path / f"spectra-{attempt}"
-            _write_parent_store(root, fft_graph(4))
+            write_old_store(root, fft_graph(4))
             barrier = ctx.Barrier(4)
 
             def first_open():
@@ -215,6 +270,7 @@ class TestFormatReset:
                 proc.join(timeout=60)
             assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
             assert _user_version(root) == FORMAT_VERSION
+            assert _pragma(root, "freelist_count") == 0  # the discard vacuumed
             assert _file_names(root) <= _CATALOG_FILES
             stats = SpectrumStore(root).stats()
             assert stats["formats_discarded"] == 1
