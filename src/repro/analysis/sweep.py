@@ -13,16 +13,16 @@ operands in fast memory), mirroring "we do not display points where the
 maximum in-degree is greater than M".
 
 Spectral methods are executed through one :class:`repro.core.engine
-.BoundEngine` per graph, all sharing a per-sweep spectrum cache: a figure
+.BoundEngine` per (graph, method), over the sweep's spectrum cache: a figure
 sweep performs exactly one eigensolve per (graph, normalisation), no matter
-how many memory sizes or methods it covers.
+how many memory sizes it covers.
 
 Execution is delegated to :class:`repro.runtime.orchestrator
 .SweepOrchestrator`: ``processes > 1`` fans the family out over a process
 pool, and ``store`` plugs a persistent :class:`repro.runtime.store
 .SpectrumStore` under every engine so repeated sweeps (across processes and
 runs) skip eigensolves entirely.  :func:`evaluate_graph_rows` is the
-single-graph kernel both the serial path and the pool workers execute.
+per-(graph, method) kernel every sweep task runs, serially or pooled.
 """
 
 from __future__ import annotations
@@ -143,28 +143,27 @@ def evaluate_graph_rows(
     size_param: int,
     graph: ComputationGraph,
     memory_sizes: Sequence[int],
-    methods: Sequence[str] = ("spectral",),
+    method: str,
     num_eigenvalues: int = 100,
     skip_infeasible: bool = True,
     convex_vertex_cap: Optional[int] = None,
     max_vertices: Optional[Dict[str, int]] = None,
     cache: Optional[SpectrumCache] = None,
     solver: str = "auto",
-    lineage: Optional[str] = None,
     cut_store=None,
     convex_chunk: Optional[Tuple[int, int]] = None,
 ) -> Tuple[List[SweepRow], int, List[SolveRecord], Optional[Dict[str, object]]]:
-    """Evaluate every (method, M) combination on one graph.
+    """Evaluate one method at every memory size on one graph.
 
-    This is the per-graph kernel of :func:`sweep`: the serial path calls it
-    in a loop with a shared cache, and the orchestrator's pool workers call
-    it once per task with a store-backed private cache.  ``solver``
-    selects the spectral backend (``auto`` or an id), and ``lineage`` is
-    the family name the stores record (defaults to ``family``).  ``cut_store`` is the
+    This is the kernel of every sweep task: the orchestrator runs it once
+    per (graph, method) task, serially with a cache shared by the whole
+    sweep or in a pool worker with a store-backed private cache.
+    ``solver`` selects the spectral backend (``auto`` or an id), and the
+    stores record ``family`` as each entry's lineage.  ``cut_store`` is the
     convex min-cut baseline's persistent
-    :class:`~repro.runtime.store.CutStore`; ``convex_chunk``
-    restricts the baseline to the ``(index, total)``-th strided slice of its
-    candidate vertices (see :func:`convex_candidates`).
+    :class:`~repro.runtime.store.CutStore`; ``convex_chunk`` restricts the
+    baseline to the ``(index, total)``-th strided slice of its candidate
+    vertices (see :func:`convex_candidates`).
 
     Returns
     -------
@@ -172,67 +171,52 @@ def evaluate_graph_rows(
         The sweep rows, the number of eigensolves actually performed (0 when
         every spectrum came from a cache tier), one
         :class:`~repro.core.engine.SolveRecord` per spectrum fetch (empty
-        for purely combinatorial methods), and the convex baseline's
+        for the combinatorial method), and the convex baseline's
         :meth:`~repro.baselines.convex_mincut.MinCutEngine.stats` (``None``
-        when the method did not run).
+        when it did not run).
     """
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    max_vertices = max_vertices or {}
-    memory_sizes = list(memory_sizes)
-    engine = BoundEngine(
-        graph,
-        num_eigenvalues=num_eigenvalues,
-        cache=cache,
-        solver=solver,
-        lineage=lineage if lineage is not None else family,
-    )
-    cut_stats: Optional[Dict[str, object]] = None
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     max_in = graph.max_in_degree
     feasible_ms = [
         M for M in memory_sizes if not (skip_infeasible and max_in + 1 > M)
     ]
-    rows: List[SweepRow] = []
-    if not feasible_ms:
-        return rows, 0, [], cut_stats
-
-    def emit(method: str, M: int, bound: float, best_k: Optional[int], elapsed: float) -> None:
-        rows.append(
-            SweepRow(
-                family=family,
-                size_param=size_param,
-                num_vertices=graph.num_vertices,
-                num_edges=graph.num_edges,
-                max_in_degree=max_in,
-                memory_size=M,
-                method=method,
-                bound=float(bound),
-                best_k=best_k,
-                elapsed_seconds=elapsed,
-            )
+    cap = (max_vertices or {}).get(method)
+    if not feasible_ms or (cap is not None and graph.num_vertices > cap):
+        return [], 0, [], None
+    if method == "convex-min-cut":
+        mincut_engine = MinCutEngine(graph, store=cut_store, lineage=family)
+        per_m = _evaluate_convex(
+            graph, feasible_ms, convex_vertex_cap, mincut_engine, convex_chunk
         )
-
-    for method in methods:
-        cap = max_vertices.get(method)
-        if cap is not None and graph.num_vertices > cap:
-            continue
-        if method in ("spectral", "spectral-unnormalized"):
-            per_m = _evaluate_spectral(method, engine, feasible_ms)
-        else:  # convex-min-cut
-            mincut_engine = MinCutEngine(
-                graph,
-                store=cut_store,
-                lineage=lineage if lineage is not None else family,
-            )
-            per_m = _evaluate_convex(
-                graph, feasible_ms, convex_vertex_cap, mincut_engine, convex_chunk
-            )
-            cut_stats = mincut_engine.stats()
-        for M in feasible_ms:
-            bound, best_k, elapsed = per_m[M]
-            emit(method, M, bound, best_k, elapsed)
-    return rows, engine.num_eigensolves, engine.solve_log, cut_stats
+        solves, records, cut_stats = 0, [], mincut_engine.stats()
+    else:
+        engine = BoundEngine(
+            graph,
+            num_eigenvalues=num_eigenvalues,
+            cache=cache,
+            solver=solver,
+            lineage=family,
+        )
+        per_m = _evaluate_spectral(method, engine, feasible_ms)
+        solves, records, cut_stats = engine.num_eigensolves, engine.solve_log, None
+    rows = [
+        SweepRow(
+            family=family,
+            size_param=size_param,
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+            max_in_degree=max_in,
+            memory_size=M,
+            method=method,
+            bound=float(bound),
+            best_k=best_k,
+            elapsed_seconds=elapsed,
+        )
+        for M in feasible_ms
+        for bound, best_k, elapsed in [per_m[M]]
+    ]
+    return rows, solves, records, cut_stats
 
 
 def sweep(
@@ -292,7 +276,7 @@ def sweep(
     list[SweepRow]
         One row per (size, M, method) combination actually evaluated.
     """
-    # Imported here: the orchestrator imports this module for the per-graph
+    # Imported here: the orchestrator imports this module for the sweep task
     # kernel, so a top-level import would be circular.
     from repro.runtime.orchestrator import SweepOrchestrator
 

@@ -19,6 +19,7 @@ JSON-decodes requests into :class:`BoundQuery` objects and calls
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -152,8 +153,19 @@ class BoundService:
         )
         self._num_eigenvalues = int(num_eigenvalues)
         self._max_engines = int(max_engines)
+        # Two LRUs of per-graph engines (see _engine_for), each with its
+        # constructor.  A min-cut engine's in-memory cut table (and the shared
+        # persistent CutStore) make repeat queries on its graph flow-free at
+        # any M.
         self._engines: "OrderedDict[object, BoundEngine]" = OrderedDict()
+        self._new_engine = functools.partial(
+            BoundEngine,
+            num_eigenvalues=self._num_eigenvalues,
+            solver=self._solver,
+            cache=self._cache,
+        )
         self._mincut_engines: "OrderedDict[object, MinCutEngine]" = OrderedDict()
+        self._new_mincut_engine = functools.partial(MinCutEngine, store=self._cut_store)
         self._lock = threading.Lock()
         self._queries_served = 0
         self._deduped = 0
@@ -277,7 +289,9 @@ class BoundService:
                 f"unknown normalization {query.normalization!r}; expected one of "
                 f"{sorted(_NORMALIZATIONS)}"
             )
-        engine, description = self._engine_for(query.graph)
+        engine, description = self._engine_for(
+            self._engines, self._new_engine, query.graph
+        )
         start = time.perf_counter()
         if int(query.num_processors) == 1:
             if normalized:
@@ -311,7 +325,9 @@ class BoundService:
 
     def _answer_mincut(self, query: BoundQuery) -> BoundAnswer:
         """Serve one convex min-cut query through a (cached) MinCutEngine."""
-        engine, description = self._mincut_engine_for(query.graph)
+        engine, description = self._engine_for(
+            self._mincut_engines, self._new_mincut_engine, query.graph
+        )
         start = time.perf_counter()
         # Read the flow count under the engine's lock: a query that waited
         # out another thread's pass must not count that pass's flows too.
@@ -348,67 +364,31 @@ class BoundService:
             return ref, GraphSpec(path=ref).describe()
         raise TypeError(f"cannot serve a graph of type {type(ref).__name__}")
 
-    def _mincut_engine_for(self, ref: GraphRef):
-        """The (LRU-cached) convex min-cut engine for a graph reference.
+    def _engine_for(
+        self, registry: "OrderedDict[object, object]", build, ref: GraphRef
+    ):
+        """The LRU-cached engine of ``registry`` for a graph reference, plus
+        its name; ``build(graph, lineage=...)`` makes a missing one.
 
-        Mirrors :meth:`_engine_for`; the engine's in-memory cut table (and
-        the shared persistent :class:`CutStore`) make repeat queries on the
-        same graph flow-free regardless of the memory size asked about.
+        The engine is built outside the lock (rehydrating a spec can read
+        disk).  When two threads race to build one, the first to register
+        it wins and the other drops its copy unused.
         """
         key, description = self._ref_key(ref)
         with self._lock:
-            engine = self._mincut_engines.get(key)
+            engine = registry.get(key)
             if engine is not None:
-                self._mincut_engines.move_to_end(key)
+                registry.move_to_end(key)
                 return engine, description
-        graph = ref if isinstance(ref, ComputationGraph) else (
-            ref.build() if isinstance(ref, GraphSpec) else GraphSpec(path=ref).build()
-        )
-        lineage = ref.family if isinstance(ref, GraphSpec) else None
-        engine = MinCutEngine(graph, store=self._cut_store, lineage=lineage)
-        with self._lock:
-            existing = self._mincut_engines.get(key)
-            if existing is not None:
-                engine = existing
-            else:
-                self._mincut_engines[key] = engine
-            self._mincut_engines.move_to_end(key)
-            while len(self._mincut_engines) > self._max_engines:
-                self._mincut_engines.popitem(last=False)
-        return engine, description
-
-    def _engine_for(self, ref: GraphRef):
-        """The (LRU-cached) engine for a graph reference, plus its name."""
-        key, description = self._ref_key(ref)
-        with self._lock:
-            engine = self._engines.get(key)
-            if engine is not None:
-                self._engines.move_to_end(key)
-                return engine, description
-        # Build outside the lock (rehydrating a spec can read disk); a racing
-        # duplicate engine is harmless — both share the same spectrum cache.
-        lineage = None
         if isinstance(ref, ComputationGraph):
-            graph = ref
-        elif isinstance(ref, GraphSpec):
-            graph = ref.build()
-            lineage = ref.family
+            graph, lineage = ref, None
         else:
-            graph = GraphSpec(path=ref).build()
-        engine = BoundEngine(
-            graph,
-            num_eigenvalues=self._num_eigenvalues,
-            solver=self._solver,
-            cache=self._cache,
-            lineage=lineage,
-        )
+            spec = ref if isinstance(ref, GraphSpec) else GraphSpec(path=ref)
+            graph, lineage = spec.build(), spec.family
+        engine = build(graph, lineage=lineage)
         with self._lock:
-            existing = self._engines.get(key)
-            if existing is not None:
-                engine = existing
-            else:
-                self._engines[key] = engine
-            self._engines.move_to_end(key)
-            while len(self._engines) > self._max_engines:
-                self._engines.popitem(last=False)
+            engine = registry.setdefault(key, engine)
+            registry.move_to_end(key)
+            while len(registry) > self._max_engines:
+                registry.popitem(last=False)
         return engine, description

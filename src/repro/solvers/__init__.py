@@ -11,7 +11,7 @@ the block form of that iteration (LOBPCG); this subpackage provides
   accepts ``auto`` or a backend id), :func:`resolve_method` (which maps
   ``auto`` to one of them by size) and :func:`solve_smallest`,
 * :mod:`amg` — a pure-SciPy smoothed-aggregation multigrid V-cycle (the
-  ``amg`` backend's preconditioner when ``pyamg`` is not installed),
+  ``amg`` backend's preconditioner),
 * :mod:`dense` — exact dense spectra via LAPACK (``numpy.linalg.eigvalsh``),
 * :mod:`spectrum_cache` — an LRU cache of eigensolves keyed by (graph
   fingerprint, normalisation, resolved backend), shared by all bound

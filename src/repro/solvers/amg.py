@@ -1,11 +1,10 @@
 """Pure-SciPy smoothed-aggregation algebraic multigrid (AMG) V-cycle.
 
 The ``amg`` spectral backend runs LOBPCG on the shifted Laplacian
-``A = L + sigma I`` preconditioned by ``M ~= A^{-1}``.  When `pyamg
-<https://github.com/pyamg/pyamg>`_ is importable the preconditioner comes
-from ``pyamg.smoothed_aggregation_solver`` (its C kernels are faster); this
-module is the dependency-free fallback so the backend works from the
-stdlib+numpy+scipy baseline the repo targets.
+``A = L + sigma I`` preconditioned by ``M ~= A^{-1}``, and this module
+builds ``M`` from the stdlib+numpy+scipy baseline the repo targets.  It is
+the only preconditioner: the ``amg`` backend gives the same digits on every
+host, whatever else is installed there.
 
 The construction is classical smoothed aggregation (Vanek, Mandel, Brezina):
 
@@ -57,7 +56,6 @@ __all__ = [
     "tentative_prolongator",
     "smoothed_prolongator",
     "estimate_jacobi_radius",
-    "pyamg_available",
 ]
 
 #: Relative strength-of-connection threshold.  ``0.0`` keeps every coupling
@@ -318,27 +316,6 @@ class SmoothedAggregationPreconditioner(spla.LinearOperator):
         return self  # symmetric cycle (same pre/post smoother, Galerkin)
 
 
-def pyamg_available() -> bool:
-    """Whether the optional ``pyamg`` accelerator imports."""
-    try:
-        import pyamg  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _pyamg_preconditioner(matrix: sp.csr_matrix) -> Optional[spla.LinearOperator]:
-    try:
-        import pyamg
-    except ImportError:
-        return None
-    try:  # pragma: no cover - exercised only where pyamg is installed
-        ml = pyamg.smoothed_aggregation_solver(matrix)
-        return ml.aspreconditioner(cycle="V")
-    except Exception:
-        return None  # fall back to the in-package hierarchy
-
-
 def smoothed_aggregation_preconditioner(
     matrix: sp.spmatrix,
     theta: float = DEFAULT_THETA,
@@ -346,21 +323,13 @@ def smoothed_aggregation_preconditioner(
     coarse_size: int = DEFAULT_COARSE_SIZE,
     max_levels: int = DEFAULT_MAX_LEVELS,
     seed: int = 0,
-) -> spla.LinearOperator:
-    """The AMG V-cycle preconditioner for a sparse SPD matrix.
-
-    Uses ``pyamg`` when importable (same algorithm, compiled kernels);
-    otherwise builds the in-package
-    :class:`SmoothedAggregationPreconditioner`.  Either way the result is a
+) -> SmoothedAggregationPreconditioner:
+    """The AMG V-cycle preconditioner for a sparse SPD matrix: the
     :class:`~scipy.sparse.linalg.LinearOperator` approximating
     ``matrix^{-1}``.
     """
-    csr = matrix.tocsr()
-    accelerated = _pyamg_preconditioner(csr)
-    if accelerated is not None:
-        return accelerated
     return SmoothedAggregationPreconditioner(
-        csr,
+        matrix.tocsr(),
         theta=theta,
         omega=omega,
         coarse_size=coarse_size,

@@ -238,9 +238,9 @@ class AmgBackend(LobpcgBackend):
     factorisation of ``L + sigma I`` (whose fill grows superlinearly on
     expander-ish computation graphs — at n ~ 100k the factor dwarfs the
     matrix), this backend builds a smoothed-aggregation hierarchy
-    (:mod:`repro.solvers.amg`, or ``pyamg`` when installed) in O(m) memory
-    and runs *un*-transformed LOBPCG on ``A = L + sigma I`` with the V-cycle
-    as the preconditioner ``M ~= A^{-1}``.  Per iteration that is a handful
+    (:mod:`repro.solvers.amg`) in O(m) memory and runs *un*-transformed
+    LOBPCG on ``A = L + sigma I`` with the V-cycle as the preconditioner
+    ``M ~= A^{-1}``.  Per iteration that is a handful
     of SpMVs instead of triangular solves against a dense-ish factor, and
     setup is linear — the combination is what unlocks n >> 50k on one core.
 

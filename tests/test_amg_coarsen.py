@@ -18,6 +18,8 @@ Covers the three tentpole layers and their contracts:
 from __future__ import annotations
 
 import importlib.util
+import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -129,6 +131,18 @@ class TestAmgMachinery:
         block = rng.standard_normal((matrix.shape[0], 4))
         stacked = np.stack([precond @ block[:, j] for j in range(4)], axis=1)
         np.testing.assert_allclose(precond @ block, stacked, atol=1e-12)
+
+    def test_an_installed_pyamg_is_not_used(self, monkeypatch):
+        # The in-package hierarchy is the only preconditioner, so an amg
+        # spectrum has the same digits on hosts with and without pyamg.
+        sentinel = object()
+        stub = types.ModuleType("pyamg")
+        stub.smoothed_aggregation_solver = lambda *args, **kwargs: (
+            types.SimpleNamespace(aspreconditioner=lambda *a, **k: sentinel)
+        )
+        monkeypatch.setitem(sys.modules, "pyamg", stub)
+        precond = smoothed_aggregation_preconditioner(shifted_fft_laplacian(5))
+        assert isinstance(precond, SmoothedAggregationPreconditioner)
 
 
 class TestAmgBackendParity:

@@ -36,6 +36,18 @@ def row_key(row):
     )
 
 
+def record_key(record):
+    """The schedule- and timing-free fields of a task record."""
+    return (
+        record.family,
+        record.size_param,
+        record.method,
+        record.size_estimate,
+        record.backend,
+        record.num_eigensolves,
+    )
+
+
 class TestFamilies:
     def test_registry_builders_are_generators(self):
         assert family_builder("fft") is fft_graph
@@ -99,8 +111,8 @@ class TestOrchestrator:
         ).run_family("fft", fft_graph, SIZES, MEMORY_SIZES, methods=METHODS)
         assert [row_key(r) for r in pooled.rows] == [row_key(r) for r in serial.rows]
         assert pooled.processes == 2
-        # Per-(graph, normalization) task split: one task per (size, method).
-        assert len(pooled.per_task_seconds) == len(SIZES) * len(METHODS)
+        # One task per (graph, method).
+        assert len(pooled.tasks) == len(SIZES) * len(METHODS)
 
     def test_second_run_against_same_store_is_solve_free(self, tmp_path):
         """The PR's acceptance criterion, at test scale."""
@@ -188,29 +200,49 @@ class TestOrchestrator:
         estimates = [r.size_estimate for r in by_rank]
         assert estimates == sorted(estimates, reverse=True)
         assert estimates[0] == max(r.size_estimate for r in records)
+        # Pool workers run the serial loop's task function: apart from
+        # timings and the schedule, every record matches its serial twin.
+        assert [record_key(r) for r in records] == [
+            record_key(r) for r in serial.tasks
+        ]
 
-    def test_task_records_carry_backend_and_dtype(self, tmp_path):
+    def test_task_records_carry_backend_and_size_estimate(self, tmp_path):
         report = SweepOrchestrator(num_eigenvalues=20).run_family(
             "fft", fft_graph, [3, 4], MEMORY_SIZES, methods=("spectral",)
         )
         assert len(report.tasks) == 2
         for record in report.tasks:
+            assert record.method == "spectral"
             assert record.backend == "dense"  # auto resolves dense at this scale
-            assert "dtype" not in record.as_dict()
+            fields = record.as_dict()
+            assert "dtype" not in fields and "methods" not in fields
             assert record.num_eigensolves >= 0
             assert record.solve_seconds >= 0.0
             assert record.size_estimate == (record.size_param + 1) * 2**record.size_param
 
-    def test_split_disabled_is_one_task_per_graph(self):
-        report = SweepOrchestrator(num_eigenvalues=20, split_methods=False).run_family(
-            "fft", fft_graph, SIZES, MEMORY_SIZES, methods=METHODS
+    def test_tasks_of_one_graph_share_its_build(self):
+        built = []
+
+        def builder(size):
+            built.append(size)
+            return fft_graph(size)
+
+        report = SweepOrchestrator(num_eigenvalues=20).run_family(
+            "fft", builder, SIZES, MEMORY_SIZES, methods=METHODS
         )
-        assert len(report.tasks) == len(SIZES)
-        assert all(record.methods == METHODS for record in report.tasks)
-        split = SweepOrchestrator(num_eigenvalues=20).run_family(
-            "fft", fft_graph, SIZES, MEMORY_SIZES, methods=METHODS
-        )
-        assert [row_key(r) for r in report.rows] == [row_key(r) for r in split.rows]
+        assert len(report.tasks) == len(SIZES) * len(METHODS)
+        assert built == SIZES
+
+    def test_deleted_scheduling_knobs_are_rejected(self):
+        # Largest-first with one convex chunk per worker is the only pooled
+        # schedule; the knobs that changed it are gone.
+        for knob, value in (
+            ("split_methods", False),
+            ("largest_first", False),
+            ("convex_chunks", 3),
+        ):
+            with pytest.raises(TypeError):
+                SweepOrchestrator(processes=2, **{knob: value})
 
     def test_report_summary_shape(self, tmp_path):
         report = SweepOrchestrator(store=tmp_path / "s", num_eigenvalues=20).run_family(
@@ -246,26 +278,13 @@ class TestConvexMinCutOrchestration:
         assert [row_key(r) for r in pooled.rows] == [row_key(r) for r in serial.rows]
         # Each graph's convex task split into one chunk per worker, scheduled
         # alongside the spectral tasks.
-        convex_records = [
-            r for r in pooled.tasks if r.methods == ("convex-min-cut",)
-        ]
+        convex_records = [r for r in pooled.tasks if r.method == "convex-min-cut"]
         assert len(convex_records) == 2 * len(SIZES)
         assert {r.num_chunks for r in convex_records} == {2}
+        assert sorted(r.chunk_index for r in convex_records) == [0, 0, 1, 1]
         assert sum(r.flow_calls for r in convex_records) > 0
-        spectral_records = [r for r in pooled.tasks if r.methods == ("spectral",)]
+        spectral_records = [r for r in pooled.tasks if r.method == "spectral"]
         assert all(r.flow_calls == 0 for r in spectral_records)
-
-    def test_explicit_chunk_count(self, tmp_path):
-        report = SweepOrchestrator(
-            store=tmp_path / "s", processes=2, convex_chunks=3, num_eigenvalues=30
-        ).run_family("fft", fft_graph, [3], MEMORY_SIZES, methods=("convex-min-cut",))
-        convex_records = [r for r in report.tasks if r.methods == ("convex-min-cut",)]
-        assert len(convex_records) == 3
-        assert sorted(r.chunk_index for r in convex_records) == [0, 1, 2]
-        serial = SweepOrchestrator(num_eigenvalues=30).run_family(
-            "fft", fft_graph, [3], MEMORY_SIZES, methods=("convex-min-cut",)
-        )
-        assert [row_key(r) for r in report.rows] == [row_key(r) for r in serial.rows]
 
     def test_warm_store_run_is_flow_free(self, tmp_path):
         store_root = tmp_path / "s"
@@ -309,10 +328,6 @@ class TestConvexMinCutOrchestration:
             "fft", fft_graph, [3], MEMORY_SIZES, methods=("convex-min-cut",)
         )
         assert report.summary()["num_flow_calls"] == report.num_flow_calls > 0
-
-    def test_invalid_chunk_count_rejected(self):
-        with pytest.raises(ValueError, match="convex_chunks"):
-            SweepOrchestrator(convex_chunks=0)
 
 
 class TestBlasPinning:
