@@ -13,3 +13,15 @@ from pathlib import Path
 _SRC = Path(__file__).resolve().parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+
+def pytest_configure(config):
+    """Keep the warning filter :mod:`repro.solvers.backends` installs at
+    import: pytest restores the filters around collection and every test,
+    which would drop it and show SciPy's LOBPCG shortfall warning in tests
+    where the program's users never see it."""
+    from repro.solvers.backends import SHORTFALL_WARNING
+
+    config.addinivalue_line(
+        "filterwarnings", f"ignore:{SHORTFALL_WARNING}:UserWarning:repro.solvers.backends"
+    )

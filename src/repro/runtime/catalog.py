@@ -63,7 +63,7 @@ from repro.utils.logging import get_logger
 CATALOG_NAME = "catalog.sqlite"
 
 #: The ``PRAGMA user_version`` of this schema; any other is discarded.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: How long a write waits for another process's transaction to finish.
 BUSY_TIMEOUT_SECONDS = 30.0

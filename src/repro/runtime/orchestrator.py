@@ -18,6 +18,8 @@ candidate-vertex **chunk** per worker, scheduled like any other task; chunk
 rows are max-merged on reassembly, which is exact because ``max_v`` over a
 union of candidate sets is the max of per-chunk maxima.  Rows are
 reassembled in task order, so a pooled sweep returns the serial sweep's rows.
+The first task that fails stops a pooled sweep: queued tasks are cancelled,
+the workers terminated and joined, and that task's exception raised.
 
 Workers never receive a live graph.  A task carries either a picklable
 builder callable (the generators are module-level functions) or a
@@ -45,9 +47,10 @@ graph share its build, and nothing is pickled.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -314,14 +317,53 @@ def _run_in_worker(
     obs.worker_configure(parent_context, shard_base)
     store = SpectrumStore(store_root) if store_root else None
     cut_store = CutStore(store_root) if store_root else None
-    return _run_task(
-        solve_task,
-        schedule_rank,
-        options,
-        SpectrumCache(store=store),
-        cut_store,
-        profile_base=shard_base,
-    )
+    try:
+        return _run_task(
+            solve_task,
+            schedule_rank,
+            options,
+            SpectrumCache(store=store),
+            cut_store,
+            profile_base=shard_base,
+        )
+    finally:
+        _return_freed_heap()
+
+
+def _return_freed_heap() -> None:
+    """Give the heap a finished task freed back to the OS.
+
+    glibc keeps freed memory in the process's heap: after a ``lobpcg``
+    task a worker held 89-120 MB instead of 65 MB, and its next dense task
+    peaked on top of that.  ``malloc_trim(0)`` returns it; where the C
+    library has no such call this does nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
+def _stop_workers(pool: ProcessPoolExecutor, futures: Iterable) -> None:
+    """Cancel ``futures`` still queued, then terminate and join the workers.
+
+    Python 3.10-3.13 have no public call that stops a running worker (3.14
+    adds ``terminate_workers()``, which does not join), so this is the one
+    place that reads the executor's process table, ``_processes``.  Each
+    worker is joined, not only signalled: an unreaped zombie still answers
+    ``kill(pid, 0)``, and the store's same-host dead-pid check reclaims a
+    lease only once that pid is gone.
+    """
+    for future in futures:
+        future.cancel()
+    workers = list((pool._processes or {}).values())
+    for worker in workers:
+        worker.terminate()
+    for worker in workers:
+        worker.join()
 
 
 def _merge_chunk_rows(chunk_rows: List[List[SweepRow]]) -> List[SweepRow]:
@@ -557,24 +599,28 @@ class SweepOrchestrator:
         tracer = obs.get_tracer()
         context = obs.current_context()
         trace = (context, tracer.path) if tracer is not None and context else None
+        pool = ProcessPoolExecutor(
+            max_workers=min(self._processes, len(solve_tasks)),
+            initializer=pin_worker_blas_threads,
+        )
+        futures: list = [None] * len(solve_tasks)
         try:
-            with ProcessPoolExecutor(
-                max_workers=min(self._processes, len(solve_tasks)),
-                initializer=pin_worker_blas_threads,
-            ) as pool:
-                futures = {
-                    index: pool.submit(
-                        _run_in_worker,
-                        solve_tasks[index],
-                        rank,
-                        options,
-                        store_root,
-                        trace,
-                    )
-                    for rank, index in enumerate(order)
-                }
-                return [futures[index].result() for index in range(len(solve_tasks))]
+            for rank, index in enumerate(order):
+                futures[index] = pool.submit(
+                    _run_in_worker, solve_tasks[index], rank, options, store_root, trace
+                )
+            # Fail fast: the first failed task stops the sweep, instead of
+            # waiting for every task already running to finish.
+            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+            failed = [f for f in futures if f in done and f.exception() is not None]
+            if failed:
+                raise failed[0].exception()
+            return [future.result() for future in futures]
+        except BaseException:
+            _stop_workers(pool, [future for future in futures if future is not None])
+            raise
         finally:
+            pool.shutdown(wait=True)
             if trace is not None and trace[1] is not None:
                 obs.merge_shards(trace[1], trace[1])
 

@@ -12,7 +12,10 @@ the block form of that iteration (LOBPCG); this subpackage provides
   ``auto`` to one of them by size) and :func:`solve_smallest`,
 * :mod:`amg` — a pure-SciPy smoothed-aggregation multigrid V-cycle (the
   ``amg`` backend's preconditioner),
-* :mod:`dense` — exact dense spectra via LAPACK (``numpy.linalg.eigvalsh``),
+* :mod:`dense` — exact dense spectra via LAPACK: the two-stage
+  ``dsyevr_2stage`` from 1,000 vertices, ``numpy.linalg.eigvalsh`` below,
+* :mod:`openblas` — the LAPACK routine NumPy and SciPy do not wrap
+  (``dsyevr_2stage``), looked up in an OpenBLAS the process already loaded,
 * :mod:`spectrum_cache` — an LRU cache of eigensolves keyed by (graph
   fingerprint, normalisation, resolved backend), shared by all bound
   computations so repeated bounds on the same graph solve once.

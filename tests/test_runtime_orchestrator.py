@@ -7,14 +7,19 @@ pooled execution produces exactly the rows the serial path produces.
 
 from __future__ import annotations
 
+import sys
+import time
+
+import numpy as np
 import pytest
 
 from repro.analysis.sweep import sweep
 from repro.graphs.generators import fft_graph, inner_product_graph
-from repro.graphs.io import save_graph_npz
+from repro.graphs.io import load_graph_npz, save_graph_npz
 from repro.runtime.families import FAMILY_BUILDERS, GraphSpec, family_builder, resolve_graph
 from repro.runtime.orchestrator import SweepOrchestrator, SweepTask
 from repro.runtime.store import SpectrumStore
+from repro.solvers.dense import TWO_STAGE_MIN
 
 SIZES = [3, 4]
 MEMORY_SIZES = [4, 8]
@@ -46,6 +51,29 @@ def record_key(record):
         record.backend,
         record.num_eigensolves,
     )
+
+
+#: The store the two builders below meet in; set per test (fork-started
+#: pool workers inherit it).
+_STORE_ROOT = None
+
+
+def _lease_then_block(size_param):
+    """Take the normalised fft spectrum's solve lease, as a worker solving
+    it would hold it, then block for a minute.  Module-level, so a pool
+    can pickle it."""
+    graph = fft_graph(size_param)
+    SpectrumStore(_STORE_ROOT).acquire_lease(graph.fingerprint(), normalized=True, backend="dense")
+    time.sleep(60)
+    return graph
+
+
+def _missing_npz_once_leased(size_param):
+    """Load a missing ``.npz`` once the other task holds its lease."""
+    deadline = time.monotonic() + 30
+    while not SpectrumStore(_STORE_ROOT).leases() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return load_graph_npz(f"{_STORE_ROOT}/missing.npz")
 
 
 class TestFamilies:
@@ -113,6 +141,55 @@ class TestOrchestrator:
         assert pooled.processes == 2
         # One task per (graph, method).
         assert len(pooled.tasks) == len(SIZES) * len(METHODS)
+
+    def test_pooled_equals_serial_above_the_two_stage_crossover(self, tmp_path):
+        """fft:7 (n = 1,024) gets its spectra from the two-stage dense
+        solver in the workers and in-process, at this host's default BLAS
+        threads: the same floats either way."""
+        assert fft_graph(7).num_vertices >= TWO_STAGE_MIN
+        runs = {}
+        for processes in (1, 2):
+            root = tmp_path / f"spectra-{processes}"
+            runs[processes] = (root, SweepOrchestrator(
+                store=root, processes=processes, num_eigenvalues=100
+            ).run_family("fft", fft_graph, [3, 7], [3, 4], methods=METHODS))
+        (serial_root, serial), (pooled_root, pooled) = runs[1], runs[2]
+        fields = lambda r: (r.family, r.size_param, r.method, r.memory_size, r.bound, r.best_k)
+        assert [fields(r) for r in pooled.rows] == [fields(r) for r in serial.rows]
+        assert any(r.bound > 0 for r in pooled.rows if r.size_param == 7)
+        fingerprint = fft_graph(7).fingerprint()
+        for normalized in (True, False):
+            spectra = [SpectrumStore(root).get(fingerprint, 100, normalized=normalized)
+                       for root in (serial_root, pooled_root)]
+            np.testing.assert_array_equal(spectra[0].eigenvalues, spectra[1].eigenvalues)
+
+    def test_a_failed_task_stops_a_pooled_sweep(self, tmp_path, monkeypatch):
+        """The first failed task cancels the rest and terminates the
+        workers, instead of raising once the running tasks end (here, in
+        a minute).  The workers are joined, so the lease the blocked one
+        held is reclaimed at once: a zombie would keep it for its ttl."""
+        root = tmp_path / "spectra"
+        monkeypatch.setattr(sys.modules[__name__], "_STORE_ROOT", str(root))
+        tasks = [
+            SweepTask(family="blocking", size_param=4, builder=_lease_then_block),
+            SweepTask(family="missing", size_param=1, builder=_missing_npz_once_leased),
+        ]
+        start = time.monotonic()
+        with pytest.raises(FileNotFoundError):
+            SweepOrchestrator(store=root, processes=2, num_eigenvalues=10).run(
+                tasks, MEMORY_SIZES
+            )
+        assert time.monotonic() - start < 10
+        # The terminated worker left its lease, and its pid is already gone.
+        assert [lease["stale"] for lease in SpectrumStore(root).leases()] == [True]
+
+        start = time.monotonic()
+        report = SweepOrchestrator(store=root, processes=2, num_eigenvalues=10).run_family(
+            "fft", fft_graph, [3, 4], MEMORY_SIZES
+        )
+        assert time.monotonic() - start < 10
+        assert report.num_eigensolves == 2 and report.num_rows == 4
+        assert SpectrumStore(root).leases() == []
 
     def test_second_run_against_same_store_is_solve_free(self, tmp_path):
         """The PR's acceptance criterion, at test scale."""

@@ -12,18 +12,24 @@ Covers the PR 3 contracts:
   *resolved* backend: variants coexist, ``auto`` shares a spectrum with the
   backend it picks, and the answer never depends on which request or
   process came first,
-* the store's size-capped LRU eviction and integrity verification.
+* the store's size-capped LRU eviction and integrity verification,
+* concurrent iterative solves leave the process's warning filters alone.
 """
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.solvers.backends as backends_module
 from repro.core.engine import BoundEngine
 from repro.core.spectra import butterfly_spectrum_array, hypercube_spectrum_array
@@ -321,3 +327,50 @@ class TestStoreHygiene:
         assert store.clear(lineage="fft") == 0
         assert len(store) == 1
         assert store.clear() == 1  # unfiltered clear removes the rest
+
+
+#: Concurrent ``lobpcg`` and ``amg`` solves on three threads, every one of
+#: which makes SciPy's ``lobpcg`` warn that it stopped short of the
+#: tolerance; prints whether ``warnings.filters`` came through unchanged.
+_CONCURRENT_SOLVES = """
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
+from repro.graphs.generators import fft_graph
+from repro.graphs.laplacian import laplacian
+from repro.solvers.backends import solve_smallest
+
+laplacians = {
+    7: laplacian(fft_graph(7), normalized=True, sparse=True),
+    8: laplacian(fft_graph(8), normalized=False, sparse=True),
+}
+jobs = [(levels, backend) for levels in (7, 8, 8, 7) for backend in ("lobpcg", "amg")]
+before = list(warnings.filters)
+with ThreadPoolExecutor(3) as pool:
+    solved = list(pool.map(lambda job: solve_smallest(laplacians[job[0]], 100, job[1]), jobs))
+print(list(warnings.filters) == before, len(solved))
+"""
+
+
+class TestProcessGlobalState:
+    def test_concurrent_solves_leave_the_warning_filters_alone(self):
+        """No solve changes the process's warning filters, and the one
+        import-time filter keeps SciPy's convergence warning off stderr.
+
+        Runs in a fresh interpreter, outside pytest's own warning capture.
+        A ``catch_warnings`` block around each solve, which saves and
+        restores the process-wide filter list, failed this in 8 of 10 runs.
+        """
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS="1",
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _CONCURRENT_SOLVES],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "8"]
+        assert result.stderr == ""

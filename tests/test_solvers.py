@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.graphs.generators import fft_graph
+import repro.solvers.openblas as openblas
+from repro.core.spectra import butterfly_spectrum_array
+from repro.graphs.generators import fft_graph, naive_matmul_graph
 from repro.graphs.laplacian import laplacian
 from repro.solvers.backends import solve_smallest
-from repro.solvers.dense import dense_smallest_eigenvalues, dense_spectrum
+from repro.solvers.dense import TWO_STAGE_MIN, dense_smallest_eigenvalues, dense_spectrum
 
 
 def example_laplacian(levels: int = 3, normalized: bool = True) -> np.ndarray:
@@ -95,6 +97,81 @@ class TestDense:
 
     def test_empty_matrix(self):
         assert dense_spectrum(np.zeros((0, 0))).shape == (0,)
+
+
+@pytest.fixture
+def hidden_two_stage(monkeypatch):
+    """No loaded OpenBLAS exports the two-stage routine, as under another BLAS."""
+    monkeypatch.setattr(openblas, "TWO_STAGE_SYMBOLS", ("no_such_routine_",))
+    openblas._routine.cache_clear()
+    yield
+    openblas._routine.cache_clear()
+
+
+class TestTwoStageDense:
+    """The dense backend from :data:`TWO_STAGE_MIN` vertices: LAPACK's
+    two-stage ``dsyevr_2stage``, all eigenvalues, in place."""
+
+    def test_fft8_equals_the_closed_form(self):
+        lap = laplacian(fft_graph(8), normalized=False, sparse=True)  # n = 2,304
+        assert lap.shape[0] >= TWO_STAGE_MIN
+        values = solve_smallest(lap, 100, "dense").eigenvalues
+        np.testing.assert_allclose(values, butterfly_spectrum_array(8)[:100], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "graph, normalized",
+        [(fft_graph(7), True), (naive_matmul_graph(8), False)],
+        ids=["fft-7", "matmul-8"],
+    )
+    def test_a_short_spectrum_is_a_prefix_of_a_long_one(self, graph, normalized):
+        """Caches and the store serve prefixes of longer spectra, so h = 20
+        must read the first 20 of h = 100 bit for bit (an index-range
+        LAPACK call bisects for its values and differs in the last digits)."""
+        lap = laplacian(graph, normalized=normalized, sparse=True)
+        assert lap.shape[0] >= TWO_STAGE_MIN
+        short = solve_smallest(lap, 20, "dense").eigenvalues
+        long = solve_smallest(lap, 100, "dense").eigenvalues
+        np.testing.assert_array_equal(short, long[:20])
+
+    def test_a_callers_ndarray_is_left_unmodified(self):
+        matrix = laplacian(fft_graph(7), normalized=True)
+        assert matrix.shape[0] >= TWO_STAGE_MIN
+        before = matrix.copy()
+        values = dense_spectrum(matrix)
+        np.testing.assert_array_equal(matrix, before)
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(before), atol=1e-12)
+
+    def test_dense_takes_the_two_stage_path_where_it_is_exported(self):
+        if openblas.two_stage_symbol() is None:
+            pytest.skip("no loaded OpenBLAS exports dsyevr_2stage")
+        assert openblas.two_stage_symbol() in openblas.TWO_STAGE_SYMBOLS
+        matrix = laplacian(fft_graph(7), normalized=True)
+        np.testing.assert_array_equal(dense_spectrum(matrix), openblas.syevr_2stage(matrix.copy()))
+
+    @pytest.mark.usefixtures("hidden_two_stage")
+    def test_without_the_symbol_dense_answers_what_eigvalsh_answers(self):
+        assert openblas.two_stage_symbol() is None
+        matrix = laplacian(fft_graph(7), normalized=True)
+        assert openblas.syevr_2stage(matrix.copy()) is None
+        np.testing.assert_array_equal(dense_spectrum(matrix), np.linalg.eigvalsh(matrix))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_tiny_matrices_match_eigvalsh(self, n):
+        if openblas.two_stage_symbol() is None:
+            pytest.skip("no loaded OpenBLAS exports dsyevr_2stage")
+        matrix = np.random.default_rng(n).standard_normal((n, n))
+        matrix += matrix.T
+        np.testing.assert_allclose(
+            openblas.syevr_2stage(matrix.copy()), np.linalg.eigvalsh(matrix), atol=1e-12
+        )
+
+    def test_rejects_arrays_it_cannot_overwrite_in_place(self):
+        if openblas.two_stage_symbol() is None:
+            pytest.skip("no loaded OpenBLAS exports dsyevr_2stage")
+        matrix = np.eye(4)
+        for bad in (matrix[:, ::-1].T, matrix.astype(np.float32), np.broadcast_to(matrix, (4, 4))):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                openblas.syevr_2stage(bad)
 
 
 class TestBackend:

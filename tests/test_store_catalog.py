@@ -301,6 +301,20 @@ class TestFormatReset:
         assert _file_names(root) <= _CATALOG_FILES
         assert store.stats()["formats_discarded"] == 1 and len(store) == 1
 
+    def test_a_format_3_store_is_discarded(self, tmp_path):
+        """Format 3 has this schema, but its dense spectra from 1,000
+        vertices up came from the one-stage ``eigvalsh``, which the
+        two-stage solver does not reproduce to the last digit."""
+        root = tmp_path / "spectra"
+        SpectrumStore(root).put(FP, np.arange(3, dtype=float), 1.0)
+        conn = sqlite3.connect(root / "catalog.sqlite")
+        conn.execute("PRAGMA user_version = 3")
+        conn.close()
+        store = SpectrumStore(root)
+        assert len(store) == 0
+        assert store.stats()["formats_discarded"] == 1
+        assert _user_version(root) == FORMAT_VERSION == 4
+
     def test_a_new_store_is_not_counted_as_discarded(self, tmp_path):
         root = tmp_path / "spectra"
         (root / "cuts").mkdir(parents=True)  # not a store's: no index, no catalog
