@@ -32,7 +32,7 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.convex_mincut import MinCutEngine
-from repro.core.engine import BoundEngine, SolveRecord
+from repro.core.engine import BoundEngine
 from repro.graphs.compgraph import ComputationGraph
 from repro.solvers.spectrum_cache import SpectrumCache
 
@@ -152,7 +152,7 @@ def evaluate_graph_rows(
     solver: str = "auto",
     cut_store=None,
     convex_chunk: Optional[Tuple[int, int]] = None,
-) -> Tuple[List[SweepRow], int, List[SolveRecord], Optional[Dict[str, object]]]:
+) -> Tuple[List[SweepRow], Dict[str, object]]:
     """Evaluate one method at every memory size on one graph.
 
     This is the kernel of every sweep task: the orchestrator runs it once
@@ -167,13 +167,13 @@ def evaluate_graph_rows(
 
     Returns
     -------
-    (rows, num_eigensolves, solve_records, cut_stats)
-        The sweep rows, the number of eigensolves actually performed (0 when
-        every spectrum came from a cache tier), one
-        :class:`~repro.core.engine.SolveRecord` per spectrum fetch (empty
-        for the combinatorial method), and the convex baseline's
-        :meth:`~repro.baselines.convex_mincut.MinCutEngine.stats` (``None``
-        when it did not run).
+    (rows, counters)
+        The sweep rows, and the task's work as
+        :class:`~repro.runtime.orchestrator.TaskRecord` fields:
+        ``num_eigensolves`` (0 when every spectrum came from a cache tier),
+        the resolved ``backend`` (``"-"`` when no spectrum was fetched) and
+        the ``solve_seconds`` of those eigensolves, plus the convex
+        baseline's ``flow_calls`` and ``cut_seconds`` when it ran.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -181,15 +181,18 @@ def evaluate_graph_rows(
     feasible_ms = [
         M for M in memory_sizes if not (skip_infeasible and max_in + 1 > M)
     ]
+    counters: Dict[str, object] = {"num_eigensolves": 0, "backend": "-", "solve_seconds": 0.0}
     cap = (max_vertices or {}).get(method)
     if not feasible_ms or (cap is not None and graph.num_vertices > cap):
-        return [], 0, [], None
+        return [], counters
     if method == "convex-min-cut":
         mincut_engine = MinCutEngine(graph, store=cut_store, lineage=family)
         per_m = _evaluate_convex(
             graph, feasible_ms, convex_vertex_cap, mincut_engine, convex_chunk
         )
-        solves, records, cut_stats = 0, [], mincut_engine.stats()
+        cut_stats = mincut_engine.stats()
+        counters["flow_calls"] = int(cut_stats["flow_calls"])
+        counters["cut_seconds"] = float(cut_stats["cut_seconds"])
     else:
         engine = BoundEngine(
             graph,
@@ -199,7 +202,9 @@ def evaluate_graph_rows(
             lineage=family,
         )
         per_m = _evaluate_spectral(method, engine, feasible_ms)
-        solves, records, cut_stats = engine.num_eigensolves, engine.solve_log, None
+        counters["num_eigensolves"] = engine.num_eigensolves
+        counters["backend"] = engine.backend or "-"
+        counters["solve_seconds"] = engine.eigensolve_seconds
     rows = [
         SweepRow(
             family=family,
@@ -216,7 +221,7 @@ def evaluate_graph_rows(
         for M in feasible_ms
         for bound, best_k, elapsed in [per_m[M]]
     ]
-    return rows, solves, records, cut_stats
+    return rows, counters
 
 
 def sweep(

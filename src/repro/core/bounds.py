@@ -200,8 +200,9 @@ def spectral_bound(
     Returns
     -------
     SpectralBoundResult
-        The bound (clamped at zero), the best ``k``, the eigenvalues used and
-        the full ``k``-sweep for diagnostics.
+        The bound (clamped at zero), its raw value and the best ``k``.  The
+        eigenvalues used come from :func:`bound_spectrum`, and the value at
+        every swept ``k`` from :func:`spectral_bound_from_eigenvalues`.
     """
     engine = _engine(graph, num_eigenvalues, solver, cache)
     if normalized:

@@ -23,19 +23,14 @@ once.
 
 from __future__ import annotations
 
+import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro import obs
-from repro.core.formula import (
-    DEFAULT_NUM_EIGENVALUES,
-    evaluate_bound_formula,
-    resolve_k_candidates,
-)
+from repro.core.formula import DEFAULT_NUM_EIGENVALUES, k_sweep, resolve_k_candidates
 from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
 from repro.solvers.backends import check_solver
@@ -46,34 +41,12 @@ from repro.solvers.spectrum_cache import (
 )
 from repro.utils.validation import check_memory_size, check_positive_int
 
-__all__ = ["BoundEngine", "SweepPoint", "SolveRecord", "SWEEP_METHODS"]
+__all__ = ["BoundEngine", "SweepPoint", "SWEEP_METHODS"]
 
 KSpec = Optional[Union[int, Sequence[int]]]
 
 #: Bound methods understood by :meth:`BoundEngine.sweep`.
 SWEEP_METHODS = ("spectral", "spectral-unnormalized")
-
-
-@dataclass(frozen=True)
-class SolveRecord:
-    """One spectrum fetch performed by an engine (for observability).
-
-    ``backend`` comes from the backend registry via the cache;
-    ``cache_hit`` distinguishes real eigensolves from served lookups, and
-    ``solve_seconds`` is the cost of the underlying solve either way.
-    ``trace_id``/``span_id`` link the fetch into the active trace (the
-    enclosing span at fetch time) when tracing is enabled, ``None``
-    otherwise — JSON outputs carry the link instead of duplicating
-    timing fields.
-    """
-
-    normalized: bool
-    num_eigenvalues: int
-    backend: str
-    solve_seconds: float
-    cache_hit: bool
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -143,12 +116,6 @@ class BoundEngine:
         self._num_eigenvalues = int(num_eigenvalues)
         self._solver = check_solver(solver)
         self._lineage = lineage
-        # Observability log: misses (real eigensolves, at most a handful per
-        # engine — one per distinct (normalization, h)) are kept in full so
-        # long sweeps can't evict them; hits are kept as a small recent
-        # window (they carry no information beyond the serving backend).
-        self._miss_log: Deque[SolveRecord] = deque(maxlen=256)
-        self._hit_log: Deque[SolveRecord] = deque(maxlen=16)
         if cache is not None:
             if store is not None:
                 raise ValueError(
@@ -159,7 +126,12 @@ class BoundEngine:
             self._cache = SpectrumCache(store=store)
         else:
             self._cache = default_spectrum_cache()
+        # One engine serves many threads (BoundService), so the solve
+        # counters are updated under a lock.
+        self._counter_lock = threading.Lock()
         self._eigensolves = 0
+        self._eigensolve_seconds = 0.0
+        self._backend: Optional[str] = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -182,9 +154,15 @@ class BoundEngine:
         return self._eigensolves
 
     @property
-    def solve_log(self) -> List[SolveRecord]:
-        """Spectrum fetches: every eigensolve plus a window of recent hits."""
-        return list(self._miss_log) + list(self._hit_log)
+    def eigensolve_seconds(self) -> float:
+        """Wall time of the eigensolves counted in :attr:`num_eigensolves`."""
+        return self._eigensolve_seconds
+
+    @property
+    def backend(self) -> Optional[str]:
+        """The resolved backend id of the last spectrum fetched (``None``
+        before the first fetch)."""
+        return self._backend
 
     # ------------------------------------------------------------------
     # spectra
@@ -214,19 +192,11 @@ class BoundEngine:
             solver=self._solver,
             lineage=self._lineage,
         )
+        self._backend = fetched.backend
         if not fetched.cache_hit:
-            self._eigensolves += 1
-        context = obs.current_context()
-        record = SolveRecord(
-            normalized=normalized,
-            num_eigenvalues=h,
-            backend=fetched.backend,
-            solve_seconds=fetched.solve_seconds,
-            cache_hit=fetched.cache_hit,
-            trace_id=context.trace_id if context else None,
-            span_id=context.span_id if context else None,
-        )
-        (self._hit_log if fetched.cache_hit else self._miss_log).append(record)
+            with self._counter_lock:
+                self._eigensolves += 1
+                self._eigensolve_seconds += fetched.solve_seconds
         return fetched
 
     # ------------------------------------------------------------------
@@ -234,7 +204,7 @@ class BoundEngine:
     # ------------------------------------------------------------------
     def spectral(self, M: int, k: KSpec = None) -> SpectralBoundResult:
         """Theorem 4 bound (out-degree-normalised Laplacian ``L~``)."""
-        return self._spectral_result(M, k, normalized=True)
+        return self._result(M, k, True, None)
 
     # An alias, not a second path: ``spectral-coarse`` answers the exact
     # bound, and perfbench's stage timers wrap this name.
@@ -242,7 +212,7 @@ class BoundEngine:
 
     def unnormalized(self, M: int, k: KSpec = None) -> SpectralBoundResult:
         """Theorem 5 bound (ordinary Laplacian scaled by ``1/max d_out``)."""
-        return self._spectral_result(M, k, normalized=False)
+        return self._result(M, k, False, None)
 
     def parallel(
         self,
@@ -252,31 +222,7 @@ class BoundEngine:
         normalized: bool = True,
     ) -> ParallelBoundResult:
         """Theorem 6 bound: ``p`` processors with fast memory ``M`` each."""
-        check_memory_size(M)
-        check_positive_int(num_processors, "num_processors")
-        start = time.perf_counter()
-        n = self._graph.num_vertices
-        if n == 0:
-            return ParallelBoundResult(
-                **self._empty_result_fields(M, start), num_processors=num_processors
-            )
-        lam, fetched = self._spectrum_for(k, normalized)
-        raw_best, best_k, per_k = evaluate_bound_formula(
-            lam, n, M, k=k, num_processors=num_processors
-        )
-        return ParallelBoundResult(
-            value=max(0.0, raw_best),
-            raw_value=raw_best,
-            best_k=best_k,
-            num_vertices=n,
-            memory_size=M,
-            num_processors=num_processors,
-            num_eigenvalues=int(lam.shape[0]),
-            eigenvalues=tuple(float(x) for x in lam),
-            per_k_values=per_k,
-            elapsed_seconds=time.perf_counter() - start,
-            eig_elapsed_seconds=fetched.solve_seconds,
-        )
+        return self._result(M, k, normalized, num_processors)
 
     def sweep(
         self,
@@ -313,11 +259,7 @@ class BoundEngine:
             normalized = method != "spectral-unnormalized"
             for p in proc_list:
                 for M in memory_list:
-                    result: Union[SpectralBoundResult, ParallelBoundResult]
-                    if p == 1:
-                        result = self._spectral_result(M, k, normalized=normalized)
-                    else:
-                        result = self.parallel(M, p, k=k, normalized=normalized)
+                    result = self._result(M, k, normalized, None if p == 1 else p)
                     points.append(
                         SweepPoint(
                             method=method,
@@ -331,49 +273,49 @@ class BoundEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _spectrum_for(self, k: KSpec, normalized: bool) -> Tuple[np.ndarray, CachedSpectrum]:
-        """Eigenvalues sized for the requested ``k`` sweep."""
-        n = self._graph.num_vertices
-        h, _ = resolve_k_candidates(n, self._num_eigenvalues, k)
-        h = min(max(2, h), n)
-        fetched = self._fetch_spectrum(h, normalized)
-        return fetched.eigenvalues, fetched
+    def _result(
+        self, M: int, k: KSpec, normalized: bool, num_processors: Optional[int]
+    ) -> Union[SpectralBoundResult, ParallelBoundResult]:
+        """Build every bound result: Theorem 4/5 when ``num_processors`` is
+        ``None``, Theorem 6 otherwise.
 
-    @staticmethod
-    def _empty_result_fields(M: int, start: float) -> dict:
-        """Shared fields of the trivial result for the empty graph."""
-        return dict(
-            value=0.0,
-            raw_value=0.0,
-            best_k=1,
-            num_vertices=0,
-            memory_size=M,
-            num_eigenvalues=0,
-            eigenvalues=(),
-            per_k_values={},
-            elapsed_seconds=time.perf_counter() - start,
-        )
-
-    def _spectral_result(self, M: int, k: KSpec, normalized: bool) -> SpectralBoundResult:
+        The public bound methods and :meth:`sweep` each call this directly,
+        never one another, so a stage timer wrapped around any of them times
+        each bound once.
+        """
         check_memory_size(M)
+        p = 1
+        if num_processors is not None:
+            p = check_positive_int(num_processors, "num_processors")
         start = time.perf_counter()
         n = self._graph.num_vertices
-        if n == 0:
+        raw_value, best_k, num_eigenvalues, solve_seconds = 0.0, 1, 0, 0.0
+        if n:
+            h, _ = resolve_k_candidates(n, self._num_eigenvalues, k)
+            fetched = self._fetch_spectrum(min(max(2, h), n), normalized)
+            raw_value, best_k, _, _ = k_sweep(fetched.eigenvalues, n, M, k=k, num_processors=p)
+            num_eigenvalues = fetched.eigenvalues.shape[0]
+            solve_seconds = fetched.solve_seconds
+        if num_processors is None:
             return SpectralBoundResult(
-                **self._empty_result_fields(M, start), normalized=normalized
+                value=max(0.0, raw_value),
+                raw_value=raw_value,
+                best_k=best_k,
+                num_vertices=n,
+                memory_size=M,
+                normalized=normalized,
+                num_eigenvalues=num_eigenvalues,
+                elapsed_seconds=time.perf_counter() - start,
+                eig_elapsed_seconds=solve_seconds,
             )
-        lam, fetched = self._spectrum_for(k, normalized)
-        raw_best, best_k, per_k = evaluate_bound_formula(lam, n, M, k=k)
-        return SpectralBoundResult(
-            value=max(0.0, raw_best),
-            raw_value=raw_best,
+        return ParallelBoundResult(
+            value=max(0.0, raw_value),
+            raw_value=raw_value,
             best_k=best_k,
             num_vertices=n,
             memory_size=M,
-            normalized=normalized,
-            num_eigenvalues=int(lam.shape[0]),
-            eigenvalues=tuple(float(x) for x in lam),
-            per_k_values=per_k,
+            num_processors=p,
+            num_eigenvalues=num_eigenvalues,
             elapsed_seconds=time.perf_counter() - start,
-            eig_elapsed_seconds=fetched.solve_seconds,
+            eig_elapsed_seconds=solve_seconds,
         )

@@ -22,12 +22,16 @@ from repro.utils.validation import check_memory_size, check_positive_int
 __all__ = [
     "DEFAULT_NUM_EIGENVALUES",
     "resolve_k_candidates",
+    "k_sweep",
     "evaluate_bound_formula",
 ]
 
 #: The paper computes "up to the first 100 values of the graph Laplacian" and
 #: optimises k over {2 .. h} (§6.1); empirically the best k is far below 100.
 DEFAULT_NUM_EIGENVALUES = 100
+
+_NO_KS = np.zeros(0, dtype=np.int64)
+_NO_VALUES = np.zeros(0)
 
 
 def resolve_k_candidates(
@@ -41,9 +45,9 @@ def resolve_k_candidates(
     ``k = 1`` is excluded because ``lambda_1 = 0`` for every graph Laplacian,
     so the ``k = 1`` expression is ``-2M`` and can never be the best bound.
     An explicit ``k`` (int or sequence) is honoured as given, including
-    ``k = 1``.  (:func:`evaluate_bound_formula` falls back to the ``k``
-    values the supplied spectrum supports when fewer than two eigenvalues
-    are available.)
+    ``k = 1``.  (:func:`k_sweep` falls back to the ``k`` values the
+    supplied spectrum supports when fewer than two eigenvalues are
+    available.)
     """
     if n == 0:
         return 0, []
@@ -63,6 +67,53 @@ def resolve_k_candidates(
     return max(ks), sorted(set(ks))
 
 
+def k_sweep(
+    eigenvalues: Sequence[float],
+    num_vertices: int,
+    M: int,
+    k: Optional[Union[int, Sequence[int]]] = None,
+    num_processors: int = 1,
+) -> Tuple[float, int, np.ndarray, np.ndarray]:
+    """The Theorem 4/6 expression at every swept ``k``, in one NumPy pass.
+
+    Returns ``(best_value, best_k, ks, values)``: ``values[i]`` is the
+    expression at ``k = ks[i]``, and ``best_value`` its raw (un-clamped)
+    maximum at the first ``k`` attaining it.  When no ``k`` can be swept the
+    result is ``(0.0, 1)`` with empty arrays; when every value is ``-inf``
+    (``2kM`` overflows a float) it is ``(-inf, 1)``.
+    """
+    check_memory_size(M)
+    check_positive_int(num_processors, "num_processors")
+    if isinstance(eigenvalues, np.ndarray):
+        lam = eigenvalues.astype(np.float64, copy=False).ravel()
+    else:
+        lam = np.asarray(list(eigenvalues), dtype=np.float64)
+    n = num_vertices
+    size = lam.shape[0]
+    if n == 0 or size == 0:
+        return 0.0, 1, _NO_KS, _NO_VALUES
+    if k is None:
+        # The default sweep is 2..min(h, n).  With fewer than two eigenvalues
+        # (a length-1 spectrum, or n = 1) that range is empty, so fall back
+        # to the k values the spectrum supports rather than report 0.
+        top = min(size, n)
+        ks = np.arange(2 if top >= 2 else 1, top + 1)
+    else:
+        _, candidates = resolve_k_candidates(n, size, k)
+        ks = np.array([kk for kk in candidates if kk <= size], dtype=np.int64)
+        if ks.shape[0] == 0:
+            return 0.0, 1, _NO_KS, _NO_VALUES
+    # floor(n / (k p)) as (n // p) // k: equal for positive integers, and
+    # n // p stays an int64 however large p is.  A 2kM beyond the float
+    # range makes that k's value -inf, silently, as scalar floats do.
+    with np.errstate(over="ignore"):
+        values = ((n // num_processors) // ks) * np.cumsum(lam)[ks - 1] - 2.0 * ks * float(M)
+    best = int(values.argmax())
+    if not values[best] > -np.inf:
+        return -np.inf, 1, ks, values
+    return float(values[best]), int(ks[best]), ks, values
+
+
 def evaluate_bound_formula(
     eigenvalues: Sequence[float],
     num_vertices: int,
@@ -73,37 +124,11 @@ def evaluate_bound_formula(
     """Evaluate the Theorem 4/6 expression given precomputed eigenvalues.
 
     Returns ``(best_value, best_k, per_k_values)`` where ``best_value`` is the
-    raw (un-clamped) maximum over the swept ``k``; see
+    raw (un-clamped) maximum over the swept ``k`` (see :func:`k_sweep`); see
     :func:`repro.core.bounds.spectral_bound_from_eigenvalues` for the
     documented public entry point.
     """
-    check_memory_size(M)
-    check_positive_int(num_processors, "num_processors")
-    if isinstance(eigenvalues, np.ndarray):
-        lam = eigenvalues.astype(np.float64, copy=False).ravel()
-    else:
-        lam = np.asarray(list(eigenvalues), dtype=np.float64)
-    n = num_vertices
-    if n == 0 or lam.shape[0] == 0:
-        return 0.0, 1, {}
-    _, candidates = resolve_k_candidates(n, lam.shape[0], k)
-    candidates = [kk for kk in candidates if kk <= lam.shape[0]]
-    if not candidates and k is None:
-        # Degenerate default sweep: fewer than two eigenvalues are available
-        # (a length-1 spectrum, or n = 1), so the preferred 2..h range is
-        # empty.  Fall back to the k values the spectrum can support rather
-        # than silently reporting an uninformative 0.
-        candidates = list(range(1, min(lam.shape[0], n) + 1))
-    prefix = np.concatenate([[0.0], np.cumsum(lam)])
-    per_k: Dict[int, float] = {}
-    best_value = -np.inf
-    best_k = 1
-    for kk in candidates:
-        value = (n // (kk * num_processors)) * prefix[kk] - 2.0 * kk * M
-        per_k[kk] = float(value)
-        if value > best_value:
-            best_value = float(value)
-            best_k = kk
-    if not per_k:
-        return 0.0, 1, {}
-    return best_value, best_k, per_k
+    best_value, best_k, ks, values = k_sweep(
+        eigenvalues, num_vertices, M, k=k, num_processors=num_processors
+    )
+    return best_value, best_k, dict(zip(ks.tolist(), values.tolist()))

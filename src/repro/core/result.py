@@ -9,7 +9,7 @@ reporting harness consumes these objects directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -42,12 +42,11 @@ class SpectralBoundResult:
         (Theorem 4); False for the ``L / max_out_degree`` variant (Theorem 5).
     num_eigenvalues:
         How many of the smallest eigenvalues were computed (the ``h``
-        truncation of §6.1).
-    eigenvalues:
-        The eigenvalues actually used (ascending); stored as a tuple so the
-        dataclass stays hashable/frozen.
-    per_k_values:
-        Mapping ``k -> bound value`` over the swept ``k`` values.
+        truncation of §6.1).  The eigenvalues themselves come from
+        :meth:`~repro.core.engine.BoundEngine.spectrum` (or
+        :func:`~repro.core.bounds.bound_spectrum`), and the value at every
+        swept ``k`` from
+        :func:`~repro.core.bounds.spectral_bound_from_eigenvalues`.
     elapsed_seconds:
         Wall-clock time of this bound computation.  Includes the eigensolve
         only when this call actually performed one; calls served from a
@@ -67,17 +66,12 @@ class SpectralBoundResult:
     memory_size: int
     normalized: bool
     num_eigenvalues: int
-    eigenvalues: Tuple[float, ...] = field(repr=False)
-    per_k_values: Dict[int, float] = field(repr=False, default_factory=dict)
     elapsed_seconds: float = 0.0
     eig_elapsed_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view with the eigenvalues dropped (for CSV output)."""
-        data = asdict(self)
-        data.pop("eigenvalues", None)
-        data.pop("per_k_values", None)
-        return data
+        """Plain-dict view (for CSV output)."""
+        return asdict(self)
 
     @property
     def is_trivial(self) -> bool:
@@ -99,16 +93,11 @@ class ParallelBoundResult:
     memory_size: int
     num_processors: int
     num_eigenvalues: int
-    eigenvalues: Tuple[float, ...] = field(repr=False)
-    per_k_values: Dict[int, float] = field(repr=False, default_factory=dict)
     elapsed_seconds: float = 0.0
     eig_elapsed_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        data = asdict(self)
-        data.pop("eigenvalues", None)
-        data.pop("per_k_values", None)
-        return data
+        return asdict(self)
 
 
 @dataclass(frozen=True)

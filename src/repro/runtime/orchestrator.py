@@ -265,7 +265,7 @@ def _run_task(
         chunk_index=solve_task.chunk_index,
         num_chunks=solve_task.num_chunks,
     ) as task_span, obs.maybe_profile(profile_base, _task_tag(solve_task)):
-        rows, eigensolves, records, cut_stats = evaluate_graph_rows(
+        rows, counters = evaluate_graph_rows(
             task.family,
             task.size_param,
             build_graph(task),
@@ -275,25 +275,18 @@ def _run_task(
             convex_chunk=chunk,
             **options,
         )
-    seconds = time.perf_counter() - start
-    solved = [r for r in records if not r.cache_hit]
-    reference = solved[0] if solved else (records[0] if records else None)
     return rows, TaskRecord(
         family=task.family,
         size_param=task.size_param,
         method=solve_task.method,
         size_estimate=solve_task.size_estimate,
         schedule_rank=schedule_rank,
-        seconds=seconds,
-        num_eigensolves=eigensolves,
-        backend=reference.backend if reference is not None else "-",
-        solve_seconds=sum(r.solve_seconds for r in solved),
-        flow_calls=int(cut_stats["flow_calls"]) if cut_stats else 0,
-        cut_seconds=float(cut_stats["cut_seconds"]) if cut_stats else 0.0,
+        seconds=time.perf_counter() - start,
         chunk_index=solve_task.chunk_index,
         num_chunks=solve_task.num_chunks,
         trace_id=task_span.trace_id,
         span_id=task_span.span_id,
+        **counters,
     )
 
 

@@ -23,7 +23,7 @@ import functools
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -112,7 +112,11 @@ class BoundAnswer:
     trace_id: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        """The fields in order, as a shallow dict (every value is a scalar)."""
+        return {name: getattr(self, name) for name in _ANSWER_FIELD_NAMES}
+
+
+_ANSWER_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(BoundAnswer))
 
 
 class BoundService:

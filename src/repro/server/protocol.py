@@ -50,6 +50,7 @@ fingerprint, 413 oversized batch/body/inline graph, 429 overload — see
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
@@ -309,6 +310,12 @@ def _decode_query(
     _require(
         memory_size is not None and memory_size >= 0,
         "'memory_size' must be a non-negative integer",
+        code="invalid-query",
+    )
+    # Every bound is float arithmetic on M, which a larger int cannot enter.
+    _require(
+        memory_size <= sys.float_info.max,
+        f"'memory_size' must be at most {sys.float_info.max:g}",
         code="invalid-query",
     )
     num_processors = _int_field(payload, "num_processors", 1)

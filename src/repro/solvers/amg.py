@@ -8,9 +8,9 @@ host, whatever else is installed there.
 
 The construction is classical smoothed aggregation (Vanek, Mandel, Brezina):
 
-1. **Strength of connection** — keep off-diagonal ``a_ij`` with
-   ``|a_ij| >= theta * sqrt(|a_ii a_jj|)``; weak couplings are ignored when
-   forming aggregates (they carry no smooth-error information).
+1. **Strength of connection** — every off-diagonal ``a_ij`` counts as
+   strong (a threshold of 0: the edge weights of computation-graph
+   Laplacians are near-uniform, so no coupling is weak enough to ignore).
 2. **Greedy aggregation** — a standard three-pass sweep over the strength
    graph: seed disjoint root aggregates, attach leftover vertices to a
    neighbouring aggregate, make singletons of anything still loose.
@@ -58,38 +58,26 @@ __all__ = [
     "estimate_jacobi_radius",
 ]
 
-#: Relative strength-of-connection threshold.  ``0.0`` keeps every coupling
-#: (safe default for the near-uniform edge weights of computation-graph
-#: Laplacians); raising it sparsifies the aggregates on wildly heterogeneous
-#: weights.
-DEFAULT_THETA = 0.0
-
 #: Prolongator-smoothing weight numerator: ``omega = OMEGA / rho(D^-1 A)``.
-DEFAULT_OMEGA = 4.0 / 3.0
+OMEGA = 4.0 / 3.0
 
 #: Stop coarsening once a level has at most this many vertices; the coarsest
 #: level is solved exactly by one sparse LU factorisation.
-DEFAULT_COARSE_SIZE = 400
+COARSE_SIZE = 400
 
 #: Hierarchy depth cap (a safety net; Laplacian hierarchies are shallow).
-DEFAULT_MAX_LEVELS = 15
+MAX_LEVELS = 15
+
+#: Power iterations behind each level's ``rho(D^-1 A)`` estimate.
+JACOBI_RADIUS_ITERATIONS = 12
 
 
-def strength_graph(matrix: sp.csr_matrix, theta: float = DEFAULT_THETA) -> sp.csr_matrix:
-    """Symmetric strength-of-connection graph of a sparse SPD matrix.
-
-    Keeps off-diagonal entries with ``|a_ij| >= theta * sqrt(|a_ii a_jj|)``
-    (and always drops the diagonal).  ``theta = 0`` keeps every off-diagonal
-    coupling.
-    """
+def strength_graph(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """Symmetric strength-of-connection graph of a sparse SPD matrix: the
+    magnitudes of its off-diagonal entries (the diagonal is dropped)."""
     a = matrix.tocoo()
     off = a.row != a.col
     rows, cols, vals = a.row[off], a.col[off], np.abs(a.data[off])
-    if theta > 0.0:
-        diag = np.abs(matrix.diagonal())
-        scale = np.sqrt(diag[rows] * diag[cols])
-        keep = vals >= theta * np.maximum(scale, 1e-300)
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     n = matrix.shape[0]
     strong = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     strong.sum_duplicates()
@@ -160,7 +148,7 @@ def tentative_prolongator(labels: np.ndarray) -> sp.csr_matrix:
 
 
 def estimate_jacobi_radius(
-    matrix: sp.csr_matrix, diag_inv: np.ndarray, iterations: int = 12, seed: int = 0
+    matrix: sp.csr_matrix, diag_inv: np.ndarray, seed: int = 0
 ) -> float:
     """Estimate ``rho(D^{-1} A)`` by a few power iterations (for damping)."""
     n = matrix.shape[0]
@@ -170,7 +158,7 @@ def estimate_jacobi_radius(
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     radius = 2.0  # the exact value for an unweighted Laplacian's D^-1 L
-    for _ in range(iterations):
+    for _ in range(JACOBI_RADIUS_ITERATIONS):
         w = diag_inv * (matrix @ v)
         norm = float(np.linalg.norm(w))
         if not np.isfinite(norm) or norm <= 1e-30:
@@ -185,10 +173,9 @@ def smoothed_prolongator(
     tentative: sp.csr_matrix,
     diag_inv: np.ndarray,
     radius: float,
-    omega: float = DEFAULT_OMEGA,
 ) -> sp.csr_matrix:
     """One damped-Jacobi smoothing step: ``P = (I - omega D^{-1} A) T``."""
-    weight = omega / radius
+    weight = OMEGA / radius
     scaled = sp.diags(diag_inv * weight) @ matrix
     return (tentative - scaled @ tentative).tocsr()
 
@@ -219,22 +206,14 @@ class SmoothedAggregationPreconditioner(spla.LinearOperator):
     makes blocked eigensolves cheap.
     """
 
-    def __init__(
-        self,
-        matrix: sp.spmatrix,
-        theta: float = DEFAULT_THETA,
-        omega: float = DEFAULT_OMEGA,
-        coarse_size: int = DEFAULT_COARSE_SIZE,
-        max_levels: int = DEFAULT_MAX_LEVELS,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, matrix: sp.spmatrix, seed: int = 0) -> None:
         a = matrix.tocsr().astype(np.float64)
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         super().__init__(dtype=np.float64, shape=a.shape)
         self.levels: List[AMGLevel] = []
         self._coarse_solve = None
-        for _ in range(max(1, int(max_levels))):
+        for _ in range(MAX_LEVELS):
             diag = a.diagonal()
             diag_inv = np.where(np.abs(diag) > 1e-300, 1.0 / diag, 0.0)
             radius = estimate_jacobi_radius(a, diag_inv, seed=seed)
@@ -242,13 +221,13 @@ class SmoothedAggregationPreconditioner(spla.LinearOperator):
                 matrix=a, diag_inv=diag_inv, jacobi_weight=1.0 / radius
             )
             self.levels.append(level)
-            if a.shape[0] <= coarse_size:
+            if a.shape[0] <= COARSE_SIZE:
                 break
-            labels = aggregate_vertices(strength_graph(a, theta))
+            labels = aggregate_vertices(strength_graph(a))
             tentative = tentative_prolongator(labels)
             if tentative.shape[1] >= a.shape[0]:
                 break  # aggregation stalled (e.g. an edgeless level)
-            prolongator = smoothed_prolongator(a, tentative, diag_inv, radius, omega)
+            prolongator = smoothed_prolongator(a, tentative, diag_inv, radius)
             level.prolongator = prolongator
             a = (prolongator.T @ a @ prolongator).tocsr()
         self._factorize_coarse(self.levels[-1].matrix)
@@ -317,22 +296,10 @@ class SmoothedAggregationPreconditioner(spla.LinearOperator):
 
 
 def smoothed_aggregation_preconditioner(
-    matrix: sp.spmatrix,
-    theta: float = DEFAULT_THETA,
-    omega: float = DEFAULT_OMEGA,
-    coarse_size: int = DEFAULT_COARSE_SIZE,
-    max_levels: int = DEFAULT_MAX_LEVELS,
-    seed: int = 0,
+    matrix: sp.spmatrix, seed: int = 0
 ) -> SmoothedAggregationPreconditioner:
     """The AMG V-cycle preconditioner for a sparse SPD matrix: the
     :class:`~scipy.sparse.linalg.LinearOperator` approximating
     ``matrix^{-1}``.
     """
-    return SmoothedAggregationPreconditioner(
-        matrix.tocsr(),
-        theta=theta,
-        omega=omega,
-        coarse_size=coarse_size,
-        max_levels=max_levels,
-        seed=seed,
-    )
+    return SmoothedAggregationPreconditioner(matrix.tocsr(), seed=seed)

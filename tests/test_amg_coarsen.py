@@ -112,7 +112,7 @@ class TestAmgMachinery:
 
     def test_hierarchy_has_multiple_levels(self):
         matrix = shifted_fft_laplacian(6)  # n = 448
-        precond = SmoothedAggregationPreconditioner(matrix, coarse_size=50)
+        precond = SmoothedAggregationPreconditioner(matrix)
         assert precond.num_levels >= 2
         assert precond.operator_complexity() >= 1.0
 
@@ -226,8 +226,10 @@ class TestResolvedBackendRecording:
 
     def test_engine_solve_log_records_resolved_id(self):
         engine = BoundEngine(fft_graph(4), num_eigenvalues=6, cache=SpectrumCache())
+        assert engine.backend is None
         engine.spectral(M=4)
-        assert all(r.backend in available_backends() for r in engine.solve_log)
+        assert engine.backend in available_backends()
+        assert engine.num_eigensolves == 1 and engine.eigensolve_seconds > 0.0
 
 
 class TestStageTimerTargets:

@@ -112,12 +112,18 @@ class TestSpectralBound:
         graph = fft_graph(5)
         swept = spectral_bound(graph, M=4, num_eigenvalues=20)
         single = spectral_bound(graph, M=4, k=swept.best_k)
-        assert single.raw_value == pytest.approx(swept.per_k_values[swept.best_k])
+        assert single.best_k == swept.best_k
+        assert single.raw_value == pytest.approx(swept.raw_value)
 
     def test_k_sequence(self):
         graph = fft_graph(5)
         result = spectral_bound(graph, M=4, k=[2, 4, 8])
-        assert set(result.per_k_values.keys()) == {2, 4, 8}
+        _, best_k, per_k = spectral_bound_from_eigenvalues(
+            bound_spectrum(graph, num_eigenvalues=8), graph.num_vertices, 4, k=[2, 4, 8]
+        )
+        assert set(per_k) == {2, 4, 8}
+        assert result.best_k == best_k
+        assert result.raw_value == per_k[best_k] == max(per_k.values())
 
     def test_invariant_under_relabelling(self):
         graph = fft_graph(4)

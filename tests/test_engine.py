@@ -98,7 +98,8 @@ class TestEngineMatchesPublicFunctions:
         engine = BoundEngine(graph, num_eigenvalues=20, cache=SpectrumCache())
         swept = engine.spectral(4)
         single = engine.spectral(4, k=swept.best_k)
-        assert single.raw_value == pytest.approx(swept.per_k_values[swept.best_k])
+        assert single.best_k == swept.best_k
+        assert single.raw_value == pytest.approx(swept.raw_value)
 
     def test_default_cache_is_shared(self):
         graph = fft_graph(3)

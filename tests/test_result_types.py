@@ -21,19 +21,21 @@ def make_spectral(value: float = 5.0, raw: float = 5.0) -> SpectralBoundResult:
         memory_size=8,
         normalized=True,
         num_eigenvalues=10,
-        eigenvalues=(0.0, 0.1, 0.2),
-        per_k_values={2: 1.0, 3: 5.0},
         elapsed_seconds=0.01,
     )
 
 
 class TestSpectralBoundResult:
     def test_as_dict_drops_bulky_fields(self):
+        # A result carries scalars only: the eigenvalues come from
+        # BoundEngine.spectrum and the per-k values from
+        # spectral_bound_from_eigenvalues.
         data = make_spectral().as_dict()
         assert data["value"] == 5.0
         assert data["best_k"] == 3
         assert "eigenvalues" not in data
         assert "per_k_values" not in data
+        assert all(isinstance(v, (bool, int, float)) for v in data.values())
 
     def test_is_trivial_flag(self):
         assert not make_spectral(5.0).is_trivial
@@ -55,12 +57,10 @@ class TestParallelBoundResult:
             memory_size=4,
             num_processors=4,
             num_eigenvalues=5,
-            eigenvalues=(0.0, 0.5),
-            per_k_values={2: 2.0},
         )
         data = result.as_dict()
         assert data["num_processors"] == 4
-        assert "eigenvalues" not in data
+        assert "eigenvalues" not in data and "per_k_values" not in data
 
 
 class TestBaselineBoundResult:

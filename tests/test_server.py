@@ -493,6 +493,23 @@ class TestEndpoints:
         # The failure corrupted nothing: the same connection keeps serving.
         assert client.bounds(MIXED_QUERIES[:1])[0].graph == "fft:3"
 
+    def test_out_of_float_range_memory_is_a_400_and_huge_p_answers(self, live_server):
+        client = BoundsClient(live_server.url)
+        for method in ("spectral", "convex-min-cut"):
+            with pytest.raises(ServerError) as info:
+                client.bounds_raw({"queries": [{
+                    "graph": {"family": "fft", "size": 5},
+                    "memory_size": 10**400, "method": method}]})
+            assert info.value.status == 400 and info.value.code == "invalid-query"
+        # floor(n / (k p)) is 0 for every k, so the best is k = 2, at
+        # -2kM = -16; computing k p first would overflow an int64.
+        raw = client.bounds_raw({"queries": [{
+            "graph": {"family": "fft", "size": 5},
+            "memory_size": 4, "num_processors": 10**20}]})
+        answer = raw["answers"][0]
+        assert (answer["bound"], answer["raw_value"], answer["best_k"]) == (0.0, -16.0, 2)
+        assert answer["num_processors"] == 10**20
+
     def test_rejected_values_never_reach_metric_labels(self, live_server):
         # method/normalization label repro_queries_total; unvalidated
         # client strings would grow the label cardinality without bound.
