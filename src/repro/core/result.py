@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 from typing import Dict, Optional
 
-import numpy as np
-
 __all__ = [
     "SpectralBoundResult",
     "ParallelBoundResult",
@@ -137,10 +135,3 @@ class BaselineBoundResult:
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
-
-
-def _clamp_nonnegative(value: float) -> float:
-    """Clamp tiny/negative bound values to zero (shared helper)."""
-    if not np.isfinite(value):
-        raise ValueError(f"bound value must be finite, got {value}")
-    return max(0.0, float(value))

@@ -36,6 +36,9 @@ metric                                 kind       recorded by
                                                   spectrum_cache.SpectrumCache`
                                                   per real eigensolve, by
                                                   ``backend``
+``repro_eigensolve_iterations``        histogram  the same, LOBPCG iterations
+                                                  of iterative solves only, by
+                                                  ``backend``
 ``repro_spectrum_lookups_total``       counter    every spectrum fetch, by
                                                   ``tier`` (memory/store/solve)
 ``repro_backend_solves_total``         counter    :func:`~repro.solvers.

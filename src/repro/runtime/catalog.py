@@ -62,8 +62,10 @@ from repro.utils.logging import get_logger
 
 CATALOG_NAME = "catalog.sqlite"
 
-#: The ``PRAGMA user_version`` of this schema; any other is discarded.
-FORMAT_VERSION = 4
+#: The ``PRAGMA user_version`` of this schema; any other is discarded.  It
+#: also moves when a backend's answers do, so a store never serves an
+#: older build's floats beside fresh ones.
+FORMAT_VERSION = 5
 
 #: How long a write waits for another process's transaction to finish.
 BUSY_TIMEOUT_SECONDS = 30.0

@@ -50,7 +50,6 @@ fingerprint, 413 oversized batch/body/inline graph, 429 overload — see
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
@@ -312,10 +311,13 @@ def _decode_query(
         "'memory_size' must be a non-negative integer",
         code="invalid-query",
     )
-    # Every bound is float arithmetic on M, which a larger int cannot enter.
+    # Every bound is float arithmetic on M.  Up to 2**53 every integer M is
+    # an exact float and 2kM stays finite for every k; near the float
+    # maximum 2kM overflows at every k, and the answer would carry a
+    # -Infinity, which is not JSON.
     _require(
-        memory_size <= sys.float_info.max,
-        f"'memory_size' must be at most {sys.float_info.max:g}",
+        memory_size <= 2**53,
+        "'memory_size' must be at most 2**53",
         code="invalid-query",
     )
     num_processors = _int_field(payload, "num_processors", 1)

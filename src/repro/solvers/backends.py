@@ -4,8 +4,9 @@ The solver layer is a small set of first-class objects.  Backends
 
 * are looked up by id (``dense``, ``lobpcg``, ``amg``); a caller names one,
   or ``auto``, with a plain ``solver`` string, and nothing else is
-  configurable: the size cutoffs, tolerance, iteration caps and seed are
-  the constants below,
+  configurable: the size cutoffs and seed are the module constants below,
+  and each iterative backend's block size, residual tolerance and
+  iteration cap are constants of its class,
 * take the Laplacian as an ndarray or a sparse matrix and solve it in
   float64.
 
@@ -33,8 +34,8 @@ import os
 import re
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, Tuple, Type, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,18 +77,17 @@ SOLVER_BACKEND_ENV_VAR = "REPRO_SOLVER_BACKEND"
 #: cutoff cannot serve both, so it stays where no family loses badly.
 DENSE_CUTOFF = 6000
 
-#: Convergence tolerance of the iterative backends.
-TOLERANCE = 1e-8
-
 #: Seed of the iterative backends' random start blocks and AMG setup.
 SEED = 0
 
 #: The message SciPy's ``lobpcg`` warns with whenever a block stops short of
-#: TOLERANCE, which the solves below routinely do on clustered spectra; the
-#: parity tests bound their accuracy.  One narrow filter, installed once at
-#: import, silences it for calls from this module only: a filter set around
-#: each solve (``catch_warnings``) is process-global and not thread-safe,
-#: and concurrent solves left it behind or dropped it.
+#: its backend's ``tolerance``, which the solves below routinely do on
+#: clustered spectra; the parity tests bound their accuracy, and each solve
+#: reports its largest final residual instead (``max_residual``, on the
+#: ``eigensolve`` span).  One narrow filter, installed once at import,
+#: silences it for calls from this module only: a filter set around each
+#: solve (``catch_warnings``) is process-global and not thread-safe, and
+#: concurrent solves left it behind or dropped it.
 SHORTFALL_WARNING = r"(Exited|Failed) (at iteration \d+|postprocessing) with accuracies"
 warnings.filterwarnings(
     "ignore", message=SHORTFALL_WARNING, category=UserWarning, module=re.escape(__name__)
@@ -116,10 +116,19 @@ class BackendSolveResult:
         (:func:`solve_smallest` does it).
     backend:
         Resolved backend id (``"auto"`` never appears here).
+    iterations:
+        LOBPCG iterations the returned block took; ``None`` for an exact
+        (dense) solve, including an iterative backend's dense fallback.
+    max_residual:
+        The largest residual norm of the returned block after LOBPCG's
+        final Rayleigh-Ritz step, in the units of the matrix the backend
+        iterated on; ``None`` when ``iterations`` is.
     """
 
     eigenvalues: np.ndarray
     backend: str
+    iterations: Optional[int] = None
+    max_residual: Optional[float] = None
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +169,7 @@ class LobpcgBackend(SpectralBackend):
     (one sparse LU factorisation, PD because ``L`` is PSD and ``sigma > 0``),
     asking for the *largest* eigenvalues of the inverse — the spectral
     transformation of ARPACK shift-invert, but as a blocked iteration over a
-    ``k + oversample`` subspace (Knyazev 2001), which does not skip copies
+    ``k + oversample(k)`` subspace (Knyazev 2001), which does not skip copies
     of a repeated eigenvalue.  The transform matters: plain LOBPCG needs
     hundreds of iterations on the heavily clustered butterfly/hypercube
     spectra, shift-inverted it converges in ~20.
@@ -179,21 +188,43 @@ class LobpcgBackend(SpectralBackend):
 
     id = "lobpcg"
 
-    #: Extra Ritz directions beyond ``k`` — headroom for clustered spectra.
-    oversample = 8
     #: Iteration cap.
     maxiter = 200
+    #: Residual tolerance.  The residual here is that of ``(L + sigma I)^-1``,
+    #: whose eigenvalues ``1 / (lambda + sigma)`` carry ``lambda``'s error
+    #: scaled by ``(lambda + sigma)^2``, so it does not measure eigenvalue
+    #: error the way :class:`AmgBackend`'s does: at 1e-6 bhk:13's
+    #: unnormalised eigenvalues (h = 100) were up to 2.1e-10 off dense's,
+    #: at 1e-8 up to 2.8e-13.
+    tolerance = 1e-8
     #: Relative shift: ``sigma = shift_scale * max_diagonal`` (clamped).
     shift_scale = 1e-3
     #: Largest dimension the *failure* path may densify (an n x n float64
     #: array); beyond it a failed sparse solve re-raises instead of OOMing.
     dense_fallback_cap = 5000
 
+    @staticmethod
+    def oversample(k: int) -> int:
+        """Block columns beyond ``k``: headroom for a cluster of repeated
+        eigenvalues that runs past the ``k``-th.
+
+        LOBPCG's block algebra grows with the square of the block, so the
+        headroom scales with ``k``: 4 columns at ``k = 16``, and 8 from
+        ``k = 32`` on, so ``auto``'s default h = 100 keeps 108 columns.
+        """
+        return min(8, max(2, k // 4))
+
+    def _below_floor(self, n: int, k: int) -> bool:
+        """Whether ``n`` is too small for LOBPCG's ``k + oversample(k)``
+        column block, which needs ``5 * block <= n``; such matrices go
+        dense."""
+        return n < max(5 * (k + self.oversample(k)), 32)
+
     def solve(self, matrix, k):
         n = matrix.shape[0]
-        block = min(n, k + self.oversample)
-        if n < max(5 * block, 32):
+        if self._below_floor(n, k):
             return self._dense_fallback(matrix, k)
+        block = k + self.oversample(k)
         mat = sp.csc_matrix(matrix, dtype=np.float64)
         # Shift keeps L + sigma I comfortably positive definite; scaling by
         # the largest diagonal entry makes it dimensionless (the normalized
@@ -213,8 +244,9 @@ class LobpcgBackend(SpectralBackend):
                 matmat=lambda V: lu.solve(np.ascontiguousarray(V)),
                 dtype=mat.dtype,
             )
-            inverse_values, vectors = spla.lobpcg(
-                operator, x, largest=True, tol=TOLERANCE, maxiter=self.maxiter
+            inverse_values, _, residuals = spla.lobpcg(
+                operator, x, largest=True, tol=self.tolerance,
+                maxiter=self.maxiter, retResidualNormsHistory=True,
             )
         except Exception:
             if n > self.dense_fallback_cap:
@@ -228,7 +260,17 @@ class LobpcgBackend(SpectralBackend):
                 )
             return self._dense_fallback(matrix, k)
         values = np.sort(1.0 / np.asarray(inverse_values, dtype=np.float64) - sigma)
-        return BackendSolveResult(values[:k], self.id)
+        return self._iterated(values[:k], residuals)
+
+    def _iterated(self, values: np.ndarray, residuals) -> BackendSolveResult:
+        """A LOBPCG answer and what its residual-norm history says.  Row
+        ``i`` of the history holds the block's residuals after ``i``
+        iterations, up to the block LOBPCG returns; the last row holds them
+        after its final Rayleigh-Ritz step."""
+        return BackendSolveResult(
+            values, self.id, iterations=len(residuals) - 2,
+            max_residual=float(np.max(residuals[-1])),
+        )
 
     def _dense_fallback(self, matrix: MatrixLike, k: int) -> BackendSolveResult:
         """The dense backend's answer, recorded under this backend's id."""
@@ -261,12 +303,18 @@ class AmgBackend(LobpcgBackend):
     #: Iteration cap; preconditioned LOBPCG converges in a few dozen
     #: iterations on Laplacian spectra.
     maxiter = 300
+    #: Residual tolerance.  LOBPCG iterates on ``L + sigma I`` itself here,
+    #: so an eigenvalue's error is about its residual squared over the gap
+    #: to the rest of the spectrum: at fft:13 (h = 16), 1e-6 left every
+    #: eigenvalue within 1.1e-12 of the closed form in 24 iterations,
+    #: where 1e-8 took 32.
+    tolerance = 1e-6
 
     def solve(self, matrix, k):
         n = matrix.shape[0]
-        block = min(n, k + self.oversample)
-        if n < max(5 * block, 32):
+        if self._below_floor(n, k):
             return self._dense_fallback(matrix, k)
+        block = k + self.oversample(k)
         csr = sp.csr_matrix(matrix, dtype=np.float64)
         sigma = float(max(self.shift_scale * csr.diagonal().max(), 1e-8))
         shifted = (csr + sigma * sp.identity(n, dtype=csr.dtype, format="csr")).tocsr()
@@ -275,13 +323,14 @@ class AmgBackend(LobpcgBackend):
             preconditioner = smoothed_aggregation_preconditioner(
                 shifted, seed=SEED
             )
-            values, vectors = spla.lobpcg(
+            values, _, residuals = spla.lobpcg(
                 shifted,
                 x,
                 M=preconditioner,
                 largest=False,
-                tol=TOLERANCE,
+                tol=self.tolerance,
                 maxiter=self.maxiter,
+                retResidualNormsHistory=True,
             )
         except Exception:
             if n > self.dense_fallback_cap:
@@ -295,7 +344,7 @@ class AmgBackend(LobpcgBackend):
                 )
             return self._dense_fallback(matrix, k)
         values = np.sort(np.asarray(values, dtype=np.float64) - sigma)
-        return BackendSolveResult(values[:k], self.id)
+        return self._iterated(values[:k], residuals)
 
 
 # ----------------------------------------------------------------------
@@ -391,4 +440,4 @@ def solve_smallest(matrix: MatrixLike, k: int, solver: str = "auto") -> BackendS
     values[values < 0.0] = 0.0
     values = np.sort(values)
     _BACKEND_SOLVES.inc(backend=result.backend)
-    return BackendSolveResult(values, result.backend)
+    return replace(result, eigenvalues=values)

@@ -94,6 +94,12 @@ _EIG_SECONDS = obs.global_registry().histogram(
     "Wall-clock latency of real eigensolves (cache misses only).",
     labelnames=("backend",),
 )
+_EIG_ITERATIONS = obs.global_registry().histogram(
+    "repro_eigensolve_iterations",
+    "LOBPCG iterations of iterative eigensolves (dense solves observe none).",
+    labelnames=("backend",),
+    buckets=(5, 10, 15, 20, 25, 30, 40, 50, 100, 200, 300),
+)
 _SPECTRUM_LOOKUPS = obs.global_registry().counter(
     "repro_spectrum_lookups_total",
     "Spectrum fetches by serving tier (memory/store hit vs fresh solve).",
@@ -411,6 +417,11 @@ class SpectrumCache:
             elapsed = time.perf_counter() - start
             active.set_attr(backend=result.backend)
             _EIG_SECONDS.observe(elapsed, backend=result.backend)
+            if result.iterations is not None:
+                active.set_attr(
+                    iterations=result.iterations, max_residual=result.max_residual
+                )
+                _EIG_ITERATIONS.observe(result.iterations, backend=result.backend)
             return values, elapsed
 
     # ------------------------------------------------------------------

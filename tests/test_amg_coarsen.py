@@ -148,8 +148,9 @@ class TestAmgMachinery:
 class TestAmgBackendParity:
     """Closed-form parity at sizes where the real multigrid path runs.
 
-    The amg backend falls back to dense below ``5 * (k + 8)`` vertices, so
-    these tests use n >= 256 to guarantee LOBPCG + AMG actually executes.
+    The amg backend falls back to dense below ``5 * (k + oversample(k))``
+    vertices (``5 * (12 + 3) = 75`` here), so these tests use n >= 256 to
+    guarantee LOBPCG + AMG actually executes.
     """
 
     def test_hypercube_parity_cold(self):

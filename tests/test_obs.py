@@ -12,6 +12,7 @@ HTTP answers) carry trace/span ids that resolve into that tree.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -20,11 +21,13 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro.graphs.generators import fft_graph
 from repro.obs.report import build_trees, render_report, report_as_json, self_times
 from repro.runtime.families import GraphSpec
 from repro.runtime.orchestrator import SweepOrchestrator
 from repro.runtime.service import BoundService
 from repro.server.runner import BoundServer
+from repro.solvers.spectrum_cache import SpectrumCache
 
 NUM_EIGENVALUES = 20
 
@@ -139,6 +142,33 @@ class TestDisabled:
             with obs.span("eigensolve", fingerprint=None, h=100) as active:
                 active.set_attr(backend="dense")
         assert obs.global_registry().snapshot() == before
+
+
+# ---------------------------------------------------------------------------
+# eigensolve spans
+# ---------------------------------------------------------------------------
+class TestEigensolveSpan:
+    def test_iterative_solves_record_iterations_and_residual(self, tmp_path):
+        """An ``amg`` solve puts its LOBPCG iteration count and largest
+        final residual on its span and in the iterations histogram; an
+        exact (dense) solve records neither."""
+        iterations = obs.global_registry().get("repro_eigensolve_iterations")
+        before = {b: iterations.count(backend=b) for b in ("amg", "dense")}
+        path = tmp_path / "t.jsonl"
+        obs.configure(str(path))
+        cache = SpectrumCache()
+        for solver in ("amg", "dense"):
+            cache.spectrum(fft_graph(8), 16, normalized=False, solver=solver)
+        obs.disable()
+        solves = {s["attrs"]["backend"]: s["attrs"]
+                  for s in read_spans(path) if s["name"] == "eigensolve"}
+        assert set(solves) == {"amg", "dense"}
+        assert solves["amg"]["iterations"] > 0
+        assert math.isfinite(solves["amg"]["max_residual"])
+        assert "iterations" not in solves["dense"]
+        assert "max_residual" not in solves["dense"]
+        assert iterations.count(backend="amg") == before["amg"] + 1
+        assert iterations.count(backend="dense") == before["dense"]
 
 
 # ---------------------------------------------------------------------------

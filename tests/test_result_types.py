@@ -8,7 +8,6 @@ from repro.core.result import (
     BaselineBoundResult,
     ParallelBoundResult,
     SpectralBoundResult,
-    _clamp_nonnegative,
 )
 
 
@@ -73,15 +72,3 @@ class TestBaselineBoundResult:
         data = result.as_dict()
         assert data["method"] == "convex-min-cut"
         assert data["elapsed_seconds"] == 0.0
-
-
-class TestClampHelper:
-    def test_clamps_negative(self):
-        assert _clamp_nonnegative(-2.5) == 0.0
-        assert _clamp_nonnegative(4.0) == 4.0
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            _clamp_nonnegative(float("inf"))
-        with pytest.raises(ValueError):
-            _clamp_nonnegative(float("nan"))

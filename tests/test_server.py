@@ -510,6 +510,35 @@ class TestEndpoints:
         assert (answer["bound"], answer["raw_value"], answer["best_k"]) == (0.0, -16.0, 2)
         assert answer["num_processors"] == 10**20
 
+    def test_memory_size_is_capped_where_every_answer_is_json(self, live_server):
+        """Up to 2**53 every integer M is an exact float and 2kM stays
+        finite, so the body is strict JSON.  Above it the query is a 400:
+        at 10**308, 2kM overflowed at every k and the answer carried
+        ``-Infinity`` (with ``best_k`` 1)."""
+        import http.client
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        query = {"graph": {"family": "fft", "size": 4}, "memory_size": 2**53}
+        conn = http.client.HTTPConnection(live_server.host, live_server.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/bounds", body=json.dumps({"queries": [query]}),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 200
+        [answer] = json.loads(body, parse_constant=strict)["answers"]
+        assert answer["memory_size"] == 2**53 and answer["best_k"] == 2
+        assert -float("inf") < answer["raw_value"] < 0.0 and answer["bound"] == 0.0
+        client = BoundsClient(live_server.url)
+        for memory_size in (2**53 + 1, 10**308):
+            with pytest.raises(ServerError) as info:
+                client.bounds_raw({"queries": [dict(query, memory_size=memory_size)]})
+            assert info.value.status == 400 and info.value.code == "invalid-query"
+
     def test_rejected_values_never_reach_metric_labels(self, live_server):
         # method/normalization label repro_queries_total; unvalidated
         # client strings would grow the label cardinality without bound.

@@ -120,6 +120,18 @@ class TestClosedFormParity:
         values = solve_smallest(fft_laplacian(levels), h, backend).eigenvalues
         np.testing.assert_allclose(values, exact, atol=1e-5)
 
+    @pytest.mark.parametrize("backend", ("amg", "lobpcg"))
+    def test_butterfly_parity_to_1e9_at_fft10(self, backend):
+        """fft:10 (n = 11,264) at h = 16, where the block is 4 columns
+        wider than h and each backend stops at its own residual tolerance:
+        the values must equal the closed form to 1e-9 absolute, 10^4
+        tighter than the checks above, so a looser stop shows."""
+        levels, h = 10, 16
+        values = solve_smallest(fft_laplacian(levels), h, backend).eigenvalues
+        np.testing.assert_allclose(
+            values, butterfly_spectrum_array(levels)[:h], rtol=0, atol=1e-9
+        )
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_an_ndarray_answers_what_the_sparse_matrix_answers(self, backend):
         # fft:6 (n = 448) keeps lobpcg and amg above their size floor.
@@ -173,7 +185,8 @@ class TestRepeatedEigenvaluesAboveTheDenseCutoff:
         graph = ComputationGraph(size * copies)
         graph.add_edges_array(np.concatenate([edges + c * size for c in range(copies)]))
         lap = laplacian(graph, normalized=normalized, sparse=True)
-        # The largest h that keeps LOBPCG above its size floor, so it iterates.
+        # LOBPCG's block is h + oversample(h) <= h + 8 columns, so this h
+        # keeps it above its size floor (5 * block <= n), and it iterates.
         h = graph.num_vertices // 5 - 8
         assume(h > copies)
         iterative = solve_smallest(lap, h, "lobpcg").eigenvalues

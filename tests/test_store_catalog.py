@@ -301,19 +301,31 @@ class TestFormatReset:
         assert _file_names(root) <= _CATALOG_FILES
         assert store.stats()["formats_discarded"] == 1 and len(store) == 1
 
-    def test_a_format_3_store_is_discarded(self, tmp_path):
-        """Format 3 has this schema, but its dense spectra from 1,000
-        vertices up came from the one-stage ``eigvalsh``, which the
-        two-stage solver does not reproduce to the last digit."""
-        root = tmp_path / "spectra"
+    @staticmethod
+    def _assert_discarded(root, version):
+        """A store of this schema stamped ``version`` reads empty and is
+        discarded once."""
         SpectrumStore(root).put(FP, np.arange(3, dtype=float), 1.0)
         conn = sqlite3.connect(root / "catalog.sqlite")
-        conn.execute("PRAGMA user_version = 3")
+        conn.execute(f"PRAGMA user_version = {version}")
         conn.close()
         store = SpectrumStore(root)
         assert len(store) == 0
         assert store.stats()["formats_discarded"] == 1
-        assert _user_version(root) == FORMAT_VERSION == 4
+        assert _user_version(root) == FORMAT_VERSION == 5
+
+    def test_a_format_3_store_is_discarded(self, tmp_path):
+        """Format 3 has this schema, but its dense spectra from 1,000
+        vertices up came from the one-stage ``eigvalsh``, which the
+        two-stage solver does not reproduce to the last digit."""
+        self._assert_discarded(tmp_path / "spectra", 3)
+
+    def test_a_format_4_store_is_discarded(self, tmp_path):
+        """Format 4 has this schema too, but its iterative spectra came from
+        a wider LOBPCG block below h = 32 and, for ``amg``, a tighter
+        residual stop, which this build does not reproduce to the last
+        digit."""
+        self._assert_discarded(tmp_path / "spectra", 4)
 
     def test_a_new_store_is_not_counted_as_discarded(self, tmp_path):
         root = tmp_path / "spectra"
