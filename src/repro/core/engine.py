@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.formula import DEFAULT_NUM_EIGENVALUES, k_sweep, resolve_k_candidates
+from repro.core.formula import DEFAULT_NUM_EIGENVALUES, _k_sweep, resolve_k_candidates
 from repro.core.result import ParallelBoundResult, SpectralBoundResult
 from repro.graphs.compgraph import ComputationGraph
 from repro.solvers.backends import check_solver
@@ -291,9 +291,13 @@ class BoundEngine:
         n = self._graph.num_vertices
         raw_value, best_k, num_eigenvalues, solve_seconds = 0.0, 1, 0, 0.0
         if n:
-            h, _ = resolve_k_candidates(n, self._num_eigenvalues, k)
+            # M and p are checked above and k here, once: the sweep itself
+            # takes them as given.
+            h, candidates = resolve_k_candidates(n, self._num_eigenvalues, k)
             fetched = self._fetch_spectrum(min(max(2, h), n), normalized)
-            raw_value, best_k, _, _ = k_sweep(fetched.eigenvalues, n, M, k=k, num_processors=p)
+            raw_value, best_k, _, _ = _k_sweep(
+                fetched.eigenvalues, n, M, None if k is None else candidates, p
+            )
             num_eigenvalues = fetched.eigenvalues.shape[0]
             solve_seconds = fetched.solve_seconds
         if num_processors is None:

@@ -89,18 +89,31 @@ def k_sweep(
     else:
         lam = np.asarray(list(eigenvalues), dtype=np.float64)
     n = num_vertices
-    size = lam.shape[0]
-    if n == 0 or size == 0:
+    if n == 0 or lam.shape[0] == 0:
         return 0.0, 1, _NO_KS, _NO_VALUES
-    if k is None:
+    candidates = None if k is None else resolve_k_candidates(n, lam.shape[0], k)[1]
+    return _k_sweep(lam, n, M, candidates, num_processors)
+
+
+def _k_sweep(
+    lam: np.ndarray,
+    n: int,
+    M: int,
+    candidates: Optional[Iterable[int]],
+    num_processors: int,
+) -> Tuple[float, int, np.ndarray, np.ndarray]:
+    """:func:`k_sweep` on checked arguments: a non-empty float64 spectrum
+    ``lam`` of an ``n > 0`` vertex graph, and the explicit ``k`` values
+    :func:`resolve_k_candidates` resolved, or ``None`` for the default
+    sweep."""
+    if candidates is None:
         # The default sweep is 2..min(h, n).  With fewer than two eigenvalues
         # (a length-1 spectrum, or n = 1) that range is empty, so fall back
         # to the k values the spectrum supports rather than report 0.
-        top = min(size, n)
+        top = min(lam.shape[0], n)
         ks = np.arange(2 if top >= 2 else 1, top + 1)
     else:
-        _, candidates = resolve_k_candidates(n, size, k)
-        ks = np.array([kk for kk in candidates if kk <= size], dtype=np.int64)
+        ks = np.array([kk for kk in candidates if kk <= lam.shape[0]], dtype=np.int64)
         if ks.shape[0] == 0:
             return 0.0, 1, _NO_KS, _NO_VALUES
     # floor(n / (k p)) as (n // p) // k: equal for positive integers, and

@@ -13,9 +13,7 @@ The three legs, all default-off or always-cheap:
 * :mod:`repro.obs.perf` — the performance-regression sentinel over the
   ``BENCH_HISTORY.jsonl`` ledger (``python -m repro obs perf check``).
 
-Tracing is production-safe: head-based sampling (``REPRO_TRACE_SAMPLE``)
-decides once per trace root, unsampled requests buffer their spans and
-keep them only if the request crosses ``REPRO_SLOW_QUERY_SECONDS``.
+A configured tracer writes every span it finishes.
 
 ``python -m repro obs report trace.jsonl`` renders a collected trace
 (:mod:`repro.obs.report`; ``--json`` for machine-readable output).
@@ -36,19 +34,15 @@ from .metrics import (
 from .profiling import maybe_profile, profile_path, profiling_enabled
 from .report import build_trees, render_report, report_as_json, self_times
 from .tracing import (
-    SpanRecord,
     TraceContext,
     Tracer,
     configure,
     current_context,
-    current_trace_context,
     disable,
     enabled,
     get_tracer,
     load_spans,
     merge_shards,
-    recent_spans,
-    sample_rate_from_env,
     shard_path,
     span,
     worker_configure,
@@ -67,19 +61,15 @@ __all__ = [
     "process_labels",
     "set_process_labels",
     # tracing
-    "SpanRecord",
     "TraceContext",
     "Tracer",
     "configure",
     "current_context",
-    "current_trace_context",
     "disable",
     "enabled",
     "get_tracer",
     "load_spans",
     "merge_shards",
-    "recent_spans",
-    "sample_rate_from_env",
     "shard_path",
     "span",
     "worker_configure",

@@ -14,10 +14,9 @@ returns a shared no-op context manager without allocating, and
 :func:`current_context` returns ``None``.  :func:`configure` turns it on
 for the process; ``--trace out.jsonl`` on the CLI is the usual entry.
 
-Finished spans go two places: appended as one JSON object per line to the
-configured JSONL path (flushed per span, so a forked worker never
-inherits buffered parent spans), and into a bounded in-memory ring buffer
-(:func:`recent_spans`) for the server's slow-query log and for tests.
+A configured tracer writes every span it finishes, as one JSON object per
+line appended to its JSONL path (flushed per span, so a forked worker
+never inherits buffered parent spans).
 
 Cross-process propagation
 -------------------------
@@ -25,8 +24,8 @@ Cross-process propagation
 A ``ProcessPoolExecutor`` worker cannot append to the parent's file
 without interleaving, so each worker writes a private *shard*:
 
-1. the parent snapshots :func:`current_trace_context` and ships it inside
-   the pickled task payload together with a shard base path;
+1. the parent snapshots :func:`current_context` and ships it inside the
+   pickled task payload together with a shard base path;
 2. the worker calls :func:`worker_configure`, which replaces any tracer
    inherited over ``fork`` with one writing ``<base>.shard-<pid>.jsonl``
    and re-roots its span stack under the shipped context — worker spans
@@ -34,36 +33,12 @@ without interleaving, so each worker writes a private *shard*:
 3. after the pool drains, the parent calls :func:`merge_shards` to fold
    every shard into the main JSONL file (append + delete; span records
    are self-contained, so ordering never affects the reconstructed tree).
-
-Production-safe sampling
-------------------------
-
-Always-on tracing under real traffic needs head-based sampling: the
-keep/drop decision is made **once, where a trace is rooted** (the first
-span with no parent — one HTTP request, one sweep) by drawing against
-``REPRO_TRACE_SAMPLE`` (a probability in ``[0, 1]``; unset means keep
-everything, preserving the pre-sampling behaviour).  The decision rides
-inside :class:`TraceContext`, so spans of one trace never disagree —
-including across the process boundary into pool workers.
-
-Spans of an *unsampled* trace are not discarded immediately: they
-accumulate in a bounded per-trace buffer, and when the trace's root span
-finishes the buffer is either dropped (the common case — no I/O was ever
-paid) or, if the root's wall time crossed ``REPRO_SLOW_QUERY_SECONDS``,
-flushed whole to the sink.  Slow queries therefore **always** keep their
-traces, however aggressive the sample rate — exactly the requests worth
-debugging.  Ids are allocated either way, so ``X-Repro-Trace-Id`` and the
-``trace_id`` fields of answers stay meaningful even for dropped traces.
-
-``REPRO_TRACE_SAMPLE_SEED`` seeds the sampler (tests pin it for
-deterministic keep sets); unset, the sampler is seeded from the OS.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 import time
 from dataclasses import dataclass
@@ -71,7 +46,6 @@ from typing import Any, Dict, List, Optional
 
 __all__ = [
     "TraceContext",
-    "SpanRecord",
     "Tracer",
     "configure",
     "disable",
@@ -79,66 +53,13 @@ __all__ = [
     "get_tracer",
     "span",
     "current_context",
-    "current_trace_context",
-    "recent_spans",
     "worker_configure",
     "merge_shards",
-    "sample_rate_from_env",
-    "SAMPLE_ENV_VAR",
-    "SAMPLE_SEED_ENV_VAR",
-    "SLOW_KEEP_ENV_VAR",
 ]
-
-#: Ring-buffer capacity for finished spans kept in memory.
-RING_CAPACITY = 512
-
-#: Per-trace capacity of the pending buffer holding an unsampled trace's
-#: spans until its root decides their fate; beyond this the oldest spans
-#: are dropped (a slow-query flush keeps the most recent window).
-PENDING_CAPACITY = 256
-
-#: Probability of keeping a trace, decided once at its root; unset or
-#: unparsable means 1.0 (keep everything).
-SAMPLE_ENV_VAR = "REPRO_TRACE_SAMPLE"
-
-#: Optional integer seed for the sampler — tests pin it so the kept set
-#: is deterministic.
-SAMPLE_SEED_ENV_VAR = "REPRO_TRACE_SAMPLE_SEED"
-
-#: Roots slower than this many seconds keep their trace even when the
-#: sampler dropped it (shared with the server's slow-query log).
-SLOW_KEEP_ENV_VAR = "REPRO_SLOW_QUERY_SECONDS"
 
 
 def _new_id() -> str:
     return os.urandom(8).hex()
-
-
-def sample_rate_from_env() -> float:
-    """The head-sampling probability from ``$REPRO_TRACE_SAMPLE``.
-
-    Clamped to ``[0, 1]``; unset or unparsable reads as 1.0 so plain
-    ``--trace`` runs keep every span, exactly as before sampling existed.
-    """
-    raw = os.environ.get(SAMPLE_ENV_VAR)
-    if not raw:
-        return 1.0
-    try:
-        rate = float(raw)
-    except ValueError:
-        return 1.0
-    return min(1.0, max(0.0, rate))
-
-
-def _slow_keep_from_env() -> Optional[float]:
-    raw = os.environ.get(SLOW_KEEP_ENV_VAR)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -146,44 +67,11 @@ class TraceContext:
     """The (trace_id, span_id) pair identifying a point in a trace.
 
     Picklable by design: this is what crosses the process boundary inside
-    a task payload.  ``sampled`` carries the head-based sampling decision
-    made at the trace root, so every process contributing spans to one
-    trace keeps or drops them consistently.
+    a task payload.
     """
 
     trace_id: str
     span_id: str
-    sampled: bool = True
-
-
-@dataclass(frozen=True)
-class SpanRecord:
-    """One finished span, as written to the JSONL export."""
-
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
-    name: str
-    pid: int
-    start_unix: float
-    wall_seconds: float
-    cpu_seconds: float
-    status: str
-    attrs: Dict[str, Any]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "pid": self.pid,
-            "start_unix": self.start_unix,
-            "wall_seconds": self.wall_seconds,
-            "cpu_seconds": self.cpu_seconds,
-            "status": self.status,
-            "attrs": self.attrs,
-        }
 
 
 class _NullSpan:
@@ -208,11 +96,11 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """A live span; created by :meth:`Tracer.span`, finished on exit."""
+    """A live span; created by :meth:`Tracer.span`, written on exit."""
 
     __slots__ = (
-        "_tracer", "name", "trace_id", "span_id", "parent_id", "sampled",
-        "is_root", "attrs", "_start_wall", "_start_cpu", "_start_unix",
+        "_tracer", "name", "trace_id", "span_id", "parent_id", "attrs",
+        "_start_wall", "_start_cpu", "_start_unix",
     )
 
     def __init__(
@@ -222,16 +110,12 @@ class _Span:
         trace_id: str,
         parent_id: Optional[str],
         attrs: Dict[str, Any],
-        sampled: bool = True,
-        is_root: bool = False,
     ) -> None:
         self._tracer = tracer
         self.name = name
         self.trace_id = trace_id
         self.span_id = _new_id()
         self.parent_id = parent_id
-        self.sampled = sampled
-        self.is_root = is_root
         self.attrs = attrs
 
     def set_attr(self, **attrs: Any) -> None:
@@ -248,61 +132,33 @@ class _Span:
         wall = time.perf_counter() - self._start_wall
         cpu = time.thread_time() - self._start_cpu
         self._tracer._pop(self)
-        record = SpanRecord(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            name=self.name,
-            pid=os.getpid(),
-            start_unix=self._start_unix,
-            wall_seconds=wall,
-            cpu_seconds=cpu,
-            status="error" if exc_type is not None else "ok",
-            attrs=self.attrs,
-        )
-        self._tracer._finish(record, self)
+        self._tracer._write({
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "name": self.name,
+            "pid": os.getpid(),
+            "start_unix": self._start_unix,
+            "wall_seconds": wall,
+            "cpu_seconds": cpu,
+            "status": "error" if exc_type is not None else "ok",
+            "attrs": self.attrs,
+        })
 
 
 class Tracer:
-    """Owns the output sink, ring buffer, sampler, and per-thread span stacks."""
+    """Owns the output sink and the per-thread span stacks."""
 
     def __init__(
         self,
         path: Optional[str] = None,
         root_context: Optional[TraceContext] = None,
-        sample_rate: Optional[float] = None,
-        sample_seed: Optional[int] = None,
-        slow_keep_seconds: Optional[float] = None,
     ) -> None:
         self._path = os.fspath(path) if path is not None else None
         self._root_context = root_context
         self._local = threading.local()
         self._write_lock = threading.Lock()
-        self._ring: List[SpanRecord] = []
-        self._ring_lock = threading.Lock()
         self._file = open(self._path, "a", encoding="utf-8") if self._path else None
-        if sample_rate is None:
-            sample_rate = sample_rate_from_env()
-        self.sample_rate = min(1.0, max(0.0, float(sample_rate)))
-        if sample_seed is None:
-            raw_seed = os.environ.get(SAMPLE_SEED_ENV_VAR)
-            if raw_seed:
-                try:
-                    sample_seed = int(raw_seed)
-                except ValueError:
-                    sample_seed = None
-        self._rng = random.Random(sample_seed)
-        self._rng_lock = threading.Lock()
-        if slow_keep_seconds is None:
-            slow_keep_seconds = _slow_keep_from_env()
-        self.slow_keep_seconds = slow_keep_seconds
-        # Spans of unsampled traces, held until their root decides whether
-        # the trace is dropped (fast) or kept (slow-query escape hatch).
-        self._pending: Dict[str, List[SpanRecord]] = {}
-        self._pending_lock = threading.Lock()
-        self._sampling_stats = {
-            "roots": 0, "sampled": 0, "unsampled": 0, "slow_kept": 0,
-        }
 
     # -- span stack -------------------------------------------------------
 
@@ -329,7 +185,7 @@ class Tracer:
     def current_context(self) -> Optional[TraceContext]:
         active = self.current()
         if active is not None:
-            return TraceContext(active.trace_id, active.span_id, active.sampled)
+            return TraceContext(active.trace_id, active.span_id)
         return self._root_context
 
     # -- span creation ----------------------------------------------------
@@ -337,88 +193,17 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> _Span:
         parent = self.current_context()
         if parent is not None:
-            return _Span(
-                self, name, parent.trace_id, parent.span_id, attrs,
-                sampled=parent.sampled,
-            )
-        # A new trace roots here: make the head-sampling decision exactly
-        # once and let every descendant (local or shipped to a worker)
-        # inherit it through the context.
-        sampled = self._sample()
-        return _Span(
-            self, name, _new_id(), None, attrs, sampled=sampled, is_root=True
-        )
-
-    def _sample(self) -> bool:
-        stats = self._sampling_stats
-        rate = self.sample_rate
-        if rate >= 1.0:
-            decision = True
-        elif rate <= 0.0:
-            decision = False
-        else:
-            with self._rng_lock:
-                decision = self._rng.random() < rate
-        with self._pending_lock:
-            stats["roots"] += 1
-            stats["sampled" if decision else "unsampled"] += 1
-        return decision
-
-    def sampling_stats(self) -> Dict[str, int]:
-        """Sampler counters: roots seen, kept, dropped, slow-query keeps."""
-        with self._pending_lock:
-            return dict(self._sampling_stats)
+            return _Span(self, name, parent.trace_id, parent.span_id, attrs)
+        return _Span(self, name, _new_id(), None, attrs)
 
     # -- output -----------------------------------------------------------
 
-    def _finish(self, record: SpanRecord, span: Optional[_Span] = None) -> None:
-        if span is not None and not span.sampled:
-            self._finish_unsampled(record, span)
-            return
-        self._emit(record)
-
-    def _finish_unsampled(self, record: SpanRecord, span: _Span) -> None:
-        """Buffer an unsampled span; the trace root settles the buffer.
-
-        Non-root spans append to the trace's bounded pending buffer (no
-        I/O).  The root span then either flushes the whole buffer — the
-        slow-query escape: its wall time crossed ``slow_keep_seconds`` —
-        or drops it, which is the entire cost of an unsampled trace.
-        """
-        if not span.is_root:
-            with self._pending_lock:
-                buffer = self._pending.setdefault(record.trace_id, [])
-                buffer.append(record)
-                if len(buffer) > PENDING_CAPACITY:
-                    del buffer[: len(buffer) - PENDING_CAPACITY]
-            return
-        with self._pending_lock:
-            buffered = self._pending.pop(record.trace_id, [])
-            keep = (
-                self.slow_keep_seconds is not None
-                and record.wall_seconds >= self.slow_keep_seconds
-            )
-            if keep:
-                self._sampling_stats["slow_kept"] += 1
-        if keep:
-            for pending in buffered:
-                self._emit(pending)
-            self._emit(record)
-
-    def _emit(self, record: SpanRecord) -> None:
-        with self._ring_lock:
-            self._ring.append(record)
-            if len(self._ring) > RING_CAPACITY:
-                del self._ring[: len(self._ring) - RING_CAPACITY]
+    def _write(self, record: Dict[str, Any]) -> None:
         if self._file is not None:
-            line = json.dumps(record.as_dict(), sort_keys=True)
+            line = json.dumps(record, sort_keys=True)
             with self._write_lock:
                 self._file.write(line + "\n")
                 self._file.flush()
-
-    def recent(self) -> List[SpanRecord]:
-        with self._ring_lock:
-            return list(self._ring)
 
     def close(self) -> None:
         if self._file is not None:
@@ -438,28 +223,13 @@ _TRACER_LOCK = threading.Lock()
 def configure(
     path: Optional[str] = None,
     root_context: Optional[TraceContext] = None,
-    sample_rate: Optional[float] = None,
-    sample_seed: Optional[int] = None,
-    slow_keep_seconds: Optional[float] = None,
 ) -> Tracer:
-    """Enable tracing for this process, replacing any previous tracer.
-
-    ``sample_rate`` / ``sample_seed`` / ``slow_keep_seconds`` default to
-    the ``REPRO_TRACE_SAMPLE`` / ``REPRO_TRACE_SAMPLE_SEED`` /
-    ``REPRO_SLOW_QUERY_SECONDS`` environment variables, so a serving
-    process enables production-safe sampling purely through env config.
-    """
+    """Enable tracing for this process, replacing any previous tracer."""
     global _TRACER
     with _TRACER_LOCK:
         if _TRACER is not None:
             _TRACER.close()
-        _TRACER = Tracer(
-            path,
-            root_context,
-            sample_rate=sample_rate,
-            sample_seed=sample_seed,
-            slow_keep_seconds=slow_keep_seconds,
-        )
+        _TRACER = Tracer(path, root_context)
         return _TRACER
 
 
@@ -496,19 +266,6 @@ def current_context() -> Optional[TraceContext]:
     return tracer.current_context()
 
 
-# The name used by call sites that ship context across processes; kept as
-# an alias so intent reads at the call site.
-current_trace_context = current_context
-
-
-def recent_spans() -> List[SpanRecord]:
-    """Finished spans from the in-memory ring buffer (newest last)."""
-    tracer = _TRACER
-    if tracer is None:
-        return []
-    return tracer.recent()
-
-
 # -- cross-process plumbing -----------------------------------------------
 
 def shard_path(shard_base: str, pid: Optional[int] = None) -> str:
@@ -526,12 +283,6 @@ def worker_configure(
     the parent's open file object would otherwise be shared), rooting new
     spans under ``parent``.  With ``parent is None`` the worker is fully
     silenced — the no-op guarantee holds across the pool too.
-
-    The parent's sampling decision rides inside ``parent.sampled``: an
-    unsampled sweep ships unsampled contexts, so worker spans buffer (no
-    shard I/O) and are dropped when the worker's tracer closes.  The
-    slow-query keep is per-process — only spans living in the process
-    whose root crossed the threshold are retained.
     """
     if parent is None:
         disable()

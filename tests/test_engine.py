@@ -101,6 +101,21 @@ class TestEngineMatchesPublicFunctions:
         assert single.best_k == swept.best_k
         assert single.raw_value == pytest.approx(swept.raw_value)
 
+    def test_a_warm_bound_checks_M_once(self, monkeypatch):
+        import repro.core.engine as engine_module
+        import repro.core.formula as formula_module
+
+        engine = BoundEngine(fft_graph(5), cache=SpectrumCache())
+        engine.spectral(16)  # cold: solves
+        calls = []
+        for module in (engine_module, formula_module):
+            real = module.check_memory_size
+            monkeypatch.setattr(
+                module, "check_memory_size", lambda M, real=real: calls.append(M) or real(M)
+            )
+        engine.spectral(16)
+        assert calls == [16]
+
     def test_default_cache_is_shared(self):
         graph = fft_graph(3)
         engine = BoundEngine(graph)

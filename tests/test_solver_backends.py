@@ -197,6 +197,18 @@ class TestRepeatedEigenvaluesAboveTheDenseCutoff:
         assume(np.min(np.abs(dense - shift)) > 1e-7)
         assert count_below(lap, shift) == np.count_nonzero(iterative < shift)
 
+    def test_an_unconverged_block_is_not_returned(self):
+        """A draw of ``test_planted_multiplicity`` on which SciPy's
+        ``lobpcg`` fails mid-run and hands back its iteration-5 block, at
+        4.6e6 times the backend's tolerance and 1.7e-3 above dense."""
+        edges = random_dag(30, edge_probability=0.5390625, seed=200).freeze().edges
+        graph = ComputationGraph(240)
+        graph.add_edges_array(np.concatenate([edges + c * 30 for c in range(8)]))
+        lap = laplacian(graph, normalized=True, sparse=True)
+        iterative = solve_smallest(lap, 40, "lobpcg").eigenvalues
+        dense = solve_smallest(lap, 40, "dense").eigenvalues
+        np.testing.assert_allclose(iterative, dense, rtol=0, atol=1e-9)
+
 
 class TestCacheKeySegregation:
     def test_backend_variants_coexist_in_memory_cache(self):
