@@ -271,7 +271,7 @@ class MinCutEngine:
         pruned = 0
         flows_before = self.flow_calls
         # Unwinds in reverse: the slot, then the lease — after the publish,
-        # since followers re-read the table the moment the lease row goes.
+        # since followers re-read the table the moment they take the lease.
         with contextlib.ExitStack() as cold:
             for v in order.tolist():
                 if v in self._known:

@@ -2,7 +2,7 @@
 
 One database, ``<root>/catalog.sqlite``, holds everything the
 :class:`~repro.runtime.store.SpectrumStore` and
-:class:`~repro.runtime.store.CutStore` sharing that root keep, in four
+:class:`~repro.runtime.store.CutStore` sharing that root keep, in three
 tables:
 
 * ``spectra`` — one row per stored spectrum: its eigenvalues (a BLOB of
@@ -13,8 +13,6 @@ tables:
 * ``cuts`` — one row per graph: its cut table as two BLOBs of ``num_cuts``
   little-endian int64 each (the sorted, unique vertices and their cut
   values);
-* ``leases`` — cross-process solve leases, one row per cold spectrum or
-  max-flow pass being solved;
 * ``counters`` — ``solves_recorded`` and ``flows_recorded``, the
   eigensolves and max-flow calls somebody paid for, and
   ``formats_discarded``.
@@ -27,11 +25,13 @@ transaction that re-reads the version, so processes opening one old
 catalog together discard it once, and ``formats_discarded`` counts it.
 So does the first write to a directory holding the JSON indexes of the
 builds before the catalog.  What older builds kept beside the catalog
-(``blobs/``, ``cuts/``, JSON indexes, lock files, ``leases/``) goes after
-the commit, and one ``VACUUM`` returns the dropped tables' pages to the
-disk (a catalog another process is writing keeps them free for reuse).
-The store is a cache of deterministic results, so a discarded catalog
-costs re-solves and nothing else.
+(``blobs/``, ``cuts/``, JSON indexes, store-wide lock files, ``leases/``)
+goes after the commit, and one ``VACUUM`` returns the dropped tables'
+pages to the disk (a catalog another process is writing keeps them free
+for reuse).  The store is a cache of deterministic results, so a
+discarded catalog costs re-solves and nothing else.  Solve leases are not
+in the catalog: each is a ``flock`` on a ``<key>.lock`` file beside it
+(:class:`~repro.runtime.store.SolveLease`).
 
 WAL mode lets readers proceed while a writer commits, and every write is
 one short ``BEGIN IMMEDIATE`` transaction, so its cost does not grow with
@@ -65,7 +65,7 @@ CATALOG_NAME = "catalog.sqlite"
 #: The ``PRAGMA user_version`` of this schema; any other is discarded.  It
 #: also moves when a backend's answers do, so a store never serves an
 #: older build's floats beside fresh ones.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: How long a write waits for another process's transaction to finish.
 BUSY_TIMEOUT_SECONDS = 30.0
@@ -88,9 +88,6 @@ _SCHEMA = (
     backend TEXT NOT NULL, lineage TEXT, bytes INTEGER NOT NULL,
     created_at REAL NOT NULL, last_used REAL NOT NULL,
     vertices BLOB NOT NULL, cut_values BLOB NOT NULL)""",
-    """CREATE TABLE leases (
-    base TEXT PRIMARY KEY, token TEXT, pid INTEGER, host TEXT, fingerprint TEXT,
-    created_at REAL, heartbeat_at REAL, ttl REAL)""",
     "CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL)",
 )
 

@@ -20,8 +20,8 @@ Four subcommands expose the runtime subsystem without writing any Python:
   ``--workers N`` (or ``$REPRO_SERVE_WORKERS``) boots a pre-forked fleet
   instead: N shared-nothing worker processes, each answering whatever it
   accepts, over the same store (so a fleet refuses ``--no-store``), with
-  cross-process coalescing of eigensolves and max-flow passes via store
-  leases (``--lease-ttl`` / ``$REPRO_LEASE_TTL_SECONDS``);
+  cross-process coalescing of eigensolves and max-flow passes via the
+  store's solve leases;
 * ``obs`` — observability utilities over :mod:`repro.obs`: ``obs report
   trace.jsonl`` renders a trace (written via ``--trace`` on ``solve`` /
   ``sweep`` / ``serve``) as a top-down span tree plus a self-time table
@@ -84,7 +84,7 @@ def _store_from_args(args: argparse.Namespace) -> Optional[SpectrumStore]:
     if getattr(args, "no_store", False):
         return None
     root = args.store if args.store is not None else default_store_root()
-    return SpectrumStore(root, lease_ttl=getattr(args, "lease_ttl", None))
+    return SpectrumStore(root)
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -263,14 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes; >1 boots a pre-forked fleet over the store "
         "(default: $REPRO_SERVE_WORKERS or 1)",
-    )
-    serve.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="solve-lease heartbeat ttl for cross-process coalescing "
-        "(default: $REPRO_LEASE_TTL_SECONDS or 30; 0 disables leasing)",
     )
     _add_solver_arguments(serve)
     _add_store_arguments(serve)
@@ -474,7 +466,6 @@ def build_fleet_from_args(args: argparse.Namespace, workers: int):
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
         retry_after_seconds=args.retry_after,
-        lease_ttl=getattr(args, "lease_ttl", None),
         trace_path=str(trace_path) if trace_path is not None else None,
     )
     return ServerFleet(config, host=args.host, port=args.port, workers=workers)

@@ -346,9 +346,9 @@ def _stop_workers(pool: ProcessPoolExecutor, futures: Iterable) -> None:
     Python 3.10-3.13 have no public call that stops a running worker (3.14
     adds ``terminate_workers()``, which does not join), so this is the one
     place that reads the executor's process table, ``_processes``.  Each
-    worker is joined, not only signalled: an unreaped zombie still answers
-    ``kill(pid, 0)``, and the store's same-host dead-pid check reclaims a
-    lease only once that pid is gone.
+    worker is joined, not only signalled, so none is left a zombie.  A
+    solve lease a worker held is free once it dies, joined or not: the
+    kernel drops its lock with the process.
     """
     for future in futures:
         future.cancel()

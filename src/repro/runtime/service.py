@@ -152,9 +152,7 @@ class BoundService:
         if max_engines < 1:
             raise ValueError(f"max_engines must be positive, got {max_engines}")
         self._cache = SpectrumCache(max_entries=max(128, 4 * max_engines), store=store)
-        self._cut_store = (
-            CutStore(store.root, lease_ttl=store.lease_ttl) if store is not None else None
-        )
+        self._cut_store = CutStore(store.root) if store is not None else None
         self._num_eigenvalues = int(num_eigenvalues)
         self._max_engines = int(max_engines)
         # Two LRUs of per-graph engines (see _engine_for), each with its

@@ -4,28 +4,29 @@ The in-memory :class:`~repro.solvers.spectrum_cache.SpectrumCache` makes an
 eigensolve happen at most once *per process*; :class:`SpectrumStore` extends
 that guarantee across processes and runs, and :class:`CutStore` does the
 same for the convex min-cut baseline's cut values.  Both are views of one
-store directory, which holds one file, ``catalog.sqlite``
+store directory, which holds ``catalog.sqlite``
 (:mod:`repro.runtime.catalog`, plus its ``-wal``/``-shm`` files while a
-process has it open).  A ``spectra`` row holds one spectrum's eigenvalues
-and solve cost under the key the in-memory cache uses — the graph's
-structural fingerprint, the normalisation and the resolved backend id,
-hashed by :func:`~repro.runtime.catalog.spectrum_base` — and the
-truncation ``h``; a ``cuts`` row holds one graph's cut table.  The catalog
-also keeps the solve leases and the ``solves_recorded`` /
-``flows_recorded`` counters that ``python -m repro cache stats`` reports.
+process has it open) and one ``<key>.lock`` file per solve lease held.  A
+``spectra`` row holds one spectrum's eigenvalues and solve cost under the
+key the in-memory cache uses — the graph's structural fingerprint, the
+normalisation and the resolved backend id, hashed by
+:func:`~repro.runtime.catalog.spectrum_base` — and the truncation ``h``; a
+``cuts`` row holds one graph's cut table.  The catalog also keeps the
+``solves_recorded`` / ``flows_recorded`` counters that ``python -m repro
+cache stats`` reports.
 
 Many processes (pool workers, fleet workers, CI jobs) share one directory.
 A read is one indexed ``SELECT`` and a write one short transaction, so a
 reader sees a value whole or not at all.  A racing duplicate solve rewrites
 identical bytes into the existing row — wasteful, never wrong.  Cold
-solves are coalesced across processes by
-*solve leases* (:meth:`~_StoreView.acquire_lease`): a compare-and-set on a
-``leases`` row carrying the leader's pid/host/heartbeat/ttl, so N workers
-needing one cold spectrum pay one eigensolve, N workers needing one cold
-cut table pay one max-flow pass, and a leader killed mid-solve hands over
-by ttl expiry or same-host dead-pid detection.  :meth:`~_StoreView.claim`
-is the one acquire/re-check/wait/re-read loop both kinds of solve run.
-SQLite's locks, like the ``flock`` they replaced, are unreliable on network
+solves are coalesced across processes by *solve leases*
+(:meth:`~_StoreView.acquire_lease`): an exclusive ``flock`` on the lease's
+file, so N workers needing one cold spectrum pay one eigensolve and N
+workers needing one cold cut table pay one max-flow pass.  The kernel
+drops a ``flock`` when its holder's last descriptor closes, so a leader
+killed mid-solve frees its lease the moment its process exits.
+:meth:`~_StoreView.claim` is the one acquire/wait/re-read path both kinds
+of solve run.  SQLite's locks and ``flock`` are unreliable on network
 filesystems: keep a shared store on a local disk, and copy one only while
 nothing writes to it, together with its ``catalog.sqlite-wal`` file.
 """
@@ -33,16 +34,16 @@ nothing writes to it, together with its ``catalog.sqlite-wal`` file.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import functools
 import hashlib
 import os
-import socket
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -65,10 +66,12 @@ _LEASE_WAIT_SECONDS = global_registry().histogram(
     labelnames=("store",),
 )
 
-#: How many acquire→wait→re-read rounds a cold miss plays before giving up
-#: on coalescing and solving redundantly.  Each round only recurs when a
-#: leader died or raced away, so 4 bounds pathological churn, not latency.
-_LEASE_MAX_ROUNDS = 4
+#: How long a follower waits for another process's solve lease before it
+#: solves without one (wasteful, never wrong).
+LEASE_WAIT_SECONDS = 60.0
+
+#: How often a waiting follower retries the lease's lock.
+_LEASE_POLL_SECONDS = 0.05
 
 
 def _timed_io(store: str, op: str):
@@ -91,8 +94,8 @@ def _timed_io(store: str, op: str):
 
 __all__ = [
     "StoredSpectrum", "SpectrumStore", "SolveLease", "Claim", "CutStore",
-    "STORE_ENV_VAR", "STORE_MAX_BYTES_ENV_VAR", "LEASE_TTL_ENV_VAR",
-    "default_store_root", "default_store_max_bytes", "default_lease_ttl",
+    "STORE_ENV_VAR", "STORE_MAX_BYTES_ENV_VAR", "LEASE_WAIT_SECONDS",
+    "default_store_root", "default_store_max_bytes",
 ]
 
 #: Environment variable overriding the default store location.
@@ -102,22 +105,9 @@ STORE_ENV_VAR = "REPRO_SPECTRUM_STORE"
 #: unset/empty/0 means unbounded.
 STORE_MAX_BYTES_ENV_VAR = "REPRO_SPECTRUM_STORE_MAX_BYTES"
 
-#: Environment variable giving the default solve-lease ttl (seconds);
-#: ``0`` (or negative) disables cross-process solve leasing entirely.
-LEASE_TTL_ENV_VAR = "REPRO_LEASE_TTL_SECONDS"
-
-#: Default solve-lease ttl: long enough that a heartbeating leader never
-#: loses a lease mid-eigensolve, short enough that a machine that lost
-#: power hands over within half a minute.
-DEFAULT_LEASE_TTL_SECONDS = 30.0
-
 #: The stored form of eigenvalues and of cut tables.
 _FLOAT64 = np.dtype("<f8")
 _INT64 = np.dtype("<i8")
-
-_HOSTNAME = socket.gethostname()
-
-_LEASE_ROW = "SELECT * FROM leases WHERE base = ?"
 
 
 def default_store_root() -> Path:
@@ -141,22 +131,6 @@ def default_store_max_bytes() -> Optional[int]:
     except ValueError:
         return None
     return value if value > 0 else None
-
-
-def default_lease_ttl() -> float:
-    """The solve-lease ttl from ``$REPRO_LEASE_TTL_SECONDS``.
-
-    Unset or unparsable means :data:`DEFAULT_LEASE_TTL_SECONDS`; zero or
-    negative disables leasing (returned as ``0.0``).
-    """
-    env = os.environ.get(LEASE_TTL_ENV_VAR, "").strip()
-    if not env:
-        return DEFAULT_LEASE_TTL_SECONDS
-    try:
-        value = float(env)
-    except ValueError:
-        return DEFAULT_LEASE_TTL_SECONDS
-    return max(0.0, value)
 
 
 @dataclass(frozen=True)
@@ -184,74 +158,36 @@ def _array(value: object, dtype: np.dtype, length: int) -> Optional[np.ndarray]:
     return np.frombuffer(value, dtype=dtype)
 
 
-def _lease_is_stale(lease: sqlite3.Row, now: float) -> bool:
-    """Whether a lease's holder should be presumed dead.
-
-    Stale iff the row is unreadable (a heartbeat or ttl that is not a
-    number), the heartbeat is older than the ttl, or the holder lives on
-    *this* host and its pid no longer exists (``os.kill(pid, 0)``) — the
-    fast path that hands over a SIGKILLed leader's lease without waiting
-    out the ttl.  A live pid (or one we may not signal) defers to the ttl.
-    """
+def _names(path: Path, fd: int) -> bool:
+    """Whether ``path`` still names the file open as ``fd``."""
     try:
-        heartbeat = float(lease["heartbeat_at"])
-        ttl = float(lease["ttl"])
-    except (TypeError, ValueError):
-        return True
-    if ttl <= 0 or now - heartbeat > ttl:
-        return True
-    pid = lease["pid"]
-    if lease["host"] == _HOSTNAME and isinstance(pid, int) and pid > 0:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except OSError:  # pragma: no cover - e.g. EPERM: pid exists
-            pass
-    return False
+        return os.path.samestat(os.stat(path), os.fstat(fd))
+    except FileNotFoundError:
+        return False
 
 
 class SolveLease:
     """A held cross-process solve lease (returned by ``acquire_lease``).
 
-    A daemon thread refreshes the heartbeat every ``ttl / 4`` seconds, so a
-    live leader keeps the lease through an arbitrarily long eigensolve
-    while a dead one expires within one ttl.  :meth:`release` (idempotent;
-    also the context-manager exit) stops the heartbeat and deletes the
-    lease row — but only while it still carries this lease's token, so a
-    takeover after a stale verdict is never clobbered.
+    An exclusive ``flock`` on ``<root>/<key>.lock``, which holds the
+    holder's pid; the kernel drops it with the holder's process, however
+    that ends.  :meth:`release` (idempotent; also the context-manager exit)
+    unlinks the file, then closes it, so a waiter that opened it before the
+    unlink finds it no longer named once it locks it.
     """
 
-    def __init__(self, store: "_StoreView", key: str, token: str, ttl: float) -> None:
-        self._store = store
-        self.key = key
-        self.token = token
-        self.ttl = float(ttl)
-        self._stop = threading.Event()
-        self._released = False
-        self._heartbeat = threading.Thread(
-            target=self._heartbeat_loop, name=f"repro-lease-{key[:12]}", daemon=True
-        )
-        self._heartbeat.start()
-
-    def _heartbeat_loop(self) -> None:
-        interval = max(self.ttl / 4.0, 0.02)
-        while not self._stop.wait(interval):
-            self._store._update_lease(
-                "UPDATE leases SET heartbeat_at = ? WHERE base = ? AND token = ?",
-                (time.time(), self.key, self.token),
-            )
+    def __init__(self, path: Path, fd: int) -> None:
+        self._path = path
+        self._fd: Optional[int] = fd
 
     def release(self) -> None:
         """Drop the lease (idempotent)."""
-        if self._released:
+        fd, self._fd = self._fd, None
+        if fd is None:
             return
-        self._released = True
-        self._stop.set()
-        self._heartbeat.join(timeout=2.0)
-        self._store._update_lease(
-            "DELETE FROM leases WHERE base = ? AND token = ?", (self.key, self.token)
-        )
+        with contextlib.suppress(OSError):
+            os.unlink(self._path)
+        os.close(fd)
 
     def __enter__(self) -> "SolveLease":
         return self
@@ -266,7 +202,7 @@ class Claim(NamedTuple):
     At most one of ``found`` and ``lease`` is set.  ``found`` is what
     another process's leader published meanwhile: serve it.  ``lease`` is
     held when the caller leads: solve, publish, then release it.  Neither
-    means leasing is off or broken, or the wait timed out: solve anyway
+    means the lease file failed, or the wait timed out: solve anyway
     (wasteful, never wrong).  ``followed`` says the caller waited on
     another process's lease.
     """
@@ -282,10 +218,6 @@ class _StoreView:
     and :class:`CutStore` share.  Subclasses describe their rows
     (``_SUMMARY``, ``_describe``), validate their stored values
     (``_row_ok``) and name their leases (``_lease_key``).
-
-    ``lease_ttl`` is the heartbeat ttl (seconds) of this handle's solve
-    leases.  ``None`` (default) reads ``$REPRO_LEASE_TTL_SECONDS`` (default
-    30); ``<= 0`` disables leasing (``acquire_lease`` then raises).
     """
 
     _TABLE = ""
@@ -293,12 +225,9 @@ class _StoreView:
     #: ``stats()`` keys summarising the table, and the SQL aggregate of each.
     _SUMMARY: Dict[str, str] = {}
 
-    def __init__(
-        self, root: Union[str, Path, None] = None, lease_ttl: Optional[float] = None
-    ) -> None:
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
         self._root = Path(root) if root is not None else default_store_root()
         self._catalog = Catalog(self._root)
-        self._lease_ttl = max(0.0, float(lease_ttl)) if lease_ttl is not None else default_lease_ttl()
         # Per-handle traffic counters (the persistent ones live in the
         # catalog); one handle may serve many engine threads.
         self._counter_lock = threading.Lock()
@@ -310,65 +239,56 @@ class _StoreView:
     def root(self) -> Path:
         return self._root
 
-    @property
-    def lease_ttl(self) -> float:
-        """Solve-lease heartbeat ttl in seconds (0 = leasing disabled)."""
-        return self._lease_ttl
-
-    def acquire_lease(
-        self, fingerprint: str, ttl: Optional[float] = None, **key
-    ) -> Optional[SolveLease]:
+    def acquire_lease(self, fingerprint: str, **key) -> Optional[SolveLease]:
         """Try to become the solve leader for one cold result; ``None`` if held.
 
-        ``key`` names the result beyond its graph (see ``_lease_key``).  A
-        held-but-stale lease (expired heartbeat, a dead pid on this host,
-        or an unreadable row) is taken over in place.  The winner gets a
-        heartbeating :class:`SolveLease` it must :meth:`~SolveLease.release`
-        after publishing.
+        ``key`` names the result beyond its graph (see ``_lease_key``).  The
+        winner gets a :class:`SolveLease` it must
+        :meth:`~SolveLease.release` after publishing.  A lease file that
+        cannot be opened or locked raises :class:`OSError`.
         """
-        effective_ttl = max(0.0, float(ttl)) if ttl is not None else self._lease_ttl
-        if effective_ttl <= 0:
-            raise ValueError("solve leasing is disabled (lease_ttl <= 0)")
-        lease_key = self._lease_key(fingerprint, **key)
-        now = time.time()
-        token = f"{_HOSTNAME}:{os.getpid()}:{time.monotonic_ns():x}"
-        with self._catalog.write() as conn:
-            held = conn.execute(_LEASE_ROW, (lease_key,)).fetchone()
-            if held is not None and not _lease_is_stale(held, now):
-                return None
-            conn.execute(
-                "INSERT OR REPLACE INTO leases VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (lease_key, token, os.getpid(), _HOSTNAME, fingerprint, now, now,
-                 effective_ttl),
-            )
-        return SolveLease(self, lease_key, token, effective_ttl)
+        return self._try_lease(self._lease_key(fingerprint, **key))
 
-    def wait_for_lease(
-        self, fingerprint: str, timeout: Optional[float] = None,
-        poll_interval: float = 0.05, **key,
-    ) -> str:
-        """Block while another process holds the solve lease.
+    def wait_for_lease(self, fingerprint: str, **key) -> Optional[SolveLease]:
+        """Block while another handle holds the solve lease, then take it.
 
-        Returns ``"released"`` once the lease row is gone (the leader
-        published and released — re-read the store), ``"stale"`` if the
-        leader died (try :meth:`acquire_lease` again), or ``"timeout"``
-        after ``timeout`` seconds (default: twice the ttl, at least 10 s)
-        — at which point the caller should just solve; wasteful, never
-        wrong.
+        Retries every 50 ms, for at most :data:`LEASE_WAIT_SECONDS`; returns
+        ``None`` when that runs out — the caller should then just solve;
+        wasteful, never wrong.  A lease won here usually finds its result
+        published: re-read the store before solving.
         """
         lease_key = self._lease_key(fingerprint, **key)
-        if timeout is None:
-            timeout = max(10.0, 2.0 * max(self._lease_ttl, 1.0))
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + LEASE_WAIT_SECONDS
+        while time.monotonic() < deadline:
+            time.sleep(_LEASE_POLL_SECONDS)
+            lease = self._try_lease(lease_key)
+            if lease is not None:
+                return lease
+        return None
+
+    def _try_lease(self, lease_key: str) -> Optional[SolveLease]:
+        """One non-blocking ``flock`` of the lease's file; ``None`` while
+        another open of it holds the lock."""
+        path = self._root / f"{lease_key}.lock"
+        self._root.mkdir(parents=True, exist_ok=True)
         while True:
-            held = self._catalog.read(_LEASE_ROW, (lease_key,))
-            if not held:
-                return "released"
-            if _lease_is_stale(held[0], time.time()):
-                return "stale"
-            if time.monotonic() >= deadline:
-                return "timeout"
-            time.sleep(poll_interval)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if _names(path, fd):
+                    # Write, then cut off a dead holder's longer pid: ext4
+                    # flushes a file truncated to 0 and rewritten on close.
+                    pid = b"%d" % os.getpid()
+                    os.write(fd, pid)
+                    os.ftruncate(fd, len(pid))
+                    return SolveLease(path, fd)
+            except BlockingIOError:
+                os.close(fd)
+                return None
+            except BaseException:
+                os.close(fd)
+                raise
+            os.close(fd)  # its last holder unlinked it: open the path again
 
     def claim(self, fingerprint: str, fetch: Callable[[], object], **key) -> Claim:
         """Contend for the solve lease on one cold result (see :class:`Claim`).
@@ -381,48 +301,27 @@ class _StoreView:
         counted in ``repro_lease_total{store,role}``, follower wait time in
         ``repro_lease_wait_seconds``.
         """
-        if self._lease_ttl <= 0:
-            return Claim()
-        waited = 0.0
-        followed = False
         try:
-            for _ in range(_LEASE_MAX_ROUNDS):
-                try:
-                    lease = self.acquire_lease(fingerprint, **key)
-                except OSError:
-                    return Claim(followed=followed)
-                if lease is not None:
-                    # Re-check now that we hold the lease: the previous
-                    # leader may have published and released in the window
-                    # since our miss.  Without this a late acquirer would
-                    # solve again what is already published.
-                    found = fetch()
-                    if found is not None:
-                        lease.release()
-                        return Claim(found, followed=followed)
-                    _LEASE_TOTAL.inc(store=self._TABLE, role="leader")
-                    return Claim(lease=lease, followed=followed)
-                followed = True
-                start = time.perf_counter()
-                outcome = self.wait_for_lease(fingerprint, **key)
-                waited += time.perf_counter() - start
-                # Whatever ended the wait, a published result wins; a
-                # "stale" verdict without one loops back to take the lease
-                # over, "timeout" gives up on coalescing.
-                found = fetch()
-                if found is not None or outcome == "timeout":
-                    return Claim(found, followed=True)
-            return Claim(followed=followed)
-        finally:
-            if followed:
-                _LEASE_TOTAL.inc(store=self._TABLE, role="follower")
-                _LEASE_WAIT_SECONDS.observe(waited, store=self._TABLE)
-
-    def _update_lease(self, sql: str, params: Sequence) -> None:
-        """A token-checked heartbeat or release.  A failure is harmless: the
-        lease then expires by ttl or dead pid."""
-        with contextlib.suppress(OSError), self._catalog.write() as conn:
-            conn.execute(sql, params)
+            lease = self.acquire_lease(fingerprint, **key)
+        except OSError:
+            return Claim()
+        followed = lease is None
+        if followed:
+            start = time.perf_counter()
+            with contextlib.suppress(OSError):
+                lease = self.wait_for_lease(fingerprint, **key)
+            _LEASE_TOTAL.inc(store=self._TABLE, role="follower")
+            _LEASE_WAIT_SECONDS.observe(time.perf_counter() - start, store=self._TABLE)
+        # Re-read now that we hold the lease or gave up waiting: a leader
+        # may have published and released since our miss.  Without this a
+        # late acquirer would solve again what is already published.
+        found = fetch()
+        if found is not None or lease is None:
+            if lease is not None:
+                lease.release()
+            return Claim(found, followed=followed)
+        _LEASE_TOTAL.inc(store=self._TABLE, role="leader")
+        return Claim(lease=lease, followed=followed)
 
     @property
     def hits(self) -> int:
@@ -507,9 +406,6 @@ class SpectrumStore(_StoreView):
         after a :meth:`put`, least-recently-used entries are evicted until
         the store fits.  ``None`` (default) reads
         ``$REPRO_SPECTRUM_STORE_MAX_BYTES``; unset means unbounded.
-    lease_ttl:
-        Heartbeat ttl (seconds) of cross-process solve leases (see
-        :class:`_StoreView`).
     """
 
     _TABLE = "spectra"
@@ -517,10 +413,9 @@ class SpectrumStore(_StoreView):
     _SUMMARY = {"num_entries": "COUNT(*)", "num_graphs": "COUNT(DISTINCT fingerprint)"}
 
     def __init__(
-        self, root: Union[str, Path, None] = None, max_bytes: Optional[int] = None,
-        lease_ttl: Optional[float] = None,
+        self, root: Union[str, Path, None] = None, max_bytes: Optional[int] = None
     ) -> None:
-        super().__init__(root, lease_ttl)
+        super().__init__(root)
         self._max_bytes = max_bytes if max_bytes is not None else default_store_max_bytes()
         if self._max_bytes is not None and self._max_bytes < 1:
             raise ValueError(f"max_bytes must be positive, got {self._max_bytes}")
@@ -632,58 +527,39 @@ class SpectrumStore(_StoreView):
         return spectrum_base(fingerprint, normalized, backend)
 
     def leases(self) -> List[Dict[str, object]]:
-        """Metadata of every lease of the catalog, spectra's and cuts'
-        (holder, age, staleness)."""
-        now = time.time()
-        rows = self._catalog.read(
-            "SELECT *, ? - COALESCE(created_at, ?) AS age FROM leases ORDER BY base",
-            (now, now),
-        )
-        return [
-            {"lease": row["base"], "fingerprint": str(row["fingerprint"])[:12],
-             "pid": row["pid"], "host": row["host"], "age_seconds": row["age"],
-             "ttl": row["ttl"], "stale": _lease_is_stale(row, now)}
-            for row in rows
-        ]
+        """Every solve lease held on the store, spectra's and cuts': key,
+        holder pid and age.  A lease file that another open can lock is
+        not held (its holder released it or died), so it is not listed."""
+        held = []
+        for path in sorted(self._root.glob("*.lock")):
+            try:
+                fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+            except FileNotFoundError:
+                continue  # released since the listing
+            try:
+                pid = os.read(fd, 32)
+                # A holder writes its pid once it holds the lock: probing a
+                # file without one could fail the lock its creator is taking.
+                if not pid.isdigit():
+                    continue
+                fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)  # free: not held
+            except BlockingIOError:  # its holder's lock
+                held.append({"lease": path.stem, "pid": int(pid),
+                             "age_seconds": time.time() - os.fstat(fd).st_mtime})
+            finally:
+                os.close(fd)
+        return held
 
     def stats(self) -> Dict[str, object]:
         """Aggregate store statistics (persisted + this handle's traffic)."""
-        stale = [lease["stale"] for lease in self.leases()]
         return {
             **super().stats(),
             "formats_discarded": self._catalog.scalar(
                 "SELECT value FROM counters WHERE name = 'formats_discarded'"
             ),
             "max_bytes": self._max_bytes,
-            "lease_ttl": self._lease_ttl,
-            "active_leases": stale.count(False),
-            "stale_leases": stale.count(True),
+            "active_leases": len(self.leases()),
         }
-
-    def verify(self, fix: bool = False) -> Dict[str, object]:
-        """Integrity-check the store; optionally repair it.
-
-        A row is corrupt when its eigenvalues are not ``h`` long, not
-        finite or not ascending.  Also reports **stale
-        leases**, whose holder is dead (live ones are only counted);
-        ``fix=True`` deletes those still stale on a re-check inside the
-        transaction, as a waiter may have taken one over since the scan.
-        """
-        report = super().verify(fix)
-        rows = self.leases()
-        stale = sorted(row["lease"] for row in rows if row["stale"])
-        removed = 0
-        if fix and stale:
-            now = time.time()
-            with self._catalog.write() as conn:
-                for key in stale:
-                    held = conn.execute(_LEASE_ROW, (key,)).fetchone()
-                    if held is not None and _lease_is_stale(held, now):
-                        conn.execute("DELETE FROM leases WHERE base = ?", (key,))
-                        removed += 1
-        report.update(active_leases=len(rows) - len(stale), stale_leases=stale,
-                      ok=report["ok"] and not stale, leases_removed=removed)
-        return report
 
     def _describe(self, row: sqlite3.Row) -> Dict[str, object]:
         return {
@@ -696,6 +572,7 @@ class SpectrumStore(_StoreView):
         }
 
     def _row_ok(self, row: sqlite3.Row) -> bool:
+        """``h`` eigenvalues, finite and ascending."""
         values = _array(row["eigenvalues"], _FLOAT64, row["h"])
         return bool(
             values is not None

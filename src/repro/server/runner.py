@@ -26,7 +26,9 @@ workers.  Every worker answers whatever it accepts.  The store is the
 fleet's only shared state: a solve one worker published, any worker
 reads, and cross-process duplicate *solves* — eigensolves and max-flow
 passes alike — are collapsed by the store's solve leases (see
-:meth:`repro.runtime.store.SpectrumStore.claim`).
+:meth:`repro.runtime.store.SpectrumStore.claim`).  A lease is a kernel
+file lock, so a worker killed mid-solve frees its lease as it dies and a
+sibling waiting on it solves in its place.
 
 Both share one drain: closing a server (``BoundServer.close()``, or SIGTERM
 to ``python -m repro serve`` with one worker or many) stops accepting, lets
@@ -477,14 +479,13 @@ class FleetConfig:
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     max_queue: int = DEFAULT_MAX_QUEUE
     retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS
-    lease_ttl: Optional[float] = None
     trace_path: Optional[str] = None
 
     def build_service(self) -> BoundService:
         from repro.runtime.store import SpectrumStore
 
         return BoundService(
-            store=SpectrumStore(self.store_root, lease_ttl=self.lease_ttl),
+            store=SpectrumStore(self.store_root),
             num_eigenvalues=self.num_eigenvalues,
             solver=self.solver,
         )

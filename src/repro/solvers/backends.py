@@ -204,12 +204,17 @@ class LobpcgBackend(SpectralBackend):
     dense_fallback_cap = 5000
     #: A block whose largest final residual exceeds ``tolerance`` by more
     #: than this factor is taken as unconverged: SciPy's ``lobpcg`` can
-    #: fail mid-run and hand back its best earlier block.  Over 56 probe
-    #: solves of fft, matmul, bhk and hypercube graphs the largest ratio was
-    #: 186 (``lobpcg``) and 74 (``amg``); normalised 8 copies of a 30-vertex
-    #: random DAG at h = 40 stopped at 4.6e6 with eigenvalues 1.7e-3 too
-    #: high.  A few converged shift-inverted solves with many zero
-    #: eigenvalues also cross it (up to 1.1e5); they go dense too.
+    #: fail mid-run and hand back its best earlier block.  Each residual is
+    #: judged relative to its Ritz value, an eigenvalue of
+    #: ``(L + sigma I)^-1`` that reaches ``1 / sigma``, so converged blocks
+    #: with many zero eigenvalues no longer read up to 3e5.  Relative ones
+    #: peaked at 19.2 over 28 probe solves of fft, matmul, bhk and hypercube
+    #: graphs; of 1,200 random draws of planted multiplicities 1 crossed
+    #: the factor (7 as absolute residuals), and all 7 had converged to
+    #: within 7e-15 of dense.  A failed block (normalised 8 copies of a 30-vertex
+    #: random DAG, h = 40) read 5.1e6, with eigenvalues 1.7e-3 too high.
+    #: :class:`AmgBackend` judges the absolute residuals of its operator,
+    #: ``L + sigma I`` itself (at most 74 on those probes).
     unconverged_factor = 1e4
 
     @staticmethod
@@ -269,25 +274,26 @@ class LobpcgBackend(SpectralBackend):
                 )
             return self._dense_fallback(matrix, k)
         values = np.sort(1.0 / np.asarray(inverse_values, dtype=np.float64) - sigma)
-        return self._iterated(matrix, values[:k], residuals)
+        return self._iterated(matrix, values[:k], residuals, scale=inverse_values)
 
     def _iterated(
-        self, matrix: MatrixLike, values: np.ndarray, residuals
+        self, matrix: MatrixLike, values: np.ndarray, residuals, scale=1.0
     ) -> BackendSolveResult:
         """A LOBPCG answer and what its residual-norm history says.  Row
         ``i`` of the history holds the block's residuals after ``i``
         iterations, up to the block LOBPCG returns; the last row holds them
-        after its final Rayleigh-Ritz step.  An unconverged block (see
-        :attr:`unconverged_factor`) small enough to densify is replaced by
-        the dense answer."""
-        max_residual = float(np.max(residuals[-1]))
+        after its final Rayleigh-Ritz step, each judged divided by its
+        ``scale`` (the Ritz values LOBPCG returned, column for column, or
+        1).  An unconverged block (see :attr:`unconverged_factor`) small
+        enough to densify is replaced by the dense answer."""
+        final = residuals[-1]
         if (
-            max_residual > self.unconverged_factor * self.tolerance
+            np.max(final / scale) > self.unconverged_factor * self.tolerance
             and matrix.shape[0] <= self.dense_fallback_cap
         ):
             return self._dense_fallback(matrix, values.shape[0])
         return BackendSolveResult(
-            values, self.id, iterations=len(residuals) - 2, max_residual=max_residual,
+            values, self.id, iterations=len(residuals) - 2, max_residual=float(np.max(final)),
         )
 
     def _dense_fallback(self, matrix: MatrixLike, k: int) -> BackendSolveResult:

@@ -41,15 +41,15 @@ Properties:
   and are then ordinary hits (reporting the original solve's seconds), or
   fail with the leader's error.  A waiter that needs a longer spectrum
   than the leader solved leads the next flight.
-* **Cross-process solve leases** — over a store with leases enabled
-  (``lease_ttl > 0``, the default) a flight leader first claims the
-  spectrum's solve lease (:meth:`~repro.runtime.store.SpectrumStore.claim`);
-  if another process leads, it waits on the lease and serves what that
-  process published, so one cold spectrum costs one eigensolve across
-  processes (and across ``M``/truncations, which share one spectrum).  A
-  wait that times out — or whose leader died — falls back to solving:
-  wasteful, never wrong.  Episodes are counted in ``lease_leaders`` /
-  ``lease_followers``.
+* **Cross-process solve leases** — over a store, a flight leader first
+  claims the spectrum's solve lease
+  (:meth:`~repro.runtime.store.SpectrumStore.claim`); if another process
+  leads, it waits on the lease and serves what that process published, so
+  one cold spectrum costs one eigensolve across processes (and across
+  ``M``/truncations, which share one spectrum).  A follower whose leader
+  died without publishing takes the lease and solves; one whose wait
+  times out solves without it: wasteful, never wrong.  Episodes are
+  counted in ``lease_leaders`` / ``lease_followers``.
 * **Admission** — :attr:`SpectrumCache.admission`, when set, is a gate
   (duck-typed ``slot()`` context manager) around each eigensolve and
   nothing else: hits, store reads and waiting followers never take it.
@@ -353,7 +353,7 @@ class SpectrumCache:
                     pass  # a full/read-only disk must not break the computation
         finally:
             # Publish-then-release ordering: another process's followers
-            # re-read the store the moment the lease row disappears.
+            # re-read the store the moment they take the lease.
             if lease is not None:
                 lease.release()
         with self._lock:

@@ -531,7 +531,7 @@ class TestSingleFlight:
         from repro.runtime.store import SpectrumStore
         from repro.server.runner import AdmissionController, ServerOverloadedError
 
-        store = SpectrumStore(tmp_path / "store", lease_ttl=30.0)
+        store = SpectrumStore(tmp_path / "store")
         cache = SpectrumCache(store=store)
         cache.admission = AdmissionController(max_in_flight=1, max_queue=0)
         cache.admission.acquire()  # someone else's solve holds the only slot

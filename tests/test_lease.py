@@ -5,15 +5,16 @@ coherent serving tier: concurrent cold misses on one spectrum — across
 threads, processes, or both — must pay exactly one eigensolve, concurrent
 cold max-flow passes over one graph exactly one pass, and a leader that
 dies mid-solve must hand its lease over instead of wedging its followers.
-Three layers are covered: the on-disk lease mechanics
-(acquire/heartbeat/release, staleness via ttl and dead pids), recovery
-(a SIGKILLed leader process), and the end-to-end guarantee through
-:class:`SpectrumCache` and :class:`MinCutEngine` in two genuinely separate
-processes.
+Three layers are covered: the lease mechanics (an exclusive ``flock`` on
+one file per lease: acquire, wait, release, handles and forked children),
+recovery (a SIGKILLed leader process), and the end-to-end guarantee
+through :class:`SpectrumCache` and :class:`MinCutEngine` in two genuinely
+separate processes.
 """
 
 from __future__ import annotations
 
+import fcntl
 import multiprocessing
 import os
 import signal
@@ -26,15 +27,9 @@ import pytest
 from repro.baselines.convex_mincut import MinCutEngine
 from repro.graphs.generators import fft_graph
 from repro.obs.metrics import global_registry, parse_metric
+from repro.runtime import store as store_module
 from repro.runtime.catalog import spectrum_base
-from repro.runtime.store import (
-    _HOSTNAME,
-    DEFAULT_LEASE_TTL_SECONDS,
-    LEASE_TTL_ENV_VAR,
-    CutStore,
-    SpectrumStore,
-    default_lease_ttl,
-)
+from repro.runtime.store import CutStore, SpectrumStore
 from repro.solvers.spectrum_cache import SpectrumCache
 
 FINGERPRINT = "f" * 40
@@ -43,58 +38,21 @@ OTHER_FINGERPRINT = "0" * 40
 
 @pytest.fixture
 def store(tmp_path):
-    return SpectrumStore(tmp_path / "spectra", lease_ttl=5.0)
+    return SpectrumStore(tmp_path / "spectra")
 
 
 def lease_key(fingerprint: str = FINGERPRINT) -> str:
     return spectrum_base(fingerprint, True, "dense")
 
 
-def write_lease_row(store: SpectrumStore, **overrides) -> None:
-    """Plant a lease row as some other holder would have written it."""
-    now = time.time()
-    row = {
-        "base": lease_key(),
-        "token": "planted-token",
-        "pid": os.getpid(),
-        "host": _HOSTNAME,
-        "fingerprint": FINGERPRINT,
-        "created_at": now,
-        "heartbeat_at": now,
-        "ttl": 30.0,
-    }
-    row.update(overrides)
-    with store._catalog.write() as conn:
-        conn.execute(
-            f"INSERT OR REPLACE INTO leases ({', '.join(row)}) "
-            f"VALUES ({', '.join('?' * len(row))})",
-            tuple(row.values()),
-        )
+def lock_files(store: SpectrumStore):
+    return sorted(path.name for path in store.root.glob("*.lock"))
 
 
 class TestLeaseTtlConfig:
-    def test_env_var_parsing(self, monkeypatch):
-        monkeypatch.delenv(LEASE_TTL_ENV_VAR, raising=False)
-        assert default_lease_ttl() == DEFAULT_LEASE_TTL_SECONDS
-        monkeypatch.setenv(LEASE_TTL_ENV_VAR, "12.5")
-        assert default_lease_ttl() == 12.5
-        monkeypatch.setenv(LEASE_TTL_ENV_VAR, "-3")
-        assert default_lease_ttl() == 0.0  # disabled, not negative
-        monkeypatch.setenv(LEASE_TTL_ENV_VAR, "junk")
-        assert default_lease_ttl() == DEFAULT_LEASE_TTL_SECONDS
-
-    def test_disabled_leasing_refuses_to_acquire(self, tmp_path):
-        disabled = SpectrumStore(tmp_path / "s", lease_ttl=0)
-        assert disabled.lease_ttl == 0.0
-        with pytest.raises(ValueError):
-            disabled.acquire_lease(FINGERPRINT)
-
     def test_store_stats_report_the_ttl_and_lease_counts(self, store):
         lease = store.acquire_lease(FINGERPRINT)
-        stats = store.stats()
-        assert stats["lease_ttl"] == 5.0
-        assert stats["active_leases"] == 1
-        assert stats["stale_leases"] == 0
+        assert store.stats()["active_leases"] == 1
         lease.release()
         assert store.stats()["active_leases"] == 0
 
@@ -107,15 +65,64 @@ class TestSolveLease:
         # A different spectrum is a different lease.
         other = store.acquire_lease(OTHER_FINGERPRINT)
         assert other is not None
-        [row_a, row_b] = sorted(store.leases(), key=lambda r: r["fingerprint"])
-        assert {row_a["stale"], row_b["stale"]} == {False}
+        rows = store.leases()
+        assert sorted(row["lease"] for row in rows) == sorted(
+            [lease_key(), lease_key(OTHER_FINGERPRINT)]
+        )
+        assert {row["pid"] for row in rows} == {os.getpid()}
+        assert lock_files(store) == sorted(f"{row['lease']}.lock" for row in rows)
         lease.release()
         lease.release()  # idempotent
         other.release()
-        assert store.leases() == []
+        assert store.leases() == [] and lock_files(store) == []
         with store.acquire_lease(FINGERPRINT) as again:  # context-manager form
             assert again is not None
-        assert store.leases() == []
+        assert store.leases() == [] and lock_files(store) == []
+
+    def test_two_handles_in_one_process_exclude_each_other(self, store):
+        other = SpectrumStore(store.root)
+        lease = store.acquire_lease(FINGERPRINT)
+        assert other.acquire_lease(FINGERPRINT) is None
+        lease.release()
+        with other.acquire_lease(FINGERPRINT) as taken:
+            assert taken is not None
+            assert store.acquire_lease(FINGERPRINT) is None
+
+    def test_a_file_released_before_it_is_locked_does_not_lead(self, store, monkeypatch):
+        # A contender opens the lease's file, then, before it locks it, the
+        # holder releases (unlinking the file) and a newcomer leads on a
+        # new one.  The contender's lock on the old file must not lead too.
+        lease = store.acquire_lease(FINGERPRINT)
+        newcomer = []
+        flock = fcntl.flock
+
+        def interposed(fd, operation):
+            if not newcomer:
+                newcomer.append(None)
+                lease.release()
+                newcomer[0] = SpectrumStore(store.root).acquire_lease(FINGERPRINT)
+            return flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", interposed)
+        assert store.acquire_lease(FINGERPRINT) is None
+        assert newcomer[0] is not None
+        newcomer[0].release()
+
+    def test_a_child_forked_under_a_lease_does_not_hold_it(self, store):
+        # The child shares the lease's open file, and with it the lock, but
+        # the release unlinks that file: the next lease takes a new one.
+        lease = store.acquire_lease(FINGERPRINT)
+        child = multiprocessing.get_context("fork").Process(target=lambda: time.sleep(600))
+        child.start()
+        try:
+            lease.release()
+            taken = SpectrumStore(store.root).acquire_lease(FINGERPRINT)
+            assert taken is not None
+            taken.release()
+        finally:
+            child.kill()
+            child.join(timeout=10.0)
+        assert not child.is_alive()
 
     def test_truncation_is_not_part_of_the_lease_key(self, store):
         # Every h of one spectrum contends for a single lease, the base id
@@ -132,79 +139,31 @@ class TestSolveLease:
         timer = threading.Timer(0.2, lease.release)
         timer.start()
         try:
-            outcome = store.wait_for_lease(FINGERPRINT, timeout=10.0)
+            taken = store.wait_for_lease(FINGERPRINT)
         finally:
             timer.cancel()
-        assert outcome == "released"
+        assert taken is not None
+        assert store.acquire_lease(FINGERPRINT) is None  # the waiter holds it now
+        taken.release()
+        assert lock_files(store) == []
 
-    def test_wait_times_out_under_a_live_leader(self, store):
+    def test_wait_times_out_under_a_live_leader(self, store, monkeypatch):
+        monkeypatch.setattr(store_module, "LEASE_WAIT_SECONDS", 0.3)
         with store.acquire_lease(FINGERPRINT):
             start = time.monotonic()
-            outcome = store.wait_for_lease(FINGERPRINT, timeout=0.3)
-            assert outcome == "timeout"
+            assert store.wait_for_lease(FINGERPRINT) is None
             assert time.monotonic() - start < 5.0
-
-    def test_heartbeat_keeps_a_short_ttl_lease_alive(self, store):
-        lease = store.acquire_lease(FINGERPRINT, ttl=0.3)
-        try:
-            time.sleep(1.0)  # several ttls; the heartbeat must carry it
-            assert store.acquire_lease(FINGERPRINT, ttl=0.3) is None
-            [row] = store.leases()
-            assert row["stale"] is False
-        finally:
-            lease.release()
-
-    def test_expired_heartbeat_is_taken_over(self, store):
-        lease = store.acquire_lease(FINGERPRINT, ttl=0.2)
-        # Stop the heartbeat without releasing: a leader that froze.
-        lease._stop.set()
-        lease._heartbeat.join(timeout=2.0)
-        time.sleep(0.5)
-        assert store.wait_for_lease(FINGERPRINT, timeout=5.0) == "stale"
-        takeover = store.acquire_lease(FINGERPRINT)
-        assert takeover is not None
-        # The zombie's release must not clobber the new holder's lease.
-        lease.release()
-        [row] = store.leases()
-        assert row["stale"] is False
-        takeover.release()
-
-    def test_dead_pid_on_this_host_is_stale_before_the_ttl(self, store):
-        reaper = multiprocessing.get_context("fork").Process(target=lambda: None)
-        reaper.start()
-        reaper.join()
-        write_lease_row(store, pid=reaper.pid, ttl=3600.0)
-        start = time.monotonic()
-        assert store.wait_for_lease(FINGERPRINT, timeout=30.0) == "stale"
-        assert time.monotonic() - start < 5.0  # dead-pid path, not the ttl
-        takeover = store.acquire_lease(FINGERPRINT)
-        assert takeover is not None
-        takeover.release()
-
-    def test_corrupt_lease_file_is_taken_over(self, store):
-        write_lease_row(store, heartbeat_at="{half a lease", ttl=None)
-        assert store.wait_for_lease(FINGERPRINT, timeout=5.0) == "stale"
-        takeover = store.acquire_lease(FINGERPRINT)
-        assert takeover is not None
-        takeover.release()
-
-    def test_verify_reports_and_fix_removes_stale_leases(self, store):
-        write_lease_row(store, heartbeat_at=time.time() - 3600.0, ttl=1.0)
-        live = store.acquire_lease(OTHER_FINGERPRINT)
-        report = store.verify()
-        assert report["ok"] is False
-        assert len(report["stale_leases"]) == 1
-        assert report["active_leases"] == 1
-        fixed = store.verify(fix=True)
-        assert fixed["leases_removed"] == 1
-        live.release()
-        assert store.verify()["ok"] is True
+            # A follower that gives up re-reads the store, then solves
+            # without a lease.
+            fetched = []
+            claim = store.claim(FINGERPRINT, lambda: fetched.append(1))
+            assert (claim.found, claim.lease, claim.followed) == (None, None, True)
+            assert fetched == [1]
 
 
 def _hold_lease_until_killed(root, ready):
-    """Child process: take the lease with a long ttl, then hang."""
-    store = SpectrumStore(root, lease_ttl=30.0)
-    lease = store.acquire_lease(FINGERPRINT)
+    """Child process: take the lease, then hang."""
+    lease = SpectrumStore(root).acquire_lease(FINGERPRINT)
     assert lease is not None
     ready.set()
     time.sleep(600)  # killed long before this returns
@@ -212,9 +171,8 @@ def _hold_lease_until_killed(root, ready):
 
 class TestKilledLeaderRecovery:
     def test_sigkilled_leader_hands_over_without_waiting_out_the_ttl(self, tmp_path):
-        # The stale-lease satellite: a leader killed mid-solve must not
-        # wedge its followers for the 30 s ttl — the dead-pid check hands
-        # the lease over as soon as a follower looks.
+        # The kernel drops a killed leader's lock as the process exits, not
+        # when its parent reaps it: the lease is free while it is a zombie.
         ctx = multiprocessing.get_context("fork")
         ready = ctx.Event()
         root = tmp_path / "spectra"
@@ -222,27 +180,27 @@ class TestKilledLeaderRecovery:
         leader.start()
         try:
             assert ready.wait(timeout=30.0)
-            store = SpectrumStore(root, lease_ttl=30.0)
+            store = SpectrumStore(root)
             assert store.acquire_lease(FINGERPRINT) is None  # genuinely held
+            assert [row["pid"] for row in store.leases()] == [leader.pid]
             os.kill(leader.pid, signal.SIGKILL)
-            leader.join(timeout=10.0)
             start = time.monotonic()
-            outcome = store.wait_for_lease(FINGERPRINT, timeout=60.0)
-            elapsed = time.monotonic() - start
-            assert outcome == "stale"
-            assert elapsed < 10.0  # nowhere near the 30 s ttl
-            takeover = store.acquire_lease(FINGERPRINT)
+            takeover = store.wait_for_lease(FINGERPRINT)
             assert takeover is not None
+            assert time.monotonic() - start < 2.0
+            # The dead leader's file is taken over, and goes on release.
+            assert [row["pid"] for row in store.leases()] == [os.getpid()]
             takeover.release()
+            assert lock_files(store) == []
         finally:
-            if leader.is_alive():
-                leader.kill()
-                leader.join(timeout=5.0)
+            leader.kill()
+            leader.join(timeout=10.0)
+        assert leader.exitcode == -signal.SIGKILL
 
 
 def _cold_solve_worker(root, barrier, results):
     """Child process: one cold spectrum lookup through its own cache."""
-    store = SpectrumStore(root, lease_ttl=30.0)
+    store = SpectrumStore(root)
     cache = SpectrumCache(store=store)
     graph = fft_graph(3)
     barrier.wait(timeout=60.0)
@@ -258,31 +216,38 @@ def _cold_solve_worker(root, barrier, results):
     )
 
 
+def _race(worker, root, count):
+    """Run ``worker(root, barrier, results)`` in ``count`` forked processes
+    released together; their results, once every one exited cleanly."""
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(count)
+    results_queue = ctx.Queue()
+    workers = [
+        ctx.Process(target=worker, args=(root, barrier, results_queue))
+        for _ in range(count)
+    ]
+    for proc in workers:
+        proc.start()
+    try:
+        results = [results_queue.get(timeout=120.0) for _ in workers]
+    finally:
+        for proc in workers:
+            proc.join(timeout=30.0)
+            if proc.is_alive():
+                proc.kill()
+    assert all(proc.exitcode == 0 for proc in workers)
+    assert len({result["pid"] for result in results}) == count
+    return results
+
+
 class TestCrossProcessCoalescing:
     def test_two_processes_cold_solving_pay_one_eigensolve(self, tmp_path):
         # The cross-process satellite: two *processes* (not threads) race a
         # cold miss on the same fingerprint; the lease must collapse them
         # to exactly one eigensolve, both get the same answer, and the
         # store index survives uncorrupted.
-        ctx = multiprocessing.get_context("fork")
-        barrier = ctx.Barrier(2)
-        results_queue = ctx.Queue()
         root = tmp_path / "spectra"
-        workers = [
-            ctx.Process(target=_cold_solve_worker, args=(root, barrier, results_queue))
-            for _ in range(2)
-        ]
-        for proc in workers:
-            proc.start()
-        try:
-            results = [results_queue.get(timeout=120.0) for _ in workers]
-        finally:
-            for proc in workers:
-                proc.join(timeout=30.0)
-                if proc.is_alive():
-                    proc.kill()
-        assert all(proc.exitcode == 0 for proc in workers)
-        assert len({result["pid"] for result in results}) == 2
+        results = _race(_cold_solve_worker, root, 2)
 
         # Exactly one eigensolve across both processes...
         assert sum(result["misses"] for result in results) == 1
@@ -298,11 +263,24 @@ class TestCrossProcessCoalescing:
         assert report["ok"] is True
         assert store.leases() == []
 
+    def test_a_herd_of_processes_pays_one_eigensolve(self, tmp_path):
+        # Three times as many processes as this host's two cores: each
+        # follower in turn takes the lease, finds the spectrum and unlinks
+        # the file, while the others still poll the path.
+        root = tmp_path / "spectra"
+        results = _race(_cold_solve_worker, root, 6)
+        assert sum(result["misses"] for result in results) == 1
+        assert sum(result["leaders"] for result in results) <= 1
+        assert len({tuple(result["eigenvalues"]) for result in results}) == 1
+        store = SpectrumStore(root)
+        assert store.stats()["solves_recorded"] == 1
+        assert store.leases() == [] and list(root.glob("*.lock")) == []
+
     def test_thread_local_caches_coalesce_through_the_store(self, tmp_path):
         # Same guarantee inside one process: two independent caches (as two
         # fleet workers would hold) over one store, racing a cold miss.
-        store_a = SpectrumStore(tmp_path / "spectra", lease_ttl=30.0)
-        store_b = SpectrumStore(tmp_path / "spectra", lease_ttl=30.0)
+        store_a = SpectrumStore(tmp_path / "spectra")
+        store_b = SpectrumStore(tmp_path / "spectra")
         caches = [SpectrumCache(store=store_a), SpectrumCache(store=store_b)]
         graph = fft_graph(3)
         barrier = threading.Barrier(2)
@@ -328,18 +306,10 @@ class TestCrossProcessCoalescing:
         assert store_a.stats()["solves_recorded"] == 1
         assert store_a.leases() == []
 
-    def test_disabled_leasing_still_solves(self, tmp_path):
-        store = SpectrumStore(tmp_path / "spectra", lease_ttl=0)
-        cache = SpectrumCache(store=store)
-        spectrum = cache.spectrum(fft_graph(3), 8)
-        assert spectrum.eigenvalues.shape == (8,)
-        assert cache.misses == 1
-        assert cache.lease_leaders == 0 and cache.lease_followers == 0
-
 
 def _cold_max_cut_worker(root, barrier, results):
     """Child process: one cold max-flow pass through its own engine."""
-    engine = MinCutEngine(fft_graph(5), store=CutStore(root, lease_ttl=30.0))
+    engine = MinCutEngine(fft_graph(5), store=CutStore(root))
     barrier.wait(timeout=60.0)
     best_cut, _ = engine.max_cut()
     results.put({"pid": os.getpid(), "best_cut": best_cut, "flow_calls": engine.flow_calls})
@@ -359,25 +329,8 @@ class TestCutLease:
         reference = MinCutEngine(fft_graph(5))
         best_cut, _ = reference.max_cut()
         assert reference.flow_calls > 0
-        ctx = multiprocessing.get_context("fork")
-        barrier = ctx.Barrier(2)
-        results_queue = ctx.Queue()
         root = tmp_path / "store"
-        workers = [
-            ctx.Process(target=_cold_max_cut_worker, args=(root, barrier, results_queue))
-            for _ in range(2)
-        ]
-        for proc in workers:
-            proc.start()
-        try:
-            results = [results_queue.get(timeout=120.0) for _ in workers]
-        finally:
-            for proc in workers:
-                proc.join(timeout=30.0)
-                if proc.is_alive():
-                    proc.kill()
-        assert all(proc.exitcode == 0 for proc in workers)
-        assert len({result["pid"] for result in results}) == 2
+        results = _race(_cold_max_cut_worker, root, 2)
         assert [result["best_cut"] for result in results] == [best_cut, best_cut]
         # One pass between them: the follower read the leader's table.
         assert sum(result["flow_calls"] for result in results) == reference.flow_calls
@@ -388,7 +341,7 @@ class TestCutLease:
         graph = fft_graph(5)
         fingerprint = graph.fingerprint()
         chunks = [np.arange(0, graph.num_vertices, 2), np.arange(1, graph.num_vertices, 2)]
-        store = CutStore(tmp_path / "store", lease_ttl=30.0)
+        store = CutStore(tmp_path / "store")
         leases = [store.acquire_lease(fingerprint, candidates=chunk) for chunk in chunks]
         assert all(lease is not None for lease in leases)  # neither waits
         assert store.acquire_lease(fingerprint, candidates=chunks[0]) is None
@@ -398,7 +351,7 @@ class TestCutLease:
         # Two engines racing one chunk each both lead, and the chunks'
         # maxima combine to the whole graph's.
         engines = [
-            MinCutEngine(graph, store=CutStore(tmp_path / "store", lease_ttl=30.0))
+            MinCutEngine(graph, store=CutStore(tmp_path / "store"))
             for _ in chunks
         ]
         leaders, followers = _cut_leases("leader"), _cut_leases("follower")

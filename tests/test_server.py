@@ -897,7 +897,7 @@ class TestServingPolicies:
         lease_waits: list = []
         monkeypatch.setattr(
             SpectrumStore, "wait_for_lease",
-            lambda *args, **kwargs: lease_waits.append(args) or "timeout",
+            lambda *args, **kwargs: lease_waits.append(args),
         )
         spec = {"family": "fft", "size": 5}
         for store in (None, tmp_path / "store"):
@@ -1061,15 +1061,13 @@ class TestServeCLI:
 
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--workers", "3", "--store",
-             str(tmp_path / "s"), "--lease-ttl", "7.5",
-             "--num-eigenvalues", "25", "--max-in-flight", "2"]
+             str(tmp_path / "s"), "--num-eigenvalues", "25", "--max-in-flight", "2"]
         )
         fleet = build_fleet_from_args(args, 3)
         try:
             assert fleet.num_workers == 3
             assert len(fleet.worker_urls) == 3
             assert fleet.config.store_root == str(tmp_path / "s")
-            assert fleet.config.lease_ttl == 7.5
             assert fleet.config.num_eigenvalues == 25
             assert fleet.config.max_in_flight == 2
         finally:
@@ -1176,7 +1174,6 @@ class TestServerFleet:
         config = FleetConfig(
             store_root=str(tmp_path / "store"),
             num_eigenvalues=NUM_EIGENVALUES,
-            lease_ttl=10.0,
         )
         with ServerFleet(config, workers=2) as fleet:
             fleet.start()
@@ -1210,9 +1207,7 @@ class TestServerFleet:
         expected = reference.submit(herd)
         assert reference.counters()["flow_calls"] == 368
         root = tmp_path / "store"
-        config = FleetConfig(
-            store_root=str(root), num_eigenvalues=NUM_EIGENVALUES, lease_ttl=10.0
-        )
+        config = FleetConfig(store_root=str(root), num_eigenvalues=NUM_EIGENVALUES)
         with ServerFleet(config, workers=2) as fleet:
             fleet.start()
             self._wait_healthy((fleet.url,) + fleet.worker_urls)
@@ -1311,10 +1306,11 @@ class TestServerFleet:
 
         # A cold fft:8 herd through both direct ports: one worker takes the
         # spectrum lease, the other's requests wait on it.  SIGKILL the
-        # holder mid-solve; the survivor must take the lease over and
-        # answer every request it holds, and the slot must respawn.
+        # holder mid-solve; its lock dies with it, so the survivor must take
+        # the lease over and answer every request it holds, and the slot
+        # must respawn.
         root = tmp_path / "store"
-        config = FleetConfig(store_root=str(root), num_eigenvalues=NUM_EIGENVALUES, lease_ttl=30.0)
+        config = FleetConfig(store_root=str(root), num_eigenvalues=NUM_EIGENVALUES)
         spec = GraphSpec(family="fft", size_param=8)
         herd = [BoundQuery(spec, M) for M in (2, 4, 6, 8)]
         expected = {a.memory_size: a.bound for a in direct_answers(herd)}
@@ -1369,7 +1365,6 @@ class TestFleetObservability:
         config = FleetConfig(
             store_root=str(tmp_path / "store"),
             num_eigenvalues=NUM_EIGENVALUES,
-            lease_ttl=10.0,
         )
         with ServerFleet(config, workers=2) as fleet:
             fleet.start()

@@ -209,6 +209,20 @@ class TestRepeatedEigenvaluesAboveTheDenseCutoff:
         dense = solve_smallest(lap, 40, "dense").eigenvalues
         np.testing.assert_allclose(iterative, dense, rtol=0, atol=1e-9)
 
+    def test_a_converged_block_with_many_zero_eigenvalues_is_returned(self):
+        """A draw whose block converged, but whose absolute residuals read
+        3.9e4 times the tolerance: each column's eigenvalue of the inverse
+        operator reaches ``1 / sigma``.  Judged relative to it, the block
+        reads 78 times the tolerance and is returned, not re-solved dense."""
+        edges = random_dag(16, edge_probability=0.07541987157223004, seed=85).freeze().edges
+        graph = ComputationGraph(112)
+        graph.add_edges_array(np.concatenate([edges + c * 16 for c in range(7)]))
+        lap = laplacian(graph, normalized=True, sparse=True)
+        iterative = create_backend("lobpcg").solve(lap, 14)
+        assert iterative.iterations is not None
+        dense = solve_smallest(lap, 14, "dense").eigenvalues
+        np.testing.assert_allclose(iterative.eigenvalues, dense, rtol=0, atol=1e-9)
+
 
 class TestCacheKeySegregation:
     def test_backend_variants_coexist_in_memory_cache(self):

@@ -247,6 +247,16 @@ def _user_version(root):
     return _pragma(root, "user_version")
 
 
+def _tables(root):
+    conn = sqlite3.connect(root / "catalog.sqlite")
+    try:
+        return {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )}
+    finally:
+        conn.close()
+
+
 class TestFormatReset:
     def test_processes_opening_a_parent_format_store_discard_it_once(self, tmp_path):
         ctx = multiprocessing.get_context("fork")
@@ -302,17 +312,21 @@ class TestFormatReset:
         assert store.stats()["formats_discarded"] == 1 and len(store) == 1
 
     @staticmethod
-    def _assert_discarded(root, version):
-        """A store of this schema stamped ``version`` reads empty and is
-        discarded once."""
+    def _assert_discarded(root, version, *statements):
+        """A store of this schema, altered by ``statements`` and stamped
+        ``version``, reads empty and is discarded once."""
         SpectrumStore(root).put(FP, np.arange(3, dtype=float), 1.0)
         conn = sqlite3.connect(root / "catalog.sqlite")
+        for statement in statements:
+            conn.execute(statement)
         conn.execute(f"PRAGMA user_version = {version}")
+        conn.commit()
         conn.close()
         store = SpectrumStore(root)
         assert len(store) == 0
         assert store.stats()["formats_discarded"] == 1
-        assert _user_version(root) == FORMAT_VERSION == 5
+        assert _user_version(root) == FORMAT_VERSION == 6
+        assert _tables(root) == {"spectra", "cuts", "counters"}
 
     def test_a_format_3_store_is_discarded(self, tmp_path):
         """Format 3 has this schema, but its dense spectra from 1,000
@@ -326,6 +340,16 @@ class TestFormatReset:
         residual stop, which this build does not reproduce to the last
         digit."""
         self._assert_discarded(tmp_path / "spectra", 4)
+
+    def test_a_format_5_store_is_discarded(self, tmp_path):
+        """Format 5 kept the solve leases in a ``leases`` table, which this
+        build keeps as lock files beside the catalog."""
+        self._assert_discarded(
+            tmp_path / "spectra", 5,
+            "CREATE TABLE leases (base TEXT PRIMARY KEY, token TEXT, pid INTEGER, "
+            "host TEXT, fingerprint TEXT, created_at REAL, heartbeat_at REAL, ttl REAL)",
+            f"INSERT INTO leases VALUES ('{'c' * 40}', 't', 1, 'h', '{FP}', 1.0, 1.0, 30.0)",
+        )
 
     def test_a_new_store_is_not_counted_as_discarded(self, tmp_path):
         root = tmp_path / "spectra"
@@ -349,12 +373,12 @@ class TestProcessesAndThreads:
         # writers; none may fail where a later write would have waited.
         ctx = multiprocessing.get_context("fork")
         for attempt in range(20):
-            store = SpectrumStore(tmp_path / f"spectra-{attempt}", lease_ttl=30.0)
+            store = SpectrumStore(tmp_path / f"spectra-{attempt}")
             barrier = ctx.Barrier(4)
 
             def first_write(index):
                 barrier.wait(timeout=30)
-                store.acquire_lease(f"{index}" * 40).release()
+                store.put(f"{index}" * 40, _vector(3), 1.0)
 
             procs = [ctx.Process(target=first_write, args=(i,)) for i in range(4)]
             for proc in procs:
@@ -362,7 +386,7 @@ class TestProcessesAndThreads:
             for proc in procs:
                 proc.join(timeout=60)
             assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
-            assert store.leases() == [] and store.verify()["ok"]
+            assert len(store) == 4 and store.verify()["ok"]
 
     def test_handle_used_before_fork_works_in_the_child(self, tmp_path):
         store = SpectrumStore(tmp_path / "spectra")
@@ -387,11 +411,10 @@ class TestProcessesAndThreads:
         assert store.get(OTHER, 4) is not None and len(store) == 2
 
     def test_one_handle_shared_by_many_threads_loses_nothing(self, tmp_path):
-        store = SpectrumStore(tmp_path / "spectra", lease_ttl=0.2)
+        store = SpectrumStore(tmp_path / "spectra")
         cuts = CutStore(store.root)
         store.put(FP, _vector(3), 1.0)
         cuts.merge(FP, [2, 0, 1], [7, 5, 6])
-        lease = store.acquire_lease(OTHER)  # its heartbeat shares the handle
         errors = []
         barrier = threading.Barrier(8)
 
@@ -419,14 +442,12 @@ class TestProcessesAndThreads:
                 thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-            lease.release()
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert len(store) == 81
         assert store.stats()["solves_recorded"] == 81
         assert store.misses == 80 and store.hits == 160 and store.puts == 81
         assert cuts.hits == 80
-        assert store.leases() == []
 
     def test_reader_racing_a_publisher_sees_only_whole_values(self, tmp_path):
         """One process puts ever longer spectra of one key and merges a
