@@ -127,10 +127,9 @@ class ComputationGraph:
 
         This is the fast path the generators use: validation (range checks,
         self loops, duplicates — both inside the batch and against existing
-        edges) is vectorized, and the adjacency lists are extended per-vertex
-        group rather than per edge.  Semantically equivalent to calling
-        :meth:`add_edge` for every row, but orders of magnitude faster for
-        large batches.
+        edges) is vectorized, and one loop appends every row to the
+        adjacency lists.  The result is identical to calling
+        :meth:`add_edge` for every row, but far faster for large batches.
         """
         arr = np.asarray(edges)
         if arr.size == 0:
@@ -168,16 +167,11 @@ class ComputationGraph:
             if clash:
                 raise ValueError(f"duplicate edge {unpack_edge_key(min(clash))}")
 
-        # Extend adjacency lists grouped by endpoint (stable order preserves
-        # the batch's relative edge order within each vertex's list).
-        order = np.argsort(u, kind="stable")
-        groups_u, starts_u = np.unique(u[order], return_index=True)
-        for uu, chunk in zip(groups_u.tolist(), np.split(v[order], starts_u[1:])):
-            self._succ[uu].extend(chunk.tolist())
-        order = np.argsort(v, kind="stable")
-        groups_v, starts_v = np.unique(v[order], return_index=True)
-        for vv, chunk in zip(groups_v.tolist(), np.split(u[order], starts_v[1:])):
-            self._pred[vv].extend(chunk.tolist())
+        # Append in batch order, as add_edge does row by row.
+        succ, pred = self._succ, self._pred
+        for a, b in zip(u.tolist(), v.tolist()):
+            succ[a].append(b)
+            pred[b].append(a)
 
         self._edge_set.update(key_list)
         self._num_edges += arr.shape[0]

@@ -13,7 +13,8 @@ The three legs, all default-off or always-cheap:
 * :mod:`repro.obs.perf` — the performance-regression sentinel over the
   ``BENCH_HISTORY.jsonl`` ledger (``python -m repro obs perf check``).
 
-A configured tracer writes every span it finishes.
+A configured tracer appends every span it finishes to its one trace
+file, from every process of the run.
 
 ``python -m repro obs report trace.jsonl`` renders a collected trace
 (:mod:`repro.obs.report`; ``--json`` for machine-readable output).
@@ -42,8 +43,6 @@ from .tracing import (
     enabled,
     get_tracer,
     load_spans,
-    merge_shards,
-    shard_path,
     span,
     worker_configure,
 )
@@ -69,8 +68,6 @@ __all__ = [
     "enabled",
     "get_tracer",
     "load_spans",
-    "merge_shards",
-    "shard_path",
     "span",
     "worker_configure",
     # profiling

@@ -8,9 +8,9 @@ Backs ``python -m repro obs report trace.jsonl``.  Two views:
   wall time of direct children, aggregated and sorted; this is where
   "the sweep was slow" turns into "87% of it was lobpcg eigensolves".
 
-Works on any trace the tracer writes, including multi-process sweeps
-after shard merging (records are self-contained, so order and pid mixing
-do not matter).
+Works on any trace the tracer writes, including the one file every
+process of a pooled sweep or a serving fleet appends to (records are
+self-contained, so order and pid mixing do not matter).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def build_trees(
     """Return (roots, children-by-span-id) for a list of span dicts.
 
     A span is a root if it has no parent or its parent is absent from the
-    file (e.g. a worker shard inspected on its own).  Children are sorted
-    by start time.
+    file (e.g. a task of a sweep killed before its sweep span finished).
+    Children are sorted by start time.
     """
     by_id = {span["span_id"]: span for span in spans}
     children: Dict[str, List[Dict[str, Any]]] = defaultdict(list)

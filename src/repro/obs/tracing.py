@@ -14,25 +14,29 @@ returns a shared no-op context manager without allocating, and
 :func:`current_context` returns ``None``.  :func:`configure` turns it on
 for the process; ``--trace out.jsonl`` on the CLI is the usual entry.
 
-A configured tracer writes every span it finishes, as one JSON object per
-line appended to its JSONL path (flushed per span, so a forked worker
-never inherits buffered parent spans).
+A configured tracer writes every span it finishes as one JSON line, with
+one ``os.write`` on a descriptor opened ``O_APPEND``.  The kernel puts
+each such write at the end of the file in one step, so every process of
+a run — pool workers, fleet workers — appends to the one trace file
+without interleaving, and a span is on disk as soon as it finishes: a
+killed run keeps the spans of its finished work.  That atomicity holds
+on a local filesystem, not over NFS (the spectrum store needs a local
+disk too).  Nothing is buffered, so a forked child never inherits
+unwritten parent spans.
 
 Cross-process propagation
 -------------------------
 
-A ``ProcessPoolExecutor`` worker cannot append to the parent's file
-without interleaving, so each worker writes a private *shard*:
-
 1. the parent snapshots :func:`current_context` and ships it inside the
-   pickled task payload together with a shard base path;
+   pickled task payload together with its trace path (this works under
+   any start method, ``forkserver`` and ``spawn`` included);
 2. the worker calls :func:`worker_configure`, which replaces any tracer
-   inherited over ``fork`` with one writing ``<base>.shard-<pid>.jsonl``
-   and re-roots its span stack under the shipped context — worker spans
-   carry the parent's ``trace_id`` and hang off the sweep span;
-3. after the pool drains, the parent calls :func:`merge_shards` to fold
-   every shard into the main JSONL file (append + delete; span records
-   are self-contained, so ordering never affects the reconstructed tree).
+   inherited over ``fork`` with one appending to that same path and
+   re-roots its span stack under the shipped context — worker spans carry
+   the parent's ``trace_id`` and hang off the sweep span.
+
+A pre-forked server fleet needs neither step: its workers keep the
+tracer they inherit over ``fork`` and append through its descriptor.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ __all__ = [
     "span",
     "current_context",
     "worker_configure",
-    "merge_shards",
 ]
 
 
@@ -147,7 +150,7 @@ class _Span:
 
 
 class Tracer:
-    """Owns the output sink and the per-thread span stacks."""
+    """Owns the trace file's descriptor and the per-thread span stacks."""
 
     def __init__(
         self,
@@ -157,8 +160,15 @@ class Tracer:
         self._path = os.fspath(path) if path is not None else None
         self._root_context = root_context
         self._local = threading.local()
+        # Guards the descriptor, not the file: a span finishing while
+        # another thread closes the tracer must not write into a number a
+        # later open() has reused.
         self._write_lock = threading.Lock()
-        self._file = open(self._path, "a", encoding="utf-8") if self._path else None
+        self._fd: Optional[int] = None
+        if self._path is not None:
+            self._fd = os.open(
+                self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_CLOEXEC, 0o666
+            )
 
     # -- span stack -------------------------------------------------------
 
@@ -199,17 +209,18 @@ class Tracer:
     # -- output -----------------------------------------------------------
 
     def _write(self, record: Dict[str, Any]) -> None:
-        if self._file is not None:
-            line = json.dumps(record, sort_keys=True)
-            with self._write_lock:
-                self._file.write(line + "\n")
-                self._file.flush()
+        if self._fd is None:
+            return
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        with self._write_lock:
+            if self._fd is not None:
+                os.write(self._fd, line)
 
     def close(self) -> None:
-        if self._file is not None:
-            with self._write_lock:
-                self._file.close()
-                self._file = None
+        with self._write_lock:
+            fd, self._fd = self._fd, None
+            if fd is not None:
+                os.close(fd)
 
     @property
     def path(self) -> Optional[str]:
@@ -268,56 +279,21 @@ def current_context() -> Optional[TraceContext]:
 
 # -- cross-process plumbing -----------------------------------------------
 
-def shard_path(shard_base: str, pid: Optional[int] = None) -> str:
-    """The shard file a worker with ``pid`` writes its spans to."""
-    return f"{shard_base}.shard-{pid if pid is not None else os.getpid()}.jsonl"
-
-
 def worker_configure(
     parent: Optional[TraceContext],
-    shard_base: Optional[str],
+    path: Optional[str],
 ) -> None:
     """(Re)configure tracing inside a pool worker.
 
-    Always replaces whatever tracer the worker inherited (over ``fork``
-    the parent's open file object would otherwise be shared), rooting new
-    spans under ``parent``.  With ``parent is None`` the worker is fully
+    Always replaces whatever tracer the worker inherited over ``fork``,
+    rooting new spans under ``parent`` and appending them to ``path``, the
+    parent's own trace file.  With ``parent is None`` the worker is fully
     silenced — the no-op guarantee holds across the pool too.
     """
     if parent is None:
         disable()
         return
-    path = shard_path(shard_base) if shard_base else None
     configure(path, root_context=parent)
-
-
-def merge_shards(main_path: str, shard_base: str) -> int:
-    """Fold every worker shard into the main JSONL file; returns span count.
-
-    Shards are appended whole and deleted.  Records are self-contained
-    (ids, parent links, timestamps), so append order does not matter for
-    tree reconstruction.
-    """
-    directory = os.path.dirname(os.path.abspath(shard_base)) or "."
-    prefix = os.path.basename(shard_base) + ".shard-"
-    merged = 0
-    try:
-        names = sorted(os.listdir(directory))
-    except FileNotFoundError:
-        return 0
-    with open(main_path, "a", encoding="utf-8") as out:
-        for name in names:
-            if not (name.startswith(prefix) and name.endswith(".jsonl")):
-                continue
-            shard = os.path.join(directory, name)
-            with open(shard, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        out.write(line + "\n")
-                        merged += 1
-            os.remove(shard)
-    return merged
 
 
 def load_spans(path: str) -> List[Dict[str, Any]]:

@@ -17,11 +17,10 @@ Four subcommands expose the runtime subsystem without writing any Python:
   solves).  Against a pre-warmed ``--store`` the whole HTTP path
   answers without a single eigensolve or max-flow call, which the CI serve
   smoke asserts via ``repro_eigensolves_total`` / ``repro_flow_calls_total``.
-  ``--workers N`` (or ``$REPRO_SERVE_WORKERS``) boots a pre-forked fleet
-  instead: N shared-nothing worker processes, each answering whatever it
-  accepts, over the same store (so a fleet refuses ``--no-store``), with
-  cross-process coalescing of eigensolves and max-flow passes via the
-  store's solve leases;
+  ``--workers N`` boots a pre-forked fleet instead: N shared-nothing
+  worker processes, each answering whatever it accepts, over the same
+  store (so a fleet refuses ``--no-store``), with cross-process coalescing
+  of eigensolves and max-flow passes via the store's solve leases;
 * ``obs`` — observability utilities over :mod:`repro.obs`: ``obs report
   trace.jsonl`` renders a trace (written via ``--trace`` on ``solve`` /
   ``sweep`` / ``serve``) as a top-down span tree plus a self-time table
@@ -32,9 +31,10 @@ Four subcommands expose the runtime subsystem without writing any Python:
   threshold-gated and disabled by ``REPRO_BENCH_TIMING_ASSERT=0``).
 
 ``--trace PATH`` on ``solve``, ``sweep`` and ``serve`` enables span-based
-tracing for the invocation and writes one JSON span per line to PATH;
+tracing for the invocation and appends one JSON span per line to PATH, as
+each span finishes.  Every process of the run appends to that one file:
 sweeps running with worker processes propagate the trace context into each
-task and fold the workers' span shards back into the same file.  Setting
+task, and a fleet's workers keep the tracer they inherit.  Setting
 ``REPRO_PROFILE=1`` additionally cProfiles each sweep task into
 ``PATH.profile-<task>-<pid>.pstats``.
 
@@ -250,19 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="cold solves allowed to wait for a slot before 429s start",
     )
     serve.add_argument(
-        "--retry-after",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="Retry-After hint attached to 429 responses",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="worker processes; >1 boots a pre-forked fleet over the store "
-        "(default: $REPRO_SERVE_WORKERS or 1)",
+        help="worker processes; >1 boots a pre-forked fleet over the store",
     )
     _add_solver_arguments(serve)
     _add_store_arguments(serve)
@@ -428,22 +420,11 @@ def build_server_from_args(args: argparse.Namespace):
         port=args.port,
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
-        retry_after_seconds=args.retry_after,
     )
 
 
 def _serve_workers(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        return max(1, int(args.workers))
-    import os
-
-    from repro.server.runner import SERVE_WORKERS_ENV_VAR
-
-    raw = os.environ.get(SERVE_WORKERS_ENV_VAR)
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+    return max(1, args.workers)
 
 
 def build_fleet_from_args(args: argparse.Namespace, workers: int):
@@ -453,20 +434,18 @@ def build_fleet_from_args(args: argparse.Namespace, workers: int):
     importing) so tests can boot the exact CLI fleet wiring on ephemeral
     ports without blocking in ``serve_forever``.  The fleet does not take
     a live service: each forked worker builds its own from the config, over
-    the store (``main`` refuses ``--no-store`` for a fleet).
+    the store (``main`` refuses ``--no-store`` for a fleet), and keeps the
+    tracer ``main`` configured before the fork.
     """
     from repro.server.runner import FleetConfig, ServerFleet
 
     root = args.store if args.store is not None else default_store_root()
-    trace_path = getattr(args, "trace", None)
     config = FleetConfig(
         store_root=str(root),
         num_eigenvalues=args.num_eigenvalues,
         solver=args.solver,
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
-        retry_after_seconds=args.retry_after,
-        trace_path=str(trace_path) if trace_path is not None else None,
     )
     return ServerFleet(config, host=args.host, port=args.port, workers=workers)
 
@@ -605,14 +584,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "serve": _cmd_serve,
         "obs": _cmd_obs,
     }
-    trace_path = getattr(args, "trace", None)
-    if trace_path is None:
+    trace = getattr(args, "trace", None)
+    if trace is None:
         return handlers[args.command](args)
-    obs.configure(str(trace_path))
+    obs.configure(str(trace))
     try:
         return handlers[args.command](args)
     finally:
-        obs.disable()  # flush + close the JSONL sink
+        obs.disable()  # close the trace file
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

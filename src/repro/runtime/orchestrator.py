@@ -302,12 +302,12 @@ def _run_in_worker(
     Store handles are not picklable or fork-safe, so each task opens its
     own; the store *directory* is shared, which is how workers publish
     spectra and cut tables to each other and to later runs.  The inherited
-    parent tracer is always replaced (fork would share its open file),
-    either with a per-pid shard tracer re-rooted under the shipped sweep
-    context or with nothing.
+    parent tracer is always replaced, either with one re-rooted under the
+    shipped sweep context and appending to the sweep's own trace file, or
+    with nothing.
     """
-    parent_context, shard_base = trace if trace is not None else (None, None)
-    obs.worker_configure(parent_context, shard_base)
+    parent_context, path = trace if trace is not None else (None, None)
+    obs.worker_configure(parent_context, path)
     store = SpectrumStore(store_root) if store_root else None
     cut_store = CutStore(store_root) if store_root else None
     try:
@@ -317,7 +317,7 @@ def _run_in_worker(
             options,
             SpectrumCache(store=store),
             cut_store,
-            profile_base=shard_base,
+            profile_base=path,
         )
     finally:
         _return_freed_heap()
@@ -586,9 +586,9 @@ class SweepOrchestrator:
             range(len(solve_tasks)),
             key=lambda i: (-solve_tasks[i].size_estimate, i),
         )
-        # Ship the sweep span's context so workers re-root under it; after
-        # the pool drains (even on task failure), fold the per-pid span
-        # shards into the main trace file so one sweep reads as one tree.
+        # Ship the sweep span's context and trace path: workers re-root
+        # under it and append to the same file, so one sweep reads as one
+        # tree.
         tracer = obs.get_tracer()
         context = obs.current_context()
         trace = (context, tracer.path) if tracer is not None and context else None
@@ -614,8 +614,6 @@ class SweepOrchestrator:
             raise
         finally:
             pool.shutdown(wait=True)
-            if trace is not None and trace[1] is not None:
-                obs.merge_shards(trace[1], trace[1])
 
     def _run_serial(
         self,

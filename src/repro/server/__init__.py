@@ -29,7 +29,6 @@ from repro.server.app import BoundsApp, ServerOverloadedError
 from repro.server.client import BoundsClient, ServerError
 from repro.server.protocol import PROTOCOL_VERSION, GraphRegistry, ProtocolError
 from repro.server.runner import (
-    SERVE_WORKERS_ENV_VAR,
     AdmissionController,
     BoundServer,
     FleetConfig,
@@ -47,7 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "SERVE_WORKERS_ENV_VAR",
     "ServerError",
     "ServerFleet",
     "ServerOverloadedError",

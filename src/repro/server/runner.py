@@ -28,7 +28,9 @@ reads, and cross-process duplicate *solves* — eigensolves and max-flow
 passes alike — are collapsed by the store's solve leases (see
 :meth:`repro.runtime.store.SpectrumStore.claim`).  A lease is a kernel
 file lock, so a worker killed mid-solve frees its lease as it dies and a
-sibling waiting on it solves in its place.
+sibling waiting on it solves in its place.  A traced fleet writes one
+trace: each worker keeps the tracer it inherits over ``fork`` and appends
+its spans to the parent's trace file.
 
 Both share one drain: closing a server (``BoundServer.close()``, or SIGTERM
 to ``python -m repro serve`` with one worker or many) stops accepting, lets
@@ -61,15 +63,12 @@ __all__ = [
     "ShardInfo",
     "FleetConfig",
     "ServerFleet",
-    "SERVE_WORKERS_ENV_VAR",
 ]
 
 DEFAULT_MAX_IN_FLIGHT = 4
 DEFAULT_MAX_QUEUE = 16
-DEFAULT_RETRY_AFTER_SECONDS = 1
-
-#: Environment variable giving the default ``--workers`` count.
-SERVE_WORKERS_ENV_VAR = "REPRO_SERVE_WORKERS"
+#: The ``Retry-After`` hint, in seconds, of every 429 admission sends.
+RETRY_AFTER_SECONDS = 1
 
 _ADMISSION_WAIT_SECONDS = global_registry().histogram(
     "repro_admission_wait_seconds",
@@ -89,7 +88,6 @@ class AdmissionController:
         self,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS,
     ) -> None:
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
@@ -97,7 +95,6 @@ class AdmissionController:
             raise ValueError(f"max_queue must be non-negative, got {max_queue}")
         self.max_in_flight = int(max_in_flight)
         self.max_queue = int(max_queue)
-        self.retry_after_seconds = retry_after_seconds
         self._condition = threading.Condition()
         self._in_flight = 0
         # One token per queued waiter, oldest first.  release() grants its
@@ -147,8 +144,8 @@ class AdmissionController:
                 self._rejected += 1
                 raise ServerOverloadedError(
                     f"{self._in_flight} solves in flight and {len(self._waiting)} "
-                    f"queued; retry after {self.retry_after_seconds}s",
-                    self.retry_after_seconds,
+                    f"queued; retry after {RETRY_AFTER_SECONDS}s",
+                    RETRY_AFTER_SECONDS,
                 )
             wait_start = time.perf_counter()
             token = object()
@@ -322,7 +319,7 @@ class BoundServer:
         The service to expose (owns every cache tier).
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (tests do this).
-    max_in_flight, max_queue, retry_after_seconds:
+    max_in_flight, max_queue:
         Admission-control knobs (see :class:`AdmissionController`).  The
         controller is handed to the service (``service.admission``), which
         takes a slot only for its cold solves.
@@ -340,11 +337,9 @@ class BoundServer:
         port: int = 0,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS,
     ) -> None:
         self._assemble(
-            service, [(_listen(host, port), False)], None,
-            max_in_flight, max_queue, retry_after_seconds,
+            service, [(_listen(host, port), False)], None, max_in_flight, max_queue
         )
 
     @classmethod
@@ -360,18 +355,13 @@ class BoundServer:
         server._assemble(
             config.build_service(), [(shared_sock, True), (direct_sock, False)],
             sharding, config.max_in_flight, config.max_queue,
-            config.retry_after_seconds,
         )
         return server
 
-    def _assemble(
-        self, service, sockets, sharding, max_in_flight, max_queue, retry_after_seconds
-    ) -> None:
+    def _assemble(self, service, sockets, sharding, max_in_flight, max_queue) -> None:
         self.service = service
         self.admission = AdmissionController(
-            max_in_flight=max_in_flight,
-            max_queue=max_queue,
-            retry_after_seconds=retry_after_seconds,
+            max_in_flight=max_in_flight, max_queue=max_queue
         )
         service.admission = self.admission
         self.app = BoundsApp(service, self.admission, sharding)
@@ -478,8 +468,6 @@ class FleetConfig:
     solver: str = "auto"
     max_in_flight: int = DEFAULT_MAX_IN_FLIGHT
     max_queue: int = DEFAULT_MAX_QUEUE
-    retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS
-    trace_path: Optional[str] = None
 
     def build_service(self) -> BoundService:
         from repro.runtime.store import SpectrumStore
@@ -531,10 +519,9 @@ def _fleet_worker_main(
         "repro_worker_restarts",
         "Times this worker slot has been respawned (0 for the original).",
     ).set(float(incarnation))
-    if config.trace_path is not None:
-        from repro import obs
-
-        obs.configure(f"{config.trace_path}.worker-{worker_id}.jsonl")
+    # Tracing needs no setup here: this fork keeps the parent's tracer and
+    # appends through its descriptor.  That is safe because the parent
+    # writes no spans, so no held write lock crosses the fork.
 
     sharding = ShardInfo(worker_id, tuple(worker_urls), restarts=incarnation)
     server = BoundServer._fleet_worker(config, sharding, shared_sock, direct_sock)

@@ -120,9 +120,10 @@ class BackendSolveResult:
         LOBPCG iterations the returned block took; ``None`` for an exact
         (dense) solve, including an iterative backend's dense fallback.
     max_residual:
-        The largest residual norm of the returned block after LOBPCG's
-        final Rayleigh-Ritz step, in the units of the matrix the backend
-        iterated on; ``None`` when ``iterations`` is.
+        The largest residual norm of the ``k`` returned columns after
+        LOBPCG's final Rayleigh-Ritz step (oversample columns excluded), in
+        the units of the matrix the backend iterated on; ``None`` when
+        ``iterations`` is.
     """
 
     eigenvalues: np.ndarray
@@ -202,19 +203,22 @@ class LobpcgBackend(SpectralBackend):
     #: Largest dimension the *failure* path may densify (an n x n float64
     #: array); beyond it a failed sparse solve re-raises instead of OOMing.
     dense_fallback_cap = 5000
-    #: A block whose largest final residual exceeds ``tolerance`` by more
+    #: An answer whose largest final residual exceeds ``tolerance`` by more
     #: than this factor is taken as unconverged: SciPy's ``lobpcg`` can
-    #: fail mid-run and hand back its best earlier block.  Each residual is
-    #: judged relative to its Ritz value, an eigenvalue of
+    #: fail mid-run and hand back its best earlier block.  Only the ``k``
+    #: returned columns are judged: an oversample column inside a cluster
+    #: of equal eigenvalues that runs past the block can stall far above
+    #: the factor (5.9e4) while the returned ones have converged (3.7).
+    #: Each residual is judged relative to its Ritz value, an eigenvalue of
     #: ``(L + sigma I)^-1`` that reaches ``1 / sigma``, so converged blocks
     #: with many zero eigenvalues no longer read up to 3e5.  Relative ones
     #: peaked at 19.2 over 28 probe solves of fft, matmul, bhk and hypercube
     #: graphs; of 1,200 random draws of planted multiplicities 1 crossed
     #: the factor (7 as absolute residuals), and all 7 had converged to
-    #: within 7e-15 of dense.  A failed block (normalised 8 copies of a 30-vertex
-    #: random DAG, h = 40) read 5.1e6, with eigenvalues 1.7e-3 too high.
-    #: :class:`AmgBackend` judges the absolute residuals of its operator,
-    #: ``L + sigma I`` itself (at most 74 on those probes).
+    #: within 7e-15 of dense.  A failed block (normalised 8 copies of a
+    #: 30-vertex random DAG, h = 40) read 5.1e6, with eigenvalues 1.7e-3 too
+    #: high.  :class:`AmgBackend` judges the absolute residuals of its
+    #: operator, ``L + sigma I`` itself (at most 74 on those probes).
     unconverged_factor = 1e4
 
     @staticmethod
@@ -273,27 +277,35 @@ class LobpcgBackend(SpectralBackend):
                     f"matrix is too large to densify; retry with method='amg'"
                 )
             return self._dense_fallback(matrix, k)
-        values = np.sort(1.0 / np.asarray(inverse_values, dtype=np.float64) - sigma)
-        return self._iterated(matrix, values[:k], residuals, scale=inverse_values)
+        inverse_values = np.asarray(inverse_values, dtype=np.float64)
+        return self._iterated(
+            matrix, k, 1.0 / inverse_values - sigma, residuals, scale=inverse_values
+        )
 
     def _iterated(
-        self, matrix: MatrixLike, values: np.ndarray, residuals, scale=1.0
+        self, matrix: MatrixLike, k: int, values: np.ndarray, residuals, scale=None
     ) -> BackendSolveResult:
-        """A LOBPCG answer and what its residual-norm history says.  Row
-        ``i`` of the history holds the block's residuals after ``i``
-        iterations, up to the block LOBPCG returns; the last row holds them
-        after its final Rayleigh-Ritz step, each judged divided by its
-        ``scale`` (the Ritz values LOBPCG returned, column for column, or
-        1).  An unconverged block (see :attr:`unconverged_factor`) small
-        enough to densify is replaced by the dense answer."""
-        final = residuals[-1]
+        """The ``k`` smallest of a LOBPCG block's eigenvalue estimates
+        ``values`` (one per column), and what its residual-norm history
+        says of those ``k`` columns.  Row ``i`` of the history holds the
+        block's residuals after ``i`` iterations, up to the block LOBPCG
+        returns; the last row holds them after its final Rayleigh-Ritz
+        step, each judged divided by its ``scale`` (the Ritz values LOBPCG
+        returned, column for column), if given.  Oversample columns are not
+        judged: their values are not returned.  An unconverged answer (see
+        :attr:`unconverged_factor`) small enough to densify is replaced by
+        the dense answer."""
+        returned = np.argsort(values, kind="stable")[:k]
+        final = residuals[-1][returned]
+        judged = final if scale is None else final / scale[returned]
         if (
-            np.max(final / scale) > self.unconverged_factor * self.tolerance
+            np.max(judged) > self.unconverged_factor * self.tolerance
             and matrix.shape[0] <= self.dense_fallback_cap
         ):
-            return self._dense_fallback(matrix, values.shape[0])
+            return self._dense_fallback(matrix, k)
         return BackendSolveResult(
-            values, self.id, iterations=len(residuals) - 2, max_residual=float(np.max(final)),
+            values[returned], self.id, iterations=len(residuals) - 2,
+            max_residual=float(np.max(final)),
         )
 
     def _dense_fallback(self, matrix: MatrixLike, k: int) -> BackendSolveResult:
@@ -367,8 +379,9 @@ class AmgBackend(LobpcgBackend):
                     f"matrix is too large to densify; retry with method='lobpcg'"
                 )
             return self._dense_fallback(matrix, k)
-        values = np.sort(np.asarray(values, dtype=np.float64) - sigma)
-        return self._iterated(matrix, values[:k], residuals)
+        return self._iterated(
+            matrix, k, np.asarray(values, dtype=np.float64) - sigma, residuals
+        )
 
 
 # ----------------------------------------------------------------------

@@ -274,16 +274,26 @@ class TestFingerprint:
 
 class TestAddEdgesArray:
     def test_matches_per_edge_construction(self):
-        edges = [(0, 2), (1, 2), (2, 4), (3, 4), (0, 4)]
-        g1 = ComputationGraph(5)
-        g1.add_edges(edges)
-        g2 = ComputationGraph(5)
-        g2.add_edges_array(np.array(edges))
-        assert g1 == g2
-        assert g1.fingerprint() == g2.fingerprint()
-        for v in g1.vertices():
-            assert sorted(g1.predecessors(v)) == sorted(g2.predecessors(v))
-            assert sorted(g1.successors(v)) == sorted(g2.successors(v))
+        """Same adjacency lists, in the same order, as ``add_edge`` row by
+        row — also for shuffled edges fed in several batches."""
+        rng = np.random.default_rng(0)
+        inputs = [(5, [np.array([(0, 2), (1, 2), (2, 4), (3, 4), (0, 4)])])]
+        for seed in range(10):
+            n = int(rng.integers(10, 60))
+            edges = random_dag(n, edge_probability=0.3, seed=seed).freeze().edges.copy()
+            rng.shuffle(edges)
+            inputs.append((n, np.array_split(edges, 3)))
+        for n, batches in inputs:
+            g1 = ComputationGraph(n)
+            g2 = ComputationGraph(n)
+            for batch in batches:
+                g1.add_edges(batch.tolist())
+                g2.add_edges_array(batch)
+            assert g1 == g2
+            assert g1.fingerprint() == g2.fingerprint()
+            for v in g1.vertices():
+                assert g1.predecessors(v) == g2.predecessors(v)
+                assert g1.successors(v) == g2.successors(v)
 
     def test_mixes_with_incremental_edges(self):
         g = ComputationGraph(6)

@@ -3,17 +3,20 @@
 The load-bearing contracts: (1) with no tracer configured the whole
 observability surface is a shared no-op (zero file writes, metrics
 untouched by span calls); (2) a pooled sweep produces ONE coherent trace
-tree — worker spans re-root under the parent sweep span, shards merge
-losslessly into the main JSONL file, and the merge happens even when a
-worker task fails; (3) the JSON surfaces (``sweep --json`` task records,
-HTTP answers) carry trace/span ids that resolve into that tree.
+tree — worker spans re-root under the parent sweep span and every process
+appends them, whole lines only, to the one trace file, even when a worker
+task fails; so does a serving fleet; (3) the JSON surfaces (``sweep
+--json`` task records, HTTP answers) carry trace/span ids that resolve
+into that tree.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
+import sys
 import threading
 import time
 import urllib.request
@@ -23,9 +26,11 @@ import pytest
 from repro import obs
 from repro.graphs.generators import fft_graph
 from repro.obs.report import build_trees, render_report, report_as_json, self_times
+from repro.runtime.cli import build_fleet_from_args, build_parser
 from repro.runtime.families import GraphSpec
 from repro.runtime.orchestrator import SweepOrchestrator
 from repro.runtime.service import BoundService
+from repro.server.client import BoundsClient
 from repro.server.runner import BoundServer
 from repro.solvers.spectrum_cache import SpectrumCache
 
@@ -104,6 +109,23 @@ class TestTracer:
         obs.disable()
         [record] = read_spans(path)
         assert record["attrs"]["backend"] == "dense"
+
+    def test_a_span_finishing_after_disable_writes_nothing(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        obs.configure(str(path))
+        closed_fd = obs.get_tracer()._fd
+        late = obs.span("late")
+        late.__enter__()
+        obs.disable()
+        # open() takes the lowest free descriptor: the one disable() closed.
+        reused = os.open(str(tmp_path / "other"), os.O_WRONLY | os.O_CREAT)
+        try:
+            assert reused == closed_fd
+            late.__exit__(None, None, None)
+        finally:
+            os.close(reused)
+        assert (tmp_path / "other").read_bytes() == b""
+        assert path.read_bytes() == b""
 
     def test_current_context_none_when_idle(self):
         obs.configure(None)
@@ -208,11 +230,11 @@ class TestPoolPropagation:
         assert len(solves) == report.num_eigensolves
 
     def test_shard_merge_is_lossless(self, tmp_path):
+        """No per-worker file: every worker span lands in the trace file."""
         path, report = self.run_pooled(tmp_path)
-        leftovers = [n for n in os.listdir(tmp_path) if ".shard-" in n]
-        assert leftovers == []  # every shard folded into the main file
+        assert sorted(os.listdir(tmp_path)) == ["spectra", "trace.jsonl"]
         spans = read_spans(path)
-        # Each task span written by a worker made it into the merged file,
+        # Each task span written by a worker made it into the trace file,
         # and the ids the TaskRecords advertise resolve against it.
         ids = {s["span_id"] for s in spans}
         for record in report.tasks:
@@ -233,29 +255,61 @@ class TestPoolPropagation:
             orchestrator.run_specs(specs, [4])
         obs.disable()
         spans = read_spans(path)
-        # The failing worker's span was still recorded (status=error) and
-        # merged; the sweep span carries the error too.
+        # The failing worker's span was still recorded (status=error); the
+        # sweep span carries the error too.
         assert any(s["name"] == "task" and s["status"] == "error" for s in spans)
         assert any(s["name"] == "sweep" and s["status"] == "error" for s in spans)
-        assert [n for n in os.listdir(tmp_path) if ".shard-" in n] == []
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
 
     def test_worker_configure_primitives(self, tmp_path):
-        base = str(tmp_path / "trace.jsonl")
+        path = str(tmp_path / "trace.jsonl")
         parent = obs.TraceContext(trace_id="t" * 16, span_id="s" * 16)
-        obs.worker_configure(parent, base)
+        obs.worker_configure(parent, path)
         with obs.span("task") as active:
             assert active.trace_id == parent.trace_id
             assert active.parent_id == parent.span_id
-        shard = obs.shard_path(base)
-        assert os.path.exists(shard)
-        obs.disable()
-        merged = obs.merge_shards(base, base)
-        assert merged == 1
-        assert not os.path.exists(shard)
-        assert read_spans(base)[0]["trace_id"] == parent.trace_id
+        # The span is in the parent's file as soon as it finished.
+        [record] = read_spans(path)
+        assert record["span_id"] == active.span_id
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
         # parent=None silences the worker entirely.
-        obs.worker_configure(None, base)
+        obs.worker_configure(None, path)
         assert not obs.enabled()
+
+    def test_forked_processes_append_whole_lines_to_one_file(self, tmp_path):
+        """Processes and threads finishing spans at once, some lines far
+        beyond a pipe buffer: every line lands whole, none is lost."""
+        path = str(tmp_path / "trace.jsonl")
+        parent = obs.TraceContext(trace_id="t" * 16, span_id="s" * 16)
+        processes, threads, spans = 3, 3, 20
+
+        def write_spans(thread):
+            for index in range(spans):
+                padding = "x" * (70_000 if index % 2 else 10)
+                with obs.span("task", thread=thread, index=index, padding=padding):
+                    pass
+
+        def worker():
+            sys.setswitchinterval(1e-5)  # a forked child: nothing to restore
+            obs.worker_configure(parent, path)
+            pool = [threading.Thread(target=write_spans, args=(t,)) for t in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+
+        context = multiprocessing.get_context("fork")
+        procs = [context.Process(target=worker) for _ in range(processes)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0] * processes
+        written = read_spans(path)  # a torn line would not parse
+        assert len(written) == processes * threads * spans
+        assert len({s["pid"] for s in written}) == processes
+        assert all(s["parent_id"] == parent.span_id for s in written)
+        assert os.listdir(tmp_path) == ["trace.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +395,26 @@ class TestServerSurfacing:
         queries = [s for s in spans if s["name"] == "query"]
         assert queries and queries[0]["trace_id"] == trace_id
         assert body["answers"][0]["trace_id"] == trace_id
+
+    def test_a_traced_fleet_writes_one_trace_file(self, tmp_path):
+        """``serve --workers 2 --trace PATH``, wired as ``main`` wires it."""
+        path = tmp_path / "fleet.jsonl"
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--workers", "2", "--num-eigenvalues",
+             str(NUM_EIGENVALUES), "--store", str(tmp_path / "store"), "--trace", str(path)]
+        )
+        obs.configure(str(args.trace))
+        query = {"queries": [{"graph": {"family": "fft", "size": 3}, "memory_size": 4}]}
+        with build_fleet_from_args(args, args.workers) as fleet:
+            fleet.start()
+            for url in fleet.worker_urls:
+                with BoundsClient(url) as client:
+                    client.bounds_raw(query)
+        obs.disable()
+        spans = read_spans(path)
+        requests = [s for s in spans if s["name"] == "http_request"]
+        assert len({s["pid"] for s in requests}) == 2  # both workers appended
+        assert sorted(os.listdir(tmp_path)) == ["fleet.jsonl", "store"]
 
     def test_no_header_when_disabled(self):
         obs.disable()

@@ -35,6 +35,7 @@ from repro.server.protocol import (
     encode_bounds_request,
 )
 from repro.server.runner import (
+    RETRY_AFTER_SECONDS,
     AdmissionController,
     BoundServer,
     FleetConfig,
@@ -274,7 +275,7 @@ class TestAdmissionController:
         admission.acquire()
         with pytest.raises(ServerOverloadedError) as info:
             admission.acquire()
-        assert info.value.retry_after_seconds == admission.retry_after_seconds
+        assert info.value.retry_after_seconds == RETRY_AFTER_SECONDS
         assert admission.rejected == 1
         admission.release()
         admission.acquire()  # slot free again
@@ -689,7 +690,7 @@ def held_server(fail_with: Exception = None, **server_kwargs):
 
 
 class TestServingPolicies:
-    def test_coalescing_fires_for_identical_inflight_queries(self):
+    def test_identical_inflight_queries_share_one_solve(self):
         server, solves = held_server()
         with server:
             server.start()
@@ -723,7 +724,7 @@ class TestServingPolicies:
             assert server.service.counters()["cache_misses"] == 2
 
     def test_overload_returns_429_without_corrupting_state(self):
-        server, solves = held_server(max_in_flight=1, max_queue=0, retry_after_seconds=2)
+        server, solves = held_server(max_in_flight=1, max_queue=0)
         with server:
             server.start()
             client = BoundsClient(server.url)
@@ -735,7 +736,7 @@ class TestServingPolicies:
                 client.bounds_raw({"queries": [QUERY_B]})
             assert info.value.status == 429
             assert info.value.code == "overloaded"
-            assert info.value.retry_after_seconds == 2
+            assert info.value.retry_after_seconds == RETRY_AFTER_SECONDS
             assert server.admission.rejected == 1
             solves.release.set()
             blocked.join(timeout=10)
@@ -969,14 +970,13 @@ class TestServeCLI:
     def test_serve_args_build_a_working_server(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--no-store", "--max-in-flight", "2",
-             "--max-queue", "5", "--retry-after", "3.5", "--num-eigenvalues", "25"]
+             "--max-queue", "5", "--num-eigenvalues", "25"]
         )
         server = build_server_from_args(args)
         try:
             server.start()
             assert server.admission.max_in_flight == 2
             assert server.admission.max_queue == 5
-            assert server.admission.retry_after_seconds == 3.5
             assert server.service.store is None
             client = BoundsClient(server.url)
             assert client.health()["status"] == "ok"
@@ -998,11 +998,13 @@ class TestServeCLI:
         assert str(store_root) in banner
         assert "disabled" not in banner
 
-    def test_serve_store_and_no_coalesce_flags(self, tmp_path):
+    def test_serve_wires_the_service_and_rejects_retired_flags(self, tmp_path):
         argv = ["serve", "--port", "0", "--store", str(tmp_path / "s")]
-        # --no-coalesce was a flag in older builds; coalescing is always on.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(argv + ["--no-coalesce"])
+        # Flags of older builds: coalescing is always on, and every 429
+        # carries the same Retry-After.
+        for retired in (["--no-coalesce"], ["--retry-after", "3.5"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + retired)
         server = build_server_from_args(build_parser().parse_args(argv))
         try:
             assert server.service.admission is server.admission
@@ -1010,21 +1012,19 @@ class TestServeCLI:
         finally:
             server.close()
 
-    def test_workers_flag_and_env_pick_the_worker_count(self, monkeypatch):
+    def test_workers_flag_picks_the_worker_count(self, monkeypatch):
         from repro.runtime.cli import _serve_workers
 
         args = build_parser().parse_args(["serve", "--workers", "3"])
         assert _serve_workers(args) == 3
-        args = build_parser().parse_args(["serve"])
-        assert _serve_workers(args) == 1  # no flag, no env -> single server
+        # The flag is the one channel: the variable older builds read is not.
         monkeypatch.setenv("REPRO_SERVE_WORKERS", "4")
-        assert _serve_workers(args) == 4
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "0")
+        args = build_parser().parse_args(["serve"])
+        assert _serve_workers(args) == 1  # no flag -> single server
+        args = build_parser().parse_args(["serve", "--workers", "0"])
         assert _serve_workers(args) == 1  # clamped, never a zero-worker fleet
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "junk")
-        assert _serve_workers(args) == 1
 
-    def test_fleet_without_a_store_is_a_usage_error(self, capsys, monkeypatch):
+    def test_fleet_without_a_store_is_a_usage_error(self, capsys):
         from repro.runtime.cli import main
 
         # The store is all a fleet's workers share.
@@ -1032,10 +1032,6 @@ class TestServeCLI:
             main(["serve", "--port", "0", "--workers", "2", "--no-store"])
         assert info.value.code == 2
         assert "needs a store" in capsys.readouterr().err
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "2")
-        with pytest.raises(SystemExit) as info:
-            main(["serve", "--port", "0", "--no-store"])
-        assert info.value.code == 2
 
     @pytest.mark.parametrize(
         "flags, message",

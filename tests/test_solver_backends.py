@@ -223,6 +223,22 @@ class TestRepeatedEigenvaluesAboveTheDenseCutoff:
         dense = solve_smallest(lap, 14, "dense").eigenvalues
         np.testing.assert_allclose(iterative.eigenvalues, dense, rtol=0, atol=1e-9)
 
+    def test_a_stalled_oversample_column_does_not_force_a_dense_solve(self):
+        """A draw whose 16-column block ends at 5.9e4 times the tolerance,
+        all of it in an oversample column inside a cluster of eigenvalue 1
+        that runs past the block; the 13 returned columns read at most 3.7
+        times it.  Only returned columns are judged, so the answer stands."""
+        edges = random_dag(27, edge_probability=0.136533723212965, seed=5669).freeze().edges
+        graph = ComputationGraph(108)
+        graph.add_edges_array(np.concatenate([edges + c * 27 for c in range(4)]))
+        lap = laplacian(graph, normalized=False, sparse=True)
+        backend = create_backend("lobpcg")
+        iterative = backend.solve(lap, 13)
+        assert iterative.iterations is not None
+        assert iterative.max_residual < backend.unconverged_factor * backend.tolerance
+        dense = solve_smallest(lap, 13, "dense").eigenvalues
+        np.testing.assert_allclose(iterative.eigenvalues, dense, rtol=0, atol=1e-9)
+
 
 class TestCacheKeySegregation:
     def test_backend_variants_coexist_in_memory_cache(self):
