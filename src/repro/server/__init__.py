@@ -10,9 +10,10 @@ JSON-decode requests into :class:`BoundQuery` objects and call
 * :mod:`repro.server.app` — the application: routing, structured errors
   and request metrics for ``POST /v1/bounds``, ``GET /v1/stats``,
   ``GET /v1/fleet/stats``, ``GET /healthz`` and ``GET /metrics``;
-* :mod:`repro.server.runner` — the transport (one ``http.server`` handler,
-  one threaded server class with a graceful drain) and
-  :class:`BoundServer`, which adds admission control around the service's
+* :mod:`repro.server.runner` — the transport (one HTTP/1.1 keep-alive
+  loop per connection that parses only the headers framing a request and
+  answers in one write, one threaded server class with a graceful drain)
+  and :class:`BoundServer`, which adds admission control around the service's
   cold solves (bounded in-flight solves + queue, 429 on overload; warm
   answers never wait); plus the pre-forked :class:`ServerFleet`
   (``--workers N``), whose every worker is a :class:`BoundServer` on two

@@ -28,7 +28,8 @@ of :func:`repro.server.protocol.encode_error` — protocol violations map to
 their declared status, an admission rejection (cold work only) maps to
 429 with a ``Retry-After`` header, service-level ``ValueError`` (unknown
 normalization/method, over-large ``k``) maps to 400, and anything
-unexpected to 500.
+unexpected to 500.  The transport answers the requests it cannot frame
+(400, 411, 414, 431) before they reach the app, with the same body.
 """
 
 from __future__ import annotations

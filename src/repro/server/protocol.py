@@ -45,7 +45,9 @@ Errors are structured objects, never bare strings::
 
 with the HTTP status carried alongside (400 malformed/invalid, 404 unknown
 fingerprint, 413 oversized batch/body/inline graph, 429 overload — see
-:mod:`repro.server.runner` — and 500 for everything unexpected).
+:mod:`repro.server.runner` — and 500 for everything unexpected).  The
+runner's transport raises :class:`ProtocolError` too, for a request it
+cannot frame (400, 411, 414, 431).
 """
 
 from __future__ import annotations
@@ -169,30 +171,25 @@ class DecodedQuery:
     fingerprint: Optional[str] = None
 
 
-def _require(condition: bool, message: str, **error_kwargs) -> None:
-    if not condition:
-        raise ProtocolError(message, **error_kwargs)
-
-
 def _check_version(payload: Dict[str, object]) -> None:
     version = payload.get("version", PROTOCOL_VERSION)
-    _require(
-        version == PROTOCOL_VERSION,
-        f"unsupported protocol version {version!r}; this server speaks "
-        f"version {PROTOCOL_VERSION}",
-        code="unsupported-version",
-    )
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"unsupported protocol version {version!r}; this server speaks "
+            f"version {PROTOCOL_VERSION}",
+            code="unsupported-version",
+        )
 
 
 def _int_field(mapping: Dict[str, object], name: str, default=None):
     value = mapping.get(name, default)
     if value is default:
         return default
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"field {name!r} must be an integer, got {type(value).__name__}",
-        code="invalid-query",
-    )
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ProtocolError(
+            f"field {name!r} must be an integer, got {type(value).__name__}",
+            code="invalid-query",
+        )
     return int(value)
 
 
@@ -200,60 +197,63 @@ def _decode_graph_ref(
     ref: object, registry: Optional[GraphRegistry]
 ) -> Tuple[Union[GraphSpec, ComputationGraph], Optional[str]]:
     """A wire graph reference -> (service graph ref, fingerprint)."""
-    _require(
-        isinstance(ref, dict),
-        f"'graph' must be an object with one of {_GRAPH_REF_FORMS}",
-        code="invalid-graph-ref",
-    )
-    if "family" in ref:
-        _require(
-            set(ref) == {"family", "size"},
-            "a family graph ref carries exactly the fields 'family' and 'size'",
+    if not isinstance(ref, dict):
+        raise ProtocolError(
+            f"'graph' must be an object with one of {_GRAPH_REF_FORMS}",
             code="invalid-graph-ref",
         )
+    if "family" in ref:
+        if set(ref) != {"family", "size"}:
+            raise ProtocolError(
+                "a family graph ref carries exactly the fields 'family' and 'size'",
+                code="invalid-graph-ref",
+            )
         family = ref["family"]
-        _require(
-            isinstance(family, str) and family in FAMILY_BUILDERS,
-            f"unknown graph family {family!r}",
-            code="unknown-family",
-            detail={"known_families": sorted(FAMILY_BUILDERS)},
-        )
+        if not isinstance(family, str) or family not in FAMILY_BUILDERS:
+            raise ProtocolError(
+                f"unknown graph family {family!r}",
+                code="unknown-family",
+                detail={"known_families": sorted(FAMILY_BUILDERS)},
+            )
         size = _int_field(ref, "size")
-        _require(size is not None, "a family graph ref needs an integer 'size'",
-                 code="invalid-graph-ref")
+        if size is None:
+            raise ProtocolError("a family graph ref needs an integer 'size'",
+                                code="invalid-graph-ref")
         return GraphSpec(family=family, size_param=size), None
     if "edges" in ref or "num_vertices" in ref:
-        _require(
-            set(ref) == {"num_vertices", "edges"},
-            "an inline graph ref carries exactly the fields 'num_vertices' "
-            "and 'edges'",
-            code="invalid-graph-ref",
-        )
+        if set(ref) != {"num_vertices", "edges"}:
+            raise ProtocolError(
+                "an inline graph ref carries exactly the fields 'num_vertices' "
+                "and 'edges'",
+                code="invalid-graph-ref",
+            )
         num_vertices = _int_field(ref, "num_vertices")
         edges = ref["edges"]
-        _require(
-            num_vertices is not None and num_vertices >= 0,
-            "'num_vertices' must be a non-negative integer",
-            code="invalid-graph-ref",
-        )
-        _require(
-            num_vertices <= MAX_INLINE_VERTICES,
-            f"inline graphs carry at most {MAX_INLINE_VERTICES} vertices, "
-            f"got {num_vertices}; save the graph as .npz and query it "
-            f"through the local CLI instead",
-            code="graph-too-large",
-            status=413,
-        )
-        _require(
+        if num_vertices is None or num_vertices < 0:
+            raise ProtocolError(
+                "'num_vertices' must be a non-negative integer",
+                code="invalid-graph-ref",
+            )
+        if num_vertices > MAX_INLINE_VERTICES:
+            raise ProtocolError(
+                f"inline graphs carry at most {MAX_INLINE_VERTICES} vertices, "
+                f"got {num_vertices}; save the graph as .npz and query it "
+                f"through the local CLI instead",
+                code="graph-too-large",
+                status=413,
+            )
+        if not (
             isinstance(edges, list)
             and all(
                 isinstance(e, list) and len(e) == 2
                 and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
                 for e in edges
-            ),
-            "'edges' must be a list of [tail, head] integer pairs",
-            code="invalid-graph-ref",
-        )
+            )
+        ):
+            raise ProtocolError(
+                "'edges' must be a list of [tail, head] integer pairs",
+                code="invalid-graph-ref",
+            )
         graph = ComputationGraph(num_vertices)
         if edges:
             try:
@@ -268,21 +268,21 @@ def _decode_graph_ref(
             fingerprint = graph.fingerprint()
         return graph, fingerprint
     if "fingerprint" in ref:
-        _require(
-            set(ref) == {"fingerprint"} and isinstance(ref["fingerprint"], str),
-            "a fingerprint graph ref carries exactly one string field "
-            "'fingerprint'",
-            code="invalid-graph-ref",
-        )
+        if set(ref) != {"fingerprint"} or not isinstance(ref["fingerprint"], str):
+            raise ProtocolError(
+                "a fingerprint graph ref carries exactly one string field "
+                "'fingerprint'",
+                code="invalid-graph-ref",
+            )
         fingerprint = str(ref["fingerprint"])
         graph = registry.get(fingerprint) if registry is not None else None
-        _require(
-            graph is not None,
-            f"no graph with fingerprint {fingerprint!r} is registered on this "
-            f"server; submit it inline once first",
-            code="unknown-graph",
-            status=404,
-        )
+        if graph is None:
+            raise ProtocolError(
+                f"no graph with fingerprint {fingerprint!r} is registered on this "
+                f"server; submit it inline once first",
+                code="unknown-graph",
+                status=404,
+            )
         return graph, fingerprint
     raise ProtocolError(
         f"unrecognised graph ref {sorted(ref)}; expected one of {_GRAPH_REF_FORMS}",
@@ -293,55 +293,54 @@ def _decode_graph_ref(
 def _decode_query(
     payload: object, registry: Optional[GraphRegistry]
 ) -> DecodedQuery:
-    _require(isinstance(payload, dict), "each query must be an object",
-             code="invalid-query")
+    if not isinstance(payload, dict):
+        raise ProtocolError("each query must be an object", code="invalid-query")
     unknown = set(payload) - _QUERY_FIELDS
-    _require(
-        not unknown,
-        f"unknown query field(s) {sorted(unknown)}; known fields are "
-        f"{sorted(_QUERY_FIELDS)}",
-        code="invalid-query",
-    )
-    _require("graph" in payload, "each query needs a 'graph' reference",
-             code="invalid-query")
+    if unknown:
+        raise ProtocolError(
+            f"unknown query field(s) {sorted(unknown)}; known fields are "
+            f"{sorted(_QUERY_FIELDS)}",
+            code="invalid-query",
+        )
+    if "graph" not in payload:
+        raise ProtocolError("each query needs a 'graph' reference",
+                            code="invalid-query")
     graph, fingerprint = _decode_graph_ref(payload["graph"], registry)
     memory_size = _int_field(payload, "memory_size")
-    _require(
-        memory_size is not None and memory_size >= 0,
-        "'memory_size' must be a non-negative integer",
-        code="invalid-query",
-    )
+    if memory_size is None or memory_size < 0:
+        raise ProtocolError(
+            "'memory_size' must be a non-negative integer",
+            code="invalid-query",
+        )
     # Every bound is float arithmetic on M.  Up to 2**53 every integer M is
     # an exact float and 2kM stays finite for every k; near the float
     # maximum 2kM overflows at every k, and the answer would carry a
     # -Infinity, which is not JSON.
-    _require(
-        memory_size <= 2**53,
-        "'memory_size' must be at most 2**53",
-        code="invalid-query",
-    )
+    if memory_size > 2**53:
+        raise ProtocolError("'memory_size' must be at most 2**53",
+                            code="invalid-query")
     num_processors = _int_field(payload, "num_processors", 1)
-    _require(num_processors >= 1, "'num_processors' must be >= 1",
-             code="invalid-query")
+    if num_processors < 1:
+        raise ProtocolError("'num_processors' must be >= 1", code="invalid-query")
     k = _int_field(payload, "k", None)
-    _require(k is None or k >= 1, "'k' must be >= 1 when given",
-             code="invalid-query")
+    if k is not None and k < 1:
+        raise ProtocolError("'k' must be >= 1 when given", code="invalid-query")
     # Closed vocabularies, rejected *here* rather than by the service: the
     # strings label the repro_queries_total metric, and unvalidated values
     # would let clients grow the label cardinality without bound.
     normalization = payload.get("normalization", "normalized")
-    _require(
-        isinstance(normalization, str) and normalization in KNOWN_NORMALIZATIONS,
-        f"unknown normalization {normalization!r}; expected one of "
-        f"{sorted(KNOWN_NORMALIZATIONS)}",
-        code="invalid-query",
-    )
+    if not isinstance(normalization, str) or normalization not in KNOWN_NORMALIZATIONS:
+        raise ProtocolError(
+            f"unknown normalization {normalization!r}; expected one of "
+            f"{sorted(KNOWN_NORMALIZATIONS)}",
+            code="invalid-query",
+        )
     method = payload.get("method", "spectral")
-    _require(
-        isinstance(method, str) and method in KNOWN_METHODS,
-        f"unknown method {method!r}; expected one of {sorted(KNOWN_METHODS)}",
-        code="invalid-query",
-    )
+    if not isinstance(method, str) or method not in KNOWN_METHODS:
+        raise ProtocolError(
+            f"unknown method {method!r}; expected one of {sorted(KNOWN_METHODS)}",
+            code="invalid-query",
+        )
     query = BoundQuery(
         graph=graph,
         memory_size=memory_size,
@@ -362,22 +361,22 @@ def decode_bounds_request(
     on any schema violation; on success every returned query is ready for
     :meth:`~repro.runtime.service.BoundService.submit`.
     """
-    _require(isinstance(payload, dict), "request body must be a JSON object")
+    if not isinstance(payload, dict):
+        raise ProtocolError("request body must be a JSON object")
     _check_version(payload)
     unknown = set(payload) - {"version", "queries"}
-    _require(not unknown, f"unknown request field(s) {sorted(unknown)}")
+    if unknown:
+        raise ProtocolError(f"unknown request field(s) {sorted(unknown)}")
     queries = payload.get("queries")
-    _require(
-        isinstance(queries, list) and len(queries) > 0,
-        "'queries' must be a non-empty list",
-    )
-    _require(
-        len(queries) <= MAX_QUERIES_PER_REQUEST,
-        f"a request carries at most {MAX_QUERIES_PER_REQUEST} queries, "
-        f"got {len(queries)}",
-        code="batch-too-large",
-        status=413,
-    )
+    if not isinstance(queries, list) or not queries:
+        raise ProtocolError("'queries' must be a non-empty list")
+    if len(queries) > MAX_QUERIES_PER_REQUEST:
+        raise ProtocolError(
+            f"a request carries at most {MAX_QUERIES_PER_REQUEST} queries, "
+            f"got {len(queries)}",
+            code="batch-too-large",
+            status=413,
+        )
     return [_decode_query(query, registry) for query in queries]
 
 
@@ -449,16 +448,19 @@ def encode_answers(
 
 def decode_answers(payload: object) -> List[BoundAnswer]:
     """Decode a ``POST /v1/bounds`` response body (the client half)."""
-    _require(isinstance(payload, dict), "response body must be a JSON object",
-             code="invalid-response")
+    if not isinstance(payload, dict):
+        raise ProtocolError("response body must be a JSON object",
+                            code="invalid-response")
     _check_version(payload)
     answers = payload.get("answers")
-    _require(isinstance(answers, list), "response carries no 'answers' list",
-             code="invalid-response")
+    if not isinstance(answers, list):
+        raise ProtocolError("response carries no 'answers' list",
+                            code="invalid-response")
     decoded = []
     for item in answers:
-        _require(isinstance(item, dict), "each answer must be an object",
-                 code="invalid-response")
+        if not isinstance(item, dict):
+            raise ProtocolError("each answer must be an object",
+                                code="invalid-response")
         # Fields this version does not know (``fingerprint``, or one a
         # server of another version sends) are skipped; missing ones fail.
         known = {k: v for k, v in item.items() if k in _ANSWER_FIELDS}

@@ -1,8 +1,11 @@
 """Server runners: one threaded process, or a pre-forked fleet.
 
 :class:`BoundServer` serves the app of :mod:`repro.server.app` over a
-stdlib threading HTTP server (``http.server`` + ``socketserver.ThreadingMixIn``
-— one thread per keep-alive connection, no third-party dependencies) and
+stdlib threading server (``socketserver.ThreadingMixIn`` — one thread per
+keep-alive connection, no third-party dependencies) whose handler is a lean
+HTTP/1.1 loop: per request it reads the request line and headers with
+bounded ``readline`` calls, keeps only the four headers that frame a
+request, and writes status line, headers and body in one ``sendall``.  It
 owns **admission control** (:class:`AdmissionController`), which it hands
 to the service: at most ``max_in_flight`` cold solves (eigensolves and
 max-flow passes) run concurrently and at most ``max_queue`` more may wait;
@@ -40,6 +43,7 @@ at once.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import signal
 import socket as socketlib
@@ -48,13 +52,15 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler
-from socketserver import BaseServer, TCPServer, ThreadingMixIn
+from email.utils import formatdate
+from http import HTTPStatus
+from socketserver import BaseServer, StreamRequestHandler, TCPServer, ThreadingMixIn
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.metrics import global_registry, set_process_labels
 from repro.runtime.service import BoundService
 from repro.server.app import MAX_BODY_BYTES, BoundsApp, ServerOverloadedError
+from repro.server.protocol import ProtocolError, encode_error
 
 __all__ = [
     "AdmissionController",
@@ -193,68 +199,143 @@ def _listen(host: str, port: int) -> socketlib.socket:
     return sock
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
+#: The longest request or header line read, and the most header lines a
+#: request may carry (``http.server``'s limits): beyond them the request
+#: gets 414 or 431 and a hang-up.
+_MAX_LINE = 64 * 1024
+_MAX_HEADERS = 100
+#: The only headers that frame a request; the loop reads past the rest.
+_FRAMING_HEADERS = frozenset(
+    {b"content-length", b"connection", b"transfer-encoding", b"expect"}
+)
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+def _read_head(rfile, request_line: bytes) -> Tuple[str, str, int, bool, bool]:
+    """Parse a request line and read its header block off ``rfile``.
+
+    Returns ``(method, path, content_length, keep_alive, expects_continue)``:
+    the path drops its query string, ``content_length`` is -1 when
+    unparsable, and ``keep_alive`` holds for HTTP/1.1 without
+    ``Connection: close``.  Raises :class:`~repro.server.protocol.ProtocolError`
+    for a request the loop cannot frame, before any body is read.
+    """
+    if len(request_line) > _MAX_LINE:
+        raise ProtocolError(f"the request line exceeds {_MAX_LINE} bytes",
+                            "request-line-too-long", 414)
+    words = request_line.split()
+    if len(words) != 3:
+        raise ProtocolError("a request line is METHOD TARGET HTTP-VERSION",
+                            "malformed-request")
+    method, target, version = words
+    if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+        raise ProtocolError("this server speaks HTTP/1.1 and HTTP/1.0",
+                            "malformed-request")
+    headers: Dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise ProtocolError(f"a header line exceeds {_MAX_LINE} bytes",
+                                "header-too-large", 431)
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise ProtocolError("a header line has no colon", "malformed-request")
+        name = name.lower()
+        if name in _FRAMING_HEADERS:
+            headers[name] = value.strip()
+    else:
+        raise ProtocolError(f"a request carries at most {_MAX_HEADERS} header lines",
+                            "too-many-headers", 431)
+    # Only Content-Length bodies are read: a chunked body left unread would
+    # be parsed as the next request.
+    if b"transfer-encoding" in headers:
+        raise ProtocolError("send the body with a Content-Length, not a Transfer-Encoding",
+                            "length-required", 411)
+    try:
+        content_length = int(headers.get(b"content-length") or 0)
+    except ValueError:
+        content_length = -1
+    http11 = version == b"HTTP/1.1"
+    connection = headers.get(b"connection", b"").lower().split(b",")
+    keep_alive = http11 and b"close" not in [token.strip() for token in connection]
+    expects_continue = http11 and headers.get(b"expect", b"").lower() == b"100-continue"
+    path = target.split(b"?", 1)[0].decode("latin-1")
+    return method.decode("latin-1"), path, content_length, keep_alive, expects_continue
+
+
+class _RequestHandler(StreamRequestHandler):
     """One keep-alive HTTP/1.1 connection; every request goes to the app.
 
-    ``http.server`` parses requests, loops over a connection's requests and
-    supplies the reason phrases.  This class reads the declared body, hands
-    the request to the server's :class:`~repro.server.app.BoundsApp` and
-    writes the answer.  Every verb reaches the app (the ``do_*`` fallback),
-    so an unknown verb gets the app's recorded 405, not an unrecorded 501.
-    Per-request access logging is off: ``/metrics`` is the observability.
+    The loop reads each request's line and headers (:func:`_read_head`)
+    and its ``Content-Length`` body, hands ``(method, path,
+    content_length, body, shared)`` to the server's
+    :class:`~repro.server.app.BoundsApp`, and writes the answer in one
+    ``sendall``.  Every verb reaches the app, so an unknown verb gets the
+    app's recorded 405; HEAD answers carry no body.  The connection closes
+    after an HTTP/1.0 request, a ``Connection: close``, a body it cannot
+    read, or once the server is closing.  A request it cannot frame gets an
+    ``application/json`` :func:`~repro.server.protocol.encode_error` body
+    from the loop and a hang-up: 400 (malformed, or not HTTP/1.x), 411 (a
+    ``Transfer-Encoding``), and 414 or 431 (over the line and header
+    limits).  Per-request access logging is off: ``/metrics`` is the
+    observability.
     """
 
-    protocol_version = "HTTP/1.1"
     # Without TCP_NODELAY each small response on a kept-alive connection
     # waits out Nagle's algorithm against the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
-    # Socket timeout: a client that declares a body it never sends frees
-    # its handler thread after this many seconds (the read times out and
-    # http.server drops the connection).
+    # Socket timeout: a client that idles, or declares a body it never
+    # sends, frees its handler thread after this many seconds.
     timeout = 30
-
-    def __getattr__(self, name: str):
-        if name.startswith("do_"):
-            return self._serve
-        raise AttributeError(name)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
 
     def handle(self) -> None:
         try:
-            super().handle()
+            while self._serve_one():
+                pass
         except OSError:
-            pass  # the client reset the connection: nobody is left to answer
+            pass  # the client hung up or timed out: nobody is left to answer
 
-    def handle_one_request(self) -> None:
-        self.server.idle(self.connection)
-        super().handle_one_request()
-
-    def parse_request(self) -> bool:
-        self.server.busy(self.connection)
-        return super().parse_request()
-
-    def _serve(self) -> None:
+    def _serve_one(self) -> bool:
+        """Answer one request; False once the connection is done."""
+        server = self.server
+        server.idle(self.connection)
+        request_line = self.rfile.readline(_MAX_LINE + 1)
+        server.busy(self.connection)
+        if not request_line:
+            return False  # the client, or the drain, ended the connection
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = -1
+            method, path, length, keep_alive, expects_continue = _read_head(
+                self.rfile, request_line
+            )
+        except ProtocolError as refusal:
+            body = json.dumps(encode_error(refusal.message, refusal.code)).encode()
+            headers = [("Content-Type", "application/json"),
+                       ("Content-Length", str(len(body)))]
+            self._send(refusal.status, headers, body, close=True)
+            return False
         # A body left unread would be parsed as the next request, so an
         # out-of-range declaration gets the app's 400/413 and a hang-up.
         readable = 0 <= length <= MAX_BODY_BYTES
+        if readable and length and expects_continue:
+            self.connection.sendall(_CONTINUE)
         body = self.rfile.read(length) if readable else b""
-        status, headers, raw = self.server.app(
-            self.command, self.path.split("?", 1)[0], length, body, self.server.shared
-        )
-        self.send_response(status)
-        for name, value in headers:
-            self.send_header(name, value)
-        if not readable or self.server.closing:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(raw)
+        status, headers, raw = server.app(method, path, length, body, server.shared)
+        close = not (readable and keep_alive) or server.closing
+        self._send(status, headers, b"" if method == "HEAD" else raw, close)
+        return not close
+
+    def _send(self, status: int, headers, body: bytes, close: bool) -> None:
+        """Status line, headers and body in one write."""
+        head = [f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+                f"Date: {self.server.date()}"]
+        head += [f"{name}: {value}" for name, value in headers]
+        if close:
+            head.append("Connection: close")
+        head.append("\r\n")
+        self.connection.sendall("\r\n".join(head).encode("latin-1") + body)
 
 
 class _HTTPServer(ThreadingMixIn, TCPServer):
@@ -279,6 +360,14 @@ class _HTTPServer(ThreadingMixIn, TCPServer):
         self.closing = False
         self._lock = threading.Lock()
         self._idle: Set[socketlib.socket] = set()
+        self._date = (0, "")
+
+    def date(self) -> str:
+        """The ``Date`` header's value, formatted once per second."""
+        now = int(time.time())
+        if now != self._date[0]:
+            self._date = (now, formatdate(now, usegmt=True))
+        return self._date[1]
 
     def idle(self, connection: socketlib.socket) -> None:
         with self._lock:

@@ -12,6 +12,7 @@ overload must 429 without corrupting state).
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -1135,6 +1136,120 @@ class TestClientKeepAlive:
                 request()
             assert time.perf_counter() - start < 0.4
         client.close()
+
+
+def _read_response(rfile):
+    """One response off a raw connection: (status, lower-cased headers, body)."""
+    status = int(rfile.readline().split()[1])
+    headers = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, rfile.read(int(headers.get("content-length", 0)))
+
+
+BOUNDS_BODY = json.dumps(
+    {"queries": [{"graph": {"family": "fft", "size": 3}, "memory_size": 2}]}
+).encode()
+BOUNDS_REQUEST = (
+    b"POST /v1/bounds HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n"
+    % len(BOUNDS_BODY) + BOUNDS_BODY
+)
+
+
+class TestTransportLoop:
+    """The server's own HTTP/1.1 loop, driven over raw sockets."""
+
+    @staticmethod
+    def _connect(server):
+        sock = socket.create_connection((server.host, server.port), timeout=10)
+        return sock, sock.makefile("rb")
+
+    def test_pipelined_requests_are_answered_in_order(self, live_server):
+        sock, rfile = self._connect(live_server)
+        with sock, rfile:
+            sock.sendall(BOUNDS_REQUEST + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            status, headers, body = _read_response(rfile)
+            assert status == 200 and "connection" not in headers
+            assert json.loads(body)["answers"][0]["graph"] == "fft:3"
+            status, headers, body = _read_response(rfile)
+            assert status == 200 and json.loads(body)["status"] == "ok"
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert _read_response(rfile)[0] == 200  # still kept alive
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http-1.0", "connection-close"],
+    )
+    def test_one_response_then_eof(self, live_server, request_bytes):
+        sock, rfile = self._connect(live_server)
+        with sock, rfile:
+            sock.sendall(request_bytes + request_bytes)
+            status, headers, body = _read_response(rfile)
+            assert status == 200 and json.loads(body)["status"] == "ok"
+            assert headers["connection"] == "close"
+            assert rfile.read() == b""  # the second request is never answered
+
+    def test_expect_100_continue_gets_its_interim_response(self, live_server):
+        sock, rfile = self._connect(live_server)
+        with sock, rfile:
+            head, body = BOUNDS_REQUEST.split(b"\r\n\r\n", 1)
+            sock.sendall(head + b"\r\nExpect: 100-continue\r\n\r\n")
+            assert _read_response(rfile) == (100, {}, b"")
+            sock.sendall(body)
+            status, _, raw = _read_response(rfile)
+            assert status == 200 and json.loads(raw)["answers"][0]["graph"] == "fft:3"
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, code",
+        [
+            (b"NONSENSE\r\n\r\n", 400, "malformed-request"),
+            (b"POST /v1/bounds HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked"
+             b"\r\n\r\n5\r\n{\"a\":\r\n0\r\n\r\n", 411, "length-required"),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, "request-line-too-long"),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+             431, "header-too-large"),
+            (b"GET /healthz HTTP/1.1\r\n"
+             + b"".join(b"X-%d: y\r\n" % i for i in range(101)) + b"\r\n",
+             431, "too-many-headers"),
+        ],
+        ids=["malformed", "chunked", "long-request-line", "long-header", "101-headers"],
+    )
+    def test_unframeable_requests_get_a_json_error_and_a_hang_up(
+        self, live_server, request_bytes, status, code
+    ):
+        sock, rfile = self._connect(live_server)
+        with sock, rfile:
+            sock.sendall(request_bytes)
+            got, headers, body = _read_response(rfile)
+            assert rfile.read() == b""  # nothing else on the stream
+        assert (got, headers["connection"]) == (status, "close")
+        assert headers["content-type"] == "application/json"
+        error = json.loads(body)
+        assert (error["version"], error["error"]["code"]) == (PROTOCOL_VERSION, code)
+        with BoundsClient(live_server.url) as client:
+            assert client.health()["status"] == "ok"
+
+    def test_a_response_goes_out_in_one_write(self, live_server, monkeypatch):
+        # Headers and body in one segment: with two writes a response hinges
+        # on TCP_NODELAY to dodge the delayed-ACK stall.
+        writes = []
+        sendall = socket.socket.sendall
+
+        def counted(sock, data, *args):
+            if sock.getsockname()[1] == live_server.port:  # the server's side
+                writes.append(len(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counted)
+        with BoundsClient(live_server.url) as client:
+            client.bounds(MIXED_QUERIES[:1])
+            client.health()
+        assert len(writes) == 2
 
 
 def _raw_post(base_url: str, payload: dict):
